@@ -111,12 +111,6 @@ class Gf2Basis:
                 v ^= row
         return v == 0
 
-    def reduce(self, v: int) -> int:
-        for row, piv in zip(self.rows, self.pivots):
-            if (v >> piv) & 1:
-                v ^= row
-        return v
-
     def enumerate_span(self) -> list[int]:
         out = [0]
         for row in self.rows:

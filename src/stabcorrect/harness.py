@@ -48,6 +48,19 @@ SCHEMA_VERSION = 1
 STATE_KINDS = ("basis", "random_stabilizer", "tdoped", "w_family", "combo", "haar")
 COMMANDS = ("analyze", "test", "selfcorrect", "decompose", "learn-extent", "oracle", "bench")
 
+# the params keys each command reads; any other key is rejected
+_ORACLE_KEYS = ("oracle", "theta")
+_LEARNER_KEYS = ("learner", "learner_cap", "gamma", "delta", "attempts", *_ORACLE_KEYS)
+PARAM_KEYS = {
+    "analyze": frozenset({"mode", "delta"}),
+    "test": frozenset({"eps1", "eps2", "t", "delta", "mode", "separation_c"}),
+    "selfcorrect": frozenset({"gamma", "delta", "attempts", *_ORACLE_KEYS}),
+    "decompose": frozenset({"t", "loop", "eps", *_LEARNER_KEYS}),
+    "learn-extent": frozenset({"xi", "eps_prime", *_LEARNER_KEYS}),
+    "oracle": frozenset({"stab_dims"}),
+    "bench": frozenset({"n", "n_naive"}),
+}
+
 
 @dataclass(frozen=True)
 class StateSpec:
@@ -230,6 +243,12 @@ class ExperimentConfig:
             val = self.params.get(key)
             if val is not None and not 0 < float(val) < 1:
                 raise ValueError(f"parameter {key} must lie in (0, 1)")
+        unknown = sorted(set(self.params) - PARAM_KEYS[self.command])
+        if unknown:
+            raise ValueError(
+                f"unknown parameter(s) {', '.join(map(repr, unknown))} for command "
+                f"{self.command!r}; allowed: {', '.join(sorted(PARAM_KEYS[self.command]))}"
+            )
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":

@@ -372,10 +372,16 @@ def clifford_from_isotropic(basis: Gf2Basis, n: int) -> CliffordTableau:
     return tableau_from_circuit(CliffordCircuit(n, tuple(red.gates)))
 
 
-def canonicalize_subgroup(generators) -> tuple[CliffordTableau, int, int]:
+def canonicalize_subgroup(
+    generators, center_tail: bool = False
+) -> tuple[CliffordTableau, int, int]:
     """Clifford U and (k, m) with the span of the conjugated generators equal,
-    as an unsigned set, to <Z_0, X_0, ..., Z_{k-1}, X_{k-1}, Z_k, ..., Z_{k+m-1}>:
-    the k symplectic pairs land on the first k qubits, the center on the next m.
+    as an unsigned set, to <Z_0, X_0, ..., Z_{k-1}, X_{k-1}> times the center
+    <Z_c, ..., Z_{c+m-1}>: the k symplectic pairs land on the first k qubits.
+
+    The center follows them (c = k) by default; ``center_tail`` puts it on
+    the last m qubits instead (c = n - m), leaving the middle block free for
+    callers whose free qubits must survive unmeasured.
     """
     generators = list(generators)
     if not generators:
@@ -388,26 +394,7 @@ def canonicalize_subgroup(generators) -> tuple[CliffordTableau, int, int]:
     red = _Reducer(n, tracked)
     for i in range(k):
         red.reduce_pair(2 * i, 2 * i + 1, i)
-    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), k)
-    return tableau_from_circuit(CliffordCircuit(n, tuple(red.gates))), k, m
-
-
-def canonicalize_subgroup_center_tail(generators) -> tuple[CliffordTableau, int, int]:
-    """Variant layout: the k symplectic pairs still occupy the first k qubits
-    but the center lands on the last m qubits, leaving the middle block free.
-    Used where the free qubits must survive unmeasured."""
-    generators = list(generators)
-    if not generators:
-        raise ValueError("need at least one generator")
-    n = generators[0].n
-    sgs = symplectic_gram_schmidt(generators)
-    k, m = len(sgs.pairs), len(sgs.center)
-    tracked = [PhasedPauli(lab, 0) for pair in sgs.pairs for lab in pair]
-    tracked += [PhasedPauli(lab, 0) for lab in sgs.center]
-    red = _Reducer(n, tracked)
-    for i in range(k):
-        red.reduce_pair(2 * i, 2 * i + 1, i)
-    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m)
+    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
     return tableau_from_circuit(CliffordCircuit(n, tuple(red.gates))), k, m
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,21 +32,21 @@ from .pauli import (
     StabilizerState,
     canonicalize_subgroup,
     conjugate,
+    statevector_of,
     synthesize_circuit,
+    tableau_from_circuit,
 )
 from .statevec import (
     GowersMetrics,
     StateVector,
     apply_circuit,
-    distribution_tables,
+    exact_proxy,
     expectation_table,
     gowers3_metrics,
     label_from_index,
     label_index,
     measure_block,
-    overlap,
     sample_weyl_indices,
-    statevector_of_stab,
 )
 
 
@@ -183,7 +184,7 @@ def _draw_retained(
     out: list[np.ndarray] = []
     got = 0
     w2 = _w2(psi)
-    rate = max(float(np.dot(distribution_tables(psi)[1].values, w2)), 1e-3)
+    rate = max(exact_proxy(psi), 1e-3)
     for _ in range(max_batches):
         want = max(int(np.ceil((count - got) / rate)) + 4, 8)
         idx = sample_weyl_indices(psi, want, rng, ledger)
@@ -468,22 +469,49 @@ class CandidateStabilizer:
         }
 
 
-def _mub_sign_states(k: int) -> list[tuple[StabilizerState, int, int]]:
-    """All k-qubit stabilizer states over the MUB groups with every sign
-    assignment, as (state, group index, sign pattern)."""
-    out = []
-    for gi, group in enumerate(mub_covering(k).groups):
-        gens0 = [PauliLabel.from_vector(k, v) for v in group.rows]
-        for eps in range(1 << k):
-            gens = tuple(
-                PhasedPauli(g, 2 * ((eps >> i) & 1)) for i, g in enumerate(gens0)
-            )
-            out.append((StabilizerState(k, gens), gi, eps))
-    return out
+def _mub_generators(k: int, gi: int, eps: int) -> tuple[PhasedPauli, ...]:
+    """Signed generators of MUB group ``gi``; bit i of ``eps`` negates the
+    i-th generator."""
+    rows = mub_covering(k).groups[gi].rows
+    return tuple(
+        PhasedPauli(PauliLabel.from_vector(k, v), 2 * ((eps >> i) & 1))
+        for i, v in enumerate(rows)
+    )
+
+
+@lru_cache(maxsize=None)
+def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Every k-qubit stabilizer state over the MUB groups with every sign
+    assignment, as its (group index, sign pattern) and the read-only matrix
+    whose rows are their statevectors.  Built once per k; only the winner's
+    state is ever rebuilt from its key."""
+    keys = tuple(
+        (gi, eps) for gi in range(len(mub_covering(k).groups)) for eps in range(1 << k)
+    )
+    matrix = np.array([
+        statevector_of(StabilizerState(k, _mub_generators(k, gi, eps))) for gi, eps in keys
+    ])
+    matrix.flags.writeable = False
+    return keys, matrix
+
+
+def _candidate_weights(rotated: StateVector, k: int) -> np.ndarray:
+    """|(<c| (x) <z|) rotated|^2 for every MUB candidate c on qubits 0..k-1
+    (rows) and every basis state z of qubits k..n-1 (columns).
+
+    Row sums are the projection probabilities; a row over its sum is the
+    computational law of the rest after projecting onto c.
+    """
+    _, matrix = _mub_candidates(k)
+    block = rotated.amps.reshape(1 << (rotated.n - k), 1 << k)
+    return np.abs(matrix.conj() @ block.T) ** 2
 
 
 def _shadow_cost(m: int, eps: float, delta: float) -> int:
     return int(np.ceil(np.log(max(m, 2) / delta) / eps**2))
+
+
+TIE_TOL = 1e-12
 
 
 def find_stabilizer(
@@ -497,12 +525,19 @@ def find_stabilizer(
 ) -> CandidateStabilizer:
     """Extract the best product-form stabilizer compatible with the subgroup.
 
-    Canonicalizes the subgroup (k pairs, m center), builds the k-qubit MUB
-    candidate list with all 2^k sign patterns, repeatedly projects the first
-    k qubits of the rotated state onto each candidate followed by a
-    computational measurement of the rest, and returns the collected
-    candidate of maximal fidelity, rotated back.  Fidelities are exact; the
-    estimation cost is charged to the ledger.
+    Canonicalizes the subgroup (k pairs, m center) and rotates the state into
+    that frame.  One contraction with the cached k-qubit MUB candidate matrix
+    (every group, every sign pattern) gives |(<c| (x) <z|) rotated|^2 for
+    each candidate c and rest bitstring z.  Each round, per candidate, draws
+    the projection of the first k qubits onto c from the row sum and, on
+    success, the computational outcome z of the rest from the row; with
+    k = 0 each round measures all qubits computationally.
+
+    The rotation is unitary, so a collected entry's contraction value is its
+    exact fidelity with ``psi``.  The first collected entry wins unless a
+    later one exceeds it by more than ``TIE_TOL``: exact ties resolve by
+    collection order, not by rounding noise.  Only the winner is rotated
+    back.  Each simulated measurement charges one ``measure`` copy.
     """
     labels = sub.basis.labels(psi.n)
     tableau, k, m = canonicalize_subgroup(labels)
@@ -510,56 +545,60 @@ def find_stabilizer(
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
     rounds = n_rounds if n_rounds is not None else min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
-    collected: dict[tuple[int, int], tuple] = {}
+    # (candidate row, z) in first-collection order
+    collected: dict[tuple[int, int], None] = {}
     if k == 0:
+        weights = (np.abs(rotated.amps) ** 2)[None, :]
+        law = weights[0] / weights[0].sum()
         for _ in range(rounds):
-            z, _, _ = measure_block(rotated, tuple(range(n)), "computational", rng, ledger)
-            collected[(-1, z)] = (None, z, -1, -1)
+            collected[(0, int(rng.choice(law.shape[0], p=law)))] = None
+        measured = rounds
     else:
-        candidates = [
-            (cand, statevector_of_stab(cand), gi, eps)
-            for cand, gi, eps in _mub_sign_states(k)
-        ]
+        weights = _candidate_weights(rotated, k)
+        p0 = weights.sum(axis=1)
+        measured = 0
         for _ in range(rounds):
-            for ci, (cand, vec, gi, eps) in enumerate(candidates):
-                out, _, post = measure_block(
-                    rotated, tuple(range(k)), ("project", vec.amps), rng, ledger
-                )
-                if out == 0:
-                    z, _, _ = measure_block(
-                        post, tuple(range(k, n)), "computational", rng, ledger
-                    )
-                    collected[(ci, z)] = (cand, z, gi, eps)
+            for ci, pc in enumerate(p0.tolist()):
+                measured += 1
+                if rng.random() < pc:
+                    measured += 1
+                    z = int(rng.choice(weights.shape[1], p=weights[ci] / pc))
+                    collected[(ci, z)] = None
+    if ledger is not None:
+        ledger.charge("measure", copies=measured)
     if not collected:
         raise NoCandidateFound("no candidate collected within the round budget")
-    inverse = tableau.inverse()
-    best: CandidateStabilizer | None = None
-    for cand, z, gi, eps in collected.values():
-        gens: list[PhasedPauli] = []
-        if cand is not None:
-            for g in cand.generators:
-                lifted = PauliLabel(n, g.label.x, g.label.z)
-                gens.append(PhasedPauli(lifted, g.phase))
-        for j in range(n - k):
-            gens.append(
-                PhasedPauli(PauliLabel(n, 0, 1 << (k + j)), 2 * ((z >> j) & 1))
-            )
-        rotated_back = tuple(conjugate(inverse, g) for g in gens)
-        state = StabilizerState(n, rotated_back)
-        fid = abs(overlap(statevector_of_stab(state), psi)) ** 2
-        entry = CandidateStabilizer(
-            state,
-            float(fid),
-            {"mub_index": gi, "sign_pattern": eps, "z": z, "k": k, "m": m},
-        )
-        if best is None or entry.fidelity > best.fidelity:
-            best = entry
+    keys = list(collected)
+    rows, zs = zip(*keys)
+    fids = weights[list(rows), list(zs)].tolist()
+    best = 0
+    for i, fid in enumerate(fids):
+        if fid > fids[best] + TIE_TOL:
+            best = i
+    ci, z = keys[best]
+    gens: list[PhasedPauli] = []
+    gi = eps = -1
+    if k:
+        gi, eps = _mub_candidates(k)[0][ci]
+        gens = [
+            PhasedPauli(PauliLabel(n, g.label.x, g.label.z), g.phase)
+            for g in _mub_generators(k, gi, eps)
+        ]
+    for j in range(n - k):
+        gens.append(PhasedPauli(PauliLabel(n, 0, 1 << (k + j)), 2 * ((z >> j) & 1)))
+    # tableau.inverse() would synthesize this same circuit a second time
+    inverse = tableau_from_circuit(circuit.inverse())
+    state = StabilizerState(n, tuple(conjugate(inverse, g) for g in gens))
     if ledger is not None:
         ledger.charge(
             "fidelity_shadows",
             copies=_shadow_cost(len(collected), max(gamma, 1e-3) / 8.0, delta),
         )
-    return best
+    return CandidateStabilizer(
+        state,
+        float(fids[best]),
+        {"mub_index": gi, "sign_pattern": eps, "z": z, "k": k, "m": m},
+    )
 
 
 @dataclass(frozen=True)
@@ -594,10 +633,8 @@ def find_high_stab_dim(
     exact normalized conditional block on the remaining k = n - m qubits is
     returned (the desk-scale stand-in for tomography of that block).  The
     described state has stabilizer dimension >= n - k by construction."""
-    from .pauli import canonicalize_subgroup_center_tail
-
     labels = sub.basis.labels(psi.n)
-    tableau, _, m = canonicalize_subgroup_center_tail(labels)
+    tableau, _, m = canonicalize_subgroup(labels, center_tail=True)
     circuit = synthesize_circuit(tableau)
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n

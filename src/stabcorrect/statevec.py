@@ -190,14 +190,6 @@ def sample_weyl_indices(
     return np.minimum(idx, cum.shape[0] - 1)
 
 
-def sample_weyl_dist(
-    psi: StateVector, rng: np.random.Generator, ledger: CostLedger | None = None
-) -> PauliLabel:
-    """One label drawn with probability q(x)."""
-    idx = sample_weyl_indices(psi, 1, rng, ledger)[0]
-    return label_from_index(psi.n, int(idx))
-
-
 def two_copy_retention(
     psi: StateVector,
     label: PauliLabel,
@@ -233,6 +225,14 @@ class GowersMetrics:
     shots: int = 0
 
 
+def exact_proxy(psi: StateVector) -> float:
+    """E_{x~q}[<W_x>^2] from the tables, computed once per state."""
+    if "proxy" not in psi._cache:
+        _, q = distribution_tables(psi)
+        psi._cache["proxy"] = float(np.dot(q.values, expectation_table(psi) ** 2))
+    return psi._cache["proxy"]
+
+
 def gowers3_metrics(
     psi: StateVector,
     mode: str = "exact",
@@ -252,7 +252,7 @@ def gowers3_metrics(
     p, q = distribution_tables(psi)
     w2 = expectation_table(psi) ** 2
     if mode == "exact":
-        proxy = float(np.dot(q.values, w2))
+        proxy = exact_proxy(psi)
         u3pow8 = float(np.dot(p.values, w2))
         triple = float((4.0 ** psi.n) * np.sum(p.values ** 3))
         if abs(proxy - triple) > 1e-9:

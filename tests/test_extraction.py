@@ -1,0 +1,179 @@
+"""find_stabilizer's one-contraction extraction against the per-candidate
+measurement loop it replaced."""
+
+import numpy as np
+import pytest
+
+from stabcorrect.gf2 import PauliLabel, rref_basis
+from stabcorrect.ledger import CostLedger
+from stabcorrect.pauli import (
+    PhasedPauli,
+    StabilizerState,
+    canonicalize_subgroup,
+    conjugate,
+    statevector_of,
+    synthesize_circuit,
+    tableau_from_circuit,
+)
+from stabcorrect.selfcorrect import (
+    TIE_TOL,
+    SubgroupV,
+    _candidate_weights,
+    _mub_candidates,
+    _mub_generators,
+    _shadow_cost,
+    find_stabilizer,
+)
+from stabcorrect.statevec import StateVector, apply_circuit, measure_block, random_state
+
+from conftest import random_circuit
+
+
+def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None, n_rounds=None):
+    """The per-candidate loop: each round measures the projector onto every
+    candidate with ``measure_block`` and, on outcome 0, the rest
+    computationally; every collected entry is rotated back and scored by a
+    dense n-qubit overlap with ``psi``.  Same tie rule as the fast path."""
+    labels = sub.basis.labels(psi.n)
+    tableau, k, m = canonicalize_subgroup(labels)
+    rotated = apply_circuit(psi, synthesize_circuit(tableau), ledger)
+    n = psi.n
+    rounds = n_rounds if n_rounds is not None else min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
+    collected = {}
+    if k == 0:
+        for _ in range(rounds):
+            z, _, _ = measure_block(rotated, tuple(range(n)), "computational", rng, ledger)
+            collected[(-1, z)] = (None, z, -1, -1)
+    else:
+        candidates = []
+        for gi, eps in _mub_candidates(k)[0]:
+            cand = StabilizerState(k, _mub_generators(k, gi, eps))
+            candidates.append((cand, statevector_of(cand), gi, eps))
+        for _ in range(rounds):
+            for ci, (cand, vec, gi, eps) in enumerate(candidates):
+                out, _, post = measure_block(rotated, tuple(range(k)), ("project", vec), rng, ledger)
+                if out == 0:
+                    z, _, _ = measure_block(post, tuple(range(k, n)), "computational", rng, ledger)
+                    collected[(ci, z)] = (cand, z, gi, eps)
+    inverse = tableau.inverse()
+    best = None
+    for cand, z, gi, eps in collected.values():
+        gens = []
+        if cand is not None:
+            gens = [PhasedPauli(PauliLabel(n, g.label.x, g.label.z), g.phase) for g in cand.generators]
+        gens += [PhasedPauli(PauliLabel(n, 0, 1 << (k + j)), 2 * ((z >> j) & 1)) for j in range(n - k)]
+        state = StabilizerState(n, tuple(conjugate(inverse, g) for g in gens))
+        fid = abs(np.vdot(statevector_of(state), psi.amps)) ** 2
+        if best is None or fid > best[1] + TIE_TOL:
+            best = (state, fid, {"mub_index": gi, "sign_pattern": eps, "z": z, "k": k, "m": m})
+    if ledger is not None:
+        ledger.charge(
+            "fidelity_shadows",
+            copies=_shadow_cost(len(collected), max(gamma, 1e-3) / 8.0, delta),
+        )
+    return best
+
+
+def random_subgroup(n, k, m, rng):
+    """Span of k symplectic pairs and an m-dimensional center, in a random
+    Clifford frame."""
+    tab = tableau_from_circuit(random_circuit(n, rng))
+    canon = [PauliLabel(n, 1 << i, 0) for i in range(k)]
+    canon += [PauliLabel(n, 0, 1 << i) for i in range(k + m)]
+    vecs = [conjugate(tab, PhasedPauli(lab, 0)).label.to_vector() for lab in canon]
+    return SubgroupV(n, rref_basis(vecs, 2 * n), None)
+
+
+CASES = [
+    (n, k, m, seed)
+    for n in range(1, 7)
+    for k in (0, 1, 2, 3)
+    for m in sorted({0, 1, n - k})
+    if m >= 0 and 0 < k + m <= n
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("n,k,m,seed", CASES)
+def test_matches_per_candidate_loop(n, k, m, seed):
+    rng = np.random.default_rng([n, k, m, seed])
+    sub = random_subgroup(n, k, m, rng)
+    psi = random_state(n, rng)
+    ledger_fast, ledger_ref = CostLedger(), CostLedger()
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    fast = find_stabilizer(psi, sub, 0.5, 0.05, rng_fast, ledger_fast)
+    state, fid, prov = reference_find_stabilizer(psi, sub, 0.5, 0.05, rng_ref, ledger_ref)
+    assert (fast.provenance["k"], fast.provenance["m"]) == (k, m)
+    assert fast.state.to_json() == state.to_json()
+    assert fast.provenance == prov
+    assert abs(fast.fidelity - fid) <= 1e-12
+    assert ledger_fast.to_json() == ledger_ref.to_json()
+    # same draws: both generators end in the same state
+    assert rng_fast.random() == rng_ref.random()
+    exact = abs(np.vdot(statevector_of(fast.state), psi.amps)) ** 2
+    assert abs(fast.fidelity - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,m,seed", [c for c in CASES if c[3] == 0 and c[0] <= 5])
+def test_weights_are_measure_block_laws(n, k, m, seed):
+    rng = np.random.default_rng([n, k, m, seed, 1])
+    sub = random_subgroup(n, k, m, rng)
+    psi = random_state(n, rng)
+    tableau, _, _ = canonicalize_subgroup(sub.basis.labels(n))
+    rotated = apply_circuit(psi, synthesize_circuit(tableau))
+    if k == 0:
+        probs = np.abs(rotated.amps) ** 2
+        for z in range(1 << n):
+            _, pr, _ = measure_block(rotated, tuple(range(n)), "computational", force_outcome=z)
+            assert abs(pr - probs[z]) <= 1e-12
+        return
+    weights = _candidate_weights(rotated, k)
+    p0 = weights.sum(axis=1)
+    for ci, (gi, eps) in enumerate(_mub_candidates(k)[0]):
+        vec = statevector_of(StabilizerState(k, _mub_generators(k, gi, eps)))
+        _, pr, post = measure_block(rotated, tuple(range(k)), ("project", vec), force_outcome=0)
+        assert abs(pr - p0[ci]) <= 1e-12
+        for z in range(1 << (n - k)):
+            _, pz, _ = measure_block(
+                post, tuple(range(k, n)), "computational", force_outcome=z
+            )
+            assert abs(pz - weights[ci, z] / p0[ci]) <= 1e-12
+
+
+def _tie_case(gap):
+    """One qubit and the subgroup <Z> (k = 0): the candidates |0> and |1>
+    have fidelities 1/2 - gap/2 and 1/2 + gap/2."""
+    psi = StateVector(1, np.sqrt([0.5 - gap / 2, 0.5 + gap / 2]))
+    sub = SubgroupV(1, rref_basis([PauliLabel(1, 0, 1).to_vector()], 2), None)
+    return psi, sub
+
+
+def _draw_order(psi, seed, rounds=8):
+    rng = np.random.default_rng(seed)
+    law = np.abs(psi.amps) ** 2
+    return [int(rng.choice(2, p=law / law.sum())) for _ in range(rounds)]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-14, -1e-14])
+def test_tie_first_collected_wins(gap):
+    # within TIE_TOL the first collected entry keeps the win, whichever of
+    # the two is larger by rounding
+    psi, sub = _tie_case(gap)
+    firsts = set()
+    for seed in range(6):
+        order = _draw_order(psi, seed)
+        assert set(order) == {0, 1}
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, np.random.default_rng(seed))
+        assert cand.provenance["z"] == order[0]
+        assert cand.fidelity == pytest.approx(0.5, abs=1e-12)
+        firsts.add(order[0])
+    assert firsts == {0, 1}
+
+
+def test_gap_above_tie_tolerance_wins():
+    psi, sub = _tie_case(1e-9)
+    for seed in range(6):
+        assert set(_draw_order(psi, seed)) == {0, 1}
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, np.random.default_rng(seed))
+        assert cand.provenance["z"] == 1

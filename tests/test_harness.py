@@ -1,8 +1,11 @@
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
+from stabcorrect import harness
 from stabcorrect.harness import (
     ExperimentConfig,
     StateSpec,
@@ -102,6 +105,28 @@ class TestConfig:
             )
         with pytest.raises(ValueError):
             ExperimentConfig.from_json({"command": "frobnicate"})
+
+    def test_unknown_param_rejected(self):
+        with pytest.raises(ValueError, match="'gama'"):
+            ExperimentConfig.from_json(
+                {"command": "selfcorrect", "params": {"gama": 0.9, "oracle": "planted"}}
+            )
+        # a key another command reads is still unknown here
+        with pytest.raises(ValueError, match="'stab_dims'"):
+            ExperimentConfig.from_json({"command": "decompose", "params": {"stab_dims": [1]}})
+
+    def test_param_schema_accepts_what_commands_read(self):
+        ExperimentConfig.from_json(
+            {"command": "selfcorrect", "params": {"gamma": 0.5, "delta": 0.05, "oracle": "planted"}}
+        )
+        ExperimentConfig.from_json(
+            {
+                "command": "decompose",
+                "params": {"learner": "self_correct", "oracle": "threshold-span", "eps": 0.05, "loop": "robust"},
+            }
+        )
+        read = set(re.findall(r'params\.get\("(\w+)"', inspect.getsource(harness)))
+        assert read == set().union(*harness.PARAM_KEYS.values())
 
 
 class TestRun:
