@@ -413,19 +413,12 @@ def _bench(params: dict) -> dict:
     n_fast = int(params.get("n", 10))
     n_naive = min(int(params.get("n_naive", 8)), n_fast)
     rng = np.random.default_rng(0)
-    out = {"backend": kernels.backend_name()}
-    # warm-up so JIT compilation stays out of the timings
-    warm = rng.normal(size=4) + 1j * rng.normal(size=4)
-    kernels.char_expectations(warm / np.linalg.norm(warm), 2)
-    kernels.xor_convolve_naive(np.full(4, 0.25), np.full(4, 0.25))
+    out = {}
     amps = rng.normal(size=1 << n_fast) + 1j * rng.normal(size=1 << n_fast)
     amps /= np.linalg.norm(amps)
     t0 = time.perf_counter()
     kernels.char_expectations(amps, n_fast)
     out["char_table_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    kernels.char_expectations_numpy(amps, n_fast)
-    out["char_table_numpy_s"] = time.perf_counter() - t0
     p = np.abs(rng.normal(size=4 ** n_naive))
     p /= p.sum()
     t0 = time.perf_counter()
@@ -441,8 +434,8 @@ def _bench(params: dict) -> dict:
 
 
 def run(config: ExperimentConfig) -> list[ResultRecord]:
-    """Execute all trials; records append atomically when an output path is
-    configured."""
+    """Execute all trials; when an output path is configured, the records
+    are written once, after the last trial."""
     records = []
     for trial in range(config.trials):
         t0 = time.perf_counter()

@@ -1,9 +1,11 @@
-"""Iterative self-correction: the error-free loop, the robust loop with a
-per-iteration error schedule and full coefficient recomputation, pluggable
-base learners, and the downstream applications (low-extent learning,
-mimicking-state comparison, high-stabilizer-dimension decomposition).
+"""Iterative self-correction: one loop with a per-iteration error schedule
+and full coefficient recomputation, run as the error-free loop (exact
+estimates, k <= 1/eta^2) or as the noise-robust loop (k <= 9/eta^2 + 8);
+pluggable base learners; and the downstream applications (low-extent
+learning, mimicking-state comparison, high-stabilizer-dimension
+decomposition).
 
-The loops are inherently sequential; parallelize at the level of independent
+The loop is inherently sequential; parallelize at the level of independent
 experiment configurations with disjoint RNG paths.
 """
 
@@ -198,39 +200,53 @@ def _exact_betas(psi: StateVector, phis: list[StabilizerState]) -> list[complex]
     return betas
 
 
-def _charge_proxy_estimate(ledger: CostLedger | None, eps6: float) -> None:
-    if ledger is not None:
-        ledger.charge("gowers_estimate", copies=int(np.ceil(16.0 / eps6**2)))
-
-
 # ---------------------------------------------------------------------------
-# error-free loop
+# the iterative loop
 
 
-def iterate_error_free(
+def _iterate(
     psi: StateVector,
     eps: float,
     learner: BaseLearner,
-    ledger: CostLedger | None = None,
-    rng: np.random.Generator | None = None,
+    ledger: CostLedger | None,
+    rng: np.random.Generator | None,
+    budget: float,
+    slack: int,
+    threshold: float,
+    charge_at: float,
+    schedule: ErrorSchedule | None = None,
+    estimator="exact",
+    est_fail: float = 1e-6,
 ) -> Decomposition:
-    """Exact-mode loop: all estimates are exact, stopping on the two
-    conditions (q-average below eps^6, or alpha^2 below eps) or on exact
-    tomography.  Asserts the per-iteration progress identity and enforces
-    k <= 1/eta^2."""
+    """The one loop behind both entry points.
+
+    Runs at most ceil(budget/eta^2) + slack iterations.  Each stops on alpha^2
+    below eps, on a vanished residual, or on an exact proxy below
+    ``threshold`` (its estimate is charged at accuracy ``charge_at``);
+    otherwise it learns phi_t from the residual, re-estimates every overlap
+    <phi_j|psi> at tolerance delta/(3 t^4), rebuilds beta with exact
+    stabilizer cross-overlaps and (c, r, alpha) through ``recompute_coeffs``.
+    With the exact estimator each iteration also asserts the progress
+    identity and the orthogonality of the new residual to phi_t, and stops on
+    a zero residual.  On exit, asserts k <= budget/eta^2.
+    """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     ledger = ledger if ledger is not None else CostLedger()
     eta = learner.promise(eps)
-    t_max = int(np.ceil(1.0 / eta**2))
+    schedule = schedule or ErrorSchedule(eta)
+    t_max = int(np.ceil(budget / eta**2)) + slack
     phis: list[StabilizerState] = []
     preps: list[CliffordCircuit] = []
+    vecs: list[StateVector] = []
+    cross: list[list[complex]] = []  # cross[j][i] = <phi_j|phi_i>, i < j
     betas: list[complex] = []
-    rs: list[float] = []
+    history: list[list[complex]] = []
+    alpha = 1.0
     residual = psi
+    unnorm = psi.amps
     stop = STOP_BUDGET
     for t in range(1, t_max + 1):
-        alpha = float(np.prod(rs)) if rs else 1.0
         if alpha**2 < eps:
             stop = STOP_ALPHA
             break
@@ -239,122 +255,9 @@ def iterate_error_free(
                 residual, _ = lcu_residual(psi, preps, betas, alpha, ledger)
             except ResidualVanished:
                 stop = STOP_TOMOGRAPHY
-                residual = None
                 break
         metrics = gowers3_metrics(residual, "exact")
-        _charge_proxy_estimate(ledger, eps**6)
-        if metrics.proxy < eps**6:
-            stop = STOP_GOWERS
-            break
-        phi = learner.learn(residual, rng, ledger)
-        prev_unnorm = psi.amps - _structured(psi.n, betas, phis)
-        phis.append(phi)
-        preps.append(stab_state_prep(phi))
-        beta = overlap(statevector_of_stab(phi), psi)
-        for i in range(t - 1):
-            beta -= betas[i] * stabilizer_inner_product(phi, phis[i])
-        betas.append(beta)
-        c = beta / alpha
-        r = float(np.sqrt(max(1.0 - abs(c) ** 2, 0.0)))
-        rs.append(r)
-        # progress identity: the removed mass is |c_t|^2 prod_{j<t} r_j^2
-        new_unnorm = psi.amps - _structured(psi.n, betas, phis)
-        drop = np.linalg.norm(prev_unnorm) ** 2 - np.linalg.norm(new_unnorm) ** 2
-        if abs(drop - abs(c) ** 2 * alpha**2) > PROGRESS_TOL:
-            raise AssertionError("progress identity violated")
-        new_norm = float(np.linalg.norm(new_unnorm))
-        if new_norm > ZERO_RESIDUAL_TOL:
-            resid_state = StateVector(psi.n, new_unnorm / new_norm)
-            if abs(overlap(statevector_of_stab(phi), resid_state)) > 1e-10:
-                raise AssertionError("residual is not orthogonal to the new term")
-        else:
-            stop = STOP_TOMOGRAPHY
-            residual = None
-            break
-    else:
-        stop = STOP_BUDGET
-    unnorm = psi.amps - _structured(psi.n, betas, phis)
-    norm = float(np.linalg.norm(unnorm))
-    residual_state = (
-        StateVector(psi.n, unnorm / norm) if norm > ZERO_RESIDUAL_TOL else None
-    )
-    dec = Decomposition(
-        psi.n,
-        list(zip(betas, phis)),
-        norm,
-        residual_state,
-        stop,
-        len(betas),
-        ledger,
-        eps,
-        eta,
-    )
-    if len(betas) * eta**2 > 1.0 + 1e-9:
-        raise AssertionError("iteration budget bound violated")
-    return dec
-
-
-def _structured(n: int, betas, phis) -> np.ndarray:
-    out = np.zeros(1 << n, dtype=complex)
-    for beta, phi in zip(betas, phis):
-        out += beta * statevector_of_stab(phi).amps
-    return out
-
-
-# ---------------------------------------------------------------------------
-# robust loop
-
-
-def iterate_robust(
-    psi: StateVector,
-    eps: float,
-    learner: BaseLearner,
-    ledger: CostLedger | None = None,
-    rng: np.random.Generator | None = None,
-    schedule: ErrorSchedule | None = None,
-    estimator="exact",
-    threshold_factor: float = 1.0,
-    est_fail: float = 1e-6,
-) -> Decomposition:
-    """Noise-tolerant loop: iteration t re-estimates every overlap <phi_j|psi>
-    at tolerance delta/(3 t^4), rebuilds the coefficient vector with exact
-    stabilizer cross-overlaps, recomputes (c, r, alpha), and prepares the
-    next residual by combination-of-unitaries.
-
-    ``estimator`` is "exact", "hadamard", or a callable
-    (j, t, true_value, tol) -> estimate used to inject controlled errors.
-    ``threshold_factor`` scales the eps^6 stopping threshold (used by the
-    stabilizer-dimension decomposition).
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
-    ledger = ledger if ledger is not None else CostLedger()
-    eta = learner.promise(eps)
-    schedule = schedule or ErrorSchedule(eta)
-    t_max = int(np.ceil(9.0 / eta**2)) + 8
-    threshold = threshold_factor * eps**6
-    phis: list[StabilizerState] = []
-    preps: list[CliffordCircuit] = []
-    vecs: list[StateVector] = []
-    cross: list[list[complex]] = []  # cross[j][i] = <phi_j|phi_i>, i < j
-    betas: list[complex] = []
-    alpha_prev = 1.0
-    history: list[list[complex]] = []
-    residual = psi
-    stop = STOP_BUDGET
-    for t in range(1, t_max + 1):
-        if alpha_prev**2 < eps:
-            stop = STOP_ALPHA
-            break
-        if t > 1:
-            try:
-                residual, _ = lcu_residual(psi, preps, betas, alpha_prev, ledger)
-            except ResidualVanished:
-                stop = STOP_TOMOGRAPHY
-                residual = None
-                break
-        metrics = gowers3_metrics(residual, "exact")
-        _charge_proxy_estimate(ledger, threshold / 2.0)
+        ledger.charge("gowers_estimate", copies=int(np.ceil(16.0 / charge_at**2)))
         if metrics.proxy < threshold:
             stop = STOP_GOWERS
             break
@@ -364,35 +267,38 @@ def iterate_robust(
         vecs.append(statevector_of_stab(phi))
         cross.append([stabilizer_inner_product(phi, phis[i]) for i in range(t - 1)])
         tol_t = schedule.tolerance(t)
-        new_betas: list[complex] = []
+        betas = []
         for j in range(t):
             true_val = overlap(vecs[j], psi)
             if estimator == "exact":
                 zeta = true_val
             elif estimator == "hadamard":
-                zeta = hadamard_test_estimate(
-                    vecs[j], psi, tol_t, est_fail, rng, ledger
-                )
+                zeta = hadamard_test_estimate(vecs[j], psi, tol_t, est_fail, rng, ledger)
             else:
                 zeta = estimator(j + 1, t, true_val, tol_t)
             for i in range(j):
-                zeta = zeta - new_betas[i] * cross[j][i]
-            new_betas.append(zeta)
+                zeta = zeta - betas[i] * cross[j][i]
+            betas.append(zeta)
+        history.append(list(betas))
+        prev_unnorm = unnorm
+        unnorm = psi.amps - sum(b * v.amps for b, v in zip(betas, vecs))
         try:
-            _, rs, alphas = recompute_coeffs(new_betas)
+            cs, _, alphas = recompute_coeffs(betas)
         except CoefficientPrefixExhausted:
             stop = STOP_TOMOGRAPHY
-            betas = new_betas
-            history.append(list(new_betas))
-            residual = None
-            alpha_prev = 0.0
             break
-        betas = new_betas
-        history.append(list(new_betas))
-        alpha_prev = alphas[-1]
-    else:
-        stop = STOP_BUDGET
-    unnorm = psi.amps - _structured(psi.n, betas, phis)
+        if estimator == "exact":
+            # progress identity: the removed mass is |c_t|^2 prod_{j<t} r_j^2
+            drop = np.linalg.norm(prev_unnorm) ** 2 - np.linalg.norm(unnorm) ** 2
+            if abs(drop - abs(cs[-1]) ** 2 * alphas[-2] ** 2) > PROGRESS_TOL:
+                raise AssertionError("progress identity violated")
+            new_norm = float(np.linalg.norm(unnorm))
+            if new_norm <= ZERO_RESIDUAL_TOL:
+                stop = STOP_TOMOGRAPHY
+                break
+            if abs(overlap(vecs[-1], StateVector(psi.n, unnorm / new_norm))) > 1e-10:
+                raise AssertionError("residual is not orthogonal to the new term")
+        alpha = alphas[-1]
     norm = float(np.linalg.norm(unnorm))
     residual_state = (
         StateVector(psi.n, unnorm / norm) if norm > ZERO_RESIDUAL_TOL else None
@@ -409,9 +315,55 @@ def iterate_robust(
         eta,
         history,
     )
-    if len(betas) * eta**2 > 9.0 + 1e-9:
+    if len(betas) * eta**2 > budget + 1e-9:
         raise AssertionError("iteration budget bound violated")
     return dec
+
+
+def iterate_error_free(
+    psi: StateVector,
+    eps: float,
+    learner: BaseLearner,
+    ledger: CostLedger | None = None,
+    rng: np.random.Generator | None = None,
+) -> Decomposition:
+    """Exact-mode loop: all estimates are exact, stopping on the two
+    conditions (q-average below eps^6, or alpha^2 below eps) or on exact
+    tomography, within k <= 1/eta^2 iterations."""
+    return _iterate(
+        psi, eps, learner, ledger, rng,
+        budget=1.0, slack=0, threshold=eps**6, charge_at=eps**6,
+    )
+
+
+def iterate_robust(
+    psi: StateVector,
+    eps: float,
+    learner: BaseLearner,
+    ledger: CostLedger | None = None,
+    rng: np.random.Generator | None = None,
+    schedule: ErrorSchedule | None = None,
+    estimator="exact",
+    threshold_factor: float = 1.0,
+    est_fail: float = 1e-6,
+) -> Decomposition:
+    """Noise-tolerant loop: iteration t re-estimates every overlap <phi_j|psi>
+    at tolerance delta/(3 t^4), rebuilds the coefficient vector with exact
+    stabilizer cross-overlaps, recomputes (c, r, alpha), and prepares the
+    next residual by combination-of-unitaries; at most ceil(9/eta^2) + 8
+    iterations.
+
+    ``estimator`` is "exact", "hadamard", or a callable
+    (j, t, true_value, tol) -> estimate used to inject controlled errors.
+    ``threshold_factor`` scales the eps^6 stopping threshold (used by the
+    stabilizer-dimension decomposition).
+    """
+    threshold = threshold_factor * eps**6
+    return _iterate(
+        psi, eps, learner, ledger, rng,
+        budget=9.0, slack=8, threshold=threshold, charge_at=threshold / 2.0,
+        schedule=schedule, estimator=estimator, est_fail=est_fail,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,6 @@
-"""Hot numeric kernels: Walsh-Hadamard transforms, the 4^n table of Weyl
-operator expectations, and XOR convolutions.
-
-Each kernel has a numba ``@njit`` implementation and a pure-numpy fallback.
-The fallback is selected when numba is unavailable or when the environment
-variable ``STABCORRECT_NO_NUMBA`` is set to a non-empty value other than "0".
-``stabcorrect bench`` compares the two paths.
+"""Hot numeric kernels: the Weyl action on a dense vector, Walsh-Hadamard
+transforms, the 4^n table of Weyl operator expectations, and XOR
+convolutions.
 
 Bit conventions (used consistently across the package):
   - qubit q of a basis-state index is bit q (little-endian),
@@ -20,35 +16,20 @@ g_a(j) = conj(psi[j^a]) * psi[j], giving an O(4^n n) algorithm overall.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("STABCORRECT_NO_NUMBA", "")
-_numba_requested = _env in ("", "0")
 
-if _numba_requested:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA
+def weyl_action(amps: np.ndarray, a: int, b: int) -> np.ndarray:
+    """i^{|a&b|} X^a Z^b applied to a dense amplitude vector."""
+    idx = np.arange(amps.shape[0], dtype=np.uint64)
+    phase = 1j ** ((a & b).bit_count() % 4)
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.uint64(b) & idx) & 1).astype(float)
+    out = np.empty_like(amps)
+    out[idx.astype(np.int64) ^ a] = phase * signs * amps
+    return out
 
 
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def wht_inplace_numpy(v: np.ndarray) -> np.ndarray:
+def wht_inplace(v: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform, in place, length a power of 2."""
     m = v.shape[0]
     h = 1
@@ -65,103 +46,19 @@ def wht_inplace_numpy(v: np.ndarray) -> np.ndarray:
 _IPOW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
-def char_expectations_numpy(amps: np.ndarray, n: int) -> np.ndarray:
+def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
+    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n)."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
     dim = 1 << n
     out = np.empty(dim * dim, dtype=np.float64)
     idx = np.arange(dim)
     bvals = np.arange(dim, dtype=np.uint64)
     for a in range(dim):
         g = np.conj(amps[idx ^ a]) * amps
-        wht_inplace_numpy(g)
+        wht_inplace(g)
         phase = _IPOW[np.bitwise_count(np.uint64(a) & bvals) & 3]
         out[(bvals.astype(np.int64) << n) | a] = (g * phase).real
     return out
-
-
-def xor_convolve_naive_numpy(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    m = p.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    idx = np.arange(m)
-    for x in range(m):
-        out[x] = np.dot(p, q[idx ^ x])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _wht_inplace_jit(v):
-        m = v.shape[0]
-        h = 1
-        while h < m:
-            for i in range(0, m, h * 2):
-                for j in range(i, i + h):
-                    x = v[j]
-                    y = v[j + h]
-                    v[j] = x + y
-                    v[j + h] = x - y
-            h *= 2
-        return v
-
-    @njit(cache=True)
-    def _char_expectations_jit(amps, n, pc4):
-        dim = 1 << n
-        out = np.empty(dim * dim, dtype=np.float64)
-        g = np.empty(dim, dtype=np.complex128)
-        for a in range(dim):
-            for j in range(dim):
-                g[j] = np.conj(amps[j ^ a]) * amps[j]
-            _wht_inplace_jit(g)
-            for b in range(dim):
-                k = pc4[a & b]
-                z = g[b]
-                if k == 0:
-                    val = z.real
-                elif k == 1:
-                    val = -z.imag
-                elif k == 2:
-                    val = -z.real
-                else:
-                    val = z.imag
-                out[(b << n) | a] = val
-        return out
-
-    @njit(cache=True)
-    def _xor_convolve_naive_jit(p, q):
-        m = p.shape[0]
-        out = np.zeros(m, dtype=np.float64)
-        for x in range(m):
-            acc = 0.0
-            for y in range(m):
-                acc += p[y] * q[x ^ y]
-            out[x] = acc
-        return out
-
-
-def _popcount_mod4_table(dim: int) -> np.ndarray:
-    vals = np.arange(dim, dtype=np.uint64)
-    return (np.bitwise_count(vals) & 3).astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-
-
-def wht_inplace(v: np.ndarray) -> np.ndarray:
-    if USING_NUMBA:
-        return _wht_inplace_jit(v)
-    return wht_inplace_numpy(v)
-
-
-def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
-    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n)."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    if USING_NUMBA:
-        return _char_expectations_jit(amps, n, _popcount_mod4_table(1 << n))
-    return char_expectations_numpy(amps, n)
 
 
 def xor_convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -178,6 +75,9 @@ def xor_convolve_naive(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Quadratic reference convolution, kept as the oracle and benchmark foil."""
     p = np.ascontiguousarray(p, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
-    if USING_NUMBA:
-        return _xor_convolve_naive_jit(p, q)
-    return xor_convolve_naive_numpy(p, q)
+    m = p.shape[0]
+    out = np.empty(m, dtype=np.float64)
+    idx = np.arange(m)
+    for x in range(m):
+        out[x] = np.dot(p, q[idx ^ x])
+    return out

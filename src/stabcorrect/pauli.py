@@ -17,6 +17,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from . import kernels
 from .gf2 import (
     Gf2Basis,
     PauliLabel,
@@ -651,6 +652,29 @@ def _symplectic_dual_basis(rows: tuple[int, ...], n: int) -> list[int]:
     return duals
 
 
+def signed_statevectors(rows: tuple[int, ...], n: int) -> list[np.ndarray]:
+    """Canonical statevectors of the 2^n stabilizer states generated by the
+    Hermitian Paulis of ``rows`` with every sign; bit i of the list index
+    negates the i-th generator.
+
+    One preparation serves the whole family: the Weyl shift by the sum of
+    the symplectic duals of the negated rows flips exactly their signs.
+    """
+    gens = tuple(PhasedPauli(PauliLabel.from_vector(n, v), 0) for v in rows)
+    base = statevector_of(StabilizerState(n, gens))
+    duals = _symplectic_dual_basis(rows, n)
+    mask = (1 << n) - 1
+    vecs = []
+    for eps in range(1 << n):
+        y = 0
+        for i in range(n):
+            if (eps >> i) & 1:
+                y ^= duals[i]
+        vec = kernels.weyl_action(base, y & mask, y >> n)
+        vecs.append(vec * _canonical_phase_factor(vec))
+    return vecs
+
+
 @lru_cache(maxsize=None)
 def _stab_catalog(n: int) -> tuple[tuple[StabilizerState, ...], np.ndarray]:
     if n > ENUMERATION_CAP:
@@ -658,23 +682,11 @@ def _stab_catalog(n: int) -> tuple[tuple[StabilizerState, ...], np.ndarray]:
     states: list[StabilizerState] = []
     vecs: list[np.ndarray] = []
     for basis in lagrangian_subspaces(n):
-        gens0 = tuple(
-            PhasedPauli(PauliLabel.from_vector(n, v), 0) for v in basis.rows
-        )
-        base = StabilizerState(n, gens0)
-        base_vec = statevector_of(base)
-        duals = _symplectic_dual_basis(basis.rows, n)
-        for eps in range(1 << n):
+        for eps, vec in enumerate(signed_statevectors(basis.rows, n)):
             gens = tuple(
-                PhasedPauli(g.label, 2 * ((eps >> i) & 1))
-                for i, g in enumerate(gens0)
+                PhasedPauli(PauliLabel.from_vector(n, v), 2 * ((eps >> i) & 1))
+                for i, v in enumerate(basis.rows)
             )
-            y = 0
-            for i in range(n):
-                if (eps >> i) & 1:
-                    y ^= duals[i]
-            vec = _apply_weyl_vector(base_vec, n, y)
-            vec = vec * _canonical_phase_factor(vec)
             st = StabilizerState(n, gens)
             st._cache["vec"] = vec
             states.append(st)
@@ -683,19 +695,6 @@ def _stab_catalog(n: int) -> tuple[tuple[StabilizerState, ...], np.ndarray]:
     states = [states[i] for i in order]
     matrix = np.array([vecs[i] for i in order])
     return tuple(states), matrix
-
-
-def _apply_weyl_vector(amps: np.ndarray, n: int, label_vec: int) -> np.ndarray:
-    mask = (1 << n) - 1
-    a, b = label_vec & mask, (label_vec >> n) & mask
-    idx = np.arange(amps.shape[0])
-    phase = 1j ** ((a & b).bit_count() % 4)
-    signs = 1.0 - 2.0 * (np.bitwise_count(np.uint64(b) & idx.astype(np.uint64)) & 1).astype(
-        float
-    )
-    out = np.empty_like(amps)
-    out[idx ^ a] = phase * signs * amps
-    return out
 
 
 def enumerate_stabilizer_states(n: int) -> list[StabilizerState]:

@@ -32,7 +32,7 @@ from .pauli import (
     StabilizerState,
     canonicalize_subgroup,
     conjugate,
-    statevector_of,
+    signed_statevectors,
     synthesize_circuit,
     tableau_from_circuit,
 )
@@ -142,35 +142,6 @@ def _w2(psi: StateVector) -> np.ndarray:
     if "w2" not in psi._cache:
         psi._cache["w2"] = expectation_table(psi) ** 2
     return psi._cache["w2"]
-
-
-def sample_paulis(
-    psi: StateVector,
-    gamma: float,
-    delta: float,
-    rng: np.random.Generator,
-    ledger: CostLedger | None = None,
-    exact_filter: bool = False,
-    rounds: int | None = None,
-) -> list[PauliLabel]:
-    """Difference sampling plus two-copy retention.
-
-    Runs O(log(1/delta)/gamma^2) rounds; each retained label survived a
-    retention draw with probability <W_x>^2.  With ``exact_filter`` the output
-    is additionally restricted to labels with <W_x>^2 >= gamma/4 (the
-    exact-table realization of the conditioning used downstream).
-    """
-    if not 0 < gamma <= 1:
-        raise ValueError("gamma must lie in (0, 1]")
-    m = rounds if rounds is not None else int(np.ceil(4.0 * np.log(1.0 / delta) / gamma**2))
-    idx = sample_weyl_indices(psi, m, rng, ledger)
-    w2 = _w2(psi)[idx]
-    keep = rng.random(m) < w2
-    if ledger is not None:
-        ledger.charge("retention", copies=2 * m)
-    if exact_filter:
-        keep &= _w2(psi)[idx] >= gamma / 4.0
-    return [label_from_index(psi.n, int(i)) for i in idx[keep]]
 
 
 def _draw_retained(
@@ -483,14 +454,12 @@ def _mub_generators(k: int, gi: int, eps: int) -> tuple[PhasedPauli, ...]:
 def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """Every k-qubit stabilizer state over the MUB groups with every sign
     assignment, as its (group index, sign pattern) and the read-only matrix
-    whose rows are their statevectors.  Built once per k; only the winner's
-    state is ever rebuilt from its key."""
-    keys = tuple(
-        (gi, eps) for gi in range(len(mub_covering(k).groups)) for eps in range(1 << k)
-    )
-    matrix = np.array([
-        statevector_of(StabilizerState(k, _mub_generators(k, gi, eps))) for gi, eps in keys
-    ])
+    whose rows are their statevectors.  Built once per k, with one
+    preparation per group; only the winner's state is ever rebuilt from its
+    key."""
+    groups = mub_covering(k).groups
+    keys = tuple((gi, eps) for gi in range(len(groups)) for eps in range(1 << k))
+    matrix = np.array([vec for group in groups for vec in signed_statevectors(group.rows, k)])
     matrix.flags.writeable = False
     return keys, matrix
 

@@ -1,7 +1,7 @@
 """Dense statevector oracle: Weyl action and expectations, characteristic and
-difference-sampling distribution tables, two-copy retention, overlap and
-sampling estimators, block measurements, combination-residual preparation,
-and the brute-force stabilizer-fidelity oracle.
+difference-sampling distribution tables, overlap and sampling estimators,
+block measurements, combination-residual preparation, and the brute-force
+stabilizer-fidelity oracle.
 
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
@@ -104,13 +104,7 @@ def apply_weyl(psi: StateVector, label: PauliLabel) -> StateVector:
     """Exact action of i^{|a&b|} X^a Z^b."""
     if label.n != psi.n:
         raise ValueError("size mismatch")
-    a, b = label.x, label.z
-    idx = np.arange(1 << psi.n, dtype=np.uint64)
-    phase = 1j ** ((a & b).bit_count() % 4)
-    signs = 1.0 - 2.0 * (np.bitwise_count(np.uint64(b) & idx) & 1).astype(float)
-    out = np.empty_like(psi.amps)
-    out[idx.astype(np.int64) ^ a] = phase * signs * psi.amps
-    return StateVector(psi.n, out, psi.normalized)
+    return StateVector(psi.n, kernels.weyl_action(psi.amps, label.x, label.z), psi.normalized)
 
 
 def apply_circuit(
@@ -188,29 +182,6 @@ def sample_weyl_indices(
     if ledger is not None:
         ledger.charge("bell_difference", copies=4 * size)
     return np.minimum(idx, cum.shape[0] - 1)
-
-
-def two_copy_retention(
-    psi: StateVector,
-    label: PauliLabel,
-    rng: np.random.Generator,
-    ledger: CostLedger | None = None,
-    law: str = "expectation-squared",
-) -> bool:
-    """Keep the label with probability <W_x>^2 (two copies consumed).
-
-    ``law="two-copy-measurement"`` instead reports the +1 outcome of one
-    W_x (x) W_x measurement, which occurs with probability (1 + <W_x>^2)/2;
-    that reading is exposed for comparison only.
-    """
-    w = weyl_expectation(psi, label)
-    if ledger is not None:
-        ledger.charge("retention", copies=2)
-    if law == "expectation-squared":
-        return bool(rng.random() < w * w)
-    if law == "two-copy-measurement":
-        return bool(rng.random() < 0.5 * (1.0 + w * w))
-    raise ValueError(f"unknown retention law {law!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +273,8 @@ def hadamard_test_estimate(
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     shots = int(np.ceil(2.0 * np.log(4.0 / delta) / eps**2))
+    if shots > np.iinfo(np.int64).max:
+        raise ValueError(f"tolerance {eps:.3g} needs {shots} shots, above the int64 sampler limit")
     p_re = np.clip(0.5 * (1.0 + val.real), 0.0, 1.0)
     p_im = np.clip(0.5 * (1.0 + val.imag), 0.0, 1.0)
     re = 2.0 * rng.binomial(shots, p_re) / shots - 1.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stabcorrect.gf2 import PauliLabel
+from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.pauli import CliffordCircuit, PhasedPauli, statevector_of
 from stabcorrect.statevec import StateVector
 
@@ -21,17 +22,7 @@ def random_phased(n, rng):
 
 def random_circuit(n, rng, length=None):
     length = length if length is not None else 4 * n * n + 4
-    gates = []
-    while len(gates) < length:
-        kind = int(rng.integers(0, 4 if n == 1 else 5))
-        if kind == 4:
-            c = int(rng.integers(n))
-            t = int(rng.integers(n - 1))
-            t = t if t < c else t + 1
-            gates.append(("CNOT", (c, t)))
-        else:
-            gates.append((("H", "S", "X", "Z")[kind], (int(rng.integers(n)),)))
-    return CliffordCircuit(n, tuple(gates))
+    return CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, length)))
 
 
 def t_state():

@@ -177,3 +177,15 @@ def test_gap_above_tie_tolerance_wins():
         assert set(_draw_order(psi, seed)) == {0, 1}
         cand = find_stabilizer(psi, sub, 0.5, 0.05, np.random.default_rng(seed))
         assert cand.provenance["z"] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_mub_candidates_match_direct_preparation(k):
+    # rows built as Weyl shifts of one preparation per group equal the
+    # statevector of each signed generator set prepared on its own
+    keys, matrix = _mub_candidates(k)
+    direct = np.array([
+        statevector_of(StabilizerState(k, _mub_generators(k, gi, eps))) for gi, eps in keys
+    ])
+    assert matrix.shape == ((2**k + 1) * 2**k, 2**k)
+    assert np.max(np.abs(matrix - direct)) <= 1e-15

@@ -118,6 +118,7 @@ class TestRobust:
         for _ in range(10):
             _, _, psi = rank2_state(2, rng)
             dec = iterate_robust(psi, 1e-3, base_learner_bruteforce(), CostLedger(), rng)
+            assert dec.stop_reason == "tomography_complete"
             assert np.allclose(dec.reconstruction(), psi.amps, atol=1e-9)
 
     def test_budget_bound(self, rng):

@@ -20,12 +20,6 @@ class TestWht:
             got = kernels.wht_inplace(v.copy())
             assert np.allclose(got, had @ v)
 
-    def test_numpy_and_active_agree(self, rng):
-        v = rng.normal(size=256) + 1j * rng.normal(size=256)
-        assert np.allclose(
-            kernels.wht_inplace(v.copy()), kernels.wht_inplace_numpy(v.copy())
-        )
-
     def test_involution_up_to_size(self, rng):
         v = rng.normal(size=64)
         w = kernels.wht_inplace(kernels.wht_inplace(v.copy()))
@@ -33,13 +27,6 @@ class TestWht:
 
 
 class TestCharTable:
-    def test_backends_agree(self, rng):
-        for n in (1, 2, 3, 4):
-            amps = normalized(rng, n)
-            a = kernels.char_expectations(amps, n)
-            b = kernels.char_expectations_numpy(amps, n)
-            assert np.allclose(a, b, atol=1e-12)
-
     def test_identity_entry(self, rng):
         amps = normalized(rng, 3)
         table = kernels.char_expectations(amps, 3)
@@ -78,35 +65,3 @@ class TestConvolve:
         p = np.abs(rng.normal(size=64))
         p /= p.sum()
         assert abs(kernels.xor_convolve(p, p).sum() - 1.0) < 1e-12
-
-
-def test_backend_flag_reporting():
-    assert kernels.backend_name() in ("numba", "numpy")
-    assert kernels.USING_NUMBA == (kernels.backend_name() == "numba")
-
-
-def test_numpy_fallback_env(tmp_path):
-    # a subprocess with the kill switch must select the numpy path and agree
-    import subprocess
-    import sys
-
-    code = (
-        "import numpy as np\n"
-        "from stabcorrect import kernels\n"
-        "assert kernels.backend_name() == 'numpy'\n"
-        "rng = np.random.default_rng(0)\n"
-        "v = rng.normal(size=8) + 1j*rng.normal(size=8)\n"
-        "v /= np.linalg.norm(v)\n"
-        "print(repr(kernels.char_expectations(v, 3)[5]))\n"
-    )
-    import os
-
-    env = dict(os.environ, STABCORRECT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=8) + 1j * rng.normal(size=8)
-    v /= np.linalg.norm(v)
-    assert abs(float(out.stdout.strip().strip("np.float64()")) - kernels.char_expectations(v, 3)[5]) < 1e-12

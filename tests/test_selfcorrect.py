@@ -23,16 +23,17 @@ from stabcorrect.selfcorrect import (
     make_pfr_oracle,
     published_bsg_params,
     pfr_subgroup,
-    sample_paulis,
     self_correct,
     tolerant_test,
 )
+from stabcorrect.selfcorrect import _draw_retained
 from stabcorrect.statevec import (
     StateVector,
     basis_state,
     bruteforce_stab_fidelity,
     expectation_table,
     gowers3_metrics,
+    label_from_index,
     label_index,
     overlap,
     random_state,
@@ -51,30 +52,19 @@ class TestSamplePaulis:
     def test_stabilizer_support(self, rng):
         st, psi = stab_vec(["+XX", "+ZZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        labs = sample_paulis(psi, 0.5, 0.05, rng, CostLedger())
-        assert labs and all(basis.contains(l.to_vector()) for l in labs)
-
-    def test_exact_filter(self, rng):
-        psi = tensor(t_state(), t_state())
-        labs = sample_paulis(psi, 0.3, 0.05, rng, exact_filter=True)
-        w2 = expectation_table(psi) ** 2
-        assert all(w2[label_index(l)] >= 0.075 for l in labs)
+        idx = _draw_retained(psi, 64, rng, CostLedger())
+        labs = [label_from_index(2, int(i)) for i in idx]
+        assert len(labs) == 64 and all(basis.contains(l.to_vector()) for l in labs)
 
     def test_ledger_accounting(self, rng):
+        # every draw charges 4 difference-sampling and 2 retention copies
         ledger = CostLedger()
-        sample_paulis(basis_state(2), 0.5, 0.1, rng, ledger, rounds=50)
-        assert ledger.breakdown["bell_difference"]["copies_consumed"] == 200
-        assert ledger.breakdown["retention"]["copies_consumed"] == 100
-
-    def test_gamma_validation(self, rng):
-        with pytest.raises(ValueError):
-            sample_paulis(basis_state(1), 1.5, 0.1, rng)
-
-    def test_max_threshold_unstructured_empty(self, rng):
-        # at the top threshold the filter keeps nothing on a generic state
-        psi = random_state(6, rng)
-        labs = sample_paulis(psi, 1.0, 0.1, rng, exact_filter=True, rounds=64)
-        assert labs == []
+        _draw_retained(tensor(t_state(), t_state()), 50, rng, ledger)
+        draws = ledger.breakdown["retention"]["copies_consumed"] // 2
+        assert draws >= 50
+        assert ledger.breakdown["retention"]["copies_consumed"] == 2 * draws
+        assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * draws
+        assert ledger.totals["copies_consumed"] == 6 * draws
 
 
 class TestEdgeTest:

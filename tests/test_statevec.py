@@ -21,6 +21,7 @@ from stabcorrect.statevec import (
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
     distribution_tables,
+    exact_proxy,
     expectation_table,
     gowers3_metrics,
     hadamard_test_estimate,
@@ -35,9 +36,9 @@ from stabcorrect.statevec import (
     statevector_from_json,
     statevector_to_json,
     tensor,
-    two_copy_retention,
     weyl_expectation,
 )
+from stabcorrect.selfcorrect import _draw_retained
 
 from conftest import t_state
 
@@ -180,21 +181,21 @@ class TestSampling:
         assert np.all(np.abs(freq - want) < 4 * sig)
 
     def test_retention_extremes(self, rng):
-        ledger = CostLedger()
-        assert two_copy_retention(basis_state(1), lab("Z"), rng, ledger)
-        assert not two_copy_retention(basis_state(1), lab("X"), rng, ledger)
-        assert ledger.totals["copies_consumed"] == 4
+        # on |0> every retained label is Z-type: its a-part is zero
+        idx = _draw_retained(basis_state(3), 500, rng, None)
+        assert idx.shape == (500,)
+        assert np.all(idx & 0b111 == 0)
 
     def test_retention_rate(self, rng):
-        hits = sum(two_copy_retention(t_state(), lab("X"), rng) for _ in range(20_000))
-        assert abs(hits / 20_000 - 0.5) < 3 * np.sqrt(0.25 / 20_000)
-
-    def test_retention_alternative_law(self, rng):
-        hits = sum(
-            two_copy_retention(t_state(), lab("X"), rng, law="two-copy-measurement")
-            for _ in range(20_000)
-        )
-        assert abs(hits / 20_000 - 0.75) < 3 * np.sqrt(0.1875 / 20_000)
+        # retained labels follow q(x) <W_x>^2 / E_q[<W_x>^2]
+        psi = t_state()
+        _, q = distribution_tables(psi)
+        want = q.values * expectation_table(psi) ** 2 / exact_proxy(psi)
+        draws = 20_000
+        freq = np.bincount(_draw_retained(psi, draws, rng, None), minlength=4) / draws
+        sig = np.sqrt(want * (1 - want) / draws)
+        assert np.all(np.abs(freq - want) <= 4 * sig)
+        assert want == pytest.approx([0.6, 0.2, 0.0, 0.2])
 
 
 class TestGowersMetrics:
@@ -271,6 +272,13 @@ class TestHadamardTest:
         ledger = CostLedger()
         hadamard_test_estimate(basis_state(1), basis_state(1), 0.1, 0.1, rng, ledger)
         assert ledger.totals["queries_conU"] > 0
+
+    def test_shot_count_beyond_sampler_rejected(self, rng):
+        # 2 ln(4/delta)/eps^2 shots exceed int64 at eps = 1e-10
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match=r"tolerance 1e-10 needs \d+ shots"):
+            hadamard_test_estimate(basis_state(1), basis_state(1), 1e-10, 1e-6, rng, ledger)
+        assert ledger.totals["queries_conU"] == 0
 
 
 class TestMeasureBlock:
