@@ -24,7 +24,7 @@ from .pauli import (
     PhasedPauli,
     StabilizerState,
     apply_gates_dense,
-    tableau_from_circuit,
+    conjugate,
 )
 from .rng import RngStream
 from .selfcorrect import self_correct, tolerant_test
@@ -76,6 +76,8 @@ class StateSpec:
             raise ValueError(f"unknown state kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.kind == "basis" and not 0 <= self.index < 1 << self.n:
+            raise ValueError(f"basis index {self.index} outside [0, 2^{self.n}) for n = {self.n}")
         if self.kind == "tdoped" and (self.t is None or self.t < 0):
             raise ValueError("tdoped needs t >= 0")
         if self.kind == "w_family" and (self.m is None or not 1 <= self.m <= self.n):
@@ -154,10 +156,10 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         amps = np.zeros(1 << n, dtype=complex)
         amps[0] = 1.0
         amps = apply_gates_dense(amps, n, circuit.gates)
-        tableau = tableau_from_circuit(circuit)
+        zs = [PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(n)]
         meta = {
             "stab_fidelity": 1.0,
-            "stabilizer_group": [g.to_string() for g in tableau.z_images],
+            "stabilizer_group": [conjugate(circuit, z).to_string() for z in zs],
         }
         return StateVector(n, amps), meta
     if spec.kind == "tdoped":

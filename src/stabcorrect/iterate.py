@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoefficientPrefixExhausted, ResidualVanished
+from .errors import CoefficientPrefixExhausted, ResidualVanished, SelfCorrectionFailed
 from .ledger import CostLedger
 from .pauli import (
     CliffordCircuit,
@@ -156,6 +156,7 @@ STOP_GOWERS = "gowers_below"
 STOP_ALPHA = "alpha_below"
 STOP_TOMOGRAPHY = "tomography_complete"
 STOP_BUDGET = "budget"
+STOP_LEARNER = "learner_failed"
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +191,6 @@ def recompute_coeffs(betas: list[complex], tol: float = PREFIX_TOL):
     return cs, rs, alphas
 
 
-def _exact_betas(psi: StateVector, phis: list[StabilizerState]) -> list[complex]:
-    betas: list[complex] = []
-    for j, phi in enumerate(phis):
-        val = overlap(statevector_of_stab(phi), psi)
-        for i in range(j):
-            val -= betas[i] * stabilizer_inner_product(phi, phis[i])
-        betas.append(val)
-    return betas
-
-
 # ---------------------------------------------------------------------------
 # the iterative loop
 
@@ -221,8 +212,9 @@ def _iterate(
     """The one loop behind both entry points.
 
     Runs at most ceil(budget/eta^2) + slack iterations.  Each stops on alpha^2
-    below eps, on a vanished residual, or on an exact proxy below
-    ``threshold`` (its estimate is charged at accuracy ``charge_at``);
+    below eps, on a vanished residual, on an exact proxy below ``threshold``
+    (its estimate is charged at accuracy ``charge_at``), or on a learner that
+    raises ``SelfCorrectionFailed``, keeping the terms learnt so far;
     otherwise it learns phi_t from the residual, re-estimates every overlap
     <phi_j|psi> at tolerance delta/(3 t^4), rebuilds beta with exact
     stabilizer cross-overlaps and (c, r, alpha) through ``recompute_coeffs``.
@@ -261,7 +253,11 @@ def _iterate(
         if metrics.proxy < threshold:
             stop = STOP_GOWERS
             break
-        phi = learner.learn(residual, rng, ledger)
+        try:
+            phi = learner.learn(residual, rng, ledger)
+        except SelfCorrectionFailed:
+            stop = STOP_LEARNER
+            break
         phis.append(phi)
         preps.append(stab_state_prep(phi))
         vecs.append(statevector_of_stab(phi))

@@ -72,10 +72,6 @@ class PhasedPauli:
         return f"PhasedPauli({self.to_string()!r})"
 
 
-def identity_pauli(n: int) -> PhasedPauli:
-    return PhasedPauli(PauliLabel(n, 0, 0), 0)
-
-
 def pauli_product(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
     """Exact operator product, including the i-power phase."""
     if p.n != q.n:
@@ -95,22 +91,22 @@ def pauli_product(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
 # ---------------------------------------------------------------------------
 # single-gate conjugation  g P g^dagger, exact phases
 
-def _conj_gate(name: str, qs: tuple[int, ...], p: PhasedPauli) -> PhasedPauli:
-    a, b = p.label.x, p.label.z
-    # bare form i^u X^a Z^b
-    u = (p.phase + (a & b).bit_count()) & 3
+def _conj_bits(name: str, qs: tuple[int, ...], a: int, b: int) -> tuple[int, int, int]:
+    """The one gate conjugation rule: g X^a Z^b g^dagger = i^u X^a' Z^b',
+    returned as (a', b', u)."""
+    u = 0
     if name == "H":
         bit = 1 << qs[0]
         aq, bq = a & bit, b & bit
         if aq and bq:
-            u += 2
+            u = 2
         a = (a & ~bit) | (bit if bq else 0)
         b = (b & ~bit) | (bit if aq else 0)
     elif name == "S":
         bit = 1 << qs[0]
         if a & bit:
             b ^= bit
-            u += 1
+            u = 1
     elif name == "CNOT":
         cbit, tbit = 1 << qs[0], 1 << qs[1]
         if a & cbit:
@@ -118,16 +114,22 @@ def _conj_gate(name: str, qs: tuple[int, ...], p: PhasedPauli) -> PhasedPauli:
         if b & tbit:
             b ^= cbit
     elif name == "X":
-        bit = 1 << qs[0]
-        if b & bit:
-            u += 2
+        if b & (1 << qs[0]):
+            u = 2
     elif name == "Z":
-        bit = 1 << qs[0]
-        if a & bit:
-            u += 2
+        if a & (1 << qs[0]):
+            u = 2
     else:
         raise ValueError(f"unknown gate {name!r}")
-    return PhasedPauli(PauliLabel(p.n, a, b), u - (a & b).bit_count())
+    return a, b, u
+
+
+def _conj_gate(name: str, qs: tuple[int, ...], p: PhasedPauli) -> PhasedPauli:
+    a, b = p.label.x, p.label.z
+    a2, b2, u = _conj_bits(name, qs, a, b)
+    # through the bare form i^t X^a Z^b, with t = phase + |a&b|
+    t = p.phase + (a & b).bit_count() + u
+    return PhasedPauli(PauliLabel(p.n, a2, b2), t - (a2 & b2).bit_count())
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +188,6 @@ class CliffordTableau:
         zs = tuple(PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(n))
         return CliffordTableau(n, xs, zs)
 
-    def apply_gate(self, name: str, qs: tuple[int, ...]) -> "CliffordTableau":
-        return CliffordTableau(
-            self.n,
-            tuple(_conj_gate(name, qs, p) for p in self.x_images),
-            tuple(_conj_gate(name, qs, p) for p in self.z_images),
-        )
-
     def is_valid(self) -> bool:
         imgs = self.x_images + self.z_images
         if any(not p.is_hermitian for p in imgs):
@@ -208,30 +203,24 @@ class CliffordTableau:
         labs = [p.label.to_vector() for p in imgs]
         return rref_basis(labs, 2 * self.n).rank == 2 * self.n
 
-    def inverse(self) -> "CliffordTableau":
-        return tableau_from_circuit(synthesize_circuit(self).inverse())
+
+def conjugate(circuit: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
+    """Exact U P U^dagger for the unitary U the circuit applies, one gate at
+    a time."""
+    if circuit.n != p.n:
+        raise ValueError("size mismatch")
+    for name, qs in circuit.gates:
+        p = _conj_gate(name, qs, p)
+    return p
 
 
 def tableau_from_circuit(circuit: CliffordCircuit) -> CliffordTableau:
-    tab = CliffordTableau.identity(circuit.n)
-    for name, qs in circuit.gates:
-        tab = tab.apply_gate(name, qs)
-    return tab
-
-
-def conjugate(tableau: CliffordTableau, p: PhasedPauli) -> PhasedPauli:
-    """Exact U P U^dagger obtained by multiplying out the generator images."""
-    if tableau.n != p.n:
-        raise ValueError("size mismatch")
-    a, b = p.label.x, p.label.z
-    acc = identity_pauli(p.n)
-    for q in range(p.n):
-        if (a >> q) & 1:
-            acc = pauli_product(acc, tableau.x_images[q])
-    for q in range(p.n):
-        if (b >> q) & 1:
-            acc = pauli_product(acc, tableau.z_images[q])
-    return PhasedPauli(acc.label, acc.phase + p.phase + (a & b).bit_count())
+    base = CliffordTableau.identity(circuit.n)
+    return CliffordTableau(
+        circuit.n,
+        tuple(conjugate(circuit, p) for p in base.x_images),
+        tuple(conjugate(circuit, p) for p in base.z_images),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +301,8 @@ class _Reducer:
             self.emit("Z", off)
         if self.tracked[iq].phase == 2:
             self.emit("X", off)
-        assert self.tracked[ip] == PhasedPauli(xoff, 0)
-        assert self.tracked[iq] == PhasedPauli(zoff, 0)
+        if (self.tracked[ip], self.tracked[iq]) != (PhasedPauli(xoff, 0), PhasedPauli(zoff, 0)):
+            raise AssertionError("pair reduction did not reach (+X, +Z)")
 
     def reduce_isotropic(self, indices: list[int], off: int) -> None:
         """Map commuting independent tracked elements to +Z_off, +Z_off+1, ...
@@ -343,14 +332,14 @@ class _Reducer:
                 self.emit("H", target)
             if self.tracked[idx].phase == 2:
                 self.emit("X", target)
-            assert self.tracked[idx] == PhasedPauli(
-                PauliLabel(self.n, 0, 1 << target), 0
-            )
+            if self.tracked[idx] != PhasedPauli(PauliLabel(self.n, 0, 1 << target), 0):
+                raise AssertionError("isotropic reduction did not reach +Z")
             placed.append(target)
 
 
-def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> CliffordTableau:
-    """U with U p U^dagger = +X_0 and U q U^dagger = +Z_0."""
+def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> CliffordCircuit:
+    """Returns the emitted circuit U, with U p U^dagger = +X_0 and
+    U q U^dagger = +Z_0."""
     if p.n != q.n:
         raise ValueError("size mismatch")
     if not (p.is_hermitian and q.is_hermitian):
@@ -359,26 +348,28 @@ def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> Clifford
         raise ValueError("inputs commute")
     red = _Reducer(p.n, [p, q])
     red.reduce_pair(0, 1, 0)
-    return tableau_from_circuit(CliffordCircuit(p.n, tuple(red.gates)))
+    return CliffordCircuit(p.n, tuple(red.gates))
 
 
-def clifford_from_isotropic(basis: Gf2Basis, n: int) -> CliffordTableau:
-    """Conjugation carries span(basis) onto <Z_{n-d}, ..., Z_{n-1}>."""
+def clifford_from_isotropic(basis: Gf2Basis, n: int) -> CliffordCircuit:
+    """Returns the emitted circuit, whose conjugation carries span(basis)
+    onto <Z_{n-d}, ..., Z_{n-1}>."""
     if not is_isotropic(basis, n):
         raise ValueError("input basis is not isotropic")
     d = basis.rank
     tracked = [PhasedPauli(lab, 0) for lab in basis.labels(n)]
     red = _Reducer(n, tracked)
     red.reduce_isotropic(list(range(d)), n - d)
-    return tableau_from_circuit(CliffordCircuit(n, tuple(red.gates)))
+    return CliffordCircuit(n, tuple(red.gates))
 
 
 def canonicalize_subgroup(
     generators, center_tail: bool = False
-) -> tuple[CliffordTableau, int, int]:
-    """Clifford U and (k, m) with the span of the conjugated generators equal,
-    as an unsigned set, to <Z_0, X_0, ..., Z_{k-1}, X_{k-1}> times the center
-    <Z_c, ..., Z_{c+m-1}>: the k symplectic pairs land on the first k qubits.
+) -> tuple[CliffordCircuit, int, int]:
+    """Returns the emitted circuit U and (k, m), with the span of the
+    conjugated generators equal, as an unsigned set, to
+    <Z_0, X_0, ..., Z_{k-1}, X_{k-1}> times the center <Z_c, ..., Z_{c+m-1}>:
+    the k symplectic pairs land on the first k qubits.
 
     The center follows them (c = k) by default; ``center_tail`` puts it on
     the last m qubits instead (c = n - m), leaving the middle block free for
@@ -396,7 +387,7 @@ def canonicalize_subgroup(
     for i in range(k):
         red.reduce_pair(2 * i, 2 * i + 1, i)
     red.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
-    return tableau_from_circuit(CliffordCircuit(n, tuple(red.gates))), k, m
+    return CliffordCircuit(n, tuple(red.gates)), k, m
 
 
 def synthesize_circuit(tableau: CliffordTableau) -> CliffordCircuit:
@@ -566,30 +557,6 @@ def stabilizer_inner_product(s1: StabilizerState, s2: StabilizerState) -> comple
 
 ENUMERATION_CAP = 4
 
-def _move_vector(v: int, n: int, move: tuple) -> int:
-    mask = (1 << n) - 1
-    a, b = v & mask, (v >> n) & mask
-    kind = move[0]
-    if kind == "H":
-        q = move[1]
-        bit = 1 << q
-        aq, bq = a & bit, b & bit
-        a = (a & ~bit) | (bit if bq else 0)
-        b = (b & ~bit) | (bit if aq else 0)
-    elif kind == "S":
-        q = move[1]
-        bit = 1 << q
-        if a & bit:
-            b ^= bit
-    else:  # CNOT
-        c, t = move[1], move[2]
-        if a & (1 << c):
-            a ^= 1 << t
-        if b & (1 << t):
-            b ^= 1 << c
-    return a | (b << n)
-
-
 @lru_cache(maxsize=None)
 def lagrangian_subspaces(n: int) -> tuple[Gf2Basis, ...]:
     """All Lagrangian subspaces of F_2^{2n}, via the symplectic group orbit
@@ -603,16 +570,20 @@ def isotropic_subspaces(n: int, d: int) -> tuple[Gf2Basis, ...]:
 
 
 def _isotropic_orbit(n: int, d: int) -> tuple[Gf2Basis, ...]:
-    moves = [("H", q) for q in range(n)] + [("S", q) for q in range(n)]
-    moves += [("CNOT", c, t) for c in range(n) for t in range(n) if c != t]
+    moves = [("H", (q,)) for q in range(n)] + [("S", (q,)) for q in range(n)]
+    moves += [("CNOT", (c, t)) for c in range(n) for t in range(n) if c != t]
+    mask = (1 << n) - 1
     start = rref_basis([1 << (n + q) for q in range(d)], 2 * n)
     seen = {start.rows: start}
     frontier = [start]
     while frontier:
         nxt = []
         for basis in frontier:
-            for mv in moves:
-                rows = [_move_vector(v, n, mv) for v in basis.rows]
+            for name, qs in moves:
+                rows = []
+                for v in basis.rows:
+                    a, b, _ = _conj_bits(name, qs, v & mask, v >> n)
+                    rows.append(a | (b << n))
                 cand = rref_basis(rows, 2 * n)
                 if cand.rows not in seen:
                     seen[cand.rows] = cand

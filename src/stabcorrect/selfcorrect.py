@@ -27,14 +27,12 @@ from .errors import (
 from .gf2 import Gf2Basis, PauliLabel, mub_covering, rref_basis
 from .ledger import CostLedger
 from .pauli import (
-    CliffordTableau,
+    CliffordCircuit,
     PhasedPauli,
     StabilizerState,
     canonicalize_subgroup,
     conjugate,
     signed_statevectors,
-    synthesize_circuit,
-    tableau_from_circuit,
 )
 from .statevec import (
     GowersMetrics,
@@ -495,22 +493,23 @@ def find_stabilizer(
     """Extract the best product-form stabilizer compatible with the subgroup.
 
     Canonicalizes the subgroup (k pairs, m center) and rotates the state into
-    that frame.  One contraction with the cached k-qubit MUB candidate matrix
-    (every group, every sign pattern) gives |(<c| (x) <z|) rotated|^2 for
-    each candidate c and rest bitstring z.  Each round, per candidate, draws
-    the projection of the first k qubits onto c from the row sum and, on
-    success, the computational outcome z of the rest from the row; with
-    k = 0 each round measures all qubits computationally.
+    that frame with the circuit the canonicalizer emitted.  One contraction
+    with the cached k-qubit MUB candidate matrix (every group, every sign
+    pattern) gives |(<c| (x) <z|) rotated|^2 for each candidate c and rest
+    bitstring z.  Each round, per candidate, draws the projection of the
+    first k qubits onto c from the row sum and, on success, the
+    computational outcome z of the rest from the row; with k = 0 each round
+    measures all qubits computationally.
 
     The rotation is unitary, so a collected entry's contraction value is its
     exact fidelity with ``psi``.  The first collected entry wins unless a
     later one exceeds it by more than ``TIE_TOL``: exact ties resolve by
-    collection order, not by rounding noise.  Only the winner is rotated
-    back.  Each simulated measurement charges one ``measure`` copy.
+    collection order, not by rounding noise.  Only the winner is mapped back,
+    by conjugation with the inverse circuit.  Each simulated measurement
+    charges one ``measure`` copy.
     """
     labels = sub.basis.labels(psi.n)
-    tableau, k, m = canonicalize_subgroup(labels)
-    circuit = synthesize_circuit(tableau)
+    circuit, k, m = canonicalize_subgroup(labels)
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
     rounds = n_rounds if n_rounds is not None else min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
@@ -555,8 +554,7 @@ def find_stabilizer(
         ]
     for j in range(n - k):
         gens.append(PhasedPauli(PauliLabel(n, 0, 1 << (k + j)), 2 * ((z >> j) & 1)))
-    # tableau.inverse() would synthesize this same circuit a second time
-    inverse = tableau_from_circuit(circuit.inverse())
+    inverse = circuit.inverse()
     state = StabilizerState(n, tuple(conjugate(inverse, g) for g in gens))
     if ledger is not None:
         ledger.charge(
@@ -572,19 +570,19 @@ def find_stabilizer(
 
 @dataclass(frozen=True)
 class HighStabDimResult:
-    tableau: CliffordTableau
+    circuit: CliffordCircuit
     sigma: StateVector
     z: int
     k: int
     block_weight: float
 
     def reconstruct(self) -> StateVector:
-        """Dense form of the described state: rotate |sigma> (x) |z> back."""
-        n = self.tableau.n
+        """Dense form of the described state: |sigma> (x) |z> rotated back by
+        the exact inverse circuit, with no stray global phase."""
+        n = self.circuit.n
         amps = np.zeros(1 << n, dtype=complex)
         amps[(self.z << self.k) : (self.z << self.k) + (1 << self.k)] = self.sigma.amps
-        circuit = synthesize_circuit(self.tableau.inverse())
-        return apply_circuit(StateVector(n, amps), circuit)
+        return apply_circuit(StateVector(n, amps), self.circuit.inverse())
 
 
 def find_high_stab_dim(
@@ -603,8 +601,7 @@ def find_high_stab_dim(
     returned (the desk-scale stand-in for tomography of that block).  The
     described state has stabilizer dimension >= n - k by construction."""
     labels = sub.basis.labels(psi.n)
-    tableau, _, m = canonicalize_subgroup(labels, center_tail=True)
-    circuit = synthesize_circuit(tableau)
+    circuit, _, m = canonicalize_subgroup(labels, center_tail=True)
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
     k = n - m
@@ -630,7 +627,7 @@ def find_high_stab_dim(
             "block_tomography",
             copies=int(np.ceil(4.0**k / eps**2 * np.log(1.0 / delta))),
         )
-    return HighStabDimResult(tableau, sigma, int(best_z), k, float(weights[best_z]))
+    return HighStabDimResult(circuit, sigma, int(best_z), k, float(weights[best_z]))
 
 
 # ---------------------------------------------------------------------------

@@ -419,7 +419,7 @@ def bruteforce_stab_dim_fidelity(psi: StateVector, t: int) -> float:
     branch weight; so the maximum over all dimension-(n-t) isotropic
     subspaces and branches z is exhaustive.
     """
-    from .pauli import clifford_from_isotropic, isotropic_subspaces, synthesize_circuit
+    from .pauli import clifford_from_isotropic, isotropic_subspaces
 
     n = psi.n
     if not 0 <= t <= n:
@@ -428,8 +428,7 @@ def bruteforce_stab_dim_fidelity(psi: StateVector, t: int) -> float:
         return 1.0
     best = 0.0
     for basis in isotropic_subspaces(n, n - t):
-        tab = clifford_from_isotropic(basis, n)
-        rotated = apply_circuit(psi, synthesize_circuit(tab))
+        rotated = apply_circuit(psi, clifford_from_isotropic(basis, n))
         weights = np.abs(rotated.amps.reshape(1 << (n - t), 1 << t)) ** 2
         best = max(best, float(weights.sum(axis=1).max()))
     return best

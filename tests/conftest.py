@@ -3,8 +3,13 @@ import pytest
 
 from stabcorrect.gf2 import PauliLabel
 from stabcorrect.harness import _random_clifford_gates
-from stabcorrect.pauli import CliffordCircuit, PhasedPauli, statevector_of
-from stabcorrect.statevec import StateVector
+from stabcorrect.pauli import (
+    CliffordCircuit,
+    PhasedPauli,
+    stabilizer_inner_product,
+    statevector_of,
+)
+from stabcorrect.statevec import StateVector, overlap, statevector_of_stab
 
 
 @pytest.fixture
@@ -55,3 +60,15 @@ def orthogonal_stab_pair(n, rng):
             s2 = states[int(j)]
             if abs(np.vdot(v1, statevector_of(s2))) < 1e-12:
                 return s1, s2
+
+
+def _exact_betas(psi, phis):
+    """Exact running coefficients: <phi_j|psi> minus the cross-terms of the
+    earlier terms, as the loop's exact estimator builds them."""
+    betas = []
+    for j, phi in enumerate(phis):
+        val = overlap(statevector_of_stab(phi), psi)
+        for i in range(j):
+            val -= betas[i] * stabilizer_inner_product(phi, phis[i])
+        betas.append(val)
+    return betas

@@ -22,7 +22,6 @@ from stabcorrect.iterate import (
     learn_low_extent,
     mimic_compare,
 )
-from stabcorrect.iterate import _exact_betas
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     PhasedPauli,
@@ -52,7 +51,7 @@ from stabcorrect.statevec import (
     tensor,
 )
 
-from conftest import orthogonal_stab_pair, planted_state, random_circuit, t_state
+from conftest import _exact_betas, orthogonal_stab_pair, planted_state, random_circuit, t_state
 
 pp = PhasedPauli.from_string
 
@@ -139,9 +138,9 @@ def test_criterion_04_structure_algebra():
         got = rref_basis([g.to_vector() for g in out], 2 * n)
         ok &= got == rref_basis([g.to_vector() for g in gens], 2 * n)
         ok &= got.rank == len(out)
-        tab, k, m = canonicalize_subgroup(gens)
+        circuit, k, m = canonicalize_subgroup(gens)
         img = rref_basis(
-            [conjugate(tab, PhasedPauli(g, 0)).label.to_vector() for g in gens], 2 * n
+            [conjugate(circuit, PhasedPauli(g, 0)).label.to_vector() for g in gens], 2 * n
         )
         rows = []
         for q in range(k):

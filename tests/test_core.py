@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stabcorrect
 from stabcorrect.ledger import CostLedger
 from stabcorrect.rng import RngStream
 
@@ -66,3 +70,13 @@ class TestCostLedger:
         for led in parts:
             merged.merge(led)
         assert merged.totals["copies_consumed"] == 6
+
+
+def test_no_assert_statements_in_package():
+    # invariant checks must raise explicitly so they survive python -O
+    found = []
+    for path in sorted(Path(stabcorrect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"assert statements in the package: {found}"

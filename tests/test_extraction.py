@@ -12,8 +12,6 @@ from stabcorrect.pauli import (
     canonicalize_subgroup,
     conjugate,
     statevector_of,
-    synthesize_circuit,
-    tableau_from_circuit,
 )
 from stabcorrect.selfcorrect import (
     TIE_TOL,
@@ -35,8 +33,8 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None, n_rounds
     computationally; every collected entry is rotated back and scored by a
     dense n-qubit overlap with ``psi``.  Same tie rule as the fast path."""
     labels = sub.basis.labels(psi.n)
-    tableau, k, m = canonicalize_subgroup(labels)
-    rotated = apply_circuit(psi, synthesize_circuit(tableau), ledger)
+    circuit, k, m = canonicalize_subgroup(labels)
+    rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
     rounds = n_rounds if n_rounds is not None else min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
     collected = {}
@@ -55,7 +53,7 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None, n_rounds
                 if out == 0:
                     z, _, _ = measure_block(post, tuple(range(k, n)), "computational", rng, ledger)
                     collected[(ci, z)] = (cand, z, gi, eps)
-    inverse = tableau.inverse()
+    inverse = circuit.inverse()
     best = None
     for cand, z, gi, eps in collected.values():
         gens = []
@@ -77,10 +75,10 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None, n_rounds
 def random_subgroup(n, k, m, rng):
     """Span of k symplectic pairs and an m-dimensional center, in a random
     Clifford frame."""
-    tab = tableau_from_circuit(random_circuit(n, rng))
+    circ = random_circuit(n, rng)
     canon = [PauliLabel(n, 1 << i, 0) for i in range(k)]
     canon += [PauliLabel(n, 0, 1 << i) for i in range(k + m)]
-    vecs = [conjugate(tab, PhasedPauli(lab, 0)).label.to_vector() for lab in canon]
+    vecs = [conjugate(circ, PhasedPauli(lab, 0)).label.to_vector() for lab in canon]
     return SubgroupV(n, rref_basis(vecs, 2 * n), None)
 
 
@@ -120,8 +118,8 @@ def test_weights_are_measure_block_laws(n, k, m, seed):
     rng = np.random.default_rng([n, k, m, seed, 1])
     sub = random_subgroup(n, k, m, rng)
     psi = random_state(n, rng)
-    tableau, _, _ = canonicalize_subgroup(sub.basis.labels(n))
-    rotated = apply_circuit(psi, synthesize_circuit(tableau))
+    circuit, _, _ = canonicalize_subgroup(sub.basis.labels(n))
+    rotated = apply_circuit(psi, circuit)
     if k == 0:
         probs = np.abs(rotated.amps) ** 2
         for z in range(1 << n):

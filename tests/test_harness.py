@@ -87,6 +87,11 @@ class TestGenState:
         with pytest.raises(ValueError):
             StateSpec("combo", 2)
 
+    @pytest.mark.parametrize("index", [8, -1])
+    def test_basis_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=rf"basis index {index} .*n = 3"):
+            StateSpec("basis", 3, index=index)
+
 
 class TestConfig:
     def test_round_trip(self):

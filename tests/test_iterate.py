@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from stabcorrect.errors import CoefficientPrefixExhausted
+from stabcorrect.errors import CoefficientPrefixExhausted, SelfCorrectionFailed
 from stabcorrect.gf2 import rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import statevector_of
 from stabcorrect.rng import RngStream
 from stabcorrect.iterate import (
+    BaseLearner,
     ErrorSchedule,
     base_learner_bruteforce,
     base_learner_self_correct,
@@ -17,7 +18,6 @@ from stabcorrect.iterate import (
     mimic_compare,
     recompute_coeffs,
 )
-from stabcorrect.iterate import _exact_betas
 from stabcorrect.statevec import (
     StateVector,
     bruteforce_stab_dim_fidelity,
@@ -27,7 +27,7 @@ from stabcorrect.statevec import (
     random_state,
 )
 
-from conftest import orthogonal_stab_pair, planted_state, t_state
+from conftest import _exact_betas, orthogonal_stab_pair, planted_state, t_state
 
 def rank2_state(n, rng, w=0.9):
     s1, s2 = orthogonal_stab_pair(n, rng)
@@ -138,6 +138,25 @@ class TestRobust:
             )
             outs.append((dec.stop_reason, dec.iterations, tuple(b for b, _ in dec.terms)))
         assert outs[0] == outs[1]
+
+    def test_learner_failure_keeps_terms(self, rng):
+        # a learner that gives up on its second call ends the loop with the
+        # term it already learnt instead of losing the decomposition
+        s1, _, psi = rank2_state(2, rng)
+        calls = []
+
+        def learn(residual, rng, ledger):
+            calls.append(residual)
+            if len(calls) > 1:
+                raise SelfCorrectionFailed("attempt budget exhausted")
+            return s1
+
+        learner = BaseLearner(learn, lambda eps: eps, "stub")
+        dec = iterate_robust(psi, 0.05, learner, CostLedger(), rng)
+        assert len(calls) == 2
+        assert dec.stop_reason == "learner_failed"
+        assert [phi for _, phi in dec.terms] == [s1]
+        assert np.allclose(dec.reconstruction(), psi.amps, atol=1e-9)
 
     def test_residual_contract(self, rng):
         # |alpha|^2 * F_S(residual) < eps on exit, checked exactly

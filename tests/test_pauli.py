@@ -26,7 +26,7 @@ from stabcorrect.pauli import (
 )
 from stabcorrect.pauli import _conj_gate
 
-from conftest import random_circuit, random_phased
+from conftest import random_circuit, random_label, random_phased
 
 lab = PauliLabel.from_string
 pp = PhasedPauli.from_string
@@ -39,13 +39,8 @@ GATES_1Q = {"H": H, "S": S, "X": X, "Z": Z}
 
 
 def circuit_matrix(circ: CliffordCircuit) -> np.ndarray:
-    dim = 1 << circ.n
-    mat = np.eye(dim, dtype=complex)
-    for col in range(dim):
-        vec = np.zeros(dim, dtype=complex)
-        vec[col] = 1.0
-        mat[:, col] = apply_gates_dense(vec, circ.n, circ.gates)
-    return mat
+    # column j is the circuit applied to basis state j
+    return apply_gates_dense(np.eye(1 << circ.n, dtype=complex), circ.n, circ.gates)
 
 
 class TestProduct:
@@ -107,26 +102,24 @@ class TestGateConjugation:
 
 class TestTableau:
     def test_conjugate_matches_gate_chain(self, rng):
+        # U P U^dagger against the dense unitary of the circuit
         for _ in range(100):
             n = int(rng.integers(1, 5))
             circ = random_circuit(n, rng, length=16)
-            tab = tableau_from_circuit(circ)
+            u = circuit_matrix(circ)
             p = random_phased(n, rng)
-            q = p
-            for name, qs in circ.gates:
-                q = _conj_gate(name, qs, q)
-            assert conjugate(tab, p) == q
+            assert np.allclose(weyl_matrix(conjugate(circ, p)), u @ weyl_matrix(p) @ u.conj().T)
 
     def test_conjugation_preserves_symplectic(self, rng):
         from stabcorrect.gf2 import symplectic_product
 
         for _ in range(100):
             n = int(rng.integers(1, 7))
-            tab = tableau_from_circuit(random_circuit(n, rng))
+            circ = random_circuit(n, rng)
             for _ in range(100):
                 a, b = random_phased(n, rng), random_phased(n, rng)
                 assert symplectic_product(
-                    conjugate(tab, a).label, conjugate(tab, b).label
+                    conjugate(circ, a).label, conjugate(circ, b).label
                 ) == symplectic_product(a.label, b.label)
 
     def test_validity(self, rng):
@@ -135,10 +128,12 @@ class TestTableau:
 
     def test_inverse(self, rng):
         n = 3
-        tab = tableau_from_circuit(random_circuit(n, rng))
-        inv = tab.inverse()
+        circ = random_circuit(n, rng)
+        inv = circ.inverse()
         for p in (pp("XII"), pp("IZI"), pp("-IYX")):
-            assert conjugate(inv, conjugate(tab, p)) == p
+            assert conjugate(inv, conjugate(circ, p)) == p
+        # the exact adjoint, with no global phase
+        assert np.allclose(circuit_matrix(inv) @ circuit_matrix(circ), np.eye(1 << n))
 
 
 class TestSynthesis:
@@ -175,13 +170,13 @@ class TestSynthesis:
 
 class TestPairReduction:
     def test_xz_identity(self):
-        tab = clifford_from_anticommuting_pair(pp("X"), pp("Z"))
-        assert tab == CliffordTableau.identity(1)
+        circ = clifford_from_anticommuting_pair(pp("X"), pp("Z"))
+        assert circ == CliffordCircuit(1, ())
 
     def test_zx_hadamard(self):
-        tab = clifford_from_anticommuting_pair(pp("Z"), pp("X"))
-        assert conjugate(tab, pp("Z")) == pp("X")
-        assert conjugate(tab, pp("X")) == pp("Z")
+        circ = clifford_from_anticommuting_pair(pp("Z"), pp("X"))
+        assert conjugate(circ, pp("Z")) == pp("X")
+        assert conjugate(circ, pp("X")) == pp("Z")
 
     def test_commuting_rejected(self):
         with pytest.raises(ValueError):
@@ -203,25 +198,25 @@ class TestPairReduction:
             )
             if symplectic_product(p.label, q.label) == 0:
                 continue
-            tab = clifford_from_anticommuting_pair(p, q)
-            assert conjugate(tab, p) == PhasedPauli(PauliLabel(n, 1, 0), 0)
-            assert conjugate(tab, q) == PhasedPauli(PauliLabel(n, 0, 1), 0)
+            circ = clifford_from_anticommuting_pair(p, q)
+            assert conjugate(circ, p) == PhasedPauli(PauliLabel(n, 1, 0), 0)
+            assert conjugate(circ, q) == PhasedPauli(PauliLabel(n, 0, 1), 0)
             done += 1
 
 
 class TestIsotropicReduction:
     def test_z_line_identity_action(self):
-        tab = clifford_from_isotropic(rref_basis_from_labels([lab("Z")]), 1)
-        assert conjugate(tab, pp("Z")).label == lab("Z")
+        circ = clifford_from_isotropic(rref_basis_from_labels([lab("Z")]), 1)
+        assert conjugate(circ, pp("Z")).label == lab("Z")
 
     def test_x_line(self):
-        tab = clifford_from_isotropic(rref_basis_from_labels([lab("X")]), 1)
-        assert conjugate(tab, pp("X")).label == lab("Z")
+        circ = clifford_from_isotropic(rref_basis_from_labels([lab("X")]), 1)
+        assert conjugate(circ, pp("X")).label == lab("Z")
 
     def test_bell_pair_generators(self):
         basis = rref_basis_from_labels([lab("XX"), lab("ZZ")])
-        tab = clifford_from_isotropic(basis, 2)
-        imgs = {conjugate(tab, pp(s)).label for s in ("XX", "ZZ")}
+        circ = clifford_from_isotropic(basis, 2)
+        imgs = {conjugate(circ, pp(s)).label for s in ("XX", "ZZ")}
         target = set(rref_basis_from_labels([lab("IZ"), lab("ZI")]).labels(2))
         spanned = rref_basis([l.to_vector() for l in imgs], 4)
         assert spanned == rref_basis([l.to_vector() for l in target], 4)
@@ -244,9 +239,9 @@ class TestIsotropicReduction:
             if basis.rank == 0 or not is_isotropic(basis, n):
                 continue
             d = basis.rank
-            tab = clifford_from_isotropic(basis, n)
+            circ = clifford_from_isotropic(basis, n)
             img = rref_basis(
-                [conjugate(tab, PhasedPauli(l, 0)).label.to_vector() for l in basis.labels(n)],
+                [conjugate(circ, PhasedPauli(l, 0)).label.to_vector() for l in basis.labels(n)],
                 2 * n,
             )
             want = rref_basis([1 << (n + q) for q in range(n - d, n)], 2 * n)
@@ -269,9 +264,9 @@ class TestCanonicalize:
         assert (k, m) == km
 
     def test_identity_action_when_canonical(self):
-        tab, k, m = canonicalize_subgroup([lab("XI"), lab("ZI"), lab("IZ")])
+        circ, k, m = canonicalize_subgroup([lab("XI"), lab("ZI"), lab("IZ")])
         for s in ("XI", "ZI", "IZ"):
-            assert conjugate(tab, pp(s)).label == lab(s)
+            assert conjugate(circ, pp(s)).label == lab(s)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_exact_image_random(self, trial):
@@ -283,9 +278,9 @@ class TestCanonicalize:
                 PauliLabel(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
                 for _ in range(cnt)
             ]
-            tab, k, m = canonicalize_subgroup(gens)
+            circ, k, m = canonicalize_subgroup(gens)
             img = rref_basis(
-                [conjugate(tab, PhasedPauli(g, 0)).label.to_vector() for g in gens],
+                [conjugate(circ, PhasedPauli(g, 0)).label.to_vector() for g in gens],
                 2 * n,
             )
             rows = []
@@ -294,6 +289,23 @@ class TestCanonicalize:
             rows += [1 << (n + q) for q in range(k, k + m)]
             assert img == rref_basis(rows, 2 * n)
             assert k + m <= n
+
+    @pytest.mark.parametrize("center_tail", [False, True])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_matches_synthesized_path(self, trial, center_tail):
+        # the emitted circuit against the circuit synthesized from its
+        # tableau: same tableau, same unitary up to one global phase
+        rng = np.random.default_rng(4100 + trial)
+        for _ in range(10):
+            n = int(rng.integers(1, 9))
+            gens = [random_label(n, rng) for _ in range(int(rng.integers(1, 2 * n + 2)))]
+            circ, _, _ = canonicalize_subgroup(gens, center_tail=center_tail)
+            tab = tableau_from_circuit(circ)
+            synth = synthesize_circuit(tab)
+            assert tableau_from_circuit(synth) == tab
+            ratio = circuit_matrix(circ) @ circuit_matrix(synth).conj().T
+            assert abs(abs(ratio[0, 0]) - 1) < 1e-9
+            assert np.allclose(ratio, ratio[0, 0] * np.eye(1 << n), atol=1e-9)
 
 
 class TestStabilizerStates:

@@ -7,12 +7,13 @@ from stabcorrect.errors import (
     PfrSubgroupNotFound,
     SelfCorrectionFailed,
 )
-from stabcorrect.gf2 import PauliLabel, rref_basis_from_labels
+from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
-from stabcorrect.pauli import PhasedPauli, StabilizerState, statevector_of
+from stabcorrect.pauli import PhasedPauli, StabilizerState, conjugate, statevector_of
 from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import (
     BsgParams,
+    SubgroupV,
     PUBLISHED_C1,
     PUBLISHED_C2,
     bsg_test,
@@ -40,7 +41,7 @@ from stabcorrect.statevec import (
     tensor,
 )
 
-from conftest import planted_state, t_state
+from conftest import planted_state, random_circuit, t_state
 
 lab = PauliLabel.from_string
 def stab_vec(strings):
@@ -356,6 +357,19 @@ class TestFindHighStabDim:
         assert abs(overlap(res.reconstruct(), psi)) ** 2 == pytest.approx(
             np.cos(th) ** 2, abs=1e-9
         )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reconstruct_has_no_stray_phase(self, seed):
+        # reconstruct() undoes the rotation U exactly, so
+        # <reconstruct|psi> = <sigma, z| U psi> = sqrt(block_weight), phase included
+        rng = np.random.default_rng(seed)
+        n = 3
+        psi = random_state(n, rng)
+        circ = random_circuit(n, rng)
+        center = [conjugate(circ, PhasedPauli(PauliLabel(n, 0, 1 << q), 0)) for q in (1, 2)]
+        sub = SubgroupV(n, rref_basis([g.label.to_vector() for g in center], 2 * n), None)
+        res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng)
+        assert abs(overlap(res.reconstruct(), psi) - np.sqrt(res.block_weight)) <= 1e-9
 
 
 class TestSelfCorrect:
