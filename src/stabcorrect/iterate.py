@@ -36,6 +36,7 @@ from .statevec import (
 PROGRESS_TOL = 1e-10
 PREFIX_TOL = 1e-9
 ZERO_RESIDUAL_TOL = 1e-7
+EST_FAIL = 1e-6  # failure probability of each Hadamard-test overlap estimate
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,11 @@ def base_learner_self_correct(
     delta: float,
     oracle_mode,
     attempts: int = 32,
-    promise_c1: float = 1.0,
-    promise_c2: float = 1.0,
     collect_t: int | None = None,
 ) -> BaseLearner:
     """Wrap the full pipeline as a base learner.  The fidelity floor as a
-    function of the threshold has no pinned universal exponent, so both
-    constants are configuration."""
+    function of the threshold has no pinned universal exponent; the promise
+    is the threshold itself, clipped to [1e-9, 1]."""
     from .selfcorrect import self_correct
 
     def learn(psi: StateVector, rng, ledger) -> StabilizerState:
@@ -98,7 +97,7 @@ def base_learner_self_correct(
 
     return BaseLearner(
         learn,
-        lambda eps: max(min(promise_c1 * eps**promise_c2, 1.0), 1e-9),
+        lambda eps: max(min(eps, 1.0), 1e-9),
         "self_correct",
     )
 
@@ -163,14 +162,14 @@ STOP_LEARNER = "learner_failed"
 # coefficient recomputation
 
 
-def recompute_coeffs(betas: list[complex], tol: float = PREFIX_TOL):
+def recompute_coeffs(betas: list[complex]):
     """From running-estimate coefficients, rebuild (c, r, alpha):
     c_{j+1} = beta_{j+1}/sqrt(1 - sum_{i<=j}|beta_i|^2),
     r_{j+1}^2 = (1 - sum_{i<=j+1}|beta_i|^2) / (1 - sum_{i<=j}|beta_i|^2),
     alpha_{j+1} = prod_{i<=j}|r_i| (alpha_1 = 1).
 
-    Raises once a prefix sum reaches 1 within tolerance: tomography is then
-    essentially complete and the division is ill-posed.
+    Raises once a prefix sum reaches 1 within ``PREFIX_TOL``: tomography is
+    then essentially complete and the division is ill-posed.
     """
     cs: list[complex] = []
     rs: list[float] = []
@@ -178,7 +177,7 @@ def recompute_coeffs(betas: list[complex], tol: float = PREFIX_TOL):
     prev = 1.0
     acc = 0.0
     for j, beta in enumerate(betas):
-        if prev <= tol:
+        if prev <= PREFIX_TOL:
             raise CoefficientPrefixExhausted(
                 f"prefix sum reached 1 - {prev:.2e} before term {j + 1}"
             )
@@ -205,9 +204,7 @@ def _iterate(
     slack: int,
     threshold: float,
     charge_at: float,
-    schedule: ErrorSchedule | None = None,
     estimator="exact",
-    est_fail: float = 1e-6,
 ) -> Decomposition:
     """The one loop behind both entry points.
 
@@ -216,8 +213,10 @@ def _iterate(
     (its estimate is charged at accuracy ``charge_at``), or on a learner that
     raises ``SelfCorrectionFailed``, keeping the terms learnt so far;
     otherwise it learns phi_t from the residual, re-estimates every overlap
-    <phi_j|psi> at tolerance delta/(3 t^4), rebuilds beta with exact
-    stabilizer cross-overlaps and (c, r, alpha) through ``recompute_coeffs``.
+    <phi_j|psi> at the ``ErrorSchedule(eta)`` tolerance delta/(3 t^4) (each
+    Hadamard test fails with probability ``EST_FAIL``), rebuilds beta with
+    exact stabilizer cross-overlaps and (c, r, alpha) through
+    ``recompute_coeffs``.
     With the exact estimator each iteration also asserts the progress
     identity and the orthogonality of the new residual to phi_t, and stops on
     a zero residual.  On exit, asserts k <= budget/eta^2.
@@ -226,7 +225,7 @@ def _iterate(
         raise ValueError("eps must lie in (0, 1)")
     ledger = ledger if ledger is not None else CostLedger()
     eta = learner.promise(eps)
-    schedule = schedule or ErrorSchedule(eta)
+    schedule = ErrorSchedule(eta)
     t_max = int(np.ceil(budget / eta**2)) + slack
     phis: list[StabilizerState] = []
     preps: list[CliffordCircuit] = []
@@ -269,7 +268,7 @@ def _iterate(
             if estimator == "exact":
                 zeta = true_val
             elif estimator == "hadamard":
-                zeta = hadamard_test_estimate(vecs[j], psi, tol_t, est_fail, rng, ledger)
+                zeta = hadamard_test_estimate(vecs[j], psi, tol_t, EST_FAIL, rng, ledger)
             else:
                 zeta = estimator(j + 1, t, true_val, tol_t)
             for i in range(j):
@@ -338,10 +337,8 @@ def iterate_robust(
     learner: BaseLearner,
     ledger: CostLedger | None = None,
     rng: np.random.Generator | None = None,
-    schedule: ErrorSchedule | None = None,
     estimator="exact",
     threshold_factor: float = 1.0,
-    est_fail: float = 1e-6,
 ) -> Decomposition:
     """Noise-tolerant loop: iteration t re-estimates every overlap <phi_j|psi>
     at tolerance delta/(3 t^4), rebuilds the coefficient vector with exact
@@ -358,7 +355,7 @@ def iterate_robust(
     return _iterate(
         psi, eps, learner, ledger, rng,
         budget=9.0, slack=8, threshold=threshold, charge_at=threshold / 2.0,
-        schedule=schedule, estimator=estimator, est_fail=est_fail,
+        estimator=estimator,
     )
 
 
@@ -391,7 +388,6 @@ def learn_low_extent(
     learner: BaseLearner,
     ledger: CostLedger | None = None,
     rng: np.random.Generator | None = None,
-    estimator="exact",
 ) -> LowExtentResult:
     """Run the robust loop at eps = (eps'/(2 xi))^2 and normalize the
     structured part; for extent-xi inputs the exact achieved overlap is at
@@ -399,7 +395,7 @@ def learn_low_extent(
     if xi < 1:
         raise ValueError("xi must be >= 1")
     eps = (eps_prime / (2.0 * xi)) ** 2
-    dec = iterate_robust(psi, eps, learner, ledger, rng, estimator=estimator)
+    dec = iterate_robust(psi, eps, learner, ledger, rng)
     structured = dec.structured_vector()
     norm = float(np.linalg.norm(structured))
     if norm < ZERO_RESIDUAL_TOL:
@@ -468,14 +464,10 @@ def decompose_stab_dim(
     learner: BaseLearner,
     ledger: CostLedger | None = None,
     rng: np.random.Generator | None = None,
-    estimator="exact",
 ) -> Decomposition:
     """Robust loop with the stopping threshold relaxed to 2^{-2t} eps^6; the
     residual then satisfies |alpha|^2 * F_{S(n-t)} <= eps (t = 0 reduces to
     the plain robust loop, same code path)."""
     if not 0 <= t < psi.n:
         raise ValueError("need 0 <= t < n")
-    return iterate_robust(
-        psi, eps, learner, ledger, rng,
-        estimator=estimator, threshold_factor=2.0 ** (-2 * t),
-    )
+    return iterate_robust(psi, eps, learner, ledger, rng, threshold_factor=2.0 ** (-2 * t))

@@ -38,12 +38,10 @@ from .statevec import (
     GowersMetrics,
     StateVector,
     apply_circuit,
+    binomial_estimate,
     exact_proxy,
-    expectation_table,
+    expectation_squares,
     gowers3_metrics,
-    label_from_index,
-    label_index,
-    measure_block,
     sample_weyl_indices,
 )
 
@@ -136,10 +134,7 @@ def published_bsg_params(gamma, delta=Fraction(1, 100)) -> PublishedBsgParams:
 # sampling and membership tests
 
 
-def _w2(psi: StateVector) -> np.ndarray:
-    if "w2" not in psi._cache:
-        psi._cache["w2"] = expectation_table(psi) ** 2
-    return psi._cache["w2"]
+RETENTION_BATCHES = 64
 
 
 def _draw_retained(
@@ -147,14 +142,14 @@ def _draw_retained(
     count: int,
     rng: np.random.Generator,
     ledger: CostLedger | None,
-    max_batches: int = 64,
 ) -> np.ndarray:
-    """Label indices that passed retention, batched until ``count`` collected."""
+    """Label indices that passed retention, batched until ``count`` collected
+    or ``RETENTION_BATCHES`` batches drawn."""
     out: list[np.ndarray] = []
     got = 0
-    w2 = _w2(psi)
+    w2 = expectation_squares(psi)
     rate = max(exact_proxy(psi), 1e-3)
-    for _ in range(max_batches):
+    for _ in range(RETENTION_BATCHES):
         want = max(int(np.ceil((count - got) / rate)) + 4, 8)
         idx = sample_weyl_indices(psi, want, rng, ledger)
         if ledger is not None:
@@ -180,18 +175,17 @@ def _edge_batch(
     ledger: CostLedger | None,
     exact: bool,
 ) -> np.ndarray:
-    w2 = _w2(psi)
+    w2 = expectation_squares(psi)
     wx, wy, wxy = w2[xs], w2[ys], w2[xs ^ ys]
     if exact:
         return (wx >= zeta) & (wy >= zeta) & (wxy >= zeta)
     shots = int(np.ceil(2.0 * np.log(6.0 / delta) / zeta_p**2))
     m = xs.shape[0]
-
-    def est(w):
-        pr = np.clip(0.5 * (1.0 + w), 0.0, 1.0)
-        return 2.0 * rng.binomial(shots, pr) / shots - 1.0
-
-    passed = (est(wx) >= zeta) & (est(wy) >= zeta) & (est(wxy) >= zeta)
+    passed = (
+        (binomial_estimate(wx, shots, rng) >= zeta)
+        & (binomial_estimate(wy, shots, rng) >= zeta)
+        & (binomial_estimate(wxy, shots, rng) >= zeta)
+    )
     flag = passed & (rng.random(m) < wxy)
     if ledger is not None:
         ledger.charge("edge_test", copies=(6 * shots + 2) * m)
@@ -220,8 +214,8 @@ def edge_test(
     """
     if not zeta_p < zeta:
         raise ValueError("slack must be smaller than the threshold")
-    xs = np.array([label_index(x)])
-    ys = np.array([label_index(y)])
+    xs = np.array([x.to_vector()])
+    ys = np.array([y.to_vector()])
     return bool(_edge_batch(psi, xs, ys, zeta, zeta_p, delta, rng, ledger, exact)[0])
 
 
@@ -241,8 +235,8 @@ def bsg_test(
     against (u, v) when too few inner samples are joint neighbors of v and z.
     """
     delta_p = params.delta / (5.0 * (1 + params.r + 2 * params.r * params.s))
-    uu = np.array([label_index(u)])
-    vv = np.array([label_index(v)])
+    uu = np.array([u.to_vector()])
+    vv = np.array([v.to_vector()])
     if not _edge_batch(
         psi, uu, vv, params.zeta1, params.zeta_slack, delta_p, rng, ledger, exact
     )[0]:
@@ -272,32 +266,30 @@ def collect_small_doubling(
     delta: float,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-    params: BsgParams | None = None,
-    exact: bool = False,
     stop_after: int | None = None,
     vertex_budget: int | None = None,
 ) -> list[list[PauliLabel]]:
     """Candidate sets of test-accepted labels, each of size >= t.
 
-    Iterates sampled vertices u and gathers the v's the membership test
-    accepts; ``stop_after`` returns early once that many qualifying sets
-    exist (the pipeline uses 1).  An empty collection raises so callers can
-    retry with fresh randomness.
+    Iterates sampled vertices u and gathers the v's the sampled membership
+    test accepts at ``BsgParams.practical(gamma, delta)``; ``stop_after``
+    returns early once that many qualifying sets exist (the pipeline uses
+    1).  An empty collection raises so callers can retry with fresh
+    randomness.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    params = params or BsgParams.practical(gamma, delta)
+    params = BsgParams.practical(gamma, delta)
     m = min(6 * t + 24, 256)
     verts = np.unique(_draw_retained(psi, m, rng, ledger))
     if vertex_budget is not None:
         verts = verts[:vertex_budget]
+    labels = [PauliLabel.from_vector(psi.n, int(v)) for v in verts]
     collection: list[list[PauliLabel]] = []
-    for u in verts:
-        ul = label_from_index(psi.n, int(u))
+    for i, ul in enumerate(labels):
         accepted = [
-            label_from_index(psi.n, int(v))
-            for v in verts
-            if v != u and bsg_test(psi, ul, label_from_index(psi.n, int(v)), params, rng, ledger, exact)
+            vl for j, vl in enumerate(labels)
+            if j != i and bsg_test(psi, ul, vl, params, rng, ledger)
         ]
         if len(accepted) >= t:
             collection.append(accepted)
@@ -310,6 +302,10 @@ def collect_small_doubling(
 
 # ---------------------------------------------------------------------------
 # covering-subgroup oracle
+
+
+THRESHOLD_SPAN_SAMPLES = 256
+THRESHOLD_SPAN_SHOTS = 512
 
 
 @dataclass(frozen=True)
@@ -330,14 +326,14 @@ def make_pfr_oracle(
     basis: Gf2Basis | None = None,
     psi: StateVector | None = None,
     theta: float | None = None,
-    n_samples: int = 256,
-    shots: int = 512,
     rng: np.random.Generator | None = None,
     ledger: CostLedger | None = None,
 ) -> PfrOracle:
     """Planted mode wraps a known subgroup basis; threshold-span mode spans
     the sampled labels whose estimated <W_x>^2 clears theta (a heuristic
-    stand-in for an actual construction)."""
+    stand-in for an actual construction), from ``THRESHOLD_SPAN_SAMPLES``
+    difference samples and ``THRESHOLD_SPAN_SHOTS`` shots per distinct
+    label."""
     if mode == "planted":
         if basis is None:
             raise ValueError("planted mode needs a subgroup basis")
@@ -345,11 +341,10 @@ def make_pfr_oracle(
     if mode == "threshold-span":
         if psi is None or theta is None or rng is None:
             raise ValueError("threshold-span mode needs psi, theta and rng")
-        idx = np.unique(sample_weyl_indices(psi, n_samples, rng, ledger))
-        w2 = _w2(psi)[idx]
-        est = 2.0 * rng.binomial(shots, np.clip(0.5 * (1.0 + w2), 0.0, 1.0)) / shots - 1.0
+        idx = np.unique(sample_weyl_indices(psi, THRESHOLD_SPAN_SAMPLES, rng, ledger))
+        est = binomial_estimate(expectation_squares(psi)[idx], THRESHOLD_SPAN_SHOTS, rng)
         if ledger is not None:
-            ledger.charge("oracle_build", copies=2 * shots * idx.shape[0])
+            ledger.charge("oracle_build", copies=2 * THRESHOLD_SPAN_SHOTS * idx.shape[0])
         keep = idx[est >= theta]
         span = rref_basis([int(v) for v in keep], 2 * psi.n)
         return PfrOracle("threshold-span", span)
@@ -410,9 +405,8 @@ def pfr_subgroup(
     basis = rref_basis(accepted, 2 * n)
     mass = None
     if psi is not None and basis.rank <= 16:
-        w2 = _w2(psi)
         span = np.array(basis.enumerate_span())
-        mass = float(w2[span].mean())
+        mass = float(expectation_squares(psi)[span].mean())
     return SubgroupV(n, basis, mass)
 
 
@@ -478,7 +472,13 @@ def _shadow_cost(m: int, eps: float, delta: float) -> int:
     return int(np.ceil(np.log(max(m, 2) / delta) / eps**2))
 
 
+def _rounds(gamma: float) -> int:
+    """Measurement rounds of both extractors: ceil(4/gamma) within [8, 64]."""
+    return min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
+
+
 TIE_TOL = 1e-12
+BLOCK_TOL = 1e-9
 
 
 def find_stabilizer(
@@ -488,7 +488,6 @@ def find_stabilizer(
     delta: float,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-    n_rounds: int | None = None,
 ) -> CandidateStabilizer:
     """Extract the best product-form stabilizer compatible with the subgroup.
 
@@ -496,10 +495,10 @@ def find_stabilizer(
     that frame with the circuit the canonicalizer emitted.  One contraction
     with the cached k-qubit MUB candidate matrix (every group, every sign
     pattern) gives |(<c| (x) <z|) rotated|^2 for each candidate c and rest
-    bitstring z.  Each round, per candidate, draws the projection of the
-    first k qubits onto c from the row sum and, on success, the
-    computational outcome z of the rest from the row; with k = 0 each round
-    measures all qubits computationally.
+    bitstring z.  Each of ``_rounds(gamma)`` rounds, per candidate, draws the
+    projection of the first k qubits onto c from the row sum and, on
+    success, the computational outcome z of the rest from the row; with
+    k = 0 each round measures all qubits computationally.
 
     The rotation is unitary, so a collected entry's contraction value is its
     exact fidelity with ``psi``.  The first collected entry wins unless a
@@ -512,7 +511,7 @@ def find_stabilizer(
     circuit, k, m = canonicalize_subgroup(labels)
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
-    rounds = n_rounds if n_rounds is not None else min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
+    rounds = _rounds(gamma)
     # (candidate row, z) in first-collection order
     collected: dict[tuple[int, int], None] = {}
     if k == 0:
@@ -592,31 +591,30 @@ def find_high_stab_dim(
     delta: float,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-    n_rounds: int | None = None,
-    block_tol: float = 1e-9,
 ) -> HighStabDimResult:
     """Improper extraction: only the rotated center block (the last m qubits)
-    is measured computationally; the heaviest sampled branch is kept and its
-    exact normalized conditional block on the remaining k = n - m qubits is
-    returned (the desk-scale stand-in for tomography of that block).  The
-    described state has stabilizer dimension >= n - k by construction."""
+    is measured computationally, once in each of ``_rounds(gamma)`` rounds,
+    with the branch drawn from its exact Born weight; the heaviest sampled
+    branch is kept and its exact normalized conditional block on the
+    remaining k = n - m qubits is returned (the desk-scale stand-in for
+    tomography of that block).  A kept branch below ``BLOCK_TOL`` raises.
+    Each measurement charges one ``measure`` copy.  The described state has
+    stabilizer dimension >= n - k by construction."""
     labels = sub.basis.labels(psi.n)
     circuit, _, m = canonicalize_subgroup(labels, center_tail=True)
     rotated = apply_circuit(psi, circuit, ledger)
-    n = psi.n
-    k = n - m
-    rounds = n_rounds if n_rounds is not None else min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
-    seen: set[int] = set()
-    for _ in range(rounds):
-        z, _, _ = measure_block(rotated, tuple(range(k, n)), "computational", rng, ledger)
-        seen.add(z)
-    mags = np.abs(rotated.amps.reshape(1 << m, 1 << k)) ** 2
-    weights = mags.sum(axis=1)
+    k = psi.n - m
+    blocks = rotated.amps.reshape(1 << m, 1 << k)
+    weights = (np.abs(blocks) ** 2).sum(axis=1)
+    law = weights / weights.sum()
+    rounds = _rounds(gamma)
+    seen = {int(rng.choice(law.shape[0], p=law)) for _ in range(rounds)}
+    if ledger is not None:
+        ledger.charge("measure", copies=rounds)
     best_z = max(seen, key=lambda z: weights[z])
-    if weights[best_z] < block_tol:
+    if weights[best_z] < BLOCK_TOL:
         raise BlockWeightBelowTolerance("all sampled branches carry negligible weight")
-    block = rotated.amps.reshape(1 << m, 1 << k)[best_z]
-    sigma = StateVector(k, block / np.sqrt(weights[best_z]))
+    sigma = StateVector(k, blocks[best_z] / np.sqrt(weights[best_z]))
     if ledger is not None:
         eps = max(gamma, 1e-3) / 8.0
         ledger.charge(
@@ -662,8 +660,6 @@ def self_correct(
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
     attempts: int = 32,
-    params: BsgParams | None = None,
-    exact_tests: bool = False,
     collect_t: int | None = None,
 ) -> CandidateStabilizer:
     """Chain sampling, small-doubling collection, subgroup construction and
@@ -674,10 +670,7 @@ def self_correct(
     last: Exception | None = None
     for _ in range(attempts):
         try:
-            collection = collect_small_doubling(
-                psi, t, gamma, delta, rng, ledger,
-                params=params, exact=exact_tests, stop_after=1,
-            )
+            collection = collect_small_doubling(psi, t, gamma, delta, rng, ledger, stop_after=1)
             sub = pfr_subgroup(collection[0], oracle, delta, psi=psi)
             return find_stabilizer(psi, sub, gamma, delta, rng, ledger)
         except (CollectionEmpty, PfrSubgroupNotFound, NoCandidateFound) as exc:

@@ -1,7 +1,7 @@
 """Dense statevector oracle: Weyl action and expectations, characteristic and
 difference-sampling distribution tables, overlap and sampling estimators,
-block measurements, combination-residual preparation, and the brute-force
-stabilizer-fidelity oracle.
+combination-residual preparation, and the brute-force stabilizer-fidelity
+oracle.
 
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
@@ -34,6 +34,7 @@ from .pauli import (
 
 NORM_TOL = 1e-10
 EQ_TOL = 1e-12
+RESIDUAL_TOL = 1e-9
 
 
 def table_cap() -> int:
@@ -60,9 +61,10 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
 
-def basis_state(n: int, index: int = 0) -> StateVector:
+def basis_state(n: int) -> StateVector:
+    """|0...0> on n qubits."""
     amps = np.zeros(1 << n, dtype=complex)
-    amps[index] = 1.0
+    amps[0] = 1.0
     return StateVector(n, amps)
 
 
@@ -92,14 +94,6 @@ def statevector_of_stab(state: StabilizerState) -> StateVector:
 # Weyl action and distributions
 
 
-def label_index(label: PauliLabel) -> int:
-    return label.x | (label.z << label.n)
-
-
-def label_from_index(n: int, idx: int) -> PauliLabel:
-    return PauliLabel.from_vector(n, idx)
-
-
 def apply_weyl(psi: StateVector, label: PauliLabel) -> StateVector:
     """Exact action of i^{|a&b|} X^a Z^b."""
     if label.n != psi.n:
@@ -127,12 +121,19 @@ def weyl_expectation(psi: StateVector, label: PauliLabel) -> float:
 
 
 def expectation_table(psi: StateVector) -> np.ndarray:
-    """All 4^n expectations <W_x>, indexed by ``label_index``."""
+    """All 4^n expectations <W_x>, indexed by ``PauliLabel.to_vector``."""
     if "exps" not in psi._cache:
         if psi.n > table_cap():
             raise ValueError(f"table cap exceeded: n={psi.n} > {table_cap()}")
         psi._cache["exps"] = kernels.char_expectations(psi.amps, psi.n)
     return psi._cache["exps"]
+
+
+def expectation_squares(psi: StateVector) -> np.ndarray:
+    """All 4^n squared expectations <W_x>^2, computed once per state."""
+    if "w2" not in psi._cache:
+        psi._cache["w2"] = expectation_table(psi) ** 2
+    return psi._cache["w2"]
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def exact_proxy(psi: StateVector) -> float:
     """E_{x~q}[<W_x>^2] from the tables, computed once per state."""
     if "proxy" not in psi._cache:
         _, q = distribution_tables(psi)
-        psi._cache["proxy"] = float(np.dot(q.values, expectation_table(psi) ** 2))
+        psi._cache["proxy"] = float(np.dot(q.values, expectation_squares(psi)))
     return psi._cache["proxy"]
 
 
@@ -221,7 +222,7 @@ def gowers3_metrics(
     six-copy shots.
     """
     p, q = distribution_tables(psi)
-    w2 = expectation_table(psi) ** 2
+    w2 = expectation_squares(psi)
     if mode == "exact":
         proxy = exact_proxy(psi)
         u3pow8 = float(np.dot(p.values, w2))
@@ -253,6 +254,12 @@ def gowers3_metrics(
     return GowersMetrics(proxy, float(out2.mean()), "sampled", shots)
 
 
+def binomial_estimate(w, shots: int, rng: np.random.Generator):
+    """Estimate of w in [-1, 1] from ``shots`` two-outcome shots with
+    Pr[+1] = (1 + w)/2: 2 Binomial(shots, clip((1 + w)/2)) / shots - 1."""
+    return 2.0 * rng.binomial(shots, np.clip(0.5 * (1.0 + w), 0.0, 1.0)) / shots - 1.0
+
+
 def hadamard_test_estimate(
     prep_a: StateVector,
     prep_b: StateVector,
@@ -275,89 +282,11 @@ def hadamard_test_estimate(
     shots = int(np.ceil(2.0 * np.log(4.0 / delta) / eps**2))
     if shots > np.iinfo(np.int64).max:
         raise ValueError(f"tolerance {eps:.3g} needs {shots} shots, above the int64 sampler limit")
-    p_re = np.clip(0.5 * (1.0 + val.real), 0.0, 1.0)
-    p_im = np.clip(0.5 * (1.0 + val.imag), 0.0, 1.0)
-    re = 2.0 * rng.binomial(shots, p_re) / shots - 1.0
-    im = 2.0 * rng.binomial(shots, p_im) / shots - 1.0
+    re = binomial_estimate(val.real, shots, rng)
+    im = binomial_estimate(val.imag, shots, rng)
     if ledger is not None:
         ledger.charge("hadamard_test", queries_conU=2 * shots)
     return complex(re, im)
-
-
-# ---------------------------------------------------------------------------
-# measurements
-
-
-def _block_values(n: int, block: tuple[int, ...]) -> np.ndarray:
-    idx = np.arange(1 << n)
-    vals = np.zeros(1 << n, dtype=np.int64)
-    for i, q in enumerate(block):
-        vals |= ((idx >> q) & 1) << i
-    return vals
-
-
-def measure_block(
-    psi: StateVector,
-    block,
-    basis="computational",
-    rng: np.random.Generator | None = None,
-    ledger: CostLedger | None = None,
-    force_outcome=None,
-):
-    """Born-rule measurement of a qubit block.
-
-    ``basis="computational"`` returns (bitstring outcome, probability,
-    renormalized post-state).  ``basis=("project", vec)`` measures the
-    projector onto the 2^|block| state ``vec``; outcome 0 means "onto the
-    state".  Explicitly forcing a zero-probability branch raises.
-    """
-    block = tuple(block)
-    if not psi.normalized:
-        raise ValueError("measurement requires a normalized state")
-    if ledger is not None:
-        ledger.charge("measure", copies=1)
-    if basis == "computational":
-        vals = _block_values(psi.n, block)
-        probs = np.bincount(vals, weights=np.abs(psi.amps) ** 2, minlength=1 << len(block))
-        if force_outcome is not None:
-            outcome = int(force_outcome)
-            if probs[outcome] < 1e-15:
-                raise ValueError("zero-probability branch requested")
-        else:
-            if rng is None:
-                raise ValueError("sampling needs an rng")
-            outcome = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
-        sel = vals == outcome
-        post = np.where(sel, psi.amps, 0.0)
-        post = post / np.sqrt(probs[outcome])
-        return outcome, float(probs[outcome]), StateVector(psi.n, post)
-    kind, vec = basis
-    if kind != "project":
-        raise ValueError(f"unknown basis {basis!r}")
-    vec = np.asarray(vec, dtype=complex)
-    vals = _block_values(psi.n, block)
-    rest_qubits = tuple(q for q in range(psi.n) if q not in block)
-    rest_vals = _block_values(psi.n, rest_qubits)
-    # contraction amp_rest(y) = sum_x conj(vec[x]) psi[x at block, y at rest]
-    contr = np.zeros(1 << len(rest_qubits), dtype=complex)
-    np.add.at(contr, rest_vals, np.conj(vec[vals]) * psi.amps)
-    p0 = float(np.sum(np.abs(contr) ** 2))
-    if force_outcome is not None:
-        outcome = int(force_outcome)
-        pr = p0 if outcome == 0 else 1.0 - p0
-        if pr < 1e-15:
-            raise ValueError("zero-probability branch requested")
-    else:
-        if rng is None:
-            raise ValueError("sampling needs an rng")
-        outcome = 0 if rng.random() < p0 else 1
-    if outcome == 0:
-        # post = |vec> (x) contr / sqrt(p0), reassembled on the full register
-        post = vec[vals] * contr[rest_vals] / np.sqrt(p0)
-        return 0, p0, StateVector(psi.n, post)
-    proj = vec[vals] * contr[rest_vals]
-    post = (psi.amps - proj) / np.sqrt(1.0 - p0)
-    return 1, p0, StateVector(psi.n, post)
 
 
 def lcu_residual(
@@ -366,14 +295,13 @@ def lcu_residual(
     coeffs: list[complex],
     alpha: float,
     ledger: CostLedger | None = None,
-    tol: float = 1e-9,
 ) -> tuple[StateVector, float]:
     """Residual (psi - sum_j beta_j phi_j)/norm via combination-of-unitaries
     postselection; returns the normalized residual and the exact success
     probability (||V|0>|| / ||a||_1)^2 with ||a||_1 = (1 + sum|beta_j|)/alpha.
 
-    A residual below tolerance raises ResidualVanished: the running expansion
-    already reproduces the state.
+    A residual norm below ``RESIDUAL_TOL`` raises ResidualVanished: the
+    running expansion already reproduces the state.
     """
     if alpha <= 0:
         raise ValueError("normalizer must be positive")
@@ -392,7 +320,7 @@ def lcu_residual(
             queries_conU=attempts * (1 + len(circuits)),
             gates=attempts * gates,
         )
-    if rnorm < tol:
+    if rnorm < RESIDUAL_TOL:
         raise ResidualVanished(f"residual norm {rnorm:.2e} below tolerance")
     return StateVector(psi.n, resid / rnorm), success
 

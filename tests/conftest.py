@@ -3,6 +3,7 @@ import pytest
 
 from stabcorrect.gf2 import PauliLabel
 from stabcorrect.harness import _random_clifford_gates
+from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     CliffordCircuit,
     PhasedPauli,
@@ -72,3 +73,80 @@ def _exact_betas(psi, phis):
             val -= betas[i] * stabilizer_inner_product(phi, phis[i])
         betas.append(val)
     return betas
+
+
+# ---------------------------------------------------------------------------
+# block measurements: the Born-rule oracle the extractors' contractions and
+# branch draws are checked against
+
+
+def _block_values(n: int, block: tuple[int, ...]) -> np.ndarray:
+    idx = np.arange(1 << n)
+    vals = np.zeros(1 << n, dtype=np.int64)
+    for i, q in enumerate(block):
+        vals |= ((idx >> q) & 1) << i
+    return vals
+
+
+def measure_block(
+    psi: StateVector,
+    block,
+    basis="computational",
+    rng: np.random.Generator | None = None,
+    ledger: CostLedger | None = None,
+    force_outcome=None,
+):
+    """Born-rule measurement of a qubit block.
+
+    ``basis="computational"`` returns (bitstring outcome, probability,
+    renormalized post-state).  ``basis=("project", vec)`` measures the
+    projector onto the 2^|block| state ``vec``; outcome 0 means "onto the
+    state".  Explicitly forcing a zero-probability branch raises.
+    """
+    block = tuple(block)
+    if not psi.normalized:
+        raise ValueError("measurement requires a normalized state")
+    if ledger is not None:
+        ledger.charge("measure", copies=1)
+    if basis == "computational":
+        vals = _block_values(psi.n, block)
+        probs = np.bincount(vals, weights=np.abs(psi.amps) ** 2, minlength=1 << len(block))
+        if force_outcome is not None:
+            outcome = int(force_outcome)
+            if probs[outcome] < 1e-15:
+                raise ValueError("zero-probability branch requested")
+        else:
+            if rng is None:
+                raise ValueError("sampling needs an rng")
+            outcome = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
+        sel = vals == outcome
+        post = np.where(sel, psi.amps, 0.0)
+        post = post / np.sqrt(probs[outcome])
+        return outcome, float(probs[outcome]), StateVector(psi.n, post)
+    kind, vec = basis
+    if kind != "project":
+        raise ValueError(f"unknown basis {basis!r}")
+    vec = np.asarray(vec, dtype=complex)
+    vals = _block_values(psi.n, block)
+    rest_qubits = tuple(q for q in range(psi.n) if q not in block)
+    rest_vals = _block_values(psi.n, rest_qubits)
+    # contraction amp_rest(y) = sum_x conj(vec[x]) psi[x at block, y at rest]
+    contr = np.zeros(1 << len(rest_qubits), dtype=complex)
+    np.add.at(contr, rest_vals, np.conj(vec[vals]) * psi.amps)
+    p0 = float(np.sum(np.abs(contr) ** 2))
+    if force_outcome is not None:
+        outcome = int(force_outcome)
+        pr = p0 if outcome == 0 else 1.0 - p0
+        if pr < 1e-15:
+            raise ValueError("zero-probability branch requested")
+    else:
+        if rng is None:
+            raise ValueError("sampling needs an rng")
+        outcome = 0 if rng.random() < p0 else 1
+    if outcome == 0:
+        # post = |vec> (x) contr / sqrt(p0), reassembled on the full register
+        post = vec[vals] * contr[rest_vals] / np.sqrt(p0)
+        return 0, p0, StateVector(psi.n, post)
+    proj = vec[vals] * contr[rest_vals]
+    post = (psi.amps - proj) / np.sqrt(1.0 - p0)
+    return 1, p0, StateVector(psi.n, post)

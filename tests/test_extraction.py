@@ -1,5 +1,7 @@
-"""find_stabilizer's one-contraction extraction against the per-candidate
-measurement loop it replaced."""
+"""The extractors against the measurement loops they replaced:
+find_stabilizer's one-contraction extraction against the per-candidate
+loop, and find_high_stab_dim's branch draws against the per-round
+``measure_block`` loop."""
 
 import numpy as np
 import pytest
@@ -19,15 +21,17 @@ from stabcorrect.selfcorrect import (
     _candidate_weights,
     _mub_candidates,
     _mub_generators,
+    _rounds,
     _shadow_cost,
+    find_high_stab_dim,
     find_stabilizer,
 )
-from stabcorrect.statevec import StateVector, apply_circuit, measure_block, random_state
+from stabcorrect.statevec import StateVector, apply_circuit, random_state
 
-from conftest import random_circuit
+from conftest import measure_block, random_circuit
 
 
-def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None, n_rounds=None):
+def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None):
     """The per-candidate loop: each round measures the projector onto every
     candidate with ``measure_block`` and, on outcome 0, the rest
     computationally; every collected entry is rotated back and scored by a
@@ -36,7 +40,7 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None, n_rounds
     circuit, k, m = canonicalize_subgroup(labels)
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
-    rounds = n_rounds if n_rounds is not None else min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
+    rounds = _rounds(gamma)
     collected = {}
     if k == 0:
         for _ in range(rounds):
@@ -70,6 +74,37 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None, n_rounds
             copies=_shadow_cost(len(collected), max(gamma, 1e-3) / 8.0, delta),
         )
     return best
+
+
+def reference_find_high_stab_dim(psi, sub, gamma, delta, rng, ledger=None):
+    """The per-round loop: each round measures the rotated center block (the
+    last m qubits) with ``measure_block``, one ``measure`` copy each; the
+    heaviest sampled branch is kept with its normalized conditional block.
+    Returns (z, block weight, sigma)."""
+    labels = sub.basis.labels(psi.n)
+    circuit, _, m = canonicalize_subgroup(labels, center_tail=True)
+    rotated = apply_circuit(psi, circuit, ledger)
+    n = psi.n
+    k = n - m
+    seen = set()
+    for _ in range(_rounds(gamma)):
+        z, _, _ = measure_block(rotated, tuple(range(k, n)), "computational", rng, ledger)
+        seen.add(z)
+    blocks = rotated.amps.reshape(1 << m, 1 << k)
+    weights = (np.abs(blocks) ** 2).sum(axis=1)
+    best_z = max(seen, key=lambda z: weights[z])
+    sigma = StateVector(k, blocks[best_z] / np.sqrt(weights[best_z]))
+    if ledger is not None:
+        eps = max(gamma, 1e-3) / 8.0
+        ledger.charge(
+            "block_shadows",
+            copies=int(np.ceil(4.0**k / eps**2 * np.log(max(len(seen), 2) / delta))),
+        )
+        ledger.charge(
+            "block_tomography",
+            copies=int(np.ceil(4.0**k / eps**2 * np.log(1.0 / delta))),
+        )
+    return best_z, float(weights[best_z]), sigma
 
 
 def random_subgroup(n, k, m, rng):
@@ -111,6 +146,24 @@ def test_matches_per_candidate_loop(n, k, m, seed):
     assert rng_fast.random() == rng_ref.random()
     exact = abs(np.vdot(statevector_of(fast.state), psi.amps)) ** 2
     assert abs(fast.fidelity - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("n,k,m,seed", CASES)
+def test_high_stab_dim_matches_per_round_loop(n, k, m, seed):
+    rng = np.random.default_rng([n, k, m, seed, 2])
+    sub = random_subgroup(n, k, m, rng)
+    psi = random_state(n, rng)
+    ledger_fast, ledger_ref = CostLedger(), CostLedger()
+    rng_fast = np.random.default_rng(seed)
+    rng_ref = np.random.default_rng(seed)
+    fast = find_high_stab_dim(psi, sub, 0.5, 0.05, rng_fast, ledger_fast)
+    z, weight, sigma = reference_find_high_stab_dim(psi, sub, 0.5, 0.05, rng_ref, ledger_ref)
+    assert fast.z == z
+    assert fast.block_weight == weight
+    assert np.array_equal(fast.sigma.amps, sigma.amps)
+    assert ledger_fast.to_json() == ledger_ref.to_json()
+    # same draws: both generators end in the same state
+    assert rng_fast.random() == rng_ref.random()
 
 
 @pytest.mark.parametrize("n,k,m,seed", [c for c in CASES if c[3] == 0 and c[0] <= 5])

@@ -34,8 +34,6 @@ from stabcorrect.statevec import (
     bruteforce_stab_fidelity,
     expectation_table,
     gowers3_metrics,
-    label_from_index,
-    label_index,
     overlap,
     random_state,
     tensor,
@@ -54,7 +52,7 @@ class TestSamplePaulis:
         st, psi = stab_vec(["+XX", "+ZZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
         idx = _draw_retained(psi, 64, rng, CostLedger())
-        labs = [label_from_index(2, int(i)) for i in idx]
+        labs = [PauliLabel.from_vector(2, int(i)) for i in idx]
         assert len(labs) == 64 and all(basis.contains(l.to_vector()) for l in labs)
 
     def test_ledger_accounting(self, rng):
@@ -165,10 +163,10 @@ class TestBsgTest:
         zc = (params.zeta1 + params.zeta2) / 2.0
         mu = (params.zeta1 - params.zeta2) / 2.0
         a1 = exhaustive_t_set(
-            psi, label_index(lab("II")), (zc + mu, zc - mu, zc + mu), params.rho1, params.rho2
+            psi, lab("II").to_vector(), (zc + mu, zc - mu, zc + mu), params.rho1, params.rho2
         )
         a2 = exhaustive_t_set(
-            psi, label_index(lab("II")), (zc, zc, zc), 10 * params.rho1 / 11, 10 * params.rho2 / 9
+            psi, lab("II").to_vector(), (zc, zc, zc), 10 * params.rho1 / 11, 10 * params.rho2 / 9
         )
         assert a1 <= a2
         for v in range(16):

@@ -18,17 +18,17 @@ from stabcorrect.statevec import (
     apply_circuit,
     apply_weyl,
     basis_state,
+    binomial_estimate,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
     distribution_tables,
     exact_proxy,
+    expectation_squares,
     expectation_table,
     gowers3_metrics,
     hadamard_test_estimate,
-    label_index,
     lcu_residual,
     load_statevector,
-    measure_block,
     overlap,
     random_state,
     sample_weyl_indices,
@@ -40,7 +40,7 @@ from stabcorrect.statevec import (
 )
 from stabcorrect.selfcorrect import _draw_retained
 
-from conftest import t_state
+from conftest import measure_block, t_state
 
 lab = PauliLabel.from_string
 pp = PhasedPauli.from_string
@@ -130,7 +130,7 @@ class TestDistributions:
         p, q = distribution_tables(basis_state(2))
         for x in range(4):
             for z in range(4):
-                val = p.values[label_index(PauliLabel(2, x, z))]
+                val = p.values[PauliLabel(2, x, z).to_vector()]
                 assert val == pytest.approx(0.25 if x == 0 else 0.0, abs=1e-12)
 
     def test_t_state_tables(self):
@@ -244,6 +244,28 @@ class TestGowersMetrics:
             hits += abs(m.proxy - 5 / 8) <= 0.05
         assert hits >= runs - 2
         assert ledger.totals["copies_consumed"] > 0
+
+
+    def test_one_squares_table(self, rng):
+        # the cached <W_x>^2 table is computed once and shared by the metrics
+        psi = random_state(3, rng)
+        w2 = expectation_squares(psi)
+        assert expectation_squares(psi) is w2
+        assert np.array_equal(w2, expectation_table(psi) ** 2)
+        p, q = distribution_tables(psi)
+        assert exact_proxy(psi) == float(np.dot(q.values, w2))
+        assert gowers3_metrics(psi).u3pow8 == float(np.dot(p.values, w2))
+        assert expectation_squares(psi) is w2
+
+
+class TestBinomialEstimate:
+    def test_same_draws_as_formula(self):
+        w = np.array([-1.5, -0.3, 0.0, 0.7, 1.0, 1.2])
+        ours = binomial_estimate(w, 50, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want = 2.0 * rng.binomial(50, np.clip(0.5 * (1.0 + w), 0.0, 1.0)) / 50 - 1.0
+        assert np.array_equal(ours, want)
+        assert ours[0] == -1.0 and ours[-1] == 1.0
 
 
 class TestHadamardTest:
