@@ -33,6 +33,7 @@ from .statevec import (
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
     gowers3_metrics,
+    require_memory,
     statevector_of_stab,
 )
 from .iterate import (
@@ -76,6 +77,7 @@ class StateSpec:
             raise ValueError(f"unknown state kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        require_memory(self.n, 16 << self.n)  # the 2^n complex amplitudes
         if self.kind == "basis" and not 0 <= self.index < 1 << self.n:
             raise ValueError(f"basis index {self.index} outside [0, 2^{self.n}) for n = {self.n}")
         if self.kind == "tdoped" and (self.t is None or self.t < 0):
@@ -424,7 +426,7 @@ def _bench(params: dict) -> dict:
     p = np.abs(rng.normal(size=4 ** n_naive))
     p /= p.sum()
     t0 = time.perf_counter()
-    kernels.xor_convolve(p, p)
+    kernels.xor_convolve(p)
     out["fast_convolve_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     kernels.xor_convolve_naive(p, p)

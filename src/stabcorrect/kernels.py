@@ -1,6 +1,6 @@
 """Hot numeric kernels: the Weyl action on a dense vector, Walsh-Hadamard
-transforms, the 4^n table of Weyl operator expectations, and XOR
-convolutions.
+transforms, the 4^n table of Weyl operator expectations, and the XOR
+self-convolution of a table (with its quadratic reference).
 
 Bit conventions (used consistently across the package):
   - qubit q of a basis-state index is bit q (little-endian),
@@ -61,13 +61,13 @@ def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def xor_convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Fast XOR convolution (p * q)(x) = sum_y p(y) q(x^y), O(m log m)."""
-    m = p.shape[0]
-    ph = wht_inplace(p.astype(np.float64).copy())
-    qh = wht_inplace(q.astype(np.float64).copy())
-    out = wht_inplace(ph * qh)
-    out /= m
+def xor_convolve(p: np.ndarray) -> np.ndarray:
+    """Fast XOR self-convolution (p * p)(x) = sum_y p(y) p(x^y), O(m log m):
+    one forward transform, squared in place, then the inverse transform."""
+    out = wht_inplace(np.array(p, dtype=np.float64))
+    out *= out
+    wht_inplace(out)
+    out /= out.shape[0]
     return out
 
 

@@ -17,7 +17,9 @@ import numpy as np
 
 def _key(part: int | str) -> int:
     if isinstance(part, int):
-        return part & 0xFFFFFFFF
+        if not 0 <= part < 1 << 32:
+            raise ValueError(f"integer path part {part} outside [0, 2^32)")
+        return int(part)
     digest = hashlib.sha256(part.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 

@@ -1,12 +1,14 @@
-"""Dense statevector oracle: Weyl action and expectations, characteristic and
-difference-sampling distribution tables, overlap and sampling estimators,
-combination-residual preparation, and the brute-force stabilizer-fidelity
-oracle.
+"""Dense statevector oracle: Weyl action and expectations, the squared
+expectation table and the difference-sampling law, overlap and sampling
+estimators, combination-residual preparation, and the brute-force
+stabilizer-fidelity oracle.
 
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
-makes every statistical guarantee directly testable.  Tables of size 4^n are
-capped by ``STABCORRECT_TABLE_CAP`` (default 12).
+makes every statistical guarantee directly testable.  A state caches two
+4^n tables, <W_x>^2 and the cumulative difference-sampling law; a build whose
+measured peak would exceed physical memory raises ValueError before it
+allocates.
 
 States are immutable values; operations return new states.  Independent
 trials may run concurrently provided each owns a distinct RngStream path and
@@ -16,7 +18,6 @@ a private CostLedger merged afterwards.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +34,14 @@ from .pauli import (
 )
 
 NORM_TOL = 1e-10
-EQ_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 
 
-def table_cap() -> int:
-    return int(os.environ.get("STABCORRECT_TABLE_CAP", "12"))
+# Peak of one state's table build (``expectation_squares`` then ``_q_tables``)
+# in 4^n-entry float64 tables: w2, p, q and the transform's three half-size
+# temporaries.  Measured with tracemalloc at n = 4...12 (4.5 tables plus about
+# 1 KiB); test_statevec re-measures it.
+TABLE_BUILD_PEAK = 4.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,64 +123,56 @@ def weyl_expectation(psi: StateVector, label: PauliLabel) -> float:
     return float(val.real)
 
 
-def expectation_table(psi: StateVector) -> np.ndarray:
-    """All 4^n expectations <W_x>, indexed by ``PauliLabel.to_vector``."""
-    if "exps" not in psi._cache:
-        if psi.n > table_cap():
-            raise ValueError(f"table cap exceeded: n={psi.n} > {table_cap()}")
-        psi._cache["exps"] = kernels.char_expectations(psi.amps, psi.n)
-    return psi._cache["exps"]
+def require_memory(n: int, nbytes: int) -> None:
+    """Raise before an n-qubit allocation that needs more than physical memory."""
+    phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > phys:
+        raise ValueError(
+            f"n = {n} needs {nbytes} bytes, more than the {phys} bytes of physical memory"
+        )
 
 
 def expectation_squares(psi: StateVector) -> np.ndarray:
-    """All 4^n squared expectations <W_x>^2, computed once per state."""
+    """All 4^n squared expectations <W_x>^2, indexed by ``PauliLabel.to_vector``
+    and computed once per state; the signed table is not kept."""
     if "w2" not in psi._cache:
-        psi._cache["w2"] = expectation_table(psi) ** 2
+        require_memory(psi.n, int(TABLE_BUILD_PEAK * 8 * 4**psi.n))
+        w2 = kernels.char_expectations(psi.amps, psi.n)
+        np.square(w2, out=w2)
+        psi._cache["w2"] = w2
     return psi._cache["w2"]
 
 
-@dataclass(frozen=True)
-class ProbTable:
-    """Distribution over the 4^n labels; entries never exceed 2^-n."""
+def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
+    """The cumulative difference-sampling law and the proxy E_q[<W_x>^2],
+    built once per state.
 
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if abs(vals.sum() - 1.0) > NORM_TOL:
-            raise ValueError("probability table does not sum to 1")
-        if vals.min() < -EQ_TOL or vals.max() > 2.0 ** (-self.n) + EQ_TOL:
-            raise ValueError("entry outside [0, 2^-n]")
-
-
-def distribution_tables(psi: StateVector) -> tuple[ProbTable, ProbTable]:
-    """Characteristic table p(x) = <W_x>^2 / 2^n and its XOR self-convolution
-    q = p * p (the law of difference sampling), via the fast transform."""
-    if not psi.normalized:
-        raise ValueError("tables require a normalized state")
-    if "pq" not in psi._cache:
-        exps = expectation_table(psi)
-        p = exps * exps / (1 << psi.n)
-        q = kernels.xor_convolve(p, p)
-        np.clip(q, 0.0, None, out=q)
-        psi._cache["pq"] = (ProbTable(psi.n, p), ProbTable(psi.n, q))
-    return psi._cache["pq"]
-
-
-def _q_sampler(psi: StateVector):
+    With p(x) = <W_x>^2 / 2^n, the law of difference sampling is the XOR
+    self-convolution q = p * p.  The build checks the triple-correlation
+    identity E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3, which holds for pure
+    states, then keeps cumsum(q) in q's buffer.
+    """
     if "qcum" not in psi._cache:
-        _, q = distribution_tables(psi)
-        psi._cache["qcum"] = np.cumsum(q.values)
-    return psi._cache["qcum"]
+        if not psi.normalized:
+            raise ValueError("tables require a normalized state")
+        w2 = expectation_squares(psi)
+        p = w2 / (1 << psi.n)
+        triple = float((4.0 ** psi.n) * np.sum(p ** 3))
+        q = kernels.xor_convolve(p)
+        np.clip(q, 0.0, None, out=q)
+        proxy = float(np.dot(q, w2))
+        if abs(proxy - triple) > 1e-9:
+            raise AssertionError("triple-correlation identity violated")
+        psi._cache["qcum"] = np.cumsum(q, out=q)
+        psi._cache["proxy"] = proxy
+    return psi._cache["qcum"], psi._cache["proxy"]
 
 
 def sample_weyl_indices(
     psi: StateVector, size: int, rng: np.random.Generator, ledger: CostLedger | None
 ) -> np.ndarray:
     """Batched difference sampling: label indices drawn from q, 4 copies each."""
-    cum = _q_sampler(psi)
+    cum, _ = _q_tables(psi)
     u = rng.random(size)
     idx = np.searchsorted(cum, u * cum[-1], side="right")
     if ledger is not None:
@@ -199,10 +194,7 @@ class GowersMetrics:
 
 def exact_proxy(psi: StateVector) -> float:
     """E_{x~q}[<W_x>^2] from the tables, computed once per state."""
-    if "proxy" not in psi._cache:
-        _, q = distribution_tables(psi)
-        psi._cache["proxy"] = float(np.dot(q.values, expectation_squares(psi)))
-    return psi._cache["proxy"]
+    return _q_tables(psi)[1]
 
 
 def gowers3_metrics(
@@ -215,21 +207,16 @@ def gowers3_metrics(
 ) -> GowersMetrics:
     """Correlation metrics of the label distributions.
 
-    Exact mode evaluates both averages from the tables and cross-checks the
-    triple-correlation identity  E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3,
-    which holds for pure states.  Sampled mode estimates the q-average to
-    within ``delta`` with probability >= 1 - fail_prob using O(1/delta^2)
-    six-copy shots.
+    Exact mode evaluates both averages from the tables (the q-average is the
+    cached proxy, whose build checks the triple-correlation identity).
+    Sampled mode estimates the q-average to within ``delta`` with
+    probability >= 1 - fail_prob using O(1/delta^2) six-copy shots.
     """
-    p, q = distribution_tables(psi)
     w2 = expectation_squares(psi)
+    # p = w2 / 2^n: scaling by a power of two commutes with every rounding,
+    # so these equal the dot product and cumsum of p itself, bit for bit
     if mode == "exact":
-        proxy = exact_proxy(psi)
-        u3pow8 = float(np.dot(p.values, w2))
-        triple = float((4.0 ** psi.n) * np.sum(p.values ** 3))
-        if abs(proxy - triple) > 1e-9:
-            raise AssertionError("triple-correlation identity violated")
-        return GowersMetrics(proxy, u3pow8, "exact")
+        return GowersMetrics(exact_proxy(psi), float(np.dot(w2, w2)) / (1 << psi.n), "exact")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
@@ -240,7 +227,7 @@ def gowers3_metrics(
     outcomes = 2.0 * (rng.random(shots) < pr_plus) - 1.0
     proxy = float(outcomes.mean())
     # the p-average needs conjugate-assisted pair sampling; same estimator shape
-    pcum = np.cumsum(p.values)
+    pcum = np.cumsum(w2)
     ys = np.minimum(
         np.searchsorted(pcum, rng.random(shots) * pcum[-1], side="right"),
         pcum.shape[0] - 1,
@@ -360,34 +347,3 @@ def bruteforce_stab_dim_fidelity(psi: StateVector, t: int) -> float:
         weights = np.abs(rotated.amps.reshape(1 << (n - t), 1 << t)) ** 2
         best = max(best, float(weights.sum(axis=1).max()))
     return best
-
-
-# ---------------------------------------------------------------------------
-# import / export
-
-
-def save_statevector(psi: StateVector, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", psi.n))
-        fh.write(psi.amps.astype("<c16").tobytes())
-
-
-def load_statevector(path: str) -> StateVector:
-    with open(path, "rb") as fh:
-        (n,) = struct.unpack("<Q", fh.read(8))
-        amps = np.frombuffer(fh.read(), dtype="<c16").astype(complex)
-    norm_ok = abs(np.linalg.norm(amps) - 1.0) <= NORM_TOL
-    return StateVector(int(n), amps, normalized=norm_ok)
-
-
-def statevector_to_json(psi: StateVector) -> dict:
-    return {
-        "n": psi.n,
-        "normalized": psi.normalized,
-        "amps": [[float(a.real), float(a.imag)] for a in psi.amps],
-    }
-
-
-def statevector_from_json(data: dict) -> StateVector:
-    amps = np.array([complex(re, im) for re, im in data["amps"]])
-    return StateVector(int(data["n"]), amps, bool(data["normalized"]))

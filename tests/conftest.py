@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stabcorrect import kernels
 from stabcorrect.gf2 import PauliLabel
 from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.ledger import CostLedger
@@ -10,7 +11,12 @@ from stabcorrect.pauli import (
     stabilizer_inner_product,
     statevector_of,
 )
-from stabcorrect.statevec import StateVector, overlap, statevector_of_stab
+from stabcorrect.statevec import (
+    StateVector,
+    expectation_squares,
+    overlap,
+    statevector_of_stab,
+)
 
 
 @pytest.fixture
@@ -61,6 +67,20 @@ def orthogonal_stab_pair(n, rng):
             s2 = states[int(j)]
             if abs(np.vdot(v1, statevector_of(s2))) < 1e-12:
                 return s1, s2
+
+
+def expectation_table(psi):
+    """All 4^n signed expectations <W_x>, indexed by ``PauliLabel.to_vector``."""
+    return kernels.char_expectations(psi.amps, psi.n)
+
+
+def distribution_tables(psi):
+    """The law reference: the characteristic table p(x) = <W_x>^2 / 2^n and
+    its XOR self-convolution q = p * p, the law of difference sampling."""
+    p = expectation_squares(psi) / (1 << psi.n)
+    q = kernels.xor_convolve(p)
+    np.clip(q, 0.0, None, out=q)
+    return p, q
 
 
 def _exact_betas(psi, phis):

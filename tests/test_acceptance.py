@@ -42,8 +42,6 @@ from stabcorrect.statevec import (
     StateVector,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
-    distribution_tables,
-    expectation_table,
     gowers3_metrics,
     lcu_residual,
     overlap,
@@ -51,7 +49,15 @@ from stabcorrect.statevec import (
     tensor,
 )
 
-from conftest import _exact_betas, orthogonal_stab_pair, planted_state, random_circuit, t_state
+from conftest import (
+    _exact_betas,
+    distribution_tables,
+    expectation_table,
+    orthogonal_stab_pair,
+    planted_state,
+    random_circuit,
+    t_state,
+)
 
 pp = PhasedPauli.from_string
 
@@ -92,13 +98,13 @@ def test_criterion_02_distribution_laws():
         n = 1 + i % 5
         psi = random_state(n, rng)
         p, q = distribution_tables(psi)
-        ok &= abs(p.values.sum() - 1) <= 1e-10 and abs(q.values.sum() - 1) <= 1e-10
-        ok &= p.values.max() <= 2.0**-n + 1e-12 and q.values.max() <= 2.0**-n + 1e-12
+        ok &= abs(p.sum() - 1) <= 1e-10 and abs(q.sum() - 1) <= 1e-10
+        ok &= p.max() <= 2.0**-n + 1e-12 and q.max() <= 2.0**-n + 1e-12
         m = gowers3_metrics(psi)
         ok &= m.u3pow8 >= m.proxy - 1e-12 and m.proxy >= m.u3pow8**2 - 1e-12
         if n <= 3 and conv_checked < 60:
-            naive = kernels.xor_convolve_naive(p.values, p.values)
-            ok &= np.max(np.abs(q.values - naive)) <= 1e-12
+            naive = kernels.xor_convolve_naive(p, p)
+            ok &= np.max(np.abs(q - naive)) <= 1e-12
             conv_checked += 1
     report(2, ok, f"1000 states: normalization, cap, sandwich, {conv_checked} convolution checks ({time.time()-t0:.1f}s)")
 

@@ -30,6 +30,15 @@ class TestRngStream:
         s = RngStream(7).child("a").child(2, "b")
         assert len(s.path) == 3
 
+    @pytest.mark.parametrize("part", [2**32 + 5, 2**32, -1])
+    def test_integer_part_outside_32_bits_rejected(self, part):
+        # masking would alias child(2**32 + 5) with child(5)
+        with pytest.raises(ValueError, match=rf"part {part} outside"):
+            RngStream(1).child(part)
+
+    def test_in_range_integer_keys_unchanged(self):
+        assert RngStream(1).child(0, 5, 2**32 - 1).path == (0, 5, 2**32 - 1)
+
 
 class TestCostLedger:
     def test_totals_equal_breakdown_sums(self):
@@ -80,3 +89,16 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_package_reads_no_environment():
+    # configuration arrives through arguments and config files only
+    found = []
+    for path in sorted(Path(stabcorrect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno}" for a in node.names
+                          if a.name in ("environ", "getenv")]
+    assert not found, f"environment reads in the package: {found}"

@@ -87,6 +87,11 @@ class TestGenState:
         with pytest.raises(ValueError):
             StateSpec("combo", 2)
 
+    def test_n_beyond_memory_rejected(self):
+        # 2^40 amplitudes are 16 TiB; the spec is refused before any state is built
+        with pytest.raises(ValueError, match=r"n = 40 needs \d+ bytes"):
+            StateSpec("basis", 40)
+
     @pytest.mark.parametrize("index", [8, -1])
     def test_basis_index_out_of_range(self, index):
         with pytest.raises(ValueError, match=rf"basis index {index} .*n = 3"):

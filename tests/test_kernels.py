@@ -45,23 +45,20 @@ class TestConvolve:
         for nbits in (2, 4, 6):
             p = np.abs(rng.normal(size=1 << nbits))
             p /= p.sum()
-            q = np.abs(rng.normal(size=1 << nbits))
-            q /= q.sum()
             assert np.allclose(
-                kernels.xor_convolve(p, q), kernels.xor_convolve_naive(p, q), atol=1e-12
+                kernels.xor_convolve(p), kernels.xor_convolve_naive(p, p), atol=1e-12
             )
 
     def test_delta_convolution(self):
         p = np.zeros(8)
-        p[3] = 1.0
-        q = np.zeros(8)
-        q[5] = 1.0
-        out = kernels.xor_convolve(p, q)
+        p[3] = 0.5
+        p[5] = 0.5
         want = np.zeros(8)
-        want[3 ^ 5] = 1.0
-        assert np.allclose(out, want)
+        want[0] = 0.5
+        want[3 ^ 5] = 0.5
+        assert np.allclose(kernels.xor_convolve(p), want)
 
     def test_normalization_preserved(self, rng):
         p = np.abs(rng.normal(size=64))
         p /= p.sum()
-        assert abs(kernels.xor_convolve(p, p).sum() - 1.0) < 1e-12
+        assert abs(kernels.xor_convolve(p).sum() - 1.0) < 1e-12

@@ -32,14 +32,13 @@ from stabcorrect.statevec import (
     StateVector,
     basis_state,
     bruteforce_stab_fidelity,
-    expectation_table,
     gowers3_metrics,
     overlap,
     random_state,
     tensor,
 )
 
-from conftest import planted_state, random_circuit, t_state
+from conftest import distribution_tables, expectation_table, planted_state, random_circuit, t_state
 
 lab = PauliLabel.from_string
 def stab_vec(strings):
@@ -102,10 +101,8 @@ def exhaustive_t_set(psi, u, zetas, rho1, rho2):
     definitions under the retained-sampling distribution."""
     n = psi.n
     w2 = expectation_table(psi) ** 2
-    from stabcorrect.statevec import distribution_tables
-
     _, q = distribution_tables(psi)
-    weights = q.values * w2  # retained-draw law, unnormalized
+    weights = q * w2  # retained-draw law, unnormalized
     total = weights.sum()
     d = weights / total
     z1, z2, z3 = zetas

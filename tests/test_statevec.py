@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from stabcorrect.errors import ResidualVanished
-from stabcorrect.gf2 import PauliLabel
+from stabcorrect.gf2 import PauliLabel, rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     PhasedPauli,
@@ -13,7 +15,7 @@ from stabcorrect.pauli import (
     weyl_matrix,
 )
 from stabcorrect.statevec import (
-    ProbTable,
+    TABLE_BUILD_PEAK,
     StateVector,
     apply_circuit,
     apply_weyl,
@@ -21,26 +23,20 @@ from stabcorrect.statevec import (
     binomial_estimate,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
-    distribution_tables,
     exact_proxy,
     expectation_squares,
-    expectation_table,
     gowers3_metrics,
     hadamard_test_estimate,
     lcu_residual,
-    load_statevector,
     overlap,
     random_state,
     sample_weyl_indices,
-    save_statevector,
-    statevector_from_json,
-    statevector_to_json,
     tensor,
     weyl_expectation,
 )
-from stabcorrect.selfcorrect import _draw_retained
+from stabcorrect.selfcorrect import _draw_retained, self_correct
 
-from conftest import measure_block, t_state
+from conftest import distribution_tables, expectation_table, measure_block, t_state
 
 lab = PauliLabel.from_string
 pp = PhasedPauli.from_string
@@ -130,28 +126,74 @@ class TestDistributions:
         p, q = distribution_tables(basis_state(2))
         for x in range(4):
             for z in range(4):
-                val = p.values[PauliLabel(2, x, z).to_vector()]
+                val = p[PauliLabel(2, x, z).to_vector()]
                 assert val == pytest.approx(0.25 if x == 0 else 0.0, abs=1e-12)
 
     def test_t_state_tables(self):
         p, q = distribution_tables(t_state())
         # index order: I, X, Z, Y
-        assert np.allclose(p.values, [0.5, 0.25, 0.0, 0.25], atol=1e-12)
-        assert np.allclose(q.values, [0.375, 0.25, 0.125, 0.25], atol=1e-12)
+        assert np.allclose(p, [0.5, 0.25, 0.0, 0.25], atol=1e-12)
+        assert np.allclose(q, [0.375, 0.25, 0.125, 0.25], atol=1e-12)
 
     def test_invariants_random(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 6))
             p, q = distribution_tables(random_state(n, rng))
             for table in (p, q):
-                assert abs(table.values.sum() - 1) < 1e-10
-                assert table.values.max() <= 2.0**-n + 1e-12
+                assert abs(table.sum() - 1) < 1e-10
+                assert table.max() <= 2.0**-n + 1e-12
 
-    def test_probtable_validation(self):
-        with pytest.raises(ValueError):
-            ProbTable(1, np.array([0.9, 0.0, 0.0, 0.0]))
-        with pytest.raises(ValueError):
-            ProbTable(1, np.array([0.6, 0.4, 0.0, 0.0]))  # entry above 1/2
+    def test_sampler_increments_are_q(self, rng):
+        for n in (1, 3, 5):
+            psi = random_state(n, rng)
+            sample_weyl_indices(psi, 1, rng, None)
+            _, q = distribution_tables(psi)
+            steps = np.diff(psi._cache["qcum"], prepend=0.0)
+            assert np.max(np.abs(steps - q)) <= 1e-15
+
+    def test_state_caches_two_tables(self, rng):
+        # after self_correct on a planted n = 6 state the cache holds <W_x>^2,
+        # the q cumsum and the proxy scalar, nothing else
+        n = 6
+        junk = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        junk[0] = 0.0
+        amps = np.sqrt(0.1) * junk / np.linalg.norm(junk)
+        amps[0] = np.sqrt(0.9)  # planted |0...0>, stabilized by every Z_q
+        psi = StateVector(n, amps)
+        basis = rref_basis_from_labels([PauliLabel(n, 0, 1 << q) for q in range(n)])
+        self_correct(psi, 0.5, 0.05, ("planted", basis), rng, CostLedger())
+        assert set(psi._cache) == {"w2", "qcum", "proxy"}
+        assert psi._cache["w2"].shape == psi._cache["qcum"].shape == (4**n,)
+        assert isinstance(psi._cache["proxy"], float)
+
+
+class TestTableMemory:
+    def test_build_peak_is_the_measured_constant(self, rng):
+        n = 8
+        psi = random_state(n, rng)
+        tracemalloc.start()
+        try:
+            exact_proxy(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * 4**n) == pytest.approx(TABLE_BUILD_PEAK, abs=0.01)
+
+    def test_oversized_build_raises_before_allocating(self):
+        # n = 20: 8 TiB per table
+        amps = np.zeros(1 << 20, dtype=complex)
+        amps[0] = 1.0
+        psi = StateVector(20, amps)
+        tracemalloc.start()
+        try:
+            for build in (expectation_squares, exact_proxy):
+                with pytest.raises(ValueError, match=r"n = 20 needs \d+ bytes, more than the \d+ bytes"):
+                    build(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert not psi._cache
 
 
 class TestSampling:
@@ -190,7 +232,7 @@ class TestSampling:
         # retained labels follow q(x) <W_x>^2 / E_q[<W_x>^2]
         psi = t_state()
         _, q = distribution_tables(psi)
-        want = q.values * expectation_table(psi) ** 2 / exact_proxy(psi)
+        want = q * expectation_table(psi) ** 2 / exact_proxy(psi)
         draws = 20_000
         freq = np.bincount(_draw_retained(psi, draws, rng, None), minlength=4) / draws
         sig = np.sqrt(want * (1 - want) / draws)
@@ -253,8 +295,8 @@ class TestGowersMetrics:
         assert expectation_squares(psi) is w2
         assert np.array_equal(w2, expectation_table(psi) ** 2)
         p, q = distribution_tables(psi)
-        assert exact_proxy(psi) == float(np.dot(q.values, w2))
-        assert gowers3_metrics(psi).u3pow8 == float(np.dot(p.values, w2))
+        assert exact_proxy(psi) == float(np.dot(q, w2))
+        assert gowers3_metrics(psi).u3pow8 == float(np.dot(p, w2))
         assert expectation_squares(psi) is w2
 
 
@@ -413,17 +455,3 @@ class TestBruteForce:
         sigma = random_state(1, rng)
         psi = tensor(sigma, basis_state(2))
         assert bruteforce_stab_dim_fidelity(psi, 1) == pytest.approx(1.0, abs=1e-9)
-
-
-class TestSerialization:
-    def test_binary_round_trip(self, rng, tmp_path):
-        psi = random_state(3, rng)
-        path = tmp_path / "state.bin"
-        save_statevector(psi, str(path))
-        back = load_statevector(str(path))
-        assert back.n == 3 and np.allclose(back.amps, psi.amps)
-
-    def test_json_round_trip(self, rng):
-        psi = random_state(2, rng)
-        back = statevector_from_json(statevector_to_json(psi))
-        assert np.allclose(back.amps, psi.amps)
