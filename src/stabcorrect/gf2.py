@@ -154,13 +154,6 @@ def rref_basis_from_labels(labels) -> Gf2Basis:
     return rref_basis([lab.to_vector() for lab in labels], 2 * n)
 
 
-def basis_contains(basis: Gf2Basis, v: int | PauliLabel) -> bool:
-    """True iff v lies in span(basis)."""
-    if isinstance(v, PauliLabel):
-        v = v.to_vector()
-    return basis.contains(v)
-
-
 def is_isotropic(basis: Gf2Basis, n: int) -> bool:
     """All pairwise symplectic products among the rows vanish."""
     rows = basis.rows

@@ -20,6 +20,7 @@ from . import kernels
 from .gf2 import PauliLabel, rref_basis_from_labels
 from .ledger import CostLedger
 from .pauli import (
+    ORACLE_MAX_QUBITS,
     CliffordCircuit,
     PhasedPauli,
     StabilizerState,
@@ -51,7 +52,7 @@ COMMANDS = ("analyze", "test", "selfcorrect", "decompose", "learn-extent", "orac
 
 # the params keys each command reads; any other key is rejected
 _ORACLE_KEYS = ("oracle", "theta")
-_LEARNER_KEYS = ("learner", "learner_cap", "gamma", "delta", "attempts", *_ORACLE_KEYS)
+_LEARNER_KEYS = ("learner", "gamma", "delta", "attempts", *_ORACLE_KEYS)
 PARAM_KEYS = {
     "analyze": frozenset({"mode", "delta"}),
     "test": frozenset({"eps1", "eps2", "t", "delta", "mode", "separation_c"}),
@@ -320,7 +321,7 @@ def build_id() -> str:
 def _learner_from_params(params: dict, meta: dict):
     name = params.get("learner", "bruteforce")
     if name == "bruteforce":
-        return base_learner_bruteforce(int(params.get("learner_cap", 4)))
+        return base_learner_bruteforce()
     if name == "self_correct":
         oracle = _oracle_from_params(params, meta)
         return base_learner_self_correct(
@@ -335,13 +336,14 @@ def _learner_from_params(params: dict, meta: dict):
 def _oracle_from_params(params: dict, meta: dict):
     mode = params.get("oracle", "planted")
     if mode == "planted":
-        group = meta.get("stabilizer_group")
-        if group is None and meta.get("plant_groups"):
-            group = meta["plant_groups"][0]
-        if group is None:
+        # every plant's group; the pipeline picks one per residual
+        groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta.get("plant_groups")
+        if not groups:
             raise ValueError("planted oracle needs ground-truth group metadata")
-        labels = [PhasedPauli.from_string(s).label for s in group]
-        return ("planted", rref_basis_from_labels(labels))
+        return ("planted", *(
+            rref_basis_from_labels([PhasedPauli.from_string(s).label for s in group])
+            for group in groups
+        ))
     if mode == "threshold-span":
         return ("threshold-span", float(params.get("theta", 0.25)))
     raise ValueError(f"unknown oracle mode {mode!r}")
@@ -356,15 +358,15 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
     state_rng = RngStream(config.seed).child("state", trial).generator()
     psi, meta = gen_state(config.state, state_rng)
     out: dict = {"meta": meta}
+    if config.command in ("analyze", "oracle") and psi.n <= 4:
+        fid, arg = bruteforce_stab_fidelity(psi)
+        out.update(stab_fidelity=fid, argmax=arg.to_json())
     if config.command == "analyze":
         metrics = gowers3_metrics(psi, params.get("mode", "exact"),
                                   float(params.get("delta", 0.05)), rng, ledger)
         out.update(
             proxy=metrics.proxy, u3pow8=metrics.u3pow8, mode=metrics.mode
         )
-        if psi.n <= 4:
-            fid, arg = bruteforce_stab_fidelity(psi)
-            out.update(stab_fidelity=fid, argmax=arg.to_json())
     elif config.command == "test":
         verdict = tolerant_test(
             psi, float(params.get("eps1", 0.9)), float(params.get("eps2", 0.05)),
@@ -391,7 +393,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
         else:
             dec = decompose_stab_dim(psi, float(params.get("eps", 0.05)), t, learner, ledger, rng)
         out.update(decomposition=dec.to_json())
-        if psi.n <= 3 and dec.residual is not None:
+        if psi.n <= ORACLE_MAX_QUBITS and dec.residual is not None:
             out.update(
                 residual_stab_dim_fidelity=bruteforce_stab_dim_fidelity(dec.residual, t)
             )
@@ -403,9 +405,6 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
         )
         out.update(result=res.to_json())
     elif config.command == "oracle":
-        if psi.n <= 4:
-            fid, arg = bruteforce_stab_fidelity(psi)
-            out.update(stab_fidelity=fid, argmax=arg.to_json())
         for t in params.get("stab_dims", []):
             out[f"stab_dim_fidelity_t{t}"] = bruteforce_stab_dim_fidelity(psi, int(t))
     else:  # pragma: no cover

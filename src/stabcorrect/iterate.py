@@ -66,10 +66,8 @@ class BaseLearner:
     provenance: str
 
 
-def base_learner_bruteforce(n_cap: int = 4) -> BaseLearner:
+def base_learner_bruteforce() -> BaseLearner:
     def learn(psi: StateVector, rng, ledger) -> StabilizerState:
-        if psi.n > n_cap:
-            raise ValueError(f"brute-force learner capped at n <= {n_cap}")
         _, state = bruteforce_stab_fidelity(psi)
         return state
 

@@ -30,8 +30,9 @@ def weyl_action(amps: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def wht_inplace(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, in place, length a power of 2."""
-    m = v.shape[0]
+    """Unnormalized Walsh-Hadamard transform along the last axis of a
+    C-contiguous array, in place; that axis has a power-of-2 length."""
+    m = v.shape[-1]
     h = 1
     while h < m:
         w = v.reshape(-1, 2, h)

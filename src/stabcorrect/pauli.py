@@ -1,5 +1,5 @@
-"""Phased Pauli arithmetic, Clifford tableaus, circuit synthesis, and
-stabilizer states with exact inner products.
+"""Phased Pauli arithmetic, Clifford tableaus, circuit synthesis, stabilizer
+states with exact inner products, and the isotropic subspaces in RREF.
 
 Operator convention: a ``PhasedPauli`` with label (a, b) and phase t is
 i^t * W_(a,b) where W_(a,b) = i^{|a&b|} X^a Z^b.  Hermitian signed Paulis
@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
 from . import kernels
 from .gf2 import (
-    Gf2Basis,
     PauliLabel,
-    is_isotropic,
     rref_basis,
     symplectic_product,
     symplectic_product_vec,
@@ -351,18 +351,6 @@ def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> Clifford
     return CliffordCircuit(p.n, tuple(red.gates))
 
 
-def clifford_from_isotropic(basis: Gf2Basis, n: int) -> CliffordCircuit:
-    """Returns the emitted circuit, whose conjugation carries span(basis)
-    onto <Z_{n-d}, ..., Z_{n-1}>."""
-    if not is_isotropic(basis, n):
-        raise ValueError("input basis is not isotropic")
-    d = basis.rank
-    tracked = [PhasedPauli(lab, 0) for lab in basis.labels(n)]
-    red = _Reducer(n, tracked)
-    red.reduce_isotropic(list(range(d)), n - d)
-    return CliffordCircuit(n, tuple(red.gates))
-
-
 def canonicalize_subgroup(
     generators, center_tail: bool = False
 ) -> tuple[CliffordCircuit, int, int]:
@@ -553,43 +541,47 @@ def stabilizer_inner_product(s1: StabilizerState, s2: StabilizerState) -> comple
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration (the brute-force oracle)
+# isotropic subspaces (the exact oracles' search space)
 
-ENUMERATION_CAP = 4
-
-@lru_cache(maxsize=None)
-def lagrangian_subspaces(n: int) -> tuple[Gf2Basis, ...]:
-    """All Lagrangian subspaces of F_2^{2n}, via the symplectic group orbit
-    of the Z-type subspace (the action is transitive)."""
-    return _isotropic_orbit(n, n)
+ORACLE_MAX_QUBITS = 5
 
 
 @lru_cache(maxsize=None)
-def isotropic_subspaces(n: int, d: int) -> tuple[Gf2Basis, ...]:
-    return _isotropic_orbit(n, d)
+def isotropic_subspaces(n: int, d: int) -> np.ndarray:
+    """Every d-dimensional isotropic subspace of F_2^{2n} as one row of a
+    read-only (N, d) array: its RREF basis, in ``rref_basis`` order.
 
-
-def _isotropic_orbit(n: int, d: int) -> tuple[Gf2Basis, ...]:
-    moves = [("H", (q,)) for q in range(n)] + [("S", (q,)) for q in range(n)]
-    moves += [("CNOT", (c, t)) for c in range(n) for t in range(n) if c != t]
-    mask = (1 << n) - 1
-    start = rref_basis([1 << (n + q) for q in range(d)], 2 * n)
-    seen = {start.rows: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for basis in frontier:
-            for name, qs in moves:
-                rows = []
-                for v in basis.rows:
-                    a, b, _ = _conj_bits(name, qs, v & mask, v >> n)
-                    rows.append(a | (b << n))
-                cand = rref_basis(rows, 2 * n)
-                if cand.rows not in seen:
-                    seen[cand.rows] = cand
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(seen.values(), key=lambda b: b.rows))
+    For each pivot pattern p_0 < ... < p_{d-1} (a pivot is its row's lowest
+    set bit), row i is set at p_i, clear below it and at the other pivots,
+    and free elsewhere; a partial basis is dropped as soon as its newest row
+    fails to commute with one above it.  Refused above ORACLE_MAX_QUBITS."""
+    if not 0 <= d <= n:
+        raise ValueError(f"need 0 <= d <= n, got d = {d}, n = {n}")
+    if n > ORACLE_MAX_QUBITS:
+        count = prod(4 ** (n - i) - 1 for i in range(d)) // prod(2 ** (i + 1) - 1 for i in range(d))
+        raise ValueError(
+            f"exact oracle capped at n <= {ORACLE_MAX_QUBITS}: n = {n} has "
+            f"{count} isotropic subspaces of dimension {d}"
+        )
+    nbits, mask = 2 * n, (1 << n) - 1
+    blocks = []
+    for pivots in combinations(range(nbits), d):
+        rows = np.zeros((1, 0), dtype=np.int64)
+        for i, p in enumerate(pivots):
+            free = np.array([b for b in range(p + 1, nbits) if b not in pivots], dtype=np.int64)
+            fills = np.arange(1 << free.shape[0], dtype=np.int64)[:, None]
+            cand = (1 << p) | (((fills >> np.arange(free.shape[0])) & 1) << free).sum(axis=1)
+            # [u, v] = parity of u & swap(v), swap exchanging the x and z halves
+            swapped = ((cand & mask) << n) | (cand >> n)
+            ok = np.ones((rows.shape[0], cand.shape[0]), dtype=bool)
+            for j in range(i):
+                ok &= (np.bitwise_count(rows[:, j : j + 1] & swapped) & 1) == 0
+            ri, ci = np.nonzero(ok)
+            rows = np.column_stack([rows[ri], cand[ci]])
+        blocks.append(rows.astype(np.int32))
+    out = np.concatenate(blocks)
+    out.flags.writeable = False
+    return out
 
 
 def _symplectic_dual_basis(rows: tuple[int, ...], n: int) -> list[int]:
@@ -644,36 +636,3 @@ def signed_statevectors(rows: tuple[int, ...], n: int) -> list[np.ndarray]:
         vec = kernels.weyl_action(base, y & mask, y >> n)
         vecs.append(vec * _canonical_phase_factor(vec))
     return vecs
-
-
-@lru_cache(maxsize=None)
-def _stab_catalog(n: int) -> tuple[tuple[StabilizerState, ...], np.ndarray]:
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"enumeration capped at n <= {ENUMERATION_CAP}")
-    states: list[StabilizerState] = []
-    vecs: list[np.ndarray] = []
-    for basis in lagrangian_subspaces(n):
-        for eps, vec in enumerate(signed_statevectors(basis.rows, n)):
-            gens = tuple(
-                PhasedPauli(PauliLabel.from_vector(n, v), 2 * ((eps >> i) & 1))
-                for i, v in enumerate(basis.rows)
-            )
-            st = StabilizerState(n, gens)
-            st._cache["vec"] = vec
-            states.append(st)
-            vecs.append(vec)
-    order = sorted(range(len(states)), key=lambda i: states[i].sort_key())
-    states = [states[i] for i in order]
-    matrix = np.array([vecs[i] for i in order])
-    return tuple(states), matrix
-
-
-def enumerate_stabilizer_states(n: int) -> list[StabilizerState]:
-    """Exhaustive duplicate-free list, sorted by canonical serialization."""
-    states, _ = _stab_catalog(n)
-    return list(states)
-
-
-def stabilizer_state_matrix(n: int) -> tuple[tuple[StabilizerState, ...], np.ndarray]:
-    """Catalog plus the stacked matrix of canonical statevectors."""
-    return _stab_catalog(n)

@@ -351,6 +351,11 @@ def make_pfr_oracle(
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 
+def _retained_mass(psi: StateVector, basis: Gf2Basis) -> float:
+    """E_{x in span(basis)}[<W_x>^2], from the state's cached table."""
+    return float(expectation_squares(psi)[np.array(basis.enumerate_span())].mean())
+
+
 @dataclass(frozen=True)
 class SubgroupV:
     """A label subgroup with its (exact-table) retained mass E_{x in V}[<W_x>^2]."""
@@ -403,10 +408,7 @@ def pfr_subgroup(
     if len(accepted) < floor:
         raise PfrSubgroupNotFound(f"{len(accepted)} accepted sums < floor {floor}")
     basis = rref_basis(accepted, 2 * n)
-    mass = None
-    if psi is not None and basis.rank <= 16:
-        span = np.array(basis.enumerate_span())
-        mass = float(expectation_squares(psi)[span].mean())
+    mass = _retained_mass(psi, basis) if psi is not None and basis.rank <= 16 else None
     return SubgroupV(n, basis, mass)
 
 
@@ -643,7 +645,9 @@ def _resolve_oracle(
         return oracle_mode
     kind = oracle_mode[0]
     if kind == "planted":
-        return make_pfr_oracle("planted", basis=oracle_mode[1])
+        # ("planted", basis, ...): the group retaining most of psi's mass
+        best = max(oracle_mode[1:], key=lambda b: _retained_mass(psi, b))
+        return make_pfr_oracle("planted", basis=best)
     if kind == "threshold-span":
         theta = oracle_mode[1] if len(oracle_mode) > 1 else gamma / 4.0
         return make_pfr_oracle(

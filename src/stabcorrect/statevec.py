@@ -1,7 +1,7 @@
 """Dense statevector oracle: Weyl action and expectations, the squared
 expectation table and the difference-sampling law, overlap and sampling
-estimators, combination-residual preparation, and the brute-force
-stabilizer-fidelity oracle.
+estimators, combination-residual preparation, and the exact stabilizer
+fidelity oracles, one character sum over isotropic subspaces.
 
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
@@ -28,9 +28,10 @@ from .gf2 import PauliLabel
 from .ledger import CostLedger
 from .pauli import (
     CliffordCircuit,
+    PhasedPauli,
     StabilizerState,
     apply_gates_dense,
-    stabilizer_state_matrix,
+    isotropic_subspaces,
 )
 
 NORM_TOL = 1e-10
@@ -313,37 +314,74 @@ def lcu_residual(
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# exact stabilizer oracles: one character sum over isotropic subspaces
+
+
+def _span_phases(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group elements g_c = XOR of the rows selected by the bits of c, and
+    the exponents e_c with prod_i W_{r_i}^{c_i} = i^{e_c} W_{g_c} (the
+    ``pauli_product`` cocycle, mod 4), for each basis in ``rows`` (M, d)."""
+    m, d = rows.shape
+    mask, pc = (1 << n) - 1, np.bitwise_count
+    g, e = np.zeros((2, m, 1 << d), dtype=np.int64)
+    for j in range(d):
+        h = 1 << j
+        ax, bx = g[:, :h] & mask, g[:, :h] >> n
+        ay, by = rows[:, j : j + 1] & mask, rows[:, j : j + 1] >> n
+        a, b = ax ^ ay, bx ^ by
+        # the counts are uint8, whose wrap-around modulo 256 keeps theta mod 4
+        theta = pc(ax & bx) + pc(ay & by) + 2 * pc(bx & ay) - pc(a & b)
+        g[:, h : 2 * h] = a | (b << n)
+        e[:, h : 2 * h] = (e[:, :h] + theta) & 3
+    return g, e
+
+
+def _projection_weights(table: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(M, 2^d) array of ||Pi_{S,z} psi||^2 = 2^-d WHT_c(i^{e_c} <W_{g_c}>)(z) for
+    the subspace S of each row of ``rows`` and each z (bit i negates row i)."""
+    g, e = _span_phases(rows, n)
+    vals = table[g] * (1 - e)  # commuting Hermitian factors: e_c is 0 or 2
+    return kernels.wht_inplace(vals) / vals.shape[1]
+
+
+def _best_per_subspace(psi: StateVector, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signed table, the d-dim isotropic subspaces, each one's best weight."""
+    subspaces = isotropic_subspaces(psi.n, d)
+    table = kernels.char_expectations(psi.amps, psi.n)
+    step = (1 << 18) >> d  # 2^18 entries per batched transform
+    best = np.concatenate([
+        _projection_weights(table, subspaces[i : i + step], psi.n).max(axis=1)
+        for i in range(0, subspaces.shape[0], step)
+    ])
+    return table, subspaces, best
 
 
 def bruteforce_stab_fidelity(psi: StateVector) -> tuple[float, StabilizerState]:
-    """Exact max overlap^2 over every stabilizer state; first catalog entry
-    within 1e-12 of the maximum wins, so ties break by serialization order."""
-    states, matrix = stabilizer_state_matrix(psi.n)
-    vals = np.abs(matrix.conj() @ psi.amps) ** 2
-    best = float(vals.max())
-    arg = int(np.argmax(vals >= best - 1e-12))
-    return best, states[arg]
+    """Exact max overlap^2 over every stabilizer state (the d = n case), with the
+    argmax: the subspace's RREF rows signed by z.  Among entries within 1e-12
+    of the maximum the smallest ``sort_key`` wins."""
+    n = psi.n
+    table, subspaces, best = _best_per_subspace(psi, n)
+    top = float(best.max())
+    near = subspaces[best >= top - 1e-12]
+    ties = [
+        StabilizerState(n, tuple(
+            PhasedPauli(PauliLabel.from_vector(n, v), 2 * ((z >> i) & 1)) for i, v in enumerate(rows)
+        ))
+        for rows, weights in zip(near.tolist(), _projection_weights(table, near, n))
+        for z in np.flatnonzero(weights >= top - 1e-12).tolist()
+    ]
+    return top, min(ties, key=StabilizerState.sort_key)
 
 
 def bruteforce_stab_dim_fidelity(psi: StateVector, t: int) -> float:
     """Exact max overlap^2 with any state of stabilizer dimension >= n - t.
 
-    Every such state rotates to |sigma> (x) |z| under a Clifford carrying its
-    isotropic group to the Z tail, where the optimum over sigma equals the
-    branch weight; so the maximum over all dimension-(n-t) isotropic
-    subspaces and branches z is exhaustive.
-    """
-    from .pauli import clifford_from_isotropic, isotropic_subspaces
-
-    n = psi.n
-    if not 0 <= t <= n:
+    Such a state lies in a joint eigenspace of a signed isotropic group of
+    dimension n - t, whose best overlap with psi is the weight of psi's
+    projection onto it: the maximum over every such group is exhaustive."""
+    if not 0 <= t <= psi.n:
         raise ValueError("need 0 <= t <= n")
-    if t == n:
+    if t == psi.n:
         return 1.0
-    best = 0.0
-    for basis in isotropic_subspaces(n, n - t):
-        rotated = apply_circuit(psi, clifford_from_isotropic(basis, n))
-        weights = np.abs(rotated.amps.reshape(1 << (n - t), 1 << t)) ** 2
-        best = max(best, float(weights.sum(axis=1).max()))
-    return best
+    return float(_best_per_subspace(psi, psi.n - t)[2].max())

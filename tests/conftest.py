@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,11 @@ from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     CliffordCircuit,
     PhasedPauli,
+    StabilizerState,
+    apply_gates_dense,
+    canonicalize_subgroup,
+    isotropic_subspaces,
+    signed_statevectors,
     stabilizer_inner_product,
     statevector_of,
 )
@@ -41,10 +48,66 @@ def t_state():
     return StateVector(1, np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
 
 
+# ---------------------------------------------------------------------------
+# dense references for the exact stabilizer oracles
+
+
+@lru_cache(maxsize=None)
+def stabilizer_state_matrix(n):
+    """Every n-qubit stabilizer state, sorted by ``sort_key``, plus the stacked
+    matrix of their canonical statevectors: one Lagrangian subspace with
+    every sign pattern at a time."""
+    states, vecs = [], []
+    for rows in isotropic_subspaces(n, n):
+        rows = tuple(int(v) for v in rows)
+        for eps, vec in enumerate(signed_statevectors(rows, n)):
+            gens = tuple(
+                PhasedPauli(PauliLabel.from_vector(n, v), 2 * ((eps >> i) & 1))
+                for i, v in enumerate(rows)
+            )
+            st = StabilizerState(n, gens)
+            st._cache["vec"] = vec
+            states.append(st)
+            vecs.append(vec)
+    order = sorted(range(len(states)), key=lambda i: states[i].sort_key())
+    return tuple(states[i] for i in order), np.array([vecs[i] for i in order])
+
+
+def enumerate_stabilizer_states(n):
+    """The catalog as a duplicate-free list, sorted by ``sort_key``."""
+    return list(stabilizer_state_matrix(n)[0])
+
+
+def catalog_stab_fidelity(psi):
+    """Max overlap^2 over the catalog; the first entry within 1e-12 of the
+    maximum wins, so ties break by serialization order."""
+    states, matrix = stabilizer_state_matrix(psi.n)
+    vals = np.abs(matrix.conj() @ psi.amps) ** 2
+    best = float(vals.max())
+    return best, states[int(np.argmax(vals >= best - 1e-12))]
+
+
+def rotation_stab_dim_fidelity(states, t):
+    """Max overlap^2 with stabilizer dimension >= n - t, for each of the
+    n-qubit ``states``, by rotation: the canonicalizer carries each
+    (n - t)-dimensional isotropic subspace onto the Z tail, where the best
+    overlap is the heaviest branch weight.  One rotation serves every state."""
+    n = states[0].n
+    if t == n:
+        return np.ones(len(states))
+    amps = np.stack([psi.amps for psi in states], axis=1)
+    best = np.zeros(len(states))
+    for rows in isotropic_subspaces(n, n - t):
+        labels = [PauliLabel.from_vector(n, int(v)) for v in rows]
+        circuit, _, _ = canonicalize_subgroup(labels, center_tail=True)
+        rotated = apply_gates_dense(amps, n, circuit.gates)
+        weights = (np.abs(rotated.reshape(1 << (n - t), 1 << t, -1)) ** 2).sum(axis=1)
+        best = np.maximum(best, weights.max(axis=0))
+    return best
+
+
 def planted_state(n, rng, weight=0.9):
     """sqrt(w)|s> + sqrt(1-w)|junk orthogonal>, with the plant returned."""
-    from stabcorrect.pauli import enumerate_stabilizer_states
-
     states = enumerate_stabilizer_states(n)
     s = states[int(rng.integers(len(states)))]
     sv = statevector_of(s)
@@ -56,8 +119,6 @@ def planted_state(n, rng, weight=0.9):
 
 def orthogonal_stab_pair(n, rng):
     """Two stabilizer states with exactly zero overlap."""
-    from stabcorrect.pauli import enumerate_stabilizer_states
-
     states = enumerate_stabilizer_states(n)
     while True:
         s1 = states[int(rng.integers(len(states)))]

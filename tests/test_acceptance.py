@@ -28,8 +28,7 @@ from stabcorrect.pauli import (
     StabilizerState,
     canonicalize_subgroup,
     conjugate,
-    enumerate_stabilizer_states,
-    lagrangian_subspaces,
+    isotropic_subspaces,
     stab_state_prep,
     statevector_of,
     symplectic_gram_schmidt,
@@ -52,6 +51,7 @@ from stabcorrect.statevec import (
 from conftest import (
     _exact_betas,
     distribution_tables,
+    enumerate_stabilizer_states,
     expectation_table,
     orthogonal_stab_pair,
     planted_state,
@@ -113,7 +113,7 @@ def test_criterion_03_fidelity_bounds():
     t0 = time.time()
     rng = np.random.default_rng(103)
     span_cache = {
-        n: [np.array(b.enumerate_span()) for b in lagrangian_subspaces(n)]
+        n: [np.array(rref_basis(rows.tolist(), 2 * n).enumerate_span()) for rows in isotropic_subspaces(n, n)]
         for n in (1, 2, 3)
     }
     ok = True

@@ -102,3 +102,41 @@ def test_package_reads_no_environment():
                 found += [f"{path.name}:{node.lineno}" for a in node.names
                           if a.name in ("environ", "getenv")]
     assert not found, f"environment reads in the package: {found}"
+
+
+# Public functions that nothing in the package calls: documented user API or
+# helpers only the tests call.  A new entry fails here; move a test-only
+# helper into the tests, or fold it into the path that runs.
+UNCALLED_PUBLIC_API = {
+    "gf2.is_lagrangian",
+    "iterate.mimic_compare",
+    "pauli.clifford_from_anticommuting_pair",
+    "pauli.synthesize_circuit",
+    "pauli.tableau_from_circuit",
+    "pauli.weyl_matrix",
+    "selfcorrect.edge_test",
+    "selfcorrect.find_high_stab_dim",
+    "selfcorrect.published_bsg_params",
+    "statevec.random_state",
+    "statevec.tensor",
+    "statevec.weyl_expectation",
+}
+
+
+def test_uncalled_public_functions_are_pinned():
+    # a top-level public def counts as called when any name or attribute in
+    # the package refers to it
+    defined, referenced = set(), set()
+    for path in sorted(Path(stabcorrect.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined |= {
+            f"{path.stem}.{node.name}" for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = {name for name in defined if name.split(".")[1] not in referenced}
+    assert uncalled == UNCALLED_PUBLIC_API

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from stabcorrect.gf2 import (
     PauliLabel,
-    basis_contains,
     is_isotropic,
     is_lagrangian,
     mub_covering,
@@ -60,7 +59,7 @@ class TestRref:
         # 110, 011, 101 as bitmasks with bit 0 leftmost
         b = rref_basis([0b011, 0b110, 0b101], 3)
         assert b.rank == 2
-        assert basis_contains(b, 0b101)
+        assert b.contains(0b101)
 
     def test_empty(self):
         assert rref_basis([], 4).rank == 0
@@ -70,11 +69,11 @@ class TestRref:
 
     def test_zero_always_contained(self, rng):
         vecs = [int(rng.integers(0, 256)) for _ in range(3)]
-        assert basis_contains(rref_basis(vecs, 8), 0)
+        assert rref_basis(vecs, 8).contains(0)
 
     def test_not_contained(self):
         b = rref_basis([0b001], 3)
-        assert not basis_contains(b, 0b010)
+        assert not b.contains(0b010)
 
     def test_canonical_uniqueness(self, rng):
         # two generating sets of the same subspace give bit-identical bases
@@ -92,7 +91,7 @@ class TestRref:
             b = rref_basis([int(rng.integers(0, 1 << 8)) for _ in range(4)], 8)
             span = set(b.enumerate_span())
             for v in range(64):
-                assert basis_contains(b, v) == (v in span)
+                assert b.contains(v) == (v in span)
 
 
 class TestSgs:

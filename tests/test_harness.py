@@ -239,6 +239,47 @@ class TestRun:
         assert rec.outputs["stab_dim_fidelity_t1"] >= rec.outputs["stab_fidelity"] - 1e-9
 
 
+    def test_oracle_refused_above_cap(self):
+        cfg = ExperimentConfig.from_json(
+            {
+                "command": "oracle",
+                "state": {"kind": "haar", "n": 6},
+                "params": {"stab_dims": [3]},
+                "seed": 0,
+            }
+        )
+        with pytest.raises(ValueError, match="capped at n <= 5: n = 6 has"):
+            run(cfg)
+
+    @pytest.mark.parametrize("loop", ["robust", "error_free"])
+    @pytest.mark.parametrize("seed", [112, 113])
+    def test_two_plant_decompose_learns_both_plants(self, seed, loop):
+        # each residual is given the plant group retaining most of its mass;
+        # with the first plant's group alone both loops stop after one term
+        # at residual norm 0.2727
+        cfg = ExperimentConfig.from_json(
+            {
+                "command": "decompose",
+                "state": {
+                    "kind": "combo",
+                    "n": 4,
+                    "terms": [
+                        {"coeff": [0.95, 0.0], "generators": ["+ZIII", "+IZII", "+IIZI", "+IIIZ"]},
+                        {"coeff": [0.3, 0.0], "generators": ["+XIII", "+IXII", "+IIXI", "+IIIX"]},
+                    ],
+                },
+                "params": {"learner": "self_correct", "oracle": "planted", "eps": 0.05, "loop": loop},
+                "seed": seed,
+            }
+        )
+        rec = run(cfg)[0]
+        dec = rec.outputs["decomposition"]
+        assert dec["iterations"] >= 2
+        assert dec["residual_norm"] < 0.273
+        # the residual check runs up to the oracle's cap
+        assert dec["residual_norm"] ** 2 * rec.outputs["residual_stab_dim_fidelity"] <= 0.05
+
+
 class TestEmit:
     def test_jsonl_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_json(

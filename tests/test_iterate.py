@@ -27,7 +27,13 @@ from stabcorrect.statevec import (
     random_state,
 )
 
-from conftest import _exact_betas, orthogonal_stab_pair, planted_state, t_state
+from conftest import (
+    _exact_betas,
+    enumerate_stabilizer_states,
+    orthogonal_stab_pair,
+    planted_state,
+    t_state,
+)
 
 def rank2_state(n, rng, w=0.9):
     s1, s2 = orthogonal_stab_pair(n, rng)
@@ -226,9 +232,10 @@ class TestErrorSchedule:
 
 class TestLearners:
     def test_bruteforce_cap(self, rng):
-        learner = base_learner_bruteforce(2)
-        with pytest.raises(ValueError):
-            learner.learn(random_state(3, rng), rng, None)
+        # the learner's cap is the exact oracle's: n <= 5
+        learner = base_learner_bruteforce()
+        with pytest.raises(ValueError, match="capped at n <= 5: n = 6 has"):
+            learner.learn(random_state(6, rng), rng, None)
 
     def test_bruteforce_is_argmax(self, rng):
         learner = base_learner_bruteforce()
@@ -239,8 +246,6 @@ class TestLearners:
         assert val == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-12)
 
     def test_bruteforce_fixed_point(self, rng):
-        from stabcorrect.pauli import enumerate_stabilizer_states
-
         learner = base_learner_bruteforce()
         for idx in (0, 17, 42):
             st = enumerate_stabilizer_states(2)[idx]

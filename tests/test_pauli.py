@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
+from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_product_vec
 from stabcorrect.pauli import (
     CliffordCircuit,
     CliffordTableau,
@@ -12,13 +12,11 @@ from stabcorrect.pauli import (
     apply_gates_dense,
     canonicalize_subgroup,
     clifford_from_anticommuting_pair,
-    clifford_from_isotropic,
     conjugate,
-    enumerate_stabilizer_states,
+    isotropic_subspaces,
     pauli_product,
     stab_state_prep,
     stabilizer_inner_product,
-    stabilizer_state_matrix,
     statevector_of,
     synthesize_circuit,
     tableau_from_circuit,
@@ -26,7 +24,13 @@ from stabcorrect.pauli import (
 )
 from stabcorrect.pauli import _conj_gate
 
-from conftest import random_circuit, random_label, random_phased
+from conftest import (
+    enumerate_stabilizer_states,
+    random_circuit,
+    random_label,
+    random_phased,
+    stabilizer_state_matrix,
+)
 
 lab = PauliLabel.from_string
 pp = PhasedPauli.from_string
@@ -205,25 +209,34 @@ class TestPairReduction:
 
 
 class TestIsotropicReduction:
+    """``canonicalize_subgroup(center_tail=True)`` on an isotropic input: the
+    whole group is center, carried onto the last d qubits' Z operators."""
+
+    @staticmethod
+    def tail(labels):
+        circ, k, m = canonicalize_subgroup(labels, center_tail=True)
+        assert k == 0
+        return circ
+
     def test_z_line_identity_action(self):
-        circ = clifford_from_isotropic(rref_basis_from_labels([lab("Z")]), 1)
+        circ = self.tail([lab("Z")])
         assert conjugate(circ, pp("Z")).label == lab("Z")
 
     def test_x_line(self):
-        circ = clifford_from_isotropic(rref_basis_from_labels([lab("X")]), 1)
+        circ = self.tail([lab("X")])
         assert conjugate(circ, pp("X")).label == lab("Z")
 
     def test_bell_pair_generators(self):
-        basis = rref_basis_from_labels([lab("XX"), lab("ZZ")])
-        circ = clifford_from_isotropic(basis, 2)
+        circ = self.tail([lab("XX"), lab("ZZ")])
         imgs = {conjugate(circ, pp(s)).label for s in ("XX", "ZZ")}
         target = set(rref_basis_from_labels([lab("IZ"), lab("ZI")]).labels(2))
         spanned = rref_basis([l.to_vector() for l in imgs], 4)
         assert spanned == rref_basis([l.to_vector() for l in target], 4)
 
     def test_rejects_non_isotropic(self):
-        with pytest.raises(ValueError):
-            clifford_from_isotropic(rref_basis_from_labels([lab("X"), lab("Z")]), 1)
+        # an anticommuting input is a symplectic pair, never sent to the tail
+        _, k, m = canonicalize_subgroup([lab("X"), lab("Z")], center_tail=True)
+        assert (k, m) == (1, 0)
 
     def test_maps_to_designated_tail(self, rng):
         from stabcorrect.gf2 import is_isotropic
@@ -239,7 +252,7 @@ class TestIsotropicReduction:
             if basis.rank == 0 or not is_isotropic(basis, n):
                 continue
             d = basis.rank
-            circ = clifford_from_isotropic(basis, n)
+            circ = self.tail(basis.labels(n))
             img = rref_basis(
                 [conjugate(circ, PhasedPauli(l, 0)).label.to_vector() for l in basis.labels(n)],
                 2 * n,
@@ -385,10 +398,50 @@ class TestEnumeration:
         assert gram.max() < 1 - 1e-9
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            enumerate_stabilizer_states(5)
+        # the exact oracles' search space is refused above five qubits
+        with pytest.raises(ValueError, match="n = 6 has 4095 isotropic subspaces of dimension 1"):
+            isotropic_subspaces(6, 1)
 
     def test_sorted_by_serialization(self):
         states, _ = stabilizer_state_matrix(2)
         keys = [s.sort_key() for s in states]
         assert keys == sorted(keys)
+
+
+class TestIsotropicSubspaces:
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(1, 6) for d in range(n + 1)])
+    def test_counts(self, n, d):
+        want = 1
+        for i in range(d):
+            want = want * (4 ** (n - i) - 1) // (2 ** (i + 1) - 1)
+        subspaces = isotropic_subspaces(n, d)
+        assert subspaces.shape == (want, d)
+        # distinct rows (packed 2n bits apiece): with the RREF check below,
+        # distinct subspaces
+        keys = (subspaces << (2 * n * np.arange(d))).sum(axis=1)
+        assert np.unique(keys).shape[0] == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_are_isotropic_rref_bases(self, n):
+        for d in range(1, n + 1):
+            for rows in isotropic_subspaces(n, d):
+                rows = tuple(int(v) for v in rows)
+                basis = rref_basis(rows, 2 * n)
+                assert basis.rows == rows
+                assert all(
+                    symplectic_product_vec(rows[i], rows[j], n) == 0
+                    for i in range(d) for j in range(i)
+                )
+
+    def test_read_only_and_cached(self):
+        subspaces = isotropic_subspaces(3, 2)
+        assert not subspaces.flags.writeable
+        assert isotropic_subspaces(3, 2) is subspaces
+
+    def test_zero_dimensional(self):
+        assert isotropic_subspaces(3, 0).shape == (1, 0)
+
+    @pytest.mark.parametrize("d", [-1, 4])
+    def test_dimension_out_of_range(self, d):
+        with pytest.raises(ValueError, match="0 <= d <= n"):
+            isotropic_subspaces(3, d)

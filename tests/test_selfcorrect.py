@@ -27,7 +27,7 @@ from stabcorrect.selfcorrect import (
     self_correct,
     tolerant_test,
 )
-from stabcorrect.selfcorrect import _draw_retained
+from stabcorrect.selfcorrect import _draw_retained, _resolve_oracle, _retained_mass
 from stabcorrect.statevec import (
     StateVector,
     basis_state,
@@ -223,6 +223,19 @@ class TestPfrOracle:
         probe = lab("X")
         assert oracle(probe) == oracle(probe)
 
+    def test_planted_picks_group_retaining_most_mass(self, rng):
+        zs, zvec = stab_vec(["+ZII", "+IZI", "+IIZ"])
+        xs, xvec = stab_vec(["+XII", "+IXI", "+IIX"])
+        bases = [rref_basis_from_labels([g.label for g in s.generators]) for s in (zs, xs)]
+        for cz, cx, want in ((0.95, 0.3, 0), (0.3, 0.95, 1)):
+            amps = cz * zvec.amps + cx * xvec.amps
+            psi = StateVector(3, amps / np.linalg.norm(amps))
+            masses = [_retained_mass(psi, b) for b in bases]
+            assert masses[want] == max(masses) and masses[1 - want] < max(masses)
+            assert _resolve_oracle(("planted", *bases), psi, 0.5, rng, None).basis == bases[want]
+            # a lone group is the only candidate, even the one retaining less
+            assert _resolve_oracle(("planted", bases[1 - want]), psi, 0.5, rng, None).basis == bases[1 - want]
+
 
 class TestPfrSubgroup:
     def test_planted_subgroup(self, rng):
@@ -233,6 +246,7 @@ class TestPfrSubgroup:
         sub = pfr_subgroup(samples, oracle, 0.05, psi=psi)
         assert sub.dim <= 3
         assert sub.mass == pytest.approx(1.0, abs=0.25)
+        assert sub.mass == _retained_mass(psi, sub.basis)
 
     def test_span_saturation(self, rng):
         st, psi = stab_vec(["+ZII", "+IZI", "+IIZ"])

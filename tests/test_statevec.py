@@ -1,15 +1,19 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stabcorrect.errors import ResidualVanished
-from stabcorrect.gf2 import PauliLabel, rref_basis_from_labels
+from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     PhasedPauli,
     StabilizerState,
-    enumerate_stabilizer_states,
+    isotropic_subspaces,
+    pauli_product,
     stab_state_prep,
     statevector_of,
     weyl_matrix,
@@ -17,6 +21,7 @@ from stabcorrect.pauli import (
 from stabcorrect.statevec import (
     TABLE_BUILD_PEAK,
     StateVector,
+    _span_phases,
     apply_circuit,
     apply_weyl,
     basis_state,
@@ -36,7 +41,16 @@ from stabcorrect.statevec import (
 )
 from stabcorrect.selfcorrect import _draw_retained, self_correct
 
-from conftest import distribution_tables, expectation_table, measure_block, t_state
+from conftest import (
+    catalog_stab_fidelity,
+    distribution_tables,
+    enumerate_stabilizer_states,
+    expectation_table,
+    measure_block,
+    rotation_stab_dim_fidelity,
+    stabilizer_state_matrix,
+    t_state,
+)
 
 lab = PauliLabel.from_string
 pp = PhasedPauli.from_string
@@ -428,15 +442,13 @@ class TestBruteForce:
 
     def test_lagrangian_lower_bound(self, rng):
         # fidelity dominates the mean expectation over every Lagrangian
-        from stabcorrect.pauli import lagrangian_subspaces
-
         for _ in range(30):
             n = int(rng.integers(1, 4))
             psi = random_state(n, rng)
             fid, _ = bruteforce_stab_fidelity(psi)
             w2 = expectation_table(psi) ** 2
-            for basis in lagrangian_subspaces(n):
-                span = np.array(basis.enumerate_span())
+            for rows in isotropic_subspaces(n, n):
+                span = np.array(rref_basis(rows.tolist(), 2 * n).enumerate_span())
                 assert fid >= w2[span].mean() - 1e-10
 
     def test_stab_dim_fidelity_t0_matches(self, rng):
@@ -455,3 +467,84 @@ class TestBruteForce:
         sigma = random_state(1, rng)
         psi = tensor(sigma, basis_state(2))
         assert bruteforce_stab_dim_fidelity(psi, 1) == pytest.approx(1.0, abs=1e-9)
+
+
+def _oracle_states(n, rng):
+    """Random states plus the basis, T, Bell and W families on n qubits."""
+    states = [random_state(n, rng) for _ in range(3)] + [basis_state(n)]
+    tn = t_state()
+    for _ in range(n - 1):
+        tn = tensor(tn, t_state())
+    states.append(tn)
+    if n >= 2:
+        bell = StateVector(2, np.array([SQ2, 0, 0, SQ2]))
+        states.append(tensor(bell, basis_state(n - 2)) if n > 2 else bell)
+        w = np.zeros(1 << n, dtype=complex)
+        w[[1 << q for q in range(n)]] = 1 / np.sqrt(n)
+        states.append(StateVector(n, w))
+    return states
+
+
+class TestExactOracle:
+    """The character-sum oracles against the dense catalog and rotation
+    references they replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_catalog(self, n, rng):
+        for psi in _oracle_states(n, rng):
+            want, want_arg = catalog_stab_fidelity(psi)
+            got, arg = bruteforce_stab_fidelity(psi)
+            assert abs(got - want) <= 1e-12
+            assert arg == want_arg
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_rotation_every_t(self, n, rng):
+        states = _oracle_states(n, rng)
+        for t in range(n + 1):
+            got = np.array([bruteforce_stab_dim_fidelity(psi, t) for psi in states])
+            assert np.max(np.abs(got - rotation_stab_dim_fidelity(states, t))) <= 1e-12
+
+    def test_ties_break_by_sort_key(self):
+        # optima shared by several stabilizer states: the catalog's first wins
+        t2 = tensor(t_state(), t_state())
+        w3 = StateVector(3, np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3))
+        for psi in (t_state(), t2, w3, _oracle_states(4, np.random.default_rng(0))[-1]):
+            states, matrix = stabilizer_state_matrix(psi.n)
+            vals = np.abs(matrix.conj() @ psi.amps) ** 2
+            tied = [s for s, v in zip(states, vals) if v >= vals.max() - 1e-12]
+            assert len(tied) > 1
+            assert bruteforce_stab_fidelity(psi)[1] == tied[0]
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 4**n - 1), max_size=5))
+        )
+    )
+    def test_span_phases_match_pauli_product(self, case):
+        n, rows = case
+        g, e = _span_phases(np.array([rows], dtype=np.int64).reshape(1, -1), n)
+        for c in range(1 << len(rows)):
+            prod = PhasedPauli(PauliLabel(n, 0, 0), 0)
+            for i, v in enumerate(rows):
+                if (c >> i) & 1:
+                    prod = pauli_product(prod, PhasedPauli(PauliLabel.from_vector(n, v), 0))
+            assert (g[0, c], e[0, c]) == (prod.label.to_vector(), prod.phase)
+
+    def test_refuses_above_cap_fast_without_allocating(self):
+        psi = random_state(6, np.random.default_rng(0))
+        calls = [lambda: bruteforce_stab_fidelity(psi)]
+        calls += [lambda t=t: bruteforce_stab_dim_fidelity(psi, t) for t in range(6)]
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        for call in calls:
+            with pytest.raises(ValueError, match=r"capped at n <= 5: n = 6 has \d+ isotropic"):
+                call()
+        elapsed = time.perf_counter() - t0
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+    def test_full_dimension_needs_no_enumeration(self):
+        # t = n allows every state, so the cap does not apply
+        assert bruteforce_stab_dim_fidelity(random_state(6, np.random.default_rng(0)), 6) == 1.0
