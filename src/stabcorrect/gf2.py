@@ -154,20 +154,6 @@ def rref_basis_from_labels(labels) -> Gf2Basis:
     return rref_basis([lab.to_vector() for lab in labels], 2 * n)
 
 
-def is_isotropic(basis: Gf2Basis, n: int) -> bool:
-    """All pairwise symplectic products among the rows vanish."""
-    rows = basis.rows
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if symplectic_product_vec(rows[i], rows[j], n):
-                return False
-    return True
-
-
-def is_lagrangian(basis: Gf2Basis, n: int) -> bool:
-    return basis.rank == n and is_isotropic(basis, n)
-
-
 # ---------------------------------------------------------------------------
 # symplectic Gram-Schmidt
 

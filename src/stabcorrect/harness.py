@@ -28,12 +28,18 @@ from .pauli import (
     conjugate,
 )
 from .rng import RngStream
-from .selfcorrect import self_correct, tolerant_test
+from .selfcorrect import (
+    planted_oracle,
+    self_correct,
+    threshold_span_oracle,
+    tolerant_test,
+)
 from .statevec import (
     StateVector,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
     gowers3_metrics,
+    random_state,
     require_memory,
     statevector_of_stab,
 )
@@ -177,7 +183,7 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         meta = {
             "t_gates": spec.t,
             "extent_bound": (1.0 + 2.0 ** -0.5) ** spec.t,
-            "stab_dim_lower": max(n - 2 * spec.t, 0),
+            "stab_dim_lower": max(n - spec.t, 0),  # each T gate costs at most one
         }
         return StateVector(n, amps), meta
     if spec.kind == "w_family":
@@ -220,9 +226,7 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
             "plant_groups": [st.to_json() for st in plants],
         }
         return psi, meta
-    # haar
-    raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return StateVector(n, raw / np.linalg.norm(raw)), {}
+    return random_state(n, rng), {}  # haar
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +252,12 @@ class ExperimentConfig:
             val = self.params.get(key)
             if val is not None and not 0 < float(val) < 1:
                 raise ValueError(f"parameter {key} must lie in (0, 1)")
+        attempts = self.params.get("attempts")
+        if attempts is not None and int(attempts) < 1:
+            raise ValueError("parameter attempts must be >= 1")
+        theta = self.params.get("theta")
+        if theta is not None and not 0 < float(theta) <= 1:
+            raise ValueError("parameter theta must lie in (0, 1]")
         unknown = sorted(set(self.params) - PARAM_KEYS[self.command])
         if unknown:
             raise ValueError(
@@ -340,12 +350,12 @@ def _oracle_from_params(params: dict, meta: dict):
         groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta.get("plant_groups")
         if not groups:
             raise ValueError("planted oracle needs ground-truth group metadata")
-        return ("planted", *(
+        return planted_oracle(*(
             rref_basis_from_labels([PhasedPauli.from_string(s).label for s in group])
             for group in groups
         ))
     if mode == "threshold-span":
-        return ("threshold-span", float(params.get("theta", 0.25)))
+        return threshold_span_oracle(float(params.get("theta", 0.25)))
     raise ValueError(f"unknown oracle mode {mode!r}")
 
 

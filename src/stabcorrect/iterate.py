@@ -77,7 +77,7 @@ def base_learner_bruteforce() -> BaseLearner:
 def base_learner_self_correct(
     gamma: float,
     delta: float,
-    oracle_mode,
+    oracle,
     attempts: int = 32,
     collect_t: int | None = None,
 ) -> BaseLearner:
@@ -88,7 +88,7 @@ def base_learner_self_correct(
 
     def learn(psi: StateVector, rng, ledger) -> StabilizerState:
         cand = self_correct(
-            psi, gamma, delta, oracle_mode, rng, ledger,
+            psi, gamma, delta, oracle, rng, ledger,
             attempts=attempts, collect_t=collect_t,
         )
         return cand.state

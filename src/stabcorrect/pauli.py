@@ -13,7 +13,7 @@ matching the label bit layout, so no bit reversal appears anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations
 from math import prod
 
@@ -337,20 +337,6 @@ class _Reducer:
             placed.append(target)
 
 
-def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> CliffordCircuit:
-    """Returns the emitted circuit U, with U p U^dagger = +X_0 and
-    U q U^dagger = +Z_0."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    if not (p.is_hermitian and q.is_hermitian):
-        raise ValueError("inputs must be Hermitian signed Paulis")
-    if symplectic_product(p.label, q.label) == 0:
-        raise ValueError("inputs commute")
-    red = _Reducer(p.n, [p, q])
-    red.reduce_pair(0, 1, 0)
-    return CliffordCircuit(p.n, tuple(red.gates))
-
-
 def canonicalize_subgroup(
     generators, center_tail: bool = False
 ) -> tuple[CliffordCircuit, int, int]:
@@ -427,25 +413,6 @@ def apply_gates_dense(amps: np.ndarray, n: int, gates) -> np.ndarray:
     for name, qs in gates:
         amps = apply_gate_dense(amps, n, name, qs)
     return amps
-
-
-def weyl_matrix(p: PhasedPauli) -> np.ndarray:
-    """Dense matrix of the operator, for oracle checks at small n."""
-    X = np.array([[0, 1], [1, 0]], dtype=complex)
-    Z = np.array([[1, 0], [0, -1]], dtype=complex)
-    I2 = np.eye(2, dtype=complex)
-    facs = []
-    for q in range(p.n - 1, -1, -1):
-        aq, bq = (p.label.x >> q) & 1, (p.label.z >> q) & 1
-        m = I2
-        if aq:
-            m = X
-        if bq:
-            m = m @ Z if aq else Z
-        facs.append(m)
-    mat = reduce(np.kron, facs) if facs else np.eye(1, dtype=complex)
-    phase = 1j ** ((p.phase + (p.label.x & p.label.z).bit_count()) % 4)
-    return phase * mat
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,13 @@
 """The self-correction pipeline: difference-sampling retention, edge and
 common-neighbor membership tests, small-doubling collection, covering-subgroup
-construction behind a pluggable membership oracle, stabilizer extraction
-(proper and improper), and the tolerant tester for high stabilizer dimension.
+construction, stabilizer extraction (proper and improper), and the tolerant
+tester for high stabilizer dimension.
+
+The covering subgroup is the step the paper assumes (the algorithmic
+polynomial Freiman-Ruzsa conjecture).  It enters as an oracle, any callable
+``oracle(psi, rng, ledger) -> Gf2Basis``: ``planted_oracle(*bases)`` returns
+the known plant retaining the most mass, and ``threshold_span_oracle(theta)``
+spans the sampled labels whose estimated <W_x>^2 clears theta.
 
 The published threshold constants for the common-neighbor test are
 astronomically small (gamma^350-scale); ``published_bsg_params`` evaluates them
@@ -192,33 +198,6 @@ def _edge_batch(
     return flag
 
 
-def edge_test(
-    psi: StateVector,
-    x: PauliLabel,
-    y: PauliLabel,
-    zeta: float,
-    zeta_p: float,
-    delta: float,
-    rng: np.random.Generator,
-    ledger: CostLedger | None = None,
-    exact: bool = False,
-) -> bool:
-    """Decide (x, y) edge membership: the three expectations <W_x>^2,
-    <W_y>^2, <W_{x+y}>^2 must clear the threshold, and x+y must pass a
-    retention draw (the choice-set surrogate).
-
-    With probability >= 1 - delta a 1 implies membership at threshold
-    zeta - zeta_p and a 0 implies non-membership at zeta + zeta_p.  Exact
-    mode thresholds the table values and skips the retention coin, making
-    the output deterministic and monotone in zeta.
-    """
-    if not zeta_p < zeta:
-        raise ValueError("slack must be smaller than the threshold")
-    xs = np.array([x.to_vector()])
-    ys = np.array([y.to_vector()])
-    return bool(_edge_batch(psi, xs, ys, zeta, zeta_p, delta, rng, ledger, exact)[0])
-
-
 def bsg_test(
     psi: StateVector,
     u: PauliLabel,
@@ -266,89 +245,65 @@ def collect_small_doubling(
     delta: float,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-    stop_after: int | None = None,
-    vertex_budget: int | None = None,
-) -> list[list[PauliLabel]]:
-    """Candidate sets of test-accepted labels, each of size >= t.
+) -> list[PauliLabel]:
+    """The first candidate set of test-accepted labels of size >= t.
 
     Iterates sampled vertices u and gathers the v's the sampled membership
-    test accepts at ``BsgParams.practical(gamma, delta)``; ``stop_after``
-    returns early once that many qualifying sets exist (the pipeline uses
-    1).  An empty collection raises so callers can retry with fresh
-    randomness.
+    test accepts at ``BsgParams.practical(gamma, delta)``; the first u whose
+    accepted set reaches t ends the search.  No such u raises so callers
+    can retry with fresh randomness.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     params = BsgParams.practical(gamma, delta)
     m = min(6 * t + 24, 256)
     verts = np.unique(_draw_retained(psi, m, rng, ledger))
-    if vertex_budget is not None:
-        verts = verts[:vertex_budget]
     labels = [PauliLabel.from_vector(psi.n, int(v)) for v in verts]
-    collection: list[list[PauliLabel]] = []
     for i, ul in enumerate(labels):
         accepted = [
             vl for j, vl in enumerate(labels)
             if j != i and bsg_test(psi, ul, vl, params, rng, ledger)
         ]
         if len(accepted) >= t:
-            collection.append(accepted)
-            if stop_after is not None and len(collection) >= stop_after:
-                break
-    if not collection:
-        raise CollectionEmpty("no candidate set reached the requested size")
-    return collection
+            return accepted
+    raise CollectionEmpty("no candidate set reached the requested size")
 
 
 # ---------------------------------------------------------------------------
-# covering-subgroup oracle
+# covering-subgroup oracles: oracle(psi, rng, ledger) -> Gf2Basis
 
 
 THRESHOLD_SPAN_SAMPLES = 256
 THRESHOLD_SPAN_SHOTS = 512
 
 
-@dataclass(frozen=True)
-class PfrOracle:
-    """Membership predicate for the covering subgroup; consistency is
-    guaranteed by construction (the predicate closes over a fixed basis)."""
+def planted_oracle(*bases: Gf2Basis):
+    """The known plants: of the given subgroup bases, the one retaining the
+    most of the state's mass (``_retained_mass``); draws nothing."""
+    if not bases:
+        raise ValueError("planted oracle needs a subgroup basis")
 
-    provenance: str  # "planted" | "threshold-span"
-    basis: Gf2Basis
+    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger | None) -> Gf2Basis:
+        return max(bases, key=lambda b: _retained_mass(psi, b))
 
-    def __call__(self, label: PauliLabel) -> bool:
-        return self.basis.contains(label.to_vector())
+    return oracle
 
 
-def make_pfr_oracle(
-    mode: str,
-    *,
-    basis: Gf2Basis | None = None,
-    psi: StateVector | None = None,
-    theta: float | None = None,
-    rng: np.random.Generator | None = None,
-    ledger: CostLedger | None = None,
-) -> PfrOracle:
-    """Planted mode wraps a known subgroup basis; threshold-span mode spans
-    the sampled labels whose estimated <W_x>^2 clears theta (a heuristic
-    stand-in for an actual construction), from ``THRESHOLD_SPAN_SAMPLES``
-    difference samples and ``THRESHOLD_SPAN_SHOTS`` shots per distinct
-    label."""
-    if mode == "planted":
-        if basis is None:
-            raise ValueError("planted mode needs a subgroup basis")
-        return PfrOracle("planted", basis)
-    if mode == "threshold-span":
-        if psi is None or theta is None or rng is None:
-            raise ValueError("threshold-span mode needs psi, theta and rng")
+def threshold_span_oracle(theta: float):
+    """Span of the sampled labels whose estimated <W_x>^2 clears theta (a
+    heuristic stand-in for an actual construction), from
+    ``THRESHOLD_SPAN_SAMPLES`` difference samples and
+    ``THRESHOLD_SPAN_SHOTS`` shots per distinct label."""
+
+    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger | None) -> Gf2Basis:
         idx = np.unique(sample_weyl_indices(psi, THRESHOLD_SPAN_SAMPLES, rng, ledger))
         est = binomial_estimate(expectation_squares(psi)[idx], THRESHOLD_SPAN_SHOTS, rng)
         if ledger is not None:
             ledger.charge("oracle_build", copies=2 * THRESHOLD_SPAN_SHOTS * idx.shape[0])
         keep = idx[est >= theta]
-        span = rref_basis([int(v) for v in keep], 2 * psi.n)
-        return PfrOracle("threshold-span", span)
-    raise ValueError(f"unknown oracle mode {mode!r}")
+        return rref_basis([int(v) for v in keep], 2 * psi.n)
+
+    return oracle
 
 
 def _retained_mass(psi: StateVector, basis: Gf2Basis) -> float:
@@ -383,33 +338,24 @@ class SubgroupV:
 
 def pfr_subgroup(
     samples: list[PauliLabel],
-    oracle: PfrOracle,
-    delta: float,
+    basis: Gf2Basis,
     psi: StateVector | None = None,
-    t_min: int | None = None,
-    strict: bool = False,
 ) -> SubgroupV:
-    """Span of the oracle-accepted pairwise sums.
+    """Span of the pairwise sums that lie in the covering subgroup ``basis``.
 
-    The acceptance floor defaults to n+1 distinct sums at desk scale; strict
-    mode uses the published 4n^2 + log(10/delta).  Too few accepted sums
-    raises the failure sentinel.
+    Fewer than n + 1 distinct accepted sums raises the failure sentinel.
     """
     if len(samples) < 2:
         raise ValueError("need at least two samples")
     n = samples[0].n
-    sums = {
-        (a.add(b)).to_vector() for i, a in enumerate(samples) for b in samples[i:]
-    }
-    accepted = [v for v in sums if oracle(PauliLabel.from_vector(n, v))]
-    floor = t_min
-    if floor is None:
-        floor = int(np.ceil(4 * n * n + np.log(10.0 / delta))) if strict else n + 1
-    if len(accepted) < floor:
-        raise PfrSubgroupNotFound(f"{len(accepted)} accepted sums < floor {floor}")
-    basis = rref_basis(accepted, 2 * n)
-    mass = _retained_mass(psi, basis) if psi is not None and basis.rank <= 16 else None
-    return SubgroupV(n, basis, mass)
+    vecs = [s.to_vector() for s in samples]
+    sums = {a ^ b for i, a in enumerate(vecs) for b in vecs[i:]}
+    accepted = [v for v in sums if basis.contains(v)]
+    if len(accepted) < n + 1:
+        raise PfrSubgroupNotFound(f"{len(accepted)} accepted sums < floor {n + 1}")
+    span = rref_basis(accepted, 2 * n)
+    mass = _retained_mass(psi, span) if psi is not None and span.rank <= 16 else None
+    return SubgroupV(n, span, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -634,33 +580,11 @@ def find_high_stab_dim(
 # end-to-end pipeline
 
 
-def _resolve_oracle(
-    oracle_mode,
-    psi: StateVector,
-    gamma: float,
-    rng: np.random.Generator,
-    ledger: CostLedger | None,
-) -> PfrOracle:
-    if isinstance(oracle_mode, PfrOracle):
-        return oracle_mode
-    kind = oracle_mode[0]
-    if kind == "planted":
-        # ("planted", basis, ...): the group retaining most of psi's mass
-        best = max(oracle_mode[1:], key=lambda b: _retained_mass(psi, b))
-        return make_pfr_oracle("planted", basis=best)
-    if kind == "threshold-span":
-        theta = oracle_mode[1] if len(oracle_mode) > 1 else gamma / 4.0
-        return make_pfr_oracle(
-            "threshold-span", psi=psi, theta=theta, rng=rng, ledger=ledger
-        )
-    raise ValueError(f"unknown oracle mode {oracle_mode!r}")
-
-
 def self_correct(
     psi: StateVector,
     gamma: float,
     delta: float,
-    oracle_mode,
+    oracle,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
     attempts: int = 32,
@@ -668,14 +592,16 @@ def self_correct(
 ) -> CandidateStabilizer:
     """Chain sampling, small-doubling collection, subgroup construction and
     stabilizer extraction, retrying failed stages with fresh randomness up to
-    the attempt budget."""
+    the attempt budget.  The covering-subgroup ``oracle(psi, rng, ledger)``
+    (``planted_oracle`` or ``threshold_span_oracle``) runs once, before the
+    first attempt."""
     t = collect_t if collect_t is not None else min(psi.n + 3, (1 << psi.n) - 1)
-    oracle = _resolve_oracle(oracle_mode, psi, gamma, rng, ledger)
+    basis = oracle(psi, rng, ledger)
     last: Exception | None = None
     for _ in range(attempts):
         try:
-            collection = collect_small_doubling(psi, t, gamma, delta, rng, ledger, stop_after=1)
-            sub = pfr_subgroup(collection[0], oracle, delta, psi=psi)
+            accepted = collect_small_doubling(psi, t, gamma, delta, rng, ledger)
+            sub = pfr_subgroup(accepted, basis, psi=psi)
             return find_stabilizer(psi, sub, gamma, delta, rng, ledger)
         except (CollectionEmpty, PfrSubgroupNotFound, NoCandidateFound) as exc:
             last = exc

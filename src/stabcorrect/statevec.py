@@ -1,4 +1,4 @@
-"""Dense statevector oracle: Weyl action and expectations, the squared
+"""Dense statevector oracle: circuit application, the squared Weyl
 expectation table and the difference-sampling law, overlap and sampling
 estimators, combination-residual preparation, and the exact stabilizer
 fidelity oracles, one character sum over isotropic subspaces.
@@ -77,13 +77,6 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, raw / np.linalg.norm(raw))
 
 
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    # the second factor occupies the higher qubit indices
-    return StateVector(
-        a.n + b.n, np.kron(b.amps, a.amps), a.normalized and b.normalized
-    )
-
-
 def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
@@ -95,14 +88,7 @@ def statevector_of_stab(state: StabilizerState) -> StateVector:
 
 
 # ---------------------------------------------------------------------------
-# Weyl action and distributions
-
-
-def apply_weyl(psi: StateVector, label: PauliLabel) -> StateVector:
-    """Exact action of i^{|a&b|} X^a Z^b."""
-    if label.n != psi.n:
-        raise ValueError("size mismatch")
-    return StateVector(psi.n, kernels.weyl_action(psi.amps, label.x, label.z), psi.normalized)
+# circuits and distributions
 
 
 def apply_circuit(
@@ -114,14 +100,6 @@ def apply_circuit(
     if ledger is not None:
         ledger.charge("apply_circuit", gates=len(circuit))
     return StateVector(psi.n, amps, psi.normalized)
-
-
-def weyl_expectation(psi: StateVector, label: PauliLabel) -> float:
-    """<psi|W_x|psi>, real for normalized pure states, in [-1, 1]."""
-    if not psi.normalized:
-        raise ValueError("expectation values require a normalized state")
-    val = np.vdot(psi.amps, apply_weyl(psi, label).amps)
-    return float(val.real)
 
 
 def require_memory(n: int, nbytes: int) -> None:
@@ -242,10 +220,20 @@ def gowers3_metrics(
     return GowersMetrics(proxy, float(out2.mean()), "sampled", shots)
 
 
+SAMPLER_MAX_SHOTS = int(np.iinfo(np.int64).max)
+
+
 def binomial_estimate(w, shots: int, rng: np.random.Generator):
     """Estimate of w in [-1, 1] from ``shots`` two-outcome shots with
-    Pr[+1] = (1 + w)/2: 2 Binomial(shots, clip((1 + w)/2)) / shots - 1."""
-    return 2.0 * rng.binomial(shots, np.clip(0.5 * (1.0 + w), 0.0, 1.0)) / shots - 1.0
+    Pr[+1] = p = clip((1 + w)/2): 2 Binomial(shots, p) / shots - 1.  Above
+    ``SAMPLER_MAX_SHOTS``, which numpy's binomial sampler cannot take, the
+    draw is the normal limit w + 2 sqrt(p(1 - p)/shots) N(0, 1), clipped to
+    [-1, 1]."""
+    p = np.clip(0.5 * (1.0 + w), 0.0, 1.0)
+    if shots > SAMPLER_MAX_SHOTS:
+        spread = 2.0 * np.sqrt(p * (1.0 - p) / float(shots))
+        return np.clip(w + spread * rng.standard_normal(np.shape(p)), -1.0, 1.0)
+    return 2.0 * rng.binomial(shots, p) / shots - 1.0
 
 
 def hadamard_test_estimate(
@@ -261,6 +249,7 @@ def hadamard_test_estimate(
 
     Each shot interferes the two controlled preparations once; the real part
     uses Pr[0] = (1 + Re<a|b>)/2, the imaginary part the S-twisted variant.
+    The ledger is charged the exact shot count, also beyond int64.
     """
     val = overlap(prep_a, prep_b)
     if exact:
@@ -268,8 +257,6 @@ def hadamard_test_estimate(
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     shots = int(np.ceil(2.0 * np.log(4.0 / delta) / eps**2))
-    if shots > np.iinfo(np.int64).max:
-        raise ValueError(f"tolerance {eps:.3g} needs {shots} shots, above the int64 sampler limit")
     re = binomial_estimate(val.real, shots, rng)
     im = binomial_estimate(val.imag, shots, rng)
     if ledger is not None:

@@ -1,14 +1,15 @@
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
 
 from stabcorrect import kernels
-from stabcorrect.gf2 import PauliLabel
+from stabcorrect.gf2 import Gf2Basis, PauliLabel, symplectic_product, symplectic_product_vec
 from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     CliffordCircuit,
+    _Reducer,
     PhasedPauli,
     StabilizerState,
     apply_gates_dense,
@@ -46,6 +47,79 @@ def random_circuit(n, rng, length=None):
 
 def t_state():
     return StateVector(1, np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
+
+
+# ---------------------------------------------------------------------------
+# dense references the package is checked against
+
+
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    # the second factor occupies the higher qubit indices
+    return StateVector(
+        a.n + b.n, np.kron(b.amps, a.amps), a.normalized and b.normalized
+    )
+
+
+def apply_weyl(psi: StateVector, label: PauliLabel) -> StateVector:
+    """Exact action of i^{|a&b|} X^a Z^b, through the package kernel."""
+    if label.n != psi.n:
+        raise ValueError("size mismatch")
+    return StateVector(psi.n, kernels.weyl_action(psi.amps, label.x, label.z), psi.normalized)
+
+
+def weyl_expectation(psi: StateVector, label: PauliLabel) -> float:
+    """<psi|W_x|psi>, real for normalized pure states, in [-1, 1]."""
+    if not psi.normalized:
+        raise ValueError("expectation values require a normalized state")
+    val = np.vdot(psi.amps, apply_weyl(psi, label).amps)
+    return float(val.real)
+
+
+def weyl_matrix(p: PhasedPauli) -> np.ndarray:
+    """Dense matrix of the operator, for checks at small n."""
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+    Z = np.array([[1, 0], [0, -1]], dtype=complex)
+    I2 = np.eye(2, dtype=complex)
+    facs = []
+    for q in range(p.n - 1, -1, -1):
+        aq, bq = (p.label.x >> q) & 1, (p.label.z >> q) & 1
+        m = I2
+        if aq:
+            m = X
+        if bq:
+            m = m @ Z if aq else Z
+        facs.append(m)
+    mat = reduce(np.kron, facs) if facs else np.eye(1, dtype=complex)
+    phase = 1j ** ((p.phase + (p.label.x & p.label.z).bit_count()) % 4)
+    return phase * mat
+
+
+def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> CliffordCircuit:
+    """The circuit U the package's reducer emits for one pair, with
+    U p U^dagger = +X_0 and U q U^dagger = +Z_0."""
+    if p.n != q.n:
+        raise ValueError("size mismatch")
+    if not (p.is_hermitian and q.is_hermitian):
+        raise ValueError("inputs must be Hermitian signed Paulis")
+    if symplectic_product(p.label, q.label) == 0:
+        raise ValueError("inputs commute")
+    red = _Reducer(p.n, [p, q])
+    red.reduce_pair(0, 1, 0)
+    return CliffordCircuit(p.n, tuple(red.gates))
+
+
+def is_isotropic(basis: Gf2Basis, n: int) -> bool:
+    """All pairwise symplectic products among the rows vanish."""
+    rows = basis.rows
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if symplectic_product_vec(rows[i], rows[j], n):
+                return False
+    return True
+
+
+def is_lagrangian(basis: Gf2Basis, n: int) -> bool:
+    return basis.rank == n and is_isotropic(basis, n)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from stabcorrect.pauli import (
     tableau_from_circuit,
 )
 from stabcorrect.rng import RngStream
-from stabcorrect.selfcorrect import self_correct, tolerant_test
+from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
 from stabcorrect.statevec import (
     StateVector,
     bruteforce_stab_dim_fidelity,
@@ -45,7 +45,6 @@ from stabcorrect.statevec import (
     lcu_residual,
     overlap,
     random_state,
-    tensor,
 )
 
 from conftest import (
@@ -53,10 +52,12 @@ from conftest import (
     distribution_tables,
     enumerate_stabilizer_states,
     expectation_table,
+    is_lagrangian,
     orthogonal_stab_pair,
     planted_state,
     random_circuit,
     t_state,
+    tensor,
 )
 
 pp = PhasedPauli.from_string
@@ -159,8 +160,6 @@ def test_criterion_04_structure_algebra():
         ok &= len(cov.groups) == 2**k + 1
         seen = set()
         for g in cov.groups:
-            from stabcorrect.gf2 import is_lagrangian
-
             ok &= is_lagrangian(g, k)
             span = set(g.enumerate_span()) - {0}
             ok &= not span & seen
@@ -186,7 +185,7 @@ def test_criterion_05_planted_self_correction():
         opt, _ = bruteforce_stab_fidelity(psi)
         rng = RngStream(50_000 + i).child("run").generator()
         try:
-            cand = self_correct(psi, 0.5, 0.05, ("planted", basis), rng, CostLedger())
+            cand = self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
             wins += cand.fidelity >= opt - 0.05
         except Exception:
             pass
@@ -276,7 +275,7 @@ def test_criterion_08_application_contracts():
         psi, meta = gen_state(StateSpec("w_family", 5, m=3), RngStream(1).child("s").generator())
         labels = [PhasedPauli.from_string(s).label for s in meta["stabilizer_group"]]
         learner = base_learner_self_correct(
-            0.4, 0.05, ("planted", rref_basis_from_labels(labels)), collect_t=6
+            0.4, 0.05, planted_oracle(rref_basis_from_labels(labels)), collect_t=6
         )
         res = learn_low_extent(psi, np.sqrt(3), 0.25, learner, CostLedger(), rng)
         wins += res.overlap_sq >= 0.5 - 0.25
@@ -358,7 +357,7 @@ def test_criterion_10_reproducibility_accounting():
     ledger = CostLedger()
     s, psi = planted_state(3, np.random.default_rng(10), weight=0.9)
     basis = rref_basis_from_labels([g.label for g in s.generators])
-    self_correct(psi, 0.5, 0.05, ("planted", basis), rng, ledger)
+    self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, ledger)
     sums = {k: 0 for k in ledger.totals}
     for row in ledger.breakdown.values():
         for k in sums:

@@ -108,29 +108,47 @@ def test_package_reads_no_environment():
 # helpers only the tests call.  A new entry fails here; move a test-only
 # helper into the tests, or fold it into the path that runs.
 UNCALLED_PUBLIC_API = {
-    "gf2.is_lagrangian",
     "iterate.mimic_compare",
-    "pauli.clifford_from_anticommuting_pair",
     "pauli.synthesize_circuit",
     "pauli.tableau_from_circuit",
-    "pauli.weyl_matrix",
-    "selfcorrect.edge_test",
     "selfcorrect.find_high_stab_dim",
     "selfcorrect.published_bsg_params",
-    "statevec.random_state",
-    "statevec.tensor",
-    "statevec.weyl_expectation",
 }
+
+# Defaulted parameters of top-level public functions that no call in the
+# package passes, by keyword or by position.  A new entry fails here: an
+# option nothing sets becomes a constant, or its caller is added with it.
+UNSET_PUBLIC_OPTIONS = {
+    "cli.main.argv",
+    "iterate.base_learner_self_correct.collect_t",
+    "iterate.iterate_robust.estimator",
+    "selfcorrect.bsg_test.exact",
+    "selfcorrect.find_high_stab_dim.ledger",
+    "selfcorrect.published_bsg_params.delta",
+    "statevec.hadamard_test_estimate.exact",
+}
+
+
+def _package_trees():
+    for path in sorted(Path(stabcorrect.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), str(path))
+
+
+def _called_name(call: ast.Call) -> str | None:
+    if isinstance(call.func, ast.Name):
+        return call.func.id
+    if isinstance(call.func, ast.Attribute):
+        return call.func.attr
+    return None
 
 
 def test_uncalled_public_functions_are_pinned():
     # a top-level public def counts as called when any name or attribute in
     # the package refers to it
     defined, referenced = set(), set()
-    for path in sorted(Path(stabcorrect.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for stem, tree in _package_trees():
         defined |= {
-            f"{path.stem}.{node.name}" for node in tree.body
+            f"{stem}.{node.name}" for node in tree.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
         }
         for node in ast.walk(tree):
@@ -140,3 +158,35 @@ def test_uncalled_public_functions_are_pinned():
                 referenced.add(node.attr)
     uncalled = {name for name in defined if name.split(".")[1] not in referenced}
     assert uncalled == UNCALLED_PUBLIC_API
+
+
+def test_unset_public_options_are_pinned():
+    # calls match a function by its bare name, so a same-named method or
+    # function elsewhere counts as a caller too
+    options: dict[str, dict[str, int | None]] = {}
+    positional: dict[str, int] = {}
+    keywords: dict[str, set] = {}
+    for stem, tree in _package_trees():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                params = args.posonlyargs + args.args
+                defaulted = params[len(params) - len(args.defaults):]
+                opts = {a.arg: params.index(a) for a in defaulted}
+                opts.update({
+                    a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                    if d is not None
+                })
+                options[f"{stem}.{node.name}"] = opts
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (name := _called_name(node)):
+                positional[name] = max(positional.get(name, 0), len(node.args))
+                keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    unset = set()
+    for qualified, opts in options.items():
+        name = qualified.split(".")[1]
+        for arg, index in opts.items():
+            by_position = index is not None and index < positional.get(name, 0)
+            if not by_position and arg not in keywords.get(name, set()):
+                unset.add(f"{qualified}.{arg}")
+    assert unset == UNSET_PUBLIC_OPTIONS

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from stabcorrect.gf2 import (
     PauliLabel,
-    is_isotropic,
-    is_lagrangian,
     mub_covering,
     rref_basis,
     rref_basis_from_labels,
@@ -14,7 +12,7 @@ from stabcorrect.gf2 import (
     symplectic_product,
 )
 
-from conftest import random_label
+from conftest import is_isotropic, is_lagrangian, random_label
 
 lab = PauliLabel.from_string
 

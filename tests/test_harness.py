@@ -14,9 +14,11 @@ from stabcorrect.harness import (
     gen_state,
     run,
 )
-from stabcorrect.pauli import PhasedPauli, weyl_matrix
+from stabcorrect.pauli import PhasedPauli
 from stabcorrect.rng import RngStream
-from stabcorrect.statevec import bruteforce_stab_fidelity
+from stabcorrect.statevec import bruteforce_stab_dim_fidelity, bruteforce_stab_fidelity
+
+from conftest import weyl_matrix
 
 
 def gen(seed):
@@ -46,6 +48,15 @@ class TestGenState:
         b, _ = gen_state(StateSpec("tdoped", 4, t=2), gen(7))
         assert np.allclose(a.amps, b.amps)
         assert meta["extent_bound"] == pytest.approx((1 + 2**-0.5) ** 2)
+
+    @pytest.mark.parametrize("n,t", [(n, t) for n in (3, 4, 5) for t in (1, 2)])
+    def test_tdoped_stab_dim_lower_holds(self, n, t):
+        # each T gate lowers the stabilizer dimension by at most one, so the
+        # state itself has stabilizer dimension >= n - t
+        for seed in range(6):
+            psi, meta = gen_state(StateSpec("tdoped", n, t=t), gen(seed))
+            assert meta["stab_dim_lower"] == n - t
+            assert bruteforce_stab_dim_fidelity(psi, t) == pytest.approx(1.0, abs=1e-12)
 
     def test_tdoped_zero_is_stabilizer(self):
         psi, _ = gen_state(StateSpec("tdoped", 2, t=0), gen(3))
@@ -115,6 +126,24 @@ class TestConfig:
             )
         with pytest.raises(ValueError):
             ExperimentConfig.from_json({"command": "frobnicate"})
+
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_attempts_below_one_rejected(self, attempts):
+        with pytest.raises(ValueError, match="attempts"):
+            ExperimentConfig.from_json(
+                {"command": "selfcorrect", "params": {"oracle": "planted", "attempts": attempts}}
+            )
+
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
+    def test_theta_outside_unit_interval_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            ExperimentConfig.from_json(
+                {"command": "selfcorrect", "params": {"oracle": "threshold-span", "theta": theta}}
+            )
+        # the closed end is allowed
+        ExperimentConfig.from_json(
+            {"command": "selfcorrect", "params": {"oracle": "threshold-span", "theta": 1.0}}
+        )
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="'gama'"):

@@ -6,7 +6,9 @@ from stabcorrect.gf2 import rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import statevector_of
 from stabcorrect.rng import RngStream
+from stabcorrect.selfcorrect import planted_oracle
 from stabcorrect.iterate import (
+    EST_FAIL,
     BaseLearner,
     ErrorSchedule,
     base_learner_bruteforce,
@@ -119,6 +121,30 @@ class TestRobust:
         )
         assert dec.stop_reason in ("alpha_below", "tomography_complete")
         assert dec.iterations <= 2
+
+    def test_hadamard_estimates_past_int64_shots(self):
+        # at eps = 0.02 the fourth iteration's overlap estimates need ~4e19
+        # shots each, past numpy's int64 binomial sampler
+        rng = np.random.default_rng(0)
+        psi = random_state(3, rng)
+        ledger = CostLedger()
+        dec = iterate_robust(
+            psi, 0.02, base_learner_bruteforce(), ledger, rng, estimator="hadamard"
+        )
+        assert dec.iterations >= 4
+        exact = _exact_betas(psi, [phi for _, phi in dec.terms])
+        sched = ErrorSchedule(dec.eta)
+        for t, row in enumerate(dec.beta_history, start=1):
+            for j, beta in enumerate(row):
+                assert abs(beta - exact[j]) <= sched.delta / (3.0 * t**2) + 1e-12
+        # iteration t makes t estimates at tolerance(t), each charged exactly
+        shots = [
+            int(np.ceil(2.0 * np.log(4.0 / EST_FAIL) / sched.tolerance(t) ** 2))
+            for t in range(1, len(dec.beta_history) + 1)
+        ]
+        assert max(shots) > np.iinfo(np.int64).max
+        want = sum(t * 2 * s for t, s in enumerate(shots, start=1))
+        assert ledger.breakdown["hadamard_test"]["queries_conU"] == want
 
     def test_reconstruction_identity(self, rng):
         for _ in range(10):
@@ -261,7 +287,7 @@ class TestLearners:
     def test_self_correct_learner(self, rng):
         s, psi = planted_state(2, rng, weight=0.95)
         basis = rref_basis_from_labels([g.label for g in s.generators])
-        learner = base_learner_self_correct(0.5, 0.05, ("planted", basis))
+        learner = base_learner_self_correct(0.5, 0.05, planted_oracle(basis))
         st = learner.learn(psi, rng, CostLedger())
         fid = abs(overlap(StateVector(2, statevector_of(st)), psi)) ** 2
         assert fid >= 0.9

@@ -11,7 +11,6 @@ from stabcorrect.pauli import (
     StabilizerState,
     apply_gates_dense,
     canonicalize_subgroup,
-    clifford_from_anticommuting_pair,
     conjugate,
     isotropic_subspaces,
     pauli_product,
@@ -20,16 +19,18 @@ from stabcorrect.pauli import (
     statevector_of,
     synthesize_circuit,
     tableau_from_circuit,
-    weyl_matrix,
 )
 from stabcorrect.pauli import _conj_gate
 
 from conftest import (
+    clifford_from_anticommuting_pair,
     enumerate_stabilizer_states,
+    is_isotropic,
     random_circuit,
     random_label,
     random_phased,
     stabilizer_state_matrix,
+    weyl_matrix,
 )
 
 lab = PauliLabel.from_string
@@ -239,8 +240,6 @@ class TestIsotropicReduction:
         assert (k, m) == (1, 0)
 
     def test_maps_to_designated_tail(self, rng):
-        from stabcorrect.gf2 import is_isotropic
-
         done = 0
         while done < 50:
             n = int(rng.integers(2, 7))

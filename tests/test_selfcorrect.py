@@ -16,18 +16,19 @@ from stabcorrect.selfcorrect import (
     SubgroupV,
     PUBLISHED_C1,
     PUBLISHED_C2,
+    THRESHOLD_SPAN_SHOTS,
     bsg_test,
     collect_small_doubling,
-    edge_test,
     find_high_stab_dim,
     find_stabilizer,
-    make_pfr_oracle,
+    planted_oracle,
     published_bsg_params,
     pfr_subgroup,
     self_correct,
+    threshold_span_oracle,
     tolerant_test,
 )
-from stabcorrect.selfcorrect import _draw_retained, _resolve_oracle, _retained_mass
+from stabcorrect.selfcorrect import _draw_retained, _edge_batch, _retained_mass
 from stabcorrect.statevec import (
     StateVector,
     basis_state,
@@ -35,10 +36,16 @@ from stabcorrect.statevec import (
     gowers3_metrics,
     overlap,
     random_state,
-    tensor,
 )
 
-from conftest import distribution_tables, expectation_table, planted_state, random_circuit, t_state
+from conftest import (
+    distribution_tables,
+    expectation_table,
+    planted_state,
+    random_circuit,
+    t_state,
+    tensor,
+)
 
 lab = PauliLabel.from_string
 def stab_vec(strings):
@@ -65,35 +72,33 @@ class TestSamplePaulis:
         assert ledger.totals["copies_consumed"] == 6 * draws
 
 
+def vecs(*strings):
+    return np.array([lab(x).to_vector() for x in strings])
+
+
 class TestEdgeTest:
     def test_zero_state_z_pair(self, rng):
         psi = basis_state(3)
-        assert edge_test(psi, lab("ZII"), lab("IZI"), 0.5, 0.1, 0.01, rng)
+        assert _edge_batch(psi, vecs("ZII"), vecs("IZI"), 0.5, 0.1, 0.01, rng, None, False).all()
 
     def test_zero_state_x_fails(self, rng):
         psi = basis_state(3)
-        assert not edge_test(psi, lab("ZII"), lab("XII"), 0.5, 0.1, 0.01, rng, exact=True)
+        assert not _edge_batch(psi, vecs("ZII"), vecs("XII"), 0.5, 0.1, 0.01, rng, None, True).any()
 
     def test_t_state_self_pair(self, rng):
         # x = y = X: the sum is the identity label, in the set by convention
         psi = t_state()
-        assert edge_test(psi, lab("X"), lab("X"), 0.4, 0.05, 0.01, rng, exact=True)
+        assert _edge_batch(psi, vecs("X"), vecs("X"), 0.4, 0.05, 0.01, rng, None, True).all()
 
     def test_exact_monotone_in_zeta(self, rng):
         psi = random_state(2, rng)
-        for _ in range(50):
-            x = PauliLabel(2, int(rng.integers(4)), int(rng.integers(4)))
-            y = PauliLabel(2, int(rng.integers(4)), int(rng.integers(4)))
-            flags = [
-                edge_test(psi, x, y, z, 1e-6, 0.01, rng, exact=True)
-                for z in (0.05, 0.2, 0.5, 0.9)
-            ]
-            # raising the threshold never adds edges
-            assert all(a >= b for a, b in zip(flags, flags[1:]))
-
-    def test_slack_validation(self, rng):
-        with pytest.raises(ValueError):
-            edge_test(basis_state(1), lab("Z"), lab("Z"), 0.1, 0.2, 0.01, rng)
+        xs, ys = rng.integers(16, size=50), rng.integers(16, size=50)
+        flags = [
+            _edge_batch(psi, xs, ys, z, 1e-6, 0.01, rng, None, True)
+            for z in (0.05, 0.2, 0.5, 0.9)
+        ]
+        # raising the threshold never adds edges
+        assert all((a >= b).all() for a, b in zip(flags, flags[1:]))
 
 
 def exhaustive_t_set(psi, u, zetas, rho1, rho2):
@@ -180,16 +185,16 @@ class TestCollect:
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
         ledger = CostLedger()
-        sets = collect_small_doubling(psi, 6, 0.5, 0.05, rng, ledger, stop_after=1)
-        assert sets and len(sets[0]) >= 6
-        assert all(basis.contains(l.to_vector()) for l in sets[0])
+        accepted = collect_small_doubling(psi, 6, 0.5, 0.05, rng, ledger)
+        assert len(accepted) >= 6
+        assert all(basis.contains(l.to_vector()) for l in accepted)
 
     def test_ledger_grows_with_t(self, rng):
         _, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         costs = []
         for t in (3, 6):
             ledger = CostLedger()
-            collect_small_doubling(psi, t, 0.5, 0.05, rng, ledger, stop_after=1)
+            collect_small_doubling(psi, t, 0.5, 0.05, rng, ledger)
             costs.append(ledger.totals["copies_consumed"])
         assert costs[1] > costs[0]
 
@@ -198,30 +203,36 @@ class TestCollect:
 
         psi = random_state(6, rng)
         with pytest.raises(CollectionEmpty):
-            collect_small_doubling(psi, 10, 0.8, 0.05, rng, vertex_budget=4, stop_after=1)
+            collect_small_doubling(psi, 10, 0.8, 0.05, rng)
 
 
 class TestPfrOracle:
-    def test_planted_membership(self):
+    def test_planted_membership(self, rng):
         basis = rref_basis_from_labels([lab("ZII"), lab("IZI"), lab("IIZ")])
-        oracle = make_pfr_oracle("planted", basis=basis)
-        assert oracle(lab("ZZI")) and not oracle(lab("XII"))
+        before = rng.bit_generator.state
+        got = planted_oracle(basis)(basis_state(3), rng, CostLedger())
+        assert got.contains(lab("ZZI").to_vector()) and not got.contains(lab("XII").to_vector())
+        # the planted oracle draws nothing
+        assert rng.bit_generator.state == before
 
     def test_threshold_span_matches_planted_on_stabilizer(self, rng):
         st, psi = stab_vec(["+XZ", "+ZX"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        oracle = make_pfr_oracle("threshold-span", psi=psi, theta=0.5, rng=rng)
-        for x in range(4):
-            for z in range(4):
-                l = PauliLabel(2, x, z)
-                assert oracle(l) == basis.contains(l.to_vector())
+        span = threshold_span_oracle(0.5)(psi, rng, None)
+        for v in range(16):
+            assert span.contains(v) == basis.contains(v)
 
-    def test_consistency(self, rng):
-        oracle = make_pfr_oracle(
-            "threshold-span", psi=t_state(), theta=0.3, rng=rng
-        )
-        probe = lab("X")
-        assert oracle(probe) == oracle(probe)
+    def test_consistency(self):
+        # the same draws give the same span, and the build is charged per
+        # distinct sampled label
+        spans, ledgers = [], []
+        for _ in range(2):
+            rng = RngStream(5).child("span").generator()
+            ledgers.append(CostLedger())
+            spans.append(threshold_span_oracle(0.3)(t_state(), rng, ledgers[-1]))
+        assert spans[0] == spans[1]
+        charged = ledgers[0].breakdown["oracle_build"]["copies_consumed"]
+        assert charged > 0 and charged % (2 * THRESHOLD_SPAN_SHOTS) == 0
 
     def test_planted_picks_group_retaining_most_mass(self, rng):
         zs, zvec = stab_vec(["+ZII", "+IZI", "+IIZ"])
@@ -232,18 +243,17 @@ class TestPfrOracle:
             psi = StateVector(3, amps / np.linalg.norm(amps))
             masses = [_retained_mass(psi, b) for b in bases]
             assert masses[want] == max(masses) and masses[1 - want] < max(masses)
-            assert _resolve_oracle(("planted", *bases), psi, 0.5, rng, None).basis == bases[want]
+            assert planted_oracle(*bases)(psi, rng, None) == bases[want]
             # a lone group is the only candidate, even the one retaining less
-            assert _resolve_oracle(("planted", bases[1 - want]), psi, 0.5, rng, None).basis == bases[1 - want]
+            assert planted_oracle(bases[1 - want])(psi, rng, None) == bases[1 - want]
 
 
 class TestPfrSubgroup:
     def test_planted_subgroup(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        oracle = make_pfr_oracle("planted", basis=basis)
         samples = basis.labels(3) + [basis.labels(3)[0].add(basis.labels(3)[1])]
-        sub = pfr_subgroup(samples, oracle, 0.05, psi=psi)
+        sub = pfr_subgroup(samples, basis, psi=psi)
         assert sub.dim <= 3
         assert sub.mass == pytest.approx(1.0, abs=0.25)
         assert sub.mass == _retained_mass(psi, sub.basis)
@@ -251,44 +261,41 @@ class TestPfrSubgroup:
     def test_span_saturation(self, rng):
         st, psi = stab_vec(["+ZII", "+IZI", "+IIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        oracle = make_pfr_oracle("planted", basis=basis)
         span = [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()]
-        sub = pfr_subgroup(span, oracle, 0.05, psi=psi)
+        sub = pfr_subgroup(span, basis, psi=psi)
         assert sub.dim == 3 and sub.mass == pytest.approx(1.0, abs=1e-9)
 
     def test_rejecting_oracle_fails(self):
         empty = rref_basis_from_labels([lab("II")])
-        oracle = make_pfr_oracle("planted", basis=empty)
         samples = [lab("XI"), lab("IX"), lab("XX"), lab("ZI")]
         with pytest.raises(PfrSubgroupNotFound):
-            pfr_subgroup(samples, oracle, 0.05)
+            pfr_subgroup(samples, empty)
 
     def test_output_is_subgroup(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        oracle = make_pfr_oracle("planted", basis=basis)
-        sub = pfr_subgroup(basis.labels(3), oracle, 0.05)
+        sub = pfr_subgroup(basis.labels(3), basis)
         span = set(sub.basis.enumerate_span())
         assert 0 in span
         for a in span:
             for b in span:
                 assert (a ^ b) in span
 
-    def test_strict_floor(self):
+    def test_floor_is_n_plus_one(self):
+        # ZI, IZ give the sums {II, ZZ}: two accepted, below the floor n + 1 = 3
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
-        oracle = make_pfr_oracle("planted", basis=basis)
-        with pytest.raises(PfrSubgroupNotFound):
-            pfr_subgroup(basis.labels(2), oracle, 0.05, strict=True)
+        with pytest.raises(PfrSubgroupNotFound, match="2 accepted sums < floor 3"):
+            pfr_subgroup(basis.labels(2), basis)
+        assert pfr_subgroup(basis.labels(2) + [lab("ZZ")], basis).dim == 2
 
 
 class TestFindStabilizer:
     def test_exact_recovery(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        oracle = make_pfr_oracle("planted", basis=basis)
         sub = pfr_subgroup(
             [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            oracle, 0.05, psi=psi,
+            basis, psi=psi,
         )
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(1.0, abs=1e-9)
@@ -297,10 +304,9 @@ class TestFindStabilizer:
         amps = np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)])
         psi = StateVector(2, amps)
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
-        oracle = make_pfr_oracle("planted", basis=basis)
         sub = pfr_subgroup(
             [PauliLabel.from_vector(2, v) for v in basis.enumerate_span()],
-            oracle, 0.05, psi=psi,
+            basis, psi=psi,
         )
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(0.9, abs=1e-9)
@@ -313,7 +319,7 @@ class TestFindStabilizer:
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(2, v) for v in basis.enumerate_span()],
-            make_pfr_oracle("planted", basis=basis), 0.05, psi=psi,
+            basis, psi=psi,
         )
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng)
         recomputed = abs(overlap(StateVector(2, statevector_of(cand.state)), psi)) ** 2
@@ -327,7 +333,7 @@ class TestFindStabilizer:
         basis = rref_basis_from_labels([lab("ZII"), lab("IZI"), lab("IIZ")])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            make_pfr_oracle("planted", basis=basis), 0.05, psi=psi,
+            basis, psi=psi,
         )
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng)
         assert cand.fidelity == pytest.approx(1.0, abs=1e-12)
@@ -341,7 +347,7 @@ class TestFindHighStabDim:
         basis = rref_basis_from_labels([lab("IZI"), lab("IIZ")])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            make_pfr_oracle("planted", basis=basis), 0.05, psi=psi,
+            basis, psi=psi,
         )
         res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert res.block_weight == pytest.approx(1.0, abs=1e-9)
@@ -357,10 +363,7 @@ class TestFindHighStabDim:
         amps[2:] = np.sin(th) * s1.amps
         psi = StateVector(2, amps)
         basis = rref_basis_from_labels([lab("IZ")])
-        sub = pfr_subgroup(
-            [PauliLabel.from_vector(2, v) for v in basis.enumerate_span()],
-            make_pfr_oracle("planted", basis=basis), 0.05, psi=psi, t_min=1,
-        )
+        sub = SubgroupV(2, basis, None)
         res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng)
         assert res.block_weight == pytest.approx(np.cos(th) ** 2, abs=1e-9)
         assert abs(overlap(res.reconstruct(), psi)) ** 2 == pytest.approx(
@@ -385,7 +388,7 @@ class TestSelfCorrect:
     def test_exact_stabilizer(self, rng):
         st, psi = stab_vec(["+XZ", "+ZX"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        cand = self_correct(psi, 0.5, 0.05, ("planted", basis), rng, CostLedger())
+        cand = self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
         assert cand.fidelity == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -396,7 +399,7 @@ class TestSelfCorrect:
             s, psi = planted_state(n, rng, weight=0.9)
             basis = rref_basis_from_labels([g.label for g in s.generators])
             opt, _ = bruteforce_stab_fidelity(psi)
-            cand = self_correct(psi, 0.5, 0.05, ("planted", basis), rng, CostLedger())
+            cand = self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
             wins += cand.fidelity >= opt - 0.05
         assert wins >= 9
 
@@ -404,7 +407,7 @@ class TestSelfCorrect:
         psi = random_state(6, rng)
         with pytest.raises(SelfCorrectionFailed):
             self_correct(
-                psi, 0.5, 0.05, ("threshold-span", 0.25), rng, attempts=3
+                psi, 0.5, 0.05, threshold_span_oracle(0.25), rng, attempts=3
             )
 
 

@@ -16,14 +16,13 @@ from stabcorrect.pauli import (
     pauli_product,
     stab_state_prep,
     statevector_of,
-    weyl_matrix,
 )
 from stabcorrect.statevec import (
+    SAMPLER_MAX_SHOTS,
     TABLE_BUILD_PEAK,
     StateVector,
     _span_phases,
     apply_circuit,
-    apply_weyl,
     basis_state,
     binomial_estimate,
     bruteforce_stab_dim_fidelity,
@@ -36,12 +35,11 @@ from stabcorrect.statevec import (
     overlap,
     random_state,
     sample_weyl_indices,
-    tensor,
-    weyl_expectation,
 )
-from stabcorrect.selfcorrect import _draw_retained, self_correct
+from stabcorrect.selfcorrect import _draw_retained, planted_oracle, self_correct
 
 from conftest import (
+    apply_weyl,
     catalog_stab_fidelity,
     distribution_tables,
     enumerate_stabilizer_states,
@@ -50,6 +48,9 @@ from conftest import (
     rotation_stab_dim_fidelity,
     stabilizer_state_matrix,
     t_state,
+    tensor,
+    weyl_expectation,
+    weyl_matrix,
 )
 
 lab = PauliLabel.from_string
@@ -175,7 +176,7 @@ class TestDistributions:
         amps[0] = np.sqrt(0.9)  # planted |0...0>, stabilized by every Z_q
         psi = StateVector(n, amps)
         basis = rref_basis_from_labels([PauliLabel(n, 0, 1 << q) for q in range(n)])
-        self_correct(psi, 0.5, 0.05, ("planted", basis), rng, CostLedger())
+        self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
         assert set(psi._cache) == {"w2", "qcum", "proxy"}
         assert psi._cache["w2"].shape == psi._cache["qcum"].shape == (4**n,)
         assert isinstance(psi._cache["proxy"], float)
@@ -323,6 +324,18 @@ class TestBinomialEstimate:
         assert np.array_equal(ours, want)
         assert ours[0] == -1.0 and ours[-1] == 1.0
 
+    def test_normal_limit_beyond_int64(self):
+        # numpy's binomial sampler takes at most int64 shots; past that the
+        # estimate is the normal limit, clipped to [-1, 1]
+        shots = SAMPLER_MAX_SHOTS + 1
+        w = np.array([-1.5, -0.3, 0.0, 0.7, 1.0, 1.2])
+        ours = binomial_estimate(w, shots, np.random.default_rng(5))
+        noise = np.random.default_rng(5).standard_normal(w.shape)
+        p = np.clip(0.5 * (1.0 + w), 0.0, 1.0)
+        assert np.array_equal(ours, np.clip(w + 2.0 * np.sqrt(p * (1 - p) / shots) * noise, -1, 1))
+        assert ours[0] == -1.0 and ours[-1] == 1.0
+        assert np.max(np.abs(ours[1:-1] - w[1:-1])) <= 1e-8
+
 
 class TestHadamardTest:
     def test_exact(self):
@@ -351,12 +364,17 @@ class TestHadamardTest:
         hadamard_test_estimate(basis_state(1), basis_state(1), 0.1, 0.1, rng, ledger)
         assert ledger.totals["queries_conU"] > 0
 
-    def test_shot_count_beyond_sampler_rejected(self, rng):
-        # 2 ln(4/delta)/eps^2 shots exceed int64 at eps = 1e-10
+    def test_shot_count_beyond_int64(self, rng):
+        # 2 ln(4/delta)/eps^2 = 3.04e21 shots at eps = 1e-10, delta = 1e-6:
+        # beyond int64, still within eps, and charged exactly
+        plus = StateVector(1, np.array([SQ2, SQ2]))
+        true = overlap(basis_state(1), plus)
         ledger = CostLedger()
-        with pytest.raises(ValueError, match=r"tolerance 1e-10 needs \d+ shots"):
-            hadamard_test_estimate(basis_state(1), basis_state(1), 1e-10, 1e-6, rng, ledger)
-        assert ledger.totals["queries_conU"] == 0
+        est = hadamard_test_estimate(basis_state(1), plus, 1e-10, 1e-6, rng, ledger)
+        assert abs(est.real - true.real) <= 1e-10 and abs(est.imag - true.imag) <= 1e-10
+        shots = 3_040_360_983_816_832_548_864
+        assert shots == int(np.ceil(2.0 * np.log(4.0 / 1e-6) / 1e-10**2)) > SAMPLER_MAX_SHOTS
+        assert ledger.totals["queries_conU"] == 2 * shots
 
 
 class TestMeasureBlock:
