@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .harness import COMMANDS, ExperimentConfig, run
+from .harness import COMMANDS, FORMATS, ExperimentConfig, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=name != "bench", help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="result path override")
-        p.add_argument("--format", default=None, choices=("jsonl", "csv"))
+        p.add_argument("--format", default=None, choices=FORMATS)
         p.add_argument("--trials", type=int, default=None)
     return parser
 

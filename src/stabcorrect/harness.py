@@ -29,6 +29,7 @@ from .pauli import (
 )
 from .rng import RngStream
 from .selfcorrect import (
+    ATTEMPTS,
     planted_oracle,
     self_correct,
     threshold_span_oracle,
@@ -54,20 +55,25 @@ from .iterate import (
 SCHEMA_VERSION = 1
 
 STATE_KINDS = ("basis", "random_stabilizer", "tdoped", "w_family", "combo", "haar")
-COMMANDS = ("analyze", "test", "selfcorrect", "decompose", "learn-extent", "oracle", "bench")
+LOOPS = ("robust", "error_free")
+FORMATS = ("jsonl", "csv")
 
-# the params keys each command reads; any other key is rejected
-_ORACLE_KEYS = ("oracle", "theta")
-_LEARNER_KEYS = ("learner", "gamma", "delta", "attempts", *_ORACLE_KEYS)
-PARAM_KEYS = {
-    "analyze": frozenset({"mode", "delta"}),
-    "test": frozenset({"eps1", "eps2", "t", "delta", "mode", "separation_c"}),
-    "selfcorrect": frozenset({"gamma", "delta", "attempts", *_ORACLE_KEYS}),
-    "decompose": frozenset({"t", "loop", "eps", *_LEARNER_KEYS}),
-    "learn-extent": frozenset({"xi", "eps_prime", *_LEARNER_KEYS}),
-    "oracle": frozenset({"stab_dims"}),
-    "bench": frozenset({"n", "n_naive"}),
+# each command's params and their defaults; any other key is rejected, and a
+# given value is coerced to its default's type
+_SELF_CORRECT = {
+    "gamma": 0.5, "delta": 0.05, "attempts": ATTEMPTS, "oracle": "planted", "theta": 0.25,
 }
+_LEARNER = {"learner": "bruteforce", **_SELF_CORRECT}
+PARAMS = {
+    "analyze": {"mode": "exact", "delta": 0.05},
+    "test": {"eps1": 0.9, "eps2": 0.05, "t": 0, "delta": 0.01, "mode": "exact", "separation_c": 1.0},
+    "selfcorrect": _SELF_CORRECT,
+    "decompose": {"t": 0, "loop": "robust", "eps": 0.05, **_LEARNER},
+    "learn-extent": {"xi": 1.0, "eps_prime": 0.2, **_LEARNER},
+    "oracle": {"stab_dims": ()},
+    "bench": {"n": 10, "n_naive": 8},
+}
+COMMANDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -244,26 +250,38 @@ class ExperimentConfig:
     format: str = "jsonl"
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in PARAMS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
-        for key in ("gamma", "delta", "eps", "eps1", "eps2", "eps_prime"):
-            val = self.params.get(key)
-            if val is not None and not 0 < float(val) < 1:
-                raise ValueError(f"parameter {key} must lie in (0, 1)")
-        attempts = self.params.get("attempts")
-        if attempts is not None and int(attempts) < 1:
-            raise ValueError("parameter attempts must be >= 1")
-        theta = self.params.get("theta")
-        if theta is not None and not 0 < float(theta) <= 1:
-            raise ValueError("parameter theta must lie in (0, 1]")
-        unknown = sorted(set(self.params) - PARAM_KEYS[self.command])
+        if self.format not in FORMATS:
+            raise ValueError(f"unknown format {self.format!r}; allowed: {', '.join(FORMATS)}")
+        unknown = sorted(set(self.params) - set(PARAMS[self.command]))
         if unknown:
             raise ValueError(
                 f"unknown parameter(s) {', '.join(map(repr, unknown))} for command "
-                f"{self.command!r}; allowed: {', '.join(sorted(PARAM_KEYS[self.command]))}"
+                f"{self.command!r}; allowed: {', '.join(sorted(PARAMS[self.command]))}"
             )
+        p = self.resolved_params()
+        for key in ("gamma", "delta", "eps", "eps1", "eps2", "eps_prime"):
+            if key in p and not 0 < p[key] < 1:
+                raise ValueError(f"parameter {key} must lie in (0, 1)")
+        if "attempts" in p and p["attempts"] < 1:
+            raise ValueError("parameter attempts must be >= 1")
+        if "theta" in p and not 0 < p["theta"] <= 1:
+            raise ValueError("parameter theta must lie in (0, 1]")
+        if "loop" in p and p["loop"] not in LOOPS:
+            raise ValueError(f"parameter loop must be one of {', '.join(LOOPS)}, got {p['loop']!r}")
+        if self.command == "bench":
+            if p["n"] < 1:
+                raise ValueError("parameter n must be >= 1")
+            if not 1 <= p["n_naive"] <= p["n"]:
+                raise ValueError(f"parameter n_naive must lie in [1, n = {p['n']}]")
+            require_memory(p["n"], 8 * 4 ** p["n"])  # the 4^n expectation table
+
+    def resolved_params(self) -> dict:
+        """The command's params with every default filled in."""
+        return {k: type(d)(self.params.get(k, d)) for k, d in PARAMS[self.command].items()}
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
@@ -328,24 +346,17 @@ def build_id() -> str:
 # command implementations
 
 
-def _learner_from_params(params: dict, meta: dict):
-    name = params.get("learner", "bruteforce")
-    if name == "bruteforce":
+def _learner_from_params(p: dict, meta: dict):
+    if p["learner"] == "bruteforce":
         return base_learner_bruteforce()
-    if name == "self_correct":
-        oracle = _oracle_from_params(params, meta)
-        return base_learner_self_correct(
-            float(params.get("gamma", 0.5)),
-            float(params.get("delta", 0.05)),
-            oracle,
-            attempts=int(params.get("attempts", 32)),
-        )
-    raise ValueError(f"unknown learner {name!r}")
+    if p["learner"] == "self_correct":
+        oracle = _oracle_from_params(p, meta)
+        return base_learner_self_correct(p["gamma"], p["delta"], oracle, attempts=p["attempts"])
+    raise ValueError(f"unknown learner {p['learner']!r}")
 
 
-def _oracle_from_params(params: dict, meta: dict):
-    mode = params.get("oracle", "planted")
-    if mode == "planted":
+def _oracle_from_params(p: dict, meta: dict):
+    if p["oracle"] == "planted":
         # every plant's group; the pipeline picks one per residual
         groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta.get("plant_groups")
         if not groups:
@@ -354,17 +365,17 @@ def _oracle_from_params(params: dict, meta: dict):
             rref_basis_from_labels([PhasedPauli.from_string(s).label for s in group])
             for group in groups
         ))
-    if mode == "threshold-span":
-        return threshold_span_oracle(float(params.get("theta", 0.25)))
-    raise ValueError(f"unknown oracle mode {mode!r}")
+    if p["oracle"] == "threshold-span":
+        return threshold_span_oracle(p["theta"])
+    raise ValueError(f"unknown oracle mode {p['oracle']!r}")
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> dict:
-    params = config.params
+    p = config.resolved_params()
     rng = RngStream(config.seed).child("trial", trial).generator()
     ledger = CostLedger()
     if config.command == "bench":
-        return _bench(params), ledger
+        return _bench(p["n"], p["n_naive"]), ledger
     state_rng = RngStream(config.seed).child("state", trial).generator()
     psi, meta = gen_state(config.state, state_rng)
     out: dict = {"meta": meta}
@@ -372,65 +383,54 @@ def _run_trial(config: ExperimentConfig, trial: int) -> dict:
         fid, arg = bruteforce_stab_fidelity(psi)
         out.update(stab_fidelity=fid, argmax=arg.to_json())
     if config.command == "analyze":
-        metrics = gowers3_metrics(psi, params.get("mode", "exact"),
-                                  float(params.get("delta", 0.05)), rng, ledger)
+        metrics = gowers3_metrics(psi, p["mode"], p["delta"], rng, ledger)
         out.update(
             proxy=metrics.proxy, u3pow8=metrics.u3pow8, mode=metrics.mode
         )
     elif config.command == "test":
         verdict = tolerant_test(
-            psi, float(params.get("eps1", 0.9)), float(params.get("eps2", 0.05)),
-            int(params.get("t", 0)), float(params.get("delta", 0.01)),
-            rng, ledger, mode=params.get("mode", "exact"),
-            separation_c=float(params.get("separation_c", 1.0)),
+            psi, p["eps1"], p["eps2"], p["t"], p["delta"], rng, ledger,
+            mode=p["mode"], separation_c=p["separation_c"],
         )
         out.update(verdict=verdict)
     elif config.command == "selfcorrect":
-        oracle = _oracle_from_params(params, meta)
+        oracle = _oracle_from_params(p, meta)
         cand = self_correct(
-            psi, float(params.get("gamma", 0.5)), float(params.get("delta", 0.05)),
-            oracle, rng, ledger, attempts=int(params.get("attempts", 32)),
+            psi, p["gamma"], p["delta"], oracle, rng, ledger, attempts=p["attempts"]
         )
         out.update(candidate=cand.to_json())
         if psi.n <= 4:
             out.update(bruteforce_optimum=bruteforce_stab_fidelity(psi)[0])
     elif config.command == "decompose":
-        learner = _learner_from_params(params, meta)
-        t = int(params.get("t", 0))
-        mode = params.get("loop", "robust")
-        if mode == "error_free":
-            dec = iterate_error_free(psi, float(params.get("eps", 0.05)), learner, ledger, rng)
+        learner = _learner_from_params(p, meta)
+        if p["loop"] == "error_free":
+            dec = iterate_error_free(psi, p["eps"], learner, ledger, rng)
         else:
-            dec = decompose_stab_dim(psi, float(params.get("eps", 0.05)), t, learner, ledger, rng)
+            dec = decompose_stab_dim(psi, p["eps"], p["t"], learner, ledger, rng)
         out.update(decomposition=dec.to_json())
         if psi.n <= ORACLE_MAX_QUBITS and dec.residual is not None:
             out.update(
-                residual_stab_dim_fidelity=bruteforce_stab_dim_fidelity(dec.residual, t)
+                residual_stab_dim_fidelity=bruteforce_stab_dim_fidelity(dec.residual, p["t"])
             )
     elif config.command == "learn-extent":
-        learner = _learner_from_params(params, meta)
-        res = learn_low_extent(
-            psi, float(params.get("xi", 1.0)), float(params.get("eps_prime", 0.2)),
-            learner, ledger, rng,
-        )
+        learner = _learner_from_params(p, meta)
+        res = learn_low_extent(psi, p["xi"], p["eps_prime"], learner, ledger, rng)
         out.update(result=res.to_json())
     elif config.command == "oracle":
-        for t in params.get("stab_dims", []):
+        for t in p["stab_dims"]:
             out[f"stab_dim_fidelity_t{t}"] = bruteforce_stab_dim_fidelity(psi, int(t))
     else:  # pragma: no cover
         raise ValueError(f"unhandled command {config.command}")
     return out, ledger
 
 
-def _bench(params: dict) -> dict:
-    n_fast = int(params.get("n", 10))
-    n_naive = min(int(params.get("n_naive", 8)), n_fast)
+def _bench(n: int, n_naive: int) -> dict:
     rng = np.random.default_rng(0)
     out = {}
-    amps = rng.normal(size=1 << n_fast) + 1j * rng.normal(size=1 << n_fast)
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     t0 = time.perf_counter()
-    kernels.char_expectations(amps, n_fast)
+    kernels.char_expectations(amps, n)
     out["char_table_s"] = time.perf_counter() - t0
     p = np.abs(rng.normal(size=4 ** n_naive))
     p /= p.sum()
@@ -441,7 +441,7 @@ def _bench(params: dict) -> dict:
     kernels.xor_convolve_naive(p, p)
     out["naive_convolve_s"] = time.perf_counter() - t0
     out["convolve_speedup"] = out["naive_convolve_s"] / max(out["fast_convolve_s"], 1e-9)
-    out["n"] = n_fast
+    out["n"] = n
     out["n_naive"] = n_naive
     return out
 
@@ -492,7 +492,7 @@ def emit_results(records: list[ResultRecord], fmt: str, path: str) -> None:
         path.write_text("".join(line + "\n" for line in lines))
         return
     if fmt != "csv":
-        raise ValueError(f"unknown format {fmt!r}")
+        raise ValueError(f"unknown format {fmt!r}; allowed: {', '.join(FORMATS)}")
     rows = []
     for rec in records:
         flat: dict = {}

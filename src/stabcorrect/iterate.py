@@ -23,6 +23,7 @@ from .pauli import (
     stab_state_prep,
     stabilizer_inner_product,
 )
+from .selfcorrect import ATTEMPTS, self_correct
 from .statevec import (
     StateVector,
     bruteforce_stab_fidelity,
@@ -78,14 +79,12 @@ def base_learner_self_correct(
     gamma: float,
     delta: float,
     oracle,
-    attempts: int = 32,
+    attempts: int = ATTEMPTS,
     collect_t: int | None = None,
 ) -> BaseLearner:
     """Wrap the full pipeline as a base learner.  The fidelity floor as a
     function of the threshold has no pinned universal exponent; the promise
     is the threshold itself, clipped to [1e-9, 1]."""
-    from .selfcorrect import self_correct
-
     def learn(psi: StateVector, rng, ledger) -> StabilizerState:
         cand = self_correct(
             psi, gamma, delta, oracle, rng, ledger,

@@ -17,6 +17,7 @@ provides desk-scale presets that planted instances validate end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -87,6 +88,10 @@ class BsgParams:
         return self.zeta2 / 2.0
 
 
+# attempt budget of one self_correct call: the default here, in
+# iterate.base_learner_self_correct and in the harness's params table
+ATTEMPTS = 32
+
 PUBLISHED_C1 = 2**10 * 10**2
 PUBLISHED_C2 = 2**39 * 10**15
 
@@ -125,8 +130,6 @@ def published_bsg_params(gamma, delta=Fraction(1, 100)) -> PublishedBsgParams:
     rho3 = g**349 / (2560 * Fraction(PUBLISHED_C1) ** 3 * Fraction(PUBLISHED_C2) ** 5)
     width = g * rho3 / 20
     # shot counts sized so edge estimates resolve rho1/100
-    import math
-
     log_term = max(1.0, math.log(4.0 / float(d)))
     shots = Fraction(2 * 10**4) / rho1**2 * Fraction(int(math.ceil(log_term)))
     r = s = int(shots) if shots < 10**12 else 10**12  # representative, clamped
@@ -587,7 +590,7 @@ def self_correct(
     oracle,
     rng: np.random.Generator,
     ledger: CostLedger | None = None,
-    attempts: int = 32,
+    attempts: int = ATTEMPTS,
     collect_t: int | None = None,
 ) -> CandidateStabilizer:
     """Chain sampling, small-doubling collection, subgroup construction and
@@ -627,6 +630,8 @@ def tolerant_test(
     """
     if t < 0:
         raise ValueError("t must be >= 0")
+    if separation_c <= 0:
+        raise ValueError(f"separation_c must be > 0, got {separation_c}")
     yes_floor = 2.0 ** (-2 * t) * eps1**6
     no_ceiling = eps2 ** (1.0 / separation_c)
     if yes_floor <= no_ceiling:

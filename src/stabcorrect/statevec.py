@@ -32,6 +32,7 @@ from .pauli import (
     StabilizerState,
     apply_gates_dense,
     isotropic_subspaces,
+    statevector_of,
 )
 
 NORM_TOL = 1e-10
@@ -49,7 +50,6 @@ TABLE_BUILD_PEAK = 4.5
 class StateVector:
     n: int
     amps: np.ndarray
-    normalized: bool = True
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -57,12 +57,8 @@ class StateVector:
         if amps.shape != (1 << self.n,):
             raise ValueError("amplitude table must have 2^n entries")
         object.__setattr__(self, "amps", amps)
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
-            raise ValueError("state marked normalized is not")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        if abs(np.linalg.norm(amps) - 1.0) > NORM_TOL:
+            raise ValueError("state is not normalized")
 
 
 def basis_state(n: int) -> StateVector:
@@ -82,8 +78,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 
 
 def statevector_of_stab(state: StabilizerState) -> StateVector:
-    from .pauli import statevector_of
-
     return StateVector(state.n, statevector_of(state))
 
 
@@ -99,7 +93,7 @@ def apply_circuit(
     amps = apply_gates_dense(psi.amps, psi.n, circuit.gates)
     if ledger is not None:
         ledger.charge("apply_circuit", gates=len(circuit))
-    return StateVector(psi.n, amps, psi.normalized)
+    return StateVector(psi.n, amps)
 
 
 def require_memory(n: int, nbytes: int) -> None:
@@ -132,8 +126,6 @@ def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
     states, then keeps cumsum(q) in q's buffer.
     """
     if "qcum" not in psi._cache:
-        if not psi.normalized:
-            raise ValueError("tables require a normalized state")
         w2 = expectation_squares(psi)
         p = w2 / (1 << psi.n)
         triple = float((4.0 ** psi.n) * np.sum(p ** 3))

@@ -55,22 +55,18 @@ def t_state():
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     # the second factor occupies the higher qubit indices
-    return StateVector(
-        a.n + b.n, np.kron(b.amps, a.amps), a.normalized and b.normalized
-    )
+    return StateVector(a.n + b.n, np.kron(b.amps, a.amps))
 
 
 def apply_weyl(psi: StateVector, label: PauliLabel) -> StateVector:
     """Exact action of i^{|a&b|} X^a Z^b, through the package kernel."""
     if label.n != psi.n:
         raise ValueError("size mismatch")
-    return StateVector(psi.n, kernels.weyl_action(psi.amps, label.x, label.z), psi.normalized)
+    return StateVector(psi.n, kernels.weyl_action(psi.amps, label.x, label.z))
 
 
 def weyl_expectation(psi: StateVector, label: PauliLabel) -> float:
-    """<psi|W_x|psi>, real for normalized pure states, in [-1, 1]."""
-    if not psi.normalized:
-        raise ValueError("expectation values require a normalized state")
+    """<psi|W_x|psi>, real for pure states, in [-1, 1]."""
     val = np.vdot(psi.amps, apply_weyl(psi, label).amps)
     return float(val.real)
 
@@ -259,8 +255,6 @@ def measure_block(
     state".  Explicitly forcing a zero-probability branch raises.
     """
     block = tuple(block)
-    if not psi.normalized:
-        raise ValueError("measurement requires a normalized state")
     if ledger is not None:
         ledger.charge("measure", copies=1)
     if basis == "computational":

@@ -104,6 +104,19 @@ def test_package_reads_no_environment():
     assert not found, f"environment reads in the package: {found}"
 
 
+def test_package_imports_only_at_module_top():
+    # a function-level import hides a module's dependencies from its header
+    found = set()
+    for path in sorted(Path(stabcorrect.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {
+                    f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                }
+    assert not found, f"function-level imports in the package: {sorted(found)}"
+
+
 # Public functions that nothing in the package calls: documented user API or
 # helpers only the tests call.  A new entry fails here; move a test-only
 # helper into the tests, or fold it into the path that runs.

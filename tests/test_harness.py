@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,8 +165,61 @@ class TestConfig:
                 "params": {"learner": "self_correct", "oracle": "threshold-span", "eps": 0.05, "loop": "robust"},
             }
         )
-        read = set(re.findall(r'params\.get\("(\w+)"', inspect.getsource(harness)))
-        assert read == set().union(*harness.PARAM_KEYS.values())
+        read = set(re.findall(r'\bp\["(\w+)"\]', inspect.getsource(harness)))
+        assert read == {key for params in harness.PARAMS.values() for key in params}
+
+    @pytest.mark.parametrize("command", [c for c in harness.COMMANDS if c != "bench"])
+    def test_spelled_out_defaults_change_nothing(self, command):
+        state = {
+            "kind": "combo",
+            "n": 3,
+            "terms": [
+                {"coeff": [0.95, 0.0], "generators": ["+ZII", "+IZI", "+IIZ"]},
+                {"coeff": [0.3, 0.0], "generators": ["+XII", "+IXI", "+IIX"]},
+            ],
+        }
+
+        def outputs_and_ledger(params):
+            cfg = {"command": command, "state": state, "params": params, "seed": 3}
+            rec = run(ExperimentConfig.from_json(cfg))[0]
+            return rec.outputs, rec.ledger
+
+        assert outputs_and_ledger({}) == outputs_and_ledger(dict(harness.PARAMS[command]))
+
+    def test_unknown_loop_rejected(self):
+        with pytest.raises(ValueError, match="parameter loop .*'robustt'"):
+            ExperimentConfig.from_json({"command": "decompose", "params": {"loop": "robustt"}})
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="format 'xml'"):
+            ExperimentConfig.from_json(
+                {"command": "analyze", "state": {"kind": "haar", "n": 2}, "format": "xml"}
+            )
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"n": 0}, "n"),
+            ({"n": -1}, "n"),
+            ({"n": 6, "n_naive": 0}, "n_naive"),
+            ({"n": 6, "n_naive": 7}, "n_naive"),
+            ({"n": 6}, "n_naive"),  # the default n_naive, 8, exceeds n
+        ],
+    )
+    def test_bench_params_out_of_range_rejected(self, params, key):
+        with pytest.raises(ValueError, match=f"parameter {key} must"):
+            ExperimentConfig.from_json({"command": "bench", "params": params})
+
+    def test_bench_n_beyond_memory_refused_at_once(self):
+        # the 8 * 4^40-byte table is refused before anything is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"n = 40 needs \d+ bytes"):
+                ExperimentConfig.from_json({"command": "bench", "params": {"n": 40}})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestRun:

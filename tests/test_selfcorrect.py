@@ -434,6 +434,11 @@ class TestTolerantTest:
         with pytest.raises(ValueError):
             tolerant_test(t_state(), 0.5, 0.4, 0, 0.01)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_nonpositive_separation_rejected(self, c):
+        with pytest.raises(ValueError, match="separation_c must be > 0"):
+            tolerant_test(t_state(), 0.9, 0.05, 0, 0.01, separation_c=c)
+
     def test_sampled_agrees_with_exact(self):
         _, psi = stab_vec(["+ZI", "+IZ"])
         agree = 0

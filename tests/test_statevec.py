@@ -124,9 +124,8 @@ class TestExpectations:
         assert weyl_expectation(T, lab("Z")) == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_normalized(self):
-        un = StateVector(1, np.array([2.0, 0]), normalized=False)
-        with pytest.raises(ValueError):
-            weyl_expectation(un, lab("Z"))
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(1, [2, 0])
 
     def test_table_matches_singles(self, rng):
         psi = random_state(3, rng)
