@@ -24,7 +24,6 @@ from .pauli import (
     CliffordCircuit,
     PhasedPauli,
     StabilizerState,
-    apply_gates_dense,
     conjugate,
 )
 from .rng import RngStream
@@ -57,6 +56,9 @@ SCHEMA_VERSION = 1
 STATE_KINDS = ("basis", "random_stabilizer", "tdoped", "w_family", "combo", "haar")
 LOOPS = ("robust", "error_free")
 FORMATS = ("jsonl", "csv")
+LEARNERS = ("bruteforce", "self_correct")
+ORACLES = ("planted", "threshold-span")
+MODES = ("exact", "sampled")
 
 # each command's params and their defaults; any other key is rejected, and a
 # given value is coerced to its default's type
@@ -141,14 +143,6 @@ def _random_clifford_gates(n: int, rng: np.random.Generator, length: int):
     return gates
 
 
-def _apply_t_gate(amps: np.ndarray, q: int) -> np.ndarray:
-    idx = np.arange(amps.shape[0])
-    out = amps.copy()
-    hot = (idx >> q) & 1 == 1
-    out[idx[hot]] *= np.exp(1j * np.pi / 4)
-    return out
-
-
 def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, dict]:
     """Build the state plus ground-truth metadata (known stabilizer group,
     extent bound, plant components, as applicable)."""
@@ -168,9 +162,7 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
     if spec.kind == "random_stabilizer":
         gates = _random_clifford_gates(n, rng, 4 * n * n + 8)
         circuit = CliffordCircuit(n, tuple(gates))
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        amps = apply_gates_dense(amps, n, circuit.gates)
+        amps = kernels.apply_gates(kernels.zero_state(n), circuit.gates)
         zs = [PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(n)]
         meta = {
             "stab_fidelity": 1.0,
@@ -178,14 +170,13 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         }
         return StateVector(n, amps), meta
     if spec.kind == "tdoped":
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        segments = spec.t + 1
-        for seg in range(segments):
-            gates = _random_clifford_gates(n, rng, 2 * n * n + 4)
-            amps = apply_gates_dense(amps, n, gates)
-            if seg < spec.t:
-                amps = _apply_t_gate(amps, int(rng.integers(n)))
+        # t + 1 random Clifford segments with a T gate between each two,
+        # drawn in that order
+        gates = _random_clifford_gates(n, rng, 2 * n * n + 4)
+        for _ in range(spec.t):
+            gates.append(("T", (int(rng.integers(n)),)))
+            gates += _random_clifford_gates(n, rng, 2 * n * n + 4)
+        amps = kernels.apply_gates(kernels.zero_state(n), gates)
         meta = {
             "t_gates": spec.t,
             "extent_bound": (1.0 + 2.0 ** -0.5) ** spec.t,
@@ -270,8 +261,10 @@ class ExperimentConfig:
             raise ValueError("parameter attempts must be >= 1")
         if "theta" in p and not 0 < p["theta"] <= 1:
             raise ValueError("parameter theta must lie in (0, 1]")
-        if "loop" in p and p["loop"] not in LOOPS:
-            raise ValueError(f"parameter loop must be one of {', '.join(LOOPS)}, got {p['loop']!r}")
+        choice_params = {"loop": LOOPS, "learner": LEARNERS, "oracle": ORACLES, "mode": MODES}
+        for key, choices in choice_params.items():
+            if key in p and p[key] not in choices:
+                raise ValueError(f"parameter {key} must be one of {', '.join(choices)}, got {p[key]!r}")
         if self.command == "bench":
             if p["n"] < 1:
                 raise ValueError("parameter n must be >= 1")
@@ -349,28 +342,24 @@ def build_id() -> str:
 def _learner_from_params(p: dict, meta: dict):
     if p["learner"] == "bruteforce":
         return base_learner_bruteforce()
-    if p["learner"] == "self_correct":
-        oracle = _oracle_from_params(p, meta)
-        return base_learner_self_correct(p["gamma"], p["delta"], oracle, attempts=p["attempts"])
-    raise ValueError(f"unknown learner {p['learner']!r}")
+    oracle = _oracle_from_params(p, meta)
+    return base_learner_self_correct(p["gamma"], p["delta"], oracle, attempts=p["attempts"])
 
 
 def _oracle_from_params(p: dict, meta: dict):
-    if p["oracle"] == "planted":
-        # every plant's group; the pipeline picks one per residual
-        groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta.get("plant_groups")
-        if not groups:
-            raise ValueError("planted oracle needs ground-truth group metadata")
-        return planted_oracle(*(
-            rref_basis_from_labels([PhasedPauli.from_string(s).label for s in group])
-            for group in groups
-        ))
     if p["oracle"] == "threshold-span":
         return threshold_span_oracle(p["theta"])
-    raise ValueError(f"unknown oracle mode {p['oracle']!r}")
+    # planted: every plant's group; the pipeline picks one per residual
+    groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta.get("plant_groups")
+    if not groups:
+        raise ValueError("planted oracle needs ground-truth group metadata")
+    return planted_oracle(*(
+        rref_basis_from_labels([PhasedPauli.from_string(s).label for s in group])
+        for group in groups
+    ))
 
 
-def _run_trial(config: ExperimentConfig, trial: int) -> dict:
+def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
     p = config.resolved_params()
     rng = RngStream(config.seed).child("trial", trial).generator()
     ledger = CostLedger()
@@ -459,7 +448,7 @@ def run(config: ExperimentConfig) -> list[ResultRecord]:
             config.to_json(),
             trial,
             outputs,
-            ledger.to_json() if isinstance(ledger, CostLedger) else {},
+            ledger.to_json(),
             time.perf_counter() - t0,
             build_id(),
         )

@@ -1,6 +1,6 @@
-"""Hot numeric kernels: the Weyl action on a dense vector, Walsh-Hadamard
-transforms, the 4^n table of Weyl operator expectations, and the XOR
-self-convolution of a table (with its quadratic reference).
+"""Hot numeric kernels: gate lists and the Weyl action on dense arrays,
+Walsh-Hadamard transforms, the 4^n table of Weyl operator expectations, and
+the XOR self-convolution of a table (with its quadratic reference).
 
 Bit conventions (used consistently across the package):
   - qubit q of a basis-state index is bit q (little-endian),
@@ -17,6 +17,54 @@ g_a(j) = conj(psi[j^a]) * psi[j], giving an O(4^n n) algorithm overall.
 from __future__ import annotations
 
 import numpy as np
+
+
+def zero_state(n: int) -> np.ndarray:
+    """Dense amplitudes of |0...0> on n qubits."""
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
+_H_SCALE = np.sqrt(0.5)
+_T_PHASE = np.exp(1j * np.pi / 4)
+
+
+def apply_gates(amps: np.ndarray, gates) -> np.ndarray:
+    """Gates (name, qubits) from H, S, T, CNOT (control, target), X and Z,
+    applied in order to the leading axis of a copy of ``amps``, whose length
+    is 2^n; trailing axes are a batch.  Each gate acts on half-views of the
+    copy reshaped around its qubits, with no index arrays."""
+    out = np.array(amps, dtype=complex, order="C")
+    dim, inner = out.shape[0], out[:1].size
+    for name, qs in gates:
+        if name == "CNOT":
+            c, t = qs
+            hi, lo = max(c, t), min(c, t)
+            v = out.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, inner << lo)
+            # the halves of the target bit where the control bit is set
+            a, b = (v[:, 1, :, 0], v[:, 1, :, 1]) if c > t else (v[:, 0, :, 1], v[:, 1, :, 1])
+            a[...], b[...] = b, a.copy()
+            continue
+        (q,) = qs
+        v = out.reshape(dim >> (q + 1), 2, inner << q)
+        a, b = v[:, 0], v[:, 1]
+        if name == "H":
+            s = a + b
+            np.subtract(a, b, out=b)
+            np.multiply(s, _H_SCALE, out=a)
+            b *= _H_SCALE
+        elif name == "S":
+            b *= 1j
+        elif name == "T":
+            b *= _T_PHASE
+        elif name == "X":
+            a[...], b[...] = b, a.copy()
+        elif name == "Z":
+            np.negative(b, out=b)
+        else:
+            raise ValueError(f"unknown gate {name!r}")
+    return out
 
 
 def weyl_action(amps: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -377,45 +377,6 @@ def synthesize_circuit(tableau: CliffordTableau) -> CliffordCircuit:
 
 
 # ---------------------------------------------------------------------------
-# dense simulation helpers (shared with the statevector module)
-
-
-def apply_gate_dense(amps: np.ndarray, n: int, name: str, qs: tuple[int, ...]) -> np.ndarray:
-    out = amps.copy()
-    if name == "CNOT":
-        c, t = qs
-        idx = np.arange(out.shape[0])
-        sel = (idx >> c) & 1 == 1
-        out[idx[sel]] = amps[idx[sel] ^ (1 << t)]
-        return out
-    (q,) = qs
-    idx = np.arange(out.shape[0])
-    hi = (idx >> q) & 1 == 1
-    if name == "H":
-        lo_idx = idx[~hi]
-        hi_idx = lo_idx | (1 << q)
-        a0, a1 = amps[lo_idx], amps[hi_idx]
-        r = np.sqrt(0.5)
-        out[lo_idx] = r * (a0 + a1)
-        out[hi_idx] = r * (a0 - a1)
-    elif name == "S":
-        out[idx[hi]] = 1j * amps[idx[hi]]
-    elif name == "X":
-        out[idx] = amps[idx ^ (1 << q)]
-    elif name == "Z":
-        out[idx[hi]] = -amps[idx[hi]]
-    else:
-        raise ValueError(f"unknown gate {name!r}")
-    return out
-
-
-def apply_gates_dense(amps: np.ndarray, n: int, gates) -> np.ndarray:
-    for name, qs in gates:
-        amps = apply_gate_dense(amps, n, name, qs)
-    return amps
-
-
-# ---------------------------------------------------------------------------
 # stabilizer states
 
 _OMEGA_BLOCK = (("H", (0,)), ("S", (0,)), ("H", (0,)), ("S", (0,)), ("H", (0,)), ("S", (0,)))
@@ -459,19 +420,24 @@ class StabilizerState:
     def sort_key(self) -> tuple[str, ...]:
         return tuple(sorted(g.to_string() for g in self.generators))
 
+    def _prep(self) -> tuple[CliffordCircuit, np.ndarray]:
+        """The preparation circuit with its omega block and the canonical
+        vector, from one reduction and one dense preparation per state."""
+        if "prep" not in self._cache:
+            red = _Reducer(self.n, list(self.generators))
+            red.reduce_isotropic(list(range(self.n)), 0)
+            gates = CliffordCircuit(self.n, tuple(red.gates)).inverse().gates
+            amps = kernels.apply_gates(kernels.zero_state(self.n), gates)
+            factor = _canonical_phase_factor(amps)
+            k = int(round((np.angle(factor) / (np.pi / 4)) % 8))
+            if abs(factor - np.exp(1j * np.pi * k / 4)) > 1e-9:
+                raise AssertionError("prep phase is not an 8th root of unity")
+            circuit = CliffordCircuit(self.n, gates + _OMEGA_BLOCK * k)
+            self._cache["prep"] = circuit, amps * factor
+        return self._cache["prep"]
+
     def __repr__(self):
         return f"StabilizerState({self.to_json()})"
-
-
-def _unphased_prep(state: StabilizerState) -> tuple[CliffordCircuit, np.ndarray]:
-    n = state.n
-    red = _Reducer(n, list(state.generators))
-    red.reduce_isotropic(list(range(n)), 0)
-    circuit = CliffordCircuit(n, tuple(red.gates)).inverse()
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
-    amps = apply_gates_dense(amps, n, circuit.gates)
-    return circuit, amps
 
 
 def _canonical_phase_factor(amps: np.ndarray) -> complex:
@@ -482,22 +448,13 @@ def _canonical_phase_factor(amps: np.ndarray) -> complex:
 
 def statevector_of(state: StabilizerState) -> np.ndarray:
     """Dense amplitudes under the global-phase convention."""
-    if "vec" not in state._cache:
-        _, amps = _unphased_prep(state)
-        state._cache["vec"] = amps * _canonical_phase_factor(amps)
-    return state._cache["vec"]
+    return state._prep()[1]
 
 
 def stab_state_prep(state: StabilizerState) -> CliffordCircuit:
     """Circuit mapping |0...0> to the stabilized state, convention phase
     included (an omega = exp(i pi/4) global factor is a 6-gate H/S block)."""
-    circuit, amps = _unphased_prep(state)
-    factor = _canonical_phase_factor(amps)
-    k = int(round((np.angle(factor) / (np.pi / 4)) % 8))
-    if abs(factor - np.exp(1j * np.pi * k / 4)) > 1e-9:
-        raise AssertionError("prep phase is not an 8th root of unity")
-    gates = circuit.gates + _OMEGA_BLOCK * k
-    return CliffordCircuit(state.n, gates)
+    return state._prep()[0]
 
 
 def stabilizer_inner_product(s1: StabilizerState, s2: StabilizerState) -> complex:

@@ -30,7 +30,6 @@ from .pauli import (
     CliffordCircuit,
     PhasedPauli,
     StabilizerState,
-    apply_gates_dense,
     isotropic_subspaces,
     statevector_of,
 )
@@ -63,9 +62,7 @@ class StateVector:
 
 def basis_state(n: int) -> StateVector:
     """|0...0> on n qubits."""
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n, amps)
+    return StateVector(n, kernels.zero_state(n))
 
 
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
@@ -90,7 +87,7 @@ def apply_circuit(
 ) -> StateVector:
     if circuit.n != psi.n:
         raise ValueError("size mismatch")
-    amps = apply_gates_dense(psi.amps, psi.n, circuit.gates)
+    amps = kernels.apply_gates(psi.amps, circuit.gates)
     if ledger is not None:
         ledger.charge("apply_circuit", gates=len(circuit))
     return StateVector(psi.n, amps)
@@ -233,9 +230,8 @@ def hadamard_test_estimate(
     prep_b: StateVector,
     eps: float,
     delta: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     ledger: CostLedger | None = None,
-    exact: bool = False,
 ) -> complex:
     """Estimate <a|b> within eps per real/imaginary part, w.p. >= 1 - delta.
 
@@ -244,10 +240,6 @@ def hadamard_test_estimate(
     The ledger is charged the exact shot count, also beyond int64.
     """
     val = overlap(prep_a, prep_b)
-    if exact:
-        return val
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
     shots = int(np.ceil(2.0 * np.log(4.0 / delta) / eps**2))
     re = binomial_estimate(val.real, shots, rng)
     im = binomial_estimate(val.imag, shots, rng)

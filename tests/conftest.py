@@ -12,7 +12,6 @@ from stabcorrect.pauli import (
     _Reducer,
     PhasedPauli,
     StabilizerState,
-    apply_gates_dense,
     canonicalize_subgroup,
     isotropic_subspaces,
     signed_statevectors,
@@ -69,6 +68,37 @@ def weyl_expectation(psi: StateVector, label: PauliLabel) -> float:
     """<psi|W_x|psi>, real for pure states, in [-1, 1]."""
     val = np.vdot(psi.amps, apply_weyl(psi, label).amps)
     return float(val.real)
+
+
+GATE_MATRICES = {
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+    "S": np.diag([1, 1j]),
+    "T": np.diag([1, np.exp(1j * np.pi / 4)]),
+    "X": np.array([[0, 1], [1, 0]]),
+    "Z": np.diag([1, -1]),
+    # basis order |control, target>
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+}
+
+
+def gate_matrix(name: str, qs: tuple[int, ...], n: int) -> np.ndarray:
+    """Dense matrix of one gate on n qubits: each entry m[r, c] of its
+    explicit matrix, with qs[0] the leading bit of r and c, contributes
+    m[r, c] times the Kronecker product of |r_q><c_q| on the gate's qubits
+    and the identity elsewhere, qubit n - 1 first."""
+    m, k = GATE_MATRICES[name], len(qs)
+    out = np.zeros((1 << n, 1 << n), dtype=complex)
+    for r, c in zip(*np.nonzero(m)):
+        facs = []
+        for q in range(n - 1, -1, -1):
+            e = np.eye(2)
+            if q in qs:
+                bit = k - 1 - qs.index(q)
+                e = np.zeros((2, 2))
+                e[(r >> bit) & 1, (c >> bit) & 1] = 1.0
+            facs.append(e)
+        out += m[r, c] * reduce(np.kron, facs)
+    return out
 
 
 def weyl_matrix(p: PhasedPauli) -> np.ndarray:
@@ -136,7 +166,6 @@ def stabilizer_state_matrix(n):
                 for i, v in enumerate(rows)
             )
             st = StabilizerState(n, gens)
-            st._cache["vec"] = vec
             states.append(st)
             vecs.append(vec)
     order = sorted(range(len(states)), key=lambda i: states[i].sort_key())
@@ -170,7 +199,7 @@ def rotation_stab_dim_fidelity(states, t):
     for rows in isotropic_subspaces(n, n - t):
         labels = [PauliLabel.from_vector(n, int(v)) for v in rows]
         circuit, _, _ = canonicalize_subgroup(labels, center_tail=True)
-        rotated = apply_gates_dense(amps, n, circuit.gates)
+        rotated = kernels.apply_gates(amps, circuit.gates)
         weights = (np.abs(rotated.reshape(1 << (n - t), 1 << t, -1)) ** 2).sum(axis=1)
         best = np.maximum(best, weights.max(axis=0))
     return best

@@ -138,7 +138,6 @@ UNSET_PUBLIC_OPTIONS = {
     "selfcorrect.bsg_test.exact",
     "selfcorrect.find_high_stab_dim.ledger",
     "selfcorrect.published_bsg_params.delta",
-    "statevec.hadamard_test_estimate.exact",
 }
 
 

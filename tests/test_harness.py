@@ -190,6 +190,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="parameter loop .*'robustt'"):
             ExperimentConfig.from_json({"command": "decompose", "params": {"loop": "robustt"}})
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("decompose", "learner", "bruteforc"),
+            ("learn-extent", "learner", "self-correct"),
+            ("selfcorrect", "oracle", "plantd"),
+            ("decompose", "oracle", "threshold_span"),
+            ("analyze", "mode", "exakt"),
+            ("test", "mode", "sample"),
+        ],
+    )
+    def test_unknown_choice_rejected(self, command, key, value):
+        # refused by the config itself, before any state is generated
+        with pytest.raises(ValueError, match=f"parameter {key} .*'{value}'"):
+            ExperimentConfig.from_json(
+                {"command": command, "state": {"kind": "haar", "n": 2}, "params": {key: value}}
+            )
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format 'xml'"):
             ExperimentConfig.from_json(

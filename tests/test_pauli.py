@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from stabcorrect import kernels
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_product_vec
 from stabcorrect.pauli import (
     CliffordCircuit,
     CliffordTableau,
     PhasedPauli,
     StabilizerState,
-    apply_gates_dense,
     canonicalize_subgroup,
     conjugate,
     isotropic_subspaces,
@@ -20,7 +20,7 @@ from stabcorrect.pauli import (
     synthesize_circuit,
     tableau_from_circuit,
 )
-from stabcorrect.pauli import _conj_gate
+from stabcorrect.pauli import _conj_gate, _Reducer
 
 from conftest import (
     clifford_from_anticommuting_pair,
@@ -45,7 +45,7 @@ GATES_1Q = {"H": H, "S": S, "X": X, "Z": Z}
 
 def circuit_matrix(circ: CliffordCircuit) -> np.ndarray:
     # column j is the circuit applied to basis state j
-    return apply_gates_dense(np.eye(1 << circ.n, dtype=complex), circ.n, circ.gates)
+    return kernels.apply_gates(np.eye(1 << circ.n, dtype=complex), circ.gates)
 
 
 class TestProduct:
@@ -339,19 +339,32 @@ class TestStabilizerStates:
 
     def test_prep_bell(self):
         st = StabilizerState(2, (pp("+XX"), pp("+ZZ")))
-        vec = np.zeros(4, dtype=complex)
-        vec[0] = 1.0
-        out = apply_gates_dense(vec, 2, stab_state_prep(st).gates)
+        out = kernels.apply_gates(kernels.zero_state(2), stab_state_prep(st).gates)
         assert np.allclose(out, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_prep_matches_convention_random(self, rng):
-        states = enumerate_stabilizer_states(2)
+        # against the catalog's vectors, built by Weyl shifts, not by the prep
+        states, matrix = stabilizer_state_matrix(2)
         for idx in rng.choice(len(states), size=40, replace=False):
-            st = states[int(idx)]
-            vec = np.zeros(4, dtype=complex)
-            vec[0] = 1.0
-            out = apply_gates_dense(vec, 2, stab_state_prep(st).gates)
-            assert np.allclose(out, statevector_of(st), atol=1e-12)
+            out = kernels.apply_gates(kernels.zero_state(2), stab_state_prep(states[idx]).gates)
+            assert np.allclose(out, matrix[idx], atol=1e-12)
+
+    def test_reduced_and_prepared_once(self, monkeypatch):
+        # the vector and the circuit come from one reduction of the generators
+        calls = []
+        reduce = _Reducer.reduce_isotropic
+
+        def counted(self, *args):
+            calls.append(args)
+            return reduce(self, *args)
+
+        monkeypatch.setattr(_Reducer, "reduce_isotropic", counted)
+        st = StabilizerState(2, (pp("+XX"), pp("-ZZ")))
+        vec = statevector_of(st)
+        circ = stab_state_prep(st)
+        assert len(calls) == 1
+        out = kernels.apply_gates(kernels.zero_state(2), circ.gates)
+        assert np.allclose(out, vec, rtol=0, atol=1e-12)
 
     def test_statevector_stabilized(self, rng):
         states = enumerate_stabilizer_states(2)

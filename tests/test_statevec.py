@@ -339,7 +339,7 @@ class TestBinomialEstimate:
 class TestHadamardTest:
     def test_exact(self):
         plus = StateVector(1, np.array([SQ2, SQ2]))
-        val = hadamard_test_estimate(basis_state(1), plus, 0.1, 0.1, exact=True)
+        val = overlap(basis_state(1), plus)
         assert val == pytest.approx(SQ2)
 
     def test_self_overlap(self, rng):
