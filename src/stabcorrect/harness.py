@@ -41,6 +41,7 @@ from .statevec import (
     gowers3_metrics,
     random_state,
     require_memory,
+    stab_combination,
     statevector_of_stab,
 )
 from .iterate import (
@@ -78,6 +79,18 @@ PARAMS = {
 COMMANDS = tuple(PARAMS)
 
 
+def _coerce(name: str, default, value):
+    """``value`` as ``default``'s type; an int field, or each entry of a tuple
+    one, takes only integral values (otherwise ValueError naming the field)."""
+    if isinstance(default, tuple):
+        return tuple(_coerce(name, 0, v) for v in value)
+    if not isinstance(default, int):
+        return type(default)(value)
+    if isinstance(value, (int, np.integer, float)) and not isinstance(value, bool) and value % 1 == 0:
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StateSpec:
     kind: str
@@ -90,6 +103,9 @@ class StateSpec:
     def __post_init__(self):
         if self.kind not in STATE_KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}")
+        for name in ("n", "t", "m", "index"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _coerce(f"state {name}", 0, value))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         require_memory(self.n, 16 << self.n)  # the 2^n complex amplitudes
@@ -111,8 +127,7 @@ class StateSpec:
                 for t in data["terms"]
             )
         return StateSpec(
-            data["kind"], int(data["n"]), data.get("t"), data.get("m"),
-            int(data.get("index", 0)), terms,
+            data["kind"], data["n"], data.get("t"), data.get("m"), data.get("index", 0), terms
         )
 
     def to_json(self) -> dict:
@@ -199,16 +214,12 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         }
         return StateVector(n, amps), meta
     if spec.kind == "combo":
-        amps = np.zeros(1 << n, dtype=complex)
-        plants = []
-        coeff_mass = 0.0
-        for re, im, gens in spec.terms:
-            st = StabilizerState.from_json(list(gens))
-            if st.n != n:
-                raise ValueError("combo term qubit count mismatch")
-            amps += complex(re, im) * statevector_of_stab(st).amps
-            plants.append(st)
-            coeff_mass += abs(complex(re, im))
+        coeffs = [complex(re, im) for re, im, _ in spec.terms]
+        plants = [StabilizerState.from_json(list(gens)) for _, _, gens in spec.terms]
+        if any(st.n != n for st in plants):
+            raise ValueError("combo term qubit count mismatch")
+        amps = stab_combination(n, zip(coeffs, plants))
+        coeff_mass = sum(abs(c) for c in coeffs)
         norm = float(np.linalg.norm(amps))
         if norm < 1e-12:
             raise ValueError("combo coefficients produce the zero vector")
@@ -243,8 +254,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.command not in PARAMS:
             raise ValueError(f"unknown command {self.command!r}")
+        for name in ("trials", "seed"):
+            object.__setattr__(self, name, _coerce(name, 0, getattr(self, name)))
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; allowed: {', '.join(FORMATS)}")
         unknown = sorted(set(self.params) - set(PARAMS[self.command]))
@@ -271,17 +286,20 @@ class ExperimentConfig:
             if not 1 <= p["n_naive"] <= p["n"]:
                 raise ValueError(f"parameter n_naive must lie in [1, n = {p['n']}]")
             require_memory(p["n"], 8 * 4 ** p["n"])  # the 4^n expectation table
+        elif self.state is None:
+            raise ValueError(f"command {self.command!r} needs a state")
 
     def resolved_params(self) -> dict:
         """The command's params with every default filled in."""
-        return {k: type(d)(self.params.get(k, d)) for k, d in PARAMS[self.command].items()}
+        defaults = PARAMS[self.command]
+        return {k: _coerce(f"parameter {k}", d, self.params.get(k, d)) for k, d in defaults.items()}
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
         state = StateSpec.from_json(data["state"]) if data.get("state") else None
         return ExperimentConfig(
             data["command"], state, dict(data.get("params", {})),
-            int(data.get("trials", 1)), int(data.get("seed", 0)),
+            data.get("trials", 1), data.get("seed", 0),
             data.get("out"), data.get("format", "jsonl"),
         )
 
@@ -407,7 +425,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
         out.update(result=res.to_json())
     elif config.command == "oracle":
         for t in p["stab_dims"]:
-            out[f"stab_dim_fidelity_t{t}"] = bruteforce_stab_dim_fidelity(psi, int(t))
+            out[f"stab_dim_fidelity_t{t}"] = bruteforce_stab_dim_fidelity(psi, t)
     else:  # pragma: no cover
         raise ValueError(f"unhandled command {config.command}")
     return out, ledger

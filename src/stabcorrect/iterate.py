@@ -17,12 +17,7 @@ import numpy as np
 
 from .errors import CoefficientPrefixExhausted, ResidualVanished, SelfCorrectionFailed
 from .ledger import CostLedger
-from .pauli import (
-    CliffordCircuit,
-    StabilizerState,
-    stab_state_prep,
-    stabilizer_inner_product,
-)
+from .pauli import StabilizerState, stabilizer_inner_product
 from .selfcorrect import ATTEMPTS, self_correct
 from .statevec import (
     StateVector,
@@ -31,6 +26,7 @@ from .statevec import (
     hadamard_test_estimate,
     lcu_residual,
     overlap,
+    stab_combination,
     statevector_of_stab,
 )
 
@@ -123,10 +119,7 @@ class Decomposition:
             raise ValueError("iteration count disagrees with the term list")
 
     def structured_vector(self) -> np.ndarray:
-        out = np.zeros(1 << self.n, dtype=complex)
-        for beta, phi in self.terms:
-            out += beta * statevector_of_stab(phi).amps
-        return out
+        return stab_combination(self.n, self.terms)
 
     def reconstruction(self) -> np.ndarray:
         out = self.structured_vector()
@@ -225,14 +218,13 @@ def _iterate(
     schedule = ErrorSchedule(eta)
     t_max = int(np.ceil(budget / eta**2)) + slack
     phis: list[StabilizerState] = []
-    preps: list[CliffordCircuit] = []
-    vecs: list[StateVector] = []
     cross: list[list[complex]] = []  # cross[j][i] = <phi_j|phi_i>, i < j
     betas: list[complex] = []
     history: list[list[complex]] = []
     alpha = 1.0
     residual = psi
     unnorm = psi.amps
+    norm = float(np.linalg.norm(unnorm))
     stop = STOP_BUDGET
     for t in range(1, t_max + 1):
         if alpha**2 < eps:
@@ -240,7 +232,7 @@ def _iterate(
             break
         if t > 1:
             try:
-                residual, _ = lcu_residual(psi, preps, betas, alpha, ledger)
+                residual, _ = lcu_residual(psi, phis, betas, alpha, ledger)
             except ResidualVanished:
                 stop = STOP_TOMOGRAPHY
                 break
@@ -255,25 +247,24 @@ def _iterate(
             stop = STOP_LEARNER
             break
         phis.append(phi)
-        preps.append(stab_state_prep(phi))
-        vecs.append(statevector_of_stab(phi))
         cross.append([stabilizer_inner_product(phi, phis[i]) for i in range(t - 1)])
         tol_t = schedule.tolerance(t)
         betas = []
-        for j in range(t):
-            true_val = overlap(vecs[j], psi)
+        for j, vec in enumerate(map(statevector_of_stab, phis)):
+            true_val = overlap(vec, psi)
             if estimator == "exact":
                 zeta = true_val
             elif estimator == "hadamard":
-                zeta = hadamard_test_estimate(vecs[j], psi, tol_t, EST_FAIL, rng, ledger)
+                zeta = hadamard_test_estimate(vec, psi, tol_t, EST_FAIL, rng, ledger)
             else:
                 zeta = estimator(j + 1, t, true_val, tol_t)
             for i in range(j):
                 zeta = zeta - betas[i] * cross[j][i]
             betas.append(zeta)
         history.append(list(betas))
-        prev_unnorm = unnorm
-        unnorm = psi.amps - sum(b * v.amps for b, v in zip(betas, vecs))
+        prev_norm = norm
+        unnorm = psi.amps - stab_combination(psi.n, zip(betas, phis))
+        norm = float(np.linalg.norm(unnorm))
         try:
             cs, _, alphas = recompute_coeffs(betas)
         except CoefficientPrefixExhausted:
@@ -281,20 +272,15 @@ def _iterate(
             break
         if estimator == "exact":
             # progress identity: the removed mass is |c_t|^2 prod_{j<t} r_j^2
-            drop = np.linalg.norm(prev_unnorm) ** 2 - np.linalg.norm(unnorm) ** 2
-            if abs(drop - abs(cs[-1]) ** 2 * alphas[-2] ** 2) > PROGRESS_TOL:
+            if abs(prev_norm**2 - norm**2 - abs(cs[-1]) ** 2 * alphas[-2] ** 2) > PROGRESS_TOL:
                 raise AssertionError("progress identity violated")
-            new_norm = float(np.linalg.norm(unnorm))
-            if new_norm <= ZERO_RESIDUAL_TOL:
+            if norm <= ZERO_RESIDUAL_TOL:
                 stop = STOP_TOMOGRAPHY
                 break
-            if abs(overlap(vecs[-1], StateVector(psi.n, unnorm / new_norm))) > 1e-10:
+            if abs(overlap(statevector_of_stab(phi), StateVector(psi.n, unnorm / norm))) > 1e-10:
                 raise AssertionError("residual is not orthogonal to the new term")
         alpha = alphas[-1]
-    norm = float(np.linalg.norm(unnorm))
-    residual_state = (
-        StateVector(psi.n, unnorm / norm) if norm > ZERO_RESIDUAL_TOL else None
-    )
+    residual_state = StateVector(psi.n, unnorm / norm) if norm > ZERO_RESIDUAL_TOL else None
     dec = Decomposition(
         psi.n,
         list(zip(betas, phis)),
@@ -427,21 +413,14 @@ def mimic_compare(dec: Decomposition, targets, xi: float) -> MimicReport:
     with sum |c_i| <= xi.  Each deviation obeys sum|c_i| * sqrt(eps); the
     fidelity gap over the whole class obeys 3 * xi * sqrt(eps)."""
     structured = dec.structured_vector()
-    residual_part = (
-        dec.residual_norm * dec.residual.amps
-        if dec.residual is not None
-        else np.zeros_like(structured)
-    )
-    psi_amps = structured + residual_part
+    psi_amps = dec.reconstruction()
     root_eps = float(np.sqrt(dec.eps))
     entries = []
     for coeffs, stabs in targets:
         csum = sum(abs(c) for c in coeffs)
         if csum > xi + 1e-9:
             raise ValueError("target coefficient mass exceeds the declared extent")
-        tvec = np.zeros_like(structured)
-        for c, st in zip(coeffs, stabs):
-            tvec += c * statevector_of_stab(st).amps
+        tvec = stab_combination(dec.n, zip(coeffs, stabs))
         deviation = abs(np.vdot(tvec, psi_amps) - np.vdot(tvec, structured))
         entries.append(
             {

@@ -346,10 +346,10 @@ def pfr_subgroup(
 ) -> SubgroupV:
     """Span of the pairwise sums that lie in the covering subgroup ``basis``.
 
-    Fewer than n + 1 distinct accepted sums raises the failure sentinel.
+    Fewer than n + 1 distinct accepted sums (one sample gives only 0) raises the failure sentinel.
     """
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
+    if not samples:
+        raise ValueError("need at least one sample")
     n = samples[0].n
     vecs = [s.to_vector() for s in samples]
     sums = {a ^ b for i, a in enumerate(vecs) for b in vecs[i:]}

@@ -31,6 +31,7 @@ from .pauli import (
     PhasedPauli,
     StabilizerState,
     isotropic_subspaces,
+    stab_state_prep,
     statevector_of,
 )
 
@@ -60,11 +61,6 @@ class StateVector:
             raise ValueError("state is not normalized")
 
 
-def basis_state(n: int) -> StateVector:
-    """|0...0> on n qubits."""
-    return StateVector(n, kernels.zero_state(n))
-
-
 def random_state(n: int, rng: np.random.Generator) -> StateVector:
     raw = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector(n, raw / np.linalg.norm(raw))
@@ -76,6 +72,14 @@ def overlap(a: StateVector, b: StateVector) -> complex:
 
 def statevector_of_stab(state: StabilizerState) -> StateVector:
     return StateVector(state.n, statevector_of(state))
+
+
+def stab_combination(n: int, terms) -> np.ndarray:
+    """sum_j c_j |phi_j> over (c_j, phi_j) pairs, from each state's cached vector."""
+    out = np.zeros(1 << n, dtype=complex)
+    for c, phi in terms:
+        out += c * statevector_of(phi)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +254,7 @@ def hadamard_test_estimate(
 
 def lcu_residual(
     psi: StateVector,
-    circuits: list[CliffordCircuit],
+    terms: list[StabilizerState],
     coeffs: list[complex],
     alpha: float,
     ledger: CostLedger | None = None,
@@ -259,26 +263,23 @@ def lcu_residual(
     postselection; returns the normalized residual and the exact success
     probability (||V|0>|| / ||a||_1)^2 with ||a||_1 = (1 + sum|beta_j|)/alpha.
 
+    The residual comes from the terms' cached vectors; the postselection is
+    charged, not run: ceil(1/success) attempts, each querying psi's and every
+    term's controlled preparation and running every term's circuit.
+
     A residual norm below ``RESIDUAL_TOL`` raises ResidualVanished: the
     running expansion already reproduces the state.
     """
     if alpha <= 0:
         raise ValueError("normalizer must be positive")
-    resid = psi.amps.copy()
-    zero = basis_state(psi.n)
-    for beta, circ in zip(coeffs, circuits):
-        resid = resid - beta * apply_circuit(zero, circ).amps
+    resid = psi.amps - stab_combination(psi.n, zip(coeffs, terms))
     rnorm = float(np.linalg.norm(resid))
     a1 = (1.0 + sum(abs(b) for b in coeffs)) / alpha
     success = (rnorm / alpha / a1) ** 2
     if ledger is not None:
         attempts = int(np.ceil(1.0 / success)) if success > 0 else 0
-        gates = sum(len(c) for c in circuits)
-        ledger.charge(
-            "lcu",
-            queries_conU=attempts * (1 + len(circuits)),
-            gates=attempts * gates,
-        )
+        gates = attempts * sum(len(stab_state_prep(phi)) for phi in terms)
+        ledger.charge("lcu", queries_conU=attempts * (1 + len(terms)), gates=gates)
     if rnorm < RESIDUAL_TOL:
         raise ResidualVanished(f"residual norm {rnorm:.2e} below tolerance")
     return StateVector(psi.n, resid / rnorm), success

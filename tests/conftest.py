@@ -44,6 +44,11 @@ def random_circuit(n, rng, length=None):
     return CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, length)))
 
 
+def basis_state(n: int) -> StateVector:
+    """|0...0> on n qubits."""
+    return StateVector(n, kernels.zero_state(n))
+
+
 def t_state():
     return StateVector(1, np.array([1.0, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
 

@@ -29,7 +29,6 @@ from stabcorrect.pauli import (
     canonicalize_subgroup,
     conjugate,
     isotropic_subspaces,
-    stab_state_prep,
     statevector_of,
     symplectic_gram_schmidt,
     synthesize_circuit,
@@ -367,7 +366,7 @@ def test_criterion_10_reproducibility_accounting():
     T = t_state()
     plus = StabilizerState(1, (pp("+X"),))
     c1 = overlap(StateVector(1, statevector_of(plus)), T)
-    _, success = lcu_residual(T, [stab_state_prep(plus)], [c1], 1.0)
+    _, success = lcu_residual(T, [plus], [c1], 1.0)
     r1 = np.sqrt(1 - abs(c1) ** 2)
     ok &= abs(success - (r1 / (1 + abs(c1))) ** 2) <= 1e-12
     rng2 = np.random.default_rng(1010)
@@ -380,9 +379,7 @@ def test_criterion_10_reproducibility_accounting():
             b * statevector_of(s) for b, s in zip(betas, picks)
         )
         alpha = float(rng2.uniform(0.2, 1.0))
-        _, success = lcu_residual(
-            psi, [stab_state_prep(s) for s in picks], betas, alpha
-        )
+        _, success = lcu_residual(psi, picks, betas, alpha)
         want = (np.linalg.norm(resid) / alpha / ((1 + sum(abs(b) for b in betas)) / alpha)) ** 2
         ok &= abs(success - want) <= 1e-12
     report(10, ok, f"reproducible JSONL, ledger sums, postselection formula ({time.time()-t0:.1f}s)")

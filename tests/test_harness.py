@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stabcorrect import harness
+from stabcorrect.errors import SelfCorrectionFailed
 from stabcorrect.harness import (
     ExperimentConfig,
     StateSpec,
@@ -143,7 +144,11 @@ class TestConfig:
             )
         # the closed end is allowed
         ExperimentConfig.from_json(
-            {"command": "selfcorrect", "params": {"oracle": "threshold-span", "theta": 1.0}}
+            {
+                "command": "selfcorrect",
+                "state": {"kind": "haar", "n": 2},
+                "params": {"oracle": "threshold-span", "theta": 1.0},
+            }
         )
 
     def test_unknown_param_rejected(self):
@@ -157,11 +162,16 @@ class TestConfig:
 
     def test_param_schema_accepts_what_commands_read(self):
         ExperimentConfig.from_json(
-            {"command": "selfcorrect", "params": {"gamma": 0.5, "delta": 0.05, "oracle": "planted"}}
+            {
+                "command": "selfcorrect",
+                "state": {"kind": "haar", "n": 2},
+                "params": {"gamma": 0.5, "delta": 0.05, "oracle": "planted"},
+            }
         )
         ExperimentConfig.from_json(
             {
                 "command": "decompose",
+                "state": {"kind": "haar", "n": 2},
                 "params": {"learner": "self_correct", "oracle": "threshold-span", "eps": 0.05, "loop": "robust"},
             }
         )
@@ -185,6 +195,71 @@ class TestConfig:
             return rec.outputs, rec.ledger
 
         assert outputs_and_ledger({}) == outputs_and_ledger(dict(harness.PARAMS[command]))
+
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ({"kind": "haar", "n": 2.7}, "state n"),
+            ({"kind": "tdoped", "n": 3, "t": 1.5}, "state t"),
+            ({"kind": "w_family", "n": 3, "m": 2.5}, "state m"),
+            ({"kind": "basis", "n": 3, "index": 1.5}, "state index"),
+            ({"kind": "haar", "n": True}, "state n"),
+        ],
+    )
+    def test_non_integral_state_field_rejected(self, state, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            StateSpec.from_json(state)
+
+    def test_integral_float_state_fields_become_ints(self):
+        spec = StateSpec.from_json({"kind": "w_family", "n": 4.0, "m": 2.0})
+        assert (spec.n, spec.m) == (4, 2) and type(spec.m) is int
+        psi, meta = gen_state(spec, gen(0))
+        assert meta["stab_dim"] == 3
+        spec = StateSpec.from_json({"kind": "tdoped", "n": 3, "t": 1.0})
+        assert type(spec.t) is int
+        gen_state(spec, gen(0))
+
+    @pytest.mark.parametrize(
+        "command, params, key",
+        [
+            ("selfcorrect", {"attempts": 2.5}, "attempts"),
+            ("decompose", {"t": 1.7}, "t"),
+            ("test", {"t": 0.5}, "t"),
+            ("oracle", {"stab_dims": [1, 1.5]}, "stab_dims"),
+            ("bench", {"n": 6.5, "n_naive": 4}, "n"),
+        ],
+    )
+    def test_non_integral_param_rejected(self, command, params, key):
+        with pytest.raises(ValueError, match=f"parameter {key} must be an integer"):
+            ExperimentConfig.from_json(
+                {"command": command, "state": {"kind": "haar", "n": 2}, "params": params}
+            )
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("trials", 2.5, "trials must be an integer"),
+            ("seed", 1.5, "seed must be an integer"),
+            ("seed", -1, "seed must be >= 0"),
+        ],
+    )
+    def test_bad_trials_or_seed_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(
+                {"command": "analyze", "state": {"kind": "haar", "n": 2}, key: value}
+            )
+
+    def test_integral_float_fields_run_as_ints(self):
+        cfg = {"command": "decompose", "state": {"kind": "haar", "n": 2}, "seed": 3}
+        base = run(ExperimentConfig.from_json({**cfg, "params": {"t": 1}}))
+        cfg.update(seed=3.0, trials=1.0, params={"t": 1.0})
+        again = run(ExperimentConfig.from_json(cfg))
+        assert [r.outputs for r in again] == [r.outputs for r in base]
+
+    @pytest.mark.parametrize("command", [c for c in harness.COMMANDS if c != "bench"])
+    def test_missing_state_rejected(self, command):
+        with pytest.raises(ValueError, match=f"command '{command}' needs a state"):
+            ExperimentConfig.from_json({"command": command})
 
     def test_unknown_loop_rejected(self):
         with pytest.raises(ValueError, match="parameter loop .*'robustt'"):
@@ -379,6 +454,18 @@ class TestRun:
         assert dec["residual_norm"] < 0.273
         # the residual check runs up to the oracle's cap
         assert dec["residual_norm"] ** 2 * rec.outputs["residual_stab_dim_fidelity"] <= 0.05
+
+    @pytest.mark.parametrize("kind", ["basis", "random_stabilizer", "tdoped"])
+    def test_one_qubit_self_correct_learner_fails_cleanly(self, kind):
+        # a 1-qubit state ends the way other learner failures do
+        state = {"kind": kind, "n": 1, **({"t": 1} if kind == "tdoped" else {})}
+        cfg = {"command": "decompose", "state": state, "seed": 2}
+        cfg["params"] = {"learner": "self_correct", "oracle": "threshold-span", "attempts": 4}
+        dec = run(ExperimentConfig.from_json(cfg))[0].outputs["decomposition"]
+        assert (dec["stop_reason"], dec["iterations"]) == ("learner_failed", 0)
+        cfg.update(command="selfcorrect", params={"oracle": "threshold-span", "attempts": 4})
+        with pytest.raises(SelfCorrectionFailed):
+            run(ExperimentConfig.from_json(cfg))
 
 
 class TestEmit:

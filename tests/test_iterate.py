@@ -190,6 +190,33 @@ class TestRobust:
         assert [phi for _, phi in dec.terms] == [s1]
         assert np.allclose(dec.reconstruction(), psi.amps, atol=1e-9)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_learner_sees_the_checked_residual(self, seed):
+        # each residual the learner is handed, and the one reported on exit,
+        # is (psi - sum_j beta_j phi_j)/norm from the loop's own coefficients,
+        # bit for bit
+        psi = random_state(4, np.random.default_rng(seed))
+        brute = base_learner_bruteforce()
+        seen = []
+
+        def learn(residual, rng, ledger):
+            seen.append(residual.amps)
+            return brute.learn(residual, rng, ledger)
+
+        learner = BaseLearner(learn, brute.promise, "recording")
+        dec = iterate_robust(psi, 0.05, learner, CostLedger(), np.random.default_rng(seed))
+        phis = [phi for _, phi in dec.terms]
+
+        def residual(t):
+            betas = dec.beta_history[t - 1] if t else []
+            unnorm = psi.amps - sum(b * statevector_of(phi) for b, phi in zip(betas, phis))
+            return unnorm / np.linalg.norm(unnorm)
+
+        assert len(seen) >= 3 and np.array_equal(seen[0], psi.amps)
+        for t, amps in enumerate(seen[1:], start=1):
+            assert np.array_equal(amps, residual(t))
+        assert np.array_equal(dec.residual.amps, residual(dec.iterations))
+
     def test_residual_contract(self, rng):
         # |alpha|^2 * F_S(residual) < eps on exit, checked exactly
         for _ in range(10):

@@ -31,7 +31,6 @@ from stabcorrect.selfcorrect import (
 from stabcorrect.selfcorrect import _draw_retained, _edge_batch, _retained_mass
 from stabcorrect.statevec import (
     StateVector,
-    basis_state,
     bruteforce_stab_fidelity,
     gowers3_metrics,
     overlap,
@@ -39,6 +38,7 @@ from stabcorrect.statevec import (
 )
 
 from conftest import (
+    basis_state,
     distribution_tables,
     expectation_table,
     planted_state,
@@ -271,6 +271,14 @@ class TestPfrSubgroup:
         with pytest.raises(PfrSubgroupNotFound):
             pfr_subgroup(samples, empty)
 
+    def test_single_sample_is_the_failure_sentinel(self):
+        # its only pairwise sum is 0, below the floor of n + 1 sums
+        basis = rref_basis_from_labels([lab("Z")])
+        with pytest.raises(PfrSubgroupNotFound, match="1 accepted sums < floor 2"):
+            pfr_subgroup([lab("Z")], basis)
+        with pytest.raises(ValueError, match="at least one sample"):
+            pfr_subgroup([], basis)
+
     def test_output_is_subgroup(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
@@ -402,6 +410,15 @@ class TestSelfCorrect:
             cand = self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
             wins += cand.fidelity >= opt - 0.05
         assert wins >= 9
+
+    @pytest.mark.parametrize("gens", [["+Z"], ["-X"], ["+Y"]])
+    def test_one_qubit_exhausts_instead_of_crashing(self, gens, rng):
+        # one qubit asks for a single collected label, which spans nothing
+        st, psi = stab_vec(gens)
+        basis = rref_basis_from_labels([g.label for g in st.generators])
+        for oracle in (planted_oracle(basis), threshold_span_oracle(0.25)):
+            with pytest.raises(SelfCorrectionFailed, match="accepted sums < floor 2"):
+                self_correct(psi, 0.5, 0.05, oracle, rng, attempts=4)
 
     def test_haar_exhausts(self, rng):
         psi = random_state(6, rng)

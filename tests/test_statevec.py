@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stabcorrect import kernels
 from stabcorrect.errors import ResidualVanished
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
@@ -23,7 +24,6 @@ from stabcorrect.statevec import (
     StateVector,
     _span_phases,
     apply_circuit,
-    basis_state,
     binomial_estimate,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
@@ -39,6 +39,7 @@ from stabcorrect.statevec import (
 from stabcorrect.selfcorrect import _draw_retained, planted_oracle, self_correct
 
 from conftest import (
+    basis_state,
     apply_weyl,
     catalog_stab_fidelity,
     distribution_tables,
@@ -423,7 +424,7 @@ class TestLcuResidual:
         plus = StabilizerState(1, (pp("+X"),))
         c1 = overlap(StateVector(1, statevector_of(plus)), T)
         ledger = CostLedger()
-        resid, success = lcu_residual(T, [stab_state_prep(plus)], [c1], 1.0, ledger)
+        resid, success = lcu_residual(T, [plus], [c1], 1.0, ledger)
         assert abs(overlap(StateVector(1, statevector_of(plus)), resid)) < 1e-12
         r1 = np.sqrt(1 - abs(c1) ** 2)
         assert success == pytest.approx((r1 / (1 + abs(c1))) ** 2, abs=1e-12)
@@ -433,15 +434,61 @@ class TestLcuResidual:
         plus = StabilizerState(1, (pp("+X"),))
         vec = StateVector(1, statevector_of(plus))
         with pytest.raises(ResidualVanished):
-            lcu_residual(vec, [stab_state_prep(plus)], [1.0 + 0j], 1.0)
+            lcu_residual(vec, [plus], [1.0 + 0j], 1.0)
 
     def test_alpha_cancels(self, rng):
         psi = random_state(2, rng)
         st = enumerate_stabilizer_states(2)[7]
         beta = overlap(StateVector(2, statevector_of(st)), psi)
-        _, s1 = lcu_residual(psi, [stab_state_prep(st)], [beta], 1.0)
-        _, s2 = lcu_residual(psi, [stab_state_prep(st)], [beta], 0.37)
+        _, s1 = lcu_residual(psi, [st], [beta], 1.0)
+        _, s2 = lcu_residual(psi, [st], [beta], 0.37)
         assert s1 == pytest.approx(s2, abs=1e-12)
+
+    @staticmethod
+    def _random_terms(n, rng, k):
+        sts = enumerate_stabilizer_states(n)
+        picks = [sts[int(rng.integers(len(sts)))] for _ in range(k)]
+        betas = [0.3 * complex(rng.normal(), rng.normal()) for _ in picks]
+        return picks, betas
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (3, 4)])
+    def test_matches_circuit_preparation(self, n, k, rng):
+        # the cached vectors give the residual that re-preparing every term
+        # from |0...0> with its circuit gives
+        for _ in range(5):
+            psi = random_state(n, rng)
+            picks, betas = self._random_terms(n, rng, k)
+            alpha = float(rng.uniform(0.2, 1.0))
+            prepared = psi.amps.copy()
+            for beta, st in zip(betas, picks):
+                prepared -= beta * kernels.apply_gates(kernels.zero_state(n), stab_state_prep(st).gates)
+            resid, success = lcu_residual(psi, picks, betas, alpha)
+            norm = np.linalg.norm(prepared)
+            assert np.abs(resid.amps - prepared / norm).max() <= 1e-12
+            a1 = (1 + sum(abs(b) for b in betas)) / alpha
+            assert abs(success - (norm / alpha / a1) ** 2) <= 1e-12
+
+    def test_ledger_charges_the_preparation_circuits(self, rng):
+        for k in (1, 2, 4):
+            psi = random_state(3, rng)
+            picks, betas = self._random_terms(3, rng, k)
+            ledger = CostLedger()
+            _, success = lcu_residual(psi, picks, betas, 0.6, ledger)
+            attempts = int(np.ceil(1.0 / success))
+            row = ledger.breakdown["lcu"]
+            assert row["gate_count"] == attempts * sum(len(stab_state_prep(st)) for st in picks)
+            assert row["queries_conU"] == attempts * (1 + k)
+            assert row["copies_consumed"] == 0
+
+    def test_prepared_terms_apply_no_gate(self, rng, monkeypatch):
+        psi = random_state(3, rng)
+        picks, betas = self._random_terms(3, rng, 3)
+        for st in picks:
+            statevector_of(st)
+        applied = []
+        monkeypatch.setattr(kernels, "apply_gates", lambda amps, gates: applied.append(gates))
+        lcu_residual(psi, picks, betas, 0.5, CostLedger())
+        assert applied == []
 
 
 class TestBruteForce:
