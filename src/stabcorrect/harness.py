@@ -276,6 +276,8 @@ class ExperimentConfig:
             raise ValueError("parameter attempts must be >= 1")
         if "theta" in p and not 0 < p["theta"] <= 1:
             raise ValueError("parameter theta must lie in (0, 1]")
+        if "t" in p and p["t"] < 0:
+            raise ValueError(f"parameter t must be >= 0, got {p['t']}")
         choice_params = {"loop": LOOPS, "learner": LEARNERS, "oracle": ORACLES, "mode": MODES}
         for key, choices in choice_params.items():
             if key in p and p[key] not in choices:
@@ -288,6 +290,14 @@ class ExperimentConfig:
             require_memory(p["n"], 8 * 4 ** p["n"])  # the 4^n expectation table
         elif self.state is None:
             raise ValueError(f"command {self.command!r} needs a state")
+        else:
+            # stabilizer-dimension bounds need the state's n
+            n = self.state.n
+            if self.command == "decompose" and p["t"] >= n:
+                raise ValueError(f"parameter t must lie in [0, n = {n}), got {p['t']}")
+            for t in p.get("stab_dims", ()):
+                if not 0 <= t <= n:
+                    raise ValueError(f"parameter stab_dims entry {t} outside [0, n = {n}]")
 
     def resolved_params(self) -> dict:
         """The command's params with every default filled in."""

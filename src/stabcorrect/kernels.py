@@ -1,6 +1,7 @@
 """Hot numeric kernels: gate lists and the Weyl action on dense arrays,
-Walsh-Hadamard transforms, the 4^n table of Weyl operator expectations, and
-the XOR self-convolution of a table (with its quadratic reference).
+Walsh-Hadamard transforms, the 4^n table of Weyl operator expectations, the
+XOR self-convolution of a table (with its quadratic reference), and the
+inverse-CDF lookup that draws indices from a cumulative table.
 
 Bit conventions (used consistently across the package):
   - qubit q of a basis-state index is bit q (little-endian),
@@ -130,3 +131,15 @@ def xor_convolve_naive(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     for x in range(m):
         out[x] = np.dot(p, q[idx ^ x])
     return out
+
+
+def inverse_cdf(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For each key, the first index i with cum[i] > key, capped at the last
+    index: ``minimum(searchsorted(cum, keys, side="right"), len(cum) - 1)``
+    in the order of ``keys``.  The keys are searched in sorted order, so each
+    search starts where the previous one ended instead of missing the cache
+    across the whole table; each key's index does not depend on the order."""
+    order = np.argsort(keys)
+    idx = np.empty(keys.shape[0], dtype=np.intp)
+    idx[order] = np.searchsorted(cum, keys[order], side="right")
+    return np.minimum(idx, cum.shape[0] - 1, out=idx)

@@ -143,13 +143,13 @@ def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
 def sample_weyl_indices(
     psi: StateVector, size: int, rng: np.random.Generator, ledger: CostLedger | None
 ) -> np.ndarray:
-    """Batched difference sampling: label indices drawn from q, 4 copies each."""
+    """Batched difference sampling: label indices drawn from q, in draw order,
+    4 copies each."""
     cum, _ = _q_tables(psi)
-    u = rng.random(size)
-    idx = np.searchsorted(cum, u * cum[-1], side="right")
+    idx = kernels.inverse_cdf(cum, rng.random(size) * cum[-1])
     if ledger is not None:
         ledger.charge("bell_difference", copies=4 * size)
-    return np.minimum(idx, cum.shape[0] - 1)
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +200,7 @@ def gowers3_metrics(
     proxy = float(outcomes.mean())
     # the p-average needs conjugate-assisted pair sampling; same estimator shape
     pcum = np.cumsum(w2)
-    ys = np.minimum(
-        np.searchsorted(pcum, rng.random(shots) * pcum[-1], side="right"),
-        pcum.shape[0] - 1,
-    )
+    ys = kernels.inverse_cdf(pcum, rng.random(shots) * pcum[-1])
     pr_plus = 0.5 * (1.0 + w2[ys])
     out2 = 2.0 * (rng.random(shots) < pr_plus) - 1.0
     if ledger is not None:

@@ -248,6 +248,12 @@ def distribution_tables(psi):
     return p, q
 
 
+def inverse_cdf_reference(cum, keys):
+    """The unsorted lookup that ``kernels.inverse_cdf`` replaced: per key, the
+    first index with cum[i] > key, capped at the last index."""
+    return np.minimum(np.searchsorted(cum, keys, side="right"), len(cum) - 1)
+
+
 def _exact_betas(psi, phis):
     """Exact running coefficients: <phi_j|psi> minus the cross-terms of the
     earlier terms, as the loop's exact estimator builds them."""

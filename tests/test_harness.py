@@ -283,6 +283,37 @@ class TestConfig:
                 {"command": command, "state": {"kind": "haar", "n": 2}, "params": {key: value}}
             )
 
+    @pytest.mark.parametrize(
+        "command, params, message",
+        [
+            ("oracle", {"stab_dims": [-1]}, r"stab_dims entry -1 outside \[0, n = 3\]"),
+            ("oracle", {"stab_dims": [1, 4]}, r"stab_dims entry 4 outside \[0, n = 3\]"),
+            ("decompose", {"t": 5}, r"parameter t must lie in \[0, n = 3\), got 5"),
+            ("decompose", {"t": 3, "loop": "error_free"}, r"parameter t must lie in \[0, n = 3\)"),
+            ("decompose", {"t": -1}, "parameter t must be >= 0, got -1"),
+            ("test", {"t": -2}, "parameter t must be >= 0, got -2"),
+        ],
+    )
+    def test_stab_dim_params_out_of_range_rejected(self, command, params, message):
+        # refused by the config itself, before any state is generated
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(
+                {"command": command, "state": {"kind": "haar", "n": 3}, "params": params}
+            )
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("oracle", {"stab_dims": [0, 3]}),
+            ("decompose", {"t": 2}),
+            ("test", {"t": 7}),  # the test's t has no upper bound
+        ],
+    )
+    def test_stab_dim_params_at_their_bounds_accepted(self, command, params):
+        ExperimentConfig.from_json(
+            {"command": command, "state": {"kind": "haar", "n": 3}, "params": params}
+        )
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format 'xml'"):
             ExperimentConfig.from_json(

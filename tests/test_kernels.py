@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from stabcorrect import kernels
 from stabcorrect.pauli import CliffordCircuit
+from stabcorrect.statevec import StateVector
 
-from conftest import gate_matrix
+from conftest import distribution_tables, gate_matrix, inverse_cdf_reference, random_circuit
 
 
 def normalized(rng, n):
@@ -70,6 +71,52 @@ class TestConvolve:
         p = np.abs(rng.normal(size=64))
         p /= p.sum()
         assert abs(kernels.xor_convolve(p).sum() - 1.0) < 1e-12
+
+
+class TestInverseCdf:
+    @staticmethod
+    def check(cum, keys):
+        got = kernels.inverse_cdf(cum, keys)
+        want = inverse_cdf_reference(cum, keys)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_tables(self, n, rng):
+        cum = np.cumsum(rng.random(4**n))
+        self.check(cum, rng.random(4096) * cum[-1])
+
+    def test_stabilizer_q_with_zero_mass_runs(self, rng):
+        n = 4
+        psi = StateVector(n, kernels.apply_gates(kernels.zero_state(n), random_circuit(n, rng).gates))
+        _, q = distribution_tables(psi)
+        cum = np.cumsum(q)
+        assert np.count_nonzero(q) == 1 << n  # 240 of 256 steps add nothing
+        self.check(cum, rng.random(4096) * cum[-1])
+        # each key on a plateau maps past the whole run of equal entries
+        self.check(cum, rng.permutation(cum))
+
+    def test_keys_equal_to_entries_and_the_clamp(self, rng):
+        cum = np.cumsum(rng.integers(0, 3, size=64).astype(float))
+        keys = rng.permutation(np.concatenate([cum, cum, [0.0, cum[-1], cum[-1] + 1.0]]))
+        self.check(cum, keys)
+        # a key equal to the total would fall past the end; it takes the last index
+        assert kernels.inverse_cdf(cum, np.array([cum[-1]]))[0] == cum.shape[0] - 1
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_empty_and_single_key(self, size, rng):
+        cum = np.cumsum(rng.random(16))
+        keys = rng.random(size) * cum[-1]
+        self.check(cum, keys)
+        assert kernels.inverse_cdf(cum, keys).shape == (size,)
+
+    @given(st.data())
+    def test_matches_reference_on_arbitrary_steps(self, data):
+        steps = st.floats(0.0, 1e6)
+        cum = np.cumsum(data.draw(st.lists(steps, min_size=1, max_size=64)))
+        # keys below, between, on and above the entries, in any order
+        key = st.one_of(st.floats(-1.0, 2e6 * 64), st.sampled_from(list(cum)))
+        self.check(cum, np.array(data.draw(st.lists(key, max_size=64)), dtype=float))
 
 
 def _all_gates(n):

@@ -45,6 +45,7 @@ from conftest import (
     distribution_tables,
     enumerate_stabilizer_states,
     expectation_table,
+    inverse_cdf_reference,
     measure_block,
     rotation_stab_dim_fidelity,
     stabilizer_state_matrix,
@@ -237,6 +238,20 @@ class TestSampling:
         sig = np.sqrt(want * (1 - want) / draws)
         assert np.all(np.abs(freq - want) < 4 * sig)
 
+    def test_draw_order_pinned(self):
+        # one rng.random(size) call, looked up as the unsorted reference does
+        # and returned in draw order: every later draw is unchanged
+        psi = random_state(6, np.random.default_rng(3))
+        size = 5000
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        ledger = CostLedger()
+        got = sample_weyl_indices(psi, size, a, ledger)
+        cum = psi._cache["qcum"]
+        assert np.array_equal(got, inverse_cdf_reference(cum, b.random(size) * cum[-1]))
+        assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * size
+        assert ledger.totals["copies_consumed"] == 4 * size
+        assert a.bit_generator.state == b.bit_generator.state
+
     def test_retention_extremes(self, rng):
         # on |0> every retained label is Z-type: its a-part is zero
         idx = _draw_retained(basis_state(3), 500, rng, None)
@@ -301,6 +316,21 @@ class TestGowersMetrics:
             hits += abs(m.proxy - 5 / 8) <= 0.05
         assert hits >= runs - 2
         assert ledger.totals["copies_consumed"] > 0
+
+    def test_sampled_draws_pinned(self):
+        # both lookups go through the sorted kernel; replaying the estimator
+        # with the reference lookup on a twin generator gives the same
+        # estimates and leaves the generators in the same state
+        psi = random_state(4, np.random.default_rng(5))
+        a, b = np.random.default_rng(12), np.random.default_rng(12)
+        m = gowers3_metrics(psi, "sampled", 0.2, a, None)
+        w2 = expectation_squares(psi)
+        replay = []
+        for cum in (psi._cache["qcum"], np.cumsum(w2)):
+            xs = inverse_cdf_reference(cum, b.random(m.shots) * cum[-1])
+            replay.append(float((2.0 * (b.random(m.shots) < 0.5 * (1.0 + w2[xs])) - 1.0).mean()))
+        assert [m.proxy, m.u3pow8] == replay
+        assert a.bit_generator.state == b.bit_generator.state
 
 
     def test_one_squares_table(self, rng):
