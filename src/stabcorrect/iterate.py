@@ -58,7 +58,7 @@ class BaseLearner:
     parameter to the per-iteration fidelity floor used for the budget bound.
     """
 
-    learn: callable  # (StateVector, Generator, CostLedger | None) -> StabilizerState
+    learn: callable  # (StateVector, Generator, CostLedger) -> StabilizerState
     promise: callable  # float -> float
     provenance: str
 
@@ -188,7 +188,7 @@ def _iterate(
     psi: StateVector,
     eps: float,
     learner: BaseLearner,
-    ledger: CostLedger | None,
+    ledger: CostLedger,
     rng: np.random.Generator | None,
     budget: float,
     slack: int,
@@ -213,7 +213,6 @@ def _iterate(
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    ledger = ledger if ledger is not None else CostLedger()
     eta = learner.promise(eps)
     schedule = ErrorSchedule(eta)
     t_max = int(np.ceil(budget / eta**2)) + slack
@@ -302,7 +301,7 @@ def iterate_error_free(
     psi: StateVector,
     eps: float,
     learner: BaseLearner,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
     rng: np.random.Generator | None = None,
 ) -> Decomposition:
     """Exact-mode loop: all estimates are exact, stopping on the two
@@ -318,7 +317,7 @@ def iterate_robust(
     psi: StateVector,
     eps: float,
     learner: BaseLearner,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
     rng: np.random.Generator | None = None,
     estimator="exact",
     threshold_factor: float = 1.0,
@@ -369,7 +368,7 @@ def learn_low_extent(
     xi: float,
     eps_prime: float,
     learner: BaseLearner,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
     rng: np.random.Generator | None = None,
 ) -> LowExtentResult:
     """Run the robust loop at eps = (eps'/(2 xi))^2 and normalize the
@@ -438,7 +437,7 @@ def decompose_stab_dim(
     eps: float,
     t: int,
     learner: BaseLearner,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
     rng: np.random.Generator | None = None,
 ) -> Decomposition:
     """Robust loop with the stopping threshold relaxed to 2^{-2t} eps^6; the

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     BlockWeightBelowTolerance,
     CollectionEmpty,
@@ -150,7 +151,7 @@ def _draw_retained(
     psi: StateVector,
     count: int,
     rng: np.random.Generator,
-    ledger: CostLedger | None,
+    ledger: CostLedger,
 ) -> np.ndarray:
     """Label indices that passed retention, batched until ``count`` collected
     or ``RETENTION_BATCHES`` batches drawn."""
@@ -161,8 +162,7 @@ def _draw_retained(
     for _ in range(RETENTION_BATCHES):
         want = max(int(np.ceil((count - got) / rate)) + 4, 8)
         idx = sample_weyl_indices(psi, want, rng, ledger)
-        if ledger is not None:
-            ledger.charge("retention", copies=2 * want)
+        ledger.charge("retention", copies=2 * want)
         kept = idx[rng.random(want) < w2[idx]]
         out.append(kept)
         got += kept.shape[0]
@@ -181,7 +181,7 @@ def _edge_batch(
     zeta_p: float,
     delta: float,
     rng: np.random.Generator,
-    ledger: CostLedger | None,
+    ledger: CostLedger,
     exact: bool,
 ) -> np.ndarray:
     w2 = expectation_squares(psi)
@@ -196,8 +196,7 @@ def _edge_batch(
         & (binomial_estimate(wxy, shots, rng) >= zeta)
     )
     flag = passed & (rng.random(m) < wxy)
-    if ledger is not None:
-        ledger.charge("edge_test", copies=(6 * shots + 2) * m)
+    ledger.charge("edge_test", copies=(6 * shots + 2) * m)
     return flag
 
 
@@ -207,7 +206,7 @@ def bsg_test(
     v: PauliLabel,
     params: BsgParams,
     rng: np.random.Generator,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
     exact: bool = False,
 ) -> bool:
     """Membership flag for the small-doubling neighborhood of u.
@@ -247,7 +246,7 @@ def collect_small_doubling(
     gamma: float,
     delta: float,
     rng: np.random.Generator,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
 ) -> list[PauliLabel]:
     """The first candidate set of test-accepted labels of size >= t.
 
@@ -286,7 +285,7 @@ def planted_oracle(*bases: Gf2Basis):
     if not bases:
         raise ValueError("planted oracle needs a subgroup basis")
 
-    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger | None) -> Gf2Basis:
+    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger) -> Gf2Basis:
         return max(bases, key=lambda b: _retained_mass(psi, b))
 
     return oracle
@@ -298,11 +297,10 @@ def threshold_span_oracle(theta: float):
     ``THRESHOLD_SPAN_SAMPLES`` difference samples and
     ``THRESHOLD_SPAN_SHOTS`` shots per distinct label."""
 
-    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger | None) -> Gf2Basis:
+    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger) -> Gf2Basis:
         idx = np.unique(sample_weyl_indices(psi, THRESHOLD_SPAN_SAMPLES, rng, ledger))
         est = binomial_estimate(expectation_squares(psi)[idx], THRESHOLD_SPAN_SHOTS, rng)
-        if ledger is not None:
-            ledger.charge("oracle_build", copies=2 * THRESHOLD_SPAN_SHOTS * idx.shape[0])
+        ledger.charge("oracle_build", copies=2 * THRESHOLD_SPAN_SHOTS * idx.shape[0])
         keep = idx[est >= theta]
         return rref_basis([int(v) for v in keep], 2 * psi.n)
 
@@ -316,7 +314,8 @@ def _retained_mass(psi: StateVector, basis: Gf2Basis) -> float:
 
 @dataclass(frozen=True)
 class SubgroupV:
-    """A label subgroup with its (exact-table) retained mass E_{x in V}[<W_x>^2]."""
+    """A label subgroup, optionally with its retained mass E_{x in V}[<W_x>^2]
+    (``pfr_subgroup`` leaves it None)."""
 
     n: int
     basis: Gf2Basis
@@ -330,20 +329,8 @@ class SubgroupV:
     def dim(self) -> int:
         return self.basis.rank
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "basis": self.basis.to_json(self.n),
-            "dim": self.dim,
-            "mass": self.mass,
-        }
 
-
-def pfr_subgroup(
-    samples: list[PauliLabel],
-    basis: Gf2Basis,
-    psi: StateVector | None = None,
-) -> SubgroupV:
+def pfr_subgroup(samples: list[PauliLabel], basis: Gf2Basis) -> SubgroupV:
     """Span of the pairwise sums that lie in the covering subgroup ``basis``.
 
     Fewer than n + 1 distinct accepted sums (one sample gives only 0) raises the failure sentinel.
@@ -356,9 +343,7 @@ def pfr_subgroup(
     accepted = [v for v in sums if basis.contains(v)]
     if len(accepted) < n + 1:
         raise PfrSubgroupNotFound(f"{len(accepted)} accepted sums < floor {n + 1}")
-    span = rref_basis(accepted, 2 * n)
-    mass = _retained_mass(psi, span) if psi is not None and span.rank <= 16 else None
-    return SubgroupV(n, span, mass)
+    return SubgroupV(n, rref_basis(accepted, 2 * n), None)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +423,7 @@ def find_stabilizer(
     gamma: float,
     delta: float,
     rng: np.random.Generator,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
 ) -> CandidateStabilizer:
     """Extract the best product-form stabilizer compatible with the subgroup.
 
@@ -482,8 +467,7 @@ def find_stabilizer(
                     measured += 1
                     z = int(rng.choice(weights.shape[1], p=weights[ci] / pc))
                     collected[(ci, z)] = None
-    if ledger is not None:
-        ledger.charge("measure", copies=measured)
+    ledger.charge("measure", copies=measured)
     if not collected:
         raise NoCandidateFound("no candidate collected within the round budget")
     keys = list(collected)
@@ -506,11 +490,10 @@ def find_stabilizer(
         gens.append(PhasedPauli(PauliLabel(n, 0, 1 << (k + j)), 2 * ((z >> j) & 1)))
     inverse = circuit.inverse()
     state = StabilizerState(n, tuple(conjugate(inverse, g) for g in gens))
-    if ledger is not None:
-        ledger.charge(
-            "fidelity_shadows",
-            copies=_shadow_cost(len(collected), max(gamma, 1e-3) / 8.0, delta),
-        )
+    ledger.charge(
+        "fidelity_shadows",
+        copies=_shadow_cost(len(collected), max(gamma, 1e-3) / 8.0, delta),
+    )
     return CandidateStabilizer(
         state,
         float(fids[best]),
@@ -532,7 +515,7 @@ class HighStabDimResult:
         n = self.circuit.n
         amps = np.zeros(1 << n, dtype=complex)
         amps[(self.z << self.k) : (self.z << self.k) + (1 << self.k)] = self.sigma.amps
-        return apply_circuit(StateVector(n, amps), self.circuit.inverse())
+        return StateVector(n, kernels.apply_gates(amps, self.circuit.inverse().gates))
 
 
 def find_high_stab_dim(
@@ -541,7 +524,7 @@ def find_high_stab_dim(
     gamma: float,
     delta: float,
     rng: np.random.Generator,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
 ) -> HighStabDimResult:
     """Improper extraction: only the rotated center block (the last m qubits)
     is measured computationally, once in each of ``_rounds(gamma)`` rounds,
@@ -560,22 +543,20 @@ def find_high_stab_dim(
     law = weights / weights.sum()
     rounds = _rounds(gamma)
     seen = {int(rng.choice(law.shape[0], p=law)) for _ in range(rounds)}
-    if ledger is not None:
-        ledger.charge("measure", copies=rounds)
+    ledger.charge("measure", copies=rounds)
     best_z = max(seen, key=lambda z: weights[z])
     if weights[best_z] < BLOCK_TOL:
         raise BlockWeightBelowTolerance("all sampled branches carry negligible weight")
     sigma = StateVector(k, blocks[best_z] / np.sqrt(weights[best_z]))
-    if ledger is not None:
-        eps = max(gamma, 1e-3) / 8.0
-        ledger.charge(
-            "block_shadows",
-            copies=int(np.ceil(4.0**k / eps**2 * np.log(max(len(seen), 2) / delta))),
-        )
-        ledger.charge(
-            "block_tomography",
-            copies=int(np.ceil(4.0**k / eps**2 * np.log(1.0 / delta))),
-        )
+    eps = max(gamma, 1e-3) / 8.0
+    ledger.charge(
+        "block_shadows",
+        copies=int(np.ceil(4.0**k / eps**2 * np.log(max(len(seen), 2) / delta))),
+    )
+    ledger.charge(
+        "block_tomography",
+        copies=int(np.ceil(4.0**k / eps**2 * np.log(1.0 / delta))),
+    )
     return HighStabDimResult(circuit, sigma, int(best_z), k, float(weights[best_z]))
 
 
@@ -589,7 +570,7 @@ def self_correct(
     delta: float,
     oracle,
     rng: np.random.Generator,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
     attempts: int = ATTEMPTS,
     collect_t: int | None = None,
 ) -> CandidateStabilizer:
@@ -604,7 +585,7 @@ def self_correct(
     for _ in range(attempts):
         try:
             accepted = collect_small_doubling(psi, t, gamma, delta, rng, ledger)
-            sub = pfr_subgroup(accepted, basis, psi=psi)
+            sub = pfr_subgroup(accepted, basis)
             return find_stabilizer(psi, sub, gamma, delta, rng, ledger)
         except (CollectionEmpty, PfrSubgroupNotFound, NoCandidateFound) as exc:
             last = exc

@@ -86,14 +86,11 @@ def stab_combination(n: int, terms) -> np.ndarray:
 # circuits and distributions
 
 
-def apply_circuit(
-    psi: StateVector, circuit: CliffordCircuit, ledger: CostLedger | None = None
-) -> StateVector:
+def apply_circuit(psi: StateVector, circuit: CliffordCircuit, ledger: CostLedger) -> StateVector:
     if circuit.n != psi.n:
         raise ValueError("size mismatch")
     amps = kernels.apply_gates(psi.amps, circuit.gates)
-    if ledger is not None:
-        ledger.charge("apply_circuit", gates=len(circuit))
+    ledger.charge("apply_circuit", gates=len(circuit))
     return StateVector(psi.n, amps)
 
 
@@ -141,14 +138,13 @@ def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
 
 
 def sample_weyl_indices(
-    psi: StateVector, size: int, rng: np.random.Generator, ledger: CostLedger | None
+    psi: StateVector, size: int, rng: np.random.Generator, ledger: CostLedger
 ) -> np.ndarray:
     """Batched difference sampling: label indices drawn from q, in draw order,
     4 copies each."""
     cum, _ = _q_tables(psi)
     idx = kernels.inverse_cdf(cum, rng.random(size) * cum[-1])
-    if ledger is not None:
-        ledger.charge("bell_difference", copies=4 * size)
+    ledger.charge("bell_difference", copies=4 * size)
     return idx
 
 
@@ -180,8 +176,9 @@ def gowers3_metrics(
     """Correlation metrics of the label distributions.
 
     Exact mode evaluates both averages from the tables (the q-average is the
-    cached proxy, whose build checks the triple-correlation identity).
-    Sampled mode estimates the q-average to within ``delta`` with
+    cached proxy, whose build checks the triple-correlation identity) and
+    draws and charges nothing.  Sampled mode, which needs ``rng`` and
+    ``ledger``, estimates the q-average to within ``delta`` with
     probability >= 1 - fail_prob using O(1/delta^2) six-copy shots.
     """
     w2 = expectation_squares(psi)
@@ -193,6 +190,8 @@ def gowers3_metrics(
         raise ValueError(f"unknown mode {mode!r}")
     if rng is None:
         raise ValueError("sampled mode needs an rng")
+    if ledger is None:
+        raise ValueError("sampled mode needs a ledger")
     shots = int(np.ceil(2.0 * np.log(2.0 / fail_prob) / delta**2))
     xs = sample_weyl_indices(psi, shots, rng, ledger)
     pr_plus = 0.5 * (1.0 + w2[xs])
@@ -203,10 +202,9 @@ def gowers3_metrics(
     ys = kernels.inverse_cdf(pcum, rng.random(shots) * pcum[-1])
     pr_plus = 0.5 * (1.0 + w2[ys])
     out2 = 2.0 * (rng.random(shots) < pr_plus) - 1.0
-    if ledger is not None:
-        # two measured copies per proxy shot; two sampling plus two measured
-        # copies per conjugate-pair shot
-        ledger.charge("gowers_sampled", copies=6 * shots)
+    # two measured copies per proxy shot; two sampling plus two measured
+    # copies per conjugate-pair shot
+    ledger.charge("gowers_sampled", copies=6 * shots)
     return GowersMetrics(proxy, float(out2.mean()), "sampled", shots)
 
 
@@ -232,7 +230,7 @@ def hadamard_test_estimate(
     eps: float,
     delta: float,
     rng: np.random.Generator,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
 ) -> complex:
     """Estimate <a|b> within eps per real/imaginary part, w.p. >= 1 - delta.
 
@@ -244,8 +242,7 @@ def hadamard_test_estimate(
     shots = int(np.ceil(2.0 * np.log(4.0 / delta) / eps**2))
     re = binomial_estimate(val.real, shots, rng)
     im = binomial_estimate(val.imag, shots, rng)
-    if ledger is not None:
-        ledger.charge("hadamard_test", queries_conU=2 * shots)
+    ledger.charge("hadamard_test", queries_conU=2 * shots)
     return complex(re, im)
 
 
@@ -254,7 +251,7 @@ def lcu_residual(
     terms: list[StabilizerState],
     coeffs: list[complex],
     alpha: float,
-    ledger: CostLedger | None = None,
+    ledger: CostLedger,
 ) -> tuple[StateVector, float]:
     """Residual (psi - sum_j beta_j phi_j)/norm via combination-of-unitaries
     postselection; returns the normalized residual and the exact success
@@ -273,10 +270,9 @@ def lcu_residual(
     rnorm = float(np.linalg.norm(resid))
     a1 = (1.0 + sum(abs(b) for b in coeffs)) / alpha
     success = (rnorm / alpha / a1) ** 2
-    if ledger is not None:
-        attempts = int(np.ceil(1.0 / success)) if success > 0 else 0
-        gates = attempts * sum(len(stab_state_prep(phi)) for phi in terms)
-        ledger.charge("lcu", queries_conU=attempts * (1 + len(terms)), gates=gates)
+    attempts = int(np.ceil(1.0 / success)) if success > 0 else 0
+    gates = attempts * sum(len(stab_state_prep(phi)) for phi in terms)
+    ledger.charge("lcu", queries_conU=attempts * (1 + len(terms)), gates=gates)
     if rnorm < RESIDUAL_TOL:
         raise ResidualVanished(f"residual norm {rnorm:.2e} below tolerance")
     return StateVector(psi.n, resid / rnorm), success

@@ -323,7 +323,7 @@ def test_criterion_09_tolerant_tester():
     for i in range(1000):
         rng = RngStream(9_000_000 + i).child("tol").generator()
         psi, want = (stab, "yes") if i % 2 == 0 else (t8, "no")
-        verdict = tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, mode="sampled")
+        verdict = tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, CostLedger(), mode="sampled")
         agree += verdict == want
     ok &= agree >= 990
     report(9, ok, f"60 stabilizers accepted, T^8 rejected, sampled agreement {agree}/1000 ({time.time()-t0:.1f}s)")
@@ -366,7 +366,7 @@ def test_criterion_10_reproducibility_accounting():
     T = t_state()
     plus = StabilizerState(1, (pp("+X"),))
     c1 = overlap(StateVector(1, statevector_of(plus)), T)
-    _, success = lcu_residual(T, [plus], [c1], 1.0)
+    _, success = lcu_residual(T, [plus], [c1], 1.0, CostLedger())
     r1 = np.sqrt(1 - abs(c1) ** 2)
     ok &= abs(success - (r1 / (1 + abs(c1))) ** 2) <= 1e-12
     rng2 = np.random.default_rng(1010)
@@ -379,7 +379,7 @@ def test_criterion_10_reproducibility_accounting():
             b * statevector_of(s) for b, s in zip(betas, picks)
         )
         alpha = float(rng2.uniform(0.2, 1.0))
-        _, success = lcu_residual(psi, picks, betas, alpha)
+        _, success = lcu_residual(psi, picks, betas, alpha, CostLedger())
         want = (np.linalg.norm(resid) / alpha / ((1 + sum(abs(b) for b in betas)) / alpha)) ** 2
         ok &= abs(success - want) <= 1e-12
     report(10, ok, f"reproducible JSONL, ledger sums, postselection formula ({time.time()-t0:.1f}s)")

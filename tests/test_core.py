@@ -136,8 +136,60 @@ UNSET_PUBLIC_OPTIONS = {
     "iterate.base_learner_self_correct.collect_t",
     "iterate.iterate_robust.estimator",
     "selfcorrect.bsg_test.exact",
-    "selfcorrect.find_high_stab_dim.ledger",
     "selfcorrect.published_bsg_params.delta",
+}
+
+# Every defaulted parameter of a top-level public function.  A new knob fails
+# here until it is added on purpose.
+PUBLIC_OPTIONS = {
+    "cli.main.argv",
+    "iterate.base_learner_self_correct.attempts",
+    "iterate.base_learner_self_correct.collect_t",
+    "iterate.decompose_stab_dim.rng",
+    "iterate.iterate_error_free.rng",
+    "iterate.iterate_robust.estimator",
+    "iterate.iterate_robust.rng",
+    "iterate.iterate_robust.threshold_factor",
+    "iterate.learn_low_extent.rng",
+    "pauli.canonicalize_subgroup.center_tail",
+    "selfcorrect.bsg_test.exact",
+    "selfcorrect.published_bsg_params.delta",
+    "selfcorrect.self_correct.attempts",
+    "selfcorrect.self_correct.collect_t",
+    "selfcorrect.tolerant_test.ledger",
+    "selfcorrect.tolerant_test.mode",
+    "selfcorrect.tolerant_test.rng",
+    "selfcorrect.tolerant_test.separation_c",
+    "statevec.gowers3_metrics.delta",
+    "statevec.gowers3_metrics.fail_prob",
+    "statevec.gowers3_metrics.ledger",
+    "statevec.gowers3_metrics.mode",
+    "statevec.gowers3_metrics.rng",
+}
+
+# Every function, private and nested ones included, that takes a ``ledger``.
+# A call that charges takes one; only the exact modes of these two draw and
+# charge nothing, so only they may omit it.
+LEDGER_OPTIONAL = {"statevec.gowers3_metrics", "selfcorrect.tolerant_test"}
+LEDGER_REQUIRED = {
+    "iterate._iterate",
+    "iterate.decompose_stab_dim",
+    "iterate.iterate_error_free",
+    "iterate.iterate_robust",
+    "iterate.learn",  # the base learners' closures
+    "iterate.learn_low_extent",
+    "selfcorrect._draw_retained",
+    "selfcorrect._edge_batch",
+    "selfcorrect.bsg_test",
+    "selfcorrect.collect_small_doubling",
+    "selfcorrect.find_high_stab_dim",
+    "selfcorrect.find_stabilizer",
+    "selfcorrect.oracle",  # the covering-subgroup oracles' closures
+    "selfcorrect.self_correct",
+    "statevec.apply_circuit",
+    "statevec.hadamard_test_estimate",
+    "statevec.lcu_residual",
+    "statevec.sample_weyl_indices",
 }
 
 
@@ -172,24 +224,63 @@ def test_uncalled_public_functions_are_pinned():
     assert uncalled == UNCALLED_PUBLIC_API
 
 
+def _defaulted(node: ast.FunctionDef) -> dict[str, int | None]:
+    """Defaulted parameters of a def, each with its position (None when
+    keyword-only)."""
+    args = node.args
+    params = args.posonlyargs + args.args
+    opts = {a.arg: params.index(a) for a in params[len(params) - len(args.defaults):]}
+    opts.update({a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return opts
+
+
+def _public_options() -> dict[str, dict[str, int | None]]:
+    return {
+        f"{stem}.{node.name}": _defaulted(node)
+        for stem, tree in _package_trees() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def test_public_options_are_pinned():
+    options = {f"{name}.{arg}" for name, opts in _public_options().items() for arg in opts}
+    assert options == PUBLIC_OPTIONS
+
+
+def test_only_exact_mode_entry_points_may_omit_the_ledger():
+    optional, required = set(), set()
+    for stem, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                if any(a.arg == "ledger" for a in params):
+                    has_default = "ledger" in _defaulted(node)
+                    (optional if has_default else required).add(f"{stem}.{node.name}")
+    assert optional == LEDGER_OPTIONAL
+    assert required == LEDGER_REQUIRED
+
+
+def test_no_uncharged_ledger_branch_in_package():
+    # a charge guarded by ``ledger is not None`` silently drops the cost
+    found = []
+    for stem, tree in _package_trees():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name) and node.left.id == "ledger"
+                and any(isinstance(op, ast.IsNot) for op in node.ops)
+            ):
+                found.append(f"{stem}.py:{node.lineno}")
+    assert not found, f"ledger is not None checks in the package: {found}"
+
+
 def test_unset_public_options_are_pinned():
     # calls match a function by its bare name, so a same-named method or
     # function elsewhere counts as a caller too
-    options: dict[str, dict[str, int | None]] = {}
+    options = _public_options()
     positional: dict[str, int] = {}
     keywords: dict[str, set] = {}
     for stem, tree in _package_trees():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                args = node.args
-                params = args.posonlyargs + args.args
-                defaulted = params[len(params) - len(args.defaults):]
-                opts = {a.arg: params.index(a) for a in defaulted}
-                opts.update({
-                    a.arg: None for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                    if d is not None
-                })
-                options[f"{stem}.{node.name}"] = opts
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and (name := _called_name(node)):
                 positional[name] = max(positional.get(name, 0), len(node.args))

@@ -31,7 +31,7 @@ from stabcorrect.statevec import StateVector, apply_circuit, random_state
 from conftest import measure_block, random_circuit
 
 
-def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None):
+def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger):
     """The per-candidate loop: each round measures the projector onto every
     candidate with ``measure_block`` and, on outcome 0, the rest
     computationally; every collected entry is rotated back and scored by a
@@ -76,7 +76,7 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger=None):
     return best
 
 
-def reference_find_high_stab_dim(psi, sub, gamma, delta, rng, ledger=None):
+def reference_find_high_stab_dim(psi, sub, gamma, delta, rng, ledger):
     """The per-round loop: each round measures the rotated center block (the
     last m qubits) with ``measure_block``, one ``measure`` copy each; the
     heaviest sampled branch is kept with its normalized conditional block.
@@ -172,7 +172,7 @@ def test_weights_are_measure_block_laws(n, k, m, seed):
     sub = random_subgroup(n, k, m, rng)
     psi = random_state(n, rng)
     circuit, _, _ = canonicalize_subgroup(sub.basis.labels(n))
-    rotated = apply_circuit(psi, circuit)
+    rotated = apply_circuit(psi, circuit, CostLedger())
     if k == 0:
         probs = np.abs(rotated.amps) ** 2
         for z in range(1 << n):
@@ -215,7 +215,7 @@ def test_tie_first_collected_wins(gap):
     for seed in range(6):
         order = _draw_order(psi, seed)
         assert set(order) == {0, 1}
-        cand = find_stabilizer(psi, sub, 0.5, 0.05, np.random.default_rng(seed))
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, np.random.default_rng(seed), CostLedger())
         assert cand.provenance["z"] == order[0]
         assert cand.fidelity == pytest.approx(0.5, abs=1e-12)
         firsts.add(order[0])
@@ -226,7 +226,7 @@ def test_gap_above_tie_tolerance_wins():
     psi, sub = _tie_case(1e-9)
     for seed in range(6):
         assert set(_draw_order(psi, seed)) == {0, 1}
-        cand = find_stabilizer(psi, sub, 0.5, 0.05, np.random.default_rng(seed))
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, np.random.default_rng(seed), CostLedger())
         assert cand.provenance["z"] == 1
 
 

@@ -288,12 +288,12 @@ class TestLearners:
         # the learner's cap is the exact oracle's: n <= 5
         learner = base_learner_bruteforce()
         with pytest.raises(ValueError, match="capped at n <= 5: n = 6 has"):
-            learner.learn(random_state(6, rng), rng, None)
+            learner.learn(random_state(6, rng), rng, CostLedger())
 
     def test_bruteforce_is_argmax(self, rng):
         learner = base_learner_bruteforce()
         psi = t_state()
-        st = learner.learn(psi, rng, None)
+        st = learner.learn(psi, rng, CostLedger())
         val, arg = bruteforce_stab_fidelity(psi)
         assert st == arg
         assert val == pytest.approx((2 + np.sqrt(2)) / 4, abs=1e-12)
@@ -303,7 +303,7 @@ class TestLearners:
         for idx in (0, 17, 42):
             st = enumerate_stabilizer_states(2)[idx]
             psi = StateVector(2, statevector_of(st))
-            assert learner.learn(psi, rng, None) == st
+            assert learner.learn(psi, rng, CostLedger()) == st
 
     def test_promise_monotone(self):
         learner = base_learner_bruteforce()

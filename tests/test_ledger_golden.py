@@ -1,0 +1,150 @@
+"""Golden ledgers: the exact charges of small seeded runs.
+
+Each expected ledger below was recorded from the run it names.  Any dropped,
+added or altered charge (a changed count, a renamed subroutine, a draw moved
+so that a later count shifts) fails here; a change that means to alter the
+accounting updates these literals and says why.
+"""
+
+import numpy as np
+import pytest
+
+from stabcorrect.harness import ExperimentConfig, run
+from stabcorrect.iterate import base_learner_bruteforce, iterate_robust
+from stabcorrect.ledger import CostLedger
+from stabcorrect.statevec import random_state
+
+FIELDS = ("copies_consumed", "queries_U", "queries_conU", "gate_count")
+
+COMBO4 = {"kind": "combo", "n": 4, "terms": [
+    {"coeff": [0.95, 0.0], "generators": ["+ZIII", "+IZII", "+IIZI", "+IIIZ"]},
+    {"coeff": [0.3, 0.0], "generators": ["+XIII", "+IXII", "+IIXI", "+IIIX"]},
+]}
+
+CONFIGS = {
+    "selfcorrect_planted": {
+        "command": "selfcorrect", "state": COMBO4, "params": {"oracle": "planted"}, "seed": 4,
+    },
+    "selfcorrect_threshold_span": {
+        "command": "selfcorrect", "state": {"kind": "tdoped", "n": 4, "t": 1},
+        "params": {"oracle": "threshold-span"}, "seed": 0,
+    },
+    "decompose_robust": {
+        "command": "decompose", "state": {"kind": "tdoped", "n": 5, "t": 1},
+        "params": {"t": 1, "learner": "self_correct", "oracle": "threshold-span"}, "seed": 1,
+    },
+    "decompose_error_free": {
+        "command": "decompose", "state": {"kind": "tdoped", "n": 3, "t": 2},
+        "params": {"loop": "error_free", "learner": "bruteforce"}, "seed": 5,
+    },
+    "learn_extent": {
+        "command": "learn-extent", "state": {"kind": "tdoped", "n": 3, "t": 1},
+        "params": {"xi": 1.5}, "seed": 6,
+    },
+    "analyze_sampled": {
+        "command": "analyze", "state": {"kind": "haar", "n": 3},
+        "params": {"mode": "sampled", "delta": 0.1}, "seed": 7,
+    },
+    "test_sampled": {
+        "command": "test", "state": {"kind": "haar", "n": 3},
+        "params": {"eps1": 0.9, "eps2": 0.1, "mode": "sampled"}, "seed": 8,
+    },
+}
+
+# name: (totals, {subroutine: row}), each a tuple in FIELDS order
+GOLDEN = {
+    "analyze_sampled": (
+        (15210, 0, 0, 0),
+        {
+            "bell_difference": (6084, 0, 0, 0),
+            "gowers_sampled": (9126, 0, 0, 0),
+        },
+    ),
+    "decompose_error_free": (
+        (131071999999999904, 0, 26, 728),
+        {
+            "gowers_estimate": (131071999999999904, 0, 0, 0),
+            "lcu": (0, 0, 26, 728),
+        },
+    ),
+    "decompose_robust": (
+        (8388608122203595670, 0, 52, 628),
+        {
+            "apply_circuit": (0, 0, 0, 30),
+            "bell_difference": (1069808, 0, 0, 0),
+            "edge_test": (122201901668, 0, 0, 0),
+            "fidelity_shadows": (2171, 0, 0, 0),
+            "gowers_estimate": (8388607999999993856, 0, 0, 0),
+            "lcu": (0, 0, 52, 598),
+            "measure": (79, 0, 0, 0),
+            "oracle_build": (94208, 0, 0, 0),
+            "retention": (533880, 0, 0, 0),
+        },
+    ),
+    "iterate_robust_hadamard": (
+        (1048575999999999232, 0, 1424008508982023538, 3727),
+        {
+            "gowers_estimate": (1048575999999999232, 0, 0, 0),
+            "hadamard_test": (0, 0, 1424008508982022942, 0),
+            "lcu": (0, 0, 596, 3727),
+        },
+    ),
+    "learn_extent": (
+        (2154766361091613284069984436224, 0, 52, 442),
+        {
+            "gowers_estimate": (2154766361091613284069984436224, 0, 0, 0),
+            "lcu": (0, 0, 52, 442),
+        },
+    ),
+    "selfcorrect_planted": (
+        (31773053899, 0, 0, 0),
+        {
+            "apply_circuit": (0, 0, 0, 0),
+            "bell_difference": (344716, 0, 0, 0),
+            "edge_test": (31772535872, 0, 0, 0),
+            "fidelity_shadows": (945, 0, 0, 0),
+            "measure": (8, 0, 0, 0),
+            "retention": (172358, 0, 0, 0),
+        },
+    ),
+    "selfcorrect_threshold_span": (
+        (36661711986, 0, 0, 11),
+        {
+            "apply_circuit": (0, 0, 0, 11),
+            "bell_difference": (403240, 0, 0, 0),
+            "edge_test": (36661073680, 0, 0, 0),
+            "fidelity_shadows": (1122, 0, 0, 0),
+            "measure": (68, 0, 0, 0),
+            "oracle_build": (32768, 0, 0, 0),
+            "retention": (201108, 0, 0, 0),
+        },
+    ),
+    "test_sampled": (
+        (56930, 0, 0, 0),
+        {
+            "bell_difference": (22772, 0, 0, 0),
+            "gowers_sampled": (34158, 0, 0, 0),
+        },
+    ),
+}
+
+
+def _ledger(totals, breakdown):
+    return {
+        "totals": dict(zip(FIELDS, totals)),
+        "breakdown": {name: dict(zip(FIELDS, row)) for name, row in breakdown.items()},
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_command_ledger_is_golden(name):
+    rec = run(ExperimentConfig.from_json(CONFIGS[name]))[0]
+    assert rec.ledger == _ledger(*GOLDEN[name])
+
+
+def test_hadamard_robust_loop_ledger_is_golden():
+    rng = np.random.default_rng(0)
+    psi = random_state(3, rng)
+    ledger = CostLedger()
+    iterate_robust(psi, 0.05, base_learner_bruteforce(), ledger, rng, estimator="hadamard")
+    assert ledger.to_json() == _ledger(*GOLDEN["iterate_robust_hadamard"])

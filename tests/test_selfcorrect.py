@@ -79,22 +79,28 @@ def vecs(*strings):
 class TestEdgeTest:
     def test_zero_state_z_pair(self, rng):
         psi = basis_state(3)
-        assert _edge_batch(psi, vecs("ZII"), vecs("IZI"), 0.5, 0.1, 0.01, rng, None, False).all()
+        assert _edge_batch(
+            psi, vecs("ZII"), vecs("IZI"), 0.5, 0.1, 0.01, rng, CostLedger(), False
+        ).all()
 
     def test_zero_state_x_fails(self, rng):
         psi = basis_state(3)
-        assert not _edge_batch(psi, vecs("ZII"), vecs("XII"), 0.5, 0.1, 0.01, rng, None, True).any()
+        assert not _edge_batch(
+            psi, vecs("ZII"), vecs("XII"), 0.5, 0.1, 0.01, rng, CostLedger(), True
+        ).any()
 
     def test_t_state_self_pair(self, rng):
         # x = y = X: the sum is the identity label, in the set by convention
         psi = t_state()
-        assert _edge_batch(psi, vecs("X"), vecs("X"), 0.4, 0.05, 0.01, rng, None, True).all()
+        assert _edge_batch(
+            psi, vecs("X"), vecs("X"), 0.4, 0.05, 0.01, rng, CostLedger(), True
+        ).all()
 
     def test_exact_monotone_in_zeta(self, rng):
         psi = random_state(2, rng)
         xs, ys = rng.integers(16, size=50), rng.integers(16, size=50)
         flags = [
-            _edge_batch(psi, xs, ys, z, 1e-6, 0.01, rng, None, True)
+            _edge_batch(psi, xs, ys, z, 1e-6, 0.01, rng, CostLedger(), True)
             for z in (0.05, 0.2, 0.5, 0.9)
         ]
         # raising the threshold never adds edges
@@ -147,7 +153,7 @@ class TestBsgTest:
     def test_zero_expectation_rejected(self, rng):
         st, psi = stab_vec(["+ZI", "+IZ"])
         params = BsgParams.practical(0.5)
-        assert not bsg_test(psi, lab("ZI"), lab("XI"), params, rng)
+        assert not bsg_test(psi, lab("ZI"), lab("XI"), params, rng, CostLedger())
 
     def test_deterministic_under_seed(self):
         st, psi = stab_vec(["+XZ", "+ZX"])
@@ -155,7 +161,7 @@ class TestBsgTest:
         flags = []
         for _ in range(2):
             rng = RngStream(77).child("bsg").generator()
-            flags.append(bsg_test(psi, lab("XZ"), lab("ZX"), params, rng))
+            flags.append(bsg_test(psi, lab("XZ"), lab("ZX"), params, rng, CostLedger()))
         assert flags[0] == flags[1]
 
     def test_sandwich_on_planted_exact(self, rng):
@@ -173,7 +179,7 @@ class TestBsgTest:
         assert a1 <= a2
         for v in range(16):
             vl = PauliLabel.from_vector(2, v)
-            flag = bsg_test(psi, lab("II"), vl, params, rng, exact=True)
+            flag = bsg_test(psi, lab("II"), vl, params, rng, CostLedger(), exact=True)
             if flag:
                 assert v in a2
             else:
@@ -203,7 +209,7 @@ class TestCollect:
 
         psi = random_state(6, rng)
         with pytest.raises(CollectionEmpty):
-            collect_small_doubling(psi, 10, 0.8, 0.05, rng)
+            collect_small_doubling(psi, 10, 0.8, 0.05, rng, CostLedger())
 
 
 class TestPfrOracle:
@@ -218,7 +224,7 @@ class TestPfrOracle:
     def test_threshold_span_matches_planted_on_stabilizer(self, rng):
         st, psi = stab_vec(["+XZ", "+ZX"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        span = threshold_span_oracle(0.5)(psi, rng, None)
+        span = threshold_span_oracle(0.5)(psi, rng, CostLedger())
         for v in range(16):
             assert span.contains(v) == basis.contains(v)
 
@@ -243,9 +249,9 @@ class TestPfrOracle:
             psi = StateVector(3, amps / np.linalg.norm(amps))
             masses = [_retained_mass(psi, b) for b in bases]
             assert masses[want] == max(masses) and masses[1 - want] < max(masses)
-            assert planted_oracle(*bases)(psi, rng, None) == bases[want]
+            assert planted_oracle(*bases)(psi, rng, CostLedger()) == bases[want]
             # a lone group is the only candidate, even the one retaining less
-            assert planted_oracle(bases[1 - want])(psi, rng, None) == bases[1 - want]
+            assert planted_oracle(bases[1 - want])(psi, rng, CostLedger()) == bases[1 - want]
 
 
 class TestPfrSubgroup:
@@ -253,17 +259,16 @@ class TestPfrSubgroup:
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
         samples = basis.labels(3) + [basis.labels(3)[0].add(basis.labels(3)[1])]
-        sub = pfr_subgroup(samples, basis, psi=psi)
+        sub = pfr_subgroup(samples, basis)
         assert sub.dim <= 3
-        assert sub.mass == pytest.approx(1.0, abs=0.25)
-        assert sub.mass == _retained_mass(psi, sub.basis)
+        assert _retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=0.25)
 
     def test_span_saturation(self, rng):
         st, psi = stab_vec(["+ZII", "+IZI", "+IIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
         span = [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()]
-        sub = pfr_subgroup(span, basis, psi=psi)
-        assert sub.dim == 3 and sub.mass == pytest.approx(1.0, abs=1e-9)
+        sub = pfr_subgroup(span, basis)
+        assert sub.dim == 3 and _retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejecting_oracle_fails(self):
         empty = rref_basis_from_labels([lab("II")])
@@ -303,7 +308,7 @@ class TestFindStabilizer:
         basis = rref_basis_from_labels([g.label for g in st.generators])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            basis, psi=psi,
+            basis,
         )
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(1.0, abs=1e-9)
@@ -314,7 +319,7 @@ class TestFindStabilizer:
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(2, v) for v in basis.enumerate_span()],
-            basis, psi=psi,
+            basis,
         )
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(0.9, abs=1e-9)
@@ -327,9 +332,9 @@ class TestFindStabilizer:
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(2, v) for v in basis.enumerate_span()],
-            basis, psi=psi,
+            basis,
         )
-        cand = find_stabilizer(psi, sub, 0.5, 0.05, rng)
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         recomputed = abs(overlap(StateVector(2, statevector_of(cand.state)), psi)) ** 2
         assert cand.fidelity == pytest.approx(recomputed, abs=1e-12)
         # commuting generators by construction
@@ -341,9 +346,9 @@ class TestFindStabilizer:
         basis = rref_basis_from_labels([lab("ZII"), lab("IZI"), lab("IIZ")])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            basis, psi=psi,
+            basis,
         )
-        cand = find_stabilizer(psi, sub, 0.5, 0.05, rng)
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(1.0, abs=1e-12)
         assert cand.provenance["k"] == 0
 
@@ -355,7 +360,7 @@ class TestFindHighStabDim:
         basis = rref_basis_from_labels([lab("IZI"), lab("IIZ")])
         sub = pfr_subgroup(
             [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            basis, psi=psi,
+            basis,
         )
         res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert res.block_weight == pytest.approx(1.0, abs=1e-9)
@@ -372,7 +377,7 @@ class TestFindHighStabDim:
         psi = StateVector(2, amps)
         basis = rref_basis_from_labels([lab("IZ")])
         sub = SubgroupV(2, basis, None)
-        res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng)
+        res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert res.block_weight == pytest.approx(np.cos(th) ** 2, abs=1e-9)
         assert abs(overlap(res.reconstruct(), psi)) ** 2 == pytest.approx(
             np.cos(th) ** 2, abs=1e-9
@@ -388,7 +393,7 @@ class TestFindHighStabDim:
         circ = random_circuit(n, rng)
         center = [conjugate(circ, PhasedPauli(PauliLabel(n, 0, 1 << q), 0)) for q in (1, 2)]
         sub = SubgroupV(n, rref_basis([g.label.to_vector() for g in center], 2 * n), None)
-        res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng)
+        res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert abs(overlap(res.reconstruct(), psi) - np.sqrt(res.block_weight)) <= 1e-9
 
 
@@ -418,13 +423,13 @@ class TestSelfCorrect:
         basis = rref_basis_from_labels([g.label for g in st.generators])
         for oracle in (planted_oracle(basis), threshold_span_oracle(0.25)):
             with pytest.raises(SelfCorrectionFailed, match="accepted sums < floor 2"):
-                self_correct(psi, 0.5, 0.05, oracle, rng, attempts=4)
+                self_correct(psi, 0.5, 0.05, oracle, rng, CostLedger(), attempts=4)
 
     def test_haar_exhausts(self, rng):
         psi = random_state(6, rng)
         with pytest.raises(SelfCorrectionFailed):
             self_correct(
-                psi, 0.5, 0.05, threshold_span_oracle(0.25), rng, attempts=3
+                psi, 0.5, 0.05, threshold_span_oracle(0.25), rng, CostLedger(), attempts=3
             )
 
 
@@ -462,7 +467,7 @@ class TestTolerantTest:
         runs = 50
         for i in range(runs):
             rng = RngStream(1234).child("tol", i).generator()
-            v = tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, mode="sampled")
+            v = tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, CostLedger(), mode="sampled")
             agree += v == "yes"
         assert agree >= runs - 1
 

@@ -91,14 +91,14 @@ class TestApplyCircuit:
     def test_h_plus(self):
         from stabcorrect.pauli import CliffordCircuit
 
-        out = apply_circuit(basis_state(1), CliffordCircuit(1, (("H", (0,)),)))
+        out = apply_circuit(basis_state(1), CliffordCircuit(1, (("H", (0,)),)), CostLedger())
         assert np.allclose(out.amps, [SQ2, SQ2])
 
     def test_bell(self):
         from stabcorrect.pauli import CliffordCircuit
 
         circ = CliffordCircuit(2, (("H", (0,)), ("CNOT", (0, 1))))
-        out = apply_circuit(basis_state(2), circ)
+        out = apply_circuit(basis_state(2), circ, CostLedger())
         assert np.allclose(out.amps, [SQ2, 0, 0, SQ2])
 
     def test_prep_cross_module(self, rng):
@@ -162,7 +162,7 @@ class TestDistributions:
     def test_sampler_increments_are_q(self, rng):
         for n in (1, 3, 5):
             psi = random_state(n, rng)
-            sample_weyl_indices(psi, 1, rng, None)
+            sample_weyl_indices(psi, 1, rng, CostLedger())
             _, q = distribution_tables(psi)
             steps = np.diff(psi._cache["qcum"], prepend=0.0)
             assert np.max(np.abs(steps - q)) <= 1e-15
@@ -214,7 +214,7 @@ class TestTableMemory:
 
 class TestSampling:
     def test_zero_state_always_z_type(self, rng):
-        idx = sample_weyl_indices(basis_state(3), 500, rng, None)
+        idx = sample_weyl_indices(basis_state(3), 500, rng, CostLedger())
         assert np.all(idx & 0b111 == 0)  # a-part zero
 
     def test_stabilizer_uniform_on_group(self, rng):
@@ -232,7 +232,7 @@ class TestSampling:
 
     def test_t_state_frequencies(self, rng):
         draws = 100_000
-        idx = sample_weyl_indices(t_state(), draws, rng, None)
+        idx = sample_weyl_indices(t_state(), draws, rng, CostLedger())
         freq = np.bincount(idx, minlength=4) / draws
         want = np.array([0.375, 0.25, 0.125, 0.25])
         sig = np.sqrt(want * (1 - want) / draws)
@@ -254,7 +254,7 @@ class TestSampling:
 
     def test_retention_extremes(self, rng):
         # on |0> every retained label is Z-type: its a-part is zero
-        idx = _draw_retained(basis_state(3), 500, rng, None)
+        idx = _draw_retained(basis_state(3), 500, rng, CostLedger())
         assert idx.shape == (500,)
         assert np.all(idx & 0b111 == 0)
 
@@ -264,7 +264,7 @@ class TestSampling:
         _, q = distribution_tables(psi)
         want = q * expectation_table(psi) ** 2 / exact_proxy(psi)
         draws = 20_000
-        freq = np.bincount(_draw_retained(psi, draws, rng, None), minlength=4) / draws
+        freq = np.bincount(_draw_retained(psi, draws, rng, CostLedger()), minlength=4) / draws
         sig = np.sqrt(want * (1 - want) / draws)
         assert np.all(np.abs(freq - want) <= 4 * sig)
         assert want == pytest.approx([0.6, 0.2, 0.0, 0.2])
@@ -323,7 +323,7 @@ class TestGowersMetrics:
         # estimates and leaves the generators in the same state
         psi = random_state(4, np.random.default_rng(5))
         a, b = np.random.default_rng(12), np.random.default_rng(12)
-        m = gowers3_metrics(psi, "sampled", 0.2, a, None)
+        m = gowers3_metrics(psi, "sampled", 0.2, a, CostLedger())
         w2 = expectation_squares(psi)
         replay = []
         for cum in (psi._cache["qcum"], np.cumsum(w2)):
@@ -375,7 +375,7 @@ class TestHadamardTest:
 
     def test_self_overlap(self, rng):
         psi = random_state(2, rng)
-        est = hadamard_test_estimate(psi, psi, 0.05, 1e-3, rng)
+        est = hadamard_test_estimate(psi, psi, 0.05, 1e-3, rng, CostLedger())
         assert abs(est - 1.0) < 0.1
 
     def test_coverage(self, rng):
@@ -384,7 +384,7 @@ class TestHadamardTest:
         true = overlap(basis_state(1), plus)
         misses = 0
         for _ in range(200):
-            est = hadamard_test_estimate(basis_state(1), plus, 0.08, 0.01, rng)
+            est = hadamard_test_estimate(basis_state(1), plus, 0.08, 0.01, rng, CostLedger())
             if abs(est.real - true.real) > 0.08 or abs(est.imag - true.imag) > 0.08:
                 misses += 1
         assert misses <= 6
@@ -464,14 +464,14 @@ class TestLcuResidual:
         plus = StabilizerState(1, (pp("+X"),))
         vec = StateVector(1, statevector_of(plus))
         with pytest.raises(ResidualVanished):
-            lcu_residual(vec, [plus], [1.0 + 0j], 1.0)
+            lcu_residual(vec, [plus], [1.0 + 0j], 1.0, CostLedger())
 
     def test_alpha_cancels(self, rng):
         psi = random_state(2, rng)
         st = enumerate_stabilizer_states(2)[7]
         beta = overlap(StateVector(2, statevector_of(st)), psi)
-        _, s1 = lcu_residual(psi, [st], [beta], 1.0)
-        _, s2 = lcu_residual(psi, [st], [beta], 0.37)
+        _, s1 = lcu_residual(psi, [st], [beta], 1.0, CostLedger())
+        _, s2 = lcu_residual(psi, [st], [beta], 0.37, CostLedger())
         assert s1 == pytest.approx(s2, abs=1e-12)
 
     @staticmethod
@@ -492,7 +492,7 @@ class TestLcuResidual:
             prepared = psi.amps.copy()
             for beta, st in zip(betas, picks):
                 prepared -= beta * kernels.apply_gates(kernels.zero_state(n), stab_state_prep(st).gates)
-            resid, success = lcu_residual(psi, picks, betas, alpha)
+            resid, success = lcu_residual(psi, picks, betas, alpha, CostLedger())
             norm = np.linalg.norm(prepared)
             assert np.abs(resid.amps - prepared / norm).max() <= 1e-12
             a1 = (1 + sum(abs(b) for b in betas)) / alpha
