@@ -120,9 +120,6 @@ class Gf2Basis:
     def labels(self, n: int) -> list[PauliLabel]:
         return [PauliLabel.from_vector(n, v) for v in self.rows]
 
-    def to_json(self, n: int) -> list[str]:
-        return ["+" + lab.to_string() for lab in self.labels(n)]
-
 
 def rref_basis(vectors, nbits: int) -> Gf2Basis:
     """Canonical basis of span(vectors); empty input gives rank 0."""
@@ -164,12 +161,6 @@ class SgsDecomposition:
 
     center: tuple[PauliLabel, ...]
     pairs: tuple[tuple[PauliLabel, PauliLabel], ...]
-
-    def all_labels(self) -> list[PauliLabel]:
-        out = list(self.center)
-        for g, h in self.pairs:
-            out += [g, h]
-        return out
 
 
 def symplectic_gram_schmidt(generators) -> SgsDecomposition:

@@ -47,8 +47,8 @@ from .statevec import (
 from .iterate import (
     base_learner_bruteforce,
     base_learner_self_correct,
-    decompose_stab_dim,
     iterate_error_free,
+    iterate_robust,
     learn_low_extent,
 )
 
@@ -295,6 +295,11 @@ class ExperimentConfig:
             n = self.state.n
             if self.command == "decompose" and p["t"] >= n:
                 raise ValueError(f"parameter t must lie in [0, n = {n}), got {p['t']}")
+            if self.command == "decompose" and p["loop"] == "error_free" and p["t"] > 0:
+                raise ValueError(
+                    f"parameter t = {p['t']} needs loop 'robust': the error_free loop has no "
+                    "stabilizer-dimension threshold"
+                )
             for t in p.get("stab_dims", ()):
                 if not 0 <= t <= n:
                     raise ValueError(f"parameter stab_dims entry {t} outside [0, n = {n}]")
@@ -425,7 +430,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
         if p["loop"] == "error_free":
             dec = iterate_error_free(psi, p["eps"], learner, ledger, rng)
         else:
-            dec = decompose_stab_dim(psi, p["eps"], p["t"], learner, ledger, rng)
+            dec = iterate_robust(psi, p["eps"], learner, ledger, rng, t=p["t"])
         out.update(decomposition=dec.to_json())
         if psi.n <= ORACLE_MAX_QUBITS and dec.residual is not None:
             out.update(

@@ -1,9 +1,9 @@
 """Iterative self-correction: one loop with a per-iteration error schedule
 and full coefficient recomputation, run as the error-free loop (exact
-estimates, k <= 1/eta^2) or as the noise-robust loop (k <= 9/eta^2 + 8);
-pluggable base learners; and the downstream applications (low-extent
-learning, mimicking-state comparison, high-stabilizer-dimension
-decomposition).
+estimates, k <= 1/eta^2) or as the noise-robust loop (k <= 9/eta^2 + 8),
+whose ``t`` gives the high-stabilizer-dimension decomposition; pluggable
+base learners; and the downstream applications (low-extent learning,
+mimicking-state comparison).
 
 The loop is inherently sequential; parallelize at the level of independent
 experiment configurations with disjoint RNG paths.
@@ -60,7 +60,6 @@ class BaseLearner:
 
     learn: callable  # (StateVector, Generator, CostLedger) -> StabilizerState
     promise: callable  # float -> float
-    provenance: str
 
 
 def base_learner_bruteforce() -> BaseLearner:
@@ -68,7 +67,7 @@ def base_learner_bruteforce() -> BaseLearner:
         _, state = bruteforce_stab_fidelity(psi)
         return state
 
-    return BaseLearner(learn, lambda eps: max(eps - 1e-9, 1e-9), "bruteforce_agnostic")
+    return BaseLearner(learn, lambda eps: max(eps - 1e-9, 1e-9))
 
 
 def base_learner_self_correct(
@@ -88,11 +87,7 @@ def base_learner_self_correct(
         )
         return cand.state
 
-    return BaseLearner(
-        learn,
-        lambda eps: max(min(eps, 1.0), 1e-9),
-        "self_correct",
-    )
+    return BaseLearner(learn, lambda eps: max(min(eps, 1.0), 1e-9))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def _iterate(
     eps: float,
     learner: BaseLearner,
     ledger: CostLedger,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
     budget: float,
     slack: int,
     threshold: float,
@@ -199,17 +194,18 @@ def _iterate(
     """The one loop behind both entry points.
 
     Runs at most ceil(budget/eta^2) + slack iterations.  Each stops on alpha^2
-    below eps, on a vanished residual, on an exact proxy below ``threshold``
-    (its estimate is charged at accuracy ``charge_at``), or on a learner that
-    raises ``SelfCorrectionFailed``, keeping the terms learnt so far;
+    below eps, on a vanished or zero residual (whatever the estimator), on an
+    exact proxy below ``threshold`` (its estimate is charged at accuracy
+    ``charge_at``), or on a learner that raises ``SelfCorrectionFailed``,
+    keeping the terms learnt so far;
     otherwise it learns phi_t from the residual, re-estimates every overlap
     <phi_j|psi> at the ``ErrorSchedule(eta)`` tolerance delta/(3 t^4) (each
     Hadamard test fails with probability ``EST_FAIL``), rebuilds beta with
     exact stabilizer cross-overlaps and (c, r, alpha) through
     ``recompute_coeffs``.
     With the exact estimator each iteration also asserts the progress
-    identity and the orthogonality of the new residual to phi_t, and stops on
-    a zero residual.  On exit, asserts k <= budget/eta^2.
+    identity and the orthogonality of the new residual to phi_t.  On exit,
+    asserts k <= budget/eta^2.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -273,9 +269,10 @@ def _iterate(
             # progress identity: the removed mass is |c_t|^2 prod_{j<t} r_j^2
             if abs(prev_norm**2 - norm**2 - abs(cs[-1]) ** 2 * alphas[-2] ** 2) > PROGRESS_TOL:
                 raise AssertionError("progress identity violated")
-            if norm <= ZERO_RESIDUAL_TOL:
-                stop = STOP_TOMOGRAPHY
-                break
+        if norm <= ZERO_RESIDUAL_TOL:
+            stop = STOP_TOMOGRAPHY
+            break
+        if estimator == "exact":
             if abs(overlap(statevector_of_stab(phi), StateVector(psi.n, unnorm / norm))) > 1e-10:
                 raise AssertionError("residual is not orthogonal to the new term")
         alpha = alphas[-1]
@@ -302,7 +299,7 @@ def iterate_error_free(
     eps: float,
     learner: BaseLearner,
     ledger: CostLedger,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> Decomposition:
     """Exact-mode loop: all estimates are exact, stopping on the two
     conditions (q-average below eps^6, or alpha^2 below eps) or on exact
@@ -318,9 +315,9 @@ def iterate_robust(
     eps: float,
     learner: BaseLearner,
     ledger: CostLedger,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     estimator="exact",
-    threshold_factor: float = 1.0,
+    t: int = 0,
 ) -> Decomposition:
     """Noise-tolerant loop: iteration t re-estimates every overlap <phi_j|psi>
     at tolerance delta/(3 t^4), rebuilds the coefficient vector with exact
@@ -330,10 +327,14 @@ def iterate_robust(
 
     ``estimator`` is "exact", "hadamard", or a callable
     (j, t, true_value, tol) -> estimate used to inject controlled errors.
-    ``threshold_factor`` scales the eps^6 stopping threshold (used by the
-    stabilizer-dimension decomposition).
+
+    ``t`` in [0, n) relaxes the stopping threshold to 2^{-2t} eps^6, the
+    stabilizer-dimension decomposition: the residual then satisfies
+    |alpha|^2 * F_{S(n-t)} <= eps (t = 0 is the plain robust loop).
     """
-    threshold = threshold_factor * eps**6
+    if not 0 <= t < psi.n:
+        raise ValueError("need 0 <= t < n")
+    threshold = 2.0 ** (-2 * t) * eps**6
     return _iterate(
         psi, eps, learner, ledger, rng,
         budget=9.0, slack=8, threshold=threshold, charge_at=threshold / 2.0,
@@ -369,7 +370,7 @@ def learn_low_extent(
     eps_prime: float,
     learner: BaseLearner,
     ledger: CostLedger,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> LowExtentResult:
     """Run the robust loop at eps = (eps'/(2 xi))^2 and normalize the
     structured part; for extent-xi inputs the exact achieved overlap is at
@@ -430,19 +431,3 @@ def mimic_compare(dec: Decomposition, targets, xi: float) -> MimicReport:
         )
     eps_prime = xi * root_eps
     return MimicReport(entries, dec.eps, eps_prime, 3.0 * eps_prime)
-
-
-def decompose_stab_dim(
-    psi: StateVector,
-    eps: float,
-    t: int,
-    learner: BaseLearner,
-    ledger: CostLedger,
-    rng: np.random.Generator | None = None,
-) -> Decomposition:
-    """Robust loop with the stopping threshold relaxed to 2^{-2t} eps^6; the
-    residual then satisfies |alpha|^2 * F_{S(n-t)} <= eps (t = 0 reduces to
-    the plain robust loop, same code path)."""
-    if not 0 <= t < psi.n:
-        raise ValueError("need 0 <= t < n")
-    return iterate_robust(psi, eps, learner, ledger, rng, threshold_factor=2.0 ** (-2 * t))

@@ -49,13 +49,5 @@ class CostLedger:
                 out[f] += row[f]
         return out
 
-    @property
-    def copies_consumed(self) -> int:
-        return self.totals["copies_consumed"]
-
-    @property
-    def gate_count(self) -> int:
-        return self.totals["gate_count"]
-
     def to_json(self) -> dict:
         return {"totals": self.totals, "breakdown": self.breakdown}

@@ -1,5 +1,6 @@
-"""Phased Pauli arithmetic, Clifford tableaus, circuit synthesis, stabilizer
-states with exact inner products, and the isotropic subspaces in RREF.
+"""Phased Pauli arithmetic, Clifford circuits with exact conjugation, subgroup
+canonicalization, stabilizer states with exact inner products, and the
+isotropic subspaces in RREF.
 
 Operator convention: a ``PhasedPauli`` with label (a, b) and phase t is
 i^t * W_(a,b) where W_(a,b) = i^{|a&b|} X^a Z^b.  Hermitian signed Paulis
@@ -48,9 +49,6 @@ class PhasedPauli:
     @property
     def is_hermitian(self) -> bool:
         return self.phase in (0, 2)
-
-    def negate(self) -> "PhasedPauli":
-        return PhasedPauli(self.label, self.phase + 2)
 
     def to_string(self) -> str:
         return _SIGNS[self.phase] + self.label.to_string()
@@ -133,7 +131,7 @@ def _conj_gate(name: str, qs: tuple[int, ...], p: PhasedPauli) -> PhasedPauli:
 
 
 # ---------------------------------------------------------------------------
-# circuits and tableaus
+# circuits
 
 
 @dataclass(frozen=True)
@@ -174,36 +172,6 @@ class CliffordCircuit:
         )
 
 
-@dataclass(frozen=True)
-class CliffordTableau:
-    """Images of X_q and Z_q under conjugation, as Hermitian signed Paulis."""
-
-    n: int
-    x_images: tuple[PhasedPauli, ...]
-    z_images: tuple[PhasedPauli, ...]
-
-    @staticmethod
-    def identity(n: int) -> "CliffordTableau":
-        xs = tuple(PhasedPauli(PauliLabel(n, 1 << q, 0), 0) for q in range(n))
-        zs = tuple(PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(n))
-        return CliffordTableau(n, xs, zs)
-
-    def is_valid(self) -> bool:
-        imgs = self.x_images + self.z_images
-        if any(not p.is_hermitian for p in imgs):
-            return False
-        base = CliffordTableau.identity(self.n)
-        ref = base.x_images + base.z_images
-        for i in range(2 * self.n):
-            for j in range(i + 1, 2 * self.n):
-                if symplectic_product(imgs[i].label, imgs[j].label) != symplectic_product(
-                    ref[i].label, ref[j].label
-                ):
-                    return False
-        labs = [p.label.to_vector() for p in imgs]
-        return rref_basis(labs, 2 * self.n).rank == 2 * self.n
-
-
 def conjugate(circuit: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
     """Exact U P U^dagger for the unitary U the circuit applies, one gate at
     a time."""
@@ -214,17 +182,8 @@ def conjugate(circuit: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
     return p
 
 
-def tableau_from_circuit(circuit: CliffordCircuit) -> CliffordTableau:
-    base = CliffordTableau.identity(circuit.n)
-    return CliffordTableau(
-        circuit.n,
-        tuple(conjugate(circuit, p) for p in base.x_images),
-        tuple(conjugate(circuit, p) for p in base.z_images),
-    )
-
-
 # ---------------------------------------------------------------------------
-# reduction engine shared by synthesis routines
+# reduction engine shared by canonicalization and state preparation
 #
 # All routines work on a mutable list of tracked Paulis; emitting a gate
 # conjugates every tracked element, so commutation relations among them are
@@ -362,18 +321,6 @@ def canonicalize_subgroup(
         red.reduce_pair(2 * i, 2 * i + 1, i)
     red.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
     return CliffordCircuit(n, tuple(red.gates)), k, m
-
-
-def synthesize_circuit(tableau: CliffordTableau) -> CliffordCircuit:
-    """Gate list whose extracted tableau reproduces the input exactly,
-    including signs; O(n^2) gates."""
-    n = tableau.n
-    tracked = list(tableau.x_images) + list(tableau.z_images)
-    red = _Reducer(n, tracked)
-    for j in range(n):
-        red.reduce_pair(j, n + j, j)
-    # gates compose to tableau^{-1}; invert the list
-    return CliffordCircuit(n, tuple(red.gates)).inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -325,10 +325,6 @@ class SubgroupV:
         if self.mass is not None and not -1e-9 <= self.mass <= 1 + 1e-9:
             raise ValueError("retained mass outside [0, 1]")
 
-    @property
-    def dim(self) -> int:
-        return self.basis.rank
-
 
 def pfr_subgroup(samples: list[PauliLabel], basis: Gf2Basis) -> SubgroupV:
     """Span of the pairwise sums that lie in the covering subgroup ``basis``.

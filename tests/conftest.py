@@ -1,10 +1,18 @@
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
 
 from stabcorrect import kernels
-from stabcorrect.gf2 import Gf2Basis, PauliLabel, symplectic_product, symplectic_product_vec
+from stabcorrect.gf2 import (
+    Gf2Basis,
+    PauliLabel,
+    SgsDecomposition,
+    rref_basis,
+    symplectic_product,
+    symplectic_product_vec,
+)
 from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
@@ -13,6 +21,7 @@ from stabcorrect.pauli import (
     PhasedPauli,
     StabilizerState,
     canonicalize_subgroup,
+    conjugate,
     isotropic_subspaces,
     signed_statevectors,
     stabilizer_inner_product,
@@ -137,6 +146,69 @@ def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> Clifford
     red = _Reducer(p.n, [p, q])
     red.reduce_pair(0, 1, 0)
     return CliffordCircuit(p.n, tuple(red.gates))
+
+
+# ---------------------------------------------------------------------------
+# Clifford tableaus: the references circuit conjugation, inversion and the
+# reducer are checked against
+
+
+@dataclass(frozen=True)
+class CliffordTableau:
+    """Images of X_q and Z_q under conjugation, as Hermitian signed Paulis."""
+
+    n: int
+    x_images: tuple[PhasedPauli, ...]
+    z_images: tuple[PhasedPauli, ...]
+
+    @staticmethod
+    def identity(n: int) -> "CliffordTableau":
+        xs = tuple(PhasedPauli(PauliLabel(n, 1 << q, 0), 0) for q in range(n))
+        zs = tuple(PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(n))
+        return CliffordTableau(n, xs, zs)
+
+    def is_valid(self) -> bool:
+        imgs = self.x_images + self.z_images
+        if any(not p.is_hermitian for p in imgs):
+            return False
+        base = CliffordTableau.identity(self.n)
+        ref = base.x_images + base.z_images
+        for i in range(2 * self.n):
+            for j in range(i + 1, 2 * self.n):
+                if symplectic_product(imgs[i].label, imgs[j].label) != symplectic_product(
+                    ref[i].label, ref[j].label
+                ):
+                    return False
+        labs = [p.label.to_vector() for p in imgs]
+        return rref_basis(labs, 2 * self.n).rank == 2 * self.n
+
+
+def tableau_from_circuit(circuit: CliffordCircuit) -> CliffordTableau:
+    base = CliffordTableau.identity(circuit.n)
+    return CliffordTableau(
+        circuit.n,
+        tuple(conjugate(circuit, p) for p in base.x_images),
+        tuple(conjugate(circuit, p) for p in base.z_images),
+    )
+
+
+def synthesize_circuit(tableau: CliffordTableau) -> CliffordCircuit:
+    """Gate list whose extracted tableau reproduces the input exactly,
+    including signs; O(n^2) gates, from the package's pair reducer."""
+    n = tableau.n
+    red = _Reducer(n, list(tableau.x_images) + list(tableau.z_images))
+    for j in range(n):
+        red.reduce_pair(j, n + j, j)
+    # gates compose to tableau^{-1}; invert the list
+    return CliffordCircuit(n, tuple(red.gates)).inverse()
+
+
+def all_labels(sgs: SgsDecomposition) -> list[PauliLabel]:
+    """The center, then each pair's two members."""
+    out = list(sgs.center)
+    for g, h in sgs.pairs:
+        out += [g, h]
+    return out
 
 
 def is_isotropic(basis: Gf2Basis, n: int) -> bool:

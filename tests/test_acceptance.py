@@ -16,7 +16,6 @@ from stabcorrect.iterate import (
     ErrorSchedule,
     base_learner_bruteforce,
     base_learner_self_correct,
-    decompose_stab_dim,
     iterate_error_free,
     iterate_robust,
     learn_low_extent,
@@ -31,8 +30,6 @@ from stabcorrect.pauli import (
     isotropic_subspaces,
     statevector_of,
     symplectic_gram_schmidt,
-    synthesize_circuit,
-    tableau_from_circuit,
 )
 from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
@@ -54,8 +51,11 @@ from conftest import (
     is_lagrangian,
     orthogonal_stab_pair,
     planted_state,
+    all_labels,
     random_circuit,
+    synthesize_circuit,
     t_state,
+    tableau_from_circuit,
     tensor,
 )
 
@@ -140,7 +140,7 @@ def test_criterion_04_structure_algebra():
             for _ in range(int(rng.integers(1, 2 * n + 2)))
         ]
         dec = symplectic_gram_schmidt(gens)
-        out = dec.all_labels()
+        out = all_labels(dec)
         got = rref_basis([g.to_vector() for g in out], 2 * n)
         ok &= got == rref_basis([g.to_vector() for g in gens], 2 * n)
         ok &= got.rank == len(out)
@@ -294,9 +294,9 @@ def test_criterion_08_application_contracts():
         psi = random_state(3, np.random.default_rng(1080 + i))
         for t in (0, 1):
             eps = 0.2
-            dec = decompose_stab_dim(
-                psi, eps, t, base_learner_bruteforce(), CostLedger(),
-                np.random.default_rng(2080 + i),
+            dec = iterate_robust(
+                psi, eps, base_learner_bruteforce(), CostLedger(),
+                np.random.default_rng(2080 + i), t=t,
             )
             if dec.residual is not None:
                 f = bruteforce_stab_dim_fidelity(dec.residual, t)

@@ -117,13 +117,17 @@ def test_package_imports_only_at_module_top():
     assert not found, f"function-level imports in the package: {sorted(found)}"
 
 
-# Public functions that nothing in the package calls: documented user API or
-# helpers only the tests call.  A new entry fails here; move a test-only
-# helper into the tests, or fold it into the path that runs.
+# Public functions, classes, methods and properties that nothing in the
+# package reads: documented user API (the paper's applications, and
+# ``CostLedger.merge`` for ledgers of trials run in parallel).  A new entry
+# fails here; move a test-only helper into the tests, or fold it into the
+# path that runs.
 UNCALLED_PUBLIC_API = {
+    "iterate.MimicReport.all_within_bounds",
     "iterate.mimic_compare",
-    "pauli.synthesize_circuit",
-    "pauli.tableau_from_circuit",
+    "ledger.CostLedger.merge",
+    "selfcorrect.HighStabDimResult.reconstruct",
+    "selfcorrect.PublishedBsgParams.zetas_for_subinterval",
     "selfcorrect.find_high_stab_dim",
     "selfcorrect.published_bsg_params",
 }
@@ -145,12 +149,8 @@ PUBLIC_OPTIONS = {
     "cli.main.argv",
     "iterate.base_learner_self_correct.attempts",
     "iterate.base_learner_self_correct.collect_t",
-    "iterate.decompose_stab_dim.rng",
-    "iterate.iterate_error_free.rng",
     "iterate.iterate_robust.estimator",
-    "iterate.iterate_robust.rng",
-    "iterate.iterate_robust.threshold_factor",
-    "iterate.learn_low_extent.rng",
+    "iterate.iterate_robust.t",
     "pauli.canonicalize_subgroup.center_tail",
     "selfcorrect.bsg_test.exact",
     "selfcorrect.published_bsg_params.delta",
@@ -173,7 +173,6 @@ PUBLIC_OPTIONS = {
 LEDGER_OPTIONAL = {"statevec.gowers3_metrics", "selfcorrect.tolerant_test"}
 LEDGER_REQUIRED = {
     "iterate._iterate",
-    "iterate.decompose_stab_dim",
     "iterate.iterate_error_free",
     "iterate.iterate_robust",
     "iterate.learn",  # the base learners' closures
@@ -207,20 +206,25 @@ def _called_name(call: ast.Call) -> str | None:
 
 
 def test_uncalled_public_functions_are_pinned():
-    # a top-level public def counts as called when any name or attribute in
-    # the package refers to it
-    defined, referenced = set(), set()
+    # a top-level public def or class, or a public method or property of a
+    # public class, counts as called when any name or attribute in the
+    # package refers to its bare name
+    defined, referenced = {}, set()
     for stem, tree in _package_trees():
-        defined |= {
-            f"{stem}.{node.name}" for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        }
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{stem}.{node.name}"] = node.name
+                if isinstance(node, ast.ClassDef):
+                    defined.update({
+                        f"{stem}.{node.name}.{member.name}": member.name for member in node.body
+                        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                    })
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    uncalled = {name for name in defined if name.split(".")[1] not in referenced}
+    uncalled = {qualified for qualified, name in defined.items() if name not in referenced}
     assert uncalled == UNCALLED_PUBLIC_API
 
 

@@ -292,6 +292,8 @@ class TestConfig:
             ("decompose", {"t": 3, "loop": "error_free"}, r"parameter t must lie in \[0, n = 3\)"),
             ("decompose", {"t": -1}, "parameter t must be >= 0, got -1"),
             ("test", {"t": -2}, "parameter t must be >= 0, got -2"),
+            # the error-free loop stops at eps^6 whatever t is
+            ("decompose", {"t": 1, "loop": "error_free"}, "parameter t = 1 needs loop 'robust'"),
         ],
     )
     def test_stab_dim_params_out_of_range_rejected(self, command, params, message):
@@ -307,6 +309,7 @@ class TestConfig:
             ("oracle", {"stab_dims": [0, 3]}),
             ("decompose", {"t": 2}),
             ("test", {"t": 7}),  # the test's t has no upper bound
+            ("decompose", {"t": 0, "loop": "error_free"}),
         ],
     )
     def test_stab_dim_params_at_their_bounds_accepted(self, command, params):

@@ -4,7 +4,7 @@ import pytest
 from stabcorrect.errors import CoefficientPrefixExhausted, SelfCorrectionFailed
 from stabcorrect.gf2 import rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
-from stabcorrect.pauli import statevector_of
+from stabcorrect.pauli import StabilizerState, statevector_of
 from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import planted_oracle
 from stabcorrect.iterate import (
@@ -13,7 +13,6 @@ from stabcorrect.iterate import (
     ErrorSchedule,
     base_learner_bruteforce,
     base_learner_self_correct,
-    decompose_stab_dim,
     iterate_error_free,
     iterate_robust,
     learn_low_extent,
@@ -183,7 +182,7 @@ class TestRobust:
                 raise SelfCorrectionFailed("attempt budget exhausted")
             return s1
 
-        learner = BaseLearner(learn, lambda eps: eps, "stub")
+        learner = BaseLearner(learn, lambda eps: eps)
         dec = iterate_robust(psi, 0.05, learner, CostLedger(), rng)
         assert len(calls) == 2
         assert dec.stop_reason == "learner_failed"
@@ -203,7 +202,7 @@ class TestRobust:
             seen.append(residual.amps)
             return brute.learn(residual, rng, ledger)
 
-        learner = BaseLearner(learn, brute.promise, "recording")
+        learner = BaseLearner(learn, brute.promise)
         dec = iterate_robust(psi, 0.05, learner, CostLedger(), np.random.default_rng(seed))
         phis = [phi for _, phi in dec.terms]
 
@@ -216,6 +215,28 @@ class TestRobust:
         for t, amps in enumerate(seen[1:], start=1):
             assert np.array_equal(amps, residual(t))
         assert np.array_equal(dec.residual.amps, residual(dec.iterations))
+
+    def test_zero_residual_stop_for_every_estimator(self):
+        # 0.8|000> + 0.6|111>, learnt plant by plant: the second term leaves a
+        # zero residual, and an estimator returning the exact overlaps stops
+        # there exactly as the built-in exact one does
+        zeros = StabilizerState.from_json(["+ZII", "+IZI", "+IIZ"])
+        ones = StabilizerState.from_json(["-ZII", "-IZI", "-IIZ"])
+        psi = StateVector(3, 0.8 * statevector_of(zeros) + 0.6 * statevector_of(ones))
+        runs = []
+        for estimator in ("exact", lambda j, t, true_value, tol: true_value):
+            plants = iter([zeros, ones])
+            learner = BaseLearner(lambda residual, rng, ledger: next(plants), lambda eps: eps)
+            runs.append(iterate_robust(
+                psi, 0.05, learner, CostLedger(), np.random.default_rng(0), estimator=estimator
+            ))
+        for dec in runs:
+            assert dec.stop_reason == "tomography_complete"
+            assert [phi for _, phi in dec.terms] == [zeros, ones]
+            assert dec.residual is None
+        exact, injected = runs
+        assert [b for b, _ in injected.terms] == [b for b, _ in exact.terms]
+        assert injected.residual_norm == exact.residual_norm <= 1e-12
 
     def test_residual_contract(self, rng):
         # |alpha|^2 * F_S(residual) < eps on exit, checked exactly
@@ -357,26 +378,12 @@ class TestApplications:
         rep = mimic_compare(dec, [([1.0], [s1])], 1.0)
         assert rep.entries[0]["deviation"] <= 1e-9
 
-    def test_decompose_t0_identical(self):
-        psi = random_state(2, RngStream(31).child("s").generator())
-        d1 = decompose_stab_dim(
-            psi, 0.05, 0, base_learner_bruteforce(), CostLedger(),
-            RngStream(31).child("r").generator(),
-        )
-        d2 = iterate_robust(
-            psi, 0.05, base_learner_bruteforce(), CostLedger(),
-            RngStream(31).child("r").generator(),
-        )
-        assert d1.stop_reason == d2.stop_reason
-        assert d1.iterations == d2.iterations
-        assert all(b1 == b2 for (b1, _), (b2, _) in zip(d1.terms, d2.terms))
-
     def test_decompose_residual_contract(self, rng):
         # |alpha|^2 * F_{S(n-t)}(residual) <= eps, brute force at n <= 3
         for trial in range(5):
             psi = random_state(3, np.random.default_rng(800 + trial))
             eps = 0.2
-            dec = decompose_stab_dim(psi, eps, 1, base_learner_bruteforce(), CostLedger(), rng)
+            dec = iterate_robust(psi, eps, base_learner_bruteforce(), CostLedger(), rng, t=1)
             if dec.residual is None:
                 continue
             f = bruteforce_stab_dim_fidelity(dec.residual, 1)
@@ -384,8 +391,14 @@ class TestApplications:
 
     def test_decompose_near_vacuous_threshold(self, rng):
         psi = random_state(3, rng)
-        dec = decompose_stab_dim(psi, 0.6, 2, base_learner_bruteforce(), CostLedger(), rng)
+        dec = iterate_robust(psi, 0.6, base_learner_bruteforce(), CostLedger(), rng, t=2)
         assert dec.iterations <= 1
+
+    @pytest.mark.parametrize("t", [-1, 3, 4])
+    def test_decompose_refuses_t_outside_range(self, t, rng):
+        psi = random_state(3, rng)
+        with pytest.raises(ValueError, match="need 0 <= t < n"):
+            iterate_robust(psi, 0.2, base_learner_bruteforce(), CostLedger(), rng, t=t)
 
 
 class TestDecompositionRecord:

@@ -7,7 +7,6 @@ from stabcorrect import kernels
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_product_vec
 from stabcorrect.pauli import (
     CliffordCircuit,
-    CliffordTableau,
     PhasedPauli,
     StabilizerState,
     canonicalize_subgroup,
@@ -17,12 +16,11 @@ from stabcorrect.pauli import (
     stab_state_prep,
     stabilizer_inner_product,
     statevector_of,
-    synthesize_circuit,
-    tableau_from_circuit,
 )
 from stabcorrect.pauli import _conj_gate, _Reducer
 
 from conftest import (
+    CliffordTableau,
     clifford_from_anticommuting_pair,
     enumerate_stabilizer_states,
     is_isotropic,
@@ -30,6 +28,8 @@ from conftest import (
     random_label,
     random_phased,
     stabilizer_state_matrix,
+    synthesize_circuit,
+    tableau_from_circuit,
     weyl_matrix,
 )
 

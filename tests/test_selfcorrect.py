@@ -260,7 +260,7 @@ class TestPfrSubgroup:
         basis = rref_basis_from_labels([g.label for g in st.generators])
         samples = basis.labels(3) + [basis.labels(3)[0].add(basis.labels(3)[1])]
         sub = pfr_subgroup(samples, basis)
-        assert sub.dim <= 3
+        assert sub.basis.rank <= 3
         assert _retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=0.25)
 
     def test_span_saturation(self, rng):
@@ -268,7 +268,7 @@ class TestPfrSubgroup:
         basis = rref_basis_from_labels([g.label for g in st.generators])
         span = [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()]
         sub = pfr_subgroup(span, basis)
-        assert sub.dim == 3 and _retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=1e-9)
+        assert sub.basis.rank == 3 and _retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=1e-9)
 
     def test_rejecting_oracle_fails(self):
         empty = rref_basis_from_labels([lab("II")])
@@ -299,7 +299,7 @@ class TestPfrSubgroup:
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
         with pytest.raises(PfrSubgroupNotFound, match="2 accepted sums < floor 3"):
             pfr_subgroup(basis.labels(2), basis)
-        assert pfr_subgroup(basis.labels(2) + [lab("ZZ")], basis).dim == 2
+        assert pfr_subgroup(basis.labels(2) + [lab("ZZ")], basis).basis.rank == 2
 
 
 class TestFindStabilizer:
