@@ -29,7 +29,3 @@ class NoCandidateFound(StabcorrectError):
 class BlockWeightBelowTolerance(StabcorrectError):
     """Every sampled computational branch carries negligible weight."""
 
-
-class CoefficientPrefixExhausted(StabcorrectError):
-    """A coefficient prefix sum reached 1 within tolerance; tomography is
-    essentially complete and the normalizing division is ill-posed."""

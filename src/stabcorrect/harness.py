@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -80,15 +81,33 @@ COMMANDS = tuple(PARAMS)
 
 
 def _coerce(name: str, default, value):
-    """``value`` as ``default``'s type; an int field, or each entry of a tuple
-    one, takes only integral values (otherwise ValueError naming the field)."""
+    """``value`` as ``default``'s type, or ValueError naming the field.  A
+    tuple field takes a JSON array; a float field only a finite real number;
+    an int field, or each entry of a tuple one, only an integral value."""
     if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a JSON array, got {value!r}")
         return tuple(_coerce(name, 0, v) for v in value)
+    real = isinstance(value, (int, np.integer, float, np.floating)) and not isinstance(value, bool)
+    if isinstance(default, float):
+        if real and abs(value) <= sys.float_info.max:  # NaN, inf and huge ints fail
+            return float(value)
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if not isinstance(default, int):
         return type(default)(value)
-    if isinstance(value, (int, np.integer, float)) and not isinstance(value, bool) and value % 1 == 0:
+    if real and value % 1 == 0:
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _refuse_unknown(data: dict, allowed, what: str) -> None:
+    """ValueError naming the keys of ``data`` outside ``allowed``, and those allowed."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"unknown {what}: {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,6 +139,7 @@ class StateSpec:
 
     @staticmethod
     def from_json(data: dict) -> "StateSpec":
+        _refuse_unknown(data, {f.name for f in fields(StateSpec)}, "state key(s)")
         terms = None
         if data.get("terms"):
             terms = tuple(
@@ -262,12 +282,9 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; allowed: {', '.join(FORMATS)}")
-        unknown = sorted(set(self.params) - set(PARAMS[self.command]))
-        if unknown:
-            raise ValueError(
-                f"unknown parameter(s) {', '.join(map(repr, unknown))} for command "
-                f"{self.command!r}; allowed: {', '.join(sorted(PARAMS[self.command]))}"
-            )
+        _refuse_unknown(
+            self.params, PARAMS[self.command], f"parameter(s) for command {self.command!r}"
+        )
         p = self.resolved_params()
         for key in ("gamma", "delta", "eps", "eps1", "eps2", "eps_prime"):
             if key in p and not 0 < p[key] < 1:
@@ -276,6 +293,10 @@ class ExperimentConfig:
             raise ValueError("parameter attempts must be >= 1")
         if "theta" in p and not 0 < p["theta"] <= 1:
             raise ValueError("parameter theta must lie in (0, 1]")
+        if "xi" in p and not p["xi"] >= 1:
+            raise ValueError(f"parameter xi must be >= 1, got {p['xi']}")
+        if "separation_c" in p and not p["separation_c"] > 0:
+            raise ValueError(f"parameter separation_c must be > 0, got {p['separation_c']}")
         if "t" in p and p["t"] < 0:
             raise ValueError(f"parameter t must be >= 0, got {p['t']}")
         choice_params = {"loop": LOOPS, "learner": LEARNERS, "oracle": ORACLES, "mode": MODES}
@@ -311,6 +332,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
+        _refuse_unknown(data, {f.name for f in fields(ExperimentConfig)}, "config key(s)")
         state = StateSpec.from_json(data["state"]) if data.get("state") else None
         return ExperimentConfig(
             data["command"], state, dict(data.get("params", {})),

@@ -1,9 +1,11 @@
 """Iterative self-correction: one loop with a per-iteration error schedule
-and full coefficient recomputation, run as the error-free loop (exact
-estimates, k <= 1/eta^2) or as the noise-robust loop (k <= 9/eta^2 + 8),
-whose ``t`` gives the high-stabilizer-dimension decomposition; pluggable
-base learners; and the downstream applications (low-extent learning,
-mimicking-state comparison).
+that rebuilds every coefficient beta_j each iteration, takes alpha =
+sqrt(1 - sum_j |beta_j|^2) and forms the residual psi - sum_j beta_j phi_j
+once per iteration, run as the error-free loop (exact estimates,
+k <= 1/eta^2) or as the noise-robust loop (k <= 9/eta^2 + 8), whose ``t``
+gives the high-stabilizer-dimension decomposition; pluggable base learners;
+and the downstream applications (low-extent learning, mimicking-state
+comparison).
 
 The loop is inherently sequential; parallelize at the level of independent
 experiment configurations with disjoint RNG paths.
@@ -15,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoefficientPrefixExhausted, ResidualVanished, SelfCorrectionFailed
+from .errors import ResidualVanished, SelfCorrectionFailed
 from .ledger import CostLedger
 from .pauli import StabilizerState, stabilizer_inner_product
 from .selfcorrect import ATTEMPTS, self_correct
 from .statevec import (
     StateVector,
     bruteforce_stab_fidelity,
-    gowers3_metrics,
+    exact_proxy,
     hadamard_test_estimate,
     lcu_residual,
     overlap,
@@ -101,7 +103,6 @@ class Decomposition:
     residual_norm: float
     residual: StateVector | None
     stop_reason: str
-    iterations: int
     ledger: CostLedger
     eps: float
     eta: float
@@ -110,8 +111,10 @@ class Decomposition:
     def __post_init__(self):
         if any(abs(beta) > 1.0 + 1e-6 for beta, _ in self.terms):
             raise ValueError("coefficient magnitude above 1")
-        if self.iterations != len(self.terms):
-            raise ValueError("iteration count disagrees with the term list")
+
+    @property
+    def iterations(self) -> int:
+        return len(self.terms)
 
     def structured_vector(self) -> np.ndarray:
         return stab_combination(self.n, self.terms)
@@ -144,38 +147,6 @@ STOP_LEARNER = "learner_failed"
 
 
 # ---------------------------------------------------------------------------
-# coefficient recomputation
-
-
-def recompute_coeffs(betas: list[complex]):
-    """From running-estimate coefficients, rebuild (c, r, alpha):
-    c_{j+1} = beta_{j+1}/sqrt(1 - sum_{i<=j}|beta_i|^2),
-    r_{j+1}^2 = (1 - sum_{i<=j+1}|beta_i|^2) / (1 - sum_{i<=j}|beta_i|^2),
-    alpha_{j+1} = prod_{i<=j}|r_i| (alpha_1 = 1).
-
-    Raises once a prefix sum reaches 1 within ``PREFIX_TOL``: tomography is
-    then essentially complete and the division is ill-posed.
-    """
-    cs: list[complex] = []
-    rs: list[float] = []
-    alphas: list[float] = [1.0]
-    prev = 1.0
-    acc = 0.0
-    for j, beta in enumerate(betas):
-        if prev <= PREFIX_TOL:
-            raise CoefficientPrefixExhausted(
-                f"prefix sum reached 1 - {prev:.2e} before term {j + 1}"
-            )
-        acc += abs(beta) ** 2
-        cur = 1.0 - acc
-        cs.append(beta / np.sqrt(prev))
-        rs.append(float(np.sqrt(max(cur, 0.0) / prev)))
-        alphas.append(alphas[-1] * rs[-1])
-        prev = cur
-    return cs, rs, alphas
-
-
-# ---------------------------------------------------------------------------
 # the iterative loop
 
 
@@ -194,18 +165,23 @@ def _iterate(
     """The one loop behind both entry points.
 
     Runs at most ceil(budget/eta^2) + slack iterations.  Each stops on alpha^2
-    below eps, on a vanished or zero residual (whatever the estimator), on an
-    exact proxy below ``threshold`` (its estimate is charged at accuracy
-    ``charge_at``), or on a learner that raises ``SelfCorrectionFailed``,
-    keeping the terms learnt so far;
-    otherwise it learns phi_t from the residual, re-estimates every overlap
-    <phi_j|psi> at the ``ErrorSchedule(eta)`` tolerance delta/(3 t^4) (each
-    Hadamard test fails with probability ``EST_FAIL``), rebuilds beta with
-    exact stabilizer cross-overlaps and (c, r, alpha) through
-    ``recompute_coeffs``.
+    below eps, on an exact proxy below ``threshold`` (its estimate is charged
+    at accuracy ``charge_at``), or on a learner that raises
+    ``SelfCorrectionFailed``, keeping the terms learnt so far; otherwise it
+    learns phi_t from the residual, re-estimates every overlap <phi_j|psi> at
+    the ``ErrorSchedule(eta)`` tolerance delta/(3 t^4) (each Hadamard test
+    fails with probability ``EST_FAIL``) and rebuilds beta with exact
+    stabilizer cross-overlaps.  It then forms the residual psi - sum_j
+    beta_j phi_j once: its norm charges the next iteration's
+    combination-of-unitaries preparation (``lcu_residual``), and its
+    normalized state is checked and handed to the next learner.  The loop
+    also stops, as tomography complete, once the earlier coefficients
+    exhaust the unit mass (1 - sum_{j<t} |beta_j|^2 within ``PREFIX_TOL``)
+    or the residual vanishes, whatever the estimator; otherwise alpha =
+    sqrt(1 - sum_j |beta_j|^2).
     With the exact estimator each iteration also asserts the progress
-    identity and the orthogonality of the new residual to phi_t.  On exit,
-    asserts k <= budget/eta^2.
+    identity (the removed mass is |beta_t|^2) and the orthogonality of the
+    new residual to phi_t.  On exit, asserts k <= budget/eta^2.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -218,22 +194,16 @@ def _iterate(
     history: list[list[complex]] = []
     alpha = 1.0
     residual = psi
-    unnorm = psi.amps
-    norm = float(np.linalg.norm(unnorm))
+    norm = float(np.linalg.norm(psi.amps))
     stop = STOP_BUDGET
     for t in range(1, t_max + 1):
         if alpha**2 < eps:
             stop = STOP_ALPHA
             break
         if t > 1:
-            try:
-                residual, _ = lcu_residual(psi, phis, betas, alpha, ledger)
-            except ResidualVanished:
-                stop = STOP_TOMOGRAPHY
-                break
-        metrics = gowers3_metrics(residual, "exact")
+            lcu_residual(norm, phis, betas, ledger)
         ledger.charge("gowers_estimate", copies=int(np.ceil(16.0 / charge_at**2)))
-        if metrics.proxy < threshold:
+        if exact_proxy(residual) < threshold:
             stop = STOP_GOWERS
             break
         try:
@@ -260,34 +230,21 @@ def _iterate(
         prev_norm = norm
         unnorm = psi.amps - stab_combination(psi.n, zip(betas, phis))
         norm = float(np.linalg.norm(unnorm))
-        try:
-            cs, _, alphas = recompute_coeffs(betas)
-        except CoefficientPrefixExhausted:
+        residual = StateVector(psi.n, unnorm / norm) if norm > ZERO_RESIDUAL_TOL else None
+        mass = [abs(beta) ** 2 for beta in betas]
+        if 1.0 - sum(mass[:-1]) <= PREFIX_TOL:
             stop = STOP_TOMOGRAPHY
             break
-        if estimator == "exact":
-            # progress identity: the removed mass is |c_t|^2 prod_{j<t} r_j^2
-            if abs(prev_norm**2 - norm**2 - abs(cs[-1]) ** 2 * alphas[-2] ** 2) > PROGRESS_TOL:
-                raise AssertionError("progress identity violated")
-        if norm <= ZERO_RESIDUAL_TOL:
+        if estimator == "exact" and abs(prev_norm**2 - norm**2 - mass[-1]) > PROGRESS_TOL:
+            raise AssertionError("progress identity violated")
+        if residual is None:
             stop = STOP_TOMOGRAPHY
             break
-        if estimator == "exact":
-            if abs(overlap(statevector_of_stab(phi), StateVector(psi.n, unnorm / norm))) > 1e-10:
-                raise AssertionError("residual is not orthogonal to the new term")
-        alpha = alphas[-1]
-    residual_state = StateVector(psi.n, unnorm / norm) if norm > ZERO_RESIDUAL_TOL else None
+        if estimator == "exact" and abs(overlap(statevector_of_stab(phi), residual)) > 1e-10:
+            raise AssertionError("residual is not orthogonal to the new term")
+        alpha = float(np.sqrt(max(1.0 - sum(mass), 0.0)))
     dec = Decomposition(
-        psi.n,
-        list(zip(betas, phis)),
-        norm,
-        residual_state,
-        stop,
-        len(betas),
-        ledger,
-        eps,
-        eta,
-        history,
+        psi.n, list(zip(betas, phis)), norm, residual, stop, ledger, eps, eta, history
     )
     if len(betas) * eta**2 > budget + 1e-9:
         raise AssertionError("iteration budget bound violated")
@@ -321,9 +278,9 @@ def iterate_robust(
 ) -> Decomposition:
     """Noise-tolerant loop: iteration t re-estimates every overlap <phi_j|psi>
     at tolerance delta/(3 t^4), rebuilds the coefficient vector with exact
-    stabilizer cross-overlaps, recomputes (c, r, alpha), and prepares the
-    next residual by combination-of-unitaries; at most ceil(9/eta^2) + 8
-    iterations.
+    stabilizer cross-overlaps, sets alpha = sqrt(1 - sum_j |beta_j|^2), and
+    charges the next residual's combination-of-unitaries preparation; at
+    most ceil(9/eta^2) + 8 iterations.
 
     ``estimator`` is "exact", "hadamard", or a callable
     (j, t, true_value, tol) -> estimate used to inject controlled errors.
@@ -375,8 +332,8 @@ def learn_low_extent(
     """Run the robust loop at eps = (eps'/(2 xi))^2 and normalize the
     structured part; for extent-xi inputs the exact achieved overlap is at
     least 1/2 - eps'."""
-    if xi < 1:
-        raise ValueError("xi must be >= 1")
+    if not xi >= 1:
+        raise ValueError(f"xi must be >= 1, got {xi}")
     eps = (eps_prime / (2.0 * xi)) ** 2
     dec = iterate_robust(psi, eps, learner, ledger, rng)
     structured = dec.structured_vector()

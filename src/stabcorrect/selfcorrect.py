@@ -611,7 +611,7 @@ def tolerant_test(
         raise ValueError(f"separation_c must be > 0, got {separation_c}")
     yes_floor = 2.0 ** (-2 * t) * eps1**6
     no_ceiling = eps2 ** (1.0 / separation_c)
-    if yes_floor <= no_ceiling:
+    if not yes_floor > no_ceiling:
         raise ValueError("inseparable (eps1, eps2, t) configuration")
     margin = (yes_floor - no_ceiling) / 10.0
     metrics: GowersMetrics = gowers3_metrics(

@@ -1,7 +1,8 @@
 """Dense statevector oracle: circuit application, the squared Weyl
 expectation table and the difference-sampling law, overlap and sampling
-estimators, combination-residual preparation, and the exact stabilizer
-fidelity oracles, one character sum over isotropic subspaces.
+estimators, the charge of the combination-residual preparation, and the
+exact stabilizer fidelity oracles, one character sum over isotropic
+subspaces.
 
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import ResidualVanished
 from .gf2 import PauliLabel
 from .ledger import CostLedger
 from .pauli import (
@@ -36,7 +36,6 @@ from .pauli import (
 )
 
 NORM_TOL = 1e-10
-RESIDUAL_TOL = 1e-9
 
 
 # Peak of one state's table build (``expectation_squares`` then ``_q_tables``)
@@ -247,35 +246,26 @@ def hadamard_test_estimate(
 
 
 def lcu_residual(
-    psi: StateVector,
+    rnorm: float,
     terms: list[StabilizerState],
     coeffs: list[complex],
-    alpha: float,
     ledger: CostLedger,
-) -> tuple[StateVector, float]:
-    """Residual (psi - sum_j beta_j phi_j)/norm via combination-of-unitaries
-    postselection; returns the normalized residual and the exact success
-    probability (||V|0>|| / ||a||_1)^2 with ||a||_1 = (1 + sum|beta_j|)/alpha.
+) -> float:
+    """Charge the combination-of-unitaries preparation of the residual
+    (psi - sum_j beta_j phi_j)/rnorm, whose unnormalized norm is ``rnorm``,
+    and return its success probability (||V|0>|| / ||a||_1)^2 with
+    ||V|0>|| = rnorm/alpha and ||a||_1 = (1 + sum_j |beta_j|)/alpha: alpha
+    cancels, leaving (rnorm / (1 + sum_j |beta_j|))^2.
 
-    The residual comes from the terms' cached vectors; the postselection is
-    charged, not run: ceil(1/success) attempts, each querying psi's and every
-    term's controlled preparation and running every term's circuit.
-
-    A residual norm below ``RESIDUAL_TOL`` raises ResidualVanished: the
-    running expansion already reproduces the state.
+    The postselection is charged, not run: ceil(1/success) attempts, each
+    querying psi's and every term's controlled preparation and running every
+    term's circuit.
     """
-    if alpha <= 0:
-        raise ValueError("normalizer must be positive")
-    resid = psi.amps - stab_combination(psi.n, zip(coeffs, terms))
-    rnorm = float(np.linalg.norm(resid))
-    a1 = (1.0 + sum(abs(b) for b in coeffs)) / alpha
-    success = (rnorm / alpha / a1) ** 2
+    success = (rnorm / (1.0 + sum(abs(b) for b in coeffs))) ** 2
     attempts = int(np.ceil(1.0 / success)) if success > 0 else 0
     gates = attempts * sum(len(stab_state_prep(phi)) for phi in terms)
     ledger.charge("lcu", queries_conU=attempts * (1 + len(terms)), gates=gates)
-    if rnorm < RESIDUAL_TOL:
-        raise ResidualVanished(f"residual norm {rnorm:.2e} below tolerance")
-    return StateVector(psi.n, resid / rnorm), success
+    return success
 
 
 # ---------------------------------------------------------------------------

@@ -366,7 +366,8 @@ def test_criterion_10_reproducibility_accounting():
     T = t_state()
     plus = StabilizerState(1, (pp("+X"),))
     c1 = overlap(StateVector(1, statevector_of(plus)), T)
-    _, success = lcu_residual(T, [plus], [c1], 1.0, CostLedger())
+    rnorm = float(np.linalg.norm(T.amps - c1 * statevector_of(plus)))
+    success = lcu_residual(rnorm, [plus], [c1], CostLedger())
     r1 = np.sqrt(1 - abs(c1) ** 2)
     ok &= abs(success - (r1 / (1 + abs(c1))) ** 2) <= 1e-12
     rng2 = np.random.default_rng(1010)
@@ -378,8 +379,9 @@ def test_criterion_10_reproducibility_accounting():
         resid = psi.amps - sum(
             b * statevector_of(s) for b, s in zip(betas, picks)
         )
+        # the paper's form, with ||a||_1 = (1 + sum|beta_j|)/alpha: alpha cancels
         alpha = float(rng2.uniform(0.2, 1.0))
-        _, success = lcu_residual(psi, picks, betas, alpha, CostLedger())
+        success = lcu_residual(float(np.linalg.norm(resid)), picks, betas, CostLedger())
         want = (np.linalg.norm(resid) / alpha / ((1 + sum(abs(b) for b in betas)) / alpha)) ** 2
         ok &= abs(success - want) <= 1e-12
     report(10, ok, f"reproducible JSONL, ledger sums, postselection formula ({time.time()-t0:.1f}s)")

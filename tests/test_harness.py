@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -5,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stabcorrect import harness
 from stabcorrect.errors import SelfCorrectionFailed
@@ -111,13 +114,122 @@ class TestGenState:
             StateSpec("basis", 3, index=index)
 
 
+def _unit():
+    return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+# a valid value of each param, given the state's qubit count
+PARAM_VALUES = {
+    **{key: lambda n: _unit() for key in ("gamma", "delta", "eps", "eps1", "eps2", "eps_prime")},
+    "theta": lambda n: st.floats(0.0, 1.0, exclude_min=True),
+    "xi": lambda n: st.floats(1.0, 1e6),
+    "separation_c": lambda n: st.floats(1e-3, 1e3),
+    "attempts": lambda n: st.integers(1, 64),
+    "t": lambda n: st.integers(0, n - 1),
+    "loop": lambda n: st.sampled_from(harness.LOOPS),
+    "learner": lambda n: st.sampled_from(harness.LEARNERS),
+    "oracle": lambda n: st.sampled_from(harness.ORACLES),
+    "mode": lambda n: st.sampled_from(harness.MODES),
+    "stab_dims": lambda n: st.lists(st.integers(0, n), max_size=3),
+    # bench: its own n, and n_naive (default 8) at most n
+    "n": lambda n: st.just(8 + n),
+    "n_naive": lambda n: st.integers(1, 8),
+}
+
+
+@st.composite
+def state_specs(draw, n):
+    kind = draw(st.sampled_from(harness.STATE_KINDS))
+    data = {"kind": kind, "n": n}
+    if kind == "basis":
+        data["index"] = draw(st.integers(0, (1 << n) - 1))
+    if kind == "tdoped":
+        data["t"] = draw(st.integers(0, 3))
+    if kind == "w_family":
+        data["m"] = draw(st.integers(1, n))
+    if kind == "combo":
+        gens = ["+" + "I" * q + "Z" + "I" * (n - q - 1) for q in range(n)]
+        data["terms"] = [
+            {"coeff": draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)), "generators": gens}
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+    return data
+
+
+@st.composite
+def config_dicts(draw):
+    command = draw(st.sampled_from(harness.COMMANDS))
+    n = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.sampled_from(sorted(harness.PARAMS[command])), unique=True))
+    params = {key: draw(PARAM_VALUES[key](n)) for key in keys}
+    if params.get("loop") == "error_free":
+        params["t"] = 0
+    data = {
+        "command": command,
+        "params": params,
+        "trials": draw(st.integers(1, 5)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "format": draw(st.sampled_from(harness.FORMATS)),
+        "out": draw(st.none() | st.just("out.jsonl")),
+    }
+    if command != "bench" or draw(st.booleans()):
+        data["state"] = draw(state_specs(n))
+    return data
+
+
 class TestConfig:
-    def test_round_trip(self):
-        cfg = ExperimentConfig.from_json(
-            {"command": "analyze", "state": {"kind": "haar", "n": 2}, "seed": 3}
-        )
-        again = ExperimentConfig.from_json(cfg.to_json())
-        assert again == cfg
+    @given(config_dicts())
+    def test_round_trip(self, data):
+        # every command, random valid params and every state kind; to_json
+        # does not write the output path, so it is set aside
+        cfg = ExperimentConfig.from_json(data)
+        again = ExperimentConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+        assert again == dataclasses.replace(cfg, out=None)
+
+    @pytest.mark.parametrize("key", ["param", "trails"])
+    def test_unknown_config_key_rejected(self, key):
+        data = {"command": "analyze", "state": {"kind": "haar", "n": 2}, key: 5}
+        with pytest.raises(ValueError, match=rf"unknown config key\(s\): '{key}'; allowed: command, "):
+            ExperimentConfig.from_json(data)
+
+    def test_unknown_state_key_rejected(self):
+        data = {"command": "analyze", "state": {"kind": "haar", "n": 2, "tt": 4}}
+        with pytest.raises(ValueError, match=r"unknown state key\(s\): 'tt'; allowed: index, kind, "):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["0.5", "abc", [0.5], True, None, float("nan"), float("inf"),
+         pytest.param(10**400, id="int-beyond-float")],
+    )
+    def test_float_param_takes_only_finite_reals(self, value):
+        with pytest.raises(ValueError, match="parameter gamma must be a finite real number"):
+            ExperimentConfig.from_json(
+                {"command": "selfcorrect", "state": {"kind": "haar", "n": 2}, "params": {"gamma": value}}
+            )
+
+    @pytest.mark.parametrize("value", [2, "12"])
+    def test_stab_dims_must_be_an_array(self, value):
+        with pytest.raises(ValueError, match="parameter stab_dims must be a JSON array"):
+            ExperimentConfig.from_json(
+                {"command": "oracle", "state": {"kind": "haar", "n": 2}, "params": {"stab_dims": value}}
+            )
+
+    @pytest.mark.parametrize(
+        "command, key, value, message",
+        [
+            ("learn-extent", "xi", 0.5, "parameter xi must be >= 1"),
+            ("learn-extent", "xi", float("nan"), "parameter xi must be a finite real number"),
+            ("test", "separation_c", 0.0, "parameter separation_c must be > 0"),
+            ("test", "separation_c", -1.0, "parameter separation_c must be > 0"),
+            ("test", "separation_c", float("nan"), "parameter separation_c must be a finite real"),
+        ],
+    )
+    def test_xi_and_separation_c_checked(self, command, key, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(
+                {"command": command, "state": {"kind": "haar", "n": 2}, "params": {key: value}}
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):

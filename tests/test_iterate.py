@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stabcorrect.errors import CoefficientPrefixExhausted, SelfCorrectionFailed
+from stabcorrect import iterate, statevec
+from stabcorrect.errors import SelfCorrectionFailed
 from stabcorrect.gf2 import rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import StabilizerState, statevector_of
@@ -9,6 +10,7 @@ from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import planted_oracle
 from stabcorrect.iterate import (
     EST_FAIL,
+    PREFIX_TOL,
     BaseLearner,
     ErrorSchedule,
     base_learner_bruteforce,
@@ -17,7 +19,6 @@ from stabcorrect.iterate import (
     iterate_robust,
     learn_low_extent,
     mimic_compare,
-    recompute_coeffs,
 )
 from stabcorrect.statevec import (
     StateVector,
@@ -42,31 +43,11 @@ def rank2_state(n, rng, w=0.9):
     return s1, s2, StateVector(n, v)
 
 
-class TestRecompute:
-    def test_single(self):
-        cs, rs, alphas = recompute_coeffs([1 / np.sqrt(2)])
-        assert cs[0] == pytest.approx(1 / np.sqrt(2))
-        assert rs[0] == pytest.approx(1 / np.sqrt(2))
-        assert alphas == pytest.approx([1.0, 1 / np.sqrt(2)])
-
-    def test_pair(self):
-        cs, rs, _ = recompute_coeffs([0.5, 0.5])
-        assert cs[1] == pytest.approx(1 / np.sqrt(3))
-
-    def test_telescoping(self, rng):
-        for _ in range(100):
-            k = int(rng.integers(1, 7))
-            betas = (rng.normal(size=k) + 1j * rng.normal(size=k)) * 0.25
-            if sum(abs(b) ** 2 for b in betas) >= 0.95:
-                continue
-            _, rs, alphas = recompute_coeffs(list(betas))
-            prod = float(np.prod(np.array(rs) ** 2))
-            assert prod == pytest.approx(1 - sum(abs(b) ** 2 for b in betas), abs=1e-12)
-            assert alphas[-1] == pytest.approx(np.sqrt(prod), abs=1e-12)
-
-    def test_prefix_exhaustion(self):
-        with pytest.raises(CoefficientPrefixExhausted):
-            recompute_coeffs([1.0, 0.5])
+def two_plant_state():
+    """0.8|000> + 0.6|111> with its two plants."""
+    zeros = StabilizerState.from_json(["+ZII", "+IZI", "+IIZ"])
+    ones = StabilizerState.from_json(["-ZII", "-IZI", "-IIZ"])
+    return zeros, ones, StateVector(3, 0.8 * statevector_of(zeros) + 0.6 * statevector_of(ones))
 
 
 class TestErrorFree:
@@ -220,9 +201,7 @@ class TestRobust:
         # 0.8|000> + 0.6|111>, learnt plant by plant: the second term leaves a
         # zero residual, and an estimator returning the exact overlaps stops
         # there exactly as the built-in exact one does
-        zeros = StabilizerState.from_json(["+ZII", "+IZI", "+IIZ"])
-        ones = StabilizerState.from_json(["-ZII", "-IZI", "-IIZ"])
-        psi = StateVector(3, 0.8 * statevector_of(zeros) + 0.6 * statevector_of(ones))
+        zeros, ones, psi = two_plant_state()
         runs = []
         for estimator in ("exact", lambda j, t, true_value, tol: true_value):
             plants = iter([zeros, ones])
@@ -237,6 +216,43 @@ class TestRobust:
         exact, injected = runs
         assert [b for b, _ in injected.terms] == [b for b, _ in exact.terms]
         assert injected.residual_norm == exact.residual_norm <= 1e-12
+
+    def test_one_residual_per_iteration(self, monkeypatch):
+        # the loop forms psi - sum_j beta_j phi_j once per iteration, and the
+        # combination-of-unitaries charge reuses its norm
+        calls = []
+
+        def counted(n, terms):
+            calls.append(n)
+            return combine(n, terms)
+
+        combine = statevec.stab_combination
+        monkeypatch.setattr(iterate, "stab_combination", counted)
+        monkeypatch.setattr(statevec, "stab_combination", counted)
+        rng = np.random.default_rng(0)
+        psi = random_state(4, rng)
+        ledger = CostLedger()
+        dec = iterate_robust(psi, 0.05, base_learner_bruteforce(), ledger, rng)
+        assert dec.iterations == 5
+        assert len(calls) == dec.iterations
+        assert ledger.breakdown["lcu"]["queries_conU"] > 0
+
+    def test_prefix_stop(self):
+        # 0.8|000> + 0.6|111>, learnt plant by plant, with an estimator that
+        # reports |beta_1| = 1 at t = 2: the earlier coefficients already
+        # exhaust the unit mass, so the loop stops there and keeps both terms
+        zeros, ones, psi = two_plant_state()
+        plants = iter([zeros, ones])
+        learner = BaseLearner(lambda residual, rng, ledger: next(plants), lambda eps: eps)
+
+        def estimator(j, t, true_value, tol):
+            return 1.0 if (j, t) == (1, 2) else true_value
+
+        dec = iterate_robust(
+            psi, 0.05, learner, CostLedger(), np.random.default_rng(0), estimator=estimator
+        )
+        assert dec.stop_reason == "tomography_complete"
+        assert [phi for _, phi in dec.terms] == [zeros, ones]
 
     def test_residual_contract(self, rng):
         # |alpha|^2 * F_S(residual) < eps on exit, checked exactly
@@ -282,7 +298,12 @@ class TestErrorSchedule:
                     assert abs(beta - exact[j]) <= sched.delta / (3.0 * t**2) + 1e-12
 
     def test_r_product_deviation(self, rng):
-        # |prod r~^2 - prod r^2| <= delta / t
+        # |prod r~^2 - prod r^2| <= delta / t, with prod_j r_j^2 telescoped to
+        # 1 - sum_j |beta_j|^2, on the rows whose earlier coefficients leave
+        # mass above PREFIX_TOL
+        def exhausted(row):
+            return 1.0 - sum(abs(b) ** 2 for b in row[:-1]) <= PREFIX_TOL
+
         for trial in range(6):
             psi = random_state(2, np.random.default_rng(700 + trial))
             dec = iterate_robust(
@@ -294,13 +315,10 @@ class TestErrorSchedule:
             exact = _exact_betas(psi, [phi for _, phi in dec.terms])
             sched = ErrorSchedule(dec.eta)
             for t, row in enumerate(dec.beta_history, start=1):
-                try:
-                    _, rs_t, _ = recompute_coeffs(row)
-                    _, rs_e, _ = recompute_coeffs(exact[: len(row)])
-                except CoefficientPrefixExhausted:
+                if exhausted(row) or exhausted(exact[: len(row)]):
                     continue
-                got = float(np.prod(np.array(rs_t) ** 2))
-                want = float(np.prod(np.array(rs_e) ** 2))
+                got = sum(abs(b) ** 2 for b in row)
+                want = sum(abs(b) ** 2 for b in exact[: len(row)])
                 assert abs(got - want) <= sched.delta / t + 1e-12
 
 
@@ -347,6 +365,11 @@ class TestApplications:
         psi = StateVector(2, statevector_of(s1))
         res = learn_low_extent(psi, 1.0, 0.2, base_learner_bruteforce(), CostLedger(), rng)
         assert res.overlap_sq == pytest.approx(1.0, abs=1e-9)
+
+    def test_low_extent_refuses_nan_xi(self, rng):
+        psi = random_state(2, rng)
+        with pytest.raises(ValueError, match="xi must be >= 1"):
+            learn_low_extent(psi, float("nan"), 0.2, base_learner_bruteforce(), CostLedger(), rng)
 
     def test_low_extent_planted_combo(self, rng):
         for _ in range(5):

@@ -33,6 +33,10 @@ CONFIGS = {
         "command": "decompose", "state": {"kind": "tdoped", "n": 5, "t": 1},
         "params": {"t": 1, "learner": "self_correct", "oracle": "threshold-span"}, "seed": 1,
     },
+    "decompose_robust_bruteforce": {
+        "command": "decompose", "state": {"kind": "haar", "n": 4},
+        "params": {"learner": "bruteforce", "eps": 0.05}, "seed": 0,
+    },
     "decompose_error_free": {
         "command": "decompose", "state": {"kind": "tdoped", "n": 3, "t": 2},
         "params": {"loop": "error_free", "learner": "bruteforce"}, "seed": 5,
@@ -79,6 +83,13 @@ GOLDEN = {
             "measure": (79, 0, 0, 0),
             "oracle_build": (94208, 0, 0, 0),
             "retention": (533880, 0, 0, 0),
+        },
+    ),
+    "decompose_robust_bruteforce": (
+        (1310719999999999040, 0, 750, 15809),
+        {
+            "gowers_estimate": (1310719999999999040, 0, 0, 0),
+            "lcu": (0, 0, 750, 15809),
         },
     ),
     "iterate_robust_hadamard": (

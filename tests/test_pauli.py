@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stabcorrect import kernels
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_product_vec
@@ -68,12 +70,19 @@ class TestProduct:
             got = weyl_matrix(pauli_product(a, b))
             assert np.allclose(got, weyl_matrix(a) @ weyl_matrix(b))
 
-    def test_against_matrices_random_2q(self, rng):
-        for _ in range(100):
-            a, b = random_phased(2, rng), random_phased(2, rng)
-            assert np.allclose(
-                weyl_matrix(pauli_product(a, b)), weyl_matrix(a) @ weyl_matrix(b)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n), *[st.integers(0, (1 << n) - 1)] * 4, st.integers(0, 3), st.integers(0, 3)
             )
+        )
+    )
+    def test_against_matrices(self, case):
+        # n <= 4 qubits and all four phases of each factor
+        n, x1, z1, x2, z2, p1, p2 = case
+        a = PhasedPauli(PauliLabel(n, x1, z1), p1)
+        b = PhasedPauli(PauliLabel(n, x2, z2), p2)
+        assert np.allclose(weyl_matrix(pauli_product(a, b)), weyl_matrix(a) @ weyl_matrix(b))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -456,6 +456,12 @@ class TestTolerantTest:
         with pytest.raises(ValueError):
             tolerant_test(t_state(), 0.5, 0.4, 0, 0.01)
 
+    def test_nan_separation_is_inseparable(self):
+        # with C = NaN the no ceiling is NaN, which no yes floor clears
+        _, psi = stab_vec(["+XZ", "+ZX"])
+        with pytest.raises(ValueError, match="inseparable"):
+            tolerant_test(psi, 0.9, 0.05, 0, 0.01, separation_c=float("nan"))
+
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_nonpositive_separation_rejected(self, c):
         with pytest.raises(ValueError, match="separation_c must be > 0"):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stabcorrect import kernels
-from stabcorrect.errors import ResidualVanished
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
@@ -35,6 +34,7 @@ from stabcorrect.statevec import (
     overlap,
     random_state,
     sample_weyl_indices,
+    stab_combination,
 )
 from stabcorrect.selfcorrect import _draw_retained, planted_oracle, self_correct
 
@@ -453,26 +453,13 @@ class TestLcuResidual:
         T = t_state()
         plus = StabilizerState(1, (pp("+X"),))
         c1 = overlap(StateVector(1, statevector_of(plus)), T)
+        resid = T.amps - stab_combination(1, [(c1, plus)])
+        assert abs(np.vdot(statevector_of(plus), resid)) < 1e-12
         ledger = CostLedger()
-        resid, success = lcu_residual(T, [plus], [c1], 1.0, ledger)
-        assert abs(overlap(StateVector(1, statevector_of(plus)), resid)) < 1e-12
+        success = lcu_residual(float(np.linalg.norm(resid)), [plus], [c1], ledger)
         r1 = np.sqrt(1 - abs(c1) ** 2)
         assert success == pytest.approx((r1 / (1 + abs(c1))) ** 2, abs=1e-12)
         assert ledger.totals["queries_conU"] > 0
-
-    def test_degenerate(self, rng):
-        plus = StabilizerState(1, (pp("+X"),))
-        vec = StateVector(1, statevector_of(plus))
-        with pytest.raises(ResidualVanished):
-            lcu_residual(vec, [plus], [1.0 + 0j], 1.0, CostLedger())
-
-    def test_alpha_cancels(self, rng):
-        psi = random_state(2, rng)
-        st = enumerate_stabilizer_states(2)[7]
-        beta = overlap(StateVector(2, statevector_of(st)), psi)
-        _, s1 = lcu_residual(psi, [st], [beta], 1.0, CostLedger())
-        _, s2 = lcu_residual(psi, [st], [beta], 0.37, CostLedger())
-        assert s1 == pytest.approx(s2, abs=1e-12)
 
     @staticmethod
     def _random_terms(n, rng, k):
@@ -488,22 +475,20 @@ class TestLcuResidual:
         for _ in range(5):
             psi = random_state(n, rng)
             picks, betas = self._random_terms(n, rng, k)
-            alpha = float(rng.uniform(0.2, 1.0))
             prepared = psi.amps.copy()
             for beta, st in zip(betas, picks):
                 prepared -= beta * kernels.apply_gates(kernels.zero_state(n), stab_state_prep(st).gates)
-            resid, success = lcu_residual(psi, picks, betas, alpha, CostLedger())
+            resid = psi.amps - stab_combination(n, zip(betas, picks))
+            assert np.abs(resid - prepared).max() <= 1e-12
             norm = np.linalg.norm(prepared)
-            assert np.abs(resid.amps - prepared / norm).max() <= 1e-12
-            a1 = (1 + sum(abs(b) for b in betas)) / alpha
-            assert abs(success - (norm / alpha / a1) ** 2) <= 1e-12
+            success = lcu_residual(float(np.linalg.norm(resid)), picks, betas, CostLedger())
+            assert abs(success - (norm / (1 + sum(abs(b) for b in betas))) ** 2) <= 1e-12
 
     def test_ledger_charges_the_preparation_circuits(self, rng):
         for k in (1, 2, 4):
-            psi = random_state(3, rng)
             picks, betas = self._random_terms(3, rng, k)
             ledger = CostLedger()
-            _, success = lcu_residual(psi, picks, betas, 0.6, ledger)
+            success = lcu_residual(float(rng.uniform(0.2, 1.0)), picks, betas, ledger)
             attempts = int(np.ceil(1.0 / success))
             row = ledger.breakdown["lcu"]
             assert row["gate_count"] == attempts * sum(len(stab_state_prep(st)) for st in picks)
@@ -511,13 +496,13 @@ class TestLcuResidual:
             assert row["copies_consumed"] == 0
 
     def test_prepared_terms_apply_no_gate(self, rng, monkeypatch):
-        psi = random_state(3, rng)
+        # the charge reads the prepared terms' circuit lengths and runs none
         picks, betas = self._random_terms(3, rng, 3)
         for st in picks:
             statevector_of(st)
         applied = []
         monkeypatch.setattr(kernels, "apply_gates", lambda amps, gates: applied.append(gates))
-        lcu_residual(psi, picks, betas, 0.5, CostLedger())
+        lcu_residual(0.5, picks, betas, CostLedger())
         assert applied == []
 
 
