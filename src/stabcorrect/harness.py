@@ -110,6 +110,21 @@ def _refuse_unknown(data: dict, allowed, what: str) -> None:
         )
 
 
+def _combo_term(term: dict) -> tuple:
+    """A combo term ``{"coeff": [re, im], "generators": [str, ...]}`` as
+    (re, im, generators), or ValueError naming the field."""
+    if not isinstance(term, dict):
+        raise ValueError(f"combo term must be a JSON object, got {term!r}")
+    _refuse_unknown(term, ("coeff", "generators"), "combo term key(s)")
+    coeff, gens = term.get("coeff"), term.get("generators")
+    if not isinstance(coeff, (list, tuple)) or len(coeff) != 2:
+        raise ValueError(f"combo coeff must be a 2-entry array, got {coeff!r}")
+    if not isinstance(gens, (list, tuple)) or not all(isinstance(g, str) for g in gens):
+        raise ValueError(f"combo generators must be an array of strings, got {gens!r}")
+    re, im = (_coerce("combo coeff", 0.0, c) for c in coeff)
+    return re, im, tuple(gens)
+
+
 @dataclass(frozen=True)
 class StateSpec:
     kind: str
@@ -140,12 +155,7 @@ class StateSpec:
     @staticmethod
     def from_json(data: dict) -> "StateSpec":
         _refuse_unknown(data, {f.name for f in fields(StateSpec)}, "state key(s)")
-        terms = None
-        if data.get("terms"):
-            terms = tuple(
-                (float(t["coeff"][0]), float(t["coeff"][1]), tuple(t["generators"]))
-                for t in data["terms"]
-            )
+        terms = tuple(map(_combo_term, data["terms"])) if data.get("terms") else None
         return StateSpec(
             data["kind"], data["n"], data.get("t"), data.get("m"), data.get("index", 0), terms
         )
@@ -282,6 +292,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}; allowed: {', '.join(FORMATS)}")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ValueError(f"out must be null or a non-empty path string, got {self.out!r}")
         _refuse_unknown(
             self.params, PARAMS[self.command], f"parameter(s) for command {self.command!r}"
         )

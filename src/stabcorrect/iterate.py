@@ -77,17 +77,12 @@ def base_learner_self_correct(
     delta: float,
     oracle,
     attempts: int = ATTEMPTS,
-    collect_t: int | None = None,
 ) -> BaseLearner:
     """Wrap the full pipeline as a base learner.  The fidelity floor as a
     function of the threshold has no pinned universal exponent; the promise
     is the threshold itself, clipped to [1e-9, 1]."""
     def learn(psi: StateVector, rng, ledger) -> StabilizerState:
-        cand = self_correct(
-            psi, gamma, delta, oracle, rng, ledger,
-            attempts=attempts, collect_t=collect_t,
-        )
-        return cand.state
+        return self_correct(psi, gamma, delta, oracle, rng, ledger, attempts=attempts).state
 
     return BaseLearner(learn, lambda eps: max(min(eps, 1.0), 1e-9))
 

@@ -35,12 +35,6 @@ class CostLedger:
         row["queries_conU"] += queries_conU
         row["gate_count"] += gates
 
-    def merge(self, other: "CostLedger") -> None:
-        for name, row in other.breakdown.items():
-            mine = self.breakdown.setdefault(name, {f: 0 for f in _FIELDS})
-            for f in _FIELDS:
-                mine[f] += row[f]
-
     @property
     def totals(self) -> dict[str, int]:
         out = {f: 0 for f in _FIELDS}

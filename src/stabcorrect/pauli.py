@@ -162,15 +162,6 @@ class CliffordCircuit:
                 inv.append((name, qs))
         return CliffordCircuit(self.n, tuple(inv))
 
-    def to_json(self) -> list[dict]:
-        return [{"gate": g, "qubits": list(qs)} for g, qs in self.gates]
-
-    @staticmethod
-    def from_json(n: int, data: list[dict]) -> "CliffordCircuit":
-        return CliffordCircuit(
-            n, tuple((d["gate"], tuple(d["qubits"])) for d in data)
-        )
-
 
 def conjugate(circuit: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
     """Exact U P U^dagger for the unitary U the circuit applies, one gate at

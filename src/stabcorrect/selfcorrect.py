@@ -10,16 +10,14 @@ the known plant retaining the most mass, and ``threshold_span_oracle(theta)``
 spans the sampled labels whose estimated <W_x>^2 clears theta.
 
 The published threshold constants for the common-neighbor test are
-astronomically small (gamma^350-scale); ``published_bsg_params`` evaluates them
-exactly in rational arithmetic for inspection, while ``BsgParams.practical``
-provides desk-scale presets that planted instances validate end to end.
+astronomically small (gamma^350-scale; the README lists them), so
+``BsgParams.practical`` provides desk-scale presets that planted instances
+validate end to end.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -92,52 +90,6 @@ class BsgParams:
 # attempt budget of one self_correct call: the default here, in
 # iterate.base_learner_self_correct and in the harness's params table
 ATTEMPTS = 32
-
-PUBLISHED_C1 = 2**10 * 10**2
-PUBLISHED_C2 = 2**39 * 10**15
-
-
-@dataclass(frozen=True)
-class PublishedBsgParams:
-    """Exact rational evaluation of the published parameter formulas; for
-    documentation and inspection, not default execution."""
-
-    gamma: Fraction
-    delta: Fraction
-    rho: Fraction          # graph density floor gamma^5/20
-    rho1: Fraction
-    rho2: Fraction
-    rho3: Fraction
-    interval_low: Fraction     # gamma/180
-    interval_high: Fraction    # gamma/18
-    subinterval_count: Fraction  # 1/rho3
-    subinterval_width: Fraction  # gamma*rho3/20
-    mu: Fraction                 # half width
-    r: int
-    s: int
-
-    def zetas_for_subinterval(self, i: int) -> tuple[Fraction, Fraction, Fraction]:
-        lo = self.interval_low + i * self.subinterval_width
-        zeta = lo + self.mu
-        return zeta + self.mu / 2, zeta - self.mu / 2, zeta + self.mu / 2
-
-
-def published_bsg_params(gamma, delta=Fraction(1, 100)) -> PublishedBsgParams:
-    g = Fraction(gamma)
-    d = Fraction(delta)
-    rho = g**5 / 20
-    rho1 = g**350 / (10240 * Fraction(PUBLISHED_C1) ** 3 * Fraction(PUBLISHED_C2) ** 5)
-    rho2 = 9 * g**202 / (2560 * Fraction(PUBLISHED_C1) * Fraction(PUBLISHED_C2) ** 3)
-    rho3 = g**349 / (2560 * Fraction(PUBLISHED_C1) ** 3 * Fraction(PUBLISHED_C2) ** 5)
-    width = g * rho3 / 20
-    # shot counts sized so edge estimates resolve rho1/100
-    log_term = max(1.0, math.log(4.0 / float(d)))
-    shots = Fraction(2 * 10**4) / rho1**2 * Fraction(int(math.ceil(log_term)))
-    r = s = int(shots) if shots < 10**12 else 10**12  # representative, clamped
-    return PublishedBsgParams(
-        g, d, rho, rho1, rho2, rho3,
-        g / 180, g / 18, 1 / rho3, width, width / 2, r, s,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +266,11 @@ def _retained_mass(psi: StateVector, basis: Gf2Basis) -> float:
 
 @dataclass(frozen=True)
 class SubgroupV:
-    """A label subgroup, optionally with its retained mass E_{x in V}[<W_x>^2]
-    (``pfr_subgroup`` leaves it None)."""
+    """A label subgroup.  Nothing reads ``mass``; every caller passes None."""
 
     n: int
     basis: Gf2Basis
     mass: float | None
-
-    def __post_init__(self):
-        if self.mass is not None and not -1e-9 <= self.mass <= 1 + 1e-9:
-            raise ValueError("retained mass outside [0, 1]")
 
 
 def pfr_subgroup(samples: list[PauliLabel], basis: Gf2Basis) -> SubgroupV:

@@ -13,7 +13,7 @@ allocates.
 
 States are immutable values; operations return new states.  Independent
 trials may run concurrently provided each owns a distinct RngStream path and
-a private CostLedger merged afterwards.
+its own CostLedger.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 report.  Tolerances are pinned here and nowhere else.
 """
 
+import dataclasses
 import json
 import time
 
@@ -273,8 +274,13 @@ def test_criterion_08_application_contracts():
         rng = RngStream(8100 + i).child("w5").generator()
         psi, meta = gen_state(StateSpec("w_family", 5, m=3), RngStream(1).child("s").generator())
         labels = [PhasedPauli.from_string(s).label for s in meta["stabilizer_group"]]
-        learner = base_learner_self_correct(
-            0.4, 0.05, planted_oracle(rref_basis_from_labels(labels)), collect_t=6
+        oracle = planted_oracle(rref_basis_from_labels(labels))
+        # the pipeline's learner, collecting 6 labels instead of n + 3
+        learner = dataclasses.replace(
+            base_learner_self_correct(0.4, 0.05, oracle),
+            learn=lambda psi, rng, ledger: self_correct(
+                psi, 0.4, 0.05, oracle, rng, ledger, collect_t=6
+            ).state,
         )
         res = learn_low_extent(psi, np.sqrt(3), 0.25, learner, CostLedger(), rng)
         wins += res.overlap_sq >= 0.5 - 0.25

@@ -1,8 +1,12 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,34 @@ class TestConfig:
             ExperimentConfig.from_json(
                 {"command": "oracle", "state": {"kind": "haar", "n": 2}, "params": {"stab_dims": value}}
             )
+
+    @pytest.mark.parametrize("out", [5, "", True, ["out.jsonl"]])
+    def test_out_must_be_null_or_a_path(self, out):
+        # refused with the config, not after every trial has run
+        with pytest.raises(ValueError, match="out must be null or a non-empty path string"):
+            ExperimentConfig.from_json(
+                {"command": "analyze", "state": {"kind": "haar", "n": 2}, "out": out}
+            )
+
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            pytest.param({"coeff": ["0.5", 0.0], "generators": ["+Z"]},
+                         "combo coeff must be a finite real number", id="string-coeff"),
+            pytest.param({"coeff": [0.5, 0.0], "generators": ["+Z"], "weight": 2},
+                         r"unknown combo term key\(s\): 'weight'; allowed: coeff, generators",
+                         id="extra-key"),
+            pytest.param({"coeff": [float("nan"), 0.0], "generators": ["+Z"]},
+                         "combo coeff must be a finite real number", id="nan-coeff"),
+            pytest.param({"coeff": [0.5], "generators": ["+Z"]},
+                         "combo coeff must be a 2-entry array", id="short-coeff"),
+            pytest.param({"coeff": [0.5, 0.0], "generators": "+Z"},
+                         "combo generators must be an array of strings", id="string-generators"),
+        ],
+    )
+    def test_combo_terms_parsed_strictly(self, term, message):
+        with pytest.raises(ValueError, match=message):
+            StateSpec.from_json({"kind": "combo", "n": 1, "terms": [term]})
 
     @pytest.mark.parametrize(
         "command, key, value, message",
@@ -685,3 +717,35 @@ class TestCli:
             ])
             outs.append(json.loads(out_path.read_text())["outputs"]["proxy"])
         assert outs[0] != outs[1]
+
+    def test_same_records_under_python_O(self, tmp_path):
+        # invariant checks raise explicitly, so ``python -O`` strips none of
+        # them and a seeded run writes the same records
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "command": "decompose",
+                    "state": {"kind": "tdoped", "n": 4, "t": 1},
+                    "params": {"learner": "self_correct", "oracle": "threshold-span", "t": 1},
+                    "trials": 2,
+                    "seed": 7,
+                }
+            )
+        )
+        src = Path(harness.__file__).resolve().parent.parent
+        runs = []
+        for flags in ([], ["-O"]):
+            out_path = tmp_path / f"res{len(runs)}.jsonl"
+            subprocess.run(
+                [sys.executable, *flags, "-m", "stabcorrect", "decompose",
+                 "--config", str(cfg_path), "--out", str(out_path)],
+                check=True, capture_output=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+            records = [json.loads(line) for line in out_path.read_text().splitlines()]
+            for rec in records:
+                rec.pop("wall_time_s")
+            runs.append([json.dumps(rec, sort_keys=True) for rec in records])
+        assert len(runs[0]) == 2
+        assert runs[0] == runs[1]

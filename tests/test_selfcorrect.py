@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,15 +13,12 @@ from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import (
     BsgParams,
     SubgroupV,
-    PUBLISHED_C1,
-    PUBLISHED_C2,
     THRESHOLD_SPAN_SHOTS,
     bsg_test,
     collect_small_doubling,
     find_high_stab_dim,
     find_stabilizer,
     planted_oracle,
-    published_bsg_params,
     pfr_subgroup,
     self_correct,
     threshold_span_oracle,
@@ -479,24 +475,6 @@ class TestTolerantTest:
 
 
 class TestPublishedParams:
-    def test_rho_examples(self):
-        p = published_bsg_params(1)
-        assert p.rho == Fraction(1, 20)
-        assert p.rho1 == Fraction(1, 10240 * PUBLISHED_C1**3 * PUBLISHED_C2**5)
-
-    def test_gamma_half(self):
-        p = published_bsg_params(Fraction(1, 2))
-        assert p.rho == Fraction(1, 2) ** 5 / 20
-        assert float(p.rho) == pytest.approx(0.0015625)
-
-    def test_interval_scheme(self):
-        p = published_bsg_params(Fraction(1, 2))
-        assert p.interval_high - p.interval_low == Fraction(1, 2) / 20
-        assert p.subinterval_width * p.subinterval_count == Fraction(1, 2) / 20
-        z1, z2, z3 = p.zetas_for_subinterval(0)
-        assert z1 == z3 and z2 < z1
-        assert z1 - z2 == p.mu
-
     def test_practical_validation(self):
         with pytest.raises(ValueError):
             BsgParams(0.2, 0.4, 0.3, 0.1, 0.1, 8, 8, 0.05)  # zeta2 > zeta1
