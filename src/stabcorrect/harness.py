@@ -56,6 +56,8 @@ from .iterate import (
 SCHEMA_VERSION = 1
 
 STATE_KINDS = ("basis", "random_stabilizer", "tdoped", "w_family", "combo", "haar")
+# kinds whose gen_state metadata holds no stabilizer group for the planted oracle
+_GROUPLESS_KINDS = ("tdoped", "haar")
 LOOPS = ("robust", "error_free")
 FORMATS = ("jsonl", "csv")
 LEARNERS = ("bruteforce", "self_correct")
@@ -336,6 +338,10 @@ class ExperimentConfig:
             for t in p.get("stab_dims", ()):
                 if not 0 <= t <= n:
                     raise ValueError(f"parameter stab_dims entry {t} outside [0, n = {n}]")
+            self_corrects = self.command == "selfcorrect" or p.get("learner") == "self_correct"
+            if self_corrects and p["oracle"] == "planted" and self.state.kind in _GROUPLESS_KINDS:
+                raise ValueError(f"oracle 'planted' needs a known stabilizer group; "
+                                 f"state kind {self.state.kind!r} has none")
 
     def resolved_params(self) -> dict:
         """The command's params with every default filled in."""
@@ -416,10 +422,9 @@ def _learner_from_params(p: dict, meta: dict):
 def _oracle_from_params(p: dict, meta: dict):
     if p["oracle"] == "threshold-span":
         return threshold_span_oracle(p["theta"])
-    # planted: every plant's group; the pipeline picks one per residual
-    groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta.get("plant_groups")
-    if not groups:
-        raise ValueError("planted oracle needs ground-truth group metadata")
+    # planted: every plant's group (ExperimentConfig refuses kinds with none);
+    # the pipeline picks one per residual
+    groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta["plant_groups"]
     return planted_oracle(*(
         rref_basis_from_labels([PhasedPauli.from_string(s).label for s in group])
         for group in groups

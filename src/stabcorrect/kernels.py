@@ -80,15 +80,17 @@ def weyl_action(amps: np.ndarray, a: int, b: int) -> np.ndarray:
 
 def wht_inplace(v: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the last axis of a
-    C-contiguous array, in place; that axis has a power-of-2 length."""
+    C-contiguous array, in place; that axis has a power-of-2 length.  Every
+    stage's butterfly reuses one half-size temporary for a - b."""
     m = v.shape[-1]
+    diff = np.empty(v.size // 2, dtype=v.dtype)
     h = 1
     while h < m:
         w = v.reshape(-1, 2, h)
-        a = w[:, 0, :].copy()
-        b = w[:, 1, :].copy()
-        w[:, 0, :] = a + b
-        w[:, 1, :] = a - b
+        a, b = w[:, 0, :], w[:, 1, :]
+        t = np.subtract(a, b, out=diff.reshape(-1, h))
+        a += b
+        b[...] = t
         h *= 2
     return v
 

@@ -125,6 +125,19 @@ def _draw_retained(
     return np.concatenate(out)[:count]
 
 
+def _shot_test(w: np.ndarray, zeta: float, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """``binomial_estimate(w, shots, rng) >= zeta``, drawn only for the
+    entries with |w - zeta| <= h = sqrt(2 ln(2^64) / shots).  Further out the
+    estimate crosses zeta with probability < 2^-64 (Hoeffding, which bounds
+    the normal limit too), so the outcome is w > zeta and nothing is drawn."""
+    h = np.sqrt(2.0 * np.log(2.0**64) / shots)
+    passed = w > zeta
+    band = np.abs(w - zeta) <= h
+    if band.any():
+        passed[band] = binomial_estimate(w[band], shots, rng) >= zeta
+    return passed
+
+
 def _edge_batch(
     psi: StateVector,
     xs: np.ndarray,
@@ -136,18 +149,18 @@ def _edge_batch(
     ledger: CostLedger,
     exact: bool,
 ) -> np.ndarray:
-    w2 = expectation_squares(psi)
-    wx, wy, wxy = w2[xs], w2[ys], w2[xs ^ ys]
+    """Edge flags of the pairs (xs[i], ys[i]): <W_x>^2, <W_y>^2 and
+    <W_{x^y}>^2 all reach zeta.  Sampled, each is a ``shots``-shot estimate,
+    simulated only within h of zeta and otherwise decided with error below
+    2^-64 (``_shot_test``), and a last draw passes with probability
+    <W_{x^y}>^2.  Each pair is charged all 6 shots + 2 copies it consumes."""
+    w = expectation_squares(psi)[np.stack((xs, ys, xs ^ ys))]
     if exact:
-        return (wx >= zeta) & (wy >= zeta) & (wxy >= zeta)
+        return (w >= zeta).all(axis=0)
     shots = int(np.ceil(2.0 * np.log(6.0 / delta) / zeta_p**2))
     m = xs.shape[0]
-    passed = (
-        (binomial_estimate(wx, shots, rng) >= zeta)
-        & (binomial_estimate(wy, shots, rng) >= zeta)
-        & (binomial_estimate(wxy, shots, rng) >= zeta)
-    )
-    flag = passed & (rng.random(m) < wxy)
+    # the rows' in-band entries draw in order: x, then y, then x^y
+    flag = _shot_test(w, zeta, shots, rng).all(axis=0) & (rng.random(m) < w[2])
     ledger.charge("edge_test", copies=(6 * shots + 2) * m)
     return flag
 

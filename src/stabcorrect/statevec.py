@@ -39,10 +39,10 @@ NORM_TOL = 1e-10
 
 
 # Peak of one state's table build (``expectation_squares`` then ``_q_tables``)
-# in 4^n-entry float64 tables: w2, p, q and the transform's three half-size
-# temporaries.  Measured with tracemalloc at n = 4...12 (4.5 tables plus about
-# 1 KiB); test_statevec re-measures it.
-TABLE_BUILD_PEAK = 4.5
+# in 4^n-entry float64 tables: w2, p, q and the transform's half-size
+# temporary, plus ~190 KiB of numpy buffers.  Measured with tracemalloc: 3.88
+# at n = 8 (re-measured by test_statevec), falling to 3.50 at n = 12.
+TABLE_BUILD_PEAK = 3.88
 
 
 @dataclass(frozen=True, eq=False)

@@ -178,6 +178,10 @@ def config_dicts(draw):
     }
     if command != "bench" or draw(st.booleans()):
         data["state"] = draw(state_specs(n))
+        # the planted oracle needs a state kind with a known group
+        self_corrects = command == "selfcorrect" or params.get("learner") == "self_correct"
+        if self_corrects and data["state"]["kind"] in ("tdoped", "haar"):
+            params["oracle"] = "threshold-span"
     return data
 
 
@@ -308,7 +312,7 @@ class TestConfig:
         ExperimentConfig.from_json(
             {
                 "command": "selfcorrect",
-                "state": {"kind": "haar", "n": 2},
+                "state": {"kind": "basis", "n": 2},
                 "params": {"gamma": 0.5, "delta": 0.05, "oracle": "planted"},
             }
         )
@@ -321,6 +325,28 @@ class TestConfig:
         )
         read = set(re.findall(r'\bp\["(\w+)"\]', inspect.getsource(harness)))
         assert read == {key for params in harness.PARAMS.values() for key in params}
+
+    @pytest.mark.parametrize("kind", ["tdoped", "haar"])
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("selfcorrect", {}),
+            ("decompose", {"learner": "self_correct"}),
+            ("learn-extent", {"learner": "self_correct", "oracle": "planted"}),
+        ],
+    )
+    def test_planted_oracle_needs_a_known_group(self, kind, command, params):
+        # refused with the config, before a state is built; the default
+        # oracle is the planted one
+        state = {"kind": kind, "n": 3, **({"t": 1} if kind == "tdoped" else {})}
+        cfg = {"command": command, "state": state, "params": params}
+        with pytest.raises(ValueError, match=f"oracle 'planted' needs .* kind '{kind}' has none"):
+            ExperimentConfig.from_json(cfg)
+        # the same state is fine with the other oracle, or with a learner
+        # that reads no oracle
+        ExperimentConfig.from_json(dict(cfg, params={**params, "oracle": "threshold-span"}))
+        if command != "selfcorrect":
+            ExperimentConfig.from_json(dict(cfg, params={**params, "learner": "bruteforce"}))
 
     @pytest.mark.parametrize("command", [c for c in harness.COMMANDS if c != "bench"])
     def test_spelled_out_defaults_change_nothing(self, command):

@@ -72,17 +72,17 @@ GOLDEN = {
         },
     ),
     "decompose_robust": (
-        (8388608122203595670, 0, 52, 628),
+        (8388608129535026718, 0, 52, 602),
         {
             "apply_circuit": (0, 0, 0, 30),
-            "bell_difference": (1069808, 0, 0, 0),
-            "edge_test": (122201901668, 0, 0, 0),
+            "bell_difference": (1139320, 0, 0, 0),
+            "edge_test": (129533228440, 0, 0, 0),
             "fidelity_shadows": (2171, 0, 0, 0),
             "gowers_estimate": (8388607999999993856, 0, 0, 0),
-            "lcu": (0, 0, 52, 598),
-            "measure": (79, 0, 0, 0),
+            "lcu": (0, 0, 52, 572),
+            "measure": (87, 0, 0, 0),
             "oracle_build": (94208, 0, 0, 0),
-            "retention": (533880, 0, 0, 0),
+            "retention": (568636, 0, 0, 0),
         },
     ),
     "decompose_robust_bruteforce": (
@@ -108,26 +108,26 @@ GOLDEN = {
         },
     ),
     "selfcorrect_planted": (
-        (31773053899, 0, 0, 0),
+        (26885618983, 0, 0, 0),
         {
             "apply_circuit": (0, 0, 0, 0),
-            "bell_difference": (344716, 0, 0, 0),
-            "edge_test": (31772535872, 0, 0, 0),
+            "bell_difference": (290676, 0, 0, 0),
+            "edge_test": (26885182016, 0, 0, 0),
             "fidelity_shadows": (945, 0, 0, 0),
             "measure": (8, 0, 0, 0),
-            "retention": (172358, 0, 0, 0),
+            "retention": (145338, 0, 0, 0),
         },
     ),
     "selfcorrect_threshold_span": (
-        (36661711986, 0, 0, 11),
+        (31774276770, 0, 0, 11),
         {
             "apply_circuit": (0, 0, 0, 11),
-            "bell_difference": (403240, 0, 0, 0),
-            "edge_test": (36661073680, 0, 0, 0),
-            "fidelity_shadows": (1122, 0, 0, 0),
-            "measure": (68, 0, 0, 0),
+            "bell_difference": (348960, 0, 0, 0),
+            "edge_test": (31773719824, 0, 0, 0),
+            "fidelity_shadows": (1179, 0, 0, 0),
+            "measure": (71, 0, 0, 0),
             "oracle_build": (32768, 0, 0, 0),
-            "retention": (201108, 0, 0, 0),
+            "retention": (173968, 0, 0, 0),
         },
     ),
     "test_sampled": (

@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from stabcorrect.selfcorrect import (
     threshold_span_oracle,
     tolerant_test,
 )
-from stabcorrect.selfcorrect import _draw_retained, _edge_batch, _retained_mass
+from stabcorrect.selfcorrect import _draw_retained, _edge_batch, _retained_mass, _shot_test
 from stabcorrect.statevec import (
+    SAMPLER_MAX_SHOTS,
     StateVector,
+    binomial_estimate,
     bruteforce_stab_fidelity,
+    expectation_squares,
     gowers3_metrics,
     overlap,
     random_state,
@@ -101,6 +105,124 @@ class TestEdgeTest:
         ]
         # raising the threshold never adds edges
         assert all((a >= b).all() for a, b in zip(flags, flags[1:]))
+
+
+PRACTICAL = BsgParams.practical(0.5)
+# bsg_test's per-edge-test failure budget at the practical preset
+PRACTICAL_DELTA = PRACTICAL.delta / (5.0 * (1 + PRACTICAL.r + 2 * PRACTICAL.r * PRACTICAL.s))
+
+
+def practical_shots():
+    """Shots per edge test at the practical preset, read back from the
+    ledger: each sampled pair is charged 6 shots + 2 copies."""
+    ledger = CostLedger()
+    _edge_batch(
+        basis_state(1), vecs("Z"), vecs("Z"), PRACTICAL.zeta1, PRACTICAL.zeta_slack,
+        PRACTICAL_DELTA, np.random.default_rng(0), ledger, False,
+    )
+    return (ledger.totals["copies_consumed"] - 2) // 6
+
+
+def band_half_width(shots):
+    # Hoeffding: P[estimate - w >= h] <= exp(-shots h^2 / 2) = 2^-64
+    return math.sqrt(2.0 * math.log(2.0**64) / shots)
+
+
+def log_binomial_mass(shots, p, ks):
+    """log P[Bin(shots, p) in ks], as a log-sum of lgamma terms."""
+    logs = [
+        math.lgamma(shots + 1) - math.lgamma(k + 1) - math.lgamma(shots - k + 1)
+        + k * math.log(p) + (shots - k) * math.log1p(-p)
+        for k in ks
+    ]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+class TestDecidedBand:
+    @pytest.mark.parametrize("name", ["zeta1", "zeta2", "zeta3"])
+    def test_decided_outcomes_err_below_2_to_minus_64(self, name):
+        # the exact binomial tail on the wrong side of zeta, at the band's edges
+        zeta, shots = getattr(PRACTICAL, name), practical_shots()
+        h = band_half_width(shots)
+        assert 40_000 < shots < 60_000 and 0.04 < h < 0.045
+        # the fewest +1 outcomes whose estimate 2k/shots - 1 reaches zeta
+        k_pass = next(
+            k for k in range(math.floor(shots * (1 + zeta) / 2) - 1, shots + 1)
+            if 2.0 * k / shots - 1.0 >= zeta
+        )
+        bound = -64 * math.log(2.0)
+        fail_side = (1.0 + zeta - h) / 2.0
+        assert log_binomial_mass(shots, fail_side, range(k_pass, shots + 1)) <= bound
+        pass_side = (1.0 + zeta + h) / 2.0
+        assert log_binomial_mass(shots, pass_side, range(k_pass)) <= bound
+
+    def test_decided_batch_draws_only_the_last_uniforms(self):
+        # every <W>^2 of |000> is 0 or 1, far outside the band: the batch
+        # advances the generator exactly as rng.random(m) alone does
+        psi = basis_state(3)
+        gen = np.random.default_rng(11)
+        xs, ys = gen.integers(64, size=200), gen.integers(64, size=200)
+        ours, ref, ledger = np.random.default_rng(3), np.random.default_rng(3), CostLedger()
+        flags = _edge_batch(
+            psi, xs, ys, PRACTICAL.zeta3, PRACTICAL.zeta_slack, PRACTICAL_DELTA, ours, ledger, False
+        )
+        w2 = expectation_squares(psi)
+        exact = _edge_batch(psi, xs, ys, PRACTICAL.zeta3, 1.0, 1.0, ref, CostLedger(), True)
+        assert (flags == exact & (ref.random(200) < w2[xs ^ ys])).all()
+        assert ours.bit_generator.state == ref.bit_generator.state
+        # the skipped simulation is still charged in full
+        assert ledger.totals["copies_consumed"] == (6 * practical_shots() + 2) * 200
+
+    @pytest.mark.parametrize("shots", [None, SAMPLER_MAX_SHOTS + 1], ids=["binomial", "normal-limit"])
+    def test_in_band_labels_draw_as_binomial_estimate(self, shots):
+        shots = shots or practical_shots()
+        zeta, h = PRACTICAL.zeta2, band_half_width(shots)
+        w = zeta + h * np.array([-3.0, -1.0, -0.5, 0.0, 0.2, 0.9, 1.0, 1.5, 4.0, -0.1])
+        band = np.abs(w - zeta) <= h
+        assert 0 < band.sum() < w.shape[0]
+        ours, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = _shot_test(w, zeta, shots, ours)
+        assert (got[band] == (binomial_estimate(w[band], shots, ref) >= zeta)).all()
+        assert (got[~band] == (w[~band] > zeta)).all()
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+    def test_pass_frequencies_match_all_binomial_reference(self):
+        # a real product state whose <W>^2 table puts ZI, IZ, ZX and XZ inside
+        # the band around zeta3, and ZZ, XX and the rest outside it
+        zeta = PRACTICAL.zeta3
+        shots = practical_shots()
+        za, zb = np.sqrt(zeta + 0.001), np.sqrt(zeta - 0.003)
+
+        def qubit(z):
+            theta = np.arccos(z) / 2.0
+            return StateVector(1, np.array([np.cos(theta), np.sin(theta)]))
+
+        psi = tensor(qubit(za), qubit(zb))
+        w2 = expectation_squares(psi)
+        in_band = np.abs(w2 - zeta) <= band_half_width(shots)
+        assert 4 <= in_band.sum() < 16
+        m, seeds = 50_000, range(4)
+        ours = ref = 0
+        for seed in seeds:
+            gen = np.random.default_rng(100 + seed)
+            xs, ys = gen.integers(16, size=m), gen.integers(16, size=m)
+            ours += _edge_batch(
+                psi, xs, ys, zeta, PRACTICAL.zeta_slack, PRACTICAL_DELTA, gen, CostLedger(), False
+            ).sum()
+            gen = np.random.default_rng(200 + seed)
+            wx, wy, wxy = w2[xs], w2[ys], w2[xs ^ ys]
+            ref += (
+                (binomial_estimate(wx, shots, gen) >= zeta)
+                & (binomial_estimate(wy, shots, gen) >= zeta)
+                & (binomial_estimate(wxy, shots, gen) >= zeta)
+                & (gen.random(m) < wxy)
+            ).sum()
+        total = m * len(seeds)
+        freq = ref / total
+        # two independent counts with the same law: their difference has
+        # standard deviation sqrt(2 total f (1 - f)); allow five of them
+        assert abs(ours - ref) <= 5.0 * math.sqrt(2.0 * total * freq * (1.0 - freq))
 
 
 def exhaustive_t_set(psi, u, zetas, rho1, rho2):
