@@ -60,6 +60,8 @@ class PauliLabel:
         s = s.lstrip("+")
         x = z = 0
         for q, ch in enumerate(s):
+            if ch.upper() not in _CHAR_PAULIS:
+                raise ValueError(f"unknown Pauli character {ch!r} in {s!r}")
             xq, zq = _CHAR_PAULIS[ch.upper()]
             x |= xq << q
             z |= zq << q

@@ -153,6 +153,11 @@ class StateSpec:
             raise ValueError("w_family needs 1 <= m <= n")
         if self.kind == "combo" and not self.terms:
             raise ValueError("combo needs a nonzero coefficient list")
+        for i, (_, _, gens) in enumerate(self.terms or ()):
+            try:  # each term must be an n-qubit stabilizer state
+                StabilizerState(self.n, tuple(map(PhasedPauli.from_string, gens)))
+            except ValueError as exc:
+                raise ValueError(f"combo term {i} generators {list(gens)!r}: {exc}") from None
 
     @staticmethod
     def from_json(data: dict) -> "StateSpec":
@@ -248,8 +253,6 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
     if spec.kind == "combo":
         coeffs = [complex(re, im) for re, im, _ in spec.terms]
         plants = [StabilizerState.from_json(list(gens)) for _, _, gens in spec.terms]
-        if any(st.n != n for st in plants):
-            raise ValueError("combo term qubit count mismatch")
         amps = stab_combination(n, zip(coeffs, plants))
         coeff_mass = sum(abs(c) for c in coeffs)
         norm = float(np.linalg.norm(amps))

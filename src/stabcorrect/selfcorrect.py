@@ -1,4 +1,4 @@
-"""The self-correction pipeline: difference-sampling retention, edge and
+"""The self-correction pipeline: retained-label sampling, edge and
 common-neighbor membership tests, small-doubling collection, covering-subgroup
 construction, stabilizer extraction (proper and improper), and the tolerant
 tester for high stabilizer dimension.
@@ -45,9 +45,9 @@ from .statevec import (
     StateVector,
     apply_circuit,
     binomial_estimate,
-    exact_proxy,
     expectation_squares,
     gowers3_metrics,
+    sample_retained,
     sample_weyl_indices,
 )
 
@@ -94,35 +94,6 @@ ATTEMPTS = 32
 
 # ---------------------------------------------------------------------------
 # sampling and membership tests
-
-
-RETENTION_BATCHES = 64
-
-
-def _draw_retained(
-    psi: StateVector,
-    count: int,
-    rng: np.random.Generator,
-    ledger: CostLedger,
-) -> np.ndarray:
-    """Label indices that passed retention, batched until ``count`` collected
-    or ``RETENTION_BATCHES`` batches drawn."""
-    out: list[np.ndarray] = []
-    got = 0
-    w2 = expectation_squares(psi)
-    rate = max(exact_proxy(psi), 1e-3)
-    for _ in range(RETENTION_BATCHES):
-        want = max(int(np.ceil((count - got) / rate)) + 4, 8)
-        idx = sample_weyl_indices(psi, want, rng, ledger)
-        ledger.charge("retention", copies=2 * want)
-        kept = idx[rng.random(want) < w2[idx]]
-        out.append(kept)
-        got += kept.shape[0]
-        if got >= count:
-            break
-    if got < count:
-        raise CollectionEmpty(f"retention produced {got} < {count} samples")
-    return np.concatenate(out)[:count]
 
 
 def _shot_test(w: np.ndarray, zeta: float, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,31 +147,25 @@ def bsg_test(
 ) -> bool:
     """Membership flag for the small-doubling neighborhood of u.
 
-    Draws r outer and r*s inner retained samples, runs the edge tests, and
-    thresholds the empirical common-neighbor frequencies: a sample z counts
-    against (u, v) when too few inner samples are joint neighbors of v and z.
+    Draws r + r*s retained samples in one call (the first r are the outer
+    samples z, the rest the inner ones), runs the edge tests, and thresholds
+    the empirical common-neighbor frequencies: a sample z counts against
+    (u, v) when too few inner samples are joint neighbors of v and z.
     """
     delta_p = params.delta / (5.0 * (1 + params.r + 2 * params.r * params.s))
+
+    def edges(xs, ys, zeta):
+        return _edge_batch(psi, xs, ys, zeta, params.zeta_slack, delta_p, rng, ledger, exact)
+
     uu = np.array([u.to_vector()])
     vv = np.array([v.to_vector()])
-    if not _edge_batch(
-        psi, uu, vv, params.zeta1, params.zeta_slack, delta_p, rng, ledger, exact
-    )[0]:
+    if not edges(uu, vv, params.zeta1)[0]:
         return False
     r, s = params.r, params.s
-    z = _draw_retained(psi, r, rng, ledger)
-    w = _draw_retained(psi, r * s, rng, ledger).reshape(r, s)
-    xk = _edge_batch(
-        psi, np.repeat(uu, r), z, params.zeta2, params.zeta_slack, delta_p, rng, ledger, exact
-    )
-    yk = _edge_batch(
-        psi, np.repeat(vv, r * s), w.ravel(), params.zeta3, params.zeta_slack,
-        delta_p, rng, ledger, exact,
-    ).reshape(r, s)
-    zk = _edge_batch(
-        psi, np.repeat(z, s), w.ravel(), params.zeta3, params.zeta_slack,
-        delta_p, rng, ledger, exact,
-    ).reshape(r, s)
+    z, w = np.split(sample_retained(psi, r + r * s, rng, ledger), [r])
+    xk = edges(np.repeat(uu, r), z, params.zeta2)
+    yk = edges(np.repeat(vv, r * s), w, params.zeta3).reshape(r, s)
+    zk = edges(np.repeat(z, s), w, params.zeta3).reshape(r, s)
     bk = (yk & zk).mean(axis=1) <= params.rho1
     return bool((xk & bk).mean() <= params.rho2)
 
@@ -224,7 +189,7 @@ def collect_small_doubling(
         raise ValueError("t must be >= 1")
     params = BsgParams.practical(gamma, delta)
     m = min(6 * t + 24, 256)
-    verts = np.unique(_draw_retained(psi, m, rng, ledger))
+    verts = np.unique(sample_retained(psi, m, rng, ledger))
     labels = [PauliLabel.from_vector(psi.n, int(v)) for v in verts]
     for i, ul in enumerate(labels):
         accepted = [
@@ -409,8 +374,8 @@ def find_stabilizer(
     if k == 0:
         weights = (np.abs(rotated.amps) ** 2)[None, :]
         law = weights[0] / weights[0].sum()
-        for _ in range(rounds):
-            collected[(0, int(rng.choice(law.shape[0], p=law)))] = None
+        for z in rng.choice(law.shape[0], size=rounds, p=law).tolist():
+            collected[(0, z)] = None
         measured = rounds
     else:
         weights = _candidate_weights(rotated, k)
@@ -498,7 +463,7 @@ def find_high_stab_dim(
     weights = (np.abs(blocks) ** 2).sum(axis=1)
     law = weights / weights.sum()
     rounds = _rounds(gamma)
-    seen = {int(rng.choice(law.shape[0], p=law)) for _ in range(rounds)}
+    seen = set(rng.choice(law.shape[0], size=rounds, p=law).tolist())
     ledger.charge("measure", copies=rounds)
     best_z = max(seen, key=lambda z: weights[z])
     if weights[best_z] < BLOCK_TOL:
@@ -534,9 +499,14 @@ def self_correct(
     stabilizer extraction, retrying failed stages with fresh randomness up to
     the attempt budget.  The covering-subgroup ``oracle(psi, rng, ledger)``
     (``planted_oracle`` or ``threshold_span_oracle``) runs once, before the
-    first attempt."""
+    first attempt; a span of fewer than n + 1 labels, which ``pfr_subgroup``
+    can never accept, fails at once."""
     t = collect_t if collect_t is not None else min(psi.n + 3, (1 << psi.n) - 1)
     basis = oracle(psi, rng, ledger)
+    if 1 << basis.rank < psi.n + 1:
+        raise SelfCorrectionFailed(
+            f"oracle span of rank {basis.rank} holds fewer than n + 1 = {psi.n + 1} labels"
+        )
     last: Exception | None = None
     for _ in range(attempts):
         try:

@@ -6,10 +6,11 @@ subspaces.
 
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
-makes every statistical guarantee directly testable.  A state caches two
-4^n tables, <W_x>^2 and the cumulative difference-sampling law; a build whose
-measured peak would exceed physical memory raises ValueError before it
-allocates.
+makes every statistical guarantee directly testable.  A state caches three
+4^n float64 tables, <W_x>^2 and the cumulative difference-sampling and
+retained laws, 24 * 4^n bytes in steady state; the build peaks at
+``TABLE_BUILD_PEAK`` tables, and a build whose peak would exceed physical
+memory raises ValueError before it allocates.
 
 States are immutable values; operations return new states.  Independent
 trials may run concurrently provided each owns a distinct RngStream path and
@@ -113,14 +114,15 @@ def expectation_squares(psi: StateVector) -> np.ndarray:
     return psi._cache["w2"]
 
 
-def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
-    """The cumulative difference-sampling law and the proxy E_q[<W_x>^2],
-    built once per state.
+def _q_tables(psi: StateVector) -> tuple[np.ndarray, np.ndarray, float]:
+    """The cumulative difference-sampling law, the cumulative retained law
+    and the proxy E_q[<W_x>^2], built once per state.
 
     With p(x) = <W_x>^2 / 2^n, the law of difference sampling is the XOR
-    self-convolution q = p * p.  The build checks the triple-correlation
+    self-convolution q = p * p, and a draw kept with probability <W_x>^2
+    follows q(x) <W_x>^2 / proxy.  The build checks the triple-correlation
     identity E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3, which holds for pure
-    states, then keeps cumsum(q) in q's buffer.
+    states, then keeps cumsum(q) in q's buffer and cumsum(q <W_x>^2) in p's.
     """
     if "qcum" not in psi._cache:
         w2 = expectation_squares(psi)
@@ -131,9 +133,10 @@ def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
         proxy = float(np.dot(q, w2))
         if abs(proxy - triple) > 1e-9:
             raise AssertionError("triple-correlation identity violated")
+        psi._cache["rcum"] = np.cumsum(np.multiply(q, w2, out=p), out=p)
         psi._cache["qcum"] = np.cumsum(q, out=q)
         psi._cache["proxy"] = proxy
-    return psi._cache["qcum"], psi._cache["proxy"]
+    return psi._cache["qcum"], psi._cache["rcum"], psi._cache["proxy"]
 
 
 def sample_weyl_indices(
@@ -141,9 +144,29 @@ def sample_weyl_indices(
 ) -> np.ndarray:
     """Batched difference sampling: label indices drawn from q, in draw order,
     4 copies each."""
-    cum, _ = _q_tables(psi)
+    cum = _q_tables(psi)[0]
     idx = kernels.inverse_cdf(cum, rng.random(size) * cum[-1])
     ledger.charge("bell_difference", copies=4 * size)
+    return idx
+
+
+def sample_retained(
+    psi: StateVector, count: int, rng: np.random.Generator, ledger: CostLedger
+) -> np.ndarray:
+    """``count`` label indices that passed retention, drawn directly from
+    their law q(x) <W_x>^2 / proxy with ``count`` uniforms.
+
+    The protocol draws x ~ q and keeps it with probability <W_x>^2 until
+    ``count`` are kept, so its trials number ``count`` plus a
+    NegativeBinomial(count, proxy) count of discarded draws; that one
+    draw follows the uniforms, and each trial is charged 4
+    difference-sampling and 2 retention copies.
+    """
+    _, cum, proxy = _q_tables(psi)
+    idx = kernels.inverse_cdf(cum, rng.random(count) * cum[-1])
+    trials = count + int(rng.negative_binomial(count, min(proxy, 1.0)))
+    ledger.charge("bell_difference", copies=4 * trials)
+    ledger.charge("retention", copies=2 * trials)
     return idx
 
 
@@ -161,7 +184,7 @@ class GowersMetrics:
 
 def exact_proxy(psi: StateVector) -> float:
     """E_{x~q}[<W_x>^2] from the tables, computed once per state."""
-    return _q_tables(psi)[1]
+    return _q_tables(psi)[2]
 
 
 def gowers3_metrics(

@@ -326,6 +326,22 @@ def inverse_cdf_reference(cum, keys):
     return np.minimum(np.searchsorted(cum, keys, side="right"), len(cum) - 1)
 
 
+def retained_reference(psi, count, rng):
+    """The retention protocol by rejection: draw x from q and keep it with
+    probability <W_x>^2, one draw at a time, until ``count`` are kept.
+    Returns the kept labels and the number of draws."""
+    _, q = distribution_tables(psi)
+    w2 = expectation_squares(psi)
+    cum = np.cumsum(q)
+    kept, trials = [], 0
+    while len(kept) < count:
+        x = int(inverse_cdf_reference(cum, rng.random() * cum[-1]))
+        trials += 1
+        if rng.random() < w2[x]:
+            kept.append(x)
+    return np.array(kept), trials
+
+
 def _exact_betas(psi, phis):
     """Exact running coefficients: <phi_j|psi> minus the cross-terms of the
     earlier terms, as the loop's exact estimator builds them."""

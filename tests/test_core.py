@@ -149,7 +149,6 @@ LEDGER_REQUIRED = {
     "iterate.iterate_robust",
     "iterate.learn",  # the base learners' closures
     "iterate.learn_low_extent",
-    "selfcorrect._draw_retained",
     "selfcorrect._edge_batch",
     "selfcorrect.bsg_test",
     "selfcorrect.collect_small_doubling",
@@ -160,6 +159,7 @@ LEDGER_REQUIRED = {
     "statevec.apply_circuit",
     "statevec.hadamard_test_estimate",
     "statevec.lcu_residual",
+    "statevec.sample_retained",
     "statevec.sample_weyl_indices",
 }
 

@@ -202,3 +202,9 @@ class TestSerialization:
         for _ in range(30):
             x = random_label(5, rng)
             assert PauliLabel.from_string(x.to_string()) == x
+
+    @pytest.mark.parametrize("text", ["ZQ", "+XI-", "X Z"])
+    def test_unknown_character_named(self, text):
+        bad = next(ch for ch in text.lstrip("+") if ch.upper() not in "IXYZ")
+        with pytest.raises(ValueError, match=f"unknown Pauli character {bad!r}"):
+            PauliLabel.from_string(text)

@@ -245,11 +245,25 @@ class TestConfig:
                          "combo coeff must be a 2-entry array", id="short-coeff"),
             pytest.param({"coeff": [0.5, 0.0], "generators": "+Z"},
                          "combo generators must be an array of strings", id="string-generators"),
+            pytest.param({"coeff": [1.0, 0.0], "generators": ["+ZQ", "+IZ"]},
+                         r"combo term 0 generators \['\+ZQ', '\+IZ'\]: "
+                         "unknown Pauli character 'Q' in 'ZQ'", id="bad-character"),
+            pytest.param({"coeff": [1.0, 0.0], "generators": []},
+                         "combo term 0 .*need exactly n generators", id="empty-generators"),
+            pytest.param({"coeff": [1.0, 0.0], "generators": ["+ZZ"]},
+                         "combo term 0 .*need exactly n generators", id="too-few"),
+            pytest.param({"coeff": [1.0, 0.0], "generators": ["+ZZZ", "+IZI"]},
+                         "combo term 0 .*Hermitian n-qubit Paulis", id="wrong-length"),
+            pytest.param({"coeff": [1.0, 0.0], "generators": ["+ZZ", "+XI"]},
+                         "combo term 0 .*generators must commute", id="anticommuting"),
+            pytest.param({"coeff": [1.0, 0.0], "generators": ["+ZI", "-ZI"]},
+                         "combo term 0 .*generator labels must be independent", id="dependent"),
         ],
     )
     def test_combo_terms_parsed_strictly(self, term, message):
+        # refused with the config, before any state is built
         with pytest.raises(ValueError, match=message):
-            StateSpec.from_json({"kind": "combo", "n": 1, "terms": [term]})
+            StateSpec.from_json({"kind": "combo", "n": 2, "terms": [term]})
 
     @pytest.mark.parametrize(
         "command, key, value, message",
@@ -670,6 +684,16 @@ class TestRun:
         cfg.update(command="selfcorrect", params={"oracle": "threshold-span", "attempts": 4})
         with pytest.raises(SelfCorrectionFailed):
             run(ExperimentConfig.from_json(cfg))
+
+    def test_haar_self_correct_learner_stops_at_the_oracle(self):
+        # a Haar state's threshold span has rank 0, too small for any
+        # attempt to succeed, so the learner fails before collecting
+        cfg = {"command": "decompose", "state": {"kind": "haar", "n": 6}, "seed": 3,
+               "params": {"learner": "self_correct", "oracle": "threshold-span"}}
+        rec = run(ExperimentConfig.from_json(cfg))[0]
+        dec = rec.outputs["decomposition"]
+        assert (dec["stop_reason"], dec["iterations"]) == ("learner_failed", 0)
+        assert not {"edge_test", "retention"} & set(rec.ledger["breakdown"])
 
 
 class TestEmit:

@@ -72,17 +72,17 @@ GOLDEN = {
         },
     ),
     "decompose_robust": (
-        (8388608129535026718, 0, 52, 602),
+        (8388608127091288576, 0, 52, 602),
         {
             "apply_circuit": (0, 0, 0, 30),
-            "bell_difference": (1139320, 0, 0, 0),
-            "edge_test": (129533228440, 0, 0, 0),
+            "bell_difference": (1098516, 0, 0, 0),
+            "edge_test": (127089551512, 0, 0, 0),
             "fidelity_shadows": (2171, 0, 0, 0),
             "gowers_estimate": (8388607999999993856, 0, 0, 0),
             "lcu": (0, 0, 52, 572),
-            "measure": (87, 0, 0, 0),
+            "measure": (79, 0, 0, 0),
             "oracle_build": (94208, 0, 0, 0),
-            "retention": (568636, 0, 0, 0),
+            "retention": (548234, 0, 0, 0),
         },
     ),
     "decompose_robust_bruteforce": (
@@ -108,26 +108,26 @@ GOLDEN = {
         },
     ),
     "selfcorrect_planted": (
-        (26885618983, 0, 0, 0),
+        (31772754695, 0, 0, 0),
         {
             "apply_circuit": (0, 0, 0, 0),
-            "bell_difference": (290676, 0, 0, 0),
-            "edge_test": (26885182016, 0, 0, 0),
+            "bell_difference": (342572, 0, 0, 0),
+            "edge_test": (31772239884, 0, 0, 0),
             "fidelity_shadows": (945, 0, 0, 0),
             "measure": (8, 0, 0, 0),
-            "retention": (145338, 0, 0, 0),
+            "retention": (171286, 0, 0, 0),
         },
     ),
     "selfcorrect_threshold_span": (
-        (31774276770, 0, 0, 11),
+        (31773977855, 0, 0, 11),
         {
             "apply_circuit": (0, 0, 0, 11),
-            "bell_difference": (348960, 0, 0, 0),
-            "edge_test": (31773719824, 0, 0, 0),
-            "fidelity_shadows": (1179, 0, 0, 0),
-            "measure": (71, 0, 0, 0),
+            "bell_difference": (346976, 0, 0, 0),
+            "edge_test": (31773423836, 0, 0, 0),
+            "fidelity_shadows": (1226, 0, 0, 0),
+            "measure": (73, 0, 0, 0),
             "oracle_build": (32768, 0, 0, 0),
-            "retention": (173968, 0, 0, 0),
+            "retention": (172976, 0, 0, 0),
         },
     ),
     "test_sampled": (

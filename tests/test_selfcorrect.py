@@ -9,7 +9,13 @@ from stabcorrect.errors import (
 )
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
-from stabcorrect.pauli import PhasedPauli, StabilizerState, conjugate, statevector_of
+from stabcorrect.pauli import (
+    PhasedPauli,
+    StabilizerState,
+    canonicalize_subgroup,
+    conjugate,
+    statevector_of,
+)
 from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import (
     BsgParams,
@@ -25,16 +31,18 @@ from stabcorrect.selfcorrect import (
     threshold_span_oracle,
     tolerant_test,
 )
-from stabcorrect.selfcorrect import _draw_retained, _edge_batch, _retained_mass, _shot_test
+from stabcorrect.selfcorrect import TIE_TOL, _edge_batch, _retained_mass, _rounds, _shot_test
 from stabcorrect.statevec import (
     SAMPLER_MAX_SHOTS,
     StateVector,
+    apply_circuit,
     binomial_estimate,
     bruteforce_stab_fidelity,
     expectation_squares,
     gowers3_metrics,
     overlap,
     random_state,
+    sample_retained,
 )
 
 from conftest import (
@@ -57,14 +65,14 @@ class TestSamplePaulis:
     def test_stabilizer_support(self, rng):
         st, psi = stab_vec(["+XX", "+ZZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        idx = _draw_retained(psi, 64, rng, CostLedger())
+        idx = sample_retained(psi, 64, rng, CostLedger())
         labs = [PauliLabel.from_vector(2, int(i)) for i in idx]
         assert len(labs) == 64 and all(basis.contains(l.to_vector()) for l in labs)
 
     def test_ledger_accounting(self, rng):
         # every draw charges 4 difference-sampling and 2 retention copies
         ledger = CostLedger()
-        _draw_retained(tensor(t_state(), t_state()), 50, rng, ledger)
+        sample_retained(tensor(t_state(), t_state()), 50, rng, ledger)
         draws = ledger.breakdown["retention"]["copies_consumed"] // 2
         assert draws >= 50
         assert ledger.breakdown["retention"]["copies_consumed"] == 2 * draws
@@ -515,6 +523,62 @@ class TestFindHighStabDim:
         assert abs(overlap(res.reconstruct(), psi) - np.sqrt(res.block_weight)) <= 1e-9
 
 
+class TestBasisDraws:
+    """Both extractors draw their computational-basis rounds with one batched
+    ``rng.choice``; numpy draws the same uniforms in the same order as a
+    loop of scalar calls, so outcomes and generator state match the loop."""
+
+    def test_batched_choice_equals_scalar_loop(self):
+        law = np.random.default_rng(0).dirichlet(np.ones(64))
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        batched = a.choice(law.shape[0], size=40, p=law).tolist()
+        assert batched == [int(b.choice(law.shape[0], p=law)) for _ in range(40)]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @staticmethod
+    def _subgroup(n, qubits, rng):
+        circ = random_circuit(n, rng)
+        center = [conjugate(circ, PhasedPauli(PauliLabel(n, 0, 1 << q), 0)) for q in qubits]
+        return SubgroupV(n, rref_basis([g.label.to_vector() for g in center], 2 * n), None)
+
+    @staticmethod
+    def _loop_draws(amps, block, rounds, rng):
+        """Per-round scalar draws of the block index from its Born weight."""
+        weights = (np.abs(amps.reshape(-1, block)) ** 2).sum(axis=1)
+        law = weights / weights.sum()
+        return weights, [int(rng.choice(law.shape[0], p=law)) for _ in range(rounds)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_find_stabilizer_k0_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4
+        psi, sub = random_state(n, rng), self._subgroup(n, range(n), rng)
+        a, b = np.random.default_rng(40 + seed), np.random.default_rng(40 + seed)
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, a, CostLedger())
+        circuit, k, _ = canonicalize_subgroup(sub.basis.labels(n))
+        rotated = apply_circuit(psi, circuit, CostLedger())
+        weights, draws = self._loop_draws(rotated.amps, 1, _rounds(0.5), b)
+        best = draws[0]
+        for z in dict.fromkeys(draws):
+            if weights[z] > weights[best] + TIE_TOL:
+                best = z
+        assert (k, cand.provenance["z"]) == (0, best)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_find_high_stab_dim_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4
+        psi, sub = random_state(n, rng), self._subgroup(n, (2, 3), rng)
+        a, b = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
+        res = find_high_stab_dim(psi, sub, 0.5, 0.05, a, CostLedger())
+        circuit, _, m = canonicalize_subgroup(sub.basis.labels(n), center_tail=True)
+        rotated = apply_circuit(psi, circuit, CostLedger())
+        weights, draws = self._loop_draws(rotated.amps, 1 << (n - m), _rounds(0.5), b)
+        assert res.z == max(set(draws), key=lambda z: weights[z])
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestSelfCorrect:
     def test_exact_stabilizer(self, rng):
         st, psi = stab_vec(["+XZ", "+ZX"])
@@ -549,6 +613,16 @@ class TestSelfCorrect:
             self_correct(
                 psi, 0.5, 0.05, threshold_span_oracle(0.25), rng, CostLedger(), attempts=3
             )
+
+    def test_small_oracle_span_stops_before_collecting(self, rng):
+        # a Haar state's threshold span has rank 0: one label, fewer than the
+        # n + 1 that pfr_subgroup needs, so no attempt runs
+        psi = random_state(6, rng)
+        ledger = CostLedger()
+        with pytest.raises(SelfCorrectionFailed, match="oracle span of rank 0"):
+            self_correct(psi, 0.5, 0.05, threshold_span_oracle(0.25), rng, ledger)
+        assert "oracle_build" in ledger.breakdown
+        assert not {"edge_test", "retention"} & set(ledger.breakdown)
 
 
 class TestTolerantTest:

@@ -33,10 +33,11 @@ from stabcorrect.statevec import (
     lcu_residual,
     overlap,
     random_state,
+    sample_retained,
     sample_weyl_indices,
     stab_combination,
 )
-from stabcorrect.selfcorrect import _draw_retained, planted_oracle, self_correct
+from stabcorrect.selfcorrect import planted_oracle, self_correct
 
 from conftest import (
     basis_state,
@@ -47,6 +48,7 @@ from conftest import (
     expectation_table,
     inverse_cdf_reference,
     measure_block,
+    retained_reference,
     rotation_stab_dim_fidelity,
     stabilizer_state_matrix,
     t_state,
@@ -167,9 +169,17 @@ class TestDistributions:
             steps = np.diff(psi._cache["qcum"], prepend=0.0)
             assert np.max(np.abs(steps - q)) <= 1e-15
 
-    def test_state_caches_two_tables(self, rng):
+    def test_retained_increments_are_q_w2(self, rng):
+        for n in (1, 3, 5):
+            psi = random_state(n, rng)
+            sample_retained(psi, 1, rng, CostLedger())
+            _, q = distribution_tables(psi)
+            steps = np.diff(psi._cache["rcum"], prepend=0.0)
+            assert np.max(np.abs(steps - q * expectation_squares(psi))) <= 1e-15
+
+    def test_state_caches_three_tables(self, rng):
         # after self_correct on a planted n = 6 state the cache holds <W_x>^2,
-        # the q cumsum and the proxy scalar, nothing else
+        # the q cumsum, the retained cumsum and the proxy scalar, nothing else
         n = 6
         junk = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         junk[0] = 0.0
@@ -178,8 +188,9 @@ class TestDistributions:
         psi = StateVector(n, amps)
         basis = rref_basis_from_labels([PauliLabel(n, 0, 1 << q) for q in range(n)])
         self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
-        assert set(psi._cache) == {"w2", "qcum", "proxy"}
-        assert psi._cache["w2"].shape == psi._cache["qcum"].shape == (4**n,)
+        assert set(psi._cache) == {"w2", "qcum", "rcum", "proxy"}
+        for table in ("w2", "qcum", "rcum"):
+            assert psi._cache[table].shape == (4**n,)
         assert isinstance(psi._cache["proxy"], float)
 
 
@@ -254,7 +265,7 @@ class TestSampling:
 
     def test_retention_extremes(self, rng):
         # on |0> every retained label is Z-type: its a-part is zero
-        idx = _draw_retained(basis_state(3), 500, rng, CostLedger())
+        idx = sample_retained(basis_state(3), 500, rng, CostLedger())
         assert idx.shape == (500,)
         assert np.all(idx & 0b111 == 0)
 
@@ -264,10 +275,53 @@ class TestSampling:
         _, q = distribution_tables(psi)
         want = q * expectation_table(psi) ** 2 / exact_proxy(psi)
         draws = 20_000
-        freq = np.bincount(_draw_retained(psi, draws, rng, CostLedger()), minlength=4) / draws
+        freq = np.bincount(sample_retained(psi, draws, rng, CostLedger()), minlength=4) / draws
         sig = np.sqrt(want * (1 - want) / draws)
         assert np.all(np.abs(freq - want) <= 4 * sig)
         assert want == pytest.approx([0.6, 0.2, 0.0, 0.2])
+
+    def test_retained_matches_rejection_reference(self, rng):
+        # the kept labels, and the mean and variance of the charged trials,
+        # agree with the rejection protocol within 4 sigma
+        psi = tensor(t_state(), t_state())  # proxy 25/64
+        count, runs = 5, 3000
+        ref = [retained_reference(psi, count, rng) for _ in range(runs)]
+        ours = []
+        for _ in range(runs):
+            ledger = CostLedger()
+            labels = sample_retained(psi, count, rng, ledger)
+            trials = ledger.breakdown["retention"]["copies_consumed"] // 2
+            assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * trials
+            ours.append((labels, trials))
+        draws = runs * count
+        freqs = [np.bincount(np.concatenate([lb for lb, _ in out]), minlength=16) / draws
+                 for out in (ref, ours)]
+        pooled = (freqs[0] + freqs[1]) / 2
+        assert np.all(np.abs(freqs[0] - freqs[1]) <= 4 * np.sqrt(2 * pooled * (1 - pooled) / draws))
+        ta, tb = (np.array([t for _, t in out], dtype=float) for out in (ref, ours))
+
+        def var_of_var(t):
+            c = t - t.mean()
+            return (np.mean(c**4) - np.mean(c**2) ** 2) / t.shape[0]
+
+        assert abs(ta.mean() - tb.mean()) <= 4 * np.sqrt((ta.var() + tb.var()) / runs)
+        assert abs(ta.var() - tb.var()) <= 4 * np.sqrt(var_of_var(ta) + var_of_var(tb))
+        assert ta.mean() == pytest.approx(count * 64 / 25, rel=0.05)
+
+    def test_retained_draw_stream_pinned(self):
+        # count uniforms looked up in the retained table, in draw order, then
+        # one negative-binomial draw of the discarded trials
+        psi = random_state(5, np.random.default_rng(3))
+        count = 700
+        a, b = np.random.default_rng(13), np.random.default_rng(13)
+        ledger = CostLedger()
+        got = sample_retained(psi, count, a, ledger)
+        cum = psi._cache["rcum"]
+        assert np.array_equal(got, inverse_cdf_reference(cum, b.random(count) * cum[-1]))
+        trials = count + int(b.negative_binomial(count, exact_proxy(psi)))
+        assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * trials
+        assert ledger.breakdown["retention"]["copies_consumed"] == 2 * trials
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestGowersMetrics:
