@@ -36,9 +36,11 @@ from .selfcorrect import (
     tolerant_test,
 )
 from .statevec import (
+    TABLE_BUILD_PEAK,
     StateVector,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
+    exact_proxy,
     gowers3_metrics,
     random_state,
     require_memory,
@@ -325,7 +327,7 @@ class ExperimentConfig:
                 raise ValueError("parameter n must be >= 1")
             if not 1 <= p["n_naive"] <= p["n"]:
                 raise ValueError(f"parameter n_naive must lie in [1, n = {p['n']}]")
-            require_memory(p["n"], 8 * 4 ** p["n"])  # the 4^n expectation table
+            require_memory(p["n"], int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
         elif self.state is None:
             raise ValueError(f"command {self.command!r} needs a state")
         else:
@@ -498,6 +500,11 @@ def _bench(n: int, n_naive: int) -> dict:
     t0 = time.perf_counter()
     kernels.char_expectations(amps, n)
     out["char_table_s"] = time.perf_counter() - t0
+    # the build the pipeline runs: <W_x>^2, q and both cumulative laws
+    psi = StateVector(n, amps)
+    t0 = time.perf_counter()
+    exact_proxy(psi)
+    out["table_build_s"] = time.perf_counter() - t0
     p = np.abs(rng.normal(size=4 ** n_naive))
     p /= p.sum()
     t0 = time.perf_counter()

@@ -9,10 +9,16 @@ Bit conventions (used consistently across the package):
 
 With those conventions, for x = (a, b),
 
-    <psi| W_x |psi> = i^{|a&b|} * sum_j conj(psi[j^a]) * (-1)^{|b&j|} * psi[j]
+    <psi| W_x |psi> = i^{|a&b|} * sum_j (-1)^{|b&j|} * g_a(j),
+    g_a(j) = conj(psi[j^a]) * psi[j],
 
-so row a of the table is the length-2^n Walsh-Hadamard transform of
-g_a(j) = conj(psi[j^a]) * psi[j], giving an O(4^n n) algorithm overall.
+so row a of the table is a Walsh-Hadamard transform of g_a.  Since
+g_a(j^a) = conj(g_a(j)), Re g_a is even and Im g_a odd under j -> j^a: the
+transform of Re g_a vanishes where |a&b| is odd and that of Im g_a where it
+is even.  One real transform of f_a = Re g_a + Im g_a therefore carries
+both, and the phase reduces to a sign, + for |a&b| = 0 or 3 (mod 4) and -
+for 1 or 2.  The table is built as f[j, a] and transformed along j, which
+leaves it in the ``a | (b << n)`` layout: O(4^n n) real work overall.
 """
 
 from __future__ import annotations
@@ -79,38 +85,52 @@ def weyl_action(amps: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def wht_inplace(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis of a
-    C-contiguous array, in place; that axis has a power-of-2 length.  Every
-    stage's butterfly reuses one half-size temporary for a - b."""
-    m = v.shape[-1]
+    """Unnormalized Walsh-Hadamard transform along the leading axis of a
+    C-contiguous array, in place; that axis has a power-of-2 length and
+    trailing axes are a batch.  Every stage's butterfly reuses one half-size
+    temporary for a - b."""
+    m, inner = v.shape[0], v[:1].size
     diff = np.empty(v.size // 2, dtype=v.dtype)
     h = 1
     while h < m:
-        w = v.reshape(-1, 2, h)
+        w = v.reshape(-1, 2, h * inner)
         a, b = w[:, 0, :], w[:, 1, :]
-        t = np.subtract(a, b, out=diff.reshape(-1, h))
+        t = np.subtract(a, b, out=diff.reshape(-1, h * inner))
         a += b
         b[...] = t
         h *= 2
     return v
 
 
-_IPOW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+_CHUNK = 1 << 14  # entries per gathered or signed block of the 4^n table
+_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # the phase's sign, by |a&b| mod 4
 
 
 def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
-    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n)."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n).
+
+    With psi = x + iy, f[j, a] = Re g_a(j) + Im g_a(j)
+    = x[j^a] (x[j] + y[j]) + y[j^a] (y[j] - x[j]), gathered in row blocks,
+    then transformed along j and signed block by block."""
+    amps = np.asarray(amps, dtype=np.complex128)
+    x, y = amps.real.copy(), amps.imag.copy()
+    plus, minus = x + y, y - x
     dim = 1 << n
-    out = np.empty(dim * dim, dtype=np.float64)
-    idx = np.arange(dim)
-    bvals = np.arange(dim, dtype=np.uint64)
-    for a in range(dim):
-        g = np.conj(amps[idx ^ a]) * amps
-        wht_inplace(g)
-        phase = _IPOW[np.bitwise_count(np.uint64(a) & bvals) & 3]
-        out[(bvals.astype(np.int64) << n) | a] = (g * phase).real
-    return out
+    rows = min(dim, max(1, _CHUNK >> n))  # a power of two, so blocks tile dim
+    cols = np.arange(dim)
+    table = np.empty((dim, dim), dtype=np.float64)
+    t = np.empty((rows, dim), dtype=np.float64)
+    for j0 in range(0, dim, rows):
+        j = slice(j0, j0 + rows)
+        idx = np.arange(j0, j0 + rows)[:, None] ^ cols
+        # every index is in range; "clip" writes to ``out`` without a buffer
+        np.multiply(np.take(x, idx, out=t, mode="clip"), plus[j, None], out=table[j])
+        table[j] += np.multiply(np.take(y, idx, out=t, mode="clip"), minus[j, None], out=t)
+    wht_inplace(table)
+    for b0 in range(0, dim, rows):
+        b = np.arange(b0, b0 + rows)[:, None]
+        table[b0 : b0 + rows] *= _SIGN[np.bitwise_count(b & cols) & 3]
+    return table.reshape(-1)
 
 
 def xor_convolve(p: np.ndarray) -> np.ndarray:

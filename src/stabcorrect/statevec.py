@@ -4,6 +4,12 @@ estimators, the charge of the combination-residual preparation, and the
 exact stabilizer fidelity oracles, one character sum over isotropic
 subspaces.
 
+The difference-sampling law q = p * p of p(x) = <W_x>^2 / 2^n is built with
+one 2n-bit transform of <W_x>^4 instead of a convolution's two: a pure
+state's characteristic distribution is its own symplectic Fourier transform
+(Gross, Nezami and Walter, arXiv 1712.08628), so the transform of p is
+<W_z>^2 and that of q is <W_z>^4.
+
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
 makes every statistical guarantee directly testable.  A state caches three
@@ -40,10 +46,12 @@ NORM_TOL = 1e-10
 
 
 # Peak of one state's table build (``expectation_squares`` then ``_q_tables``)
-# in 4^n-entry float64 tables: w2, p, q and the transform's half-size
-# temporary, plus ~190 KiB of numpy buffers.  Measured with tracemalloc: 3.88
-# at n = 8 (re-measured by test_statevec), falling to 3.50 at n = 12.
-TABLE_BUILD_PEAK = 3.88
+# in 4^n-entry float64 tables: it is reached when the retained law's table is
+# allocated beside <W_x>^2 and q, the three tables a state keeps, plus a few
+# KiB of numpy buffers; the transforms before it peak at 2.5 tables.
+# Measured with tracemalloc: 3.006 at n = 8 (re-measured by test_statevec),
+# 3.001 at n = 9 and 3.000 at n = 10, 11 and 12.
+TABLE_BUILD_PEAK = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,20 +128,33 @@ def _q_tables(psi: StateVector) -> tuple[np.ndarray, np.ndarray, float]:
 
     With p(x) = <W_x>^2 / 2^n, the law of difference sampling is the XOR
     self-convolution q = p * p, and a draw kept with probability <W_x>^2
-    follows q(x) <W_x>^2 / proxy.  The build checks the triple-correlation
-    identity E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3, which holds for pure
-    states, then keeps cumsum(q) in q's buffer and cumsum(q <W_x>^2) in p's.
+    follows q(x) <W_x>^2 / proxy.  A pure state's p is self-dual,
+    sum_x (-1)^{[x,z]} <W_x>^2 = 2^n <W_z>^2 with the symplectic form
+    [x, z] = a_x.b_z + b_x.a_z, so q(x) = 4^-n sum_z (-1)^{[x,z]} <W_z>^4:
+    one 2n-bit transform of <W_x>^4, taken over b, then, after a transpose
+    that swaps a and b, over a.  The build checks the triple-correlation
+    identity E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3 = 2^-n sum_x <W_x>^6,
+    which holds for pure states, then keeps cumsum(q) in q's buffer.
     """
     if "qcum" not in psi._cache:
         w2 = expectation_squares(psi)
-        p = w2 / (1 << psi.n)
-        triple = float((4.0 ** psi.n) * np.sum(p ** 3))
-        q = kernels.xor_convolve(p)
+        dim = 1 << psi.n
+        w4 = np.square(w2)
+        triple = float(np.dot(w4, w2)) / dim
+        half = kernels.wht_inplace(w4.reshape(dim, dim))  # over b
+        q = np.empty_like(w2)
+        swapped = q.reshape(dim, dim)
+        for c in range(0, dim, 64):  # a <-> b: the transpose in column tiles
+            swapped[:, c : c + 64] = half[c : c + 64].T
+        del w4, half  # so the retained law below is the third table, not the fourth
+        kernels.wht_inplace(swapped)  # over a
+        q *= 1.0 / (dim * dim)
         np.clip(q, 0.0, None, out=q)
         proxy = float(np.dot(q, w2))
         if abs(proxy - triple) > 1e-9:
             raise AssertionError("triple-correlation identity violated")
-        psi._cache["rcum"] = np.cumsum(np.multiply(q, w2, out=p), out=p)
+        retained = np.multiply(q, w2)
+        psi._cache["rcum"] = np.cumsum(retained, out=retained)
         psi._cache["qcum"] = np.cumsum(q, out=q)
         psi._cache["proxy"] = proxy
     return psi._cache["qcum"], psi._cache["rcum"], psi._cache["proxy"]
@@ -160,8 +181,13 @@ def sample_retained(
     ``count`` are kept, so its trials number ``count`` plus a
     NegativeBinomial(count, proxy) count of discarded draws; that one
     draw follows the uniforms, and each trial is charged 4
-    difference-sampling and 2 retention copies.
+    difference-sampling and 2 retention copies.  A count of 0 draws and
+    charges nothing.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
     _, cum, proxy = _q_tables(psi)
     idx = kernels.inverse_cdf(cum, rng.random(count) * cum[-1])
     trials = count + int(rng.negative_binomial(count, min(proxy, 1.0)))
@@ -318,8 +344,10 @@ def _projection_weights(table: np.ndarray, rows: np.ndarray, n: int) -> np.ndarr
     """(M, 2^d) array of ||Pi_{S,z} psi||^2 = 2^-d WHT_c(i^{e_c} <W_{g_c}>)(z) for
     the subspace S of each row of ``rows`` and each z (bit i negates row i)."""
     g, e = _span_phases(rows, n)
-    vals = table[g] * (1 - e)  # commuting Hermitian factors: e_c is 0 or 2
-    return kernels.wht_inplace(vals) / vals.shape[1]
+    # commuting Hermitian factors: e_c is 0 or 2; transformed as (2^d, M)
+    vals = np.empty((g.shape[1], g.shape[0]))
+    np.multiply(table[g].T, (1 - e).T, out=vals)
+    return kernels.wht_inplace(vals).T / vals.shape[0]
 
 
 def _best_per_subspace(psi: StateVector, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -311,6 +311,50 @@ def expectation_table(psi):
     return kernels.char_expectations(psi.amps, psi.n)
 
 
+def table_states(n, rng):
+    """Amplitudes of a Haar state, a real-amplitude state, a random stabilizer
+    state (whose q is zero off its group) and that state after a T gate."""
+    haar = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    real = rng.normal(size=1 << n)
+    stab = kernels.apply_gates(kernels.zero_state(n), random_circuit(n, rng).gates)
+    return [haar / np.linalg.norm(haar), real / np.linalg.norm(real), stab,
+            kernels.apply_gates(stab, [("T", (0,))])]
+
+
+def wht_last_axis_reference(v):
+    """The Walsh-Hadamard transform along the last axis, in place, with the
+    butterflies of ``kernels.wht_inplace`` in that axis's layout."""
+    m = v.shape[-1]
+    h = 1
+    while h < m:
+        w = v.reshape(-1, 2, h)
+        a, b = w[:, 0, :], w[:, 1, :]
+        t = a - b
+        a += b
+        b[...] = t
+        h *= 2
+    return v
+
+
+_IPOW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+
+
+def char_expectations_reference(amps, n):
+    """The signed table from one complex transform per row a of
+    g_a(j) = conj(psi[j^a]) psi[j], phased by i^{|a&b|} and scattered into
+    the ``a | (b << n)`` layout."""
+    amps = np.ascontiguousarray(amps, dtype=np.complex128)
+    dim = 1 << n
+    out = np.empty(dim * dim, dtype=np.float64)
+    idx = np.arange(dim)
+    bvals = np.arange(dim, dtype=np.uint64)
+    for a in range(dim):
+        g = wht_last_axis_reference(np.conj(amps[idx ^ a]) * amps)
+        phase = _IPOW[np.bitwise_count(np.uint64(a) & bvals) & 3]
+        out[(bvals.astype(np.int64) << n) | a] = (g * phase).real
+    return out
+
+
 def distribution_tables(psi):
     """The law reference: the characteristic table p(x) = <W_x>^2 / 2^n and
     its XOR self-convolution q = p * p, the law of difference sampling."""

@@ -613,10 +613,11 @@ class TestRun:
         )
         rec = run(cfg)[0]
         assert set(rec.outputs) == {
-            "char_table_s", "fast_convolve_s", "naive_convolve_s", "convolve_speedup",
-            "n", "n_naive",
+            "char_table_s", "table_build_s", "fast_convolve_s", "naive_convolve_s",
+            "convolve_speedup", "n", "n_naive",
         }
         assert rec.outputs["char_table_s"] > 0
+        assert rec.outputs["table_build_s"] > 0
         assert rec.outputs["convolve_speedup"] > 1
 
     def test_oracle_command(self):

@@ -9,7 +9,15 @@ from stabcorrect import kernels
 from stabcorrect.pauli import CliffordCircuit
 from stabcorrect.statevec import StateVector
 
-from conftest import distribution_tables, gate_matrix, inverse_cdf_reference, random_circuit
+from conftest import (
+    char_expectations_reference,
+    distribution_tables,
+    gate_matrix,
+    inverse_cdf_reference,
+    random_circuit,
+    table_states,
+    wht_last_axis_reference,
+)
 
 
 def normalized(rng, n):
@@ -17,17 +25,35 @@ def normalized(rng, n):
     return v / np.linalg.norm(v)
 
 
+def hadamard(k):
+    m = 1 << k
+    return np.array(
+        [[(-1) ** bin(i & j).count("1") for j in range(m)] for i in range(m)], dtype=float
+    )
+
+
 class TestWht:
     def test_matches_matrix(self, rng):
         for n in (1, 2, 3, 4):
-            m = 1 << n
-            had = np.array(
-                [[(-1) ** bin(i & j).count("1") for j in range(m)] for i in range(m)],
-                dtype=float,
-            )
-            v = rng.normal(size=m)
+            v = rng.normal(size=1 << n)
             got = kernels.wht_inplace(v.copy())
-            assert np.allclose(got, had @ v)
+            assert np.allclose(got, hadamard(n) @ v)
+
+    @pytest.mark.parametrize("k, batch", [(0, (3,)), (1, (1,)), (2, (5,)), (3, (4,)), (5, (7,)), (3, (2, 3))])
+    def test_leading_axis_batch_matches_matrix(self, k, batch, rng):
+        v = rng.normal(size=(1 << k, *batch))
+        got = kernels.wht_inplace(v.copy())
+        want = np.tensordot(hadamard(k), v, axes=1)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (4, 1), (4, 6), (7, 33)])
+    def test_same_butterflies_as_the_last_axis_layout(self, k, m, rng):
+        # bit for bit: the transform of a (2^k, m) array is the last-axis
+        # transform of its (m, 2^k) transpose
+        v = rng.normal(size=(1 << k, m))
+        got = kernels.wht_inplace(v.copy())
+        assert np.array_equal(got, wht_last_axis_reference(np.ascontiguousarray(v.T)).T)
+        assert np.array_equal(kernels.wht_inplace(v[:, 0].copy()), wht_last_axis_reference(v[:, 0].copy()))
 
     def test_involution_up_to_size(self, rng):
         v = rng.normal(size=64)
@@ -40,6 +66,13 @@ class TestCharTable:
         amps = normalized(rng, 3)
         table = kernels.char_expectations(amps, 3)
         assert abs(table[0] - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_matches_per_row_complex_reference(self, n, rng):
+        for amps in table_states(n, rng):
+            got = kernels.char_expectations(amps, n)
+            assert got.shape == (4**n,)
+            assert np.max(np.abs(got - char_expectations_reference(amps, n))) <= 1e-13
 
     def test_squares_sum_to_dim(self, rng):
         # purity: sum_x <W_x>^2 = 2^n

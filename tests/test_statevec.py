@@ -21,6 +21,7 @@ from stabcorrect.statevec import (
     SAMPLER_MAX_SHOTS,
     TABLE_BUILD_PEAK,
     StateVector,
+    _projection_weights,
     _span_phases,
     apply_circuit,
     binomial_estimate,
@@ -52,9 +53,11 @@ from conftest import (
     rotation_stab_dim_fidelity,
     stabilizer_state_matrix,
     t_state,
+    table_states,
     tensor,
     weyl_expectation,
     weyl_matrix,
+    wht_last_axis_reference,
 )
 
 lab = PauliLabel.from_string
@@ -169,6 +172,17 @@ class TestDistributions:
             steps = np.diff(psi._cache["qcum"], prepend=0.0)
             assert np.max(np.abs(steps - q)) <= 1e-15
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_one_transform_matches_the_convolution(self, n, rng):
+        # q from the self-duality of p against the law reference's XOR
+        # self-convolution, also where a stabilizer state's q is zero
+        for amps in table_states(n, rng):
+            psi = StateVector(n, amps)
+            sample_weyl_indices(psi, 1, rng, CostLedger())
+            _, q = distribution_tables(psi)
+            steps = np.diff(psi._cache["qcum"], prepend=0.0)
+            assert np.max(np.abs(steps - q)) <= 1e-14
+
     def test_retained_increments_are_q_w2(self, rng):
         for n in (1, 3, 5):
             psi = random_state(n, rng)
@@ -262,6 +276,20 @@ class TestSampling:
         assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * size
         assert ledger.totals["copies_consumed"] == 4 * size
         assert a.bit_generator.state == b.bit_generator.state
+
+    def test_retained_count_zero_draws_and_charges_nothing(self):
+        psi = random_state(3, np.random.default_rng(0))
+        rng, before = np.random.default_rng(5), np.random.default_rng(5)
+        ledger = CostLedger()
+        idx = sample_retained(psi, 0, rng, ledger)
+        assert idx.shape == (0,) and idx.dtype == np.intp
+        assert rng.bit_generator.state == before.bit_generator.state
+        assert ledger.breakdown == {}
+        assert not any(ledger.totals.values())
+
+    def test_retained_negative_count_refused(self, rng):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            sample_retained(random_state(2, rng), -1, rng, CostLedger())
 
     def test_retention_extremes(self, rng):
         # on |0> every retained label is Z-type: its a-part is zero
@@ -394,7 +422,8 @@ class TestGowersMetrics:
         assert expectation_squares(psi) is w2
         assert np.array_equal(w2, expectation_table(psi) ** 2)
         p, q = distribution_tables(psi)
-        assert exact_proxy(psi) == float(np.dot(q, w2))
+        # one transform of <W_x>^4 against the reference's convolution
+        assert abs(exact_proxy(psi) - float(np.dot(q, w2))) <= 1e-15
         assert gowers3_metrics(psi).u3pow8 == float(np.dot(p, w2))
         assert expectation_squares(psi) is w2
 
@@ -662,6 +691,17 @@ class TestExactOracle:
                 if (c >> i) & 1:
                     prod = pauli_product(prod, PhasedPauli(PauliLabel.from_vector(n, v), 0))
             assert (g[0, c], e[0, c]) == (prod.label.to_vector(), prod.phase)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_projection_weights_bit_identical_to_last_axis_layout(self, d):
+        # the (2^d, M) transform runs the butterflies of the (M, 2^d) one
+        n = 4
+        table = expectation_table(random_state(n, np.random.default_rng(7)))
+        rows = isotropic_subspaces(n, d)[:300]
+        g, e = _span_phases(rows, n)
+        vals = table[g] * (1 - e)
+        want = wht_last_axis_reference(vals) / vals.shape[1]
+        assert np.array_equal(_projection_weights(table, rows, n), want)
 
     def test_refuses_above_cap_fast_without_allocating(self):
         psi = random_state(6, np.random.default_rng(0))
