@@ -82,11 +82,6 @@ def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
 
 
-def symplectic_product_vec(u: int, v: int, n: int) -> int:
-    mask = (1 << n) - 1
-    return (((u & mask) & (v >> n)).bit_count() + ((u >> n) & (v & mask)).bit_count()) & 1
-
-
 # ---------------------------------------------------------------------------
 # canonical bases
 

@@ -79,7 +79,7 @@ PARAMS = {
     "decompose": {"t": 0, "loop": "robust", "eps": 0.05, **_LEARNER},
     "learn-extent": {"xi": 1.0, "eps_prime": 0.2, **_LEARNER},
     "oracle": {"stab_dims": ()},
-    "bench": {"n": 10, "n_naive": 8},
+    "bench": {"n": 10},
 }
 COMMANDS = tuple(PARAMS)
 
@@ -163,7 +163,12 @@ class StateSpec:
 
     @staticmethod
     def from_json(data: dict) -> "StateSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"state must be a JSON object, got {data!r}")
         _refuse_unknown(data, {f.name for f in fields(StateSpec)}, "state key(s)")
+        for key in ("kind", "n"):
+            if key not in data:
+                raise ValueError(f"state needs the key {key!r}")
         terms = tuple(map(_combo_term, data["terms"])) if data.get("terms") else None
         return StateSpec(
             data["kind"], data["n"], data.get("t"), data.get("m"), data.get("index", 0), terms
@@ -325,8 +330,6 @@ class ExperimentConfig:
         if self.command == "bench":
             if p["n"] < 1:
                 raise ValueError("parameter n must be >= 1")
-            if not 1 <= p["n_naive"] <= p["n"]:
-                raise ValueError(f"parameter n_naive must lie in [1, n = {p['n']}]")
             require_memory(p["n"], int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
         elif self.state is None:
             raise ValueError(f"command {self.command!r} needs a state")
@@ -356,9 +359,14 @@ class ExperimentConfig:
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
         _refuse_unknown(data, {f.name for f in fields(ExperimentConfig)}, "config key(s)")
+        if "command" not in data:
+            raise ValueError(f"config needs the key 'command'; allowed: {', '.join(COMMANDS)}")
+        params = data.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {params!r}")
         state = StateSpec.from_json(data["state"]) if data.get("state") else None
         return ExperimentConfig(
-            data["command"], state, dict(data.get("params", {})),
+            data["command"], state, dict(params),
             data.get("trials", 1), data.get("seed", 0),
             data.get("out"), data.get("format", "jsonl"),
         )
@@ -441,7 +449,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
     rng = RngStream(config.seed).child("trial", trial).generator()
     ledger = CostLedger()
     if config.command == "bench":
-        return _bench(p["n"], p["n_naive"]), ledger
+        return _bench(p["n"]), ledger
     state_rng = RngStream(config.seed).child("state", trial).generator()
     psi, meta = gen_state(config.state, state_rng)
     out: dict = {"meta": meta}
@@ -492,7 +500,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
     return out, ledger
 
 
-def _bench(n: int, n_naive: int) -> dict:
+def _bench(n: int) -> dict:
     rng = np.random.default_rng(0)
     out = {}
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -505,17 +513,7 @@ def _bench(n: int, n_naive: int) -> dict:
     t0 = time.perf_counter()
     exact_proxy(psi)
     out["table_build_s"] = time.perf_counter() - t0
-    p = np.abs(rng.normal(size=4 ** n_naive))
-    p /= p.sum()
-    t0 = time.perf_counter()
-    kernels.xor_convolve(p)
-    out["fast_convolve_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    kernels.xor_convolve_naive(p, p)
-    out["naive_convolve_s"] = time.perf_counter() - t0
-    out["convolve_speedup"] = out["naive_convolve_s"] / max(out["fast_convolve_s"], 1e-9)
     out["n"] = n
-    out["n_naive"] = n_naive
     return out
 
 

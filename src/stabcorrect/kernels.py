@@ -1,7 +1,6 @@
-"""Hot numeric kernels: gate lists and the Weyl action on dense arrays,
-Walsh-Hadamard transforms, the 4^n table of Weyl operator expectations, the
-XOR self-convolution of a table (with its quadratic reference), and the
-inverse-CDF lookup that draws indices from a cumulative table.
+"""Hot numeric kernels: gate lists on dense arrays, Walsh-Hadamard
+transforms, the 4^n table of Weyl operator expectations, and the inverse-CDF
+lookup that draws indices from a cumulative table.
 
 Bit conventions (used consistently across the package):
   - qubit q of a basis-state index is bit q (little-endian),
@@ -74,16 +73,6 @@ def apply_gates(amps: np.ndarray, gates) -> np.ndarray:
     return out
 
 
-def weyl_action(amps: np.ndarray, a: int, b: int) -> np.ndarray:
-    """i^{|a&b|} X^a Z^b applied to a dense amplitude vector."""
-    idx = np.arange(amps.shape[0], dtype=np.uint64)
-    phase = 1j ** ((a & b).bit_count() % 4)
-    signs = 1.0 - 2.0 * (np.bitwise_count(np.uint64(b) & idx) & 1).astype(float)
-    out = np.empty_like(amps)
-    out[idx.astype(np.int64) ^ a] = phase * signs * amps
-    return out
-
-
 def wht_inplace(v: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the leading axis of a
     C-contiguous array, in place; that axis has a power-of-2 length and
@@ -131,28 +120,6 @@ def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
         b = np.arange(b0, b0 + rows)[:, None]
         table[b0 : b0 + rows] *= _SIGN[np.bitwise_count(b & cols) & 3]
     return table.reshape(-1)
-
-
-def xor_convolve(p: np.ndarray) -> np.ndarray:
-    """Fast XOR self-convolution (p * p)(x) = sum_y p(y) p(x^y), O(m log m):
-    one forward transform, squared in place, then the inverse transform."""
-    out = wht_inplace(np.array(p, dtype=np.float64))
-    out *= out
-    wht_inplace(out)
-    out /= out.shape[0]
-    return out
-
-
-def xor_convolve_naive(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quadratic reference convolution, kept as the oracle and benchmark foil."""
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    m = p.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    idx = np.arange(m)
-    for x in range(m):
-        out[x] = np.dot(p, q[idx ^ x])
-    return out
 
 
 def inverse_cdf(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:

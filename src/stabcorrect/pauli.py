@@ -25,7 +25,6 @@ from .gf2 import (
     PauliLabel,
     rref_basis,
     symplectic_product,
-    symplectic_product_vec,
     symplectic_gram_schmidt,
 )
 
@@ -445,56 +444,3 @@ def isotropic_subspaces(n: int, d: int) -> np.ndarray:
     out.flags.writeable = False
     return out
 
-
-def _symplectic_dual_basis(rows: tuple[int, ...], n: int) -> list[int]:
-    """Vectors y_i with [y_i, rows_j] = delta_ij, by Gaussian elimination on
-    the pairing patterns of the 2n unit vectors."""
-    basis_vec: list[int] = []
-    basis_pat: list[int] = []
-    for bit in range(2 * n):
-        vv = 1 << bit
-        pp = 0
-        for j, r in enumerate(rows):
-            pp |= symplectic_product_vec(vv, r, n) << j
-        for bv, bp in zip(basis_vec, basis_pat):
-            if pp & (bp & -bp):
-                pp ^= bp
-                vv ^= bv
-        if pp:
-            basis_vec.append(vv)
-            basis_pat.append(pp)
-    duals = []
-    for i in range(len(rows)):
-        want = 1 << i
-        yv, yp = 0, 0
-        for bv, bp in zip(basis_vec, basis_pat):
-            if (want ^ yp) & (bp & -bp):
-                yp ^= bp
-                yv ^= bv
-        if yp != want:
-            raise ValueError("dual basis solve failed")
-        duals.append(yv)
-    return duals
-
-
-def signed_statevectors(rows: tuple[int, ...], n: int) -> list[np.ndarray]:
-    """Canonical statevectors of the 2^n stabilizer states generated by the
-    Hermitian Paulis of ``rows`` with every sign; bit i of the list index
-    negates the i-th generator.
-
-    One preparation serves the whole family: the Weyl shift by the sum of
-    the symplectic duals of the negated rows flips exactly their signs.
-    """
-    gens = tuple(PhasedPauli(PauliLabel.from_vector(n, v), 0) for v in rows)
-    base = statevector_of(StabilizerState(n, gens))
-    duals = _symplectic_dual_basis(rows, n)
-    mask = (1 << n) - 1
-    vecs = []
-    for eps in range(1 << n):
-        y = 0
-        for i in range(n):
-            if (eps >> i) & 1:
-                y ^= duals[i]
-        vec = kernels.weyl_action(base, y & mask, y >> n)
-        vecs.append(vec * _canonical_phase_factor(vec))
-    return vecs

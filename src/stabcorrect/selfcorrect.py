@@ -38,7 +38,7 @@ from .pauli import (
     StabilizerState,
     canonicalize_subgroup,
     conjugate,
-    signed_statevectors,
+    stab_state_prep,
 )
 from .statevec import (
     GowersMetrics,
@@ -303,12 +303,32 @@ def _mub_generators(k: int, gi: int, eps: int) -> tuple[PhasedPauli, ...]:
 def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """Every k-qubit stabilizer state over the MUB groups with every sign
     assignment, as its (group index, sign pattern) and the read-only matrix
-    whose rows are their statevectors.  Built once per k, with one
-    preparation per group; only the winner's state is ever rebuilt from its
-    key."""
+    whose rows are their statevectors, in the canonical phase.  Built once
+    per k; only the winner's state is ever rebuilt from its key.
+
+    With U the preparation circuit of a group's +-signed state, U|s> is the
+    state whose sign pattern eps has bit i = (the phase bit of
+    U^dagger W_{r_i} U = +-Z^mask) XOR parity(mask & s), for row r_i.  One
+    gate pass over the 2^k basis states gives every U|s>."""
     groups = mub_covering(k).groups
     keys = tuple((gi, eps) for gi in range(len(groups)) for eps in range(1 << k))
-    matrix = np.array([vec for group in groups for vec in signed_statevectors(group.rows, k)])
+    s = np.arange(1 << k)
+    blocks = []
+    for gi in range(len(groups)):
+        gens = _mub_generators(k, gi, 0)
+        circuit = stab_state_prep(StabilizerState(k, gens))
+        inverse = circuit.inverse()
+        eps = np.zeros(1 << k, dtype=np.intp)
+        for i, g in enumerate(gens):
+            z = conjugate(inverse, g)  # +-Z^mask
+            eps |= ((z.phase >> 1) ^ (np.bitwise_count(s & z.label.z) & 1)) << i
+        block = np.empty((1 << k, 1 << k), dtype=complex)
+        block[eps] = kernels.apply_gates(np.eye(1 << k), circuit.gates).T
+        blocks.append(block)
+    matrix = np.concatenate(blocks)
+    # each row's first nonzero amplitude made real positive
+    lead = matrix[np.arange(matrix.shape[0]), np.argmax(np.abs(matrix) > 1e-9, axis=1)]
+    matrix *= (np.abs(lead) / lead)[:, None]
     matrix.flags.writeable = False
     return keys, matrix
 

@@ -15,8 +15,9 @@ behavior enters only through declared shot counts in the estimators, which
 makes every statistical guarantee directly testable.  A state caches three
 4^n float64 tables, <W_x>^2 and the cumulative difference-sampling and
 retained laws, 24 * 4^n bytes in steady state; the build peaks at
-``TABLE_BUILD_PEAK`` tables, and a build whose peak would exceed physical
-memory raises ValueError before it allocates.
+``TABLE_BUILD_PEAK`` tables, sampled ``gowers3_metrics`` adds a fourth, and
+either raises ValueError before it allocates when its peak would exceed
+physical memory.
 
 States are immutable values; operations return new states.  Independent
 trials may run concurrently provided each owns a distinct RngStream path and
@@ -240,6 +241,8 @@ def gowers3_metrics(
         raise ValueError("sampled mode needs an rng")
     if ledger is None:
         raise ValueError("sampled mode needs a ledger")
+    # cumsum(w2) below is a fourth table beside the three the state keeps
+    require_memory(psi.n, int((TABLE_BUILD_PEAK + 1) * 8 * 4**psi.n))
     shots = int(np.ceil(2.0 * np.log(2.0 / fail_prob) / delta**2))
     xs = sample_weyl_indices(psi, shots, rng, ledger)
     pr_plus = 0.5 * (1.0 + w2[xs])

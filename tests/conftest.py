@@ -11,7 +11,6 @@ from stabcorrect.gf2 import (
     SgsDecomposition,
     rref_basis,
     symplectic_product,
-    symplectic_product_vec,
 )
 from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.ledger import CostLedger
@@ -23,7 +22,6 @@ from stabcorrect.pauli import (
     canonicalize_subgroup,
     conjugate,
     isotropic_subspaces,
-    signed_statevectors,
     stabilizer_inner_product,
     statevector_of,
 )
@@ -72,10 +70,10 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def apply_weyl(psi: StateVector, label: PauliLabel) -> StateVector:
-    """Exact action of i^{|a&b|} X^a Z^b, through the package kernel."""
+    """Exact action of i^{|a&b|} X^a Z^b, through its dense matrix."""
     if label.n != psi.n:
         raise ValueError("size mismatch")
-    return StateVector(psi.n, kernels.weyl_action(psi.amps, label.x, label.z))
+    return StateVector(psi.n, weyl_matrix(PhasedPauli(label, 0)) @ psi.amps)
 
 
 def weyl_expectation(psi: StateVector, label: PauliLabel) -> float:
@@ -213,10 +211,10 @@ def all_labels(sgs: SgsDecomposition) -> list[PauliLabel]:
 
 def is_isotropic(basis: Gf2Basis, n: int) -> bool:
     """All pairwise symplectic products among the rows vanish."""
-    rows = basis.rows
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            if symplectic_product_vec(rows[i], rows[j], n):
+    labels = basis.labels(n)
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            if symplectic_product(labels[i], labels[j]):
                 return False
     return True
 
@@ -233,18 +231,22 @@ def is_lagrangian(basis: Gf2Basis, n: int) -> bool:
 def stabilizer_state_matrix(n):
     """Every n-qubit stabilizer state, sorted by ``sort_key``, plus the stacked
     matrix of their canonical statevectors: one Lagrangian subspace with
-    every sign pattern at a time."""
+    every sign pattern at a time.  Each vector comes from its projector
+    prod_i (1 + (-1)^{eps_i} W_i) / 2 = |v><v|, whose entries are exact, not
+    from the package's preparation: column j, the first with a nonzero
+    diagonal entry, is v conj(v_j), so over sqrt(|v_j|^2) it is v with v_j
+    real positive."""
     states, vecs = [], []
-    for rows in isotropic_subspaces(n, n):
-        rows = tuple(int(v) for v in rows)
-        for eps, vec in enumerate(signed_statevectors(rows, n)):
-            gens = tuple(
-                PhasedPauli(PauliLabel.from_vector(n, v), 2 * ((eps >> i) & 1))
-                for i, v in enumerate(rows)
-            )
-            st = StabilizerState(n, gens)
-            states.append(st)
-            vecs.append(vec)
+    eye = np.eye(1 << n)
+    for rows in isotropic_subspaces(n, n).tolist():
+        labels = [PauliLabel.from_vector(n, v) for v in rows]
+        weyls = [weyl_matrix(PhasedPauli(lab, 0)) for lab in labels]
+        for eps in range(1 << n):
+            signs = [2 * ((eps >> i) & 1) for i in range(n)]
+            proj = reduce(np.matmul, [(eye + (1 - s) * w) / 2 for s, w in zip(signs, weyls)])
+            j = np.flatnonzero(proj.diagonal().real > 1e-9)[0]
+            vecs.append(proj[:, j] / np.sqrt(proj[j, j].real))
+            states.append(StabilizerState(n, tuple(map(PhasedPauli, labels, signs))))
     order = sorted(range(len(states)), key=lambda i: states[i].sort_key())
     return tuple(states[i] for i in order), np.array([vecs[i] for i in order])
 
@@ -355,11 +357,29 @@ def char_expectations_reference(amps, n):
     return out
 
 
+def xor_convolve(p):
+    """Fast XOR self-convolution (p * p)(x) = sum_y p(y) p(x^y), O(m log m):
+    one forward transform, squared in place, then the inverse transform."""
+    out = kernels.wht_inplace(np.array(p, dtype=np.float64))
+    out *= out
+    kernels.wht_inplace(out)
+    out /= out.shape[0]
+    return out
+
+
+def xor_convolve_naive(p, q):
+    """Quadratic reference convolution (p * q)(x) = sum_y p(y) q(x^y)."""
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    idx = np.arange(p.shape[0])
+    return np.array([np.dot(p, q[idx ^ x]) for x in range(p.shape[0])])
+
+
 def distribution_tables(psi):
     """The law reference: the characteristic table p(x) = <W_x>^2 / 2^n and
     its XOR self-convolution q = p * p, the law of difference sampling."""
     p = expectation_squares(psi) / (1 << psi.n)
-    q = kernels.xor_convolve(p)
+    q = xor_convolve(p)
     np.clip(q, 0.0, None, out=q)
     return p, q
 

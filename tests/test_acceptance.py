@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 
-from stabcorrect import kernels
 from stabcorrect.gf2 import PauliLabel, mub_covering, rref_basis, rref_basis_from_labels
 from stabcorrect.harness import ExperimentConfig, run
 from stabcorrect.iterate import (
@@ -58,6 +57,7 @@ from conftest import (
     t_state,
     tableau_from_circuit,
     tensor,
+    xor_convolve_naive,
 )
 
 pp = PhasedPauli.from_string
@@ -104,7 +104,7 @@ def test_criterion_02_distribution_laws():
         m = gowers3_metrics(psi)
         ok &= m.u3pow8 >= m.proxy - 1e-12 and m.proxy >= m.u3pow8**2 - 1e-12
         if n <= 3 and conv_checked < 60:
-            naive = kernels.xor_convolve_naive(p, p)
+            naive = xor_convolve_naive(p, p)
             ok &= np.max(np.abs(q - naive)) <= 1e-12
             conv_checked += 1
     report(2, ok, f"1000 states: normalization, cap, sandwich, {conv_checked} convolution checks ({time.time()-t0:.1f}s)")

@@ -232,7 +232,7 @@ def test_gap_above_tie_tolerance_wins():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_mub_candidates_match_direct_preparation(k):
-    # rows built as Weyl shifts of one preparation per group equal the
+    # rows built by one gate pass per group over the basis states equal the
     # statevector of each signed generator set prepared on its own
     keys, matrix = _mub_candidates(k)
     direct = np.array([

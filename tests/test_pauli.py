@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stabcorrect import kernels
-from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_product_vec
+from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_product
 from stabcorrect.pauli import (
     CliffordCircuit,
     PhasedPauli,
@@ -352,7 +352,7 @@ class TestStabilizerStates:
         assert np.allclose(out, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_prep_matches_convention_random(self, rng):
-        # against the catalog's vectors, built by Weyl shifts, not by the prep
+        # against the catalog's vectors, built from projectors, not by the prep
         states, matrix = stabilizer_state_matrix(2)
         for idx in rng.choice(len(states), size=40, replace=False):
             out = kernels.apply_gates(kernels.zero_state(2), stab_state_prep(states[idx]).gates)
@@ -449,8 +449,9 @@ class TestIsotropicSubspaces:
                 rows = tuple(int(v) for v in rows)
                 basis = rref_basis(rows, 2 * n)
                 assert basis.rows == rows
+                labels = basis.labels(n)
                 assert all(
-                    symplectic_product_vec(rows[i], rows[j], n) == 0
+                    symplectic_product(labels[i], labels[j]) == 0
                     for i in range(d) for j in range(i)
                 )
 

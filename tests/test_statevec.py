@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stabcorrect import kernels
+from stabcorrect import kernels, statevec
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
@@ -56,7 +56,6 @@ from conftest import (
     table_states,
     tensor,
     weyl_expectation,
-    weyl_matrix,
     wht_last_axis_reference,
 )
 
@@ -67,6 +66,8 @@ SQ2 = 1 / np.sqrt(2)
 
 
 class TestApplyWeyl:
+    # the dense reference that weyl_expectation, and through it the table
+    # tests, read
     def test_x_flips(self):
         out = apply_weyl(basis_state(1), lab("X"))
         assert np.allclose(out.amps, [0, 1])
@@ -83,12 +84,15 @@ class TestApplyWeyl:
             assert np.allclose(back.amps, psi.amps)
 
     def test_against_matrix(self, rng):
+        # the matrix against i^{|a&b|} times Z gates on b's qubits, then X
+        # gates on a's, through the gate kernel
         psi = random_state(2, rng)
         for x in range(4):
             for z in range(4):
-                l = PauliLabel(2, x, z)
-                got = apply_weyl(psi, l).amps
-                want = weyl_matrix(PhasedPauli(l, 0)) @ psi.amps
+                gates = [("Z", (q,)) for q in range(2) if z >> q & 1]
+                gates += [("X", (q,)) for q in range(2) if x >> q & 1]
+                got = apply_weyl(psi, PauliLabel(2, x, z)).amps
+                want = 1j ** (x & z).bit_count() * kernels.apply_gates(psi.amps, gates)
                 assert np.allclose(got, want)
 
 
@@ -235,6 +239,19 @@ class TestTableMemory:
             tracemalloc.stop()
         assert peak < 1 << 20
         assert not psi._cache
+
+    def test_sampled_metrics_refuse_a_fourth_table_beyond_memory(self, rng, monkeypatch):
+        # physical memory of 3.5 tables: the three a state keeps fit, the
+        # cumulative p table of sampled mode would not
+        n = 4
+        psi = random_state(n, rng)
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2}
+        monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match=rf"n = 4 needs {32 * 4**n} bytes, more than the {28 * 4**n}"):
+            gowers3_metrics(psi, "sampled", 0.2, rng, ledger)
+        assert not ledger.totals["copies_consumed"]
+        assert gowers3_metrics(psi).mode == "exact"
 
 
 class TestSampling:
