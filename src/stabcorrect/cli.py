@@ -16,6 +16,11 @@ import sys
 from .harness import COMMANDS, FORMATS, ExperimentConfig, run
 
 
+# the JSON name of each type ``json.load`` returns, objects aside
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stabcorrect")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -34,6 +39,11 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"config file {args.config} must hold a JSON object, "
+                f"got a JSON {_JSON_TYPES[type(data)]}"
+            )
     else:
         data = {"command": args.command}
     data["command"] = args.command

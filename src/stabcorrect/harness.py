@@ -25,7 +25,9 @@ from .pauli import (
     CliffordCircuit,
     PhasedPauli,
     StabilizerState,
+    canonicalize_subgroup,
     conjugate,
+    stab_state_prep,
 )
 from .rng import RngStream
 from .selfcorrect import (
@@ -225,7 +227,7 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         zs = [PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(n)]
         meta = {
             "stab_fidelity": 1.0,
-            "stabilizer_group": [conjugate(circuit, z).to_string() for z in zs],
+            "stabilizer_group": [g.to_string() for g in conjugate(circuit, zs)],
         }
         return StateVector(n, amps), meta
     if spec.kind == "tdoped":
@@ -500,6 +502,9 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
     return out, ledger
 
 
+BENCH_STATES = 20
+
+
 def _bench(n: int) -> dict:
     rng = np.random.default_rng(0)
     out = {}
@@ -513,6 +518,23 @@ def _bench(n: int) -> dict:
     t0 = time.perf_counter()
     exact_proxy(psi)
     out["table_build_s"] = time.perf_counter() - t0
+    # the Clifford layer, medians over fresh random stabilizer states: each
+    # state's preparation (reduction and dense gates), then the
+    # canonicalization of its group
+    prep, canon = [], []
+    for _ in range(BENCH_STATES):
+        state = StabilizerState.from_json(
+            gen_state(StateSpec("random_stabilizer", n), rng)[1]["stabilizer_group"]
+        )
+        t0 = time.perf_counter()
+        stab_state_prep(state)
+        prep.append(time.perf_counter() - t0)
+        labels = [g.label for g in state.generators]
+        t0 = time.perf_counter()
+        canonicalize_subgroup(labels)
+        canon.append(time.perf_counter() - t0)
+    out["prep_s"] = float(np.median(prep))
+    out["canonicalize_s"] = float(np.median(canon))
     out["n"] = n
     return out
 

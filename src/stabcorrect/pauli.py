@@ -7,12 +7,19 @@ i^t * W_(a,b) where W_(a,b) = i^{|a&b|} X^a Z^b.  Hermitian signed Paulis
 carry phase 0 (+) or 2 (-).  Phase bookkeeping is exact: every rule below is
 validated against dense matrices in the test suite.
 
+Conjugation through a circuit, and the reducer behind canonicalization and
+state preparation, keep their Paulis as bit columns: per qubit one int of the
+rows' X bits and one of their Z bits, beside one int of sign bits.  One gate
+rule (Aaronson and Gottesman's) then updates every row with a few int
+operations.
+
 Statevector indices are little-endian in the qubit number (qubit q is bit q),
 matching the label bit layout, so no bit reversal appears anywhere.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -86,50 +93,6 @@ def pauli_product(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
 
 
 # ---------------------------------------------------------------------------
-# single-gate conjugation  g P g^dagger, exact phases
-
-def _conj_bits(name: str, qs: tuple[int, ...], a: int, b: int) -> tuple[int, int, int]:
-    """The one gate conjugation rule: g X^a Z^b g^dagger = i^u X^a' Z^b',
-    returned as (a', b', u)."""
-    u = 0
-    if name == "H":
-        bit = 1 << qs[0]
-        aq, bq = a & bit, b & bit
-        if aq and bq:
-            u = 2
-        a = (a & ~bit) | (bit if bq else 0)
-        b = (b & ~bit) | (bit if aq else 0)
-    elif name == "S":
-        bit = 1 << qs[0]
-        if a & bit:
-            b ^= bit
-            u = 1
-    elif name == "CNOT":
-        cbit, tbit = 1 << qs[0], 1 << qs[1]
-        if a & cbit:
-            a ^= tbit
-        if b & tbit:
-            b ^= cbit
-    elif name == "X":
-        if b & (1 << qs[0]):
-            u = 2
-    elif name == "Z":
-        if a & (1 << qs[0]):
-            u = 2
-    else:
-        raise ValueError(f"unknown gate {name!r}")
-    return a, b, u
-
-
-def _conj_gate(name: str, qs: tuple[int, ...], p: PhasedPauli) -> PhasedPauli:
-    a, b = p.label.x, p.label.z
-    a2, b2, u = _conj_bits(name, qs, a, b)
-    # through the bare form i^t X^a Z^b, with t = phase + |a&b|
-    t = p.phase + (a & b).bit_count() + u
-    return PhasedPauli(PauliLabel(p.n, a2, b2), t - (a2 & b2).bit_count())
-
-
-# ---------------------------------------------------------------------------
 # circuits
 
 
@@ -162,60 +125,134 @@ class CliffordCircuit:
         return CliffordCircuit(self.n, tuple(inv))
 
 
-def conjugate(circuit: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
-    """Exact U P U^dagger for the unitary U the circuit applies, one gate at
-    a time."""
-    if circuit.n != p.n:
-        raise ValueError("size mismatch")
+# ---------------------------------------------------------------------------
+# rows of phased Paulis as bit columns, conjugated gate by gate, exact phases
+
+
+class _PauliColumns:
+    """Rows of phased Paulis packed by qubit, as Aaronson and Gottesman
+    (quant-ph/0406196) keep a tableau: bit i of ``x[q]`` and ``z[q]`` is row
+    i's X and Z bit at qubit q, bit i of ``sign`` the i^2 bit of its phase
+    and bit i of ``ibit`` the i^1 bit, which conjugation never changes.
+
+    ``apply`` is the one gate conjugation rule g P g^dagger.  Phases are
+    relative to W = i^{|a&b|} X^a Z^b, which a Clifford maps to +-W', so each
+    gate updates every row with a few int operations and flips only signs."""
+
+    def __init__(self, n: int, rows):
+        self.n = n
+        self.x, self.z = [0] * n, [0] * n
+        self.sign = self.ibit = 0
+        for i, p in enumerate(rows):
+            if p.n != n:
+                raise ValueError("size mismatch")
+            self._put(i, p.label.x, p.label.z)
+            self.sign |= (p.phase >> 1) << i
+            self.ibit |= (p.phase & 1) << i
+
+    def _put(self, i: int, a: int, b: int) -> None:
+        """XOR the label bits (a, b) into row i."""
+        for q in range(self.n):
+            self.x[q] ^= ((a >> q) & 1) << i
+            self.z[q] ^= ((b >> q) & 1) << i
+
+    def label(self, i: int) -> tuple[int, int]:
+        a = b = 0
+        for q in range(self.n):
+            a |= ((self.x[q] >> i) & 1) << q
+            b |= ((self.z[q] >> i) & 1) << q
+        return a, b
+
+    def phase(self, i: int) -> int:
+        return (((self.sign >> i) & 1) << 1) | ((self.ibit >> i) & 1)
+
+    def row(self, i: int) -> PhasedPauli:
+        return PhasedPauli(PauliLabel(self.n, *self.label(i)), self.phase(i))
+
+    def apply(self, name: str, qs: tuple[int, ...]) -> None:
+        x, z = self.x, self.z
+        if name == "H":
+            q = qs[0]
+            self.sign ^= x[q] & z[q]
+            x[q], z[q] = z[q], x[q]
+        elif name == "S":
+            q = qs[0]
+            self.sign ^= x[q] & z[q]
+            z[q] ^= x[q]
+        elif name == "CNOT":
+            c, t = qs
+            self.sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
+            x[t] ^= x[c]
+            z[c] ^= z[t]
+        elif name == "X":
+            self.sign ^= z[qs[0]]
+        elif name == "Z":
+            self.sign ^= x[qs[0]]
+        else:
+            raise ValueError(f"unknown gate {name!r}")
+
+
+def conjugate(
+    circuit: CliffordCircuit, p: PhasedPauli | Sequence[PhasedPauli]
+) -> PhasedPauli | tuple[PhasedPauli, ...]:
+    """Exact U P U^dagger for the unitary U the circuit applies.  ``p`` is one
+    ``PhasedPauli`` or a sequence of them; a sequence makes one pass through
+    the circuit and comes back as a tuple in its order."""
+    if isinstance(p, PhasedPauli):
+        return conjugate(circuit, (p,))[0]
+    rows = tuple(p)
+    cols = _PauliColumns(circuit.n, rows)
     for name, qs in circuit.gates:
-        p = _conj_gate(name, qs, p)
-    return p
+        cols.apply(name, qs)
+    return tuple(cols.row(i) for i in range(len(rows)))
 
 
 # ---------------------------------------------------------------------------
 # reduction engine shared by canonicalization and state preparation
 #
-# All routines work on a mutable list of tracked Paulis; emitting a gate
-# conjugates every tracked element, so commutation relations among them are
-# preserved exactly at each step.
+# The tracked Paulis are rows of one ``_PauliColumns``; emitting a gate
+# conjugates every row at once, so commutation relations among them are
+# preserved exactly at each step.  The bits the reduction tests are read
+# straight from the columns.
 
 
 class _Reducer:
     def __init__(self, n: int, tracked: list[PhasedPauli]):
         self.n = n
-        self.tracked = tracked
+        self.cols = _PauliColumns(n, tracked)
         self.gates: list[tuple[str, tuple[int, ...]]] = []
 
     def emit(self, name: str, *qs: int) -> None:
+        self.cols.apply(name, qs)
         self.gates.append((name, qs))
-        self.tracked[:] = [_conj_gate(name, qs, p) for p in self.tracked]
 
-    def _first_bit(self, mask: int, off: int) -> int:
-        m = mask >> off
-        if m == 0:
-            raise ValueError("no set bit above offset")
-        return (m & -m).bit_length() - 1 + off
+    def _support(self, idx: int, q: int) -> int:
+        """Whether row idx acts on qubit q."""
+        return ((self.cols.x[q] | self.cols.z[q]) >> idx) & 1
+
+    def _first_bit(self, col: list[int], idx: int, off: int) -> int:
+        """The lowest qubit q >= off at which row idx has a bit in ``col``."""
+        for q in range(off, self.n):
+            if (col[q] >> idx) & 1:
+                return q
+        raise ValueError("no set bit above offset")
 
     def _make_x_at(self, idx: int, q: int) -> None:
-        p = self.tracked[idx]
-        aq, bq = (p.label.x >> q) & 1, (p.label.z >> q) & 1
+        aq, bq = (self.cols.x[q] >> idx) & 1, (self.cols.z[q] >> idx) & 1
         if aq and bq:
             self.emit("S", q)
         elif bq and not aq:
             self.emit("H", q)
 
     def _single_to_x(self, idx: int, off: int, target: int) -> None:
-        # reduce tracked[idx] (supported on qubits >= off) to +-X_target
-        p = self.tracked[idx]
-        if p.label.x >> off == 0:
-            self.emit("H", self._first_bit(p.label.z, off))
-        pivot = self._first_bit(self.tracked[idx].label.x, off)
+        # reduce row idx (supported on qubits >= off) to +-X_target
+        x = self.cols.x
+        if not any((x[q] >> idx) & 1 for q in range(off, self.n)):
+            self.emit("H", self._first_bit(self.cols.z, idx, off))
+        pivot = self._first_bit(x, idx, off)
         self._make_x_at(idx, pivot)
-        p = self.tracked[idx]
         for q in range(off, self.n):
-            if q == pivot:
-                continue
-            if ((p.label.x >> q) & 1) or ((p.label.z >> q) & 1):
+            if q != pivot and self._support(idx, q):
                 self._make_x_at(idx, q)
                 self.emit("CNOT", pivot, q)
         if pivot != target:
@@ -229,29 +266,36 @@ class _Reducer:
         Both operators must act trivially below ``off``; every emitted gate
         touches only qubits >= off.
         """
-        xoff = PauliLabel(self.n, 1 << off, 0)
-        zoff = PauliLabel(self.n, 0, 1 << off)
-        if self.tracked[ip].label != xoff:
+        cols = self.cols
+        if cols.label(ip) != (1 << off, 0):
             self._single_to_x(ip, off, off)
-        if self.tracked[iq].label != zoff:
+        if cols.label(iq) != (0, 1 << off):
             # partner anticommutes with +-X_off, so it carries X or Y at off
             # once roles are swapped through a Hadamard sandwich
             self.emit("H", off)
-            q_op = self.tracked[iq]
-            if (q_op.label.z >> off) & 1:
+            if (cols.z[off] >> iq) & 1:
                 self.emit("S", off)
-            q_op = self.tracked[iq]
             for q in range(off + 1, self.n):
-                if ((q_op.label.x >> q) & 1) or ((q_op.label.z >> q) & 1):
+                if self._support(iq, q):
                     self._make_x_at(iq, q)
                     self.emit("CNOT", off, q)
             self.emit("H", off)
-        if self.tracked[ip].phase == 2:
+        if cols.phase(ip) == 2:
             self.emit("Z", off)
-        if self.tracked[iq].phase == 2:
+        if cols.phase(iq) == 2:
             self.emit("X", off)
-        if (self.tracked[ip], self.tracked[iq]) != (PhasedPauli(xoff, 0), PhasedPauli(zoff, 0)):
+        if (cols.label(ip), cols.phase(ip), cols.label(iq), cols.phase(iq)) != (
+            (1 << off, 0), 0, (0, 1 << off), 0
+        ):
             raise AssertionError("pair reduction did not reach (+X, +Z)")
+
+    def _multiply_into(self, idx: int, src: int) -> None:
+        """Row idx becomes the exact product row idx * row src."""
+        cols = self.cols
+        flip = cols.phase(idx) ^ pauli_product(cols.row(idx), cols.row(src)).phase
+        cols._put(idx, *cols.label(src))
+        cols.sign ^= (flip >> 1) << idx
+        cols.ibit ^= (flip & 1) << idx
 
     def reduce_isotropic(self, indices: list[int], off: int) -> None:
         """Map commuting independent tracked elements to +Z_off, +Z_off+1, ...
@@ -261,27 +305,23 @@ class _Reducer:
         is removed by multiplying with the placed generator (a row operation
         inside the group, sign tracked exactly).
         """
+        cols = self.cols
         placed: list[int] = []
         for t, idx in enumerate(indices):
             target = off + t
             for s, q in enumerate(placed):
-                if (self.tracked[idx].label.z >> q) & 1:
-                    self.tracked[idx] = pauli_product(
-                        self.tracked[idx], self.tracked[indices[s]]
-                    )
-            if self.tracked[idx].label.is_identity:
+                if (cols.z[q] >> idx) & 1:
+                    self._multiply_into(idx, indices[s])
+            label = cols.label(idx)
+            if label == (0, 0):
                 raise ValueError("dependent generator in isotropic reduction")
-            if self.tracked[idx].label != PauliLabel(self.n, 0, 1 << target):
-                lowest = min(
-                    q for q in range(self.n)
-                    if ((self.tracked[idx].label.x >> q) & 1)
-                    or ((self.tracked[idx].label.z >> q) & 1)
-                )
+            if label != (0, 1 << target):
+                lowest = min(q for q in range(self.n) if self._support(idx, q))
                 self._single_to_x(idx, lowest, target)
                 self.emit("H", target)
-            if self.tracked[idx].phase == 2:
+            if cols.phase(idx) == 2:
                 self.emit("X", target)
-            if self.tracked[idx] != PhasedPauli(PauliLabel(self.n, 0, 1 << target), 0):
+            if cols.label(idx) != (0, 1 << target) or cols.phase(idx):
                 raise AssertionError("isotropic reduction did not reach +Z")
             placed.append(target)
 
@@ -352,6 +392,8 @@ class StabilizerState:
     @staticmethod
     def from_json(strings: list[str]) -> "StabilizerState":
         gens = tuple(PhasedPauli.from_string(s) for s in strings)
+        if not gens:
+            raise ValueError("need at least one generator")
         return StabilizerState(gens[0].n, gens)
 
     def sort_key(self) -> tuple[str, ...]:

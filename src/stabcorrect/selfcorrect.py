@@ -317,10 +317,8 @@ def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     for gi in range(len(groups)):
         gens = _mub_generators(k, gi, 0)
         circuit = stab_state_prep(StabilizerState(k, gens))
-        inverse = circuit.inverse()
         eps = np.zeros(1 << k, dtype=np.intp)
-        for i, g in enumerate(gens):
-            z = conjugate(inverse, g)  # +-Z^mask
+        for i, z in enumerate(conjugate(circuit.inverse(), gens)):  # each +-Z^mask
             eps |= ((z.phase >> 1) ^ (np.bitwise_count(s & z.label.z) & 1)) << i
         block = np.empty((1 << k, 1 << k), dtype=complex)
         block[eps] = kernels.apply_gates(np.eye(1 << k), circuit.gates).T
@@ -429,8 +427,7 @@ def find_stabilizer(
         ]
     for j in range(n - k):
         gens.append(PhasedPauli(PauliLabel(n, 0, 1 << (k + j)), 2 * ((z >> j) & 1)))
-    inverse = circuit.inverse()
-    state = StabilizerState(n, tuple(conjugate(inverse, g) for g in gens))
+    state = StabilizerState(n, conjugate(circuit.inverse(), gens))
     ledger.charge(
         "fidelity_shadows",
         copies=_shadow_cost(len(collected), max(gamma, 1e-3) / 8.0, delta),

@@ -10,6 +10,7 @@ from stabcorrect.gf2 import (
     PauliLabel,
     SgsDecomposition,
     rref_basis,
+    symplectic_gram_schmidt,
     symplectic_product,
 )
 from stabcorrect.harness import _random_clifford_gates
@@ -22,6 +23,7 @@ from stabcorrect.pauli import (
     canonicalize_subgroup,
     conjugate,
     isotropic_subspaces,
+    pauli_product,
     stabilizer_inner_product,
     statevector_of,
 )
@@ -147,6 +149,180 @@ def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> Clifford
 
 
 # ---------------------------------------------------------------------------
+# per-row conjugation and reduction: the references the package's bit-column
+# rule and reducer are checked against, one PhasedPauli per row per gate
+
+
+def _conj_bits(name: str, qs: tuple[int, ...], a: int, b: int) -> tuple[int, int, int]:
+    """One gate's conjugation rule: g X^a Z^b g^dagger = i^u X^a' Z^b',
+    returned as (a', b', u)."""
+    u = 0
+    if name == "H":
+        bit = 1 << qs[0]
+        aq, bq = a & bit, b & bit
+        if aq and bq:
+            u = 2
+        a = (a & ~bit) | (bit if bq else 0)
+        b = (b & ~bit) | (bit if aq else 0)
+    elif name == "S":
+        bit = 1 << qs[0]
+        if a & bit:
+            b ^= bit
+            u = 1
+    elif name == "CNOT":
+        cbit, tbit = 1 << qs[0], 1 << qs[1]
+        if a & cbit:
+            a ^= tbit
+        if b & tbit:
+            b ^= cbit
+    elif name == "X":
+        if b & (1 << qs[0]):
+            u = 2
+    elif name == "Z":
+        if a & (1 << qs[0]):
+            u = 2
+    else:
+        raise ValueError(f"unknown gate {name!r}")
+    return a, b, u
+
+
+def _conj_gate(name: str, qs: tuple[int, ...], p: PhasedPauli) -> PhasedPauli:
+    a, b = p.label.x, p.label.z
+    a2, b2, u = _conj_bits(name, qs, a, b)
+    # through the bare form i^t X^a Z^b, with t = phase + |a&b|
+    t = p.phase + (a & b).bit_count() + u
+    return PhasedPauli(PauliLabel(p.n, a2, b2), t - (a2 & b2).bit_count())
+
+
+def conjugate_reference(circuit: CliffordCircuit, p: PhasedPauli) -> PhasedPauli:
+    """U P U^dagger, one gate at a time."""
+    if circuit.n != p.n:
+        raise ValueError("size mismatch")
+    for name, qs in circuit.gates:
+        p = _conj_gate(name, qs, p)
+    return p
+
+
+class RowReducer:
+    """The reduction the package's ``_Reducer`` runs, on a list of
+    PhasedPaulis: each emitted gate conjugates every tracked row in turn."""
+
+    def __init__(self, n: int, tracked: list[PhasedPauli]):
+        self.n = n
+        self.tracked = tracked
+        self.gates: list[tuple[str, tuple[int, ...]]] = []
+
+    def emit(self, name: str, *qs: int) -> None:
+        self.gates.append((name, qs))
+        self.tracked[:] = [_conj_gate(name, qs, p) for p in self.tracked]
+
+    def _first_bit(self, mask: int, off: int) -> int:
+        m = mask >> off
+        if m == 0:
+            raise ValueError("no set bit above offset")
+        return (m & -m).bit_length() - 1 + off
+
+    def _make_x_at(self, idx: int, q: int) -> None:
+        p = self.tracked[idx]
+        aq, bq = (p.label.x >> q) & 1, (p.label.z >> q) & 1
+        if aq and bq:
+            self.emit("S", q)
+        elif bq and not aq:
+            self.emit("H", q)
+
+    def _single_to_x(self, idx: int, off: int, target: int) -> None:
+        p = self.tracked[idx]
+        if p.label.x >> off == 0:
+            self.emit("H", self._first_bit(p.label.z, off))
+        pivot = self._first_bit(self.tracked[idx].label.x, off)
+        self._make_x_at(idx, pivot)
+        p = self.tracked[idx]
+        for q in range(off, self.n):
+            if q == pivot:
+                continue
+            if ((p.label.x >> q) & 1) or ((p.label.z >> q) & 1):
+                self._make_x_at(idx, q)
+                self.emit("CNOT", pivot, q)
+        if pivot != target:
+            self.emit("CNOT", target, pivot)
+            self.emit("CNOT", pivot, target)
+            self.emit("CNOT", target, pivot)
+
+    def reduce_pair(self, ip: int, iq: int, off: int) -> None:
+        xoff = PauliLabel(self.n, 1 << off, 0)
+        zoff = PauliLabel(self.n, 0, 1 << off)
+        if self.tracked[ip].label != xoff:
+            self._single_to_x(ip, off, off)
+        if self.tracked[iq].label != zoff:
+            self.emit("H", off)
+            q_op = self.tracked[iq]
+            if (q_op.label.z >> off) & 1:
+                self.emit("S", off)
+            q_op = self.tracked[iq]
+            for q in range(off + 1, self.n):
+                if ((q_op.label.x >> q) & 1) or ((q_op.label.z >> q) & 1):
+                    self._make_x_at(iq, q)
+                    self.emit("CNOT", off, q)
+            self.emit("H", off)
+        if self.tracked[ip].phase == 2:
+            self.emit("Z", off)
+        if self.tracked[iq].phase == 2:
+            self.emit("X", off)
+        if (self.tracked[ip], self.tracked[iq]) != (PhasedPauli(xoff, 0), PhasedPauli(zoff, 0)):
+            raise AssertionError("pair reduction did not reach (+X, +Z)")
+
+    def reduce_isotropic(self, indices: list[int], off: int) -> None:
+        placed: list[int] = []
+        for t, idx in enumerate(indices):
+            target = off + t
+            for s, q in enumerate(placed):
+                if (self.tracked[idx].label.z >> q) & 1:
+                    self.tracked[idx] = pauli_product(
+                        self.tracked[idx], self.tracked[indices[s]]
+                    )
+            if self.tracked[idx].label.is_identity:
+                raise ValueError("dependent generator in isotropic reduction")
+            if self.tracked[idx].label != PauliLabel(self.n, 0, 1 << target):
+                lowest = min(
+                    q for q in range(self.n)
+                    if ((self.tracked[idx].label.x >> q) & 1)
+                    or ((self.tracked[idx].label.z >> q) & 1)
+                )
+                self._single_to_x(idx, lowest, target)
+                self.emit("H", target)
+            if self.tracked[idx].phase == 2:
+                self.emit("X", target)
+            if self.tracked[idx] != PhasedPauli(PauliLabel(self.n, 0, 1 << target), 0):
+                raise AssertionError("isotropic reduction did not reach +Z")
+            placed.append(target)
+
+
+def canonicalize_reference(generators, center_tail=False):
+    """The gates ``canonicalize_subgroup`` emits, from the per-row reducer
+    on the same symplectic Gram-Schmidt output."""
+    generators = list(generators)
+    n = generators[0].n
+    sgs = symplectic_gram_schmidt(generators)
+    k, m = len(sgs.pairs), len(sgs.center)
+    tracked = [PhasedPauli(lab, 0) for pair in sgs.pairs for lab in pair]
+    tracked += [PhasedPauli(lab, 0) for lab in sgs.center]
+    red = RowReducer(n, tracked)
+    for i in range(k):
+        red.reduce_pair(2 * i, 2 * i + 1, i)
+    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
+    return tuple(red.gates), k, m
+
+
+def prep_reduction_reference(state: StabilizerState):
+    """The gates the per-row reducer emits carrying the state's generators
+    onto +Z_0, ..., +Z_{n-1}; ``stab_state_prep`` starts with their
+    inverse."""
+    red = RowReducer(state.n, list(state.generators))
+    red.reduce_isotropic(list(range(state.n)), 0)
+    return tuple(red.gates)
+
+
+# ---------------------------------------------------------------------------
 # Clifford tableaus: the references circuit conjugation, inversion and the
 # reducer are checked against
 
@@ -183,11 +359,8 @@ class CliffordTableau:
 
 def tableau_from_circuit(circuit: CliffordCircuit) -> CliffordTableau:
     base = CliffordTableau.identity(circuit.n)
-    return CliffordTableau(
-        circuit.n,
-        tuple(conjugate(circuit, p) for p in base.x_images),
-        tuple(conjugate(circuit, p) for p in base.z_images),
-    )
+    images = conjugate(circuit, base.x_images + base.z_images)
+    return CliffordTableau(circuit.n, images[: circuit.n], images[circuit.n :])
 
 
 def synthesize_circuit(tableau: CliffordTableau) -> CliffordCircuit:

@@ -632,9 +632,11 @@ class TestRun:
             {"command": "bench", "params": {"n": 6}}
         )
         rec = run(cfg)[0]
-        assert set(rec.outputs) == {"char_table_s", "table_build_s", "n"}
-        assert rec.outputs["char_table_s"] > 0
-        assert rec.outputs["table_build_s"] > 0
+        assert set(rec.outputs) == {
+            "char_table_s", "table_build_s", "prep_s", "canonicalize_s", "n"
+        }
+        for key in ("char_table_s", "table_build_s", "prep_s", "canonicalize_s"):
+            assert rec.outputs[key] > 0
 
     def test_oracle_command(self):
         cfg = ExperimentConfig.from_json(
@@ -765,6 +767,18 @@ class TestCli:
         assert out_path.exists()
         rec = json.loads(out_path.read_text().splitlines()[0])
         assert rec["command"] == "analyze"
+
+    @pytest.mark.parametrize(
+        "content,kind", [("[1, 2]", "array"), ('"x"', "string"), ("null", "null"), ("3", "number")]
+    )
+    def test_non_object_config_rejected(self, tmp_path, content, kind):
+        from stabcorrect.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        message = f"config file {re.escape(str(cfg_path))} must hold a JSON object, got a JSON {kind}$"
+        with pytest.raises(ValueError, match=message):
+            main(["analyze", "--config", str(cfg_path)])
 
     def test_seed_override_changes_results(self, tmp_path):
         from stabcorrect.cli import main

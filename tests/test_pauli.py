@@ -19,13 +19,16 @@ from stabcorrect.pauli import (
     stabilizer_inner_product,
     statevector_of,
 )
-from stabcorrect.pauli import _conj_gate, _Reducer
+from stabcorrect.pauli import _PauliColumns, _Reducer
 
 from conftest import (
     CliffordTableau,
+    canonicalize_reference,
     clifford_from_anticommuting_pair,
+    conjugate_reference,
     enumerate_stabilizer_states,
     is_isotropic,
+    prep_reduction_reference,
     random_circuit,
     random_label,
     random_phased,
@@ -89,29 +92,100 @@ class TestProduct:
             pauli_product(pp("X"), pp("XX"))
 
 
+def one_gate(n: int, name: str, qs: tuple[int, ...]) -> CliffordCircuit:
+    return CliffordCircuit(n, ((name, qs),))
+
+
 class TestGateConjugation:
+    """The bit-column rule through one-gate circuits, each Pauli on its own
+    and all of them as rows of one pass."""
+
     @pytest.mark.parametrize("name", ["H", "S", "X", "Z"])
     def test_single_qubit_exhaustive(self, name):
         g = GATES_1Q[name]
-        for xb, zb, ph in itertools.product(range(2), range(2), range(4)):
-            p = PhasedPauli(PauliLabel(1, xb, zb), ph)
-            got = weyl_matrix(_conj_gate(name, (0,), p))
+        circ = one_gate(1, name, (0,))
+        rows = [
+            PhasedPauli(PauliLabel(1, xb, zb), ph)
+            for xb, zb, ph in itertools.product(range(2), range(2), range(4))
+        ]
+        for p, row in zip(rows, conjugate(circ, rows)):
+            got = weyl_matrix(conjugate(circ, p))
             assert np.allclose(got, g @ weyl_matrix(p) @ g.conj().T)
+            assert row == conjugate(circ, p)
 
     def test_cnot_exhaustive(self):
         cnot = np.zeros((4, 4), dtype=complex)
         for j in range(4):
             c, t = j & 1, (j >> 1) & 1
             cnot[(c | ((t ^ c) << 1)), j] = 1.0
-        for xb, zb, ph in itertools.product(range(4), range(4), range(4)):
-            p = PhasedPauli(PauliLabel(2, xb, zb), ph)
-            got = weyl_matrix(_conj_gate("CNOT", (0, 1), p))
+        circ = one_gate(2, "CNOT", (0, 1))
+        rows = [
+            PhasedPauli(PauliLabel(2, xb, zb), ph)
+            for xb, zb, ph in itertools.product(range(4), range(4), range(4))
+        ]
+        for p, row in zip(rows, conjugate(circ, rows)):
+            got = weyl_matrix(conjugate(circ, p))
             assert np.allclose(got, cnot @ weyl_matrix(p) @ cnot.conj().T)
+            assert row == conjugate(circ, p)
 
     def test_defining_relations(self):
-        assert _conj_gate("H", (0,), pp("X")) == pp("Z")
-        assert _conj_gate("S", (0,), pp("X")) == pp("Y")
-        assert _conj_gate("CNOT", (0, 1), pp("XI")) == pp("XX")
+        assert conjugate(one_gate(1, "H", (0,)), pp("X")) == pp("Z")
+        assert conjugate(one_gate(1, "S", (0,)), pp("X")) == pp("Y")
+        assert conjugate(one_gate(2, "CNOT", (0, 1)), pp("XI")) == pp("XX")
+
+    def test_unknown_gate_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate 'T'"):
+            _PauliColumns(1, [pp("X")]).apply("T", (0,))
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            conjugate(one_gate(2, "H", (0,)), [pp("XI"), pp("X")])
+
+
+class TestAgainstRowReference:
+    """The bit-column rule and reducer against the per-row rule and reducer
+    they replaced: identical rows and identical emitted gate lists."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_multirow_conjugate(self, n):
+        rng = np.random.default_rng(5000 + n)
+        for _ in range(6):
+            circ = random_circuit(n, rng)
+            rows = [random_phased(n, rng) for _ in range(int(rng.integers(1, 2 * n + 3)))]
+            want = tuple(conjugate_reference(circ, p) for p in rows)
+            assert conjugate(circ, rows) == want
+            assert conjugate(circ, rows[0]) == want[0]
+            # phases 1 and 3 keep their i^1 bit
+            assert [p.phase & 1 for p in want] == [p.phase & 1 for p in rows]
+
+    @pytest.mark.parametrize("center_tail", [False, True])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_canonicalize_gates(self, n, center_tail):
+        rng = np.random.default_rng(5100 + n)
+        for _ in range(8):
+            gens = [random_label(n, rng) for _ in range(int(rng.integers(1, 2 * n + 2)))]
+            circ, k, m = canonicalize_subgroup(gens, center_tail=center_tail)
+            assert (circ.gates, k, m) == canonicalize_reference(gens, center_tail)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_prep_gates(self, n):
+        rng = np.random.default_rng(5200 + n)
+        for _ in range(8):
+            circ = random_circuit(n, rng)
+            gens = tuple(
+                conjugate_reference(circ, PhasedPauli(PauliLabel(n, 0, 1 << q), 2 * int(rng.integers(2))))
+                for q in range(n)
+            )
+            state = StabilizerState(n, gens)
+            red = _Reducer(n, list(gens))
+            red.reduce_isotropic(list(range(n)), 0)
+            ref = prep_reduction_reference(state)
+            assert tuple(red.gates) == ref
+            inv = CliffordCircuit(n, ref).inverse().gates
+            prep = stab_state_prep(state).gates
+            assert prep[: len(inv)] == inv
+            # the rest is the phase-fixing omega blocks
+            assert len(prep[len(inv):]) % 6 == 0 and len(prep) - len(inv) < 48
 
 
 class TestTableau:
@@ -400,6 +474,10 @@ class TestStabilizerStates:
             for j in range(len(states)):
                 got = stabilizer_inner_product(states[i], states[j])
                 assert abs(got - gram[i, j]) < 1e-12
+
+    def test_from_json_empty_rejected(self):
+        with pytest.raises(ValueError, match="need at least one generator"):
+            StabilizerState.from_json([])
 
     def test_serialization_round_trip(self, rng):
         states = enumerate_stabilizer_states(2)
