@@ -5,11 +5,6 @@ class StabcorrectError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ResidualVanished(StabcorrectError):
-    """Residual norm fell below tolerance; the running decomposition already
-    reproduces the target state."""
-
-
 class CollectionEmpty(StabcorrectError):
     """No candidate set reached the requested size; retry with fresh randomness."""
 

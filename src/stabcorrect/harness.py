@@ -27,6 +27,7 @@ from .pauli import (
     StabilizerState,
     canonicalize_subgroup,
     conjugate,
+    signed_generators,
     stab_state_prep,
 )
 from .rng import RngStream
@@ -208,26 +209,22 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
     """Build the state plus ground-truth metadata (known stabilizer group,
     extent bound, plant components, as applicable)."""
     n = spec.n
+    zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
     if spec.kind == "basis":
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[spec.index] = 1.0
-        gens = [
-            PhasedPauli(PauliLabel(n, 0, 1 << q), 2 * ((spec.index >> q) & 1))
-            for q in range(n)
-        ]
+        gens = signed_generators(n, zs, spec.index)
         meta = {
             "stab_fidelity": 1.0,
             "stabilizer_group": [g.to_string() for g in gens],
         }
-        return StateVector(n, amps), meta
+        return statevector_of_stab(StabilizerState(n, gens)), meta
     if spec.kind == "random_stabilizer":
         gates = _random_clifford_gates(n, rng, 4 * n * n + 8)
         circuit = CliffordCircuit(n, tuple(gates))
         amps = kernels.apply_gates(kernels.zero_state(n), circuit.gates)
-        zs = [PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(n)]
+        group = conjugate(circuit, signed_generators(n, zs, 0))
         meta = {
             "stab_fidelity": 1.0,
-            "stabilizer_group": [g.to_string() for g in conjugate(circuit, zs)],
+            "stabilizer_group": [g.to_string() for g in group],
         }
         return StateVector(n, amps), meta
     if spec.kind == "tdoped":
@@ -250,9 +247,9 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         shift = n - m
         for i in range(m):
             amps[(1 << i) << shift] = 1.0 / np.sqrt(m)
-        group = [PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(shift)]
-        zall = sum(1 << (shift + i) for i in range(m))
-        group.append(PhasedPauli(PauliLabel(n, 0, zall), 0 if m % 2 == 0 else 2))
+        # Z on each of the first n - m qubits, and -Z...Z on the rest for odd m
+        zall = PauliLabel(n, 0, ((1 << m) - 1) << shift).to_vector()
+        group = signed_generators(n, zs[:shift] + [zall], (m % 2) << shift)
         meta = {
             "extent": float(np.sqrt(m)),
             "stab_dim": n - m + 1,
@@ -308,6 +305,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown format {self.format!r}; allowed: {', '.join(FORMATS)}")
         if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ValueError(f"out must be null or a non-empty path string, got {self.out!r}")
+        if self.out is not None and not Path(self.out).parent.is_dir():
+            raise ValueError(f"out {self.out!r} lies in a directory that does not exist")
         _refuse_unknown(
             self.params, PARAMS[self.command], f"parameter(s) for command {self.command!r}"
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResidualVanished, SelfCorrectionFailed
+from .errors import SelfCorrectionFailed
 from .ledger import CostLedger
 from .pauli import StabilizerState, stabilizer_inner_product
 from .selfcorrect import ATTEMPTS, self_correct
@@ -301,7 +301,7 @@ def iterate_robust(
 @dataclass(frozen=True)
 class LowExtentResult:
     decomposition: Decomposition
-    state: StateVector          # normalized structured part
+    state: StateVector | None   # normalized structured part, None when it is zero
     overlap_sq: float           # exact |<state|psi>|^2
     lcu_success: float          # preparation success probability
     recipe: dict                # coefficients + generator strings
@@ -326,7 +326,8 @@ def learn_low_extent(
 ) -> LowExtentResult:
     """Run the robust loop at eps = (eps'/(2 xi))^2 and normalize the
     structured part; for extent-xi inputs the exact achieved overlap is at
-    least 1/2 - eps'."""
+    least 1/2 - eps'.  A numerically zero structured part (the loop learned
+    nothing) gives overlap 0, no state and an empty recipe."""
     if not xi >= 1:
         raise ValueError(f"xi must be >= 1, got {xi}")
     eps = (eps_prime / (2.0 * xi)) ** 2
@@ -334,11 +335,11 @@ def learn_low_extent(
     structured = dec.structured_vector()
     norm = float(np.linalg.norm(structured))
     if norm < ZERO_RESIDUAL_TOL:
-        raise ResidualVanished("structured part is numerically zero")
+        return LowExtentResult(dec, None, 0.0, 0.0, {})
     state = StateVector(psi.n, structured / norm)
     ov = float(abs(np.vdot(state.amps, psi.amps)) ** 2)
     coeff_sum = sum(abs(b) for b, _ in dec.terms)
-    success = (norm / coeff_sum) ** 2 if coeff_sum > 0 else 1.0
+    success = (norm / coeff_sum) ** 2
     recipe = {
         "coeffs": [[b.real, b.imag] for b, _ in dec.terms],
         "generators": [phi.to_json() for _, phi in dec.terms],

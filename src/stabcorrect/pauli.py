@@ -7,11 +7,12 @@ i^t * W_(a,b) where W_(a,b) = i^{|a&b|} X^a Z^b.  Hermitian signed Paulis
 carry phase 0 (+) or 2 (-).  Phase bookkeeping is exact: every rule below is
 validated against dense matrices in the test suite.
 
-Conjugation through a circuit, and the reducer behind canonicalization and
-state preparation, keep their Paulis as bit columns: per qubit one int of the
-rows' X bits and one of their Z bits, beside one int of sign bits.  One gate
-rule (Aaronson and Gottesman's) then updates every row with a few int
-operations.
+Conjugation through a circuit, canonicalization and state preparation drive
+one store of Paulis as bit columns: per qubit one int of the rows' X bits and
+one of their Z bits, beside one int of sign bits.  One gate rule (Aaronson and
+Gottesman's) then updates every row with a few int operations, and the
+reduction that canonicalization and preparation run records the gates it
+emits.  ``signed_generators`` is the one way to sign packed label rows.
 
 Statevector indices are little-endian in the qubit number (qubit q is bit q),
 matching the label bit layout, so no bit reversal appears anywhere.
@@ -126,7 +127,8 @@ class CliffordCircuit:
 
 
 # ---------------------------------------------------------------------------
-# rows of phased Paulis as bit columns, conjugated gate by gate, exact phases
+# rows of phased Paulis as bit columns, conjugated gate by gate, exact phases,
+# and the reduction shared by canonicalization and state preparation
 
 
 class _PauliColumns:
@@ -137,12 +139,15 @@ class _PauliColumns:
 
     ``apply`` is the one gate conjugation rule g P g^dagger.  Phases are
     relative to W = i^{|a&b|} X^a Z^b, which a Clifford maps to +-W', so each
-    gate updates every row with a few int operations and flips only signs."""
+    gate updates every row with a few int operations and flips only signs.
+    The reductions ``emit`` each gate, applying it and appending it to
+    ``gates``, and read the bits they test straight from the columns."""
 
     def __init__(self, n: int, rows):
         self.n = n
         self.x, self.z = [0] * n, [0] * n
         self.sign = self.ibit = 0
+        self.gates: list[tuple[str, tuple[int, ...]]] = []
         for i, p in enumerate(rows):
             if p.n != n:
                 raise ValueError("size mismatch")
@@ -191,44 +196,14 @@ class _PauliColumns:
         else:
             raise ValueError(f"unknown gate {name!r}")
 
-
-def conjugate(
-    circuit: CliffordCircuit, p: PhasedPauli | Sequence[PhasedPauli]
-) -> PhasedPauli | tuple[PhasedPauli, ...]:
-    """Exact U P U^dagger for the unitary U the circuit applies.  ``p`` is one
-    ``PhasedPauli`` or a sequence of them; a sequence makes one pass through
-    the circuit and comes back as a tuple in its order."""
-    if isinstance(p, PhasedPauli):
-        return conjugate(circuit, (p,))[0]
-    rows = tuple(p)
-    cols = _PauliColumns(circuit.n, rows)
-    for name, qs in circuit.gates:
-        cols.apply(name, qs)
-    return tuple(cols.row(i) for i in range(len(rows)))
-
-
-# ---------------------------------------------------------------------------
-# reduction engine shared by canonicalization and state preparation
-#
-# The tracked Paulis are rows of one ``_PauliColumns``; emitting a gate
-# conjugates every row at once, so commutation relations among them are
-# preserved exactly at each step.  The bits the reduction tests are read
-# straight from the columns.
-
-
-class _Reducer:
-    def __init__(self, n: int, tracked: list[PhasedPauli]):
-        self.n = n
-        self.cols = _PauliColumns(n, tracked)
-        self.gates: list[tuple[str, tuple[int, ...]]] = []
-
     def emit(self, name: str, *qs: int) -> None:
-        self.cols.apply(name, qs)
+        """Conjugate every row by the gate and record it in ``gates``."""
+        self.apply(name, qs)
         self.gates.append((name, qs))
 
     def _support(self, idx: int, q: int) -> int:
         """Whether row idx acts on qubit q."""
-        return ((self.cols.x[q] | self.cols.z[q]) >> idx) & 1
+        return ((self.x[q] | self.z[q]) >> idx) & 1
 
     def _first_bit(self, col: list[int], idx: int, off: int) -> int:
         """The lowest qubit q >= off at which row idx has a bit in ``col``."""
@@ -238,7 +213,7 @@ class _Reducer:
         raise ValueError("no set bit above offset")
 
     def _make_x_at(self, idx: int, q: int) -> None:
-        aq, bq = (self.cols.x[q] >> idx) & 1, (self.cols.z[q] >> idx) & 1
+        aq, bq = (self.x[q] >> idx) & 1, (self.z[q] >> idx) & 1
         if aq and bq:
             self.emit("S", q)
         elif bq and not aq:
@@ -246,9 +221,9 @@ class _Reducer:
 
     def _single_to_x(self, idx: int, off: int, target: int) -> None:
         # reduce row idx (supported on qubits >= off) to +-X_target
-        x = self.cols.x
+        x = self.x
         if not any((x[q] >> idx) & 1 for q in range(off, self.n)):
-            self.emit("H", self._first_bit(self.cols.z, idx, off))
+            self.emit("H", self._first_bit(self.z, idx, off))
         pivot = self._first_bit(x, idx, off)
         self._make_x_at(idx, pivot)
         for q in range(off, self.n):
@@ -266,36 +241,34 @@ class _Reducer:
         Both operators must act trivially below ``off``; every emitted gate
         touches only qubits >= off.
         """
-        cols = self.cols
-        if cols.label(ip) != (1 << off, 0):
+        if self.label(ip) != (1 << off, 0):
             self._single_to_x(ip, off, off)
-        if cols.label(iq) != (0, 1 << off):
+        if self.label(iq) != (0, 1 << off):
             # partner anticommutes with +-X_off, so it carries X or Y at off
             # once roles are swapped through a Hadamard sandwich
             self.emit("H", off)
-            if (cols.z[off] >> iq) & 1:
+            if (self.z[off] >> iq) & 1:
                 self.emit("S", off)
             for q in range(off + 1, self.n):
                 if self._support(iq, q):
                     self._make_x_at(iq, q)
                     self.emit("CNOT", off, q)
             self.emit("H", off)
-        if cols.phase(ip) == 2:
+        if self.phase(ip) == 2:
             self.emit("Z", off)
-        if cols.phase(iq) == 2:
+        if self.phase(iq) == 2:
             self.emit("X", off)
-        if (cols.label(ip), cols.phase(ip), cols.label(iq), cols.phase(iq)) != (
+        if (self.label(ip), self.phase(ip), self.label(iq), self.phase(iq)) != (
             (1 << off, 0), 0, (0, 1 << off), 0
         ):
             raise AssertionError("pair reduction did not reach (+X, +Z)")
 
     def _multiply_into(self, idx: int, src: int) -> None:
         """Row idx becomes the exact product row idx * row src."""
-        cols = self.cols
-        flip = cols.phase(idx) ^ pauli_product(cols.row(idx), cols.row(src)).phase
-        cols._put(idx, *cols.label(src))
-        cols.sign ^= (flip >> 1) << idx
-        cols.ibit ^= (flip & 1) << idx
+        flip = self.phase(idx) ^ pauli_product(self.row(idx), self.row(src)).phase
+        self._put(idx, *self.label(src))
+        self.sign ^= (flip >> 1) << idx
+        self.ibit ^= (flip & 1) << idx
 
     def reduce_isotropic(self, indices: list[int], off: int) -> None:
         """Map commuting independent tracked elements to +Z_off, +Z_off+1, ...
@@ -305,25 +278,39 @@ class _Reducer:
         is removed by multiplying with the placed generator (a row operation
         inside the group, sign tracked exactly).
         """
-        cols = self.cols
         placed: list[int] = []
         for t, idx in enumerate(indices):
             target = off + t
             for s, q in enumerate(placed):
-                if (cols.z[q] >> idx) & 1:
+                if (self.z[q] >> idx) & 1:
                     self._multiply_into(idx, indices[s])
-            label = cols.label(idx)
+            label = self.label(idx)
             if label == (0, 0):
                 raise ValueError("dependent generator in isotropic reduction")
             if label != (0, 1 << target):
                 lowest = min(q for q in range(self.n) if self._support(idx, q))
                 self._single_to_x(idx, lowest, target)
                 self.emit("H", target)
-            if cols.phase(idx) == 2:
+            if self.phase(idx) == 2:
                 self.emit("X", target)
-            if cols.label(idx) != (0, 1 << target) or cols.phase(idx):
+            if self.label(idx) != (0, 1 << target) or self.phase(idx):
                 raise AssertionError("isotropic reduction did not reach +Z")
             placed.append(target)
+
+
+def conjugate(
+    circuit: CliffordCircuit, p: PhasedPauli | Sequence[PhasedPauli]
+) -> PhasedPauli | tuple[PhasedPauli, ...]:
+    """Exact U P U^dagger for the unitary U the circuit applies.  ``p`` is one
+    ``PhasedPauli`` or a sequence of them; a sequence makes one pass through
+    the circuit and comes back as a tuple in its order."""
+    if isinstance(p, PhasedPauli):
+        return conjugate(circuit, (p,))[0]
+    rows = tuple(p)
+    cols = _PauliColumns(circuit.n, rows)
+    for name, qs in circuit.gates:
+        cols.apply(name, qs)
+    return tuple(cols.row(i) for i in range(len(rows)))
 
 
 def canonicalize_subgroup(
@@ -346,15 +333,24 @@ def canonicalize_subgroup(
     k, m = len(sgs.pairs), len(sgs.center)
     tracked = [PhasedPauli(lab, 0) for pair in sgs.pairs for lab in pair]
     tracked += [PhasedPauli(lab, 0) for lab in sgs.center]
-    red = _Reducer(n, tracked)
+    cols = _PauliColumns(n, tracked)
     for i in range(k):
-        red.reduce_pair(2 * i, 2 * i + 1, i)
-    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
-    return CliffordCircuit(n, tuple(red.gates)), k, m
+        cols.reduce_pair(2 * i, 2 * i + 1, i)
+    cols.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
+    return CliffordCircuit(n, tuple(cols.gates)), k, m
 
 
 # ---------------------------------------------------------------------------
 # stabilizer states
+
+
+def signed_generators(n: int, rows, signs: int) -> tuple[PhasedPauli, ...]:
+    """Hermitian generators from packed label rows (``PauliLabel.to_vector``
+    on n qubits): bit i of ``signs`` negates row i."""
+    return tuple(
+        PhasedPauli(PauliLabel.from_vector(n, v), 2 * ((signs >> i) & 1))
+        for i, v in enumerate(rows)
+    )
 
 _OMEGA_BLOCK = (("H", (0,)), ("S", (0,)), ("H", (0,)), ("S", (0,)), ("H", (0,)), ("S", (0,)))
 
@@ -403,9 +399,9 @@ class StabilizerState:
         """The preparation circuit with its omega block and the canonical
         vector, from one reduction and one dense preparation per state."""
         if "prep" not in self._cache:
-            red = _Reducer(self.n, list(self.generators))
-            red.reduce_isotropic(list(range(self.n)), 0)
-            gates = CliffordCircuit(self.n, tuple(red.gates)).inverse().gates
+            cols = _PauliColumns(self.n, self.generators)
+            cols.reduce_isotropic(list(range(self.n)), 0)
+            gates = CliffordCircuit(self.n, tuple(cols.gates)).inverse().gates
             amps = kernels.apply_gates(kernels.zero_state(self.n), gates)
             factor = _canonical_phase_factor(amps)
             k = int(round((np.angle(factor) / (np.pi / 4)) % 8))
@@ -419,10 +415,12 @@ class StabilizerState:
         return f"StabilizerState({self.to_json()})"
 
 
-def _canonical_phase_factor(amps: np.ndarray) -> complex:
-    nz = np.flatnonzero(np.abs(amps) > 1e-9)
-    lead = amps[nz[0]]
-    return abs(lead) / lead
+def _canonical_phase_factor(amps: np.ndarray) -> np.ndarray:
+    """|lead| / lead along the last axis of ``amps``, lead being each row's
+    first amplitude above 1e-9 in magnitude: its canonical-phase factor."""
+    first = np.argmax(np.abs(amps) > 1e-9, axis=-1)
+    lead = np.take_along_axis(amps, first[..., None], axis=-1)[..., 0]
+    return np.abs(lead) / lead
 
 
 def statevector_of(state: StabilizerState) -> np.ndarray:

@@ -34,21 +34,22 @@ from .gf2 import Gf2Basis, PauliLabel, mub_covering, rref_basis
 from .ledger import CostLedger
 from .pauli import (
     CliffordCircuit,
-    PhasedPauli,
     StabilizerState,
+    _canonical_phase_factor,
     canonicalize_subgroup,
     conjugate,
+    signed_generators,
     stab_state_prep,
 )
 from .statevec import (
-    GowersMetrics,
     StateVector,
     apply_circuit,
     binomial_estimate,
+    exact_proxy,
     expectation_squares,
-    gowers3_metrics,
     sample_retained,
     sample_weyl_indices,
+    sampled_proxy,
 )
 
 
@@ -289,16 +290,6 @@ class CandidateStabilizer:
         }
 
 
-def _mub_generators(k: int, gi: int, eps: int) -> tuple[PhasedPauli, ...]:
-    """Signed generators of MUB group ``gi``; bit i of ``eps`` negates the
-    i-th generator."""
-    rows = mub_covering(k).groups[gi].rows
-    return tuple(
-        PhasedPauli(PauliLabel.from_vector(k, v), 2 * ((eps >> i) & 1))
-        for i, v in enumerate(rows)
-    )
-
-
 @lru_cache(maxsize=None)
 def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """Every k-qubit stabilizer state over the MUB groups with every sign
@@ -315,7 +306,7 @@ def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     s = np.arange(1 << k)
     blocks = []
     for gi in range(len(groups)):
-        gens = _mub_generators(k, gi, 0)
+        gens = signed_generators(k, groups[gi].rows, 0)
         circuit = stab_state_prep(StabilizerState(k, gens))
         eps = np.zeros(1 << k, dtype=np.intp)
         for i, z in enumerate(conjugate(circuit.inverse(), gens)):  # each +-Z^mask
@@ -324,9 +315,7 @@ def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
         block[eps] = kernels.apply_gates(np.eye(1 << k), circuit.gates).T
         blocks.append(block)
     matrix = np.concatenate(blocks)
-    # each row's first nonzero amplitude made real positive
-    lead = matrix[np.arange(matrix.shape[0]), np.argmax(np.abs(matrix) > 1e-9, axis=1)]
-    matrix *= (np.abs(lead) / lead)[:, None]
+    matrix *= _canonical_phase_factor(matrix)[:, None]
     matrix.flags.writeable = False
     return keys, matrix
 
@@ -417,16 +406,16 @@ def find_stabilizer(
         if fid > fids[best] + TIE_TOL:
             best = i
     ci, z = keys[best]
-    gens: list[PhasedPauli] = []
+    # the winner's MUB rows on the first k qubits, then Z on each of the rest
+    labels = [PauliLabel(n, 0, 1 << q) for q in range(k, n)]
+    signs = z << k
     gi = eps = -1
     if k:
         gi, eps = _mub_candidates(k)[0][ci]
-        gens = [
-            PhasedPauli(PauliLabel(n, g.label.x, g.label.z), g.phase)
-            for g in _mub_generators(k, gi, eps)
-        ]
-    for j in range(n - k):
-        gens.append(PhasedPauli(PauliLabel(n, 0, 1 << (k + j)), 2 * ((z >> j) & 1)))
+        mub = [PauliLabel.from_vector(k, v) for v in mub_covering(k).groups[gi].rows]
+        labels = [PauliLabel(n, m.x, m.z) for m in mub] + labels
+        signs |= eps
+    gens = signed_generators(n, [lab.to_vector() for lab in labels], signs)
     state = StabilizerState(n, conjugate(circuit.inverse(), gens))
     ledger.charge(
         "fidelity_shadows",
@@ -561,7 +550,10 @@ def tolerant_test(
     if not yes_floor > no_ceiling:
         raise ValueError("inseparable (eps1, eps2, t) configuration")
     margin = (yes_floor - no_ceiling) / 10.0
-    metrics: GowersMetrics = gowers3_metrics(
-        psi, mode=mode, delta=margin, rng=rng, ledger=ledger, fail_prob=delta
-    )
-    return "yes" if metrics.proxy >= yes_floor - margin else "no"
+    if mode == "exact":
+        proxy = exact_proxy(psi)
+    elif mode == "sampled":  # the q-average alone: no p-average shots, no fourth table
+        proxy = sampled_proxy(psi, margin, delta, rng, ledger)[0]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return "yes" if proxy >= yes_floor - margin else "no"

@@ -32,13 +32,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .gf2 import PauliLabel
 from .ledger import CostLedger
 from .pauli import (
     CliffordCircuit,
-    PhasedPauli,
     StabilizerState,
     isotropic_subspaces,
+    signed_generators,
     stab_state_prep,
     statevector_of,
 )
@@ -214,21 +213,43 @@ def exact_proxy(psi: StateVector) -> float:
     return _q_tables(psi)[2]
 
 
+def sampled_proxy(
+    psi: StateVector, delta: float, fail_prob: float, rng: np.random.Generator, ledger: CostLedger
+) -> tuple[float, int]:
+    """Estimate of the q-average E_{x~q}[<W_x>^2] to within ``delta`` with
+    probability >= 1 - fail_prob, and its shot count: each shot draws x ~ q
+    and measures W_x on two copies, which sees +1 with probability
+    (1 + <W_x>^2)/2.  Reads only the three cached tables."""
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
+    if ledger is None:
+        raise ValueError("sampled mode needs a ledger")
+    shots = int(np.ceil(2.0 * np.log(2.0 / fail_prob) / delta**2))
+    xs = sample_weyl_indices(psi, shots, rng, ledger)
+    pr_plus = 0.5 * (1.0 + expectation_squares(psi)[xs])
+    outcomes = 2.0 * (rng.random(shots) < pr_plus) - 1.0
+    ledger.charge("gowers_sampled", copies=2 * shots)
+    return float(outcomes.mean()), shots
+
+
+GOWERS_FAIL_PROB = 1e-3  # sampled gowers3_metrics: chance the q-average misses by delta
+
+
 def gowers3_metrics(
     psi: StateVector,
     mode: str = "exact",
     delta: float = 0.05,
     rng: np.random.Generator | None = None,
     ledger: CostLedger | None = None,
-    fail_prob: float = 1e-3,
 ) -> GowersMetrics:
     """Correlation metrics of the label distributions.
 
     Exact mode evaluates both averages from the tables (the q-average is the
     cached proxy, whose build checks the triple-correlation identity) and
     draws and charges nothing.  Sampled mode, which needs ``rng`` and
-    ``ledger``, estimates the q-average to within ``delta`` with
-    probability >= 1 - fail_prob using O(1/delta^2) six-copy shots.
+    ``ledger``, estimates the q-average with ``sampled_proxy`` at failure
+    probability ``GOWERS_FAIL_PROB`` and then the p-average with as many
+    shots, so each shot costs six copies.
     """
     w2 = expectation_squares(psi)
     # p = w2 / 2^n: scaling by a power of two commutes with every rounding,
@@ -237,25 +258,16 @@ def gowers3_metrics(
         return GowersMetrics(exact_proxy(psi), float(np.dot(w2, w2)) / (1 << psi.n), "exact")
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    if ledger is None:
-        raise ValueError("sampled mode needs a ledger")
     # cumsum(w2) below is a fourth table beside the three the state keeps
     require_memory(psi.n, int((TABLE_BUILD_PEAK + 1) * 8 * 4**psi.n))
-    shots = int(np.ceil(2.0 * np.log(2.0 / fail_prob) / delta**2))
-    xs = sample_weyl_indices(psi, shots, rng, ledger)
-    pr_plus = 0.5 * (1.0 + w2[xs])
-    outcomes = 2.0 * (rng.random(shots) < pr_plus) - 1.0
-    proxy = float(outcomes.mean())
+    proxy, shots = sampled_proxy(psi, delta, GOWERS_FAIL_PROB, rng, ledger)
     # the p-average needs conjugate-assisted pair sampling; same estimator shape
     pcum = np.cumsum(w2)
     ys = kernels.inverse_cdf(pcum, rng.random(shots) * pcum[-1])
     pr_plus = 0.5 * (1.0 + w2[ys])
     out2 = 2.0 * (rng.random(shots) < pr_plus) - 1.0
-    # two measured copies per proxy shot; two sampling plus two measured
-    # copies per conjugate-pair shot
-    ledger.charge("gowers_sampled", copies=6 * shots)
+    # two sampling plus two measured copies per conjugate-pair shot
+    ledger.charge("gowers_sampled", copies=4 * shots)
     return GowersMetrics(proxy, float(out2.mean()), "sampled", shots)
 
 
@@ -374,9 +386,7 @@ def bruteforce_stab_fidelity(psi: StateVector) -> tuple[float, StabilizerState]:
     top = float(best.max())
     near = subspaces[best >= top - 1e-12]
     ties = [
-        StabilizerState(n, tuple(
-            PhasedPauli(PauliLabel.from_vector(n, v), 2 * ((z >> i) & 1)) for i, v in enumerate(rows)
-        ))
+        StabilizerState(n, signed_generators(n, rows, z))
         for rows, weights in zip(near.tolist(), _projection_weights(table, near, n))
         for z in np.flatnonzero(weights >= top - 1e-12).tolist()
     ]

@@ -17,7 +17,7 @@ from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     CliffordCircuit,
-    _Reducer,
+    _PauliColumns,
     PhasedPauli,
     StabilizerState,
     canonicalize_subgroup,
@@ -143,9 +143,9 @@ def clifford_from_anticommuting_pair(p: PhasedPauli, q: PhasedPauli) -> Clifford
         raise ValueError("inputs must be Hermitian signed Paulis")
     if symplectic_product(p.label, q.label) == 0:
         raise ValueError("inputs commute")
-    red = _Reducer(p.n, [p, q])
-    red.reduce_pair(0, 1, 0)
-    return CliffordCircuit(p.n, tuple(red.gates))
+    cols = _PauliColumns(p.n, [p, q])
+    cols.reduce_pair(0, 1, 0)
+    return CliffordCircuit(p.n, tuple(cols.gates))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def conjugate_reference(circuit: CliffordCircuit, p: PhasedPauli) -> PhasedPauli
 
 
 class RowReducer:
-    """The reduction the package's ``_Reducer`` runs, on a list of
+    """The reduction the package's ``_PauliColumns`` runs, on a list of
     PhasedPaulis: each emitted gate conjugates every tracked row in turn."""
 
     def __init__(self, n: int, tracked: list[PhasedPauli]):
@@ -367,11 +367,11 @@ def synthesize_circuit(tableau: CliffordTableau) -> CliffordCircuit:
     """Gate list whose extracted tableau reproduces the input exactly,
     including signs; O(n^2) gates, from the package's pair reducer."""
     n = tableau.n
-    red = _Reducer(n, list(tableau.x_images) + list(tableau.z_images))
+    cols = _PauliColumns(n, list(tableau.x_images) + list(tableau.z_images))
     for j in range(n):
-        red.reduce_pair(j, n + j, j)
+        cols.reduce_pair(j, n + j, j)
     # gates compose to tableau^{-1}; invert the list
-    return CliffordCircuit(n, tuple(red.gates)).inverse()
+    return CliffordCircuit(n, tuple(cols.gates)).inverse()
 
 
 def all_labels(sgs: SgsDecomposition) -> list[PauliLabel]:

@@ -133,7 +133,6 @@ PUBLIC_OPTIONS = {
     "selfcorrect.tolerant_test.rng",
     "selfcorrect.tolerant_test.separation_c",
     "statevec.gowers3_metrics.delta",
-    "statevec.gowers3_metrics.fail_prob",
     "statevec.gowers3_metrics.ledger",
     "statevec.gowers3_metrics.mode",
     "statevec.gowers3_metrics.rng",
@@ -161,6 +160,7 @@ LEDGER_REQUIRED = {
     "statevec.lcu_residual",
     "statevec.sample_retained",
     "statevec.sample_weyl_indices",
+    "statevec.sampled_proxy",
 }
 
 

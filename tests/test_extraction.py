@@ -6,13 +6,14 @@ loop, and find_high_stab_dim's branch draws against the per-round
 import numpy as np
 import pytest
 
-from stabcorrect.gf2 import PauliLabel, rref_basis
+from stabcorrect.gf2 import PauliLabel, mub_covering, rref_basis
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     PhasedPauli,
     StabilizerState,
     canonicalize_subgroup,
     conjugate,
+    signed_generators,
     statevector_of,
 )
 from stabcorrect.selfcorrect import (
@@ -20,7 +21,6 @@ from stabcorrect.selfcorrect import (
     SubgroupV,
     _candidate_weights,
     _mub_candidates,
-    _mub_generators,
     _rounds,
     _shadow_cost,
     find_high_stab_dim,
@@ -49,7 +49,7 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger):
     else:
         candidates = []
         for gi, eps in _mub_candidates(k)[0]:
-            cand = StabilizerState(k, _mub_generators(k, gi, eps))
+            cand = StabilizerState(k, signed_generators(k, mub_covering(k).groups[gi].rows, eps))
             candidates.append((cand, statevector_of(cand), gi, eps))
         for _ in range(rounds):
             for ci, (cand, vec, gi, eps) in enumerate(candidates):
@@ -182,7 +182,8 @@ def test_weights_are_measure_block_laws(n, k, m, seed):
     weights = _candidate_weights(rotated, k)
     p0 = weights.sum(axis=1)
     for ci, (gi, eps) in enumerate(_mub_candidates(k)[0]):
-        vec = statevector_of(StabilizerState(k, _mub_generators(k, gi, eps)))
+        gens = signed_generators(k, mub_covering(k).groups[gi].rows, eps)
+        vec = statevector_of(StabilizerState(k, gens))
         _, pr, post = measure_block(rotated, tuple(range(k)), ("project", vec), force_outcome=0)
         assert abs(pr - p0[ci]) <= 1e-12
         for z in range(1 << (n - k)):
@@ -235,8 +236,10 @@ def test_mub_candidates_match_direct_preparation(k):
     # rows built by one gate pass per group over the basis states equal the
     # statevector of each signed generator set prepared on its own
     keys, matrix = _mub_candidates(k)
+    groups = mub_covering(k).groups
     direct = np.array([
-        statevector_of(StabilizerState(k, _mub_generators(k, gi, eps))) for gi, eps in keys
+        statevector_of(StabilizerState(k, signed_generators(k, groups[gi].rows, eps)))
+        for gi, eps in keys
     ])
     assert matrix.shape == ((2**k + 1) * 2**k, 2**k)
     assert np.max(np.abs(matrix - direct)) <= 1e-15

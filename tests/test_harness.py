@@ -23,6 +23,7 @@ from stabcorrect.harness import (
     gen_state,
     run,
 )
+from stabcorrect.gf2 import PauliLabel
 from stabcorrect.pauli import PhasedPauli
 from stabcorrect.rng import RngStream
 from stabcorrect.statevec import bruteforce_stab_dim_fidelity, bruteforce_stab_fidelity
@@ -44,6 +45,19 @@ class TestGenState:
         psi, meta = gen_state(StateSpec("basis", 2, index=2), gen(0))
         assert psi.amps[2] == 1.0
         assert "-" in meta["stabilizer_group"][1]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_basis_every_index(self, n):
+        # exactly the unit vector, and the group strings as built by hand
+        for index in range(1 << n):
+            psi, meta = gen_state(StateSpec("basis", n, index=index), gen(0))
+            unit = np.zeros(1 << n, dtype=complex)
+            unit[index] = 1.0
+            assert (psi.amps == unit).all()
+            assert meta["stabilizer_group"] == [
+                PhasedPauli(PauliLabel(n, 0, 1 << q), 2 * ((index >> q) & 1)).to_string()
+                for q in range(n)
+            ]
 
     def test_random_stabilizer_group_is_ground_truth(self):
         for seed in range(5):
@@ -229,6 +243,16 @@ class TestConfig:
             ExperimentConfig.from_json(
                 {"command": "analyze", "state": {"kind": "haar", "n": 2}, "out": out}
             )
+
+    def test_out_in_a_missing_directory_rejected_before_any_trial(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "missing" / "out.jsonl")
+        trials = []
+        monkeypatch.setattr(harness, "_run_trial", lambda *args: trials.append(args))
+        with pytest.raises(ValueError, match=f"out {re.escape(repr(out))} lies in a directory"):
+            run(ExperimentConfig.from_json(
+                {"command": "analyze", "state": {"kind": "haar", "n": 8}, "trials": 3, "out": out}
+            ))
+        assert not trials
 
     @pytest.mark.parametrize(
         "term, message",
@@ -715,6 +739,26 @@ class TestRun:
         assert not {"edge_test", "retention"} & set(rec.ledger["breakdown"])
 
 
+    def test_learn_extent_that_learns_nothing_writes_records(self, tmp_path):
+        # the loop stops learner_failed with no term, so the structured part
+        # is zero: each trial is still a record
+        out = tmp_path / "out.jsonl"
+        cfg = {"command": "learn-extent", "state": {"kind": "haar", "n": 6}, "seed": 0,
+               "trials": 2, "out": str(out),
+               "params": {"learner": "self_correct", "oracle": "threshold-span"}}
+        run(ExperimentConfig.from_json(cfg))
+        recs = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(recs) == 2
+        for rec in recs:
+            res = rec["outputs"]["result"]
+            assert (res["overlap_sq"], res["stop_reason"]) == (0.0, "learner_failed")
+            assert res["recipe"] == {}
+            rows = rec["ledger"]["breakdown"].values()
+            assert rec["ledger"]["totals"] == {
+                f: sum(row[f] for row in rows) for f in rec["ledger"]["totals"]
+            }
+
+
 class TestEmit:
     def test_jsonl_round_trip(self, tmp_path):
         cfg = ExperimentConfig.from_json(
@@ -779,6 +823,15 @@ class TestCli:
         message = f"config file {re.escape(str(cfg_path))} must hold a JSON object, got a JSON {kind}$"
         with pytest.raises(ValueError, match=message):
             main(["analyze", "--config", str(cfg_path)])
+
+    def test_out_in_a_missing_directory_rejected(self, tmp_path):
+        from stabcorrect.cli import main
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"command": "analyze", "state": {"kind": "haar", "n": 2}}))
+        out = str(tmp_path / "missing" / "res.jsonl")
+        with pytest.raises(ValueError, match="lies in a directory that does not exist"):
+            main(["analyze", "--config", str(cfg_path), "--out", out])
 
     def test_seed_override_changes_results(self, tmp_path):
         from stabcorrect.cli import main

@@ -131,10 +131,10 @@ GOLDEN = {
         },
     ),
     "test_sampled": (
-        (56930, 0, 0, 0),
+        (34158, 0, 0, 0),
         {
             "bell_difference": (22772, 0, 0, 0),
-            "gowers_sampled": (34158, 0, 0, 0),
+            "gowers_sampled": (11386, 0, 0, 0),
         },
     ),
 }

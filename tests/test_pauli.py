@@ -15,11 +15,12 @@ from stabcorrect.pauli import (
     conjugate,
     isotropic_subspaces,
     pauli_product,
+    signed_generators,
     stab_state_prep,
     stabilizer_inner_product,
     statevector_of,
 )
-from stabcorrect.pauli import _PauliColumns, _Reducer
+from stabcorrect.pauli import _PauliColumns, _canonical_phase_factor
 
 from conftest import (
     CliffordTableau,
@@ -177,10 +178,10 @@ class TestAgainstRowReference:
                 for q in range(n)
             )
             state = StabilizerState(n, gens)
-            red = _Reducer(n, list(gens))
-            red.reduce_isotropic(list(range(n)), 0)
+            cols = _PauliColumns(n, list(gens))
+            cols.reduce_isotropic(list(range(n)), 0)
             ref = prep_reduction_reference(state)
-            assert tuple(red.gates) == ref
+            assert tuple(cols.gates) == ref
             inv = CliffordCircuit(n, ref).inverse().gates
             prep = stab_state_prep(state).gates
             assert prep[: len(inv)] == inv
@@ -403,6 +404,34 @@ class TestCanonicalize:
             assert np.allclose(ratio, ratio[0, 0] * np.eye(1 << n), atol=1e-9)
 
 
+class TestSignedGenerators:
+    def test_example(self):
+        rows = [lab("ZI").to_vector(), lab("XX").to_vector(), lab("YZ").to_vector()]
+        assert [g.to_string() for g in signed_generators(2, rows, 0b101)] == ["-ZI", "+XX", "-YZ"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_bit_i_negates_row_i(self, n, rng):
+        rows = [int(v) for v in rng.integers(0, 4**n, size=n + 2)]
+        for signs in range(1 << len(rows)):
+            gens = signed_generators(n, rows, signs)
+            assert [g.label for g in gens] == [PauliLabel.from_vector(n, v) for v in rows]
+            assert [g.phase for g in gens] == [2 if signs & (1 << i) else 0 for i in range(len(rows))]
+
+
+class TestCanonicalPhase:
+    def test_row_stack_matches_each_row_bit_for_bit(self, rng):
+        rows = rng.normal(size=(48, 16)) + 1j * rng.normal(size=(48, 16))
+        for i, row in enumerate(rows):
+            # leading entries that are zero or nonzero but below 1e-9
+            row[: i % 8] = 0.0 if i % 2 else 1e-10 * (rng.normal() + 1j * rng.normal())
+        got = _canonical_phase_factor(rows)
+        assert got.shape == (48,)
+        for row, factor in zip(rows, got):
+            lead = row[np.flatnonzero(np.abs(row) > 1e-9)[0]]
+            assert np.asarray(_canonical_phase_factor(row)).tobytes() == factor.tobytes()
+            assert abs(factor * lead - abs(lead)) < 1e-15
+
+
 class TestStabilizerStates:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -435,13 +464,13 @@ class TestStabilizerStates:
     def test_reduced_and_prepared_once(self, monkeypatch):
         # the vector and the circuit come from one reduction of the generators
         calls = []
-        reduce = _Reducer.reduce_isotropic
+        reduce = _PauliColumns.reduce_isotropic
 
         def counted(self, *args):
             calls.append(args)
             return reduce(self, *args)
 
-        monkeypatch.setattr(_Reducer, "reduce_isotropic", counted)
+        monkeypatch.setattr(_PauliColumns, "reduce_isotropic", counted)
         st = StabilizerState(2, (pp("+XX"), pp("-ZZ")))
         vec = statevector_of(st)
         circ = stab_state_prep(st)

@@ -38,7 +38,7 @@ from stabcorrect.statevec import (
     sample_weyl_indices,
     stab_combination,
 )
-from stabcorrect.selfcorrect import planted_oracle, self_correct
+from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
 
 from conftest import (
     basis_state,
@@ -253,6 +253,21 @@ class TestTableMemory:
         assert not ledger.totals["copies_consumed"]
         assert gowers3_metrics(psi).mode == "exact"
 
+    def test_sampled_tolerant_test_needs_only_the_cached_tables(self, rng, monkeypatch):
+        # physical memory of 3.5 tables: the sampled test reads only the
+        # q-average, whose tables the state keeps, and two copies per shot
+        n = 4
+        psi = random_state(n, rng)
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2}
+        monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
+        ledger = CostLedger()
+        assert tolerant_test(psi, 0.9, 0.1, 0, 0.01, rng, ledger, mode="sampled") in ("yes", "no")
+        rows = ledger.breakdown
+        assert set(rows) == {"bell_difference", "gowers_sampled"}
+        shots = rows["gowers_sampled"]["copies_consumed"] // 2
+        assert rows["gowers_sampled"]["copies_consumed"] == 2 * shots > 0
+        assert rows["bell_difference"]["copies_consumed"] == 4 * shots
+
 
 class TestSampling:
     def test_zero_state_always_z_type(self, rng):
@@ -411,7 +426,7 @@ class TestGowersMetrics:
         hits = 0
         runs = 60
         for _ in range(runs):
-            m = gowers3_metrics(t_state(), "sampled", 0.05, rng, ledger, fail_prob=1e-3)
+            m = gowers3_metrics(t_state(), "sampled", 0.05, rng, ledger)
             hits += abs(m.proxy - 5 / 8) <= 0.05
         assert hits >= runs - 2
         assert ledger.totals["copies_consumed"] > 0
