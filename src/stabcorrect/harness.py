@@ -33,6 +33,8 @@ from .pauli import (
 from .rng import RngStream
 from .selfcorrect import (
     ATTEMPTS,
+    SubgroupV,
+    find_stabilizer,
     planted_oracle,
     self_correct,
     threshold_span_oracle,
@@ -502,6 +504,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
 
 
 BENCH_STATES = 20
+BENCH_SUBGROUPS = 5
 
 
 def _bench(n: int) -> dict:
@@ -534,6 +537,27 @@ def _bench(n: int) -> dict:
         canon.append(time.perf_counter() - t0)
     out["prep_s"] = float(np.median(prep))
     out["canonicalize_s"] = float(np.median(canon))
+    # extraction as k grows: per k, the median find_stabilizer time on Haar
+    # states and fresh subgroups of k symplectic pairs and a 2-dimensional
+    # center in a random Clifford frame; the median passes over the first
+    # call, which builds the k-qubit candidate matrix
+    extract = {}
+    for k in range(1, min(5, n - 2) + 1):
+        canon_labels = [PauliLabel(n, 1 << q, 0) for q in range(k)]
+        canon_labels += [PauliLabel(n, 0, 1 << q) for q in range(k + 2)]
+        times = []
+        for _ in range(BENCH_SUBGROUPS):
+            frame = CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, 4 * n * n + 8)))
+            rows = conjugate(frame, [PhasedPauli(lab, 0) for lab in canon_labels])
+            sub = SubgroupV(n, rref_basis_from_labels([p.label for p in rows]), None)
+            psi = random_state(n, rng)
+            t0 = time.perf_counter()
+            find_stabilizer(
+                psi, sub, _SELF_CORRECT["gamma"], _SELF_CORRECT["delta"], rng, CostLedger()
+            )
+            times.append(time.perf_counter() - t0)
+        extract[str(k)] = float(np.median(times))
+    out["find_stabilizer_s"] = extract
     out["n"] = n
     return out
 

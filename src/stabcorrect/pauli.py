@@ -116,6 +116,8 @@ class CliffordCircuit:
         return len(self.gates)
 
     def inverse(self) -> "CliffordCircuit":
+        """The exact adjoint, S^dagger as S then Z.  Its gates are this
+        checked circuit's gates, so it is built without checking them again."""
         inv = []
         for name, qs in reversed(self.gates):
             if name == "S":
@@ -123,7 +125,10 @@ class CliffordCircuit:
                 inv.append(("Z", qs))
             else:
                 inv.append((name, qs))
-        return CliffordCircuit(self.n, tuple(inv))
+        circuit = object.__new__(CliffordCircuit)
+        object.__setattr__(circuit, "n", self.n)
+        object.__setattr__(circuit, "gates", tuple(inv))
+        return circuit
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,46 @@ def _rounds(gamma: float) -> int:
     return min(max(int(np.ceil(4.0 / max(gamma, 1e-6))), 8), 64)
 
 
+def _measure_rounds(
+    weights: np.ndarray, rounds: int, rng: np.random.Generator
+) -> tuple[dict[tuple[int, int], None], int]:
+    """``rounds`` rounds over the rows c of ``weights``: projecting onto c
+    succeeds with probability p0[c], the row sum, and a success draws z from
+    row c over p0[c].  Returns the collected (c, z) in first-collection order
+    and the number of measurements.
+
+    The draws are the scalar loop's, uniform for uniform: ``rng.random() <
+    p0[c]`` per visit, ``rng.choice(len(row), p=row / p0[c])`` per success.
+    A visit takes at least one uniform, so a block as long as the visits left
+    plus the z still owed never overdraws.  ``choice`` returns how many
+    entries of its normalized cdf lie at or below its uniform, so every z is
+    resolved at once from the same cdf."""
+    p0 = weights.sum(axis=1)
+    total = rounds * p0.shape[0]
+    visits = iter(list(enumerate(p0.tolist())) * rounds)
+    hits: list[int] = []
+    vs: list[float] = []
+    drawn = 0
+    # uniforms still certain to be read: one per visit left, one per z owed
+    while (size := total + len(hits) - drawn) > 0:
+        us = iter(rng.random(size).tolist())
+        drawn += size
+        if len(vs) < len(hits):
+            vs.append(next(us))
+        # zip pulls the uniform first, so a spent block consumes no visit
+        for u, (ci, pc) in zip(us, visits):
+            if u < pc:
+                hits.append(ci)
+                v = next(us, None)
+                if v is not None:
+                    vs.append(v)
+    cis = np.array(hits, dtype=np.intp)
+    cdf = np.cumsum(weights[cis] / p0[cis, None], axis=1)
+    cdf /= cdf[:, -1:]
+    zs = (cdf <= np.array(vs)[:, None]).sum(axis=1)
+    return dict.fromkeys(zip(hits, zs.tolist())), total + len(hits)
+
+
 TIE_TOL = 1e-12
 BLOCK_TOL = 1e-9
 
@@ -386,15 +426,7 @@ def find_stabilizer(
         measured = rounds
     else:
         weights = _candidate_weights(rotated, k)
-        p0 = weights.sum(axis=1)
-        measured = 0
-        for _ in range(rounds):
-            for ci, pc in enumerate(p0.tolist()):
-                measured += 1
-                if rng.random() < pc:
-                    measured += 1
-                    z = int(rng.choice(weights.shape[1], p=weights[ci] / pc))
-                    collected[(ci, z)] = None
+        collected, measured = _measure_rounds(weights, rounds, rng)
     ledger.charge("measure", copies=measured)
     if not collected:
         raise NoCandidateFound("no candidate collected within the round budget")

@@ -1,11 +1,14 @@
 """The extractors against the measurement loops they replaced:
 find_stabilizer's one-contraction extraction against the per-candidate
-loop, and find_high_stab_dim's branch draws against the per-round
-``measure_block`` loop."""
+loop, its prefetched round draws against the scalar draw loop, and
+find_high_stab_dim's branch draws against the per-round ``measure_block``
+loop."""
 
 import numpy as np
 import pytest
 
+from stabcorrect import selfcorrect
+from stabcorrect.errors import NoCandidateFound
 from stabcorrect.gf2 import PauliLabel, mub_covering, rref_basis
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
@@ -20,6 +23,7 @@ from stabcorrect.selfcorrect import (
     TIE_TOL,
     SubgroupV,
     _candidate_weights,
+    _measure_rounds,
     _mub_candidates,
     _rounds,
     _shadow_cost,
@@ -120,9 +124,9 @@ def random_subgroup(n, k, m, rng):
 CASES = [
     (n, k, m, seed)
     for n in range(1, 7)
-    for k in (0, 1, 2, 3)
+    for k in (0, 1, 2, 3, 4)
     for m in sorted({0, 1, n - k})
-    if m >= 0 and 0 < k + m <= n
+    if m >= 0 and 0 < k + m <= n and (k < 4 or n >= 5)
     for seed in (0, 1)
 ]
 
@@ -146,6 +150,129 @@ def test_matches_per_candidate_loop(n, k, m, seed):
     assert rng_fast.random() == rng_ref.random()
     exact = abs(np.vdot(statevector_of(fast.state), psi.amps)) ** 2
     assert abs(fast.fidelity - exact) <= 1e-12
+
+
+def scalar_rounds(weights, rounds, rng):
+    """The scalar draw loop that ``_measure_rounds`` replaced: one
+    ``rng.random()`` per candidate visit and one ``rng.choice`` per success.
+    Returns the collected keys in first-collection order and the number of
+    measurements."""
+    p0 = weights.sum(axis=1)
+    collected, measured = {}, 0
+    for _ in range(rounds):
+        for ci, pc in enumerate(p0.tolist()):
+            measured += 1
+            if rng.random() < pc:
+                measured += 1
+                collected[(ci, int(rng.choice(weights.shape[1], p=weights[ci] / pc)))] = None
+    return list(collected), measured
+
+
+class BlockLog:
+    """A generator that records the size of every uniform block drawn."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.blocks = []
+
+    def random(self, size):
+        self.blocks.append(size)
+        return self.gen.random(size)
+
+
+def assert_same_draws(weights, rounds, seed):
+    """The prefetched draw against the scalar loop: same keys in the same
+    order, same measurement count, same generator state.  Returns the block
+    sizes drawn."""
+    fast, ref = BlockLog(seed), np.random.default_rng(seed)
+    collected, measured = _measure_rounds(weights, rounds, fast)
+    keys, ref_measured = scalar_rounds(weights, rounds, ref)
+    assert list(collected) == keys
+    assert measured == ref_measured
+    assert fast.gen.bit_generator.state == ref.bit_generator.state
+    return keys, measured, fast.blocks
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_round_draws_match_scalar_loop(k):
+    # candidate weights of random states, at several rest sizes and round counts
+    rng = np.random.default_rng(900 + k)
+    for rest in (0, 1, 3):
+        weights = _candidate_weights(random_state(k + rest, rng), k)
+        for rounds in (1, 8, 64):
+            assert_same_draws(weights, rounds, int(rng.integers(2**31)))
+
+
+DYADIC_ROW = [0.5, 0.25, 0.125, 0.125]  # sums to exactly 1
+
+
+def forced_weights(k, case):
+    """(2^k + 1) 2^k candidate rows over 4 rest outcomes, for 8 rounds.
+
+    ``last_of_block``: one candidate with p0 = 1 and the rest 0, placed so
+    that a success falls on the last uniform of the first block.
+    ``zero_and_one``: rows with p0 exactly 0, exactly 1, and in between.
+    ``none``: every p0 is 0, so no round collects anything."""
+    c = (2**k + 1) * 2**k
+    weights = np.zeros((c, 4))
+    if case == "last_of_block":
+        # round r's success is uniform r (c + 1) + j of the first 8c
+        r = (8 * c - 1) // (c + 1)
+        weights[8 * c - 1 - r * (c + 1)] = DYADIC_ROW
+    elif case == "zero_and_one":
+        rng = np.random.default_rng(k)
+        kind = rng.integers(3, size=c)
+        weights[kind == 1] = DYADIC_ROW
+        between = rng.random((int(np.sum(kind == 2)), 4))
+        weights[kind == 2] = between / between.sum(axis=1, keepdims=True) * rng.random((len(between), 1))
+    return weights
+
+
+@pytest.mark.parametrize("case", ["last_of_block", "zero_and_one", "none"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_forced_round_draws_match_scalar_loop(k, case, monkeypatch):
+    weights = forced_weights(k, case)
+    c = weights.shape[0]
+    p0 = weights.sum(axis=1)
+    keys, measured, blocks = assert_same_draws(weights, 8, 17)
+    hit = {ci for ci, _ in keys}
+    if case == "last_of_block":
+        # the first block ends on a success, so the refill is the r visits
+        # still to come plus that success's z uniform
+        r = (8 * c - 1) // (c + 1)
+        assert blocks[:2] == [8 * c, r + 1]
+        assert measured == 8 * c + 8
+    elif case == "zero_and_one":
+        # a p0 = 1 candidate succeeds at every visit, a p0 = 0 one never
+        assert 0 < np.sum(p0 == 0.0) < c and 0 < np.sum(p0 == 1.0) < c
+        assert hit >= set(np.flatnonzero(p0 == 1.0).tolist())
+        assert not hit & set(np.flatnonzero(p0 == 0.0).tolist())
+    else:
+        assert (keys, measured, blocks) == ([], 8 * c, [8 * c])
+
+    # the same draws through find_stabilizer: its measure copies, generator
+    # state and winner, and NoCandidateFound when nothing is collected
+    n = k + 2
+    sub = random_subgroup(n, k, 0, np.random.default_rng([n, k]))
+    psi = random_state(n, np.random.default_rng([n, k, 1]))
+    monkeypatch.setattr(selfcorrect, "_candidate_weights", lambda rotated, kk: weights)
+    rng, ledger = np.random.default_rng(17), CostLedger()
+    if keys:
+        cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, ledger)
+        best = keys[0]
+        for key in keys:
+            if weights[key] > weights[best] + TIE_TOL:
+                best = key
+        gi, eps = _mub_candidates(k)[0][best[0]]
+        assert cand.provenance == {"mub_index": gi, "sign_pattern": eps, "z": best[1], "k": k, "m": 0}
+        assert cand.fidelity == weights[best]
+    else:
+        with pytest.raises(NoCandidateFound):
+            find_stabilizer(psi, sub, 0.5, 0.05, rng, ledger)
+    assert ledger.breakdown["measure"]["copies_consumed"] == measured
+    ref = np.random.default_rng(17)
+    scalar_rounds(weights, _rounds(0.5), ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("n,k,m,seed", CASES)

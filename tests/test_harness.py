@@ -657,10 +657,19 @@ class TestRun:
         )
         rec = run(cfg)[0]
         assert set(rec.outputs) == {
-            "char_table_s", "table_build_s", "prep_s", "canonicalize_s", "n"
+            "char_table_s", "table_build_s", "prep_s", "canonicalize_s", "find_stabilizer_s", "n"
         }
         for key in ("char_table_s", "table_build_s", "prep_s", "canonicalize_s"):
             assert rec.outputs[key] > 0
+        # k = 1 ... min(5, n - 2)
+        extract = rec.outputs["find_stabilizer_s"]
+        assert list(extract) == ["1", "2", "3", "4"]
+        assert all(t > 0 for t in extract.values())
+
+    @pytest.mark.parametrize("n,ks", [(1, []), (2, []), (3, ["1"]), (7, ["1", "2", "3", "4", "5"])])
+    def test_bench_extraction_sizes(self, n, ks):
+        rec = run(ExperimentConfig.from_json({"command": "bench", "params": {"n": n}}))[0]
+        assert list(rec.outputs["find_stabilizer_s"]) == ks
 
     def test_oracle_command(self):
         cfg = ExperimentConfig.from_json(

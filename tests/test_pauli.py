@@ -224,6 +224,28 @@ class TestTableau:
         # the exact adjoint, with no global phase
         assert np.allclose(circuit_matrix(inv) @ circuit_matrix(circ), np.eye(1 << n))
 
+    def test_inverse_is_not_checked_again(self, rng, monkeypatch):
+        circ = random_circuit(4, rng)
+        checked = []
+        monkeypatch.setattr(CliffordCircuit, "__post_init__", lambda self: checked.append(self))
+        inv = circ.inverse()
+        assert checked == []
+        assert inv == CliffordCircuit(4, inv.gates) and checked == [inv]
+        assert hash(inv) == hash(CliffordCircuit(4, inv.gates))
+
+    @pytest.mark.parametrize("n,gates,message", [
+        (1, (("T", (0,)),), "unknown gate 'T'"),
+        (1, (("Y", (0,)),), "unknown gate 'Y'"),
+        (2, (("H", (0, 1)),), r"bad qubits \(0, 1\) for H on 2 qubits"),
+        (2, (("CNOT", (0,)),), r"bad qubits \(0,\) for CNOT on 2 qubits"),
+        (2, (("S", (2,)),), r"bad qubits \(2,\) for S on 2 qubits"),
+        (2, (("X", (-1,)),), r"bad qubits \(-1,\) for X on 2 qubits"),
+        (2, (("H", (0,)), ("CNOT", (1, 1))), "CNOT control equals target"),
+    ])
+    def test_outside_gates_rejected(self, n, gates, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CliffordCircuit(n, gates)
+
 
 class TestSynthesis:
     def test_identity_empty(self):

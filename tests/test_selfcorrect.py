@@ -535,6 +535,26 @@ class TestBasisDraws:
         assert batched == [int(b.choice(law.shape[0], p=law)) for _ in range(40)]
         assert a.bit_generator.state == b.bit_generator.state
 
+    def test_choice_is_one_uniform_through_the_normalized_cdf(self):
+        # find_stabilizer's rounds resolve each success's z from a uniform
+        # they prefetched, relying on choice(N, p=p) drawing exactly one
+        # uniform u and returning searchsorted(cdf, u, "right") with
+        # cdf = p.cumsum() / its last entry
+        for seed in range(300):
+            g = np.random.default_rng([seed, 3])
+            size = int(g.integers(1, 65))
+            w = g.random(size) ** 3
+            w[g.random(size) < 0.3] = 0.0
+            w[int(g.integers(size))] += 0.1
+            p = w / w.sum()
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            z = int(a.choice(size, p=p))
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            assert z == int(np.searchsorted(cdf, b.random(), side="right"))
+            assert p[z] > 0
+            assert a.bit_generator.state == b.bit_generator.state
+
     @staticmethod
     def _subgroup(n, qubits, rng):
         circ = random_circuit(n, rng)
