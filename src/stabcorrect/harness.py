@@ -151,7 +151,7 @@ class StateSpec:
                 object.__setattr__(self, name, _coerce(f"state {name}", 0, value))
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        require_memory(self.n, 16 << self.n)  # the 2^n complex amplitudes
+        require_memory(f"n = {self.n}", 16 << self.n)  # the 2^n complex amplitudes
         if self.kind == "basis" and not 0 <= self.index < 1 << self.n:
             raise ValueError(f"basis index {self.index} outside [0, 2^{self.n}) for n = {self.n}")
         if self.kind == "tdoped" and (self.t is None or self.t < 0):
@@ -174,7 +174,10 @@ class StateSpec:
         for key in ("kind", "n"):
             if key not in data:
                 raise ValueError(f"state needs the key {key!r}")
-        terms = tuple(map(_combo_term, data["terms"])) if data.get("terms") else None
+        terms = data.get("terms")
+        if terms is not None and not isinstance(terms, (list, tuple)):
+            raise ValueError(f"state terms must be a JSON array, got {terms!r}")
+        terms = tuple(map(_combo_term, terms)) if terms else None
         return StateSpec(
             data["kind"], data["n"], data.get("t"), data.get("m"), data.get("index", 0), terms
         )
@@ -333,7 +336,7 @@ class ExperimentConfig:
         if self.command == "bench":
             if p["n"] < 1:
                 raise ValueError("parameter n must be >= 1")
-            require_memory(p["n"], int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
+            require_memory(f"n = {p['n']}", int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
         elif self.state is None:
             raise ValueError(f"command {self.command!r} needs a state")
         else:
@@ -537,12 +540,12 @@ def _bench(n: int) -> dict:
         canon.append(time.perf_counter() - t0)
     out["prep_s"] = float(np.median(prep))
     out["canonicalize_s"] = float(np.median(canon))
-    # extraction as k grows: per k, the median find_stabilizer time on Haar
-    # states and fresh subgroups of k symplectic pairs and a 2-dimensional
-    # center in a random Clifford frame; the median passes over the first
-    # call, which builds the k-qubit candidate matrix
+    # extraction as k grows from 0: per k, the median find_stabilizer time on
+    # Haar states and fresh subgroups of k symplectic pairs and a
+    # 2-dimensional center in a random Clifford frame; the median passes over
+    # the first call, which builds the k-qubit candidate matrix
     extract = {}
-    for k in range(1, min(5, n - 2) + 1):
+    for k in range(min(5, n - 2) + 1):
         canon_labels = [PauliLabel(n, 1 << q, 0) for q in range(k)]
         canon_labels += [PauliLabel(n, 0, 1 << q) for q in range(k + 2)]
         times = []

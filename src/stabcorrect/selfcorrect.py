@@ -342,43 +342,30 @@ def _rounds(gamma: float) -> int:
 
 
 def _measure_rounds(
-    weights: np.ndarray, rounds: int, rng: np.random.Generator
+    weights: np.ndarray, rounds: int, project: bool, rng: np.random.Generator
 ) -> tuple[dict[tuple[int, int], None], int]:
-    """``rounds`` rounds over the rows c of ``weights``: projecting onto c
-    succeeds with probability p0[c], the row sum, and a success draws z from
-    row c over p0[c].  Returns the collected (c, z) in first-collection order
-    and the number of measurements.
+    """``rounds`` rounds of measurements with the Born weights ``weights``,
+    rows c against outcomes z.  Returns the collected (c, z) in
+    first-collection order and the number of measurements.
 
-    The draws are the scalar loop's, uniform for uniform: ``rng.random() <
-    p0[c]`` per visit, ``rng.choice(len(row), p=row / p0[c])`` per success.
-    A visit takes at least one uniform, so a block as long as the visits left
-    plus the z still owed never overdraws.  ``choice`` returns how many
-    entries of its normalized cdf lie at or below its uniform, so every z is
-    resolved at once from the same cdf."""
+    With ``project``, each round projects onto every row c, which succeeds
+    with probability p0[c], the row sum; without, each round measures row 0
+    outright.  A success draws z from its row over p0[c] with one uniform
+    through the normalized cdf, the lookup ``Generator.choice`` does.  Each
+    measurement uses a fresh copy, so the draws are independent and are
+    taken as two arrays: every projection uniform, round-major, then one
+    uniform per success in visit order.  Without projections that is
+    ``choice(N, size=rounds, p=row / p0[0])``, uniform for uniform."""
     p0 = weights.sum(axis=1)
-    total = rounds * p0.shape[0]
-    visits = iter(list(enumerate(p0.tolist())) * rounds)
-    hits: list[int] = []
-    vs: list[float] = []
-    drawn = 0
-    # uniforms still certain to be read: one per visit left, one per z owed
-    while (size := total + len(hits) - drawn) > 0:
-        us = iter(rng.random(size).tolist())
-        drawn += size
-        if len(vs) < len(hits):
-            vs.append(next(us))
-        # zip pulls the uniform first, so a spent block consumes no visit
-        for u, (ci, pc) in zip(us, visits):
-            if u < pc:
-                hits.append(ci)
-                v = next(us, None)
-                if v is not None:
-                    vs.append(v)
-    cis = np.array(hits, dtype=np.intp)
-    cdf = np.cumsum(weights[cis] / p0[cis, None], axis=1)
+    if project:
+        visits = rounds * p0.shape[0]
+        hits = np.flatnonzero(rng.random(visits) < np.tile(p0, rounds)) % p0.shape[0]
+    else:
+        visits, hits = 0, np.zeros(rounds, dtype=np.intp)
+    cdf = np.cumsum(weights[hits] / p0[hits, None], axis=1)
     cdf /= cdf[:, -1:]
-    zs = (cdf <= np.array(vs)[:, None]).sum(axis=1)
-    return dict.fromkeys(zip(hits, zs.tolist())), total + len(hits)
+    zs = (cdf <= rng.random(hits.shape[0])[:, None]).sum(axis=1)
+    return dict.fromkeys(zip(hits.tolist(), zs.tolist())), visits + hits.shape[0]
 
 
 TIE_TOL = 1e-12
@@ -402,7 +389,8 @@ def find_stabilizer(
     bitstring z.  Each of ``_rounds(gamma)`` rounds, per candidate, draws the
     projection of the first k qubits onto c from the row sum and, on
     success, the computational outcome z of the rest from the row; with
-    k = 0 each round measures all qubits computationally.
+    k = 0 each round measures all qubits computationally.  Both go through
+    ``_measure_rounds``, which draws every round at once.
 
     The rotation is unitary, so a collected entry's contraction value is its
     exact fidelity with ``psi``.  The first collected entry wins unless a
@@ -415,18 +403,12 @@ def find_stabilizer(
     circuit, k, m = canonicalize_subgroup(labels)
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
-    rounds = _rounds(gamma)
-    # (candidate row, z) in first-collection order
-    collected: dict[tuple[int, int], None] = {}
     if k == 0:
         weights = (np.abs(rotated.amps) ** 2)[None, :]
-        law = weights[0] / weights[0].sum()
-        for z in rng.choice(law.shape[0], size=rounds, p=law).tolist():
-            collected[(0, z)] = None
-        measured = rounds
     else:
         weights = _candidate_weights(rotated, k)
-        collected, measured = _measure_rounds(weights, rounds, rng)
+    # (candidate row, z) in first-collection order
+    collected, measured = _measure_rounds(weights, _rounds(gamma), k > 0, rng)
     ledger.charge("measure", copies=measured)
     if not collected:
         raise NoCandidateFound("no candidate collected within the round budget")
@@ -499,10 +481,9 @@ def find_high_stab_dim(
     k = psi.n - m
     blocks = rotated.amps.reshape(1 << m, 1 << k)
     weights = (np.abs(blocks) ** 2).sum(axis=1)
-    law = weights / weights.sum()
-    rounds = _rounds(gamma)
-    seen = set(rng.choice(law.shape[0], size=rounds, p=law).tolist())
-    ledger.charge("measure", copies=rounds)
+    collected, measured = _measure_rounds(weights[None, :], _rounds(gamma), False, rng)
+    ledger.charge("measure", copies=measured)
+    seen = {z for _, z in collected}
     best_z = max(seen, key=lambda z: weights[z])
     if weights[best_z] < BLOCK_TOL:
         raise BlockWeightBelowTolerance("all sampled branches carry negligible weight")

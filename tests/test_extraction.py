@@ -1,8 +1,8 @@
 """The extractors against the measurement loops they replaced:
 find_stabilizer's one-contraction extraction against the per-candidate
-loop, its prefetched round draws against the scalar draw loop, and
-find_high_stab_dim's branch draws against the per-round ``measure_block``
-loop."""
+loop, its array round draws against a scalar draw loop in the same order
+and, in law, against the interleaved loop, and find_high_stab_dim's branch
+draws against the per-round ``measure_block`` loop."""
 
 import numpy as np
 import pytest
@@ -37,9 +37,10 @@ from conftest import measure_block, random_circuit
 
 def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger):
     """The per-candidate loop: each round measures the projector onto every
-    candidate with ``measure_block`` and, on outcome 0, the rest
-    computationally; every collected entry is rotated back and scored by a
-    dense n-qubit overlap with ``psi``.  Same tie rule as the fast path."""
+    candidate with ``measure_block``; then, in visit order, each outcome 0
+    has the rest measured computationally on its post-state; every
+    collected entry is rotated back and scored by a dense n-qubit overlap
+    with ``psi``.  Same draw order and tie rule as the fast path."""
     labels = sub.basis.labels(psi.n)
     circuit, k, m = canonicalize_subgroup(labels)
     rotated = apply_circuit(psi, circuit, ledger)
@@ -55,12 +56,16 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger):
         for gi, eps in _mub_candidates(k)[0]:
             cand = StabilizerState(k, signed_generators(k, mub_covering(k).groups[gi].rows, eps))
             candidates.append((cand, statevector_of(cand), gi, eps))
+        successes = []
         for _ in range(rounds):
-            for ci, (cand, vec, gi, eps) in enumerate(candidates):
+            for ci, (_, vec, _, _) in enumerate(candidates):
                 out, _, post = measure_block(rotated, tuple(range(k)), ("project", vec), rng, ledger)
                 if out == 0:
-                    z, _, _ = measure_block(post, tuple(range(k, n)), "computational", rng, ledger)
-                    collected[(ci, z)] = (cand, z, gi, eps)
+                    successes.append((ci, post))
+        for ci, post in successes:
+            cand, _, gi, eps = candidates[ci]
+            z, _, _ = measure_block(post, tuple(range(k, n)), "computational", rng, ledger)
+            collected[(ci, z)] = (cand, z, gi, eps)
     inverse = circuit.inverse()
     best = None
     for cand, z, gi, eps in collected.values():
@@ -153,10 +158,20 @@ def test_matches_per_candidate_loop(n, k, m, seed):
 
 
 def scalar_rounds(weights, rounds, rng):
-    """The scalar draw loop that ``_measure_rounds`` replaced: one
-    ``rng.random()`` per candidate visit and one ``rng.choice`` per success.
-    Returns the collected keys in first-collection order and the number of
-    measurements."""
+    """``_measure_rounds``' projected draws one scalar call at a time, in its
+    order: one ``rng.random()`` per candidate visit, round by round, then
+    one ``rng.choice`` per success in visit order.  Returns the collected
+    keys in first-collection order and the number of measurements."""
+    p0 = weights.sum(axis=1)
+    hits = [ci for _ in range(rounds) for ci, pc in enumerate(p0.tolist()) if rng.random() < pc]
+    keys = [(ci, int(rng.choice(weights.shape[1], p=weights[ci] / p0[ci]))) for ci in hits]
+    return list(dict.fromkeys(keys)), rounds * p0.shape[0] + len(hits)
+
+
+def interleaved_rounds(weights, rounds, rng):
+    """The loop a measuring device runs: each visit's projection and, on
+    success, its z at once.  Same law as ``scalar_rounds``, other draw
+    order."""
     p0 = weights.sum(axis=1)
     collected, measured = {}, 0
     for _ in range(rounds):
@@ -168,29 +183,16 @@ def scalar_rounds(weights, rounds, rng):
     return list(collected), measured
 
 
-class BlockLog:
-    """A generator that records the size of every uniform block drawn."""
-
-    def __init__(self, seed):
-        self.gen = np.random.default_rng(seed)
-        self.blocks = []
-
-    def random(self, size):
-        self.blocks.append(size)
-        return self.gen.random(size)
-
-
 def assert_same_draws(weights, rounds, seed):
-    """The prefetched draw against the scalar loop: same keys in the same
-    order, same measurement count, same generator state.  Returns the block
-    sizes drawn."""
-    fast, ref = BlockLog(seed), np.random.default_rng(seed)
-    collected, measured = _measure_rounds(weights, rounds, fast)
+    """The array draw against the scalar loop in its order: same keys in the
+    same order, same measurement count, same generator state."""
+    fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    collected, measured = _measure_rounds(weights, rounds, True, fast)
     keys, ref_measured = scalar_rounds(weights, rounds, ref)
     assert list(collected) == keys
     assert measured == ref_measured
-    assert fast.gen.bit_generator.state == ref.bit_generator.state
-    return keys, measured, fast.blocks
+    assert fast.bit_generator.state == ref.bit_generator.state
+    return keys, measured
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -203,23 +205,64 @@ def test_round_draws_match_scalar_loop(k):
             assert_same_draws(weights, rounds, int(rng.integers(2**31)))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_round_draws_follow_the_interleaved_law(k):
+    # the array order draws the same law as the interleaved loop: over 2,000
+    # seeds each, the frequency of every key and the mean measurement count
+    # agree within 4 sigma; a key is collected in a run with probability
+    # 1 - (1 - w)^rounds, w its weight
+    runs, rounds = 2000, 8
+    weights = _candidate_weights(random_state(k + 1, np.random.default_rng(950 + k)), k)
+    draws = {
+        "array": lambda rng: _measure_rounds(weights, rounds, True, rng),
+        "interleaved": lambda rng: interleaved_rounds(weights, rounds, rng),
+    }
+    freq = {name: np.zeros(weights.shape) for name in draws}
+    counts = {name: [] for name in draws}
+    for seed in range(runs):
+        for i, (name, draw) in enumerate(draws.items()):
+            keys, measured = draw(np.random.default_rng([seed, i]))
+            for key in keys:
+                freq[name][key] += 1
+            counts[name].append(measured)
+    law = 1.0 - (1.0 - weights) ** rounds
+    sigma = np.sqrt(2.0 * law * (1.0 - law) / runs)
+    assert np.all(np.abs(freq["array"] - freq["interleaved"]) / runs <= 4.0 * sigma)
+    p0 = weights.sum(axis=1)
+    sigma = np.sqrt(2.0 * rounds * np.sum(p0 * (1.0 - p0)) / runs)
+    assert abs(np.mean(counts["array"]) - np.mean(counts["interleaved"])) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_unprojected_rounds_are_batched_choice(n):
+    # k = 0 and find_high_stab_dim draw without projections: outcome for
+    # outcome and uniform for uniform choice(N, size=rounds, p=law), also
+    # with exact-zero weights
+    g = np.random.default_rng([n, 960])
+    for _ in range(30):
+        w = np.abs(random_state(n, g).amps) ** 2
+        w[g.random(w.shape[0]) < 0.2] = 0.0
+        w[int(g.integers(w.shape[0]))] += 0.1
+        rounds, seed = int(g.integers(1, 65)), int(g.integers(2**31))
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        collected, measured = _measure_rounds(w[None, :], rounds, False, fast)
+        draws = ref.choice(w.shape[0], size=rounds, p=w / w.sum()).tolist()
+        assert list(collected) == [(0, z) for z in dict.fromkeys(draws)]
+        assert measured == rounds
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
 DYADIC_ROW = [0.5, 0.25, 0.125, 0.125]  # sums to exactly 1
 
 
 def forced_weights(k, case):
     """(2^k + 1) 2^k candidate rows over 4 rest outcomes, for 8 rounds.
 
-    ``last_of_block``: one candidate with p0 = 1 and the rest 0, placed so
-    that a success falls on the last uniform of the first block.
     ``zero_and_one``: rows with p0 exactly 0, exactly 1, and in between.
     ``none``: every p0 is 0, so no round collects anything."""
     c = (2**k + 1) * 2**k
     weights = np.zeros((c, 4))
-    if case == "last_of_block":
-        # round r's success is uniform r (c + 1) + j of the first 8c
-        r = (8 * c - 1) // (c + 1)
-        weights[8 * c - 1 - r * (c + 1)] = DYADIC_ROW
-    elif case == "zero_and_one":
+    if case == "zero_and_one":
         rng = np.random.default_rng(k)
         kind = rng.integers(3, size=c)
         weights[kind == 1] = DYADIC_ROW
@@ -228,27 +271,21 @@ def forced_weights(k, case):
     return weights
 
 
-@pytest.mark.parametrize("case", ["last_of_block", "zero_and_one", "none"])
+@pytest.mark.parametrize("case", ["zero_and_one", "none"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_forced_round_draws_match_scalar_loop(k, case, monkeypatch):
     weights = forced_weights(k, case)
     c = weights.shape[0]
     p0 = weights.sum(axis=1)
-    keys, measured, blocks = assert_same_draws(weights, 8, 17)
+    keys, measured = assert_same_draws(weights, 8, 17)
     hit = {ci for ci, _ in keys}
-    if case == "last_of_block":
-        # the first block ends on a success, so the refill is the r visits
-        # still to come plus that success's z uniform
-        r = (8 * c - 1) // (c + 1)
-        assert blocks[:2] == [8 * c, r + 1]
-        assert measured == 8 * c + 8
-    elif case == "zero_and_one":
+    if case == "zero_and_one":
         # a p0 = 1 candidate succeeds at every visit, a p0 = 0 one never
         assert 0 < np.sum(p0 == 0.0) < c and 0 < np.sum(p0 == 1.0) < c
         assert hit >= set(np.flatnonzero(p0 == 1.0).tolist())
         assert not hit & set(np.flatnonzero(p0 == 0.0).tolist())
     else:
-        assert (keys, measured, blocks) == ([], 8 * c, [8 * c])
+        assert (keys, measured) == ([], 8 * c)
 
     # the same draws through find_stabilizer: its measure copies, generator
     # state and winner, and NoCandidateFound when nothing is collected

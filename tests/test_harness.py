@@ -289,6 +289,14 @@ class TestConfig:
             StateSpec.from_json({"kind": "combo", "n": 2, "terms": [term]})
 
     @pytest.mark.parametrize(
+        "terms", [5, {"coeff": [1.0, 0.0], "generators": ["+ZI", "+IZ"]}, "+ZI"]
+    )
+    def test_combo_terms_must_be_an_array(self, terms):
+        # not iterated: an object would yield its keys, a string its characters
+        with pytest.raises(ValueError, match=r"state terms must be a JSON array, got "):
+            StateSpec.from_json({"kind": "combo", "n": 2, "terms": terms})
+
+    @pytest.mark.parametrize(
         "command, key, value, message",
         [
             ("learn-extent", "xi", 0.5, "parameter xi must be >= 1"),
@@ -661,12 +669,14 @@ class TestRun:
         }
         for key in ("char_table_s", "table_build_s", "prep_s", "canonicalize_s"):
             assert rec.outputs[key] > 0
-        # k = 1 ... min(5, n - 2)
+        # k = 0 ... min(5, n - 2)
         extract = rec.outputs["find_stabilizer_s"]
-        assert list(extract) == ["1", "2", "3", "4"]
+        assert list(extract) == ["0", "1", "2", "3", "4"]
         assert all(t > 0 for t in extract.values())
 
-    @pytest.mark.parametrize("n,ks", [(1, []), (2, []), (3, ["1"]), (7, ["1", "2", "3", "4", "5"])])
+    @pytest.mark.parametrize(
+        "n,ks", [(1, []), (2, ["0"]), (3, ["0", "1"]), (7, ["0", "1", "2", "3", "4", "5"])]
+    )
     def test_bench_extraction_sizes(self, n, ks):
         rec = run(ExperimentConfig.from_json({"command": "bench", "params": {"n": n}}))[0]
         assert list(rec.outputs["find_stabilizer_s"]) == ks

@@ -72,7 +72,7 @@ GOLDEN = {
         },
     ),
     "decompose_robust": (
-        (8388608127091288576, 0, 52, 602),
+        (8388608127091288575, 0, 52, 602),
         {
             "apply_circuit": (0, 0, 0, 30),
             "bell_difference": (1098516, 0, 0, 0),
@@ -80,7 +80,7 @@ GOLDEN = {
             "fidelity_shadows": (2171, 0, 0, 0),
             "gowers_estimate": (8388607999999993856, 0, 0, 0),
             "lcu": (0, 0, 52, 572),
-            "measure": (79, 0, 0, 0),
+            "measure": (78, 0, 0, 0),
             "oracle_build": (94208, 0, 0, 0),
             "retention": (548234, 0, 0, 0),
         },
@@ -119,12 +119,12 @@ GOLDEN = {
         },
     ),
     "selfcorrect_threshold_span": (
-        (31773977855, 0, 0, 11),
+        (31773977808, 0, 0, 11),
         {
             "apply_circuit": (0, 0, 0, 11),
             "bell_difference": (346976, 0, 0, 0),
             "edge_test": (31773423836, 0, 0, 0),
-            "fidelity_shadows": (1226, 0, 0, 0),
+            "fidelity_shadows": (1179, 0, 0, 0),
             "measure": (73, 0, 0, 0),
             "oracle_build": (32768, 0, 0, 0),
             "retention": (172976, 0, 0, 0),

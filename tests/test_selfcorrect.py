@@ -524,9 +524,10 @@ class TestFindHighStabDim:
 
 
 class TestBasisDraws:
-    """Both extractors draw their computational-basis rounds with one batched
-    ``rng.choice``; numpy draws the same uniforms in the same order as a
-    loop of scalar calls, so outcomes and generator state match the loop."""
+    """Both extractors draw their computational-basis rounds as one batched
+    ``rng.choice`` would, one uniform per round through the normalized cdf;
+    numpy draws the same uniforms in the same order as a loop of scalar
+    calls, so outcomes and generator state match the loop."""
 
     def test_batched_choice_equals_scalar_loop(self):
         law = np.random.default_rng(0).dirichlet(np.ones(64))
@@ -536,8 +537,8 @@ class TestBasisDraws:
         assert a.bit_generator.state == b.bit_generator.state
 
     def test_choice_is_one_uniform_through_the_normalized_cdf(self):
-        # find_stabilizer's rounds resolve each success's z from a uniform
-        # they prefetched, relying on choice(N, p=p) drawing exactly one
+        # the extractors' rounds resolve each outcome from a uniform they
+        # drew in a batch, relying on choice(N, p=p) drawing exactly one
         # uniform u and returning searchsorted(cdf, u, "right") with
         # cdf = p.cumsum() / its last entry
         for seed in range(300):

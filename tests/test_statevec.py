@@ -17,8 +17,10 @@ from stabcorrect.pauli import (
     stab_state_prep,
     statevector_of,
 )
+from stabcorrect.harness import ExperimentConfig, run
 from stabcorrect.statevec import (
     SAMPLER_MAX_SHOTS,
+    SHOT_PEAK,
     TABLE_BUILD_PEAK,
     StateVector,
     _projection_weights,
@@ -36,6 +38,7 @@ from stabcorrect.statevec import (
     random_state,
     sample_retained,
     sample_weyl_indices,
+    sampled_proxy,
     stab_combination,
 )
 from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
@@ -253,18 +256,60 @@ class TestTableMemory:
         assert not ledger.totals["copies_consumed"]
         assert gowers3_metrics(psi).mode == "exact"
 
+    def test_shot_peak_is_the_measured_constant(self, rng):
+        psi = random_state(3, rng)
+        exact_proxy(psi)
+        tracemalloc.start()
+        try:
+            _, shots = sampled_proxy(psi, 0.01, 1e-3, rng, CostLedger())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / shots == pytest.approx(SHOT_PEAK, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            # ceil(2 ln(2000) / 1e-12), about 1.5e13 shots
+            ("analyze", {"mode": "sampled", "delta": 1e-6}),
+            # a margin of about 1.1e-4, so about 9.2e8 shots
+            ("test", {"mode": "sampled", "t": 4, "eps2": 0.001}),
+        ],
+    )
+    def test_oversized_shot_counts_raise_before_drawing(self, command, params, monkeypatch):
+        # 8 GiB of physical memory, whatever the machine has
+        phys = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+        monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
+
+        def refuse(*args):
+            raise AssertionError("shots drawn")
+
+        monkeypatch.setattr(statevec, "sample_weyl_indices", refuse)
+        config = ExperimentConfig.from_json(
+            {"command": command, "state": {"kind": "haar", "n": 3}, "params": params}
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^\d+ shots needs \d+ bytes, more than the 8589934592"):
+                run(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_sampled_tolerant_test_needs_only_the_cached_tables(self, rng, monkeypatch):
-        # physical memory of 3.5 tables: the sampled test reads only the
-        # q-average, whose tables the state keeps, and two copies per shot
+        # physical memory of 3.5 tables and the shot arrays: the sampled test
+        # reads only the q-average, whose tables the state keeps, and two
+        # copies per shot
         n = 4
         psi = random_state(n, rng)
-        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2}
+        shots = int(np.ceil(2.0 * np.log(2.0 / 0.01) / ((0.9**6 - 0.1) / 10.0) ** 2))
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2 + SHOT_PEAK * shots // 8}
         monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
         ledger = CostLedger()
         assert tolerant_test(psi, 0.9, 0.1, 0, 0.01, rng, ledger, mode="sampled") in ("yes", "no")
         rows = ledger.breakdown
         assert set(rows) == {"bell_difference", "gowers_sampled"}
-        shots = rows["gowers_sampled"]["copies_consumed"] // 2
         assert rows["gowers_sampled"]["copies_consumed"] == 2 * shots > 0
         assert rows["bell_difference"]["copies_consumed"] == 4 * shots
 
