@@ -351,7 +351,7 @@ def _measure_rounds(
     With ``project``, each round projects onto every row c, which succeeds
     with probability p0[c], the row sum; without, each round measures row 0
     outright.  A success draws z from its row over p0[c] with one uniform
-    through the normalized cdf, the lookup ``Generator.choice`` does.  Each
+    through the row's normalized cdf, built once per distinct row.  Each
     measurement uses a fresh copy, so the draws are independent and are
     taken as two arrays: every projection uniform, round-major, then one
     uniform per success in visit order.  Without projections that is
@@ -362,9 +362,13 @@ def _measure_rounds(
         hits = np.flatnonzero(rng.random(visits) < np.tile(p0, rounds)) % p0.shape[0]
     else:
         visits, hits = 0, np.zeros(rounds, dtype=np.intp)
-    cdf = np.cumsum(weights[hits] / p0[hits, None], axis=1)
+    rows, at = np.unique(hits, return_inverse=True)
+    cdf = np.cumsum(weights[rows] / p0[rows, None], axis=1)
     cdf /= cdf[:, -1:]
-    zs = (cdf <= rng.random(hits.shape[0])[:, None]).sum(axis=1)
+    # complex numbers order by real part, then imaginary: with the rows laid
+    # end to end, one search places each uniform within its own row's cdf
+    ends = (np.arange(rows.shape[0])[:, None] + 1j * cdf).ravel()
+    zs = np.searchsorted(ends, at + 1j * rng.random(hits.shape[0]), "right") - at * cdf.shape[1]
     return dict.fromkeys(zip(hits.tolist(), zs.tolist())), visits + hits.shape[0]
 
 

@@ -252,7 +252,35 @@ def test_unprojected_rounds_are_batched_choice(n):
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
-DYADIC_ROW = [0.5, 0.25, 0.125, 0.125]  # sums to exactly 1
+class FixedUniforms:
+    """Stands in for a generator: ``random(size)`` hands out the given
+    uniforms in order."""
+
+    def __init__(self, *us):
+        self.us = list(us)
+
+    def random(self, size):
+        out, self.us = self.us[:size], self.us[size:]
+        assert len(out) == size
+        return np.array(out)
+
+
+def test_uniform_on_a_cdf_step_takes_the_next_outcome():
+    # z is the first index whose cdf exceeds the uniform, as in choice, so
+    # a zero-weight outcome is never drawn, even by a uniform of exactly 0
+    # (row 1's cdf is 0, 0.5, 1, 1 and row 0's is 0.5, 0.75, 0.875, 1)
+    weights = np.array([[0.5, 0.25, 0.125, 0.125], [0.0, 0.25, 0.25, 0.0]])
+    # two rounds of projections: rows 0, 1, 0 succeed; then one z uniform each
+    rng = FixedUniforms(0.0, 0.0, 0.0, 0.75, 0.5, 0.0, 0.875)
+    collected, measured = _measure_rounds(weights, 2, True, rng)
+    assert (list(collected), measured) == ([(0, 1), (1, 1), (0, 3)], 7)
+    rng = FixedUniforms(0.0, 0.5, 0.75)
+    collected, measured = _measure_rounds(weights[1:], 3, False, rng)
+    assert (list(collected), measured) == ([(0, 1), (0, 2)], 3)
+    assert not rng.us
+
+
+DYADIC_ROW =[0.5, 0.25, 0.125, 0.125]  # sums to exactly 1
 
 
 def forced_weights(k, case):

@@ -298,20 +298,21 @@ class TestTableMemory:
         assert peak < 1 << 20
 
     def test_sampled_tolerant_test_needs_only_the_cached_tables(self, rng, monkeypatch):
-        # physical memory of 3.5 tables and the shot arrays: the sampled test
-        # reads only the q-average, whose tables the state keeps, and two
-        # copies per shot
-        n = 4
+        # physical memory of 3.5 tables: the sampled test reads only the
+        # q-average, whose tables the state keeps, and two copies per shot;
+        # at n = 7 the shot arrays fit in it and a fourth table does not
+        n = 7
         psi = random_state(n, rng)
-        shots = int(np.ceil(2.0 * np.log(2.0 / 0.01) / ((0.9**6 - 0.1) / 10.0) ** 2))
-        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2 + SHOT_PEAK * shots // 8}
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2}
         monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
         ledger = CostLedger()
         assert tolerant_test(psi, 0.9, 0.1, 0, 0.01, rng, ledger, mode="sampled") in ("yes", "no")
         rows = ledger.breakdown
         assert set(rows) == {"bell_difference", "gowers_sampled"}
+        shots = rows["gowers_sampled"]["copies_consumed"] // 2
         assert rows["gowers_sampled"]["copies_consumed"] == 2 * shots > 0
         assert rows["bell_difference"]["copies_consumed"] == 4 * shots
+        assert SHOT_PEAK * shots <= 8 * phys["SC_PHYS_PAGES"] < 4 * 8 * 4**n
 
 
 class TestSampling:
