@@ -39,6 +39,7 @@ from .selfcorrect import (
     self_correct,
     threshold_span_oracle,
     tolerant_test,
+    tolerant_thresholds,
 )
 from .statevec import (
     TABLE_BUILD_PEAK,
@@ -151,7 +152,7 @@ class StateSpec:
                 object.__setattr__(self, name, _coerce(f"state {name}", 0, value))
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        require_memory(f"n = {self.n}", 16 << self.n)  # the 2^n complex amplitudes
+        require_memory(self.n, 16 << self.n)  # the 2^n complex amplitudes
         if self.kind == "basis" and not 0 <= self.index < 1 << self.n:
             raise ValueError(f"basis index {self.index} outside [0, 2^{self.n}) for n = {self.n}")
         if self.kind == "tdoped" and (self.t is None or self.t < 0):
@@ -329,6 +330,8 @@ class ExperimentConfig:
             raise ValueError(f"parameter separation_c must be > 0, got {p['separation_c']}")
         if "t" in p and p["t"] < 0:
             raise ValueError(f"parameter t must be >= 0, got {p['t']}")
+        if self.command == "test":
+            tolerant_thresholds(p["eps1"], p["eps2"], p["t"], p["separation_c"])
         choice_params = {"loop": LOOPS, "learner": LEARNERS, "oracle": ORACLES, "mode": MODES}
         for key, choices in choice_params.items():
             if key in p and p[key] not in choices:
@@ -336,7 +339,7 @@ class ExperimentConfig:
         if self.command == "bench":
             if p["n"] < 1:
                 raise ValueError("parameter n must be >= 1")
-            require_memory(f"n = {p['n']}", int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
+            require_memory(p["n"], int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
         elif self.state is None:
             raise ValueError(f"command {self.command!r} needs a state")
         else:
@@ -348,6 +351,16 @@ class ExperimentConfig:
                 raise ValueError(
                     f"parameter t = {p['t']} needs loop 'robust': the error_free loop has no "
                     "stabilizer-dimension threshold"
+                )
+            if n > ORACLE_MAX_QUBITS and self.command == "oracle":
+                raise ValueError(
+                    f"command 'oracle' runs the exact oracle, capped at n <= {ORACLE_MAX_QUBITS}: "
+                    f"n = {n}"
+                )
+            if n > ORACLE_MAX_QUBITS and p.get("learner") == "bruteforce":
+                raise ValueError(
+                    f"learner 'bruteforce' runs the exact oracle, capped at n <= {ORACLE_MAX_QUBITS}: "
+                    f"n = {n}; learner 'self_correct' runs above it"
                 )
             for t in p.get("stab_dims", ()):
                 if not 0 <= t <= n:

@@ -112,12 +112,20 @@ class CliffordCircuit:
             if name == "CNOT" and qs[0] == qs[1]:
                 raise ValueError("CNOT control equals target")
 
+    @staticmethod
+    def _emitted(n: int, gates) -> "CliffordCircuit":
+        """A circuit of gates valid by construction (emitted by ``_PauliColumns``
+        or taken from a checked circuit), built without checking them again."""
+        circuit = object.__new__(CliffordCircuit)
+        object.__setattr__(circuit, "n", n)
+        object.__setattr__(circuit, "gates", tuple(gates))
+        return circuit
+
     def __len__(self):
         return len(self.gates)
 
     def inverse(self) -> "CliffordCircuit":
-        """The exact adjoint, S^dagger as S then Z.  Its gates are this
-        checked circuit's gates, so it is built without checking them again."""
+        """The exact adjoint, S^dagger as S then Z."""
         inv = []
         for name, qs in reversed(self.gates):
             if name == "S":
@@ -125,10 +133,7 @@ class CliffordCircuit:
                 inv.append(("Z", qs))
             else:
                 inv.append((name, qs))
-        circuit = object.__new__(CliffordCircuit)
-        object.__setattr__(circuit, "n", self.n)
-        object.__setattr__(circuit, "gates", tuple(inv))
-        return circuit
+        return CliffordCircuit._emitted(self.n, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +347,7 @@ def canonicalize_subgroup(
     for i in range(k):
         cols.reduce_pair(2 * i, 2 * i + 1, i)
     cols.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
-    return CliffordCircuit(n, tuple(cols.gates)), k, m
+    return CliffordCircuit._emitted(n, cols.gates), k, m
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +411,13 @@ class StabilizerState:
         if "prep" not in self._cache:
             cols = _PauliColumns(self.n, self.generators)
             cols.reduce_isotropic(list(range(self.n)), 0)
-            gates = CliffordCircuit(self.n, tuple(cols.gates)).inverse().gates
+            gates = CliffordCircuit._emitted(self.n, cols.gates).inverse().gates
             amps = kernels.apply_gates(kernels.zero_state(self.n), gates)
             factor = _canonical_phase_factor(amps)
             k = int(round((np.angle(factor) / (np.pi / 4)) % 8))
             if abs(factor - np.exp(1j * np.pi * k / 4)) > 1e-9:
                 raise AssertionError("prep phase is not an 8th root of unity")
-            circuit = CliffordCircuit(self.n, gates + _OMEGA_BLOCK * k)
+            circuit = CliffordCircuit._emitted(self.n, gates + _OMEGA_BLOCK * k)
             self._cache["prep"] = circuit, amps * factor
         return self._cache["prep"]
 

@@ -17,6 +17,7 @@ validate end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -541,6 +542,25 @@ def self_correct(
     raise SelfCorrectionFailed(f"attempt budget exhausted: {last}")
 
 
+def tolerant_thresholds(eps1: float, eps2: float, t: int, separation_c: float) -> tuple[float, float]:
+    """The tolerant test's yes floor 2^{-2t} eps1^6 and no ceiling eps2^{1/C},
+    C = ``separation_c``; ValueError naming all of them when the floor does
+    not clear the ceiling (a NaN C included)."""
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if separation_c <= 0:
+        raise ValueError(f"separation_c must be > 0, got {separation_c}")
+    # ldexp takes any t, where 2.0 ** (-2 * t) overflows
+    yes_floor, no_ceiling = math.ldexp(eps1**6, -2 * t), eps2 ** (1.0 / separation_c)
+    if not yes_floor > no_ceiling:
+        raise ValueError(
+            f"inseparable (eps1, eps2, t) configuration: eps1 = {eps1}, eps2 = {eps2}, t = {t} and "
+            f"separation_c = {separation_c} give a yes floor 2^-2t eps1^6 = {yes_floor:.6g} "
+            f"that does not clear the no ceiling eps2^(1/C) = {no_ceiling:.6g}"
+        )
+    return yes_floor, no_ceiling
+
+
 def tolerant_test(
     psi: StateVector,
     eps1: float,
@@ -558,18 +578,11 @@ def tolerant_test(
     bound eps2^{1/C} must sit strictly below it (C is configuration).  The
     estimate is thresholded with a tenth of the separation as margin.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if separation_c <= 0:
-        raise ValueError(f"separation_c must be > 0, got {separation_c}")
-    yes_floor = 2.0 ** (-2 * t) * eps1**6
-    no_ceiling = eps2 ** (1.0 / separation_c)
-    if not yes_floor > no_ceiling:
-        raise ValueError("inseparable (eps1, eps2, t) configuration")
+    yes_floor, no_ceiling = tolerant_thresholds(eps1, eps2, t, separation_c)
     margin = (yes_floor - no_ceiling) / 10.0
     if mode == "exact":
         proxy = exact_proxy(psi)
-    elif mode == "sampled":  # the q-average alone: no p-average shots, no fourth table
+    elif mode == "sampled":  # the q-average alone: 6 copies per shot, no p-average shots
         proxy = sampled_proxy(psi, margin, delta, rng, ledger)[0]
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -15,9 +15,10 @@ behavior enters only through declared shot counts in the estimators, which
 makes every statistical guarantee directly testable.  A state caches three
 4^n float64 tables, <W_x>^2 and the cumulative difference-sampling and
 retained laws, 24 * 4^n bytes in steady state; the build peaks at
-``TABLE_BUILD_PEAK`` tables, sampled ``gowers3_metrics`` adds a fourth, and
-either raises ValueError before it allocates when its peak would exceed
-physical memory.
+``TABLE_BUILD_PEAK`` tables and raises ValueError before it allocates when
+that peak would exceed physical memory.  A sampled average over independent
+two-outcome shots is drawn as its +1 count, one binomial, so it holds no
+per-shot array.
 
 States are immutable values; operations return new states.  Independent
 trials may run concurrently provided each owns a distinct RngStream path and
@@ -52,12 +53,6 @@ NORM_TOL = 1e-10
 # Measured with tracemalloc: 3.006 at n = 8 (re-measured by test_statevec),
 # 3.001 at n = 9 and 3.000 at n = 10, 11 and 12.
 TABLE_BUILD_PEAK = 3.0
-
-# Peak bytes per shot of ``sampled_proxy``'s arrays (uniforms, label indices,
-# probabilities and outcomes), which sampled ``gowers3_metrics`` reuses for its
-# p-average.  Measured with tracemalloc: 40.0 from 1.5e5 to 3.8e6 shots at
-# n = 2, 3 and 4 (re-measured by test_statevec).
-SHOT_PEAK = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +103,12 @@ def apply_circuit(psi: StateVector, circuit: CliffordCircuit, ledger: CostLedger
     return StateVector(psi.n, amps)
 
 
-def require_memory(what: str, nbytes: int) -> None:
-    """Raise before an allocation for ``what`` that needs more than physical memory."""
+def require_memory(n: int, nbytes: int) -> None:
+    """Raise before an n-qubit allocation that needs more than physical memory."""
     phys = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > phys:
         raise ValueError(
-            f"{what} needs {nbytes} bytes, more than the {phys} bytes of physical memory"
+            f"n = {n} needs {nbytes} bytes, more than the {phys} bytes of physical memory"
         )
 
 
@@ -121,7 +116,7 @@ def expectation_squares(psi: StateVector) -> np.ndarray:
     """All 4^n squared expectations <W_x>^2, indexed by ``PauliLabel.to_vector``
     and computed once per state; the signed table is not kept."""
     if "w2" not in psi._cache:
-        require_memory(f"n = {psi.n}", int(TABLE_BUILD_PEAK * 8 * 4**psi.n))
+        require_memory(psi.n, int(TABLE_BUILD_PEAK * 8 * 4**psi.n))
         w2 = kernels.char_expectations(psi.amps, psi.n)
         np.square(w2, out=w2)
         psi._cache["w2"] = w2
@@ -223,21 +218,21 @@ def sampled_proxy(
     psi: StateVector, delta: float, fail_prob: float, rng: np.random.Generator, ledger: CostLedger
 ) -> tuple[float, int]:
     """Estimate of the q-average E_{x~q}[<W_x>^2] to within ``delta`` with
-    probability >= 1 - fail_prob, and its shot count: each shot draws x ~ q
-    and measures W_x on two copies, which sees +1 with probability
-    (1 + <W_x>^2)/2.  Reads only the three cached tables; raises before any
-    draw when the shot arrays would exceed physical memory."""
+    probability >= 1 - fail_prob, and its shot count.
+
+    Each shot draws x ~ q on 4 copies and measures W_x on two more, which
+    sees +1 with probability (1 + <W_x>^2)/2.  The shots use fresh copies, so
+    they are independent with Pr[+1] = (1 + proxy)/2: the estimate is
+    ``binomial_estimate`` of the cached proxy, one draw whatever the shot
+    count, and each shot is charged its six copies."""
     if rng is None:
         raise ValueError("sampled mode needs an rng")
     if ledger is None:
         raise ValueError("sampled mode needs a ledger")
     shots = int(np.ceil(2.0 * np.log(2.0 / fail_prob) / delta**2))
-    require_memory(f"{shots} shots", SHOT_PEAK * shots)
-    xs = sample_weyl_indices(psi, shots, rng, ledger)
-    pr_plus = 0.5 * (1.0 + expectation_squares(psi)[xs])
-    outcomes = 2.0 * (rng.random(shots) < pr_plus) - 1.0
+    ledger.charge("bell_difference", copies=4 * shots)
     ledger.charge("gowers_sampled", copies=2 * shots)
-    return float(outcomes.mean()), shots
+    return float(binomial_estimate(exact_proxy(psi), shots, rng)), shots
 
 
 GOWERS_FAIL_PROB = 1e-3  # sampled gowers3_metrics: chance the q-average misses by delta
@@ -257,26 +252,20 @@ def gowers3_metrics(
     draws and charges nothing.  Sampled mode, which needs ``rng`` and
     ``ledger``, estimates the q-average with ``sampled_proxy`` at failure
     probability ``GOWERS_FAIL_PROB`` and then the p-average with as many
-    shots, so each shot costs six copies.
+    conjugate-assisted pair shots, each on four copies and seeing +1 with
+    probability (1 + u3pow8)/2, so each shot costs ten copies.
     """
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     w2 = expectation_squares(psi)
     # p = w2 / 2^n: scaling by a power of two commutes with every rounding,
-    # so these equal the dot product and cumsum of p itself, bit for bit
+    # so this equals the dot product of p itself, bit for bit
+    u3pow8 = float(np.dot(w2, w2)) / (1 << psi.n)
     if mode == "exact":
-        return GowersMetrics(exact_proxy(psi), float(np.dot(w2, w2)) / (1 << psi.n), "exact")
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    # cumsum(w2) below is a fourth table beside the three the state keeps
-    require_memory(f"n = {psi.n}", int((TABLE_BUILD_PEAK + 1) * 8 * 4**psi.n))
+        return GowersMetrics(exact_proxy(psi), u3pow8, "exact")
     proxy, shots = sampled_proxy(psi, delta, GOWERS_FAIL_PROB, rng, ledger)
-    # the p-average needs conjugate-assisted pair sampling; same estimator shape
-    pcum = np.cumsum(w2)
-    ys = kernels.inverse_cdf(pcum, rng.random(shots) * pcum[-1])
-    pr_plus = 0.5 * (1.0 + w2[ys])
-    out2 = 2.0 * (rng.random(shots) < pr_plus) - 1.0
-    # two sampling plus two measured copies per conjugate-pair shot
     ledger.charge("gowers_sampled", copies=4 * shots)
-    return GowersMetrics(proxy, float(out2.mean()), "sampled", shots)
+    return GowersMetrics(proxy, float(binomial_estimate(u3pow8, shots, rng)), "sampled", shots)
 
 
 SAMPLER_MAX_SHOTS = int(np.iinfo(np.int64).max)

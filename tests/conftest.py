@@ -579,6 +579,22 @@ def retained_reference(psi, count, rng):
     return np.array(kept), trials
 
 
+def per_shot_averages(psi, shots, runs, rng):
+    """Sampled ``gowers3_metrics``' two averages simulated shot by shot, for
+    ``runs`` independent runs: each shot draws a label from the law (q for
+    the proxy, p for u3pow8) and records +1 with probability
+    (1 + <W_x>^2)/2.  Returns the proxy and u3pow8 estimates, one per run."""
+    p, q = distribution_tables(psi)
+    w2 = expectation_squares(psi)
+    out = []
+    for law in (q, p):
+        cum = np.cumsum(law)
+        xs = inverse_cdf_reference(cum, rng.random(runs * shots) * cum[-1])
+        plus = rng.random(runs * shots) < 0.5 * (1.0 + w2[xs])
+        out.append((2.0 * plus - 1.0).reshape(runs, shots).mean(axis=1))
+    return tuple(out)
+
+
 def _exact_betas(psi, phis):
     """Exact running coefficients: <phi_j|psi> minus the cross-terms of the
     earlier terms, as the loop's exact estimator builds them."""

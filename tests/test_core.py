@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -279,3 +281,24 @@ def test_unset_public_options_are_pinned():
             if not by_position and arg not in keywords.get(name, set()):
                 unset.add(f"{qualified}.{arg}")
     assert unset == UNSET_PUBLIC_OPTIONS
+
+
+def test_readme_dotted_names_resolve():
+    # every backticked ``module.name`` or ``Class.member`` in the README is a
+    # live attribute of the package, so renaming or removing one fails here
+    modules = {
+        stem: importlib.import_module(f"stabcorrect.{stem}")
+        for stem, _ in _package_trees() if not stem.startswith("_")
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    names = sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", readme)))
+    assert names
+    stale = []
+    for name in names:
+        head, *rest = name.split(".")
+        owner = modules.get(head) or next((vars(m)[head] for m in modules.values() if head in vars(m)), None)
+        for part in rest:
+            owner = getattr(owner, part, None)
+        if owner is None:
+            stale.append(name)
+    assert not stale, f"README names no live attribute: {stale}"

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stabcorrect import harness
@@ -26,6 +26,7 @@ from stabcorrect.harness import (
 from stabcorrect.gf2 import PauliLabel
 from stabcorrect.pauli import PhasedPauli
 from stabcorrect.rng import RngStream
+from stabcorrect.selfcorrect import tolerant_thresholds
 from stabcorrect.statevec import bruteforce_stab_dim_fidelity, bruteforce_stab_fidelity
 
 from conftest import weyl_matrix
@@ -181,6 +182,13 @@ def config_dicts(draw):
     params = {key: draw(PARAM_VALUES[key](n)) for key in keys}
     if params.get("loop") == "error_free":
         params["t"] = 0
+    if command == "test":
+        # an inseparable (eps1, eps2, t, separation_c) is refused with the config
+        p = {**harness.PARAMS["test"], **params}
+        try:
+            tolerant_thresholds(p["eps1"], p["eps2"], p["t"], p["separation_c"])
+        except ValueError:
+            assume(False)
     data = {
         "command": command,
         "params": params,
@@ -547,7 +555,7 @@ class TestConfig:
         [
             ("oracle", {"stab_dims": [0, 3]}),
             ("decompose", {"t": 2}),
-            ("test", {"t": 7}),  # the test's t has no upper bound
+            ("test", {"t": 7, "eps2": 1e-6}),  # the test's t has no upper bound
             ("decompose", {"t": 0, "loop": "error_free"}),
         ],
     )
@@ -555,6 +563,50 @@ class TestConfig:
         ExperimentConfig.from_json(
             {"command": command, "state": {"kind": "haar", "n": 3}, "params": params}
         )
+
+    def test_inseparable_test_refused_before_the_first_trial(self, monkeypatch):
+        # with the defaults eps1 = 0.9 and eps2 = 0.05, t = 2 gives a yes
+        # floor 2^-4 0.9^6 = 0.0332 below the no ceiling 0.05; t = 1 clears it
+        built = []
+        monkeypatch.setattr(
+            harness, "gen_state", lambda spec, rng: built.append(spec) or gen_state(spec, rng)
+        )
+        data = {"command": "test", "state": {"kind": "haar", "n": 3}, "params": {"t": 2}}
+        message = (
+            r"^inseparable \(eps1, eps2, t\) configuration: eps1 = 0\.9, eps2 = 0\.05, t = 2 and "
+            r"separation_c = 1\.0 give a yes floor 2\^-2t eps1\^6 = 0\.0332151 that does not "
+            r"clear the no ceiling eps2\^\(1/C\) = 0\.05$"
+        )
+        with pytest.raises(ValueError, match=message):
+            run(ExperimentConfig.from_json(data))
+        assert built == []
+        data["params"]["t"] = 1
+        assert run(ExperimentConfig.from_json(data))[0].outputs["verdict"] in ("yes", "no")
+        assert len(built) == 1
+        # a t whose 2^-2t no float holds has a yes floor of 0
+        data["params"]["t"] = 10**400
+        with pytest.raises(ValueError, match=r"^inseparable .* yes floor 2\^-2t eps1\^6 = 0 "):
+            ExperimentConfig.from_json(data)
+
+    @pytest.mark.parametrize(
+        "command, params, message",
+        [
+            ("oracle", {}, "command 'oracle' runs the exact oracle"),
+            ("oracle", {"stab_dims": [1]}, "command 'oracle' runs the exact oracle"),
+            ("decompose", {}, "learner 'bruteforce' runs the exact oracle"),
+            ("decompose", {"loop": "error_free"}, "learner 'bruteforce' runs the exact oracle"),
+            ("learn-extent", {"learner": "bruteforce"}, "learner 'bruteforce' runs the exact oracle"),
+        ],
+    )
+    def test_exact_oracle_configs_refused_above_the_cap(self, command, params, message):
+        # refused by the config itself, before any state is built; one qubit
+        # fewer is accepted
+        data = {"command": command, "state": {"kind": "haar", "n": 6}, "params": params}
+        hint = "; learner 'self_correct' runs above it" if "learner" in message else ""
+        with pytest.raises(ValueError, match=rf"^{message}, capped at n <= 5: n = 6{hint}$"):
+            ExperimentConfig.from_json(data)
+        data["state"]["n"] = 5
+        ExperimentConfig.from_json(data)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format 'xml'"):
@@ -696,16 +748,14 @@ class TestRun:
 
 
     def test_oracle_refused_above_cap(self):
-        cfg = ExperimentConfig.from_json(
-            {
-                "command": "oracle",
-                "state": {"kind": "haar", "n": 6},
-                "params": {"stab_dims": [3]},
-                "seed": 0,
-            }
-        )
-        with pytest.raises(ValueError, match="capped at n <= 5: n = 6 has"):
-            run(cfg)
+        data = {
+            "command": "oracle",
+            "state": {"kind": "haar", "n": 6},
+            "params": {"stab_dims": [3]},
+            "seed": 0,
+        }
+        with pytest.raises(ValueError, match="capped at n <= 5: n = 6$"):
+            ExperimentConfig.from_json(data)
 
     @pytest.mark.parametrize("loop", ["robust", "error_free"])
     @pytest.mark.parametrize("seed", [112, 113])

@@ -233,6 +233,34 @@ class TestTableau:
         assert inv == CliffordCircuit(4, inv.gates) and checked == [inv]
         assert hash(inv) == hash(CliffordCircuit(4, inv.gates))
 
+    def test_emitted_circuits_are_not_checked_again(self, rng, monkeypatch):
+        # canonicalization and preparation build their circuits from the
+        # column store's gates without the public constructor's checks
+        gens = [random_label(4, rng) for _ in range(6)]
+        state = StabilizerState(4, conjugate(random_circuit(4, rng), signed_generators(
+            4, [PauliLabel(4, 0, 1 << q).to_vector() for q in range(4)], 0b0101
+        )))
+        checked = []
+        monkeypatch.setattr(CliffordCircuit, "__post_init__", lambda self: checked.append(self))
+        canonicalize_subgroup(gens)
+        canonicalize_subgroup(gens, center_tail=True)
+        stab_state_prep(state)
+        assert checked == []
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+    def test_emitted_circuits_pass_the_public_checks(self, n, seed, center_tail):
+        # every circuit built unchecked is one the public constructor accepts
+        # unchanged: canonicalizations of random subgroups, preparations of
+        # random signed stabilizer states, and their inverses
+        rng = np.random.default_rng(seed)
+        gens = [random_label(n, rng) for _ in range(int(rng.integers(1, 2 * n + 2)))]
+        zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
+        signs = int(rng.integers(1 << n))
+        state = StabilizerState(n, conjugate(random_circuit(n, rng), signed_generators(n, zs, signs)))
+        circuits = [canonicalize_subgroup(gens, center_tail=center_tail)[0], stab_state_prep(state)]
+        for c in circuits + [c.inverse() for c in circuits]:
+            assert CliffordCircuit(n, c.gates) == c
+
     @pytest.mark.parametrize("n,gates,message", [
         (1, (("T", (0,)),), "unknown gate 'T'"),
         (1, (("Y", (0,)),), "unknown gate 'Y'"),
