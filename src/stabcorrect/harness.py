@@ -33,7 +33,9 @@ from .pauli import (
 from .rng import RngStream
 from .selfcorrect import (
     ATTEMPTS,
+    BsgParams,
     SubgroupV,
+    _edge_shots,
     find_stabilizer,
     planted_oracle,
     self_correct,
@@ -42,7 +44,9 @@ from .selfcorrect import (
     tolerant_thresholds,
 )
 from .statevec import (
+    GOWERS_FAIL_PROB,
     TABLE_BUILD_PEAK,
+    _proxy_shots,
     StateVector,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
@@ -54,6 +58,8 @@ from .statevec import (
     statevector_of_stab,
 )
 from .iterate import (
+    _extent_eps,
+    _stop_rule,
     base_learner_bruteforce,
     base_learner_self_correct,
     iterate_error_free,
@@ -88,6 +94,9 @@ PARAMS = {
     "bench": {"n": 10},
 }
 COMMANDS = tuple(PARAMS)
+# above this n the 2^n amplitudes alone (16 << n bytes) pass 2^64 bytes, more
+# than a 64-bit machine addresses; checked before any shift or power of n
+_MAX_N = 60
 
 
 def _coerce(name: str, default, value):
@@ -148,10 +157,10 @@ class StateSpec:
         if self.kind not in STATE_KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}")
         for name in ("n", "t", "m", "index"):
-            if (value := getattr(self, name)) is not None:
+            if (value := getattr(self, name)) is not None or name in ("n", "index"):
                 object.__setattr__(self, name, _coerce(f"state {name}", 0, value))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        if not 1 <= self.n <= _MAX_N:
+            raise ValueError(f"state n must lie in [1, {_MAX_N}], got {self.n}")
         require_memory(self.n, 16 << self.n)  # the 2^n complex amplitudes
         if self.kind == "basis" and not 0 <= self.index < 1 << self.n:
             raise ValueError(f"basis index {self.index} outside [0, 2^{self.n}) for n = {self.n}")
@@ -337,8 +346,8 @@ class ExperimentConfig:
             if key in p and p[key] not in choices:
                 raise ValueError(f"parameter {key} must be one of {', '.join(choices)}, got {p[key]!r}")
         if self.command == "bench":
-            if p["n"] < 1:
-                raise ValueError("parameter n must be >= 1")
+            if not 1 <= p["n"] <= _MAX_N:
+                raise ValueError(f"parameter n must lie in [1, {_MAX_N}], got {p['n']}")
             require_memory(p["n"], int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
         elif self.state is None:
             raise ValueError(f"command {self.command!r} needs a state")
@@ -369,6 +378,21 @@ class ExperimentConfig:
             if self_corrects and p["oracle"] == "planted" and self.state.kind in _GROUPLESS_KINDS:
                 raise ValueError(f"oracle 'planted' needs a known stabilizer group; "
                                  f"state kind {self.state.kind!r} has none")
+            # sample and copy counts the run will compute, each finite
+            if self_corrects:
+                try:
+                    _edge_shots(BsgParams.practical(p["gamma"], p["delta"]))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"parameter gamma = {p['gamma']} with delta = {p['delta']} gives no "
+                        f"finite edge-test shot count: {exc}"
+                    ) from None
+            if self.command == "analyze" and p["mode"] == "sampled":
+                _proxy_shots(p["delta"], GOWERS_FAIL_PROB)
+            if self.command == "decompose":
+                _stop_rule(p["eps"], p["t"], p["loop"] == "robust")
+            if self.command == "learn-extent":
+                _extent_eps(p["xi"], p["eps_prime"])
 
     def resolved_params(self) -> dict:
         """The command's params with every default filled in."""

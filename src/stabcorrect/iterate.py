@@ -13,6 +13,7 @@ experiment configurations with disjoint RNG paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,14 +155,14 @@ def _iterate(
     budget: float,
     slack: int,
     threshold: float,
-    charge_at: float,
+    copies: int,
     estimator="exact",
 ) -> Decomposition:
     """The one loop behind both entry points.
 
     Runs at most ceil(budget/eta^2) + slack iterations.  Each stops on alpha^2
     below eps, on an exact proxy below ``threshold`` (its estimate is charged
-    at accuracy ``charge_at``), or on a learner that raises
+    ``copies``), or on a learner that raises
     ``SelfCorrectionFailed``, keeping the terms learnt so far; otherwise it
     learns phi_t from the residual, re-estimates every overlap <phi_j|psi> at
     the ``ErrorSchedule(eta)`` tolerance delta/(3 t^4) (each Hadamard test
@@ -178,8 +179,6 @@ def _iterate(
     identity (the removed mass is |beta_t|^2) and the orthogonality of the
     new residual to phi_t.  On exit, asserts k <= budget/eta^2.
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0, 1)")
     eta = learner.promise(eps)
     schedule = ErrorSchedule(eta)
     t_max = int(np.ceil(budget / eta**2)) + slack
@@ -197,7 +196,7 @@ def _iterate(
             break
         if t > 1:
             lcu_residual(norm, phis, betas, ledger)
-        ledger.charge("gowers_estimate", copies=int(np.ceil(16.0 / charge_at**2)))
+        ledger.charge("gowers_estimate", copies=copies)
         if exact_proxy(residual) < threshold:
             stop = STOP_GOWERS
             break
@@ -246,6 +245,24 @@ def _iterate(
     return dec
 
 
+def _stop_rule(eps: float, t: int, robust: bool) -> tuple[float, int]:
+    """The loop's stop threshold on the proxy, 2^-2t eps^6, and the copies
+    of each proxy estimate, ceil(16 / a^2) at the accuracy a = the threshold
+    (error-free) or half of it (robust).  An eps outside (0, 1), or one that
+    leaves the count without a finite value, raises ValueError."""
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    threshold = 2.0 ** (-2 * t) * eps**6
+    accuracy = threshold / 2.0 if robust else threshold
+    copies = 16.0 / accuracy**2 if accuracy**2 > 0 else math.inf
+    if copies == math.inf:
+        raise ValueError(
+            f"parameter eps = {eps} with t = {t} gives no finite copy count 16 / a^2 for "
+            f"proxy estimates at accuracy a = {accuracy:.3g}"
+        )
+    return threshold, math.ceil(copies)
+
+
 def iterate_error_free(
     psi: StateVector,
     eps: float,
@@ -256,9 +273,10 @@ def iterate_error_free(
     """Exact-mode loop: all estimates are exact, stopping on the two
     conditions (q-average below eps^6, or alpha^2 below eps) or on exact
     tomography, within k <= 1/eta^2 iterations."""
+    threshold, copies = _stop_rule(eps, 0, False)
     return _iterate(
         psi, eps, learner, ledger, rng,
-        budget=1.0, slack=0, threshold=eps**6, charge_at=eps**6,
+        budget=1.0, slack=0, threshold=threshold, copies=copies,
     )
 
 
@@ -286,11 +304,10 @@ def iterate_robust(
     """
     if not 0 <= t < psi.n:
         raise ValueError("need 0 <= t < n")
-    threshold = 2.0 ** (-2 * t) * eps**6
+    threshold, copies = _stop_rule(eps, t, True)
     return _iterate(
         psi, eps, learner, ledger, rng,
-        budget=9.0, slack=8, threshold=threshold, charge_at=threshold / 2.0,
-        estimator=estimator,
+        budget=9.0, slack=8, threshold=threshold, copies=copies, estimator=estimator,
     )
 
 
@@ -316,6 +333,20 @@ class LowExtentResult:
         }
 
 
+def _extent_eps(xi: float, eps_prime: float) -> float:
+    """The robust loop's eps in ``learn_low_extent``, (eps' / (2 xi))^2.  A
+    pair whose loop has no finite proxy-estimate cost raises ValueError."""
+    eps = (eps_prime / (2.0 * xi)) ** 2
+    try:
+        _stop_rule(eps, 0, True)
+    except ValueError as exc:
+        raise ValueError(
+            f"parameters xi = {xi} and eps_prime = {eps_prime} give no finite "
+            f"proxy-estimate cost: {exc}"
+        ) from None
+    return eps
+
+
 def learn_low_extent(
     psi: StateVector,
     xi: float,
@@ -330,8 +361,7 @@ def learn_low_extent(
     nothing) gives overlap 0, no state and an empty recipe."""
     if not xi >= 1:
         raise ValueError(f"xi must be >= 1, got {xi}")
-    eps = (eps_prime / (2.0 * xi)) ** 2
-    dec = iterate_robust(psi, eps, learner, ledger, rng)
+    dec = iterate_robust(psi, _extent_eps(xi, eps_prime), learner, ledger, rng)
     structured = dec.structured_vector()
     norm = float(np.linalg.norm(structured))
     if norm < ZERO_RESIDUAL_TOL:

@@ -3,6 +3,11 @@ common-neighbor membership tests, small-doubling collection, covering-subgroup
 construction, stabilizer extraction (proper and improper), and the tolerant
 tester for high stabilizer dimension.
 
+Every membership test of one collection reads one pool of retained samples.
+The pool is drawn independently of the vertex pairs, so each test keeps the
+law of a test with its own samples, and "every test answers correctly" is a
+union bound over the tests, which needs no independence between them.
+
 The covering subgroup is the step the paper assumes (the algorithmic
 polynomial Freiman-Ruzsa conjecture).  It enters as an oracle, any callable
 ``oracle(psi, rng, ledger) -> Gf2Basis``: ``planted_oracle(*bases)`` returns
@@ -111,26 +116,36 @@ def _shot_test(w: np.ndarray, zeta: float, shots: int, rng: np.random.Generator)
     return passed
 
 
+def _edge_shots(params: BsgParams) -> int:
+    """Shots N = ceil(2 ln(6/delta') / zeta'^2) of each edge estimate: zeta'
+    is the slack zeta2/2 and delta' = delta / (5 (1 + r + 2 r s)) one edge
+    test's failure budget.  ValueError when N has no finite value."""
+    delta_p = params.delta / (5.0 * (1 + params.r + 2 * params.r * params.s))
+    slack2 = params.zeta_slack**2
+    shots = 2.0 * float(np.log(6.0 / delta_p)) / slack2 if delta_p > 0 and slack2 > 0 else math.inf
+    if shots == math.inf:
+        raise ValueError(
+            f"2 ln(6/delta') / zeta'^2 is not finite at zeta' = {params.zeta_slack:.3g} "
+            f"and delta' = {delta_p:.3g}"
+        )
+    return math.ceil(shots)
+
+
 def _edge_batch(
     psi: StateVector,
     xs: np.ndarray,
     ys: np.ndarray,
     zeta: float,
-    zeta_p: float,
-    delta: float,
+    shots: int,
     rng: np.random.Generator,
     ledger: CostLedger,
-    exact: bool,
 ) -> np.ndarray:
     """Edge flags of the pairs (xs[i], ys[i]): <W_x>^2, <W_y>^2 and
-    <W_{x^y}>^2 all reach zeta.  Sampled, each is a ``shots``-shot estimate,
-    simulated only within h of zeta and otherwise decided with error below
-    2^-64 (``_shot_test``), and a last draw passes with probability
-    <W_{x^y}>^2.  Each pair is charged all 6 shots + 2 copies it consumes."""
+    <W_{x^y}>^2 all reach zeta.  Each is a ``shots``-shot estimate, simulated
+    only within h of zeta and otherwise decided with error below 2^-64
+    (``_shot_test``), and a last draw passes with probability <W_{x^y}>^2.
+    Each pair is charged all 6 shots + 2 copies it consumes."""
     w = expectation_squares(psi)[np.stack((xs, ys, xs ^ ys))]
-    if exact:
-        return (w >= zeta).all(axis=0)
-    shots = int(np.ceil(2.0 * np.log(6.0 / delta) / zeta_p**2))
     m = xs.shape[0]
     # the rows' in-band entries draw in order: x, then y, then x^y
     flag = _shot_test(w, zeta, shots, rng).all(axis=0) & (rng.random(m) < w[2])
@@ -138,38 +153,40 @@ def _edge_batch(
     return flag
 
 
-def bsg_test(
-    psi: StateVector,
-    u: PauliLabel,
-    v: PauliLabel,
-    params: BsgParams,
-    rng: np.random.Generator,
-    ledger: CostLedger,
-    exact: bool = False,
-) -> bool:
-    """Membership flag for the small-doubling neighborhood of u.
+def _membership_rows(
+    psi: StateVector, verts: np.ndarray, t: int, params: BsgParams,
+    rng: np.random.Generator, ledger: CostLedger,
+):
+    """For each vertex u of ``verts``, in order, with at least t zeta1-edge
+    neighbors among them: u's index and the indices of the v whose
+    membership test (u, v) accepts.
 
-    Draws r + r*s retained samples in one call (the first r are the outer
-    samples z, the rest the inner ones), runs the edge tests, and thresholds
-    the empirical common-neighbor frequencies: a sample z counts against
-    (u, v) when too few inner samples are joint neighbors of v and z.
-    """
-    delta_p = params.delta / (5.0 * (1 + params.r + 2 * params.r * params.s))
+    One pool of r outer samples z and r*s inner samples w (row i of
+    w.reshape(r, s) belongs to z[i]) serves every test.  A z counts against
+    v when at most a rho1 share of its inner samples are joint zeta3-edge
+    neighbors of v and z; (u, v) is accepted when it is a zeta1-edge and at
+    most a rho2 share of the z are zeta2-edge neighbors of u counting
+    against v.  Which z count against v is computed once per v."""
+    r, s, k, shots = params.r, params.s, verts.shape[0], _edge_shots(params)
 
     def edges(xs, ys, zeta):
-        return _edge_batch(psi, xs, ys, zeta, params.zeta_slack, delta_p, rng, ledger, exact)
+        return _edge_batch(psi, xs, ys, zeta, shots, rng, ledger)
 
-    uu = np.array([u.to_vector()])
-    vv = np.array([v.to_vector()])
-    if not edges(uu, vv, params.zeta1)[0]:
-        return False
-    r, s = params.r, params.s
-    z, w = np.split(sample_retained(psi, r + r * s, rng, ledger), [r])
-    xk = edges(np.repeat(uu, r), z, params.zeta2)
-    yk = edges(np.repeat(vv, r * s), w, params.zeta3).reshape(r, s)
+    z = sample_retained(psi, r, rng, ledger)
+    w = sample_retained(psi, r * s, rng, ledger)
+    us, vs = np.nonzero(~np.eye(k, dtype=bool))
+    pair = np.zeros((k, k), dtype=bool)
+    pair[us, vs] = edges(verts[us], verts[vs], params.zeta1)
     zk = edges(np.repeat(z, s), w, params.zeta3).reshape(r, s)
-    bk = (yk & zk).mean(axis=1) <= params.rho1
-    return bool((xk & bk).mean() <= params.rho2)
+    bad = {}
+    for i in np.flatnonzero(pair.sum(axis=1) >= t):
+        nbrs = np.flatnonzero(pair[i])
+        for j in nbrs:
+            if j not in bad:
+                yk = edges(np.repeat(verts[j], r * s), w, params.zeta3).reshape(r, s)
+                bad[j] = (yk & zk).mean(axis=1) <= params.rho1
+        xk = edges(np.repeat(verts[i], r), z, params.zeta2)
+        yield i, nbrs[[(xk & bad[j]).mean() <= params.rho2 for j in nbrs]]
 
 
 def collect_small_doubling(
@@ -182,24 +199,18 @@ def collect_small_doubling(
 ) -> list[PauliLabel]:
     """The first candidate set of test-accepted labels of size >= t.
 
-    Iterates sampled vertices u and gathers the v's the sampled membership
-    test accepts at ``BsgParams.practical(gamma, delta)``; the first u whose
-    accepted set reaches t ends the search.  No such u raises so callers
-    can retry with fresh randomness.
+    Samples vertices and walks them through ``_membership_rows`` at
+    ``BsgParams.practical(gamma, delta)``; the first u whose accepted set
+    reaches t ends the search.  No such u raises so callers can retry with
+    fresh randomness.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     params = BsgParams.practical(gamma, delta)
-    m = min(6 * t + 24, 256)
-    verts = np.unique(sample_retained(psi, m, rng, ledger))
-    labels = [PauliLabel.from_vector(psi.n, int(v)) for v in verts]
-    for i, ul in enumerate(labels):
-        accepted = [
-            vl for j, vl in enumerate(labels)
-            if j != i and bsg_test(psi, ul, vl, params, rng, ledger)
-        ]
-        if len(accepted) >= t:
-            return accepted
+    verts = np.unique(sample_retained(psi, min(6 * t + 24, 256), rng, ledger))
+    for _, accepted in _membership_rows(psi, verts, t, params, rng, ledger):
+        if accepted.shape[0] >= t:
+            return [PauliLabel.from_vector(psi.n, int(v)) for v in verts[accepted]]
     raise CollectionEmpty("no candidate set reached the requested size")
 
 

@@ -27,6 +27,7 @@ its own CostLedger.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -214,6 +215,18 @@ def exact_proxy(psi: StateVector) -> float:
     return _q_tables(psi)[2]
 
 
+def _proxy_shots(delta: float, fail_prob: float) -> int:
+    """Shots of a sampled proxy within ``delta`` with probability >= 1 -
+    fail_prob: ceil(2 ln(2/fail_prob) / delta^2), by Hoeffding's bound.  A
+    delta that leaves the count without a finite value raises ValueError."""
+    shots = 2.0 * float(np.log(2.0 / fail_prob)) / delta**2 if delta**2 > 0 else math.inf
+    if shots == math.inf:
+        raise ValueError(
+            f"accuracy delta = {delta} gives no finite shot count 2 ln(2/{fail_prob}) / delta^2"
+        )
+    return math.ceil(shots)
+
+
 def sampled_proxy(
     psi: StateVector, delta: float, fail_prob: float, rng: np.random.Generator, ledger: CostLedger
 ) -> tuple[float, int]:
@@ -229,7 +242,7 @@ def sampled_proxy(
         raise ValueError("sampled mode needs an rng")
     if ledger is None:
         raise ValueError("sampled mode needs a ledger")
-    shots = int(np.ceil(2.0 * np.log(2.0 / fail_prob) / delta**2))
+    shots = _proxy_shots(delta, fail_prob)
     ledger.charge("bell_difference", copies=4 * shots)
     ledger.charge("gowers_sampled", copies=2 * shots)
     return float(binomial_estimate(exact_proxy(psi), shots, rng)), shots

@@ -27,10 +27,12 @@ from stabcorrect.pauli import (
     stabilizer_inner_product,
     statevector_of,
 )
+from stabcorrect.selfcorrect import _edge_batch
 from stabcorrect.statevec import (
     StateVector,
     expectation_squares,
     overlap,
+    sample_retained,
     statevector_of_stab,
 )
 
@@ -593,6 +595,48 @@ def per_shot_averages(psi, shots, runs, rng):
         plus = rng.random(runs * shots) < 0.5 * (1.0 + w2[xs])
         out.append((2.0 * plus - 1.0).reshape(runs, shots).mean(axis=1))
     return tuple(out)
+
+
+def edge_shots(params):
+    """Shots per edge estimate at ``params``: N = ceil(2 ln(6/delta') /
+    zeta'^2), with the slack zeta' = zeta2/2 and one edge test's failure
+    budget delta' = delta / (5 (1 + r + 2 r s))."""
+    delta_p = params.delta / (5.0 * (1 + params.r + 2 * params.r * params.s))
+    return int(np.ceil(2.0 * np.log(6.0 / delta_p) / params.zeta_slack**2))
+
+
+def exact_edges(psi, xs, ys, zeta):
+    """Exact edge flags of the pairs (xs[i], ys[i]): <W_x>^2, <W_y>^2 and
+    <W_{x^y}>^2 all reach zeta.  Draws nothing."""
+    return (expectation_squares(psi)[np.stack((xs, ys, xs ^ ys))] >= zeta).all(axis=0)
+
+
+def bsg_test(psi, u, v, params, rng, ledger, exact=False):
+    """The per-pair membership test, the law reference for the pooled tests
+    of ``selfcorrect._membership_rows``: each call draws its own r + r*s
+    retained samples (the first r are the outer samples z, the rest the
+    inner ones), runs the edge tests, and thresholds the empirical
+    common-neighbor frequencies: a sample z counts against (u, v) when too
+    few inner samples are joint neighbors of v and z.  ``exact`` decides
+    every edge from the exact <W>^2 (``exact_edges``)."""
+    shots = edge_shots(params)
+
+    def edges(xs, ys, zeta):
+        if exact:
+            return exact_edges(psi, xs, ys, zeta)
+        return _edge_batch(psi, xs, ys, zeta, shots, rng, ledger)
+
+    uu = np.array([u.to_vector()])
+    vv = np.array([v.to_vector()])
+    if not edges(uu, vv, params.zeta1)[0]:
+        return False
+    r, s = params.r, params.s
+    z, w = np.split(sample_retained(psi, r + r * s, rng, ledger), [r])
+    xk = edges(np.repeat(uu, r), z, params.zeta2)
+    yk = edges(np.repeat(vv, r * s), w, params.zeta3).reshape(r, s)
+    zk = edges(np.repeat(z, s), w, params.zeta3).reshape(r, s)
+    bk = (yk & zk).mean(axis=1) <= params.rho1
+    return bool((xk & bk).mean() <= params.rho2)
 
 
 def _exact_betas(psi, phis):

@@ -115,7 +115,6 @@ UNCALLED_PUBLIC_API = {
 UNSET_PUBLIC_OPTIONS = {
     "cli.main.argv",
     "iterate.iterate_robust.estimator",
-    "selfcorrect.bsg_test.exact",
     "selfcorrect.self_correct.collect_t",  # acceptance criterion 8 sets it
 }
 
@@ -127,7 +126,6 @@ PUBLIC_OPTIONS = {
     "iterate.iterate_robust.estimator",
     "iterate.iterate_robust.t",
     "pauli.canonicalize_subgroup.center_tail",
-    "selfcorrect.bsg_test.exact",
     "selfcorrect.self_correct.attempts",
     "selfcorrect.self_correct.collect_t",
     "selfcorrect.tolerant_test.ledger",
@@ -151,7 +149,7 @@ LEDGER_REQUIRED = {
     "iterate.learn",  # the base learners' closures
     "iterate.learn_low_extent",
     "selfcorrect._edge_batch",
-    "selfcorrect.bsg_test",
+    "selfcorrect._membership_rows",
     "selfcorrect.collect_small_doubling",
     "selfcorrect.find_high_stab_dim",
     "selfcorrect.find_stabilizer",

@@ -203,6 +203,12 @@ def config_dicts(draw):
         self_corrects = command == "selfcorrect" or params.get("learner") == "self_correct"
         if self_corrects and data["state"]["kind"] in ("tdoped", "haar"):
             params["oracle"] = "threshold-span"
+    # a gamma, delta, eps or xi that leaves a shot or copy count of the run
+    # without a finite value is refused with the config
+    try:
+        ExperimentConfig.from_json(data)
+    except ValueError as exc:
+        assume("no finite" not in str(exc))
     return data
 
 
@@ -319,6 +325,32 @@ class TestConfig:
             ExperimentConfig.from_json(
                 {"command": command, "state": {"kind": "haar", "n": 2}, "params": {key: value}}
             )
+
+    @pytest.mark.parametrize(
+        "command, state, params, field",
+        [
+            ("selfcorrect", {"kind": "basis", "n": 3}, {"gamma": 1e-300}, "gamma"),
+            ("decompose", {"kind": "basis", "n": 3}, {"learner": "self_correct", "gamma": 1e-300},
+             "gamma"),
+            ("analyze", {"kind": "haar", "n": 3}, {"mode": "sampled", "delta": 1e-300}, "delta"),
+            ("decompose", {"kind": "haar", "n": 3}, {"eps": 1e-300}, "eps"),
+            ("decompose", {"kind": "haar", "n": 3}, {"eps": 1e-300, "loop": "error_free"}, "eps"),
+            ("learn-extent", {"kind": "haar", "n": 3}, {"xi": 2**63}, "xi"),
+            ("analyze", {"kind": "haar", "n": None}, {}, "state n"),
+            ("analyze", {"kind": "basis", "n": 2, "index": None}, {}, "state index"),
+            ("analyze", {"kind": "haar", "n": 2**70}, {}, "state n"),
+            ("analyze", {"kind": "haar", "n": 1e300}, {}, "state n"),
+            ("analyze", {"kind": "haar", "n": 10**400}, {}, "state n"),
+            ("bench", None, {"n": 2**70}, "parameter n"),
+            ("bench", None, {"n": 1e300}, "parameter n"),
+            ("bench", None, {"n": 10**400}, "parameter n"),
+        ],
+    )
+    def test_counts_without_a_finite_value_refused(self, command, state, params, field):
+        # each would overflow, divide by zero or hang once the run computed
+        # its shot count, copy count, 16 << n or 4^n
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_json({"command": command, "state": state, "params": params})
 
     def test_validation(self):
         with pytest.raises(ValueError):

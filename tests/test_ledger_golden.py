@@ -72,17 +72,17 @@ GOLDEN = {
         },
     ),
     "decompose_robust": (
-        (8388608127091288575, 0, 52, 602),
+        (8388608063636986596, 0, 52, 602),
         {
             "apply_circuit": (0, 0, 0, 30),
-            "bell_difference": (1098516, 0, 0, 0),
-            "edge_test": (127089551512, 0, 0, 0),
-            "fidelity_shadows": (2171, 0, 0, 0),
+            "bell_difference": (46220, 0, 0, 0),
+            "edge_test": (63636828024, 0, 0, 0),
+            "fidelity_shadows": (2124, 0, 0, 0),
             "gowers_estimate": (8388607999999993856, 0, 0, 0),
             "lcu": (0, 0, 52, 572),
             "measure": (78, 0, 0, 0),
             "oracle_build": (94208, 0, 0, 0),
-            "retention": (548234, 0, 0, 0),
+            "retention": (22086, 0, 0, 0),
         },
     ),
     "decompose_robust_bruteforce": (
@@ -108,26 +108,26 @@ GOLDEN = {
         },
     ),
     "selfcorrect_planted": (
-        (31772754695, 0, 0, 0),
+        (13426056365, 0, 0, 0),
         {
             "apply_circuit": (0, 0, 0, 0),
-            "bell_difference": (342572, 0, 0, 0),
-            "edge_test": (31772239884, 0, 0, 0),
+            "bell_difference": (26488, 0, 0, 0),
+            "edge_test": (13426015680, 0, 0, 0),
             "fidelity_shadows": (945, 0, 0, 0),
             "measure": (8, 0, 0, 0),
-            "retention": (171286, 0, 0, 0),
+            "retention": (13244, 0, 0, 0),
         },
     ),
     "selfcorrect_threshold_span": (
-        (31773977808, 0, 0, 11),
+        (17104630084, 0, 0, 11),
         {
             "apply_circuit": (0, 0, 0, 11),
-            "bell_difference": (346976, 0, 0, 0),
-            "edge_test": (31773423836, 0, 0, 0),
+            "bell_difference": (28024, 0, 0, 0),
+            "edge_test": (17104554544, 0, 0, 0),
             "fidelity_shadows": (1179, 0, 0, 0),
-            "measure": (73, 0, 0, 0),
+            "measure": (69, 0, 0, 0),
             "oracle_build": (32768, 0, 0, 0),
-            "retention": (172976, 0, 0, 0),
+            "retention": (13500, 0, 0, 0),
         },
     ),
     "test_sampled": (

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from stabcorrect import selfcorrect
 from stabcorrect.errors import (
     PfrSubgroupNotFound,
     SelfCorrectionFailed,
 )
 from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
+from stabcorrect.harness import StateSpec, gen_state
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     PhasedPauli,
@@ -21,7 +23,6 @@ from stabcorrect.selfcorrect import (
     BsgParams,
     SubgroupV,
     THRESHOLD_SPAN_SHOTS,
-    bsg_test,
     collect_small_doubling,
     find_high_stab_dim,
     find_stabilizer,
@@ -31,7 +32,9 @@ from stabcorrect.selfcorrect import (
     threshold_span_oracle,
     tolerant_test,
 )
-from stabcorrect.selfcorrect import TIE_TOL, _edge_batch, _retained_mass, _rounds, _shot_test
+from stabcorrect.selfcorrect import (
+    TIE_TOL, _edge_batch, _edge_shots, _membership_rows, _retained_mass, _rounds, _shot_test,
+)
 from stabcorrect.statevec import (
     SAMPLER_MAX_SHOTS,
     StateVector,
@@ -47,7 +50,10 @@ from stabcorrect.statevec import (
 
 from conftest import (
     basis_state,
+    bsg_test,
     distribution_tables,
+    edge_shots,
+    exact_edges,
     expectation_table,
     planted_state,
     random_circuit,
@@ -84,51 +90,59 @@ def vecs(*strings):
     return np.array([lab(x).to_vector() for x in strings])
 
 
+PRACTICAL = BsgParams.practical(0.5)
+
+
+def practical_shots():
+    """Shots per edge test at the practical preset."""
+    return edge_shots(PRACTICAL)
+
+
 class TestEdgeTest:
+    # in the first three tests every <W>^2 is 0, 1/2 or 1, outside the band
+    # around zeta, and every <W_{x^y}>^2 is 0 or 1: each flag is decided
     def test_zero_state_z_pair(self, rng):
         psi = basis_state(3)
         assert _edge_batch(
-            psi, vecs("ZII"), vecs("IZI"), 0.5, 0.1, 0.01, rng, CostLedger(), False
+            psi, vecs("ZII"), vecs("IZI"), 0.5, practical_shots(), rng, CostLedger()
         ).all()
 
     def test_zero_state_x_fails(self, rng):
         psi = basis_state(3)
         assert not _edge_batch(
-            psi, vecs("ZII"), vecs("XII"), 0.5, 0.1, 0.01, rng, CostLedger(), True
+            psi, vecs("ZII"), vecs("XII"), 0.5, practical_shots(), rng, CostLedger()
         ).any()
 
     def test_t_state_self_pair(self, rng):
         # x = y = X: the sum is the identity label, in the set by convention
         psi = t_state()
         assert _edge_batch(
-            psi, vecs("X"), vecs("X"), 0.4, 0.05, 0.01, rng, CostLedger(), True
+            psi, vecs("X"), vecs("X"), 0.4, practical_shots(), rng, CostLedger()
         ).all()
 
     def test_exact_monotone_in_zeta(self, rng):
+        # the exact reference the membership tests are checked against
         psi = random_state(2, rng)
         xs, ys = rng.integers(16, size=50), rng.integers(16, size=50)
-        flags = [
-            _edge_batch(psi, xs, ys, z, 1e-6, 0.01, rng, CostLedger(), True)
-            for z in (0.05, 0.2, 0.5, 0.9)
-        ]
+        flags = [exact_edges(psi, xs, ys, z) for z in (0.05, 0.2, 0.5, 0.9)]
         # raising the threshold never adds edges
         assert all((a >= b).all() for a, b in zip(flags, flags[1:]))
 
+    def test_shot_count_at_the_practical_preset(self):
+        # the collection's shot count is the reference formula's, and each
+        # sampled pair is charged 6 shots + 2 copies
+        assert _edge_shots(PRACTICAL) == practical_shots()
+        ledger = CostLedger()
+        _edge_batch(
+            basis_state(1), vecs("Z"), vecs("Z"), PRACTICAL.zeta1, practical_shots(),
+            np.random.default_rng(0), ledger,
+        )
+        assert ledger.totals["copies_consumed"] == 6 * practical_shots() + 2
 
-PRACTICAL = BsgParams.practical(0.5)
-# bsg_test's per-edge-test failure budget at the practical preset
-PRACTICAL_DELTA = PRACTICAL.delta / (5.0 * (1 + PRACTICAL.r + 2 * PRACTICAL.r * PRACTICAL.s))
-
-
-def practical_shots():
-    """Shots per edge test at the practical preset, read back from the
-    ledger: each sampled pair is charged 6 shots + 2 copies."""
-    ledger = CostLedger()
-    _edge_batch(
-        basis_state(1), vecs("Z"), vecs("Z"), PRACTICAL.zeta1, PRACTICAL.zeta_slack,
-        PRACTICAL_DELTA, np.random.default_rng(0), ledger, False,
-    )
-    return (ledger.totals["copies_consumed"] - 2) // 6
+    @pytest.mark.parametrize("gamma, delta", [(1e-300, 0.05), (0.5, 5e-324)])
+    def test_shot_count_without_a_finite_value_is_refused(self, gamma, delta):
+        with pytest.raises(ValueError, match="is not finite"):
+            _edge_shots(BsgParams.practical(gamma, delta))
 
 
 def band_half_width(shots):
@@ -172,11 +186,9 @@ class TestDecidedBand:
         gen = np.random.default_rng(11)
         xs, ys = gen.integers(64, size=200), gen.integers(64, size=200)
         ours, ref, ledger = np.random.default_rng(3), np.random.default_rng(3), CostLedger()
-        flags = _edge_batch(
-            psi, xs, ys, PRACTICAL.zeta3, PRACTICAL.zeta_slack, PRACTICAL_DELTA, ours, ledger, False
-        )
+        flags = _edge_batch(psi, xs, ys, PRACTICAL.zeta3, practical_shots(), ours, ledger)
         w2 = expectation_squares(psi)
-        exact = _edge_batch(psi, xs, ys, PRACTICAL.zeta3, 1.0, 1.0, ref, CostLedger(), True)
+        exact = exact_edges(psi, xs, ys, PRACTICAL.zeta3)
         assert (flags == exact & (ref.random(200) < w2[xs ^ ys])).all()
         assert ours.bit_generator.state == ref.bit_generator.state
         # the skipped simulation is still charged in full
@@ -215,9 +227,7 @@ class TestDecidedBand:
         for seed in seeds:
             gen = np.random.default_rng(100 + seed)
             xs, ys = gen.integers(16, size=m), gen.integers(16, size=m)
-            ours += _edge_batch(
-                psi, xs, ys, zeta, PRACTICAL.zeta_slack, PRACTICAL_DELTA, gen, CostLedger(), False
-            ).sum()
+            ours += _edge_batch(psi, xs, ys, zeta, shots, gen, CostLedger()).sum()
             gen = np.random.default_rng(200 + seed)
             wx, wy, wxy = w2[xs], w2[ys], w2[xs ^ ys]
             ref += (
@@ -311,6 +321,32 @@ class TestBsgTest:
             else:
                 assert v not in a1
 
+    def test_pooled_rates_match_per_pair_reference(self):
+        # one pool serves every pair of a collection, and each pair's test
+        # must keep the law of a test with its own samples.  Small r and s
+        # and a planted state put every rate that is not 0 near 1/3, with
+        # in-band edge estimates; vertex 15 has no zeta1-edge and is skipped.
+        _, psi = planted_state(2, np.random.default_rng(3), weight=0.8)
+        verts = np.array([1, 10, 11, 15])
+        params = BsgParams(0.3, 0.2, 0.25, 0.3, 0.3, 4, 4, 0.05)
+        runs, k = 2000, verts.shape[0]
+        pooled, ref = np.zeros((k, k)), np.zeros((k, k))
+        for seed in range(runs):
+            rows = _membership_rows(psi, verts, 1, params, np.random.default_rng(seed), CostLedger())
+            for i, accepted in rows:
+                pooled[i, accepted] += 1
+            gen = np.random.default_rng(10_000 + seed)
+            for i in range(k):
+                for j in range(k):
+                    if i != j:
+                        u, v = (PauliLabel.from_vector(2, int(x)) for x in verts[[i, j]])
+                        ref[i, j] += bsg_test(psi, u, v, params, gen, CostLedger())
+        assert (pooled > 0).sum() == 6 and (ref > 0).sum() == 6
+        freq = (pooled + ref) / (2 * runs)
+        # two independent counts with the same law: their difference has
+        # standard deviation sqrt(2 runs f (1 - f)); allow four of them
+        assert (np.abs(pooled - ref) <= 4.0 * np.sqrt(2.0 * runs * freq * (1.0 - freq))).all()
+
 
 class TestCollect:
     def test_planted_collects_group(self, rng):
@@ -336,6 +372,29 @@ class TestCollect:
         psi = random_state(6, rng)
         with pytest.raises(CollectionEmpty):
             collect_small_doubling(psi, 10, 0.8, 0.05, rng, CostLedger())
+
+    def test_mix_reaches_plant_overlap_in_few_edge_batches(self, monkeypatch):
+        # sqrt(0.6) plant + sqrt(0.4) Haar at n = 8: with a membership test
+        # per vertex pair, each with its own pool, seeds 4 and 7 took about
+        # 47,000 and 51,000 edge batches (98,448 in all, 6 s each); one pool
+        # per collection takes 350 in all
+        calls = []
+        batch = selfcorrect._edge_batch
+        monkeypatch.setattr(selfcorrect, "_edge_batch", lambda *a: calls.append(1) or batch(*a))
+        for seed in range(8):
+            gen = np.random.default_rng(seed)
+            plant, meta = gen_state(StateSpec("random_stabilizer", 8), gen)
+            amps = np.sqrt(0.6) * plant.amps + np.sqrt(0.4) * random_state(8, gen).amps
+            psi = StateVector(8, amps / np.linalg.norm(amps))
+            basis = rref_basis_from_labels(
+                [PhasedPauli.from_string(g).label for g in meta["stabilizer_group"]]
+            )
+            cand = self_correct(
+                psi, 0.5, 0.05, planted_oracle(basis), np.random.default_rng(100 + seed),
+                CostLedger(),
+            )
+            assert abs(cand.fidelity - abs(overlap(plant, psi)) ** 2) <= 0.05
+        assert len(calls) <= 1000
 
 
 class TestPfrOracle:
