@@ -36,6 +36,7 @@ from .selfcorrect import (
     BsgParams,
     SubgroupV,
     _edge_shots,
+    _tolerant_margin,
     find_stabilizer,
     planted_oracle,
     self_correct,
@@ -144,6 +145,17 @@ def _combo_term(term: dict) -> tuple:
     return re, im, tuple(gens)
 
 
+def _extent_bound(t: int) -> float:
+    """(1 + 2^-1/2)^t, the stabilizer-extent bound of t T gates; ValueError
+    naming t when it has no finite value, for t above 1,327."""
+    try:
+        return (1.0 + 2.0**-0.5) ** t
+    except OverflowError:
+        raise ValueError(
+            f"state t = {t} gives no finite extent bound (1 + 2^-1/2)^t for a tdoped state"
+        ) from None
+
+
 @dataclass(frozen=True)
 class StateSpec:
     kind: str
@@ -164,8 +176,10 @@ class StateSpec:
         require_memory(self.n, 16 << self.n)  # the 2^n complex amplitudes
         if self.kind == "basis" and not 0 <= self.index < 1 << self.n:
             raise ValueError(f"basis index {self.index} outside [0, 2^{self.n}) for n = {self.n}")
-        if self.kind == "tdoped" and (self.t is None or self.t < 0):
-            raise ValueError("tdoped needs t >= 0")
+        if self.kind == "tdoped":
+            if self.t is None or self.t < 0:
+                raise ValueError("tdoped needs t >= 0")
+            _extent_bound(self.t)  # before gen_state builds (t + 1)(2n^2 + 4) gates
         if self.kind == "w_family" and (self.m is None or not 1 <= self.m <= self.n):
             raise ValueError("w_family needs 1 <= m <= n")
         if self.kind == "combo" and not self.terms:
@@ -252,7 +266,7 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         amps = kernels.apply_gates(kernels.zero_state(n), gates)
         meta = {
             "t_gates": spec.t,
-            "extent_bound": (1.0 + 2.0 ** -0.5) ** spec.t,
+            "extent_bound": _extent_bound(spec.t),
             "stab_dim_lower": max(n - spec.t, 0),  # each T gate costs at most one
         }
         return StateVector(n, amps), meta
@@ -340,7 +354,16 @@ class ExperimentConfig:
         if "t" in p and p["t"] < 0:
             raise ValueError(f"parameter t must be >= 0, got {p['t']}")
         if self.command == "test":
-            tolerant_thresholds(p["eps1"], p["eps2"], p["t"], p["separation_c"])
+            thresholds = tolerant_thresholds(p["eps1"], p["eps2"], p["t"], p["separation_c"])
+            if p["mode"] == "sampled":
+                try:
+                    _proxy_shots(_tolerant_margin(*thresholds), p["delta"])
+                except ValueError as exc:
+                    raise ValueError(
+                        f"parameters eps1 = {p['eps1']}, eps2 = {p['eps2']}, t = {p['t']} and "
+                        f"separation_c = {p['separation_c']} leave the sampled test's margin "
+                        f"with no finite shot count: {exc}"
+                    ) from None
         choice_params = {"loop": LOOPS, "learner": LEARNERS, "oracle": ORACLES, "mode": MODES}
         for key, choices in choice_params.items():
             if key in p and p[key] not in choices:

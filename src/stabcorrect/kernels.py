@@ -17,7 +17,13 @@ transform of Re g_a vanishes where |a&b| is odd and that of Im g_a where it
 is even.  One real transform of f_a = Re g_a + Im g_a therefore carries
 both, and the phase reduces to a sign, + for |a&b| = 0 or 3 (mod 4) and -
 for 1 or 2.  The table is built as f[j, a] and transformed along j, which
-leaves it in the ``a | (b << n)`` layout: O(4^n n) real work overall.
+leaves it in the ``a | (b << n)`` layout; a caller that squares it skips the
+sign pass (``unsigned_expectations``).
+
+Every Walsh-Hadamard transform is ``wht_inplace``: a product of small
+Sylvester-Hadamard factors, each applied by one BLAS matrix product over a
+reshaped view, so a 2^k-point transform of a batch makes
+ceil(k / _FACTOR_BITS) passes over memory instead of k butterfly stages.
 """
 
 from __future__ import annotations
@@ -73,21 +79,51 @@ def apply_gates(amps: np.ndarray, gates) -> np.ndarray:
     return out
 
 
+# the largest Hadamard factor has 2^6 rows: of caps 2^4, 2^5 and 2^6, the
+# fastest (2^n, 2^n) transform at n = 12 and level with 2^5 at n = 10
+_FACTOR_BITS = 6
+
+
+def _sylvester(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester-Hadamard matrix, H[i, j] = (-1)^{|i&j|}."""
+    r = np.arange(1 << k)
+    return 1.0 - 2.0 * (np.bitwise_count(r[:, None] & r) & 1)
+
+
+_HADAMARD = [_sylvester(k) for k in range(_FACTOR_BITS + 1)]
+
+
+def _factor_bits(k: int) -> list[int]:
+    """The split of a k-bit transform into ceil(k / _FACTOR_BITS) factors of
+    near-equal bit counts, larger first: 10 -> [5, 5], 13 -> [5, 4, 4]."""
+    count = -(-k // _FACTOR_BITS)
+    base, extra = divmod(k, max(count, 1))
+    return [base + (i < extra) for i in range(count)]
+
+
 def wht_inplace(v: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform along the leading axis of a
     C-contiguous array, in place; that axis has a power-of-2 length and
-    trailing axes are a batch.  Every stage's butterfly reuses one half-size
-    temporary for a - b."""
+    trailing axes are a batch.
+
+    H_{2^k} is the Kronecker product of the Sylvester factors of
+    ``_factor_bits(k)``, and each factor is one ``np.matmul`` over the view
+    (left, 2^k_i, right) with its bits in the middle.  The products ping-pong
+    between ``v`` and one scratch array of its size, and the result is copied
+    back when the factor count is odd.  Integer-valued entries whose sums stay
+    below 2^53 transform exactly, as with butterflies; other entries differ
+    from a butterfly transform by rounding only."""
     m, inner = v.shape[0], v[:1].size
-    diff = np.empty(v.size // 2, dtype=v.dtype)
-    h = 1
-    while h < m:
-        w = v.reshape(-1, 2, h * inner)
-        a, b = w[:, 0, :], w[:, 1, :]
-        t = np.subtract(a, b, out=diff.reshape(-1, h * inner))
-        a += b
-        b[...] = t
-        h *= 2
+    src, dst = v, np.empty_like(v)
+    left = 1
+    for k in _factor_bits(m.bit_length() - 1):
+        s = 1 << k
+        right = m // (left * s) * inner
+        np.matmul(_HADAMARD[k], src.reshape(left, s, right), out=dst.reshape(left, s, right))
+        src, dst = dst, src
+        left *= s
+    if src is not v:
+        v[...] = src
     return v
 
 
@@ -95,17 +131,23 @@ _CHUNK = 1 << 14  # entries per gathered or signed block of the 4^n table
 _SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # the phase's sign, by |a&b| mod 4
 
 
-def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
-    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n).
+def _block_rows(n: int) -> int:
+    """Rows per block of a (2^n, 2^n) table: a power of two, so blocks tile it."""
+    return min(1 << n, max(1, _CHUNK >> n))
+
+
+def unsigned_expectations(amps: np.ndarray, n: int) -> np.ndarray:
+    """The 4^n expectations of ``char_expectations`` before its sign pass:
+    entry a | (b << n) is _SIGN[|a&b| mod 4] <psi|W_(a,b)|psi>, so its square
+    is <W_x>^2 bit for bit.
 
     With psi = x + iy, f[j, a] = Re g_a(j) + Im g_a(j)
     = x[j^a] (x[j] + y[j]) + y[j^a] (y[j] - x[j]), gathered in row blocks,
-    then transformed along j and signed block by block."""
+    then transformed along j."""
     amps = np.asarray(amps, dtype=np.complex128)
     x, y = amps.real.copy(), amps.imag.copy()
     plus, minus = x + y, y - x
-    dim = 1 << n
-    rows = min(dim, max(1, _CHUNK >> n))  # a power of two, so blocks tile dim
+    dim, rows = 1 << n, _block_rows(n)
     cols = np.arange(dim)
     table = np.empty((dim, dim), dtype=np.float64)
     t = np.empty((rows, dim), dtype=np.float64)
@@ -115,11 +157,19 @@ def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
         # every index is in range; "clip" writes to ``out`` without a buffer
         np.multiply(np.take(x, idx, out=t, mode="clip"), plus[j, None], out=table[j])
         table[j] += np.multiply(np.take(y, idx, out=t, mode="clip"), minus[j, None], out=t)
-    wht_inplace(table)
-    for b0 in range(0, dim, rows):
+    return wht_inplace(table).reshape(-1)
+
+
+def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
+    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n):
+    ``unsigned_expectations`` signed block by block."""
+    table = unsigned_expectations(amps, n)
+    dim, rows = 1 << n, _block_rows(n)
+    cols = np.arange(dim)
+    for b0, block in zip(range(0, dim, rows), table.reshape(-1, rows, dim)):
         b = np.arange(b0, b0 + rows)[:, None]
-        table[b0 : b0 + rows] *= _SIGN[np.bitwise_count(b & cols) & 3]
-    return table.reshape(-1)
+        block *= _SIGN[np.bitwise_count(b & cols) & 3]
+    return table
 
 
 def inverse_cdf(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:

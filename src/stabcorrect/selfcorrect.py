@@ -572,6 +572,12 @@ def tolerant_thresholds(eps1: float, eps2: float, t: int, separation_c: float) -
     return yes_floor, no_ceiling
 
 
+def _tolerant_margin(yes_floor: float, no_ceiling: float) -> float:
+    """The tolerant test's threshold margin, a tenth of the separation; the
+    sampled test estimates the q-average to within it."""
+    return (yes_floor - no_ceiling) / 10.0
+
+
 def tolerant_test(
     psi: StateVector,
     eps1: float,
@@ -590,7 +596,7 @@ def tolerant_test(
     estimate is thresholded with a tenth of the separation as margin.
     """
     yes_floor, no_ceiling = tolerant_thresholds(eps1, eps2, t, separation_c)
-    margin = (yes_floor - no_ceiling) / 10.0
+    margin = _tolerant_margin(yes_floor, no_ceiling)
     if mode == "exact":
         proxy = exact_proxy(psi)
     elif mode == "sampled":  # the q-average alone: 6 copies per shot, no p-average shots

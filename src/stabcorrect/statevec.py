@@ -48,11 +48,15 @@ NORM_TOL = 1e-10
 
 
 # Peak of one state's table build (``expectation_squares`` then ``_q_tables``)
-# in 4^n-entry float64 tables: it is reached when the retained law's table is
-# allocated beside <W_x>^2 and q, the three tables a state keeps, plus a few
-# KiB of numpy buffers; the transforms before it peak at 2.5 tables.
-# Measured with tracemalloc: 3.006 at n = 8 (re-measured by test_statevec),
-# 3.001 at n = 9 and 3.000 at n = 10, 11 and 12.
+# in 4^n-entry float64 tables, plus a few KiB of numpy buffers.  It is reached
+# three times: while q's b-transform holds <W_x>^2, <W_x>^4 and the
+# transform's scratch table; while its a-transform holds <W_x>^2, q and the
+# scratch; and when the retained law's table is allocated beside <W_x>^2 and
+# q, the three tables a state keeps.  The unsigned table's transform before
+# them peaks at 2 (the table and the scratch).  The Hadamard factors are built
+# at import, outside the build.  Measured with tracemalloc: 3.007 at n = 8
+# (re-measured by test_statevec), 3.001 at n = 9 and 3.000 at n = 10, 11
+# and 12.
 TABLE_BUILD_PEAK = 3.0
 
 
@@ -115,10 +119,11 @@ def require_memory(n: int, nbytes: int) -> None:
 
 def expectation_squares(psi: StateVector) -> np.ndarray:
     """All 4^n squared expectations <W_x>^2, indexed by ``PauliLabel.to_vector``
-    and computed once per state; the signed table is not kept."""
+    and computed once per state from the unsigned table, whose signs the
+    square drops."""
     if "w2" not in psi._cache:
         require_memory(psi.n, int(TABLE_BUILD_PEAK * 8 * 4**psi.n))
-        w2 = kernels.char_expectations(psi.amps, psi.n)
+        w2 = kernels.unsigned_expectations(psi.amps, psi.n)
         np.square(w2, out=w2)
         psi._cache["w2"] = w2
     return psi._cache["w2"]

@@ -498,19 +498,32 @@ def table_states(n, rng):
             kernels.apply_gates(stab, [("T", (0,))])]
 
 
-def wht_last_axis_reference(v):
-    """The Walsh-Hadamard transform along the last axis, in place, with the
-    butterflies of ``kernels.wht_inplace`` in that axis's layout."""
-    m = v.shape[-1]
+def wht_butterfly_reference(v):
+    """The Walsh-Hadamard transform along the leading axis of a C-contiguous
+    array, in place, by log2(len) radix-2 butterfly stages: the kernel the
+    Hadamard-factor products of ``kernels.wht_inplace`` replaced."""
+    m, inner = v.shape[0], v[:1].size
     h = 1
     while h < m:
-        w = v.reshape(-1, 2, h)
+        w = v.reshape(-1, 2, h * inner)
         a, b = w[:, 0, :], w[:, 1, :]
         t = a - b
         a += b
         b[...] = t
         h *= 2
     return v
+
+
+def wht_rounding_bound(v):
+    """A bound on |wht_inplace(v) - wht_butterfly_reference(v)| per entry of
+    a (2^k, ...) float array, from the two summation orders: a butterfly
+    output rounds once per stage, k times, and a factor's dot product of
+    2^k_i terms rounds at most 2^k_i times, each rounding off by at most
+    2^-53 of a partial sum bounded by sum |v| over the batch column; 2^-52
+    covers both orders and the second-order terms."""
+    k = v.shape[0].bit_length() - 1
+    roundings = k + sum(1 << bits for bits in kernels._factor_bits(k))
+    return roundings * 2.0**-52 * np.abs(v).sum(axis=0)
 
 
 _IPOW = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
@@ -526,7 +539,7 @@ def char_expectations_reference(amps, n):
     idx = np.arange(dim)
     bvals = np.arange(dim, dtype=np.uint64)
     for a in range(dim):
-        g = wht_last_axis_reference(np.conj(amps[idx ^ a]) * amps)
+        g = wht_butterfly_reference(np.conj(amps[idx ^ a]) * amps)
         phase = _IPOW[np.bitwise_count(np.uint64(a) & bvals) & 3]
         out[(bvals.astype(np.int64) << n) | a] = (g * phase).real
     return out
@@ -534,10 +547,11 @@ def char_expectations_reference(amps, n):
 
 def xor_convolve(p):
     """Fast XOR self-convolution (p * p)(x) = sum_y p(y) p(x^y), O(m log m):
-    one forward transform, squared in place, then the inverse transform."""
-    out = kernels.wht_inplace(np.array(p, dtype=np.float64))
+    one forward butterfly transform, squared in place, then the inverse
+    transform."""
+    out = wht_butterfly_reference(np.array(p, dtype=np.float64))
     out *= out
-    kernels.wht_inplace(out)
+    wht_butterfly_reference(out)
     out /= out.shape[0]
     return out
 
@@ -548,6 +562,18 @@ def xor_convolve_naive(p, q):
     q = np.ascontiguousarray(q, dtype=np.float64)
     idx = np.arange(p.shape[0])
     return np.array([np.dot(p, q[idx ^ x]) for x in range(p.shape[0])])
+
+
+def q_tables_reference(psi):
+    """q and the proxy E_q[<W_x>^2] built as ``statevec._q_tables`` builds
+    them, with butterflies: <W_x>^4 transformed over b, transposed, then
+    over a, scaled by 4^-n and clipped at zero."""
+    dim = 1 << psi.n
+    w2 = char_expectations_reference(psi.amps, psi.n) ** 2
+    half = wht_butterfly_reference(np.square(w2).reshape(dim, dim))
+    q = wht_butterfly_reference(np.ascontiguousarray(half.T)).reshape(-1) / (dim * dim)
+    np.clip(q, 0.0, None, out=q)
+    return q, float(np.dot(q, w2))
 
 
 def distribution_tables(psi):

@@ -162,7 +162,8 @@ def state_specs(draw, n):
     if kind == "basis":
         data["index"] = draw(st.integers(0, (1 << n) - 1))
     if kind == "tdoped":
-        data["t"] = draw(st.integers(0, 3))
+        # and t beyond the finite extent bound, which the config refuses
+        data["t"] = draw(st.integers(0, 3) | st.sampled_from([10**400, 1e300, 2**63]))
     if kind == "w_family":
         data["m"] = draw(st.integers(1, n))
     if kind == "combo":
@@ -203,8 +204,9 @@ def config_dicts(draw):
         self_corrects = command == "selfcorrect" or params.get("learner") == "self_correct"
         if self_corrects and data["state"]["kind"] in ("tdoped", "haar"):
             params["oracle"] = "threshold-span"
-    # a gamma, delta, eps or xi that leaves a shot or copy count of the run
-    # without a finite value is refused with the config
+    # a gamma, delta, eps, xi, sampled test margin or tdoped t that leaves a
+    # shot count, copy count or extent bound of the run without a finite
+    # value is refused with the config
     try:
         ExperimentConfig.from_json(data)
     except ValueError as exc:
@@ -344,13 +346,26 @@ class TestConfig:
             ("bench", None, {"n": 2**70}, "parameter n"),
             ("bench", None, {"n": 1e300}, "parameter n"),
             ("bench", None, {"n": 10**400}, "parameter n"),
+            ("test", {"kind": "haar", "n": 3},
+             {"mode": "sampled", "eps1": 1e-30, "eps2": 0.05, "separation_c": 1e-3},
+             r"eps1 = 1e-30, eps2 = 0\.05, t = 0 and separation_c = 0\.001"),
+            ("analyze", {"kind": "tdoped", "n": 3, "t": 10**400}, {}, "state t"),
+            ("analyze", {"kind": "tdoped", "n": 3, "t": 1e300}, {}, "state t"),
+            ("analyze", {"kind": "tdoped", "n": 3, "t": 2**63}, {}, "state t"),
         ],
     )
     def test_counts_without_a_finite_value_refused(self, command, state, params, field):
         # each would overflow, divide by zero or hang once the run computed
-        # its shot count, copy count, 16 << n or 4^n
+        # its shot count, copy count, extent bound, 16 << n or 4^n
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json({"command": command, "state": state, "params": params})
+
+    def test_tdoped_t_capped_where_the_extent_bound_overflows(self):
+        # (1 + 2^-1/2)^t is finite up to t = 1,327, which still runs
+        psi, meta = gen_state(StateSpec("tdoped", 2, t=1327), np.random.default_rng(0))
+        assert np.isfinite(meta["extent_bound"])
+        with pytest.raises(ValueError, match="state t = 1328 gives no finite extent bound"):
+            StateSpec("tdoped", 2, t=1328)
 
     def test_validation(self):
         with pytest.raises(ValueError):

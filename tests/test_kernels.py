@@ -16,7 +16,8 @@ from conftest import (
     inverse_cdf_reference,
     random_circuit,
     table_states,
-    wht_last_axis_reference,
+    wht_butterfly_reference,
+    wht_rounding_bound,
     xor_convolve,
     xor_convolve_naive,
 )
@@ -48,14 +49,28 @@ class TestWht:
         want = np.tensordot(hadamard(k), v, axes=1)
         assert np.max(np.abs(got - want)) <= 1e-12
 
-    @pytest.mark.parametrize("k, m", [(1, 1), (4, 1), (4, 6), (7, 33)])
-    def test_same_butterflies_as_the_last_axis_layout(self, k, m, rng):
-        # bit for bit: the transform of a (2^k, m) array is the last-axis
-        # transform of its (m, 2^k) transpose
-        v = rng.normal(size=(1 << k, m))
-        got = kernels.wht_inplace(v.copy())
-        assert np.array_equal(got, wht_last_axis_reference(np.ascontiguousarray(v.T)).T)
-        assert np.array_equal(kernels.wht_inplace(v[:, 0].copy()), wht_last_axis_reference(v[:, 0].copy()))
+    @pytest.mark.parametrize("k", [*range(1, 14), 18])
+    def test_integer_inputs_equal_the_butterflies(self, k, rng):
+        # bit for bit: integer entries |v| <= 2^30 keep every partial sum
+        # below 2^53, so any summation order is exact; k = 13 and 18 take a
+        # three-factor split, copied back from the scratch
+        for shape in [(1 << k,), (1 << k, 3)]:
+            v = rng.integers(-(1 << 30), 1 << 30, size=shape, endpoint=True).astype(np.float64)
+            got = kernels.wht_inplace(v.copy())
+            assert np.array_equal(got, wht_butterfly_reference(v.copy()))
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_float_inputs_within_the_rounding_bound(self, k, rng):
+        for shape in [(1 << k,), (1 << k, 5)]:
+            v = rng.normal(size=shape)
+            got = kernels.wht_inplace(v.copy())
+            assert np.all(np.abs(got - wht_butterfly_reference(v.copy())) <= wht_rounding_bound(v))
+
+    def test_factor_splits(self):
+        # the larger factors first, each at most 2^_FACTOR_BITS rows
+        assert [kernels._factor_bits(k) for k in (0, 1, 6, 7, 10, 12, 13)] == [
+            [], [1], [6], [4, 3], [5, 5], [6, 6], [5, 4, 4]
+        ]
 
     def test_involution_up_to_size(self, rng):
         v = rng.normal(size=64)

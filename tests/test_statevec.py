@@ -51,6 +51,7 @@ from conftest import (
     inverse_cdf_reference,
     measure_block,
     per_shot_averages,
+    q_tables_reference,
     retained_reference,
     rotation_stab_dim_fidelity,
     stabilizer_state_matrix,
@@ -58,7 +59,8 @@ from conftest import (
     table_states,
     tensor,
     weyl_expectation,
-    wht_last_axis_reference,
+    wht_butterfly_reference,
+    wht_rounding_bound,
 )
 
 lab = PauliLabel.from_string
@@ -177,6 +179,22 @@ class TestDistributions:
             _, q = distribution_tables(psi)
             steps = np.diff(psi._cache["qcum"], prepend=0.0)
             assert np.max(np.abs(steps - q)) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_squares_equal_the_signed_table_squared(self, n, rng):
+        # the sign pass that expectation_squares skips changes no square
+        for amps in table_states(n, rng):
+            got = expectation_squares(StateVector(n, amps))
+            assert np.array_equal(got, kernels.char_expectations(amps, n) ** 2)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_q_and_proxy_match_the_butterfly_build(self, n, rng):
+        for amps in table_states(n, rng):
+            psi = StateVector(n, amps)
+            q, proxy = q_tables_reference(psi)
+            steps = np.diff(statevec._q_tables(psi)[0], prepend=0.0)
+            assert np.max(np.abs(steps - q)) <= 1e-14
+            assert abs(exact_proxy(psi) - proxy) <= 1e-14
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_one_transform_matches_the_convolution(self, n, rng):
@@ -796,15 +814,36 @@ class TestExactOracle:
             assert (g[0, c], e[0, c]) == (prod.label.to_vector(), prod.phase)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_projection_weights_bit_identical_to_last_axis_layout(self, d):
-        # the (2^d, M) transform runs the butterflies of the (M, 2^d) one
+    def test_projection_weights_match_the_butterflies(self, d):
+        # bit for bit on an integer-valued table, whose sums are exact in any
+        # order; within the transform's rounding bound on a state's table
         n = 4
-        table = expectation_table(random_state(n, np.random.default_rng(7)))
         rows = isotropic_subspaces(n, d)[:300]
         g, e = _span_phases(rows, n)
-        vals = table[g] * (1 - e)
-        want = wht_last_axis_reference(vals) / vals.shape[1]
-        assert np.array_equal(_projection_weights(table, rows, n), want)
+        rng = np.random.default_rng(7)
+        ints = rng.integers(-(1 << 30), 1 << 30, size=4**n, endpoint=True).astype(np.float64)
+        for table in (ints, expectation_table(random_state(n, rng))):
+            vals = np.ascontiguousarray((table[g] * (1 - e)).T)  # (2^d, M)
+            want = wht_butterfly_reference(vals.copy()).T / vals.shape[0]
+            diff = np.abs(_projection_weights(table, rows, n) - want)
+            if table is ints:
+                assert not diff.any()
+            else:
+                assert np.all(diff <= wht_rounding_bound(vals)[:, None] / vals.shape[0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_same_optimum_as_the_butterflies(self, n, rng, monkeypatch):
+        # the same F and argmax as with butterfly transforms, on states with
+        # tied optima too
+        ties = {1: [t_state()], 2: [tensor(t_state(), t_state())],
+                3: [StateVector(3, np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3))]}
+        states = _oracle_states(n, rng) + ties.get(n, [])
+        got = [bruteforce_stab_fidelity(psi) for psi in states]
+        monkeypatch.setattr(kernels, "wht_inplace", wht_butterfly_reference)
+        for psi, (f, arg) in zip(states, got):
+            want, want_arg = bruteforce_stab_fidelity(psi)
+            assert abs(f - want) <= 1e-14
+            assert arg == want_arg
 
     def test_refuses_above_cap_fast_without_allocating(self):
         psi = random_state(6, np.random.default_rng(0))
