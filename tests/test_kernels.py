@@ -59,6 +59,20 @@ class TestWht:
             got = kernels.wht_inplace(v.copy())
             assert np.array_equal(got, wht_butterfly_reference(v.copy()))
 
+    @pytest.mark.parametrize("k, m", [(1, 1), (4, 1), (4, 6), (7, 33)])
+    def test_same_butterflies_as_the_last_axis_layout(self, k, m, rng):
+        # the transform of a (2^k, m) array is the butterfly transform of each
+        # row of its (m, 2^k) transpose: bit for bit on integer entries, within
+        # the rounding bound on floats
+        ints = rng.integers(-(1 << 30), 1 << 30, size=(1 << k, m), endpoint=True).astype(np.float64)
+        for v, exact in [(ints, True), (rng.normal(size=(1 << k, m)), False)]:
+            got = kernels.wht_inplace(v.copy())
+            want = np.array([wht_butterfly_reference(row.copy()) for row in v.T]).T
+            tol = 0.0 * v[0] if exact else wht_rounding_bound(v)
+            assert np.all(np.abs(got - want) <= tol)
+            col = kernels.wht_inplace(v[:, 0].copy())
+            assert np.all(np.abs(col - want[:, 0]) <= tol[0])
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_float_inputs_within_the_rounding_bound(self, k, rng):
         for shape in [(1 << k,), (1 << k, 5)]:
