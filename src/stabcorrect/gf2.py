@@ -102,11 +102,16 @@ class Gf2Basis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def contains(self, v: int) -> bool:
+    def reduce(self, v: int) -> int:
+        """v with every pivot bit cleared by the rows: the same value for
+        all of v's coset of the span, 0 for the span itself."""
         for row, piv in zip(self.rows, self.pivots):
             if (v >> piv) & 1:
                 v ^= row
-        return v == 0
+        return v
+
+    def contains(self, v: int) -> bool:
+        return self.reduce(v) == 0
 
     def enumerate_span(self) -> list[int]:
         out = [0]

@@ -103,14 +103,20 @@ ATTEMPTS = 32
 # sampling and membership tests
 
 
+def _band_half_width(shots: int) -> float:
+    """h = sqrt(2 ln(2^64) / shots): a ``shots``-shot estimate of a w with
+    |w - zeta| > h crosses zeta with probability < 2^-64 (Hoeffding, which
+    bounds the normal limit too)."""
+    return np.sqrt(2.0 * np.log(2.0**64) / shots)
+
+
 def _shot_test(w: np.ndarray, zeta: float, shots: int, rng: np.random.Generator) -> np.ndarray:
     """``binomial_estimate(w, shots, rng) >= zeta``, drawn only for the
-    entries with |w - zeta| <= h = sqrt(2 ln(2^64) / shots).  Further out the
-    estimate crosses zeta with probability < 2^-64 (Hoeffding, which bounds
-    the normal limit too), so the outcome is w > zeta and nothing is drawn."""
-    h = np.sqrt(2.0 * np.log(2.0**64) / shots)
+    entries within ``_band_half_width(shots)`` of zeta.  Further out the
+    outcome is w > zeta, wrong with probability < 2^-64, and nothing is
+    drawn."""
     passed = w > zeta
-    band = np.abs(w - zeta) <= h
+    band = np.abs(w - zeta) <= _band_half_width(shots)
     if band.any():
         passed[band] = binomial_estimate(w[band], shots, rng) >= zeta
     return passed
@@ -153,6 +159,54 @@ def _edge_batch(
     return flag
 
 
+# Neighbors whose edge tests are decided together: a chunk's uniforms and
+# thresholded probabilities hold at most this many entries each, so its
+# temporaries stay near one 4,096-pair edge batch's.
+NEIGHBOR_CHUNK_ENTRIES = 1 << 14
+
+
+def _neighbor_bad(
+    psi: StateVector, vs: np.ndarray, labels: np.ndarray, at: np.ndarray, zk: np.ndarray,
+    params: BsgParams, shots: int, rng: np.random.Generator, ledger: CostLedger,
+) -> np.ndarray:
+    """Which outer samples count against each neighbor label of ``vs``, one
+    row of r flags per neighbor, with the draws and charges of one
+    ``_edge_batch`` of v's r*s zeta3-edges per neighbor, in order.
+
+    The inner pool is w = labels[at] (``np.unique``) and zk its flat zeta3
+    edges with the outer samples.  A neighbor none of whose <W>^2 lies
+    within the band of ``_shot_test`` draws only its r*s last uniforms: its
+    shot tests are decided by the distinct labels' values, and consecutive
+    such neighbors take their uniforms as one array, the stream of one
+    ``rng.random(r*s)`` call each.  Any other neighbor runs its
+    ``_edge_batch`` at its place in the order."""
+    r, s, zeta, m = params.r, params.s, params.zeta3, at.shape[0]
+    w2, h = expectation_squares(psi), _band_half_width(shots)
+    wy = w2[labels]
+    y_band = bool((np.abs(wy - zeta) <= h).any())
+    bad = np.empty((vs.shape[0], r), dtype=bool)
+    step = max(1, NEIGHBOR_CHUNK_ENTRIES // m)
+    for c in range(0, vs.shape[0], step):
+        wx, wxy = w2[vs[c : c + step]], w2[vs[c : c + step, None] ^ labels]
+        band = (np.abs(wx - zeta) <= h) | (np.abs(wxy - zeta) <= h).any(axis=1) | y_band
+        # a decided pair passes its last draw with probability <W_{x^y}>^2
+        # when its three shot tests pass, and with probability 0 otherwise
+        prob = np.where((wx > zeta)[:, None] & (wy > zeta) & (wxy > zeta), wxy, 0.0)
+        start = 0
+        for stop in [*np.flatnonzero(band).tolist(), wx.shape[0]]:
+            if stop > start:
+                flags = rng.random((stop - start, m)) < prob[start:stop].take(at, axis=1)
+                flags &= zk
+                bad[c + start : c + stop] = flags.reshape(-1, r, s).mean(axis=2) <= params.rho1
+                ledger.charge("edge_test", copies=(6 * shots + 2) * m * (stop - start))
+            if stop < wx.shape[0]:
+                v = vs[c + stop]
+                yk = _edge_batch(psi, np.repeat(v, m), labels[at], zeta, shots, rng, ledger)
+                bad[c + stop] = (yk & zk).reshape(r, s).mean(axis=1) <= params.rho1
+            start = stop + 1
+    return bad
+
+
 def _membership_rows(
     psi: StateVector, verts: np.ndarray, t: int, params: BsgParams,
     rng: np.random.Generator, ledger: CostLedger,
@@ -166,7 +220,9 @@ def _membership_rows(
     v when at most a rho1 share of its inner samples are joint zeta3-edge
     neighbors of v and z; (u, v) is accepted when it is a zeta1-edge and at
     most a rho2 share of the z are zeta2-edge neighbors of u counting
-    against v.  Which z count against v is computed once per v."""
+    against v.  Which z count against v is computed once per v, for u's new
+    neighbors together (``_neighbor_bad``) before u's zeta2-edges, and
+    reads w's values once per distinct label."""
     r, s, k, shots = params.r, params.s, verts.shape[0], _edge_shots(params)
 
     def edges(xs, ys, zeta):
@@ -177,16 +233,18 @@ def _membership_rows(
     us, vs = np.nonzero(~np.eye(k, dtype=bool))
     pair = np.zeros((k, k), dtype=bool)
     pair[us, vs] = edges(verts[us], verts[vs], params.zeta1)
-    zk = edges(np.repeat(z, s), w, params.zeta3).reshape(r, s)
-    bad = {}
+    zk = edges(np.repeat(z, s), w, params.zeta3)
+    labels, at = np.unique(w, return_inverse=True)
+    bad = np.empty((k, r), dtype=bool)
+    seen = np.zeros(k, dtype=bool)
     for i in np.flatnonzero(pair.sum(axis=1) >= t):
         nbrs = np.flatnonzero(pair[i])
-        for j in nbrs:
-            if j not in bad:
-                yk = edges(np.repeat(verts[j], r * s), w, params.zeta3).reshape(r, s)
-                bad[j] = (yk & zk).mean(axis=1) <= params.rho1
+        new = nbrs[~seen[nbrs]]
+        if new.shape[0]:
+            bad[new] = _neighbor_bad(psi, verts[new], labels, at, zk, params, shots, rng, ledger)
+            seen[new] = True
         xk = edges(np.repeat(verts[i], r), z, params.zeta2)
-        yield i, nbrs[[(xk & bad[j]).mean() <= params.rho2 for j in nbrs]]
+        yield i, nbrs[(xk & bad[nbrs]).mean(axis=1) <= params.rho2]
 
 
 def collect_small_doubling(
@@ -268,16 +326,22 @@ def pfr_subgroup(samples: list[PauliLabel], basis: Gf2Basis) -> SubgroupV:
     """Span of the pairwise sums that lie in the covering subgroup ``basis``.
 
     Fewer than n + 1 distinct accepted sums (one sample gives only 0) raises the failure sentinel.
+    a ^ b lies in the span exactly when a and b reduce to the same coset
+    representative (``Gf2Basis.reduce``), so each sample is reduced once,
+    and the accepted sums of a coset span what its members' differences
+    from one of them span.
     """
     if not samples:
         raise ValueError("need at least one sample")
     n = samples[0].n
-    vecs = [s.to_vector() for s in samples]
-    sums = {a ^ b for i, a in enumerate(vecs) for b in vecs[i:]}
-    accepted = [v for v in sums if basis.contains(v)]
+    cosets: dict[int, list[int]] = {}
+    for s in samples:
+        v = s.to_vector()
+        cosets.setdefault(basis.reduce(v), []).append(v)
+    accepted = {a ^ b for c in cosets.values() for i, a in enumerate(c) for b in c[i:]}
     if len(accepted) < n + 1:
         raise PfrSubgroupNotFound(f"{len(accepted)} accepted sums < floor {n + 1}")
-    return SubgroupV(n, rref_basis(accepted, 2 * n), None)
+    return SubgroupV(n, rref_basis([v ^ c[0] for c in cosets.values() for v in c[1:]], 2 * n), None)
 
 
 # ---------------------------------------------------------------------------

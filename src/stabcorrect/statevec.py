@@ -13,8 +13,9 @@ state's characteristic distribution is its own symplectic Fourier transform
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
 makes every statistical guarantee directly testable.  A state caches three
-4^n float64 tables, <W_x>^2 and the cumulative difference-sampling and
-retained laws, 24 * 4^n bytes in steady state; the build peaks at
+4^n float64 tables, <W_x>^2, the difference-sampling law (cumulated in place
+when a difference sample first needs it) and the cumulative retained law,
+24 * 4^n bytes in steady state; the build peaks at
 ``TABLE_BUILD_PEAK`` tables and raises ValueError before it allocates when
 that peak would exceed physical memory.  A sampled average over independent
 two-outcome shots is drawn as its +1 count, one binomial, so it holds no
@@ -129,9 +130,9 @@ def expectation_squares(psi: StateVector) -> np.ndarray:
     return psi._cache["w2"]
 
 
-def _q_tables(psi: StateVector) -> tuple[np.ndarray, np.ndarray, float]:
-    """The cumulative difference-sampling law, the cumulative retained law
-    and the proxy E_q[<W_x>^2], built once per state.
+def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
+    """The cumulative retained law and the proxy E_q[<W_x>^2], built once
+    per state, which also keeps the difference-sampling law q, uncumulated.
 
     With p(x) = <W_x>^2 / 2^n, the law of difference sampling is the XOR
     self-convolution q = p * p, and a draw kept with probability <W_x>^2
@@ -141,9 +142,10 @@ def _q_tables(psi: StateVector) -> tuple[np.ndarray, np.ndarray, float]:
     one 2n-bit transform of <W_x>^4, taken over b, then, after a transpose
     that swaps a and b, over a.  The build checks the triple-correlation
     identity E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3 = 2^-n sum_x <W_x>^6,
-    which holds for pure states, then keeps cumsum(q) in q's buffer.
+    which holds for pure states.  ``_difference_cdf`` cumulates q in place
+    when a difference sample first needs it.
     """
-    if "qcum" not in psi._cache:
+    if "proxy" not in psi._cache:
         w2 = expectation_squares(psi)
         dim = 1 << psi.n
         w4 = np.square(w2)
@@ -162,9 +164,19 @@ def _q_tables(psi: StateVector) -> tuple[np.ndarray, np.ndarray, float]:
             raise AssertionError("triple-correlation identity violated")
         retained = np.multiply(q, w2)
         psi._cache["rcum"] = np.cumsum(retained, out=retained)
-        psi._cache["qcum"] = np.cumsum(q, out=q)
+        psi._cache["q"] = q
         psi._cache["proxy"] = proxy
-    return psi._cache["qcum"], psi._cache["rcum"], psi._cache["proxy"]
+    return psi._cache["rcum"], psi._cache["proxy"]
+
+
+def _difference_cdf(psi: StateVector) -> np.ndarray:
+    """cumsum(q), written over q's table (cache key "q" becomes "qcum") the
+    first time it is asked for, so it takes no table of its own."""
+    _q_tables(psi)
+    if "qcum" not in psi._cache:
+        q = psi._cache.pop("q")
+        psi._cache["qcum"] = np.cumsum(q, out=q)
+    return psi._cache["qcum"]
 
 
 def sample_weyl_indices(
@@ -172,7 +184,7 @@ def sample_weyl_indices(
 ) -> np.ndarray:
     """Batched difference sampling: label indices drawn from q, in draw order,
     4 copies each."""
-    cum = _q_tables(psi)[0]
+    cum = _difference_cdf(psi)
     idx = kernels.inverse_cdf(cum, rng.random(size) * cum[-1])
     ledger.charge("bell_difference", copies=4 * size)
     return idx
@@ -195,7 +207,7 @@ def sample_retained(
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
         return np.empty(0, dtype=np.intp)
-    _, cum, proxy = _q_tables(psi)
+    cum, proxy = _q_tables(psi)
     idx = kernels.inverse_cdf(cum, rng.random(count) * cum[-1])
     trials = count + int(rng.negative_binomial(count, min(proxy, 1.0)))
     ledger.charge("bell_difference", copies=4 * trials)
@@ -217,7 +229,7 @@ class GowersMetrics:
 
 def exact_proxy(psi: StateVector) -> float:
     """E_{x~q}[<W_x>^2] from the tables, computed once per state."""
-    return _q_tables(psi)[2]
+    return _q_tables(psi)[1]
 
 
 def _proxy_shots(delta: float, fail_prob: float) -> int:

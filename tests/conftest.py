@@ -665,6 +665,45 @@ def bsg_test(psi, u, v, params, rng, ledger, exact=False):
     return bool((xk & bk).mean() <= params.rho2)
 
 
+def membership_rows_reference(psi, verts, t, params, rng, ledger):
+    """``selfcorrect._membership_rows`` with one ``_edge_batch`` of r*s
+    zeta3-edges per neighbor, in visit order: the draw-for-draw reference of
+    the pooled neighbor stage."""
+    r, s, k, shots = params.r, params.s, verts.shape[0], edge_shots(params)
+
+    def edges(xs, ys, zeta):
+        return _edge_batch(psi, xs, ys, zeta, shots, rng, ledger)
+
+    z = sample_retained(psi, r, rng, ledger)
+    w = sample_retained(psi, r * s, rng, ledger)
+    us, vs = np.nonzero(~np.eye(k, dtype=bool))
+    pair = np.zeros((k, k), dtype=bool)
+    pair[us, vs] = edges(verts[us], verts[vs], params.zeta1)
+    zk = edges(np.repeat(z, s), w, params.zeta3).reshape(r, s)
+    bad = {}
+    for i in np.flatnonzero(pair.sum(axis=1) >= t):
+        nbrs = np.flatnonzero(pair[i])
+        for j in nbrs:
+            if j not in bad:
+                yk = edges(np.repeat(verts[j], r * s), w, params.zeta3).reshape(r, s)
+                bad[j] = (yk & zk).mean(axis=1) <= params.rho1
+        xk = edges(np.repeat(verts[i], r), z, params.zeta2)
+        yield i, nbrs[[(xk & bad[j]).mean() <= params.rho2 for j in nbrs]]
+
+
+def pfr_subgroup_reference(samples, basis):
+    """The covering span of ``selfcorrect.pfr_subgroup`` from Python ints:
+    the set of pairwise sums, one ``Gf2Basis.contains`` per sum, and
+    ``rref_basis`` of the accepted ones.  None where too few are accepted."""
+    n = samples[0].n
+    vecs = [s.to_vector() for s in samples]
+    sums = {a ^ b for i, a in enumerate(vecs) for b in vecs[i:]}
+    accepted = [v for v in sums if basis.contains(v)]
+    if len(accepted) < n + 1:
+        return None
+    return rref_basis(accepted, 2 * n)
+
+
 def _exact_betas(psi, phis):
     """Exact running coefficients: <phi_j|psi> minus the cross-terms of the
     earlier terms, as the loop's exact estimator builds them."""

@@ -150,6 +150,7 @@ LEDGER_REQUIRED = {
     "iterate.learn_low_extent",
     "selfcorrect._edge_batch",
     "selfcorrect._membership_rows",
+    "selfcorrect._neighbor_bad",
     "selfcorrect.collect_small_doubling",
     "selfcorrect.find_high_stab_dim",
     "selfcorrect.find_stabilizer",

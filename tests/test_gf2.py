@@ -91,6 +91,15 @@ class TestRref:
             for v in range(64):
                 assert b.contains(v) == (v in span)
 
+    def test_reduce_is_one_value_per_coset(self, rng):
+        # equal reductions exactly when the difference lies in the span
+        for _ in range(50):
+            b = rref_basis([int(rng.integers(0, 1 << 8)) for _ in range(3)], 8)
+            span = set(b.enumerate_span())
+            for u in range(32):
+                for v in range(32):
+                    assert (b.reduce(u) == b.reduce(v)) == ((u ^ v) in span)
+
 
 class TestSgs:
     def test_already_canonical(self):

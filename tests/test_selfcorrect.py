@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from stabcorrect.selfcorrect import (
     tolerant_test,
 )
 from stabcorrect.selfcorrect import (
-    TIE_TOL, _edge_batch, _edge_shots, _membership_rows, _retained_mass, _rounds, _shot_test,
+    TIE_TOL, _edge_batch, _edge_shots, _membership_rows, _neighbor_bad, _retained_mass, _rounds,
+    _shot_test,
 )
 from stabcorrect.statevec import (
     SAMPLER_MAX_SHOTS,
@@ -55,6 +57,8 @@ from conftest import (
     edge_shots,
     exact_edges,
     expectation_table,
+    membership_rows_reference,
+    pfr_subgroup_reference,
     planted_state,
     random_circuit,
     t_state,
@@ -348,6 +352,120 @@ class TestBsgTest:
         assert (np.abs(pooled - ref) <= 4.0 * np.sqrt(2.0 * runs * freq * (1.0 - freq))).all()
 
 
+def mixed_state(kind, n, seed):
+    """A planted state (sqrt(0.6) random stabilizer + sqrt(0.4) Haar) or a
+    T-doped one with two T gates, and a vertex set drawn as the collection
+    draws it."""
+    gen = np.random.default_rng(seed)
+    if kind == "planted":
+        plant, _ = gen_state(StateSpec("random_stabilizer", n), gen)
+        amps = np.sqrt(0.6) * plant.amps + np.sqrt(0.4) * random_state(n, gen).amps
+        psi = StateVector(n, amps / np.linalg.norm(amps))
+    else:
+        psi, _ = gen_state(StateSpec("tdoped", n, t=2), gen)
+    return psi, np.unique(sample_retained(psi, 40, gen, CostLedger()))
+
+
+def membership_run(rows_fn, psi, verts, params, seed):
+    """Every row of a membership walk, the generator state after it and the
+    ledger."""
+    gen, ledger = np.random.default_rng(seed), CostLedger()
+    rows = [(int(i), acc.tolist()) for i, acc in rows_fn(psi, verts, 1, params, gen, ledger)]
+    # charges stay Python ints, which neither wrap nor fail to serialize
+    assert all(type(v) is int for row in ledger.breakdown.values() for v in row.values())
+    return rows, gen.bit_generator.state, ledger.to_json()
+
+
+class TestNeighborStage:
+    """The pooled neighbor stage against the per-neighbor ``_edge_batch``
+    loop: the same rows, the same draws in the same order and the same
+    charges."""
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("planted", PRACTICAL),
+            ("tdoped", PRACTICAL),
+            # about 110 shots: every <W>^2 is within the band, so every
+            # neighbor runs its own edge batch
+            ("tdoped", BsgParams(0.9, 0.9, 0.5, 0.1, 0.1, 8, 8, 0.05)),
+            # r = s = 1: a pool with one label
+            ("planted", BsgParams(0.1, 0.1, 0.1, 0.5, 0.5, 1, 1, 0.05)),
+        ],
+        ids=["planted", "tdoped", "all-in-band", "one-label-pool"],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_neighbor_reference(self, kind, params, seed):
+        psi, verts = mixed_state(kind, 4, seed)
+        ours = membership_run(_membership_rows, psi, verts, params, 50 + seed)
+        ref = membership_run(membership_rows_reference, psi, verts, params, 50 + seed)
+        assert ours == ref
+        assert sum(len(acc) for _, acc in ours[0]) > 0
+
+    def test_in_band_neighbors_draw_at_their_place(self, monkeypatch):
+        # about 1.2e10 shots put the band within 1e-4 of zeta3, which is set
+        # at the <W>^2 of a label the pool lacks: its neighbors v whose
+        # v ^ w hits that label for a pooled w run their own edge batch, in
+        # the middle of a chunk of decided neighbors
+        psi, _ = mixed_state("planted", 3, 1)
+        verts = np.arange(64)
+        gen = np.random.default_rng(7)
+        sample_retained(psi, 64, gen, CostLedger())
+        pool = np.unique(sample_retained(psi, 64 * 64, gen, CostLedger()))
+        w2 = expectation_squares(psi)
+        zeta3 = float(w2[np.setdiff1d(verts, pool)].max())
+        params = BsgParams(0.05, 1e-4, zeta3, 0.1, 0.1, 64, 64, 0.05)
+        batch, stage = selfcorrect._edge_batch, selfcorrect._neighbor_bad
+        chunks, fallbacks = [], []
+
+        def spy_batch(psi, xs, *rest):
+            if sys._getframe(1).f_code.co_name == "_neighbor_bad":
+                fallbacks.append((len(chunks) - 1, chunks[-1].index(int(xs[0]))))
+            return batch(psi, xs, *rest)
+
+        def spy_stage(psi, vs, *rest):
+            chunks.append(vs.tolist())
+            return stage(psi, vs, *rest)
+
+        monkeypatch.setattr(selfcorrect, "_edge_batch", spy_batch)
+        monkeypatch.setattr(selfcorrect, "_neighbor_bad", spy_stage)
+        ours = membership_run(_membership_rows, psi, verts, params, 7)
+        ref = membership_run(membership_rows_reference, psi, verts, params, 7)
+        assert ours == ref
+        step = selfcorrect.NEIGHBOR_CHUNK_ENTRIES // (64 * 64)
+        # a fallback preceded by a decided neighbor of its chunk
+        assert any(
+            any((call, j) not in fallbacks for j in range(at - at % step, at))
+            for call, at in fallbacks
+        )
+        assert sum(map(len, chunks)) > len(fallbacks) > 0
+
+    @pytest.mark.parametrize("one_label", [True, False], ids=["one-label", "all-labels"])
+    def test_all_false_zk_and_one_label(self, one_label):
+        # the stage alone, against one edge batch per neighbor: an all-False
+        # zk leaves every outer sample counting against every neighbor
+        psi, verts = mixed_state("tdoped", 4, 2)
+        gen = np.random.default_rng(5)
+        m, shots = PRACTICAL.r * PRACTICAL.s, practical_shots()
+        w = sample_retained(psi, m, gen, CostLedger())
+        if one_label:
+            w[:] = w[0]
+        labels, at = np.unique(w, return_inverse=True)
+        for zk in (np.zeros(m, dtype=bool), gen.random(m) < 0.7):
+            ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+            ours_ledger, ref_ledger = CostLedger(), CostLedger()
+            got = _neighbor_bad(psi, verts, labels, at, zk, PRACTICAL, shots, ours, ours_ledger)
+            want = [
+                (_edge_batch(psi, np.repeat(v, m), w, PRACTICAL.zeta3, shots, ref, ref_ledger)
+                 & zk).reshape(PRACTICAL.r, PRACTICAL.s).mean(axis=1) <= PRACTICAL.rho1
+                for v in verts
+            ]
+            assert np.array_equal(got, np.array(want))
+            assert ours.bit_generator.state == ref.bit_generator.state
+            assert ours_ledger.to_json() == ref_ledger.to_json()
+            assert got.all() or zk.any()
+
+
 class TestCollect:
     def test_planted_collects_group(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
@@ -377,10 +495,22 @@ class TestCollect:
         # sqrt(0.6) plant + sqrt(0.4) Haar at n = 8: with a membership test
         # per vertex pair, each with its own pool, seeds 4 and 7 took about
         # 47,000 and 51,000 edge batches (98,448 in all, 6 s each); one pool
-        # per collection takes 350 in all
+        # per collection takes 350 in all.  Each neighbor's r*s edges count
+        # as one batch, also when they run in an edge batch of their own.
         calls = []
-        batch = selfcorrect._edge_batch
-        monkeypatch.setattr(selfcorrect, "_edge_batch", lambda *a: calls.append(1) or batch(*a))
+        batch, stage = selfcorrect._edge_batch, selfcorrect._neighbor_bad
+
+        def count_batch(*a):
+            if sys._getframe(1).f_code.co_name != "_neighbor_bad":
+                calls.append(1)
+            return batch(*a)
+
+        def count_neighbors(*a):
+            calls.extend([1] * len(a[1]))
+            return stage(*a)
+
+        monkeypatch.setattr(selfcorrect, "_edge_batch", count_batch)
+        monkeypatch.setattr(selfcorrect, "_neighbor_bad", count_neighbors)
         for seed in range(8):
             gen = np.random.default_rng(seed)
             plant, meta = gen_state(StateSpec("random_stabilizer", 8), gen)
@@ -468,6 +598,27 @@ class TestPfrSubgroup:
             pfr_subgroup([lab("Z")], basis)
         with pytest.raises(ValueError, match="at least one sample"):
             pfr_subgroup([], basis)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_set_reference(self, seed):
+        # random bases of every rank, samples drawn mostly from their span
+        # with some outside it: the same accepted count and the same
+        # canonical basis as the per-sum reference
+        gen = np.random.default_rng(seed)
+        n = int(gen.integers(1, 7))
+        basis = rref_basis(gen.integers(1 << (2 * n), size=int(gen.integers(0, 2 * n + 1))).tolist(), 2 * n)
+        span = np.array(basis.enumerate_span())
+        m = int(gen.integers(1, 3 * n + 4))
+        vecs = np.where(
+            gen.random(m) < 0.8, gen.choice(span, size=m), gen.integers(1 << (2 * n), size=m)
+        )
+        samples = [PauliLabel.from_vector(n, int(v)) for v in vecs]
+        want = pfr_subgroup_reference(samples, basis)
+        if want is None:
+            with pytest.raises(PfrSubgroupNotFound):
+                pfr_subgroup(samples, basis)
+            return
+        assert pfr_subgroup(samples, basis).basis == want
 
     def test_output_is_subgroup(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])

@@ -192,8 +192,8 @@ class TestDistributions:
         for amps in table_states(n, rng):
             psi = StateVector(n, amps)
             q, proxy = q_tables_reference(psi)
-            steps = np.diff(statevec._q_tables(psi)[0], prepend=0.0)
-            assert np.max(np.abs(steps - q)) <= 1e-14
+            statevec._q_tables(psi)
+            assert np.max(np.abs(psi._cache["q"] - q)) <= 1e-14
             assert abs(exact_proxy(psi) - proxy) <= 1e-14
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -217,7 +217,8 @@ class TestDistributions:
 
     def test_state_caches_three_tables(self, rng):
         # after self_correct on a planted n = 6 state the cache holds <W_x>^2,
-        # the q cumsum, the retained cumsum and the proxy scalar, nothing else
+        # q, the retained cumsum and the proxy scalar, nothing else: the
+        # planted oracle draws no difference sample, so q stays uncumulated
         n = 6
         junk = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         junk[0] = 0.0
@@ -226,10 +227,19 @@ class TestDistributions:
         psi = StateVector(n, amps)
         basis = rref_basis_from_labels([PauliLabel(n, 0, 1 << q) for q in range(n)])
         self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
-        assert set(psi._cache) == {"w2", "qcum", "rcum", "proxy"}
-        for table in ("w2", "qcum", "rcum"):
+        assert set(psi._cache) == {"w2", "q", "rcum", "proxy"}
+        for table in ("w2", "q", "rcum"):
             assert psi._cache[table].shape == (4**n,)
         assert isinstance(psi._cache["proxy"], float)
+
+    def test_first_difference_sample_cumulates_q_in_place(self, rng):
+        psi = random_state(4, rng)
+        exact_proxy(psi)
+        q = psi._cache["q"]
+        want = np.cumsum(q)
+        sample_weyl_indices(psi, 1, rng, CostLedger())
+        assert set(psi._cache) == {"w2", "qcum", "rcum", "proxy"}
+        assert psi._cache["qcum"] is q and np.array_equal(q, want)
 
 
 class TestTableMemory:
