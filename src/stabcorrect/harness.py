@@ -221,17 +221,16 @@ class StateSpec:
 
 
 def _random_clifford_gates(n: int, rng: np.random.Generator, length: int):
-    gates = []
-    while len(gates) < length:
-        kind = int(rng.integers(0, 4 if n == 1 else 5))
-        if kind == 4:
-            c = int(rng.integers(n))
-            t = int(rng.integers(n - 1))
-            t = t if t < c else t + 1
-            gates.append(("CNOT", (c, t)))
-        else:
-            gates.append((("H", "S", "X", "Z")[kind], (int(rng.integers(n)),)))
-    return gates
+    """``length`` gates, each uniform over H, S, X, Z and (for n > 1) CNOT,
+    on a uniform qubit, or a uniform ordered pair c != t for a CNOT; drawn as
+    three arrays: kinds, qubits (the CNOT controls) and CNOT targets."""
+    kinds = rng.integers(0, 4 if n == 1 else 5, size=length).tolist()
+    qs = rng.integers(n, size=length).tolist()
+    ts = rng.integers(max(n - 1, 1), size=length).tolist()
+    return [
+        ("CNOT", (q, t + (t >= q))) if kind == 4 else (("H", "S", "X", "Z")[kind], (q,))
+        for kind, q, t in zip(kinds, qs, ts)
+    ]
 
 
 def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, dict]:

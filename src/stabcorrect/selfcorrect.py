@@ -161,7 +161,10 @@ def _edge_batch(
 
 # Neighbors whose edge tests are decided together: a chunk's uniforms and
 # thresholded probabilities hold at most this many entries each, so its
-# temporaries stay near one 4,096-pair edge batch's.
+# temporaries stay near one 4,096-pair edge batch's.  The label-level arrays
+# (one entry per neighbor and distinct pooled label) are built for blocks
+# of at most this many entries, which span several chunks when the pool
+# repeats labels.
 NEIGHBOR_CHUNK_ENTRIES = 1 << 14
 
 
@@ -170,40 +173,41 @@ def _neighbor_bad(
     params: BsgParams, shots: int, rng: np.random.Generator, ledger: CostLedger,
 ) -> np.ndarray:
     """Which outer samples count against each neighbor label of ``vs``, one
-    row of r flags per neighbor, with the draws and charges of one
-    ``_edge_batch`` of v's r*s zeta3-edges per neighbor, in order.
+    row of r flags per neighbor: the r*s zeta3-edges of v with the inner
+    pool w = labels[at] (``np.unique``), each with the law and the charge of
+    an ``_edge_batch`` pair, and-ed with zk, w's flat zeta3-edges with the
+    outer samples.  z_i counts against v when at most kmax of its s joint
+    edges hold, kmax = max{k : k/s <= rho1}.
 
-    The inner pool is w = labels[at] (``np.unique``) and zk its flat zeta3
-    edges with the outer samples.  A neighbor none of whose <W>^2 lies
-    within the band of ``_shot_test`` draws only its r*s last uniforms: its
-    shot tests are decided by the distinct labels' values, and consecutive
-    such neighbors take their uniforms as one array, the stream of one
-    ``rng.random(r*s)`` call each.  Any other neighbor runs its
-    ``_edge_batch`` at its place in the order."""
+    <W>^2 is read per distinct label.  A pair none of whose three values
+    lies within the band of ``_shot_test`` is decided there; per chunk of
+    neighbors, the pairs with an in-band value take their shot tests in one
+    ``_shot_test`` call (row x, then y, then x^y), and one ``rng.random``
+    array gives every pair's last draw."""
     r, s, zeta, m = params.r, params.s, params.zeta3, at.shape[0]
+    kmax = max(k for k in range(s + 1) if k / s <= params.rho1)
     w2, h = expectation_squares(psi), _band_half_width(shots)
     wy = w2[labels]
-    y_band = bool((np.abs(wy - zeta) <= h).any())
     bad = np.empty((vs.shape[0], r), dtype=bool)
+    block = max(1, NEIGHBOR_CHUNK_ENTRIES // labels.shape[0])
     step = max(1, NEIGHBOR_CHUNK_ENTRIES // m)
-    for c in range(0, vs.shape[0], step):
-        wx, wxy = w2[vs[c : c + step]], w2[vs[c : c + step, None] ^ labels]
-        band = (np.abs(wx - zeta) <= h) | (np.abs(wxy - zeta) <= h).any(axis=1) | y_band
+    for b in range(0, vs.shape[0], block):
+        wx, wxy = w2[vs[b : b + block]], w2[vs[b : b + block, None] ^ labels]
         # a decided pair passes its last draw with probability <W_{x^y}>^2
         # when its three shot tests pass, and with probability 0 otherwise
         prob = np.where((wx > zeta)[:, None] & (wy > zeta) & (wxy > zeta), wxy, 0.0)
-        start = 0
-        for stop in [*np.flatnonzero(band).tolist(), wx.shape[0]]:
-            if stop > start:
-                flags = rng.random((stop - start, m)) < prob[start:stop].take(at, axis=1)
-                flags &= zk
-                bad[c + start : c + stop] = flags.reshape(-1, r, s).mean(axis=2) <= params.rho1
-                ledger.charge("edge_test", copies=(6 * shots + 2) * m * (stop - start))
-            if stop < wx.shape[0]:
-                v = vs[c + stop]
-                yk = _edge_batch(psi, np.repeat(v, m), labels[at], zeta, shots, rng, ledger)
-                bad[c + stop] = (yk & zk).reshape(r, s).mean(axis=1) <= params.rho1
-            start = stop + 1
+        band = np.abs(wxy - zeta) <= h
+        band |= (np.abs(wx - zeta) <= h)[:, None] | (np.abs(wy - zeta) <= h)
+        for c in range(0, wx.shape[0], step):
+            p = prob[c : c + step].take(at, axis=1)
+            if band[c : c + step].any():
+                i, j = np.nonzero(band[c : c + step].take(at, axis=1))
+                three = np.stack((wx[c + i], wy[at[j]], wxy[c + i, at[j]]))
+                p[i, j] = np.where(_shot_test(three, zeta, shots, rng).all(axis=0), three[2], 0.0)
+            flags = rng.random(p.shape) < p
+            flags &= zk
+            bad[b + c : b + c + p.shape[0]] = flags.reshape(-1, r, s).sum(axis=2) <= kmax
+    ledger.charge("edge_test", copies=(6 * shots + 2) * m * vs.shape[0])
     return bad
 
 

@@ -50,6 +50,23 @@ def random_phased(n, rng):
     return PhasedPauli(random_label(n, rng), int(rng.integers(4)))
 
 
+def random_clifford_gates_reference(n, rng, length):
+    """The scalar law of ``harness._random_clifford_gates``: per gate, a
+    kind uniform over H, S, X, Z and (for n > 1) CNOT, then a uniform qubit,
+    or a uniform control c and a uniform target among the other n - 1."""
+    gates = []
+    while len(gates) < length:
+        kind = int(rng.integers(0, 4 if n == 1 else 5))
+        if kind == 4:
+            c = int(rng.integers(n))
+            t = int(rng.integers(n - 1))
+            t = t if t < c else t + 1
+            gates.append(("CNOT", (c, t)))
+        else:
+            gates.append((("H", "S", "X", "Z")[kind], (int(rng.integers(n)),)))
+    return gates
+
+
 def random_circuit(n, rng, length=None):
     length = length if length is not None else 4 * n * n + 4
     return CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, length)))

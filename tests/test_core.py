@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import re
 from pathlib import Path
@@ -40,6 +41,35 @@ class TestRngStream:
 
     def test_in_range_integer_keys_unchanged(self):
         assert RngStream(1).child(0, 5, 2**32 - 1).path == (0, 5, 2**32 - 1)
+
+    def test_int_and_string_parts_differ(self):
+        # untagged keys mapped a string part to the first 4 bytes of its
+        # sha256 as an int, the key of that int part too
+        old_key = int.from_bytes(hashlib.sha256(b"alpha").digest()[:4], "little")
+        a = RngStream(1).child("alpha").generator().random(4)
+        b = RngStream(1).child(old_key).generator().random(4)
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("path", [(5,), ("x",), (5, 1), ("x", 0), (0, 2**32 - 1, "trial")])
+    def test_each_part_is_three_words(self, path):
+        # numpy splits a spawn-key entry of 2^32 or more into 32-bit words,
+        # so variable-width keys alias (2**32 + 5,) with (5, 1); three words
+        # per part keep a path of one part apart from a path of two
+        key = RngStream(1).child(*path).generator().bit_generator.seed_seq.spawn_key
+        assert len(key) == 3 * len(path) and all(0 <= w < 2**32 for w in key)
+        one = RngStream(1).child(path[0]).generator().random(4)
+        assert not np.array_equal(one, RngStream(1).child(path[0], 0).generator().random(4))
+
+    def test_part_of_another_type_rejected(self):
+        with pytest.raises(TypeError, match="neither an int nor a str"):
+            RngStream(1).child(1.0)
+
+    def test_generator_is_pinned(self):
+        # seeded output depends on the bit generator and the key encoding:
+        # a change to either must show here
+        g = RngStream(1).child("trial", 0).generator()
+        assert type(g.bit_generator) is np.random.PCG64DXSM
+        assert g.random() == 0.46608691356944665
 
 
 class TestCostLedger:

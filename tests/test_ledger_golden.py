@@ -65,31 +65,31 @@ GOLDEN = {
         },
     ),
     "decompose_error_free": (
-        (131071999999999904, 0, 26, 728),
+        (131071999999999904, 0, 52, 182),
         {
             "gowers_estimate": (131071999999999904, 0, 0, 0),
-            "lcu": (0, 0, 26, 728),
+            "lcu": (0, 0, 52, 182),
         },
     ),
     "decompose_robust": (
-        (8388608063636986596, 0, 52, 602),
+        (8388608063673689895, 0, 52, 1422),
         {
-            "apply_circuit": (0, 0, 0, 30),
-            "bell_difference": (46220, 0, 0, 0),
-            "edge_test": (63636828024, 0, 0, 0),
-            "fidelity_shadows": (2124, 0, 0, 0),
+            "apply_circuit": (0, 0, 0, 44),
+            "bell_difference": (46028, 0, 0, 0),
+            "edge_test": (63673530536, 0, 0, 0),
+            "fidelity_shadows": (2171, 0, 0, 0),
             "gowers_estimate": (8388607999999993856, 0, 0, 0),
-            "lcu": (0, 0, 52, 572),
-            "measure": (78, 0, 0, 0),
-            "oracle_build": (94208, 0, 0, 0),
-            "retention": (22086, 0, 0, 0),
+            "lcu": (0, 0, 52, 1378),
+            "measure": (82, 0, 0, 0),
+            "oracle_build": (95232, 0, 0, 0),
+            "retention": (21990, 0, 0, 0),
         },
     ),
     "decompose_robust_bruteforce": (
-        (1310719999999999040, 0, 750, 15809),
+        (1048575999999999232, 0, 316, 2981),
         {
-            "gowers_estimate": (1310719999999999040, 0, 0, 0),
-            "lcu": (0, 0, 750, 15809),
+            "gowers_estimate": (1048575999999999232, 0, 0, 0),
+            "lcu": (0, 0, 316, 2981),
         },
     ),
     "iterate_robust_hadamard": (
@@ -101,33 +101,33 @@ GOLDEN = {
         },
     ),
     "learn_extent": (
-        (2154766361091613284069984436224, 0, 52, 442),
+        (2154766361091613284069984436224, 0, 52, 416),
         {
             "gowers_estimate": (2154766361091613284069984436224, 0, 0, 0),
-            "lcu": (0, 0, 52, 442),
+            "lcu": (0, 0, 52, 416),
         },
     ),
     "selfcorrect_planted": (
-        (13426056365, 0, 0, 0),
+        (15841910085, 0, 0, 0),
         {
             "apply_circuit": (0, 0, 0, 0),
-            "bell_difference": (26488, 0, 0, 0),
-            "edge_test": (13426015680, 0, 0, 0),
+            "bell_difference": (26264, 0, 0, 0),
+            "edge_test": (15841869736, 0, 0, 0),
             "fidelity_shadows": (945, 0, 0, 0),
             "measure": (8, 0, 0, 0),
-            "retention": (13244, 0, 0, 0),
+            "retention": (13132, 0, 0, 0),
         },
     ),
     "selfcorrect_threshold_span": (
-        (17104630084, 0, 0, 11),
+        (19487893637, 0, 0, 19),
         {
-            "apply_circuit": (0, 0, 0, 11),
-            "bell_difference": (28024, 0, 0, 0),
-            "edge_test": (17104554544, 0, 0, 0),
-            "fidelity_shadows": (1179, 0, 0, 0),
-            "measure": (69, 0, 0, 0),
-            "oracle_build": (32768, 0, 0, 0),
-            "retention": (13500, 0, 0, 0),
+            "apply_circuit": (0, 0, 0, 19),
+            "bell_difference": (17928, 0, 0, 0),
+            "edge_test": (19487849920, 0, 0, 0),
+            "fidelity_shadows": (945, 0, 0, 0),
+            "measure": (8, 0, 0, 0),
+            "oracle_build": (16384, 0, 0, 0),
+            "retention": (8452, 0, 0, 0),
         },
     ),
     "test_sampled": (

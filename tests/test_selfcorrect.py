@@ -376,18 +376,35 @@ def membership_run(rows_fn, psi, verts, params, seed):
     return rows, gen.bit_generator.state, ledger.to_json()
 
 
+def value_keyed_estimates(monkeypatch):
+    """Replace the shot-test draws with a fixed function of each value: w
+    plus or minus 0.9 h by the parity of floor(1e6 w), so in-band values
+    fall on either side of zeta and nothing is drawn.  Returns the list of
+    the sizes of the estimated arrays."""
+    sizes = []
+
+    def estimate(w, shots, rng):
+        sizes.append(np.size(w))
+        h = selfcorrect._band_half_width(shots)
+        return w + np.where(np.floor(w * 1e6) % 2 == 0, 0.9, -0.9) * h
+
+    monkeypatch.setattr(selfcorrect, "binomial_estimate", estimate)
+    return sizes
+
+
 class TestNeighborStage:
-    """The pooled neighbor stage against the per-neighbor ``_edge_batch``
-    loop: the same rows, the same draws in the same order and the same
-    charges."""
+    """The batched neighbor stage against the per-neighbor ``_edge_batch``
+    loop.  With the shot tests replaced by a fixed function of each value
+    (``value_keyed_estimates``), the two take the same uniforms and must
+    give the same rows and charges; the law tests compare them with real
+    draws."""
 
     @pytest.mark.parametrize(
         "kind, params",
         [
             ("planted", PRACTICAL),
             ("tdoped", PRACTICAL),
-            # about 110 shots: every <W>^2 is within the band, so every
-            # neighbor runs its own edge batch
+            # about 110 shots: every <W>^2 is within the band
             ("tdoped", BsgParams(0.9, 0.9, 0.5, 0.1, 0.1, 8, 8, 0.05)),
             # r = s = 1: a pool with one label
             ("planted", BsgParams(0.1, 0.1, 0.1, 0.5, 0.5, 1, 1, 0.05)),
@@ -395,50 +412,83 @@ class TestNeighborStage:
         ids=["planted", "tdoped", "all-in-band", "one-label-pool"],
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_per_neighbor_reference(self, kind, params, seed):
+    def test_matches_per_neighbor_reference(self, kind, params, seed, monkeypatch):
+        sizes = value_keyed_estimates(monkeypatch)
         psi, verts = mixed_state(kind, 4, seed)
         ours = membership_run(_membership_rows, psi, verts, params, 50 + seed)
+        estimated = sum(sizes)
         ref = membership_run(membership_rows_reference, psi, verts, params, 50 + seed)
         assert ours == ref
         assert sum(len(acc) for _, acc in ours[0]) > 0
+        # both estimate the same in-band values; only the split differs
+        assert sum(sizes) == 2 * estimated
+        assert estimated > 0 or kind == "tdoped" and params is PRACTICAL
 
-    def test_in_band_neighbors_draw_at_their_place(self, monkeypatch):
-        # about 1.2e10 shots put the band within 1e-4 of zeta3, which is set
-        # at the <W>^2 of a label the pool lacks: its neighbors v whose
-        # v ^ w hits that label for a pooled w run their own edge batch, in
-        # the middle of a chunk of decided neighbors
-        psi, _ = mixed_state("planted", 3, 1)
-        verts = np.arange(64)
+    def test_forced_band_pairs_take_one_shot_test_per_chunk(self, monkeypatch):
+        # zeta3 at a pooled label's <W>^2 and 400 shots (h about 0.47): every
+        # neighbor has in-band pairs, which a chunk estimates in one
+        # _shot_test call, and no pair runs an edge batch of its own
+        psi, verts = mixed_state("planted", 3, 1)
         gen = np.random.default_rng(7)
-        sample_retained(psi, 64, gen, CostLedger())
-        pool = np.unique(sample_retained(psi, 64 * 64, gen, CostLedger()))
+        m, shots = 64 * 64, 400
+        w = sample_retained(psi, m, gen, CostLedger())
+        labels, at = np.unique(w, return_inverse=True)
         w2 = expectation_squares(psi)
-        zeta3 = float(w2[np.setdiff1d(verts, pool)].max())
-        params = BsgParams(0.05, 1e-4, zeta3, 0.1, 0.1, 64, 64, 0.05)
-        batch, stage = selfcorrect._edge_batch, selfcorrect._neighbor_bad
-        chunks, fallbacks = [], []
+        params = BsgParams(0.05, 0.05, float(np.median(w2[labels])), 0.1, 0.1, 64, 64, 0.05)
+        zk = gen.random(m) < 0.8
 
-        def spy_batch(psi, xs, *rest):
-            if sys._getframe(1).f_code.co_name == "_neighbor_bad":
-                fallbacks.append((len(chunks) - 1, chunks[-1].index(int(xs[0]))))
-            return batch(psi, xs, *rest)
+        def no_batch(*a):
+            raise AssertionError("the neighbor stage ran an edge batch")
 
-        def spy_stage(psi, vs, *rest):
-            chunks.append(vs.tolist())
-            return stage(psi, vs, *rest)
+        sizes = value_keyed_estimates(monkeypatch)
+        ref, ref_ledger = np.random.default_rng(8), CostLedger()
+        want = [
+            (_edge_batch(psi, np.repeat(v, m), w, params.zeta3, shots, ref, ref_ledger)
+             & zk).reshape(64, 64).mean(axis=1) <= params.rho1
+            for v in verts
+        ]
+        before = len(sizes)
+        monkeypatch.setattr(selfcorrect, "_edge_batch", no_batch)
+        ours, ours_ledger = np.random.default_rng(8), CostLedger()
+        got = _neighbor_bad(psi, verts, labels, at, zk, params, shots, ours, ours_ledger)
+        assert np.array_equal(got, np.array(want))
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours_ledger.to_json() == ref_ledger.to_json()
+        # one estimate per chunk of NEIGHBOR_CHUNK_ENTRIES // m neighbors
+        step = selfcorrect.NEIGHBOR_CHUNK_ENTRIES // m
+        assert len(sizes) - before == -(-verts.shape[0] // step)
+        assert 0 < got.sum() < got.size
 
-        monkeypatch.setattr(selfcorrect, "_edge_batch", spy_batch)
-        monkeypatch.setattr(selfcorrect, "_neighbor_bad", spy_stage)
-        ours = membership_run(_membership_rows, psi, verts, params, 7)
-        ref = membership_run(membership_rows_reference, psi, verts, params, 7)
-        assert ours == ref
-        step = selfcorrect.NEIGHBOR_CHUNK_ENTRIES // (64 * 64)
-        # a fallback preceded by a decided neighbor of its chunk
-        assert any(
-            any((call, j) not in fallbacks for j in range(at - at % step, at))
-            for call, at in fallbacks
-        )
-        assert sum(map(len, chunks)) > len(fallbacks) > 0
+    @pytest.mark.parametrize("case", ["forced-band", "mix-y-band"])
+    def test_acceptance_frequencies_match_reference(self, case):
+        # the batched stage and the per-neighbor reference, each with real
+        # draws from its own seeds, accept each (u, v) equally often within
+        # 4 sigma over 2,000 runs.  forced-band: zeta3 = 0.5, the <W>^2 of 8
+        # of a T-doped state's labels; mix-y-band: the 0.6-mix at n = 4 with
+        # the practical thresholds, where 99 labels lie within h of zeta3
+        if case == "forced-band":
+            psi, verts = mixed_state("tdoped", 3, 0)
+            params = BsgParams(0.05, 0.05, 0.5, 0.3, 0.3, 8, 8, 0.05)
+        else:
+            gen = np.random.default_rng(4)
+            plant, _ = gen_state(StateSpec("random_stabilizer", 4), gen)
+            amps = np.sqrt(0.6) * plant.amps + np.sqrt(0.4) * random_state(4, gen).amps
+            psi = StateVector(4, amps / np.linalg.norm(amps))
+            verts = np.unique(sample_retained(psi, 12, gen, CostLedger()))
+            params = BsgParams(0.075, 0.05, 0.0625, 0.1, 0.1, 8, 8, 0.05)
+        runs, k = 2000, verts.shape[0]
+        freq = []
+        for rows_fn, offset in ((_membership_rows, 0), (membership_rows_reference, 10**6)):
+            hits = np.zeros((k, k))
+            for seed in range(runs):
+                gen = np.random.default_rng(seed + offset)
+                for i, acc in rows_fn(psi, verts, 1, params, gen, CostLedger()):
+                    hits[i, acc] += 1
+            freq.append(hits / runs)
+        p = (freq[0] + freq[1]) / 2
+        sigma = np.sqrt(p * (1 - p) * 2 / runs)
+        assert np.all(np.abs(freq[0] - freq[1]) <= 4 * sigma)
+        assert np.sum((p > 0.05) & (p < 0.95)) >= 10
 
     @pytest.mark.parametrize("one_label", [True, False], ids=["one-label", "all-labels"])
     def test_all_false_zk_and_one_label(self, one_label):
@@ -495,14 +545,16 @@ class TestCollect:
         # sqrt(0.6) plant + sqrt(0.4) Haar at n = 8: with a membership test
         # per vertex pair, each with its own pool, seeds 4 and 7 took about
         # 47,000 and 51,000 edge batches (98,448 in all, 6 s each); one pool
-        # per collection takes 350 in all.  Each neighbor's r*s edges count
-        # as one batch, also when they run in an edge batch of their own.
-        calls = []
+        # per collection takes about 350 in all.  Each neighbor's r*s edges count
+        # as one batch.  Pooled labels with <W>^2 near zeta3 put most
+        # neighbors' pairs in the band, and no neighbor runs an edge batch
+        # of its own for them.
+        calls, own = [], []
         batch, stage = selfcorrect._edge_batch, selfcorrect._neighbor_bad
 
         def count_batch(*a):
-            if sys._getframe(1).f_code.co_name != "_neighbor_bad":
-                calls.append(1)
+            from_stage = sys._getframe(1).f_code.co_name == "_neighbor_bad"
+            (own if from_stage else calls).append(1)
             return batch(*a)
 
         def count_neighbors(*a):
@@ -525,6 +577,7 @@ class TestCollect:
             )
             assert abs(cand.fidelity - abs(overlap(plant, psi)) ** 2) <= 0.05
         assert len(calls) <= 1000
+        assert not own
 
 
 class TestPfrOracle:
