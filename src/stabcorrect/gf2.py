@@ -1,11 +1,12 @@
-"""Bit-packed linear algebra over F_2^{2n}: Pauli labels, the symplectic form,
-canonical (RREF) bases, symplectic Gram-Schmidt, and mutually unbiased bases
-coverings of the k-qubit label group.
+"""Bit-packed linear algebra over F_2^{2n}: Pauli labels, canonical (RREF)
+bases, symplectic Gram-Schmidt, and mutually unbiased bases coverings of the
+k-qubit label group.
 
-A label (a, b) is stored as two machine integers with bit q carrying qubit q,
-so symplectic products are AND/popcount-parity and cost O(1) for n <= 64.
+A label (a, b) is stored as two machine integers with bit q carrying qubit q.
 As a vector in F_2^{2n} a label packs as ``a | (b << n)``; RREF pivots scan
 that packing from bit 0 upward, i.e. leftmost-first over the string a||b.
+The symplectic form of packed labels u and v is the parity of u & swap(v),
+swap exchanging the two halves, so it costs O(1) for n <= 64.
 All values here are immutable after construction and safe to share.
 """
 
@@ -33,14 +34,6 @@ class PauliLabel:
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("label bits outside the declared length")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
-
-    def add(self, other: "PauliLabel") -> "PauliLabel":
-        _check_len(self, other)
-        return PauliLabel(self.n, self.x ^ other.x, self.z ^ other.z)
-
     def to_vector(self) -> int:
         return self.x | (self.z << self.n)
 
@@ -57,7 +50,7 @@ class PauliLabel:
 
     @staticmethod
     def from_string(s: str) -> "PauliLabel":
-        s = s.lstrip("+")
+        """The label of a string of I, X, Y and Z, one per qubit and no sign."""
         x = z = 0
         for q, ch in enumerate(s):
             if ch.upper() not in _CHAR_PAULIS:
@@ -69,17 +62,6 @@ class PauliLabel:
 
     def __repr__(self):
         return f"PauliLabel({self.to_string()!r})"
-
-
-def _check_len(a: PauliLabel, b: PauliLabel) -> None:
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-
-
-def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
-    """[a, b] = <a_x, b_z> + <a_z, b_x> mod 2; 0 iff W_a and W_b commute."""
-    _check_len(a, b)
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +91,6 @@ class Gf2Basis:
             if (v >> piv) & 1:
                 v ^= row
         return v
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
 
     def enumerate_span(self) -> list[int]:
         out = [0]
@@ -157,49 +136,49 @@ def rref_basis_from_labels(labels) -> Gf2Basis:
 # symplectic Gram-Schmidt
 
 
-@dataclass(frozen=True)
-class SgsDecomposition:
-    """Commuting center plus hyperbolic pairs generating the input span."""
+def symplectic_gram_schmidt(rows, n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """(center, pairs): a commuting center and anticommuting pairs that
+    generate the span of packed label rows (``PauliLabel.to_vector``, n qubits).
 
-    center: tuple[PauliLabel, ...]
-    pairs: tuple[tuple[PauliLabel, PauliLabel], ...]
-
-
-def symplectic_gram_schmidt(generators) -> SgsDecomposition:
-    """Split a generating set into anticommuting pairs and a commuting center.
-
-    Identity elements (and elements that reduce to the identity) are dropped.
-    Every output element commutes with every other, except that the two
-    members of a pair anticommute with each other.
+    Rows are taken in order.  Each pairs with the first later row it
+    anticommutes with, and the rows left are cleared of the pair's
+    components.  A row with no mate joins the center if elimination against
+    the center rows kept so far leaves it nonzero.  Zero rows are dropped.
+    Each output row commutes with every other but its pair's mate.
     """
-    work = [g for g in generators if not g.is_identity]
-    center: list[PauliLabel] = []
-    pairs: list[tuple[PauliLabel, PauliLabel]] = []
-    nbits = 2 * work[0].n if work else 0
+    mask = (1 << n) - 1
+    work = [v for v in rows if v]
+    center: list[int] = []
+    pairs: list[tuple[int, int]] = []
+    echelon: list[tuple[int, int]] = []  # (row, pivot bit): later rows clear each pivot
     while work:
         g = work.pop(0)
-        mate = None
-        for i, h in enumerate(work):
-            if symplectic_product(g, h):
-                mate = work.pop(i)
-                break
-        if mate is None:
-            # commutes with everything left; keep only if it extends the span
-            span = rref_basis([c.to_vector() for c in center], nbits)
-            if not g.is_identity and not span.contains(g.to_vector()):
+        # [v, g] is the parity of v & swap(g), swap exchanging the x and z halves
+        g_swap = ((g & mask) << n) | (g >> n)
+        i = next((i for i, h in enumerate(work) if (h & g_swap).bit_count() & 1), None)
+        if i is None:
+            v = g
+            for row, pivot in echelon:
+                if v & pivot:
+                    v ^= row
+            if v:
+                echelon.append((v, v & -v))
                 center.append(g)
             continue
+        mate = work.pop(i)
+        m_swap = ((mate & mask) << n) | (mate >> n)
         pairs.append((g, mate))
-        for i, v in enumerate(work):
-            a = symplectic_product(v, mate)
-            b = symplectic_product(v, g)
-            if a:
-                v = v.add(g)
-            if b:
-                v = v.add(mate)
-            work[i] = v
-        work = [v for v in work if not v.is_identity]
-    return SgsDecomposition(tuple(center), tuple(pairs))
+        cleared = []
+        for v in work:
+            w = v
+            if (v & m_swap).bit_count() & 1:
+                w ^= g
+            if (v & g_swap).bit_count() & 1:
+                w ^= mate
+            if w:
+                cleared.append(w)
+        work = cleared
+    return tuple(center), tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

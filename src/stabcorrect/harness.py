@@ -2,8 +2,8 @@
 batch execution, and JSONL/CSV persistence.
 
 Identical configs produce byte-identical JSONL output modulo the wall-time
-field; trials split the master seed hierarchically, so they may run in any
-order or in parallel.
+field, on the same BLAS build and thread count; trials split the master seed
+hierarchically, so they may run in any order or in parallel.
 """
 
 from __future__ import annotations
@@ -575,7 +575,7 @@ def _bench(n: int) -> dict:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     t0 = time.perf_counter()
-    kernels.char_expectations(amps, n)
+    kernels.unsigned_expectations(amps, n)
     out["char_table_s"] = time.perf_counter() - t0
     # the build the pipeline runs: <W_x>^2, q and both cumulative laws
     psi = StateVector(n, amps)

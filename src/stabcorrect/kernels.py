@@ -17,8 +17,9 @@ transform of Re g_a vanishes where |a&b| is odd and that of Im g_a where it
 is even.  One real transform of f_a = Re g_a + Im g_a therefore carries
 both, and the phase reduces to a sign, + for |a&b| = 0 or 3 (mod 4) and -
 for 1 or 2.  The table is built as f[j, a] and transformed along j, which
-leaves it in the ``a | (b << n)`` layout; a caller that squares it skips the
-sign pass (``unsigned_expectations``).
+leaves it in the ``a | (b << n)`` layout.  ``unsigned_expectations`` leaves
+that sign off: a caller that squares the table drops it anyway, and the
+exact oracles fold it into their phase exponents.
 
 Every Walsh-Hadamard transform is ``wht_inplace``: a product of small
 Sylvester-Hadamard factors, each applied by one BLAS matrix product over a
@@ -127,19 +128,13 @@ def wht_inplace(v: np.ndarray) -> np.ndarray:
     return v
 
 
-_CHUNK = 1 << 14  # entries per gathered or signed block of the 4^n table
-_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # the phase's sign, by |a&b| mod 4
-
-
-def _block_rows(n: int) -> int:
-    """Rows per block of a (2^n, 2^n) table: a power of two, so blocks tile it."""
-    return min(1 << n, max(1, _CHUNK >> n))
+_CHUNK = 1 << 14  # entries per gathered block of the 4^n table
 
 
 def unsigned_expectations(amps: np.ndarray, n: int) -> np.ndarray:
-    """The 4^n expectations of ``char_expectations`` before its sign pass:
-    entry a | (b << n) is _SIGN[|a&b| mod 4] <psi|W_(a,b)|psi>, so its square
-    is <W_x>^2 bit for bit.
+    """All 4^n expectations without the phase's sign: entry a | (b << n) is
+    <psi|W_(a,b)|psi>, negated where |a&b| mod 4 is 1 or 2, so its square is
+    <W_x>^2 bit for bit.
 
     With psi = x + iy, f[j, a] = Re g_a(j) + Im g_a(j)
     = x[j^a] (x[j] + y[j]) + y[j^a] (y[j] - x[j]), gathered in row blocks,
@@ -147,7 +142,8 @@ def unsigned_expectations(amps: np.ndarray, n: int) -> np.ndarray:
     amps = np.asarray(amps, dtype=np.complex128)
     x, y = amps.real.copy(), amps.imag.copy()
     plus, minus = x + y, y - x
-    dim, rows = 1 << n, _block_rows(n)
+    # rows per block: a power of two, so blocks tile the (2^n, 2^n) table
+    dim, rows = 1 << n, min(1 << n, max(1, _CHUNK >> n))
     cols = np.arange(dim)
     table = np.empty((dim, dim), dtype=np.float64)
     t = np.empty((rows, dim), dtype=np.float64)
@@ -158,18 +154,6 @@ def unsigned_expectations(amps: np.ndarray, n: int) -> np.ndarray:
         np.multiply(np.take(x, idx, out=t, mode="clip"), plus[j, None], out=table[j])
         table[j] += np.multiply(np.take(y, idx, out=t, mode="clip"), minus[j, None], out=t)
     return wht_inplace(table).reshape(-1)
-
-
-def char_expectations(amps: np.ndarray, n: int) -> np.ndarray:
-    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n):
-    ``unsigned_expectations`` signed block by block."""
-    table = unsigned_expectations(amps, n)
-    dim, rows = 1 << n, _block_rows(n)
-    cols = np.arange(dim)
-    for b0, block in zip(range(0, dim, rows), table.reshape(-1, rows, dim)):
-        b = np.arange(b0, b0 + rows)[:, None]
-        block *= _SIGN[np.bitwise_count(b & cols) & 3]
-    return table
 
 
 def inverse_cdf(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -29,12 +29,7 @@ from math import prod
 import numpy as np
 
 from . import kernels
-from .gf2 import (
-    PauliLabel,
-    rref_basis,
-    symplectic_product,
-    symplectic_gram_schmidt,
-)
+from .gf2 import PauliLabel, symplectic_gram_schmidt
 
 GATE_NAMES = ("H", "S", "CNOT", "X", "Z")
 
@@ -62,16 +57,15 @@ class PhasedPauli:
 
     @staticmethod
     def from_string(s: str) -> "PhasedPauli":
-        phase = 0
-        if s.startswith("-i"):
-            phase, s = 3, s[2:]
-        elif s.startswith("+i"):
-            phase, s = 1, s[2:]
-        elif s.startswith("-"):
-            phase, s = 2, s[1:]
-        elif s.startswith("+"):
-            s = s[1:]
-        return PhasedPauli(PauliLabel.from_string(s), phase)
+        """At most one sign (+, -, +i or -i), then the label's letters."""
+        phase, body = 0, s
+        for t, sign in ((3, "-i"), (1, "+i"), (2, "-"), (0, "+")):
+            if s.startswith(sign):
+                phase, body = t, s[len(sign) :]
+                break
+        if body.startswith(("+", "-")):
+            raise ValueError(f"more than one sign in Pauli string {s!r}")
+        return PhasedPauli(PauliLabel.from_string(body), phase)
 
     def __repr__(self):
         return f"PhasedPauli({self.to_string()!r})"
@@ -339,11 +333,12 @@ def canonicalize_subgroup(
     if not generators:
         raise ValueError("need at least one generator")
     n = generators[0].n
-    sgs = symplectic_gram_schmidt(generators)
-    k, m = len(sgs.pairs), len(sgs.center)
-    tracked = [PhasedPauli(lab, 0) for pair in sgs.pairs for lab in pair]
-    tracked += [PhasedPauli(lab, 0) for lab in sgs.center]
-    cols = _PauliColumns(n, tracked)
+    if any(g.n != n for g in generators):
+        raise ValueError("generators of different lengths")
+    center, pairs = symplectic_gram_schmidt([g.to_vector() for g in generators], n)
+    k, m = len(pairs), len(center)
+    rows = [v for pair in pairs for v in pair] + list(center)
+    cols = _PauliColumns(n, signed_generators(n, rows, 0))
     for i in range(k):
         cols.reduce_pair(2 * i, 2 * i + 1, i)
     cols.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
@@ -384,12 +379,12 @@ class StabilizerState:
         for g in self.generators:
             if g.n != self.n or not g.is_hermitian:
                 raise ValueError("generators must be Hermitian n-qubit Paulis")
-        labs = [g.label for g in self.generators]
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if symplectic_product(labs[i], labs[j]):
-                    raise ValueError("generators must commute")
-        if rref_basis([l.to_vector() for l in labs], 2 * self.n).rank != self.n:
+        # pairwise commuting labels form no pair; independent ones all join the center
+        rows = [g.label.to_vector() for g in self.generators]
+        center, pairs = symplectic_gram_schmidt(rows, self.n)
+        if pairs:
+            raise ValueError("generators must commute")
+        if len(center) != self.n:
             raise ValueError("generator labels must be independent")
 
     def to_json(self) -> list[str]:

@@ -364,9 +364,9 @@ def lcu_residual(
 
 
 def _span_phases(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group elements g_c = XOR of the rows selected by the bits of c, and
-    the exponents e_c with prod_i W_{r_i}^{c_i} = i^{e_c} W_{g_c} (the
-    ``pauli_product`` cocycle, mod 4), for each basis in ``rows`` (M, d)."""
+    """Group elements g_c = XOR of the rows selected by the bits of c, and the
+    exponents e_c with <prod_i W_{r_i}^{c_i}> = i^{e_c} u(g_c), u the table of
+    ``kernels.unsigned_expectations``, for each basis in ``rows`` (M, d)."""
     m, d = rows.shape
     mask, pc = (1 << n) - 1, np.bitwise_count
     g, e = np.zeros((2, m, 1 << d), dtype=np.int64)
@@ -379,12 +379,14 @@ def _span_phases(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         theta = pc(ax & bx) + pc(ay & by) + 2 * pc(bx & ay) - pc(a & b)
         g[:, h : 2 * h] = a | (b << n)
         e[:, h : 2 * h] = (e[:, :h] + theta) & 3
+    # the ``pauli_product`` cocycle, plus 2 where u drops a minus (|a&b| = 1, 2 mod 4)
+    e ^= (pc(g & (g >> n)) + 1) & 2
     return g, e
 
 
 def _projection_weights(table: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """(M, 2^d) array of ||Pi_{S,z} psi||^2 = 2^-d WHT_c(i^{e_c} <W_{g_c}>)(z) for
-    the subspace S of each row of ``rows`` and each z (bit i negates row i)."""
+    """(M, 2^d) array of ||Pi_{S,z} psi||^2 = 2^-d WHT_c(i^{e_c} u(g_c))(z) for the
+    unsigned table u, the subspace S of each row of ``rows`` and each z (bit i negates row i)."""
     g, e = _span_phases(rows, n)
     # commuting Hermitian factors: e_c is 0 or 2; transformed as (2^d, M)
     vals = np.empty((g.shape[1], g.shape[0]))
@@ -393,9 +395,9 @@ def _projection_weights(table: np.ndarray, rows: np.ndarray, n: int) -> np.ndarr
 
 
 def _best_per_subspace(psi: StateVector, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The signed table, the d-dim isotropic subspaces, each one's best weight."""
+    """The unsigned table, the d-dim isotropic subspaces, each one's best weight."""
     subspaces = isotropic_subspaces(psi.n, d)
-    table = kernels.char_expectations(psi.amps, psi.n)
+    table = kernels.unsigned_expectations(psi.amps, psi.n)
     step = (1 << 18) >> d  # 2^18 entries per batched transform
     best = np.concatenate([
         _projection_weights(table, subspaces[i : i + step], psi.n).max(axis=1)

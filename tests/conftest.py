@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 
 from stabcorrect import kernels
-from stabcorrect.gf2 import (
-    Gf2Basis,
-    PauliLabel,
-    SgsDecomposition,
-    rref_basis,
-    symplectic_gram_schmidt,
-    symplectic_product,
-)
+from stabcorrect.gf2 import Gf2Basis, PauliLabel, rref_basis
 from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
@@ -48,6 +41,87 @@ def random_label(n, rng):
 
 def random_phased(n, rng):
     return PhasedPauli(random_label(n, rng), int(rng.integers(4)))
+
+
+def random_label_set(n, rng):
+    """1 to 2n + 2 labels, each a zero row, a repeat of an earlier one, the
+    sum of two earlier ones or a uniform label, in about equal shares."""
+    labels = []
+    for _ in range(int(rng.integers(1, 2 * n + 3))):
+        kind = int(rng.integers(4)) if labels else 3
+        if kind == 0:
+            labels.append(PauliLabel(n, 0, 0))
+        elif kind == 1:
+            labels.append(labels[int(rng.integers(len(labels)))])
+        elif kind == 2:
+            a, b = (labels[int(i)] for i in rng.integers(len(labels), size=2))
+            labels.append(label_sum(a, b))
+        else:
+            labels.append(random_label(n, rng))
+    return labels
+
+
+# ---------------------------------------------------------------------------
+# label arithmetic and symplectic Gram-Schmidt on PauliLabel objects: the
+# references the package's packed-row routine is checked against
+
+
+def label_sum(a: PauliLabel, b: PauliLabel) -> PauliLabel:
+    """a + b in F_2^{2n}: the label of W_a W_b up to phase."""
+    _check_len(a, b)
+    return PauliLabel(a.n, a.x ^ b.x, a.z ^ b.z)
+
+
+def _check_len(a: PauliLabel, b: PauliLabel) -> None:
+    if a.n != b.n:
+        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
+
+
+def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
+    """[a, b] = <a_x, b_z> + <a_z, b_x> mod 2; 0 iff W_a and W_b commute."""
+    _check_len(a, b)
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
+
+
+@dataclass(frozen=True)
+class SgsDecomposition:
+    """Commuting center plus hyperbolic pairs generating the input span."""
+
+    center: tuple[PauliLabel, ...]
+    pairs: tuple[tuple[PauliLabel, PauliLabel], ...]
+
+
+def symplectic_gram_schmidt_reference(generators) -> SgsDecomposition:
+    """The split ``gf2.symplectic_gram_schmidt`` makes, on label objects,
+    with one ``rref_basis`` of the center so far per center candidate."""
+    work = [g for g in generators if g.x or g.z]
+    center: list[PauliLabel] = []
+    pairs: list[tuple[PauliLabel, PauliLabel]] = []
+    nbits = 2 * work[0].n if work else 0
+    while work:
+        g = work.pop(0)
+        mate = None
+        for i, h in enumerate(work):
+            if symplectic_product(g, h):
+                mate = work.pop(i)
+                break
+        if mate is None:
+            # commutes with everything left; keep only if it extends the span
+            span = rref_basis([c.to_vector() for c in center], nbits)
+            if span.reduce(g.to_vector()):
+                center.append(g)
+            continue
+        pairs.append((g, mate))
+        for i, v in enumerate(work):
+            a = symplectic_product(v, mate)
+            b = symplectic_product(v, g)
+            if a:
+                v = label_sum(v, g)
+            if b:
+                v = label_sum(v, mate)
+            work[i] = v
+        work = [v for v in work if v.x or v.z]
+    return SgsDecomposition(tuple(center), tuple(pairs))
 
 
 def random_clifford_gates_reference(n, rng, length):
@@ -299,7 +373,7 @@ class RowReducer:
                     self.tracked[idx] = pauli_product(
                         self.tracked[idx], self.tracked[indices[s]]
                     )
-            if self.tracked[idx].label.is_identity:
+            if self.tracked[idx].label == PauliLabel(self.n, 0, 0):
                 raise ValueError("dependent generator in isotropic reduction")
             if self.tracked[idx].label != PauliLabel(self.n, 0, 1 << target):
                 lowest = min(
@@ -321,7 +395,7 @@ def canonicalize_reference(generators, center_tail=False):
     on the same symplectic Gram-Schmidt output."""
     generators = list(generators)
     n = generators[0].n
-    sgs = symplectic_gram_schmidt(generators)
+    sgs = symplectic_gram_schmidt_reference(generators)
     k, m = len(sgs.pairs), len(sgs.center)
     tracked = [PhasedPauli(lab, 0) for pair in sgs.pairs for lab in pair]
     tracked += [PhasedPauli(lab, 0) for lab in sgs.center]
@@ -393,12 +467,9 @@ def synthesize_circuit(tableau: CliffordTableau) -> CliffordCircuit:
     return CliffordCircuit(n, tuple(cols.gates)).inverse()
 
 
-def all_labels(sgs: SgsDecomposition) -> list[PauliLabel]:
+def all_rows(center, pairs) -> list[int]:
     """The center, then each pair's two members."""
-    out = list(sgs.center)
-    for g, h in sgs.pairs:
-        out += [g, h]
-    return out
+    return list(center) + [v for pair in pairs for v in pair]
 
 
 def is_isotropic(basis: Gf2Basis, n: int) -> bool:
@@ -502,7 +573,17 @@ def orthogonal_stab_pair(n, rng):
 
 def expectation_table(psi):
     """All 4^n signed expectations <W_x>, indexed by ``PauliLabel.to_vector``."""
-    return kernels.char_expectations(psi.amps, psi.n)
+    return signed_expectations(psi.amps, psi.n)
+
+
+_SIGN = np.array([1.0, -1.0, -1.0, 1.0])  # the phase's sign, by |a&b| mod 4
+
+
+def signed_expectations(amps, n):
+    """All 4^n expectations <psi|W_(a,b)|psi>, indexed by a | (b << n):
+    ``kernels.unsigned_expectations`` with the sign it leaves off put back."""
+    idx = np.arange(1 << (2 * n))
+    return kernels.unsigned_expectations(amps, n) * _SIGN[np.bitwise_count(idx & (idx >> n)) & 3]
 
 
 def table_states(n, rng):
@@ -710,12 +791,12 @@ def membership_rows_reference(psi, verts, t, params, rng, ledger):
 
 def pfr_subgroup_reference(samples, basis):
     """The covering span of ``selfcorrect.pfr_subgroup`` from Python ints:
-    the set of pairwise sums, one ``Gf2Basis.contains`` per sum, and
+    the set of pairwise sums, one ``Gf2Basis.reduce`` per sum, and
     ``rref_basis`` of the accepted ones.  None where too few are accepted."""
     n = samples[0].n
     vecs = [s.to_vector() for s in samples]
     sums = {a ^ b for i, a in enumerate(vecs) for b in vecs[i:]}
-    accepted = [v for v in sums if basis.contains(v)]
+    accepted = [v for v in sums if basis.reduce(v) == 0]
     if len(accepted) < n + 1:
         return None
     return rref_basis(accepted, 2 * n)

@@ -10,7 +10,13 @@ import time
 
 import numpy as np
 
-from stabcorrect.gf2 import PauliLabel, mub_covering, rref_basis, rref_basis_from_labels
+from stabcorrect.gf2 import (
+    PauliLabel,
+    mub_covering,
+    rref_basis,
+    rref_basis_from_labels,
+    symplectic_gram_schmidt,
+)
 from stabcorrect.harness import ExperimentConfig, run
 from stabcorrect.iterate import (
     ErrorSchedule,
@@ -29,7 +35,6 @@ from stabcorrect.pauli import (
     conjugate,
     isotropic_subspaces,
     statevector_of,
-    symplectic_gram_schmidt,
 )
 from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
@@ -51,7 +56,7 @@ from conftest import (
     is_lagrangian,
     orthogonal_stab_pair,
     planted_state,
-    all_labels,
+    all_rows,
     random_circuit,
     synthesize_circuit,
     t_state,
@@ -140,9 +145,8 @@ def test_criterion_04_structure_algebra():
             PauliLabel(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
             for _ in range(int(rng.integers(1, 2 * n + 2)))
         ]
-        dec = symplectic_gram_schmidt(gens)
-        out = all_labels(dec)
-        got = rref_basis([g.to_vector() for g in out], 2 * n)
+        out = all_rows(*symplectic_gram_schmidt([g.to_vector() for g in gens], n))
+        got = rref_basis(out, 2 * n)
         ok &= got == rref_basis([g.to_vector() for g in gens], 2 * n)
         ok &= got.rank == len(out)
         circuit, k, m = canonicalize_subgroup(gens)

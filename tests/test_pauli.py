@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stabcorrect import kernels
-from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_product
+from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
 from stabcorrect.pauli import (
     CliffordCircuit,
     PhasedPauli,
@@ -32,8 +33,10 @@ from conftest import (
     prep_reduction_reference,
     random_circuit,
     random_label,
+    random_label_set,
     random_phased,
     stabilizer_state_matrix,
+    symplectic_product,
     synthesize_circuit,
     tableau_from_circuit,
     weyl_matrix,
@@ -91,6 +94,22 @@ class TestProduct:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             pauli_product(pp("X"), pp("XX"))
+
+
+class TestParsing:
+    @pytest.mark.parametrize("text,phase", [("XZ", 0), ("+XZ", 0), ("-XZ", 2), ("+iXZ", 1), ("-iXZ", 3)])
+    def test_one_sign(self, text, phase):
+        assert pp(text) == PhasedPauli(lab("XZ"), phase)
+
+    def test_string_round_trip(self, rng):
+        for _ in range(30):
+            p = random_phased(4, rng)
+            assert pp(p.to_string()) == p
+
+    @pytest.mark.parametrize("text", ["++XZ", "-+X", "+i+X", "+-X", "--X", "-i-X"])
+    def test_second_sign_named(self, text):
+        with pytest.raises(ValueError, match=f"more than one sign in Pauli string {re.escape(repr(text))}"):
+            pp(text)
 
 
 def one_gate(n: int, name: str, qs: tuple[int, ...]) -> CliffordCircuit:
@@ -162,9 +181,10 @@ class TestAgainstRowReference:
     @pytest.mark.parametrize("center_tail", [False, True])
     @pytest.mark.parametrize("n", range(1, 13))
     def test_canonicalize_gates(self, n, center_tail):
+        # on sets with zero, repeated and dependent rows too
         rng = np.random.default_rng(5100 + n)
-        for _ in range(8):
-            gens = [random_label(n, rng) for _ in range(int(rng.integers(1, 2 * n + 2)))]
+        for _ in range(16):
+            gens = random_label_set(n, rng)
             circ, k, m = canonicalize_subgroup(gens, center_tail=center_tail)
             assert (circ.gates, k, m) == canonicalize_reference(gens, center_tail)
 
@@ -200,8 +220,6 @@ class TestTableau:
             assert np.allclose(weyl_matrix(conjugate(circ, p)), u @ weyl_matrix(p) @ u.conj().T)
 
     def test_conjugation_preserves_symplectic(self, rng):
-        from stabcorrect.gf2 import symplectic_product
-
         for _ in range(100):
             n = int(rng.integers(1, 7))
             circ = random_circuit(n, rng)
@@ -322,8 +340,6 @@ class TestPairReduction:
             clifford_from_anticommuting_pair(pp("YX"), pp("ZZ"))
 
     def test_random_pairs(self, rng):
-        from stabcorrect.gf2 import symplectic_product
-
         done = 0
         while done < 100:
             n = int(rng.integers(1, 7))
@@ -436,6 +452,12 @@ class TestCanonicalize:
             assert img == rref_basis(rows, 2 * n)
             assert k + m <= n
 
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="generators of different lengths"):
+            canonicalize_subgroup([lab("XI"), lab("Z")])
+        with pytest.raises(ValueError, match="generators of different lengths"):
+            canonicalize_subgroup([lab("II"), lab("ZIZ")])
+
     @pytest.mark.parametrize("center_tail", [False, True])
     @pytest.mark.parametrize("trial", range(4))
     def test_matches_synthesized_path(self, trial, center_tail):
@@ -490,6 +512,37 @@ class TestStabilizerStates:
             StabilizerState(2, (pp("+ZI"), pp("-ZI")))  # dependent
         with pytest.raises(ValueError):
             StabilizerState(1, (PhasedPauli(lab("X"), 1),))  # not Hermitian
+
+    def test_mixed_lengths_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian n-qubit Paulis"):
+            StabilizerState(2, (pp("+ZI"), pp("+Z")))
+        with pytest.raises(ValueError, match="Hermitian n-qubit Paulis"):
+            StabilizerState(2, (pp("+ZII"), pp("+IZ")))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_same_message_as_the_pairwise_check(self, n):
+        # the check it replaced: every pair commutes, then the labels' rank
+        # is n; on sets that fail either, or both
+        rng = np.random.default_rng(5300 + n)
+        failed = 0
+        for _ in range(300):
+            labels = [
+                random_label(n, rng) if rng.random() < 0.7 else PauliLabel(n, 0, 1 << int(rng.integers(n)))
+                for _ in range(n)
+            ]
+            want = None
+            if any(symplectic_product(a, b) for a, b in itertools.combinations(labels, 2)):
+                want = "generators must commute"
+            elif rref_basis([g.to_vector() for g in labels], 2 * n).rank != n:
+                want = "generator labels must be independent"
+            gens = tuple(PhasedPauli(g, 2 * int(rng.integers(2))) for g in labels)
+            if want is None:
+                StabilizerState(n, gens)
+                continue
+            failed += 1
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                StabilizerState(n, gens)
+        assert failed
 
     def test_prep_all_zero_empty(self):
         st = StabilizerState(3, tuple(pp(s) for s in ("+ZII", "+IZI", "+IIZ")))

@@ -54,6 +54,7 @@ from conftest import (
     q_tables_reference,
     retained_reference,
     rotation_stab_dim_fidelity,
+    signed_expectations,
     stabilizer_state_matrix,
     t_state,
     table_states,
@@ -185,7 +186,7 @@ class TestDistributions:
         # the sign pass that expectation_squares skips changes no square
         for amps in table_states(n, rng):
             got = expectation_squares(StateVector(n, amps))
-            assert np.array_equal(got, kernels.char_expectations(amps, n) ** 2)
+            assert np.array_equal(got, signed_expectations(amps, n) ** 2)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_q_and_proxy_match_the_butterfly_build(self, n, rng):
@@ -821,7 +822,9 @@ class TestExactOracle:
             for i, v in enumerate(rows):
                 if (c >> i) & 1:
                     prod = pauli_product(prod, PhasedPauli(PauliLabel.from_vector(n, v), 0))
-            assert (g[0, c], e[0, c]) == (prod.label.to_vector(), prod.phase)
+            # plus the sign the unsigned table leaves off
+            flip = 2 * ((prod.label.x & prod.label.z).bit_count() % 4 in (1, 2))
+            assert (g[0, c], e[0, c]) == (prod.label.to_vector(), prod.phase ^ flip)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_projection_weights_match_the_butterflies(self, d):
@@ -832,7 +835,7 @@ class TestExactOracle:
         g, e = _span_phases(rows, n)
         rng = np.random.default_rng(7)
         ints = rng.integers(-(1 << 30), 1 << 30, size=4**n, endpoint=True).astype(np.float64)
-        for table in (ints, expectation_table(random_state(n, rng))):
+        for table in (ints, kernels.unsigned_expectations(random_state(n, rng).amps, n)):
             vals = np.ascontiguousarray((table[g] * (1 - e)).T)  # (2^d, M)
             want = wht_butterfly_reference(vals.copy()).T / vals.shape[0]
             diff = np.abs(_projection_weights(table, rows, n) - want)
