@@ -50,12 +50,13 @@ class PauliLabel:
 
     @staticmethod
     def from_string(s: str) -> "PauliLabel":
-        """The label of a string of I, X, Y and Z, one per qubit and no sign."""
+        """The label of a string of I, X, Y and Z (upper case), one per qubit
+        and no sign."""
         x = z = 0
         for q, ch in enumerate(s):
-            if ch.upper() not in _CHAR_PAULIS:
+            if ch not in _CHAR_PAULIS:
                 raise ValueError(f"unknown Pauli character {ch!r} in {s!r}")
-            xq, zq = _CHAR_PAULIS[ch.upper()]
+            xq, zq = _CHAR_PAULIS[ch]
             x |= xq << q
             z |= zq << q
         return PauliLabel(len(s), x, z)

@@ -153,6 +153,7 @@ def unsigned_expectations(amps: np.ndarray, n: int) -> np.ndarray:
         # every index is in range; "clip" writes to ``out`` without a buffer
         np.multiply(np.take(x, idx, out=t, mode="clip"), plus[j, None], out=table[j])
         table[j] += np.multiply(np.take(y, idx, out=t, mode="clip"), minus[j, None], out=t)
+    del idx, t  # freed before the transform allocates its scratch table
     return wht_inplace(table).reshape(-1)
 
 

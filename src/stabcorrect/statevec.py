@@ -1,25 +1,25 @@
 """Dense statevector oracle: circuit application, the squared Weyl
-expectation table and the difference-sampling law, overlap and sampling
-estimators, the charge of the combination-residual preparation, and the
-exact stabilizer fidelity oracles, one character sum over isotropic
-subspaces.
+expectation table and its cumulative law, difference and retained sampling,
+overlap and sampling estimators, the charge of the combination-residual
+preparation, and the exact stabilizer fidelity oracles, one character sum
+over isotropic subspaces.
 
-The difference-sampling law q = p * p of p(x) = <W_x>^2 / 2^n is built with
-one 2n-bit transform of <W_x>^4 instead of a convolution's two: a pure
-state's characteristic distribution is its own symplectic Fourier transform
-(Gross, Nezami and Walter, arXiv 1712.08628), so the transform of p is
-<W_z>^2 and that of q is <W_z>^4.
+Difference sampling draws from q = p * p, p(x) = <W_x>^2 / 2^n, without a
+table of q: a draw from q is y ^ z for independent draws y and z from p,
+both looked up in cumsum(<W_x>^2).  The proxy E_{x~q}[<W_x>^2] is
+2^-n sum_x <W_x>^6 by the triple-correlation identity of a pure state
+(Gross, Nezami and Walter, arXiv 1712.08628).
 
 All "measurements" draw from exactly computed Born probabilities; finite-shot
 behavior enters only through declared shot counts in the estimators, which
-makes every statistical guarantee directly testable.  A state caches three
-4^n float64 tables, <W_x>^2, the difference-sampling law (cumulated in place
-when a difference sample first needs it) and the cumulative retained law,
-24 * 4^n bytes in steady state; the build peaks at
-``TABLE_BUILD_PEAK`` tables and raises ValueError before it allocates when
-that peak would exceed physical memory.  A sampled average over independent
-two-outcome shots is drawn as its +1 count, one binomial, so it holds no
-per-shot array.
+makes every statistical guarantee directly testable.  A state caches two
+4^n float64 tables, <W_x>^2 and its cumulative sum (built when a label is
+first drawn), and the proxy, 16 * 4^n bytes in steady state; the build
+peaks at ``TABLE_BUILD_PEAK`` tables and raises ValueError before it allocates
+when that peak would exceed physical memory.  A retained label costs 1/proxy
+proposals, drawn in batches of at most ``RETAINED_BATCH``.  A sampled
+average over independent two-outcome shots is drawn as its +1 count, one
+binomial, so it holds no per-shot array.
 
 States are immutable values; operations return new states.  Independent
 trials may run concurrently provided each owns a distinct RngStream path and
@@ -48,17 +48,19 @@ from .pauli import (
 NORM_TOL = 1e-10
 
 
-# Peak of one state's table build (``expectation_squares`` then ``_q_tables``)
-# in 4^n-entry float64 tables, plus a few KiB of numpy buffers.  It is reached
-# three times: while q's b-transform holds <W_x>^2, <W_x>^4 and the
-# transform's scratch table; while its a-transform holds <W_x>^2, q and the
-# scratch; and when the retained law's table is allocated beside <W_x>^2 and
-# q, the three tables a state keeps.  The unsigned table's transform before
-# them peaks at 2 (the table and the scratch).  The Hadamard factors are built
-# at import, outside the build.  Measured with tracemalloc: 3.007 at n = 8
-# (re-measured by test_statevec), 3.001 at n = 9 and 3.000 at n = 10, 11
-# and 12.
-TABLE_BUILD_PEAK = 3.0
+# Peak of one state's table build (``expectation_squares``, ``exact_proxy``,
+# then ``_label_cdf``) in 4^n-entry float64 tables.  It is reached twice: while
+# the unsigned table's transform holds the table and its scratch, and while
+# the proxy's square or the cumulative law lies beside <W_x>^2.  The gather
+# blocks of ``kernels.unsigned_expectations`` are freed before the transform,
+# and the Hadamard factors are built at import.  Measured with tracemalloc:
+# 2.026 at n = 8 (re-measured by test_statevec), 2.011 at n = 9, 2.005 at
+# n = 10, 2.003 at n = 11 and 2.001 at n = 12; the excess is the 2^n-entry
+# vectors of the gather.  Below n = 8 a table is under 512 KiB, and
+# fixed-size buffers (the two gather blocks of at most 2^14 entries, numpy's
+# ufunc buffers) outweigh it: 4.06 tables at n = 7 and 5.16 at n = 6, under
+# 1 MiB in all.
+TABLE_BUILD_PEAK = 2.03
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,89 +132,72 @@ def expectation_squares(psi: StateVector) -> np.ndarray:
     return psi._cache["w2"]
 
 
-def _q_tables(psi: StateVector) -> tuple[np.ndarray, float]:
-    """The cumulative retained law and the proxy E_q[<W_x>^2], built once
-    per state, which also keeps the difference-sampling law q, uncumulated.
-
-    With p(x) = <W_x>^2 / 2^n, the law of difference sampling is the XOR
-    self-convolution q = p * p, and a draw kept with probability <W_x>^2
-    follows q(x) <W_x>^2 / proxy.  A pure state's p is self-dual,
-    sum_x (-1)^{[x,z]} <W_x>^2 = 2^n <W_z>^2 with the symplectic form
-    [x, z] = a_x.b_z + b_x.a_z, so q(x) = 4^-n sum_z (-1)^{[x,z]} <W_z>^4:
-    one 2n-bit transform of <W_x>^4, taken over b, then, after a transpose
-    that swaps a and b, over a.  The build checks the triple-correlation
-    identity E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3 = 2^-n sum_x <W_x>^6,
-    which holds for pure states.  ``_difference_cdf`` cumulates q in place
-    when a difference sample first needs it.
-    """
-    if "proxy" not in psi._cache:
-        w2 = expectation_squares(psi)
-        dim = 1 << psi.n
-        w4 = np.square(w2)
-        triple = float(np.dot(w4, w2)) / dim
-        half = kernels.wht_inplace(w4.reshape(dim, dim))  # over b
-        q = np.empty_like(w2)
-        swapped = q.reshape(dim, dim)
-        for c in range(0, dim, 64):  # a <-> b: the transpose in column tiles
-            swapped[:, c : c + 64] = half[c : c + 64].T
-        del w4, half  # so the retained law below is the third table, not the fourth
-        kernels.wht_inplace(swapped)  # over a
-        q *= 1.0 / (dim * dim)
-        np.clip(q, 0.0, None, out=q)
-        proxy = float(np.dot(q, w2))
-        if abs(proxy - triple) > 1e-9:
-            raise AssertionError("triple-correlation identity violated")
-        retained = np.multiply(q, w2)
-        psi._cache["rcum"] = np.cumsum(retained, out=retained)
-        psi._cache["q"] = q
-        psi._cache["proxy"] = proxy
-    return psi._cache["rcum"], psi._cache["proxy"]
+def _label_cdf(psi: StateVector) -> np.ndarray:
+    """cumsum(<W_x>^2), the cumulative law of p scaled by 2^n, built once per
+    state after the proxy, so that the proxy's scratch square is freed
+    before this table is allocated."""
+    if "wcum" not in psi._cache:
+        exact_proxy(psi)
+        psi._cache["wcum"] = np.cumsum(expectation_squares(psi))
+    return psi._cache["wcum"]
 
 
-def _difference_cdf(psi: StateVector) -> np.ndarray:
-    """cumsum(q), written over q's table (cache key "q" becomes "qcum") the
-    first time it is asked for, so it takes no table of its own."""
-    _q_tables(psi)
-    if "qcum" not in psi._cache:
-        q = psi._cache.pop("q")
-        psi._cache["qcum"] = np.cumsum(q, out=q)
-    return psi._cache["qcum"]
+def _differences(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """y ^ z for y and z looked up in ``cum`` by the two rows of uniforms
+    ``keys``: with cum the cumulative law of p, a draw from q = p * p."""
+    y, z = kernels.inverse_cdf(cum, keys.reshape(-1) * cum[-1]).reshape(2, -1)
+    return y ^ z
 
 
 def sample_weyl_indices(
     psi: StateVector, size: int, rng: np.random.Generator, ledger: CostLedger
 ) -> np.ndarray:
     """Batched difference sampling: label indices drawn from q, in draw order,
-    4 copies each."""
-    cum = _difference_cdf(psi)
-    idx = kernels.inverse_cdf(cum, rng.random(size) * cum[-1])
+    4 copies each.  One ``rng.random((2, size))`` call gives the keys of y
+    and z, and each label is y ^ z."""
+    idx = _differences(_label_cdf(psi), rng.random((2, size)))
     ledger.charge("bell_difference", copies=4 * size)
     return idx
+
+
+# proposals per batch of ``sample_retained``, 3 uniforms each: a state with a
+# small proxy (a Haar state's is about 2^-n) loops over batches of this size
+# instead of allocating count / proxy proposals at once
+RETAINED_BATCH = 1 << 15
 
 
 def sample_retained(
     psi: StateVector, count: int, rng: np.random.Generator, ledger: CostLedger
 ) -> np.ndarray:
-    """``count`` label indices that passed retention, drawn directly from
-    their law q(x) <W_x>^2 / proxy with ``count`` uniforms.
+    """``count`` label indices that passed retention, in draw order, by the
+    protocol itself: propose x ~ q, keep it when a uniform falls below
+    <W_x>^2, until ``count`` are kept, so they follow q(x) <W_x>^2 / proxy.
 
-    The protocol draws x ~ q and keeps it with probability <W_x>^2 until
-    ``count`` are kept, so its trials number ``count`` plus a
-    NegativeBinomial(count, proxy) count of discarded draws; that one
-    draw follows the uniforms, and each trial is charged 4
-    difference-sampling and 2 retention copies.  A count of 0 draws and
-    charges nothing.
+    Proposals come in batches of at most ``RETAINED_BATCH``, each one
+    ``rng.random((3, size))`` call (the keys of y and z, then the retention
+    uniforms), sized from the cached proxy to cover the labels still
+    missing.  Every proposal up to the last kept one is charged 4
+    difference-sampling and 2 retention copies; the rest of the last batch
+    is discarded uncharged.  A count of 0 draws and charges nothing.
     """
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if count == 0:
         return np.empty(0, dtype=np.intp)
-    cum, proxy = _q_tables(psi)
-    idx = kernels.inverse_cdf(cum, rng.random(count) * cum[-1])
-    trials = count + int(rng.negative_binomial(count, min(proxy, 1.0)))
-    ledger.charge("bell_difference", copies=4 * trials)
-    ledger.charge("retention", copies=2 * trials)
-    return idx
+    cum, w2, proxy = _label_cdf(psi), expectation_squares(psi), exact_proxy(psi)
+    kept, proposals, need = [], 0, count
+    while need:
+        # the mean proposal count plus 3 standard deviations' worth
+        size = min(RETAINED_BATCH, math.ceil((need + 3.0 * math.sqrt(need)) / proxy))
+        u = rng.random((3, size))
+        x = _differences(cum, u[:2])
+        hits = np.flatnonzero(u[2] < w2[x])[:need]
+        need -= hits.shape[0]
+        proposals += int(hits[-1]) + 1 if need == 0 else size
+        kept.append(x[hits])
+    ledger.charge("bell_difference", copies=4 * proposals)
+    ledger.charge("retention", copies=2 * proposals)
+    return np.concatenate(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +213,15 @@ class GowersMetrics:
 
 
 def exact_proxy(psi: StateVector) -> float:
-    """E_{x~q}[<W_x>^2] from the tables, computed once per state."""
-    return _q_tables(psi)[1]
+    """E_{x~q}[<W_x>^2] = 2^-n sum_x <W_x>^6, computed once per state.
+
+    For a pure state, E_{x~q}[2^n p(x)] = 2^{2n} sum_x p(x)^3 (the
+    triple-correlation identity of Gross, Nezami and Walter, arXiv
+    1712.08628), so the proxy needs no table of q."""
+    if "proxy" not in psi._cache:
+        w2 = expectation_squares(psi)
+        psi._cache["proxy"] = float(np.dot(np.square(w2), w2)) / (1 << psi.n)
+    return psi._cache["proxy"]
 
 
 def _proxy_shots(delta: float, fail_prob: float) -> int:
@@ -277,9 +269,8 @@ def gowers3_metrics(
 ) -> GowersMetrics:
     """Correlation metrics of the label distributions.
 
-    Exact mode evaluates both averages from the tables (the q-average is the
-    cached proxy, whose build checks the triple-correlation identity) and
-    draws and charges nothing.  Sampled mode, which needs ``rng`` and
+    Exact mode evaluates both averages from the table of <W_x>^2 (the
+    q-average is the cached proxy) and draws and charges nothing.  Sampled mode, which needs ``rng`` and
     ``ledger``, estimates the q-average with ``sampled_proxy`` at failure
     probability ``GOWERS_FAIL_PROB`` and then the p-average with as many
     conjugate-assisted pair shots, each on four copies and seeing +1 with

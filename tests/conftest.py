@@ -663,9 +663,10 @@ def xor_convolve_naive(p, q):
 
 
 def q_tables_reference(psi):
-    """q and the proxy E_q[<W_x>^2] built as ``statevec._q_tables`` builds
-    them, with butterflies: <W_x>^4 transformed over b, transposed, then
-    over a, scaled by 4^-n and clipped at zero."""
+    """q and the proxy E_q[<W_x>^2] = sum_x q(x) <W_x>^2 by the self-duality
+    of p, with butterflies: <W_x>^4 transformed over b, transposed, then
+    over a, scaled by 4^-n and clipped at zero.  The reference of
+    ``statevec.exact_proxy``'s triple-correlation sum."""
     dim = 1 << psi.n
     w2 = char_expectations_reference(psi.amps, psi.n) ** 2
     half = wht_butterfly_reference(np.square(w2).reshape(dim, dim))
@@ -703,6 +704,37 @@ def retained_reference(psi, count, rng):
         if rng.random() < w2[x]:
             kept.append(x)
     return np.array(kept), trials
+
+
+class RecordingGenerator:
+    """A numpy Generator that records the size of every ``random`` call."""
+
+    def __init__(self, gen):
+        self.gen, self.shapes = gen, []
+
+    def random(self, size=None):
+        self.shapes.append(size)
+        return self.gen.random(size)
+
+
+def retained_replay(psi, shapes, rng, count):
+    """``sample_retained``'s labels and proposal count rebuilt from the same
+    stream: each recorded (3, size) call gives y, z and retention keys,
+    looked up one proposal at a time as the unsorted reference does, until
+    ``count`` labels are kept."""
+    w2 = expectation_squares(psi)
+    cum = np.cumsum(w2)
+    kept, proposals = [], 0
+    for shape in shapes:
+        u = rng.random(shape)
+        for uy, uz, ur in u.T:
+            if len(kept) == count:
+                break
+            y, z = inverse_cdf_reference(cum, np.array([uy, uz]) * cum[-1])
+            proposals += 1
+            if ur < w2[y ^ z]:
+                kept.append(int(y ^ z))
+    return np.array(kept), proposals
 
 
 def per_shot_averages(psi, shots, runs, rng):

@@ -12,6 +12,7 @@ from stabcorrect.gf2 import (
     rref_basis_from_labels,
     symplectic_gram_schmidt,
 )
+from stabcorrect.pauli import PhasedPauli
 
 from conftest import (
     all_rows,
@@ -242,9 +243,17 @@ class TestSerialization:
             x = random_label(5, rng)
             assert PauliLabel.from_string(x.to_string()) == x
 
-    @pytest.mark.parametrize("text", ["ZQ", "+XI-", "X Z", "+XZ", "++XZ"])
+    @pytest.mark.parametrize("text", ["ZQ", "+XI-", "X Z", "+XZ", "++XZ", "xz", "Xz", "iX"])
     def test_unknown_character_named(self, text):
-        # a label string has no sign; signs are PhasedPauli.from_string's
-        bad = next(ch for ch in text if ch.upper() not in "IXYZ")
+        # a label string has no sign, signs are PhasedPauli.from_string's,
+        # and its letters are upper case
+        bad = next(ch for ch in text if ch not in "IXYZ")
         with pytest.raises(ValueError, match=re.escape(f"unknown Pauli character {bad!r} in {text!r}")):
             PauliLabel.from_string(text)
+
+    @pytest.mark.parametrize("text, body", [("+ix", "x"), ("-izz", "zz"), ("xz", "xz")])
+    def test_lowercase_letters_refused(self, text, body):
+        # a lowercase letter is no Pauli, so "+ix" is not the 1-qubit +iX
+        # (nor "-izz" -iZZ): after the sign the rest must be upper case
+        with pytest.raises(ValueError, match=re.escape(f"unknown Pauli character {body[0]!r} in {body!r}")):
+            PhasedPauli.from_string(text)

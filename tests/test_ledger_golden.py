@@ -72,17 +72,17 @@ GOLDEN = {
         },
     ),
     "decompose_robust": (
-        (8388608063673689895, 0, 52, 1422),
+        (8388608066175380029, 0, 52, 1422),
         {
             "apply_circuit": (0, 0, 0, 44),
-            "bell_difference": (46028, 0, 0, 0),
-            "edge_test": (63673530536, 0, 0, 0),
-            "fidelity_shadows": (2171, 0, 0, 0),
+            "bell_difference": (45804, 0, 0, 0),
+            "edge_test": (66175221112, 0, 0, 0),
+            "fidelity_shadows": (2067, 0, 0, 0),
             "gowers_estimate": (8388607999999993856, 0, 0, 0),
             "lcu": (0, 0, 52, 1378),
-            "measure": (82, 0, 0, 0),
+            "measure": (80, 0, 0, 0),
             "oracle_build": (95232, 0, 0, 0),
-            "retention": (21990, 0, 0, 0),
+            "retention": (21878, 0, 0, 0),
         },
     ),
     "decompose_robust_bruteforce": (
@@ -108,14 +108,14 @@ GOLDEN = {
         },
     ),
     "selfcorrect_planted": (
-        (15841910085, 0, 0, 0),
+        (17063157371, 0, 0, 0),
         {
             "apply_circuit": (0, 0, 0, 0),
-            "bell_difference": (26264, 0, 0, 0),
-            "edge_test": (15841869736, 0, 0, 0),
+            "bell_difference": (26796, 0, 0, 0),
+            "edge_test": (17063116224, 0, 0, 0),
             "fidelity_shadows": (945, 0, 0, 0),
             "measure": (8, 0, 0, 0),
-            "retention": (13132, 0, 0, 0),
+            "retention": (13398, 0, 0, 0),
         },
     ),
     "selfcorrect_threshold_span": (

@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -42,6 +43,7 @@ from stabcorrect.statevec import (
 from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
 
 from conftest import (
+    RecordingGenerator,
     basis_state,
     apply_weyl,
     catalog_stab_fidelity,
@@ -53,6 +55,7 @@ from conftest import (
     per_shot_averages,
     q_tables_reference,
     retained_reference,
+    retained_replay,
     rotation_stab_dim_fidelity,
     signed_expectations,
     stabilizer_state_matrix,
@@ -173,13 +176,11 @@ class TestDistributions:
                 assert abs(table.sum() - 1) < 1e-10
                 assert table.max() <= 2.0**-n + 1e-12
 
-    def test_sampler_increments_are_q(self, rng):
+    def test_label_cdf_is_the_cumsum_of_the_squares(self, rng):
         for n in (1, 3, 5):
             psi = random_state(n, rng)
             sample_weyl_indices(psi, 1, rng, CostLedger())
-            _, q = distribution_tables(psi)
-            steps = np.diff(psi._cache["qcum"], prepend=0.0)
-            assert np.max(np.abs(steps - q)) <= 1e-15
+            assert np.array_equal(psi._cache["wcum"], np.cumsum(expectation_squares(psi)))
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_squares_equal_the_signed_table_squared(self, n, rng):
@@ -190,36 +191,28 @@ class TestDistributions:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_q_and_proxy_match_the_butterfly_build(self, n, rng):
+        # the triple-correlation sum against E_q[<W_x>^2] of q built by the
+        # self-duality of p with butterflies
         for amps in table_states(n, rng):
             psi = StateVector(n, amps)
-            q, proxy = q_tables_reference(psi)
-            statevec._q_tables(psi)
-            assert np.max(np.abs(psi._cache["q"] - q)) <= 1e-14
+            _, proxy = q_tables_reference(psi)
             assert abs(exact_proxy(psi) - proxy) <= 1e-14
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_one_transform_matches_the_convolution(self, n, rng):
-        # q from the self-duality of p against the law reference's XOR
-        # self-convolution, also where a stabilizer state's q is zero
+        # q by one transform of <W_x>^4 against the law reference's XOR
+        # self-convolution, also where a stabilizer state's q is zero, and
+        # the proxy against E_q[<W_x>^2] of the convolution's q
         for amps in table_states(n, rng):
             psi = StateVector(n, amps)
-            sample_weyl_indices(psi, 1, rng, CostLedger())
+            q1, _ = q_tables_reference(psi)
             _, q = distribution_tables(psi)
-            steps = np.diff(psi._cache["qcum"], prepend=0.0)
-            assert np.max(np.abs(steps - q)) <= 1e-14
+            assert np.max(np.abs(q1 - q)) <= 1e-14
+            assert abs(exact_proxy(psi) - float(np.dot(q, expectation_squares(psi)))) <= 1e-14
 
-    def test_retained_increments_are_q_w2(self, rng):
-        for n in (1, 3, 5):
-            psi = random_state(n, rng)
-            sample_retained(psi, 1, rng, CostLedger())
-            _, q = distribution_tables(psi)
-            steps = np.diff(psi._cache["rcum"], prepend=0.0)
-            assert np.max(np.abs(steps - q * expectation_squares(psi))) <= 1e-15
-
-    def test_state_caches_three_tables(self, rng):
+    def test_state_caches_two_tables(self, rng):
         # after self_correct on a planted n = 6 state the cache holds <W_x>^2,
-        # q, the retained cumsum and the proxy scalar, nothing else: the
-        # planted oracle draws no difference sample, so q stays uncumulated
+        # its cumsum and the proxy scalar, nothing else
         n = 6
         junk = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         junk[0] = 0.0
@@ -228,19 +221,25 @@ class TestDistributions:
         psi = StateVector(n, amps)
         basis = rref_basis_from_labels([PauliLabel(n, 0, 1 << q) for q in range(n)])
         self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
-        assert set(psi._cache) == {"w2", "q", "rcum", "proxy"}
-        for table in ("w2", "q", "rcum"):
+        assert set(psi._cache) == {"w2", "wcum", "proxy"}
+        for table in ("w2", "wcum"):
             assert psi._cache[table].shape == (4**n,)
         assert isinstance(psi._cache["proxy"], float)
 
-    def test_first_difference_sample_cumulates_q_in_place(self, rng):
-        psi = random_state(4, rng)
-        exact_proxy(psi)
-        q = psi._cache["q"]
-        want = np.cumsum(q)
-        sample_weyl_indices(psi, 1, rng, CostLedger())
-        assert set(psi._cache) == {"w2", "qcum", "rcum", "proxy"}
-        assert psi._cache["qcum"] is q and np.array_equal(q, want)
+    def test_first_draw_builds_the_cdf_once(self, rng):
+        # the proxy alone keeps one table; the first draw of either sampler
+        # adds the cdf, and later draws reuse it
+        for sample in (sample_weyl_indices, sample_retained):
+            psi = random_state(4, rng)
+            exact_proxy(psi)
+            assert set(psi._cache) == {"w2", "proxy"}
+            sample(psi, 3, rng, CostLedger())
+            cum = psi._cache["wcum"]
+            assert set(psi._cache) == {"w2", "wcum", "proxy"}
+            assert np.array_equal(cum, np.cumsum(expectation_squares(psi)))
+            sample_weyl_indices(psi, 3, rng, CostLedger())
+            sample_retained(psi, 3, rng, CostLedger())
+            assert psi._cache["wcum"] is cum
 
 
 class TestTableMemory:
@@ -272,12 +271,12 @@ class TestTableMemory:
         assert not psi._cache
 
     def test_sampled_metrics_need_only_the_cached_tables(self, rng, monkeypatch):
-        # physical memory of 3.5 tables: the three a state keeps fit, and
-        # sampled mode draws both averages from them, with no fourth table
-        # and no per-shot array
+        # physical memory of 2.5 tables: the build's two fit, and sampled
+        # mode draws both averages from the cached table, with no third
+        # table and no per-shot array
         n = 6
         psi = random_state(n, rng)
-        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2}
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 5 * 4**n // 2}
         monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
         exact = gowers3_metrics(psi)
         ledger = CostLedger()
@@ -290,7 +289,7 @@ class TestTableMemory:
         assert (m.mode, m.shots) == ("sampled", 152019)
         assert abs(m.proxy - exact.proxy) <= 0.01 and abs(m.u3pow8 - exact.u3pow8) <= 0.01
         assert ledger.totals["copies_consumed"] == 10 * m.shots
-        assert peak < 8 * 4**n < 8 * phys["SC_PHYS_PAGES"] < 4 * 8 * 4**n
+        assert peak < 8 * 4**n < 8 * phys["SC_PHYS_PAGES"] < 3 * 8 * 4**n
 
     @pytest.mark.parametrize(
         "command, params",
@@ -331,12 +330,11 @@ class TestTableMemory:
         assert set(rows) == {"bell_difference", "gowers_sampled"}
 
     def test_sampled_tolerant_test_needs_only_the_cached_tables(self, rng, monkeypatch):
-        # physical memory of 3.5 tables: the sampled test reads only the
-        # q-average, whose tables the state keeps, and a fourth table would
-        # not fit
+        # physical memory of 2.5 tables: the sampled test reads only the
+        # q-average, the cached proxy, and a third table would not fit
         n = 7
         psi = random_state(n, rng)
-        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 7 * 4**n // 2}
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 5 * 4**n // 2}
         monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
         ledger = CostLedger()
         assert tolerant_test(psi, 0.9, 0.1, 0, 0.01, rng, ledger, mode="sampled") in ("yes", "no")
@@ -345,7 +343,7 @@ class TestTableMemory:
         shots = rows["gowers_sampled"]["copies_consumed"] // 2
         assert rows["gowers_sampled"]["copies_consumed"] == 2 * shots > 0
         assert rows["bell_difference"]["copies_consumed"] == 4 * shots
-        assert 8 * phys["SC_PHYS_PAGES"] < 4 * 8 * 4**n
+        assert 8 * phys["SC_PHYS_PAGES"] < 3 * 8 * 4**n
 
 
 class TestSampling:
@@ -375,15 +373,17 @@ class TestSampling:
         assert np.all(np.abs(freq - want) < 4 * sig)
 
     def test_draw_order_pinned(self):
-        # one rng.random(size) call, looked up as the unsorted reference does
-        # and returned in draw order: every later draw is unchanged
+        # one rng.random((2, size)) call, y from the first row and z from the
+        # second, looked up as the unsorted reference does and returned as
+        # y ^ z in draw order: every later draw is unchanged
         psi = random_state(6, np.random.default_rng(3))
         size = 5000
         a, b = np.random.default_rng(11), np.random.default_rng(11)
         ledger = CostLedger()
         got = sample_weyl_indices(psi, size, a, ledger)
-        cum = psi._cache["qcum"]
-        assert np.array_equal(got, inverse_cdf_reference(cum, b.random(size) * cum[-1]))
+        cum = np.cumsum(expectation_squares(psi))
+        y, z = inverse_cdf_reference(cum, b.random((2, size)) * cum[-1])
+        assert np.array_equal(got, y ^ z)
         assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * size
         assert ledger.totals["copies_consumed"] == 4 * size
         assert a.bit_generator.state == b.bit_generator.state
@@ -419,6 +419,22 @@ class TestSampling:
         assert np.all(np.abs(freq - want) <= 4 * sig)
         assert want == pytest.approx([0.6, 0.2, 0.0, 0.2])
 
+    @pytest.mark.parametrize("kind", ["haar", "t2"])
+    def test_laws_on_three_qubits(self, kind, rng):
+        # difference samples follow q and retained labels q <W_x>^2 / proxy,
+        # each label's frequency within 4 sigma of the law reference's
+        psi = {
+            "haar": random_state(3, rng),
+            "t2": tensor(tensor(t_state(), t_state()), basis_state(1)),
+        }[kind]
+        _, q = distribution_tables(psi)
+        retained = q * expectation_squares(psi) / exact_proxy(psi)
+        draws = 200_000
+        for sample, want in ((sample_weyl_indices, q), (sample_retained, retained)):
+            freq = np.bincount(sample(psi, draws, rng, CostLedger()), minlength=64) / draws
+            sig = np.sqrt(want * (1 - want) / draws)
+            assert np.all(np.abs(freq - want) <= 4 * sig)
+
     def test_retained_matches_rejection_reference(self, rng):
         # the kept labels, and the mean and variance of the charged trials,
         # agree with the rejection protocol within 4 sigma
@@ -448,19 +464,56 @@ class TestSampling:
         assert ta.mean() == pytest.approx(count * 64 / 25, rel=0.05)
 
     def test_retained_draw_stream_pinned(self):
-        # count uniforms looked up in the retained table, in draw order, then
-        # one negative-binomial draw of the discarded trials
+        # batches of rng.random((3, size)) calls, the first sized from the
+        # proxy, replayed one proposal at a time: the kept labels in draw
+        # order, and every proposal up to the last kept one charged
         psi = random_state(5, np.random.default_rng(3))
         count = 700
-        a, b = np.random.default_rng(13), np.random.default_rng(13)
+        a = RecordingGenerator(np.random.default_rng(13))
+        b = np.random.default_rng(13)
         ledger = CostLedger()
         got = sample_retained(psi, count, a, ledger)
-        cum = psi._cache["rcum"]
-        assert np.array_equal(got, inverse_cdf_reference(cum, b.random(count) * cum[-1]))
-        trials = count + int(b.negative_binomial(count, exact_proxy(psi)))
-        assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * trials
-        assert ledger.breakdown["retention"]["copies_consumed"] == 2 * trials
-        assert a.bit_generator.state == b.bit_generator.state
+        proxy = exact_proxy(psi)
+        assert a.shapes[0] == (3, math.ceil((count + 3 * math.sqrt(count)) / proxy))
+        want, proposals = retained_replay(psi, a.shapes, b, count)
+        assert np.array_equal(got, want)
+        assert ledger.breakdown["bell_difference"]["copies_consumed"] == 4 * proposals
+        assert ledger.breakdown["retention"]["copies_consumed"] == 2 * proposals
+        assert a.gen.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["t2", "haar", "stabilizer"])
+    def test_retained_charge_replays_the_proposals(self, kind):
+        # whatever the batches, the ledger holds 6 copies per proposal made
+        # on the stream up to the count-th kept label, and nothing else
+        n = 4
+        amps = {
+            "t2": tensor(tensor(t_state(), t_state()), basis_state(2)).amps,
+            "haar": random_state(n, np.random.default_rng(1)).amps,
+            "stabilizer": table_states(n, np.random.default_rng(2))[2],
+        }[kind]
+        psi = StateVector(n, amps)
+        for seed, count in enumerate((1, 7, 64, 300)):
+            a = RecordingGenerator(np.random.default_rng(seed))
+            ledger = CostLedger()
+            got = sample_retained(psi, count, a, ledger)
+            want, proposals = retained_replay(psi, a.shapes, np.random.default_rng(seed), count)
+            assert np.array_equal(got, want) and got.shape == (count,)
+            assert ledger.totals["copies_consumed"] == 6 * proposals
+            assert set(ledger.breakdown) == {"bell_difference", "retention"}
+
+    def test_retained_batches_are_capped(self):
+        # a Haar state at n = 8 keeps about one proposal in 2^8: every call
+        # asks for at most 3 * RETAINED_BATCH uniforms, and the draw loops
+        psi = random_state(8, np.random.default_rng(4))
+        assert exact_proxy(psi) < 0.005
+        a = RecordingGenerator(np.random.default_rng(5))
+        ledger = CostLedger()
+        got = sample_retained(psi, 4096, a, ledger)
+        assert got.shape == (4096,)
+        assert len(a.shapes) > 1
+        assert all(s[0] == 3 and 0 < math.prod(s) <= 3 * statevec.RETAINED_BATCH for s in a.shapes)
+        proposals = ledger.breakdown["retention"]["copies_consumed"] // 2
+        assert proposals <= sum(s[1] for s in a.shapes)
 
 
 class TestGowersMetrics:
@@ -554,7 +607,7 @@ class TestGowersMetrics:
         assert expectation_squares(psi) is w2
         assert np.array_equal(w2, expectation_table(psi) ** 2)
         p, q = distribution_tables(psi)
-        # one transform of <W_x>^4 against the reference's convolution
+        # the triple-correlation sum against the reference's convolution
         assert abs(exact_proxy(psi) - float(np.dot(q, w2))) <= 1e-15
         assert gowers3_metrics(psi).u3pow8 == float(np.dot(p, w2))
         assert expectation_squares(psi) is w2
