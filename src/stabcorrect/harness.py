@@ -46,7 +46,6 @@ from .selfcorrect import (
 )
 from .statevec import (
     GOWERS_FAIL_PROB,
-    TABLE_BUILD_PEAK,
     _label_cdf,
     _proxy_shots,
     StateVector,
@@ -58,6 +57,7 @@ from .statevec import (
     require_memory,
     stab_combination,
     statevector_of_stab,
+    table_build_bytes,
 )
 from .iterate import (
     _extent_eps,
@@ -371,7 +371,7 @@ class ExperimentConfig:
         if self.command == "bench":
             if not 1 <= p["n"] <= _MAX_N:
                 raise ValueError(f"parameter n must lie in [1, {_MAX_N}], got {p['n']}")
-            require_memory(p["n"], int(TABLE_BUILD_PEAK * 8 * 4 ** p["n"]))
+            require_memory(p["n"], table_build_bytes(p["n"]))
         elif self.state is None:
             raise ValueError(f"command {self.command!r} needs a state")
         else:
@@ -621,6 +621,16 @@ def _bench(n: int) -> dict:
             times.append(time.perf_counter() - t0)
         extract[str(k)] = float(np.median(times))
     out["find_stabilizer_s"] = extract
+    # dense gate application: the median apply_gates time of a fresh list of
+    # 2n^2 + 4 random Clifford gates (a tdoped segment) on a random state
+    gate_times = []
+    for _ in range(BENCH_STATES):
+        gates = _random_clifford_gates(n, rng, 2 * n * n + 4)
+        amps = random_state(n, rng).amps
+        t0 = time.perf_counter()
+        kernels.apply_gates(amps, gates)
+        gate_times.append(time.perf_counter() - t0)
+    out["gates_s"] = float(np.median(gate_times))
     out["n"] = n
     return out
 

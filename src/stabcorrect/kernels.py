@@ -43,36 +43,58 @@ _H_SCALE = np.sqrt(0.5)
 _T_PHASE = np.exp(1j * np.pi / 4)
 
 
+def _gate_views(arr: np.ndarray, qs: tuple[int, ...]) -> tuple:
+    """Views of ``arr`` reshaped around a gate's qubits: the block whose
+    target bit the gate flips (the whole array for one qubit, the part where
+    the control bit is set for a CNOT), that block reversed along the target
+    bit, and for one qubit the halves where its bit is 0 and 1 (None for a
+    CNOT)."""
+    dim, inner = arr.shape[0], arr[:1].size
+    if len(qs) == 2:
+        c, t = qs
+        hi, lo = max(c, t), min(c, t)
+        v = arr.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, inner << lo)
+        block = v[:, 1] if c > t else v[:, :, :, 1]
+        return block, block[:, :, ::-1] if c > t else block[:, ::-1], None, None
+    (q,) = qs
+    v = arr.reshape(dim >> (q + 1), 2, inner << q)
+    return v, v[:, ::-1], v[:, 0], v[:, 1]
+
+
 def apply_gates(amps: np.ndarray, gates) -> np.ndarray:
     """Gates (name, qubits) from H, S, T, CNOT (control, target), X and Z,
     applied in order to the leading axis of a copy of ``amps``, whose length
-    is 2^n; trailing axes are a batch.  Each gate acts on half-views of the
-    copy reshaped around its qubits, with no index arrays."""
+    is 2^n; trailing axes are a batch.
+
+    Each gate acts on ``_gate_views`` of the copy, built once per qubit and
+    per CNOT pair in a call, with no index arrays.  X and CNOT are one
+    assignment from the reversed block (numpy buffers the overlap).  H writes
+    a + b and a - b into one scratch array of the copy's size, then multiplies
+    it by sqrt(1/2) into the copy: the same two roundings per amplitude as
+    (a + b) * sqrt(1/2)."""
     out = np.array(amps, dtype=complex, order="C")
-    dim, inner = out.shape[0], out[:1].size
+    scratch = None
+    views, sums = {}, {}
     for name, qs in gates:
-        if name == "CNOT":
-            c, t = qs
-            hi, lo = max(c, t), min(c, t)
-            v = out.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, inner << lo)
-            # the halves of the target bit where the control bit is set
-            a, b = (v[:, 1, :, 0], v[:, 1, :, 1]) if c > t else (v[:, 0, :, 1], v[:, 1, :, 1])
-            a[...], b[...] = b, a.copy()
-            continue
-        (q,) = qs
-        v = out.reshape(dim >> (q + 1), 2, inner << q)
-        a, b = v[:, 0], v[:, 1]
-        if name == "H":
-            s = a + b
-            np.subtract(a, b, out=b)
-            np.multiply(s, _H_SCALE, out=a)
-            b *= _H_SCALE
+        view = views.get(qs)
+        if view is None:
+            view = views[qs] = _gate_views(out, qs)
+        block, flipped, a, b = view
+        if name == "CNOT" or name == "X":
+            block[...] = flipped
+        elif name == "H":
+            s = sums.get(qs)
+            if s is None:
+                if scratch is None:
+                    scratch = np.empty_like(out)
+                s = sums[qs] = _gate_views(scratch, qs)
+            np.add(a, b, out=s[2])
+            np.subtract(a, b, out=s[3])
+            np.multiply(s[0], _H_SCALE, out=block)
         elif name == "S":
             b *= 1j
         elif name == "T":
             b *= _T_PHASE
-        elif name == "X":
-            a[...], b[...] = b, a.copy()
         elif name == "Z":
             np.negative(b, out=b)
         else:

@@ -71,22 +71,6 @@ class PhasedPauli:
         return f"PhasedPauli({self.to_string()!r})"
 
 
-def pauli_product(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
-    """Exact operator product, including the i-power phase."""
-    if p.n != q.n:
-        raise ValueError("size mismatch")
-    ax, bx = p.label.x, p.label.z
-    ay, by = q.label.x, q.label.z
-    a, b = ax ^ ay, bx ^ by
-    theta = (
-        (ax & bx).bit_count()
-        + (ay & by).bit_count()
-        + 2 * (bx & ay).bit_count()
-        - (a & b).bit_count()
-    )
-    return PhasedPauli(PauliLabel(p.n, a, b), p.phase + q.phase + theta)
-
-
 # ---------------------------------------------------------------------------
 # circuits
 
@@ -141,11 +125,12 @@ class _PauliColumns:
     i's X and Z bit at qubit q, bit i of ``sign`` the i^2 bit of its phase
     and bit i of ``ibit`` the i^1 bit, which conjugation never changes.
 
-    ``apply`` is the one gate conjugation rule g P g^dagger.  Phases are
+    ``conjugate`` is the one gate conjugation rule g P g^dagger.  Phases are
     relative to W = i^{|a&b|} X^a Z^b, which a Clifford maps to +-W', so each
     gate updates every row with a few int operations and flips only signs.
-    The reductions ``emit`` each gate, applying it and appending it to
-    ``gates``, and read the bits they test straight from the columns."""
+    The reductions ``emit`` each gate, conjugating by it and appending it to
+    ``gates``, and test the bits they need straight from the columns.  Rows
+    go in and come out by a transpose over set bits."""
 
     def __init__(self, n: int, rows):
         self.n = n
@@ -155,59 +140,66 @@ class _PauliColumns:
         for i, p in enumerate(rows):
             if p.n != n:
                 raise ValueError("size mismatch")
-            self._put(i, p.label.x, p.label.z)
+            _scatter(p.label.x, self.x, 1 << i)
+            _scatter(p.label.z, self.z, 1 << i)
             self.sign |= (p.phase >> 1) << i
             self.ibit |= (p.phase & 1) << i
 
-    def _put(self, i: int, a: int, b: int) -> None:
-        """XOR the label bits (a, b) into row i."""
+    def rows(self, count: int) -> list[PhasedPauli]:
+        """Rows 0 .. count - 1 as phased Paulis."""
+        a, b = [0] * count, [0] * count
         for q in range(self.n):
-            self.x[q] ^= ((a >> q) & 1) << i
-            self.z[q] ^= ((b >> q) & 1) << i
-
-    def label(self, i: int) -> tuple[int, int]:
-        a = b = 0
-        for q in range(self.n):
-            a |= ((self.x[q] >> i) & 1) << q
-            b |= ((self.z[q] >> i) & 1) << q
-        return a, b
+            _scatter(self.x[q], a, 1 << q)
+            _scatter(self.z[q], b, 1 << q)
+        return [PhasedPauli(PauliLabel(self.n, a[i], b[i]), self.phase(i)) for i in range(count)]
 
     def phase(self, i: int) -> int:
         return (((self.sign >> i) & 1) << 1) | ((self.ibit >> i) & 1)
 
-    def row(self, i: int) -> PhasedPauli:
-        return PhasedPauli(PauliLabel(self.n, *self.label(i)), self.phase(i))
-
-    def apply(self, name: str, qs: tuple[int, ...]) -> None:
-        x, z = self.x, self.z
-        if name == "H":
-            q = qs[0]
-            self.sign ^= x[q] & z[q]
-            x[q], z[q] = z[q], x[q]
-        elif name == "S":
-            q = qs[0]
-            self.sign ^= x[q] & z[q]
-            z[q] ^= x[q]
-        elif name == "CNOT":
-            c, t = qs
-            self.sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
-            x[t] ^= x[c]
-            z[c] ^= z[t]
-        elif name == "X":
-            self.sign ^= z[qs[0]]
-        elif name == "Z":
-            self.sign ^= x[qs[0]]
-        else:
-            raise ValueError(f"unknown gate {name!r}")
+    def conjugate(self, gates) -> None:
+        """Conjugate every row by each gate of the list in turn."""
+        x, z, sign = self.x, self.z, self.sign
+        for name, qs in gates:
+            if name == "H":
+                q = qs[0]
+                sign ^= x[q] & z[q]
+                x[q], z[q] = z[q], x[q]
+            elif name == "S":
+                q = qs[0]
+                sign ^= x[q] & z[q]
+                z[q] ^= x[q]
+            elif name == "CNOT":
+                c, t = qs
+                sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
+                x[t] ^= x[c]
+                z[c] ^= z[t]
+            elif name == "X":
+                sign ^= z[qs[0]]
+            elif name == "Z":
+                sign ^= x[qs[0]]
+            else:
+                raise ValueError(f"unknown gate {name!r}")
+        self.sign = sign
 
     def emit(self, name: str, *qs: int) -> None:
         """Conjugate every row by the gate and record it in ``gates``."""
-        self.apply(name, qs)
-        self.gates.append((name, qs))
+        gate = (name, qs)
+        self.conjugate((gate,))
+        self.gates.append(gate)
 
     def _support(self, idx: int, q: int) -> int:
         """Whether row idx acts on qubit q."""
         return ((self.x[q] | self.z[q]) >> idx) & 1
+
+    def _is_single(self, idx: int, col: list[int], q: int) -> bool:
+        """Whether row idx's label is the one bit of ``col`` (``x`` or ``z``)
+        at qubit q: X_q or Z_q, whatever its phase."""
+        x, z, bit = self.x, self.z, 1 << idx
+        other = z if col is x else x
+        if not col[q] & bit or other[q] & bit:
+            return False
+        # each qubit the row acts on adds ``bit``: only q may
+        return sum((xp | zp) & bit for xp, zp in zip(x, z)) == bit
 
     def _first_bit(self, col: list[int], idx: int, off: int) -> int:
         """The lowest qubit q >= off at which row idx has a bit in ``col``."""
@@ -245,9 +237,9 @@ class _PauliColumns:
         Both operators must act trivially below ``off``; every emitted gate
         touches only qubits >= off.
         """
-        if self.label(ip) != (1 << off, 0):
+        if not self._is_single(ip, self.x, off):
             self._single_to_x(ip, off, off)
-        if self.label(iq) != (0, 1 << off):
+        if not self._is_single(iq, self.z, off):
             # partner anticommutes with +-X_off, so it carries X or Y at off
             # once roles are swapped through a Hadamard sandwich
             self.emit("H", off)
@@ -262,17 +254,12 @@ class _PauliColumns:
             self.emit("Z", off)
         if self.phase(iq) == 2:
             self.emit("X", off)
-        if (self.label(ip), self.phase(ip), self.label(iq), self.phase(iq)) != (
-            (1 << off, 0), 0, (0, 1 << off), 0
+        if not (
+            self._is_single(ip, self.x, off)
+            and self._is_single(iq, self.z, off)
+            and self.phase(ip) == self.phase(iq) == 0
         ):
             raise AssertionError("pair reduction did not reach (+X, +Z)")
-
-    def _multiply_into(self, idx: int, src: int) -> None:
-        """Row idx becomes the exact product row idx * row src."""
-        flip = self.phase(idx) ^ pauli_product(self.row(idx), self.row(src)).phase
-        self._put(idx, *self.label(src))
-        self.sign ^= (flip >> 1) << idx
-        self.ibit ^= (flip & 1) << idx
 
     def reduce_isotropic(self, indices: list[int], off: int) -> None:
         """Map commuting independent tracked elements to +Z_off, +Z_off+1, ...
@@ -280,26 +267,35 @@ class _PauliColumns:
         Earlier placements are protected: each new element commutes with the
         placed +Z_q, hence carries no X there, and any residual Z_q component
         is removed by multiplying with the placed generator (a row operation
-        inside the group, sign tracked exactly).
+        inside the group).  With no X bit at q that product only clears the
+        row's Z bit there and leaves its phase as it is.
         """
+        z = self.z
         placed: list[int] = []
         for t, idx in enumerate(indices):
             target = off + t
-            for s, q in enumerate(placed):
-                if (self.z[q] >> idx) & 1:
-                    self._multiply_into(idx, indices[s])
-            label = self.label(idx)
-            if label == (0, 0):
+            for q in placed:
+                z[q] &= ~(1 << idx)
+            lowest = next((q for q in range(self.n) if self._support(idx, q)), None)
+            if lowest is None:
                 raise ValueError("dependent generator in isotropic reduction")
-            if label != (0, 1 << target):
-                lowest = min(q for q in range(self.n) if self._support(idx, q))
+            if not self._is_single(idx, z, target):
                 self._single_to_x(idx, lowest, target)
                 self.emit("H", target)
             if self.phase(idx) == 2:
                 self.emit("X", target)
-            if self.label(idx) != (0, 1 << target) or self.phase(idx):
+            if not self._is_single(idx, z, target) or self.phase(idx):
                 raise AssertionError("isotropic reduction did not reach +Z")
             placed.append(target)
+
+
+def _scatter(bits: int, out: list[int], bit: int) -> None:
+    """OR ``bit`` into out[i] for each set bit i of ``bits``: applied to every
+    row, or to every column, it transposes packed bits between the two."""
+    while bits:
+        low = bits & -bits
+        out[low.bit_length() - 1] |= bit
+        bits ^= low
 
 
 def conjugate(
@@ -312,9 +308,8 @@ def conjugate(
         return conjugate(circuit, (p,))[0]
     rows = tuple(p)
     cols = _PauliColumns(circuit.n, rows)
-    for name, qs in circuit.gates:
-        cols.apply(name, qs)
-    return tuple(cols.row(i) for i in range(len(rows)))
+    cols.conjugate(circuit.gates)
+    return tuple(cols.rows(len(rows)))
 
 
 def canonicalize_subgroup(

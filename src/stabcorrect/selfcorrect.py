@@ -371,11 +371,12 @@ class CandidateStabilizer:
 
 
 @lru_cache(maxsize=None)
-def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
     """Every k-qubit stabilizer state over the MUB groups with every sign
-    assignment, as its (group index, sign pattern) and the read-only matrix
-    whose rows are their statevectors, in the canonical phase.  Built once
-    per k; only the winner's state is ever rebuilt from its key.
+    assignment, as its (group index, sign pattern), the read-only matrix
+    whose rows are their statevectors, in the canonical phase, and its
+    read-only complex conjugate.  Built once per k; only the winner's state
+    is ever rebuilt from its key.
 
     With U the preparation circuit of a group's +-signed state, U|s> is the
     state whose sign pattern eps has bit i = (the phase bit of
@@ -396,8 +397,9 @@ def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
         blocks.append(block)
     matrix = np.concatenate(blocks)
     matrix *= _canonical_phase_factor(matrix)[:, None]
-    matrix.flags.writeable = False
-    return keys, matrix
+    conj = matrix.conj()
+    matrix.flags.writeable = conj.flags.writeable = False
+    return keys, matrix, conj
 
 
 def _candidate_weights(rotated: StateVector, k: int) -> np.ndarray:
@@ -407,9 +409,9 @@ def _candidate_weights(rotated: StateVector, k: int) -> np.ndarray:
     Row sums are the projection probabilities; a row over its sum is the
     computational law of the rest after projecting onto c.
     """
-    _, matrix = _mub_candidates(k)
+    conj = _mub_candidates(k)[2]
     block = rotated.amps.reshape(1 << (rotated.n - k), 1 << k)
-    return np.abs(matrix.conj() @ block.T) ** 2
+    return np.abs(conj @ block.T) ** 2
 
 
 def _shadow_cost(m: int, eps: float, delta: float) -> int:

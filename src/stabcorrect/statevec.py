@@ -15,9 +15,10 @@ behavior enters only through declared shot counts in the estimators, which
 makes every statistical guarantee directly testable.  A state caches two
 4^n float64 tables, <W_x>^2 and its cumulative sum (built when a label is
 first drawn), and the proxy, 16 * 4^n bytes in steady state; the build
-peaks at ``TABLE_BUILD_PEAK`` tables and raises ValueError before it allocates
-when that peak would exceed physical memory.  A retained label costs 1/proxy
-proposals, drawn in batches of at most ``RETAINED_BATCH``.  A sampled
+peaks at ``TABLE_BUILD_PEAK`` tables plus ``TABLE_BUILD_FIXED`` bytes of
+fixed-size buffers and raises ValueError before it allocates when that peak
+would exceed physical memory.  A retained label costs 1/proxy proposals,
+drawn in batches of at most ``RETAINED_BATCH``.  A sampled
 average over independent two-outcome shots is drawn as its +1 count, one
 binomial, so it holds no per-shot array.
 
@@ -56,11 +57,19 @@ NORM_TOL = 1e-10
 # and the Hadamard factors are built at import.  Measured with tracemalloc:
 # 2.026 at n = 8 (re-measured by test_statevec), 2.011 at n = 9, 2.005 at
 # n = 10, 2.003 at n = 11 and 2.001 at n = 12; the excess is the 2^n-entry
-# vectors of the gather.  Below n = 8 a table is under 512 KiB, and
-# fixed-size buffers (the two gather blocks of at most 2^14 entries, numpy's
-# ufunc buffers) outweigh it: 4.06 tables at n = 7 and 5.16 at n = 6, under
-# 1 MiB in all.
+# vectors of the gather.
 TABLE_BUILD_PEAK = 2.03
+# Below n = 8 a table is under 512 KiB, and fixed-size buffers outweigh it:
+# the two gather blocks of 2^14 int64 indices and 2^14 float64 entries, and
+# numpy's ufunc buffers of ``np.getbufsize()`` 8-byte elements.  A build
+# peaks above TABLE_BUILD_PEAK tables by at most 266,524 bytes (n = 7, with
+# tracemalloc; 102,561 at n = 6), under these 327,680.
+TABLE_BUILD_FIXED = 2 * 8 * kernels._CHUNK + 8 * np.getbufsize()
+
+
+def table_build_bytes(n: int) -> int:
+    """Bytes that one n-qubit state's table build asks of physical memory."""
+    return int(TABLE_BUILD_PEAK * 8 * 4**n) + TABLE_BUILD_FIXED
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +134,7 @@ def expectation_squares(psi: StateVector) -> np.ndarray:
     and computed once per state from the unsigned table, whose signs the
     square drops."""
     if "w2" not in psi._cache:
-        require_memory(psi.n, int(TABLE_BUILD_PEAK * 8 * 4**psi.n))
+        require_memory(psi.n, table_build_bytes(psi.n))
         w2 = kernels.unsigned_expectations(psi.amps, psi.n)
         np.square(w2, out=w2)
         psi._cache["w2"] = w2
@@ -370,7 +379,7 @@ def _span_phases(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         theta = pc(ax & bx) + pc(ay & by) + 2 * pc(bx & ay) - pc(a & b)
         g[:, h : 2 * h] = a | (b << n)
         e[:, h : 2 * h] = (e[:, :h] + theta) & 3
-    # the ``pauli_product`` cocycle, plus 2 where u drops a minus (|a&b| = 1, 2 mod 4)
+    # the cocycle of W_x W_y = i^theta W_{x+y}, plus 2 where u drops a minus (|a&b| = 1, 2 mod 4)
     e ^= (pc(g & (g >> n)) + 1) & 2
     return g, e
 

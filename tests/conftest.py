@@ -16,7 +16,6 @@ from stabcorrect.pauli import (
     canonicalize_subgroup,
     conjugate,
     isotropic_subspaces,
-    pauli_product,
     stabilizer_inner_product,
     statevector_of,
 )
@@ -81,6 +80,22 @@ def symplectic_product(a: PauliLabel, b: PauliLabel) -> int:
     """[a, b] = <a_x, b_z> + <a_z, b_x> mod 2; 0 iff W_a and W_b commute."""
     _check_len(a, b)
     return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) & 1
+
+
+def pauli_product(p: PhasedPauli, q: PhasedPauli) -> PhasedPauli:
+    """Exact operator product, including the i-power phase."""
+    if p.n != q.n:
+        raise ValueError("size mismatch")
+    ax, bx = p.label.x, p.label.z
+    ay, by = q.label.x, q.label.z
+    a, b = ax ^ ay, bx ^ by
+    theta = (
+        (ax & bx).bit_count()
+        + (ay & by).bit_count()
+        + 2 * (bx & ay).bit_count()
+        - (a & b).bit_count()
+    )
+    return PhasedPauli(PauliLabel(p.n, a, b), p.phase + q.phase + theta)
 
 
 @dataclass(frozen=True)
@@ -205,6 +220,44 @@ def gate_matrix(name: str, qs: tuple[int, ...], n: int) -> np.ndarray:
                 e[(r >> bit) & 1, (c >> bit) & 1] = 1.0
             facs.append(e)
         out += m[r, c] * reduce(np.kron, facs)
+    return out
+
+
+def apply_gates_reference(amps: np.ndarray, gates) -> np.ndarray:
+    """``kernels.apply_gates`` one gate at a time: each gate reshapes the
+    copy around its qubits, swaps halves through a copy of one of them, and
+    applies H as (a + b) * sqrt(1/2) and (a - b) * sqrt(1/2) with a fresh
+    sum array.  The package's kernel must match it byte for byte."""
+    out = np.array(amps, dtype=complex, order="C")
+    dim, inner = out.shape[0], out[:1].size
+    scale = np.sqrt(0.5)
+    for name, qs in gates:
+        if name == "CNOT":
+            c, t = qs
+            hi, lo = max(c, t), min(c, t)
+            v = out.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, inner << lo)
+            # the halves of the target bit where the control bit is set
+            a, b = (v[:, 1, :, 0], v[:, 1, :, 1]) if c > t else (v[:, 0, :, 1], v[:, 1, :, 1])
+            a[...], b[...] = b, a.copy()
+            continue
+        (q,) = qs
+        v = out.reshape(dim >> (q + 1), 2, inner << q)
+        a, b = v[:, 0], v[:, 1]
+        if name == "H":
+            s = a + b
+            np.subtract(a, b, out=b)
+            np.multiply(s, scale, out=a)
+            b *= scale
+        elif name == "S":
+            b *= 1j
+        elif name == "T":
+            b *= np.exp(1j * np.pi / 4)
+        elif name == "X":
+            a[...], b[...] = b, a.copy()
+        elif name == "Z":
+            np.negative(b, out=b)
+        else:
+            raise ValueError(f"unknown gate {name!r}")
     return out
 
 

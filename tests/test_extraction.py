@@ -427,7 +427,7 @@ def test_gap_above_tie_tolerance_wins():
 def test_mub_candidates_match_direct_preparation(k):
     # rows built by one gate pass per group over the basis states equal the
     # statevector of each signed generator set prepared on its own
-    keys, matrix = _mub_candidates(k)
+    keys, matrix, conj = _mub_candidates(k)
     groups = mub_covering(k).groups
     direct = np.array([
         statevector_of(StabilizerState(k, signed_generators(k, groups[gi].rows, eps)))
@@ -435,3 +435,6 @@ def test_mub_candidates_match_direct_preparation(k):
     ])
     assert matrix.shape == ((2**k + 1) * 2**k, 2**k)
     assert np.max(np.abs(matrix - direct)) <= 1e-15
+    # the cached conjugate that the contraction multiplies by, read-only like the matrix
+    assert conj.tobytes() == matrix.conj().tobytes()
+    assert not matrix.flags.writeable and not conj.flags.writeable

@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stabcorrect import kernels
+from stabcorrect.harness import _random_clifford_gates
 from stabcorrect.pauli import CliffordCircuit
 from stabcorrect.statevec import StateVector
 
 from conftest import (
+    apply_gates_reference,
     char_expectations_reference,
     distribution_tables,
     gate_matrix,
@@ -224,6 +226,26 @@ class TestApplyGates:
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError, match="unknown gate 'Y'"):
             kernels.apply_gates(kernels.zero_state(2), [("Y", (0,))])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_byte_identical_to_the_per_gate_reference(self, n):
+        # lists as ``tdoped`` draws them, Clifford segments of 2n^2 + 4 gates
+        # with a T gate between each two, on |0...0> (whose zero amplitudes
+        # pick up signs), a vector with exact and negative zeros and a
+        # (2^n, 3) batch; tobytes() tells -0.0 from 0.0
+        rng = np.random.default_rng(7100 + n)
+        for t in range(4):
+            gates = _random_clifford_gates(n, rng, 2 * n * n + 4)
+            for _ in range(t):
+                gates.append(("T", (int(rng.integers(n)),)))
+                gates += _random_clifford_gates(n, rng, 2 * n * n + 4)
+            vec = normalized(rng, n)
+            vec[rng.random(1 << n) < 0.25] = 0.0
+            vec[rng.random(1 << n) < 0.25] = -0.0
+            batch = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+            for amps in (kernels.zero_state(n), vec, batch):
+                want = apply_gates_reference(amps, gates)
+                assert kernels.apply_gates(amps, gates).tobytes() == want.tobytes(), (n, t)
 
     @given(clifford_circuits(), st.integers(0, 2**32 - 1))
     def test_inverse_round_trip(self, circuit, seed):

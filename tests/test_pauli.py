@@ -15,7 +15,6 @@ from stabcorrect.pauli import (
     canonicalize_subgroup,
     conjugate,
     isotropic_subspaces,
-    pauli_product,
     signed_generators,
     stab_state_prep,
     stabilizer_inner_product,
@@ -25,11 +24,14 @@ from stabcorrect.pauli import _PauliColumns, _canonical_phase_factor
 
 from conftest import (
     CliffordTableau,
+    RowReducer,
+    apply_gates_reference,
     canonicalize_reference,
     clifford_from_anticommuting_pair,
     conjugate_reference,
     enumerate_stabilizer_states,
     is_isotropic,
+    pauli_product,
     prep_reduction_reference,
     random_circuit,
     random_label,
@@ -155,7 +157,7 @@ class TestGateConjugation:
 
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError, match="unknown gate 'T'"):
-            _PauliColumns(1, [pp("X")]).apply("T", (0,))
+            _PauliColumns(1, [pp("X")]).conjugate([("T", (0,))])
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):
@@ -172,6 +174,7 @@ class TestAgainstRowReference:
         for _ in range(6):
             circ = random_circuit(n, rng)
             rows = [random_phased(n, rng) for _ in range(int(rng.integers(1, 2 * n + 3)))]
+            rows += [PhasedPauli(random_label(n, rng), t) for t in range(4)]  # every phase
             want = tuple(conjugate_reference(circ, p) for p in rows)
             assert conjugate(circ, rows) == want
             assert conjugate(circ, rows[0]) == want[0]
@@ -187,6 +190,16 @@ class TestAgainstRowReference:
             gens = random_label_set(n, rng)
             circ, k, m = canonicalize_subgroup(gens, center_tail=center_tail)
             assert (circ.gates, k, m) == canonicalize_reference(gens, center_tail)
+        # and on Lagrangian, center-only and mixed groups in a random frame,
+        # whose gates give the per-gate kernel's amplitudes byte for byte
+        for k, m in group_shapes(n, rng):
+            gens = [p.label for p in framed_group(n, k, m, rng)]
+            circ, kk, mm = canonicalize_subgroup(gens, center_tail=center_tail)
+            assert (circ.gates, kk, mm) == canonicalize_reference(gens, center_tail)
+            assert (kk, mm) == (k, m)
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            want = apply_gates_reference(amps, circ.gates)
+            assert kernels.apply_gates(amps, circ.gates).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_prep_gates(self, n):
@@ -207,6 +220,46 @@ class TestAgainstRowReference:
             assert prep[: len(inv)] == inv
             # the rest is the phase-fixing omega blocks
             assert len(prep[len(inv):]) % 6 == 0 and len(prep) - len(inv) < 48
+            # the canonical vector from the reference gates and the per-gate kernel
+            amps = apply_gates_reference(kernels.zero_state(n), inv)
+            want = amps * _canonical_phase_factor(amps)
+            assert statevector_of(state).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_isotropic_reduction_of_signed_structured_sets(self, n):
+        # the isotropic reduction that preparation runs, on signed center-only
+        # and Lagrangian sets: the same gates and the same rows afterwards
+        rng = np.random.default_rng(5500 + n)
+        for m in [m for k, m in group_shapes(n, rng) if not k]:
+            rows = framed_group(n, 0, m, rng)
+            cols = _PauliColumns(n, rows)
+            cols.reduce_isotropic(list(range(m)), 0)
+            red = RowReducer(n, list(rows))
+            red.reduce_isotropic(list(range(m)), 0)
+            assert tuple(cols.gates) == tuple(red.gates)
+            assert tuple(cols.rows(m)) == tuple(red.tracked)
+
+
+def group_shapes(n, rng):
+    """(k, m) for a Lagrangian group (0, n), a center-only one (0, m < n) and
+    a mixed one (k >= 1 pairs and m >= 1 center), where n allows."""
+    shapes = [(0, n)]
+    if n > 1:
+        shapes.append((0, int(rng.integers(1, n))))
+        k = int(rng.integers(1, n // 2 + 1))
+        shapes.append((k, int(rng.integers(1, n - k + 1))))
+    return shapes
+
+
+def framed_group(n, k, m, rng):
+    """X_q, Z_q for q < k and randomly signed Z_q for k <= q < k + m, carried
+    through a random circuit: k symplectic pairs and an m-dimensional center."""
+    canon = [PhasedPauli(PauliLabel(n, 1 << q, 0), 0) for q in range(k)]
+    canon += [PhasedPauli(PauliLabel(n, 0, 1 << q), 0) for q in range(k)]
+    canon += [PhasedPauli(PauliLabel(n, 0, 1 << q), 2 * int(rng.integers(2))) for q in range(k, k + m)]
+    circ = random_circuit(n, rng)
+    rows = [conjugate_reference(circ, p) for p in canon]
+    return [rows[i] for i in rng.permutation(len(rows))]
 
 
 class TestTableau:

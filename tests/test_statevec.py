@@ -14,7 +14,6 @@ from stabcorrect.pauli import (
     PhasedPauli,
     StabilizerState,
     isotropic_subspaces,
-    pauli_product,
     stab_state_prep,
     statevector_of,
 )
@@ -24,6 +23,7 @@ from stabcorrect.statevec import (
     TABLE_BUILD_PEAK,
     StateVector,
     _projection_weights,
+    _label_cdf,
     _span_phases,
     apply_circuit,
     binomial_estimate,
@@ -39,6 +39,7 @@ from stabcorrect.statevec import (
     sample_retained,
     sample_weyl_indices,
     stab_combination,
+    table_build_bytes,
 )
 from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
 
@@ -52,6 +53,7 @@ from conftest import (
     expectation_table,
     inverse_cdf_reference,
     measure_block,
+    pauli_product,
     per_shot_averages,
     q_tables_reference,
     retained_reference,
@@ -254,6 +256,30 @@ class TestTableMemory:
             tracemalloc.stop()
         assert peak / (8 * 4**n) == pytest.approx(TABLE_BUILD_PEAK, abs=0.01)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_build_peak_within_the_requested_bytes(self, n, rng, monkeypatch):
+        # below n = 8 the fixed-size buffers outweigh the tables, and the
+        # request covers them as well
+        requested = []
+        check = statevec.require_memory
+
+        def recorded(*args):
+            requested.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(statevec, "require_memory", recorded)
+        psi = random_state(n, rng)
+        tracemalloc.start()
+        try:
+            expectation_squares(psi)
+            exact_proxy(psi)
+            _label_cdf(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert requested == [(n, table_build_bytes(n))]
+        assert peak <= table_build_bytes(n)
+
     def test_oversized_build_raises_before_allocating(self):
         # n = 20: 8 TiB per table
         amps = np.zeros(1 << 20, dtype=complex)
@@ -271,12 +297,12 @@ class TestTableMemory:
         assert not psi._cache
 
     def test_sampled_metrics_need_only_the_cached_tables(self, rng, monkeypatch):
-        # physical memory of 2.5 tables: the build's two fit, and sampled
-        # mode draws both averages from the cached table, with no third
-        # table and no per-shot array
+        # physical memory of the build's request and half a table: the build
+        # fits, and sampled mode draws both averages from the cached table,
+        # with no third table and no per-shot array
         n = 6
         psi = random_state(n, rng)
-        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 5 * 4**n // 2}
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": (table_build_bytes(n) + 4 * 4**n) // 8}
         monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
         exact = gowers3_metrics(psi)
         ledger = CostLedger()
@@ -289,7 +315,8 @@ class TestTableMemory:
         assert (m.mode, m.shots) == ("sampled", 152019)
         assert abs(m.proxy - exact.proxy) <= 0.01 and abs(m.u3pow8 - exact.u3pow8) <= 0.01
         assert ledger.totals["copies_consumed"] == 10 * m.shots
-        assert peak < 8 * 4**n < 8 * phys["SC_PHYS_PAGES"] < 3 * 8 * 4**n
+        assert peak < 8 * 4**n
+        assert table_build_bytes(n) < 8 * phys["SC_PHYS_PAGES"] < table_build_bytes(n) + 8 * 4**n
 
     @pytest.mark.parametrize(
         "command, params",
@@ -330,11 +357,12 @@ class TestTableMemory:
         assert set(rows) == {"bell_difference", "gowers_sampled"}
 
     def test_sampled_tolerant_test_needs_only_the_cached_tables(self, rng, monkeypatch):
-        # physical memory of 2.5 tables: the sampled test reads only the
-        # q-average, the cached proxy, and a third table would not fit
+        # physical memory of the build's request and half a table: the
+        # sampled test reads only the q-average, the cached proxy, and a
+        # third table would not fit
         n = 7
         psi = random_state(n, rng)
-        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 5 * 4**n // 2}
+        phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": (table_build_bytes(n) + 4 * 4**n) // 8}
         monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
         ledger = CostLedger()
         assert tolerant_test(psi, 0.9, 0.1, 0, 0.01, rng, ledger, mode="sampled") in ("yes", "no")
@@ -343,7 +371,7 @@ class TestTableMemory:
         shots = rows["gowers_sampled"]["copies_consumed"] // 2
         assert rows["gowers_sampled"]["copies_consumed"] == 2 * shots > 0
         assert rows["bell_difference"]["copies_consumed"] == 4 * shots
-        assert 8 * phys["SC_PHYS_PAGES"] < 3 * 8 * 4**n
+        assert table_build_bytes(n) < 8 * phys["SC_PHYS_PAGES"] < table_build_bytes(n) + 8 * 4**n
 
 
 class TestSampling:
