@@ -10,7 +10,8 @@ class CollectionEmpty(StabcorrectError):
 
 
 class PfrSubgroupNotFound(StabcorrectError):
-    """Too few accepted pairwise sums to span a subgroup (the failure sentinel)."""
+    """No usable cover: too few accepted pairwise sums to span a subgroup (the
+    failure sentinel), or more symplectic pairs than extraction covers."""
 
 
 class SelfCorrectionFailed(StabcorrectError):

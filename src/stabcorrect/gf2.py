@@ -85,20 +85,6 @@ class Gf2Basis:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: int) -> int:
-        """v with every pivot bit cleared by the rows: the same value for
-        all of v's coset of the span, 0 for the span itself."""
-        for row, piv in zip(self.rows, self.pivots):
-            if (v >> piv) & 1:
-                v ^= row
-        return v
-
-    def enumerate_span(self) -> list[int]:
-        out = [0]
-        for row in self.rows:
-            out += [w ^ row for w in out]
-        return out
-
     def labels(self, n: int) -> list[PauliLabel]:
         return [PauliLabel.from_vector(n, v) for v in self.rows]
 

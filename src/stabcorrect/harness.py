@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -38,9 +39,7 @@ from .selfcorrect import (
     _edge_shots,
     _tolerant_margin,
     find_stabilizer,
-    planted_oracle,
     self_correct,
-    threshold_span_oracle,
     tolerant_test,
     tolerant_thresholds,
 )
@@ -51,7 +50,6 @@ from .statevec import (
     StateVector,
     bruteforce_stab_dim_fidelity,
     bruteforce_stab_fidelity,
-    exact_proxy,
     gowers3_metrics,
     random_state,
     require_memory,
@@ -72,19 +70,14 @@ from .iterate import (
 SCHEMA_VERSION = 1
 
 STATE_KINDS = ("basis", "random_stabilizer", "tdoped", "w_family", "combo", "haar")
-# kinds whose gen_state metadata holds no stabilizer group for the planted oracle
-_GROUPLESS_KINDS = ("tdoped", "haar")
 LOOPS = ("robust", "error_free")
 FORMATS = ("jsonl", "csv")
 LEARNERS = ("bruteforce", "self_correct")
-ORACLES = ("planted", "threshold-span")
 MODES = ("exact", "sampled")
 
 # each command's params and their defaults; any other key is rejected, and a
 # given value is coerced to its default's type
-_SELF_CORRECT = {
-    "gamma": 0.5, "delta": 0.05, "attempts": ATTEMPTS, "oracle": "planted", "theta": 0.25,
-}
+_SELF_CORRECT = {"gamma": 0.5, "delta": 0.05, "attempts": ATTEMPTS}
 _LEARNER = {"learner": "bruteforce", **_SELF_CORRECT}
 PARAMS = {
     "analyze": {"mode": "exact", "delta": 0.05},
@@ -96,6 +89,11 @@ PARAMS = {
     "bench": {"n": 10},
 }
 COMMANDS = tuple(PARAMS)
+# params that chose the covering subgroup before the pipeline covered the
+# collected set by its own span: accepted with any value by the commands that
+# take the self-correction params, echoed in the record's config, read by
+# nothing
+RETIRED_PARAMS = ("oracle", "theta")
 # above this n the 2^n amplitudes alone (16 << n bytes) pass 2^64 bytes, more
 # than a 64-bit machine addresses; checked before any shift or power of n
 _MAX_N = 60
@@ -174,6 +172,13 @@ class StateSpec:
                 object.__setattr__(self, name, _coerce(f"state {name}", 0, value))
         if not 1 <= self.n <= _MAX_N:
             raise ValueError(f"state n must lie in [1, {_MAX_N}], got {self.n}")
+        # each optional field is read by one kind only (index 0 is the default)
+        for name, owner in (("index", "basis"), ("t", "tdoped"), ("m", "w_family"), ("terms", "combo")):
+            value = getattr(self, name)
+            if self.kind != owner and (value if name == "index" else value is not None):
+                raise ValueError(
+                    f"state {name} is read only by kind {owner!r}; kind {self.kind!r} does not read it"
+                )
         require_memory(self.n, 16 << self.n)  # the 2^n complex amplitudes
         if self.kind == "basis" and not 0 <= self.index < 1 << self.n:
             raise ValueError(f"basis index {self.index} outside [0, 2^{self.n}) for n = {self.n}")
@@ -236,7 +241,8 @@ def _random_clifford_gates(n: int, rng: np.random.Generator, length: int):
 
 def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, dict]:
     """Build the state plus ground-truth metadata (known stabilizer group,
-    extent bound, plant components, as applicable)."""
+    extent bound, plant components, as applicable).  The metadata goes into
+    the record for checking; no pipeline stage reads it."""
     n = spec.n
     zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
     if spec.kind == "basis":
@@ -336,8 +342,16 @@ class ExperimentConfig:
             raise ValueError(f"out must be null or a non-empty path string, got {self.out!r}")
         if self.out is not None and not Path(self.out).parent.is_dir():
             raise ValueError(f"out {self.out!r} lies in a directory that does not exist")
+        retired = [k for k in RETIRED_PARAMS if k in self.params and "gamma" in PARAMS[self.command]]
+        if retired:
+            warnings.warn(
+                f"parameter(s) {', '.join(map(repr, retired))} are retired and ignored: "
+                "self-correction covers the collected set by its own span",
+                DeprecationWarning, stacklevel=3,
+            )
         _refuse_unknown(
-            self.params, PARAMS[self.command], f"parameter(s) for command {self.command!r}"
+            self.params, [*PARAMS[self.command], *retired],
+            f"parameter(s) for command {self.command!r}",
         )
         p = self.resolved_params()
         for key in ("gamma", "delta", "eps", "eps1", "eps2", "eps_prime"):
@@ -345,8 +359,6 @@ class ExperimentConfig:
                 raise ValueError(f"parameter {key} must lie in (0, 1)")
         if "attempts" in p and p["attempts"] < 1:
             raise ValueError("parameter attempts must be >= 1")
-        if "theta" in p and not 0 < p["theta"] <= 1:
-            raise ValueError("parameter theta must lie in (0, 1]")
         if "xi" in p and not p["xi"] >= 1:
             raise ValueError(f"parameter xi must be >= 1, got {p['xi']}")
         if "separation_c" in p and not p["separation_c"] > 0:
@@ -364,10 +376,15 @@ class ExperimentConfig:
                         f"separation_c = {p['separation_c']} leave the sampled test's margin "
                         f"with no finite shot count: {exc}"
                     ) from None
-        choice_params = {"loop": LOOPS, "learner": LEARNERS, "oracle": ORACLES, "mode": MODES}
+        choice_params = {"loop": LOOPS, "learner": LEARNERS, "mode": MODES}
         for key, choices in choice_params.items():
             if key in p and p[key] not in choices:
                 raise ValueError(f"parameter {key} must be one of {', '.join(choices)}, got {p[key]!r}")
+        if p.get("learner") == "bruteforce" and (unread := [k for k in _SELF_CORRECT if k in self.params]):
+            raise ValueError(
+                f"parameter(s) {', '.join(unread)} are read only by learner 'self_correct'; "
+                "learner 'bruteforce' does not read them"
+            )
         if self.command == "bench":
             if not 1 <= p["n"] <= _MAX_N:
                 raise ValueError(f"parameter n must lie in [1, {_MAX_N}], got {p['n']}")
@@ -398,9 +415,6 @@ class ExperimentConfig:
                 if not 0 <= t <= n:
                     raise ValueError(f"parameter stab_dims entry {t} outside [0, n = {n}]")
             self_corrects = self.command == "selfcorrect" or p.get("learner") == "self_correct"
-            if self_corrects and p["oracle"] == "planted" and self.state.kind in _GROUPLESS_KINDS:
-                raise ValueError(f"oracle 'planted' needs a known stabilizer group; "
-                                 f"state kind {self.state.kind!r} has none")
             # sample and copy counts the run will compute, each finite
             if self_corrects:
                 try:
@@ -491,23 +505,10 @@ def build_id() -> str:
 # command implementations
 
 
-def _learner_from_params(p: dict, meta: dict):
+def _learner_from_params(p: dict):
     if p["learner"] == "bruteforce":
         return base_learner_bruteforce()
-    oracle = _oracle_from_params(p, meta)
-    return base_learner_self_correct(p["gamma"], p["delta"], oracle, attempts=p["attempts"])
-
-
-def _oracle_from_params(p: dict, meta: dict):
-    if p["oracle"] == "threshold-span":
-        return threshold_span_oracle(p["theta"])
-    # planted: every plant's group (ExperimentConfig refuses kinds with none);
-    # the pipeline picks one per residual
-    groups = [meta["stabilizer_group"]] if "stabilizer_group" in meta else meta["plant_groups"]
-    return planted_oracle(*(
-        rref_basis_from_labels([PhasedPauli.from_string(s).label for s in group])
-        for group in groups
-    ))
+    return base_learner_self_correct(p["gamma"], p["delta"], attempts=p["attempts"])
 
 
 def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
@@ -534,17 +535,14 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
         )
         out.update(verdict=verdict)
     elif config.command == "selfcorrect":
-        oracle = _oracle_from_params(p, meta)
-        cand = self_correct(
-            psi, p["gamma"], p["delta"], oracle, rng, ledger, attempts=p["attempts"]
-        )
+        cand = self_correct(psi, p["gamma"], p["delta"], rng, ledger, attempts=p["attempts"])
         out.update(candidate=cand.to_json())
         # not up to ORACLE_MAX_QUBITS: at n = 5 the exact optimum (about 0.2 s)
         # costs twice the pipeline run it is compared with
         if psi.n <= 4:
             out.update(bruteforce_optimum=bruteforce_stab_fidelity(psi)[0])
     elif config.command == "decompose":
-        learner = _learner_from_params(p, meta)
+        learner = _learner_from_params(p)
         if p["loop"] == "error_free":
             dec = iterate_error_free(psi, p["eps"], learner, ledger, rng)
         else:
@@ -555,7 +553,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
                 residual_stab_dim_fidelity=bruteforce_stab_dim_fidelity(dec.residual, p["t"])
             )
     elif config.command == "learn-extent":
-        learner = _learner_from_params(p, meta)
+        learner = _learner_from_params(p)
         res = learn_low_extent(psi, p["xi"], p["eps_prime"], learner, ledger, rng)
         out.update(result=res.to_json())
     elif config.command == "oracle":
@@ -583,14 +581,15 @@ def _bench(n: int) -> dict:
     t0 = time.perf_counter()
     _label_cdf(psi)
     out["table_build_s"] = time.perf_counter() - t0
-    # the Clifford layer, medians over fresh random stabilizer states: each
-    # state's preparation (reduction and dense gates), then the
-    # canonicalization of its group
+    # the Clifford layer, medians over fresh random stabilizer states (the
+    # groups of gen_state's random_stabilizer draws): each state's
+    # preparation (reduction and dense gates), then the canonicalization of
+    # its group
     prep, canon = [], []
+    zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
     for _ in range(BENCH_STATES):
-        state = StabilizerState.from_json(
-            gen_state(StateSpec("random_stabilizer", n), rng)[1]["stabilizer_group"]
-        )
+        circuit = CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, 4 * n * n + 8)))
+        state = StabilizerState(n, conjugate(circuit, signed_generators(n, zs, 0)))
         t0 = time.perf_counter()
         stab_state_prep(state)
         prep.append(time.perf_counter() - t0)

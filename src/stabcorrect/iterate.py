@@ -76,14 +76,13 @@ def base_learner_bruteforce() -> BaseLearner:
 def base_learner_self_correct(
     gamma: float,
     delta: float,
-    oracle,
     attempts: int = ATTEMPTS,
 ) -> BaseLearner:
     """Wrap the full pipeline as a base learner.  The fidelity floor as a
     function of the threshold has no pinned universal exponent; the promise
     is the threshold itself, clipped to [1e-9, 1]."""
     def learn(psi: StateVector, rng, ledger) -> StabilizerState:
-        return self_correct(psi, gamma, delta, oracle, rng, ledger, attempts=attempts).state
+        return self_correct(psi, gamma, delta, rng, ledger, attempts=attempts).state
 
     return BaseLearner(learn, lambda eps: max(min(eps, 1.0), 1e-9))
 

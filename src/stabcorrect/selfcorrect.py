@@ -8,11 +8,9 @@ The pool is drawn independently of the vertex pairs, so each test keeps the
 law of a test with its own samples, and "every test answers correctly" is a
 union bound over the tests, which needs no independence between them.
 
-The covering subgroup is the step the paper assumes (the algorithmic
-polynomial Freiman-Ruzsa conjecture).  It enters as an oracle, any callable
-``oracle(psi, rng, ledger) -> Gf2Basis``: ``planted_oracle(*bases)`` returns
-the known plant retaining the most mass, and ``threshold_span_oracle(theta)``
-spans the sampled labels whose estimated <W_x>^2 clears theta.
+The collected set A is covered by the span of A + A (``pfr_subgroup``),
+where the paper covers it with the algorithmic polynomial Freiman-Ruzsa
+theorem; nothing else enters, and no ground truth is read.
 
 The published threshold constants for the common-neighbor test are
 astronomically small (gamma^350-scale; the README lists them), so
@@ -36,7 +34,7 @@ from .errors import (
     PfrSubgroupNotFound,
     SelfCorrectionFailed,
 )
-from .gf2 import Gf2Basis, PauliLabel, mub_covering, rref_basis
+from .gf2 import MUB_MAX_QUBITS, Gf2Basis, PauliLabel, mub_covering, rref_basis
 from .ledger import CostLedger
 from .pauli import (
     CliffordCircuit,
@@ -54,7 +52,6 @@ from .statevec import (
     exact_proxy,
     expectation_squares,
     sample_retained,
-    sample_weyl_indices,
     sampled_proxy,
 )
 
@@ -277,44 +274,7 @@ def collect_small_doubling(
 
 
 # ---------------------------------------------------------------------------
-# covering-subgroup oracles: oracle(psi, rng, ledger) -> Gf2Basis
-
-
-THRESHOLD_SPAN_SAMPLES = 256
-THRESHOLD_SPAN_SHOTS = 512
-
-
-def planted_oracle(*bases: Gf2Basis):
-    """The known plants: of the given subgroup bases, the one retaining the
-    most of the state's mass (``_retained_mass``); draws nothing."""
-    if not bases:
-        raise ValueError("planted oracle needs a subgroup basis")
-
-    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger) -> Gf2Basis:
-        return max(bases, key=lambda b: _retained_mass(psi, b))
-
-    return oracle
-
-
-def threshold_span_oracle(theta: float):
-    """Span of the sampled labels whose estimated <W_x>^2 clears theta (a
-    heuristic stand-in for an actual construction), from
-    ``THRESHOLD_SPAN_SAMPLES`` difference samples and
-    ``THRESHOLD_SPAN_SHOTS`` shots per distinct label."""
-
-    def oracle(psi: StateVector, rng: np.random.Generator, ledger: CostLedger) -> Gf2Basis:
-        idx = np.unique(sample_weyl_indices(psi, THRESHOLD_SPAN_SAMPLES, rng, ledger))
-        est = binomial_estimate(expectation_squares(psi)[idx], THRESHOLD_SPAN_SHOTS, rng)
-        ledger.charge("oracle_build", copies=2 * THRESHOLD_SPAN_SHOTS * idx.shape[0])
-        keep = idx[est >= theta]
-        return rref_basis([int(v) for v in keep], 2 * psi.n)
-
-    return oracle
-
-
-def _retained_mass(psi: StateVector, basis: Gf2Basis) -> float:
-    """E_{x in span(basis)}[<W_x>^2], from the state's cached table."""
-    return float(expectation_squares(psi)[np.array(basis.enumerate_span())].mean())
+# covering subgroup
 
 
 @dataclass(frozen=True)
@@ -326,26 +286,21 @@ class SubgroupV:
     mass: float | None
 
 
-def pfr_subgroup(samples: list[PauliLabel], basis: Gf2Basis) -> SubgroupV:
-    """Span of the pairwise sums that lie in the covering subgroup ``basis``.
+def pfr_subgroup(samples: list[PauliLabel]) -> SubgroupV:
+    """The cover of the accepted set A: the span of its pairwise sums A + A,
+    which is the span of every sample's difference from the first.
 
-    Fewer than n + 1 distinct accepted sums (one sample gives only 0) raises the failure sentinel.
-    a ^ b lies in the span exactly when a and b reduce to the same coset
-    representative (``Gf2Basis.reduce``), so each sample is reduced once,
-    and the accepted sums of a coset span what its members' differences
-    from one of them span.
+    Fewer than n + 1 distinct sums (one sample gives only 0) raises the
+    failure sentinel.
     """
     if not samples:
         raise ValueError("need at least one sample")
     n = samples[0].n
-    cosets: dict[int, list[int]] = {}
-    for s in samples:
-        v = s.to_vector()
-        cosets.setdefault(basis.reduce(v), []).append(v)
-    accepted = {a ^ b for c in cosets.values() for i, a in enumerate(c) for b in c[i:]}
-    if len(accepted) < n + 1:
-        raise PfrSubgroupNotFound(f"{len(accepted)} accepted sums < floor {n + 1}")
-    return SubgroupV(n, rref_basis([v ^ c[0] for c in cosets.values() for v in c[1:]], 2 * n), None)
+    vecs = [s.to_vector() for s in samples]
+    sums = {a ^ b for i, a in enumerate(vecs) for b in vecs[i:]}
+    if len(sums) < n + 1:
+        raise PfrSubgroupNotFound(f"{len(sums)} accepted sums < floor {n + 1}")
+    return SubgroupV(n, rref_basis([v ^ vecs[0] for v in vecs[1:]], 2 * n), None)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +424,9 @@ def find_stabilizer(
     """Extract the best product-form stabilizer compatible with the subgroup.
 
     Canonicalizes the subgroup (k pairs, m center) and rotates the state into
-    that frame with the circuit the canonicalizer emitted.  One contraction
+    that frame with the circuit the canonicalizer emitted; more than
+    ``MUB_MAX_QUBITS`` pairs have no candidate family and raise
+    ``PfrSubgroupNotFound``, which ``self_correct`` retries.  One contraction
     with the cached k-qubit MUB candidate matrix (every group, every sign
     pattern) gives |(<c| (x) <z|) rotated|^2 for each candidate c and rest
     bitstring z.  Each of ``_rounds(gamma)`` rounds, per candidate, draws the
@@ -487,6 +444,10 @@ def find_stabilizer(
     """
     labels = sub.basis.labels(psi.n)
     circuit, k, m = canonicalize_subgroup(labels)
+    if k > MUB_MAX_QUBITS:
+        raise PfrSubgroupNotFound(
+            f"subgroup leaves {k} symplectic pairs, more than the {MUB_MAX_QUBITS} extraction covers"
+        )
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
     if k == 0:
@@ -594,29 +555,20 @@ def self_correct(
     psi: StateVector,
     gamma: float,
     delta: float,
-    oracle,
     rng: np.random.Generator,
     ledger: CostLedger,
     attempts: int = ATTEMPTS,
     collect_t: int | None = None,
 ) -> CandidateStabilizer:
-    """Chain sampling, small-doubling collection, subgroup construction and
-    stabilizer extraction, retrying failed stages with fresh randomness up to
-    the attempt budget.  The covering-subgroup ``oracle(psi, rng, ledger)``
-    (``planted_oracle`` or ``threshold_span_oracle``) runs once, before the
-    first attempt; a span of fewer than n + 1 labels, which ``pfr_subgroup``
-    can never accept, fails at once."""
+    """Chain small-doubling collection, its cover by span(A + A)
+    (``pfr_subgroup``) and stabilizer extraction, retrying a failed stage
+    with fresh randomness up to the attempt budget."""
     t = collect_t if collect_t is not None else min(psi.n + 3, (1 << psi.n) - 1)
-    basis = oracle(psi, rng, ledger)
-    if 1 << basis.rank < psi.n + 1:
-        raise SelfCorrectionFailed(
-            f"oracle span of rank {basis.rank} holds fewer than n + 1 = {psi.n + 1} labels"
-        )
     last: Exception | None = None
     for _ in range(attempts):
         try:
             accepted = collect_small_doubling(psi, t, gamma, delta, rng, ledger)
-            sub = pfr_subgroup(accepted, basis)
+            sub = pfr_subgroup(accepted)
             return find_stabilizer(psi, sub, gamma, delta, rng, ledger)
         except (CollectionEmpty, PfrSubgroupNotFound, NoCandidateFound) as exc:
             last = exc

@@ -158,17 +158,6 @@ def _differences(cum: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return y ^ z
 
 
-def sample_weyl_indices(
-    psi: StateVector, size: int, rng: np.random.Generator, ledger: CostLedger
-) -> np.ndarray:
-    """Batched difference sampling: label indices drawn from q, in draw order,
-    4 copies each.  One ``rng.random((2, size))`` call gives the keys of y
-    and z, and each label is y ^ z."""
-    idx = _differences(_label_cdf(psi), rng.random((2, size)))
-    ledger.charge("bell_difference", copies=4 * size)
-    return idx
-
-
 # proposals per batch of ``sample_retained``, 3 uniforms each: a state with a
 # small proxy (a Haar state's is about 2^-n) loops over batches of this size
 # instead of allocating count / proxy proposals at once

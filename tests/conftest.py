@@ -22,6 +22,8 @@ from stabcorrect.pauli import (
 from stabcorrect.selfcorrect import _edge_batch
 from stabcorrect.statevec import (
     StateVector,
+    _differences,
+    _label_cdf,
     expectation_squares,
     overlap,
     sample_retained,
@@ -63,6 +65,23 @@ def random_label_set(n, rng):
 # ---------------------------------------------------------------------------
 # label arithmetic and symplectic Gram-Schmidt on PauliLabel objects: the
 # references the package's packed-row routine is checked against
+
+
+def span_reduce(basis: Gf2Basis, v: int) -> int:
+    """v with every pivot bit of ``basis`` cleared by its rows: the same
+    value for all of v's coset of the span, 0 for the span itself."""
+    for row, piv in zip(basis.rows, basis.pivots):
+        if (v >> piv) & 1:
+            v ^= row
+    return v
+
+
+def enumerate_span(basis: Gf2Basis) -> list[int]:
+    """Every vector of the span of ``basis``, 0 first."""
+    out = [0]
+    for row in basis.rows:
+        out += [w ^ row for w in out]
+    return out
 
 
 def label_sum(a: PauliLabel, b: PauliLabel) -> PauliLabel:
@@ -123,7 +142,7 @@ def symplectic_gram_schmidt_reference(generators) -> SgsDecomposition:
         if mate is None:
             # commutes with everything left; keep only if it extends the span
             span = rref_basis([c.to_vector() for c in center], nbits)
-            if span.reduce(g.to_vector()):
+            if span_reduce(span, g.to_vector()):
                 center.append(g)
             continue
         pairs.append((g, mate))
@@ -743,6 +762,15 @@ def inverse_cdf_reference(cum, keys):
     return np.minimum(np.searchsorted(cum, keys, side="right"), len(cum) - 1)
 
 
+def sample_weyl_indices(psi: StateVector, size: int, rng, ledger: CostLedger) -> np.ndarray:
+    """Batched difference sampling: ``size`` label indices drawn from q, 4
+    copies each.  One ``rng.random((2, size))`` call gives the keys of y and
+    z, and each label is y ^ z, as ``statevec.sample_retained`` proposes."""
+    idx = _differences(_label_cdf(psi), rng.random((2, size)))
+    ledger.charge("bell_difference", copies=4 * size)
+    return idx
+
+
 def retained_reference(psi, count, rng):
     """The retention protocol by rejection: draw x from q and keep it with
     probability <W_x>^2, one draw at a time, until ``count`` are kept.
@@ -874,17 +902,16 @@ def membership_rows_reference(psi, verts, t, params, rng, ledger):
         yield i, nbrs[[(xk & bad[j]).mean() <= params.rho2 for j in nbrs]]
 
 
-def pfr_subgroup_reference(samples, basis):
-    """The covering span of ``selfcorrect.pfr_subgroup`` from Python ints:
-    the set of pairwise sums, one ``Gf2Basis.reduce`` per sum, and
-    ``rref_basis`` of the accepted ones.  None where too few are accepted."""
+def pfr_subgroup_reference(samples):
+    """The cover of ``selfcorrect.pfr_subgroup`` from Python ints: the set
+    of pairwise sums and ``rref_basis`` of all of them.  None where fewer
+    than n + 1 are distinct."""
     n = samples[0].n
     vecs = [s.to_vector() for s in samples]
     sums = {a ^ b for i, a in enumerate(vecs) for b in vecs[i:]}
-    accepted = [v for v in sums if basis.reduce(v) == 0]
-    if len(accepted) < n + 1:
+    if len(sums) < n + 1:
         return None
-    return rref_basis(accepted, 2 * n)
+    return rref_basis(sums, 2 * n)
 
 
 def _exact_betas(psi, phis):

@@ -14,7 +14,6 @@ from stabcorrect.gf2 import (
     PauliLabel,
     mub_covering,
     rref_basis,
-    rref_basis_from_labels,
     symplectic_gram_schmidt,
 )
 from stabcorrect.harness import ExperimentConfig, run
@@ -37,7 +36,7 @@ from stabcorrect.pauli import (
     statevector_of,
 )
 from stabcorrect.rng import RngStream
-from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
+from stabcorrect.selfcorrect import self_correct, tolerant_test
 from stabcorrect.statevec import (
     StateVector,
     bruteforce_stab_dim_fidelity,
@@ -50,6 +49,7 @@ from stabcorrect.statevec import (
 
 from conftest import (
     _exact_betas,
+    enumerate_span,
     distribution_tables,
     enumerate_stabilizer_states,
     expectation_table,
@@ -119,7 +119,7 @@ def test_criterion_03_fidelity_bounds():
     t0 = time.time()
     rng = np.random.default_rng(103)
     span_cache = {
-        n: [np.array(rref_basis(rows.tolist(), 2 * n).enumerate_span()) for rows in isotropic_subspaces(n, n)]
+        n: [np.array(enumerate_span(rref_basis(rows.tolist(), 2 * n))) for rows in isotropic_subspaces(n, n)]
         for n in (1, 2, 3)
     }
     ok = True
@@ -165,7 +165,7 @@ def test_criterion_04_structure_algebra():
         seen = set()
         for g in cov.groups:
             ok &= is_lagrangian(g, k)
-            span = set(g.enumerate_span()) - {0}
+            span = set(enumerate_span(g)) - {0}
             ok &= not span & seen
             seen |= span
         ok &= len(seen) == 4**k - 1
@@ -185,11 +185,10 @@ def test_criterion_05_planted_self_correction():
         n = 2 + i % 3
         srng = RngStream(50_000 + i).child("plant").generator()
         s, psi = planted_state(n, srng, weight=0.9)
-        basis = rref_basis_from_labels([g.label for g in s.generators])
         opt, _ = bruteforce_stab_fidelity(psi)
         rng = RngStream(50_000 + i).child("run").generator()
         try:
-            cand = self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
+            cand = self_correct(psi, 0.5, 0.05, rng, CostLedger())
             wins += cand.fidelity >= opt - 0.05
         except Exception:
             pass
@@ -276,14 +275,12 @@ def test_criterion_08_application_contracts():
 
     for i in range(10):
         rng = RngStream(8100 + i).child("w5").generator()
-        psi, meta = gen_state(StateSpec("w_family", 5, m=3), RngStream(1).child("s").generator())
-        labels = [PhasedPauli.from_string(s).label for s in meta["stabilizer_group"]]
-        oracle = planted_oracle(rref_basis_from_labels(labels))
+        psi, _ = gen_state(StateSpec("w_family", 5, m=3), RngStream(1).child("s").generator())
         # the pipeline's learner, collecting 6 labels instead of n + 3
         learner = dataclasses.replace(
-            base_learner_self_correct(0.4, 0.05, oracle),
+            base_learner_self_correct(0.4, 0.05),
             learn=lambda psi, rng, ledger: self_correct(
-                psi, 0.4, 0.05, oracle, rng, ledger, collect_t=6
+                psi, 0.4, 0.05, rng, ledger, collect_t=6
             ).state,
         )
         res = learn_low_extent(psi, np.sqrt(3), 0.25, learner, CostLedger(), rng)
@@ -364,9 +361,8 @@ def test_criterion_10_reproducibility_accounting():
     # ledger totals equal subroutine sums
     rng = RngStream(10).child("acct").generator()
     ledger = CostLedger()
-    s, psi = planted_state(3, np.random.default_rng(10), weight=0.9)
-    basis = rref_basis_from_labels([g.label for g in s.generators])
-    self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, ledger)
+    _, psi = planted_state(3, np.random.default_rng(10), weight=0.9)
+    self_correct(psi, 0.5, 0.05, rng, ledger)
     sums = {k: 0 for k in ledger.totals}
     for row in ledger.breakdown.values():
         for k in sums:

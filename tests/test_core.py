@@ -184,13 +184,11 @@ LEDGER_REQUIRED = {
     "selfcorrect.collect_small_doubling",
     "selfcorrect.find_high_stab_dim",
     "selfcorrect.find_stabilizer",
-    "selfcorrect.oracle",  # the covering-subgroup oracles' closures
     "selfcorrect.self_correct",
     "statevec.apply_circuit",
     "statevec.hadamard_test_estimate",
     "statevec.lcu_residual",
     "statevec.sample_retained",
-    "statevec.sample_weyl_indices",
     "statevec.sampled_proxy",
 }
 
@@ -310,6 +308,25 @@ def test_unset_public_options_are_pinned():
             if not by_position and arg not in keywords.get(name, set()):
                 unset.add(f"{qualified}.{arg}")
     assert unset == UNSET_PUBLIC_OPTIONS
+
+
+def test_only_gen_state_names_the_ground_truth():
+    # the known groups are written by gen_state for the record and its
+    # checks; no pipeline stage reads them
+    found = []
+    for stem, tree in _package_trees():
+        writer = next(
+            (node for node in tree.body if stem == "harness"
+             and isinstance(node, ast.FunctionDef) and node.name == "gen_state"),
+            None,
+        )
+        inside = {id(node) for node in ast.walk(writer)} if writer else set()
+        found += [
+            f"{stem}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in ("stabilizer_group", "plant_groups")
+            and id(node) not in inside
+        ]
+    assert not found, f"ground-truth keys outside harness.gen_state: {found}"
 
 
 def test_readme_dotted_names_resolve():

@@ -16,6 +16,8 @@ from stabcorrect.pauli import PhasedPauli
 
 from conftest import (
     all_rows,
+    enumerate_span,
+    span_reduce,
     is_isotropic,
     is_lagrangian,
     label_sum,
@@ -76,7 +78,7 @@ class TestRref:
         # 110, 011, 101 as bitmasks with bit 0 leftmost
         b = rref_basis([0b011, 0b110, 0b101], 3)
         assert b.rank == 2
-        assert b.reduce(0b101) == 0
+        assert span_reduce(b, 0b101) == 0
 
     def test_empty(self):
         assert rref_basis([], 4).rank == 0
@@ -86,11 +88,11 @@ class TestRref:
 
     def test_zero_always_contained(self, rng):
         vecs = [int(rng.integers(0, 256)) for _ in range(3)]
-        assert rref_basis(vecs, 8).reduce(0) == 0
+        assert span_reduce(rref_basis(vecs, 8), 0) == 0
 
     def test_not_contained(self):
         b = rref_basis([0b001], 3)
-        assert b.reduce(0b010)
+        assert span_reduce(b, 0b010)
 
     def test_canonical_uniqueness(self, rng):
         # two generating sets of the same subspace give bit-identical bases
@@ -106,18 +108,18 @@ class TestRref:
     def test_membership_reduce(self, rng):
         for _ in range(50):
             b = rref_basis([int(rng.integers(0, 1 << 8)) for _ in range(4)], 8)
-            span = set(b.enumerate_span())
+            span = set(enumerate_span(b))
             for v in range(64):
-                assert (b.reduce(v) == 0) == (v in span)
+                assert (span_reduce(b, v) == 0) == (v in span)
 
     def test_reduce_is_one_value_per_coset(self, rng):
         # equal reductions exactly when the difference lies in the span
         for _ in range(50):
             b = rref_basis([int(rng.integers(0, 1 << 8)) for _ in range(3)], 8)
-            span = set(b.enumerate_span())
+            span = set(enumerate_span(b))
             for u in range(32):
                 for v in range(32):
-                    assert (b.reduce(u) == b.reduce(v)) == ((u ^ v) in span)
+                    assert (span_reduce(b, u) == span_reduce(b, v)) == ((u ^ v) in span)
 
 
 class TestSgs:
@@ -208,7 +210,7 @@ class TestMub:
         for g in cov.groups:
             assert g.rank == k
             assert is_lagrangian(g, k)
-            span = set(g.enumerate_span()) - {0}
+            span = set(enumerate_span(g)) - {0}
             assert len(span) == 2**k - 1
             assert not span & seen
             seen |= span
@@ -216,7 +218,7 @@ class TestMub:
 
     def test_counting_identity_k3(self):
         cov = mub_covering(3)
-        total = sum(len(set(g.enumerate_span())) - 1 for g in cov.groups)
+        total = sum(len(set(enumerate_span(g))) - 1 for g in cov.groups)
         assert total == 9 * 7 == (2**3 + 1) * (2**3 - 1)
 
     def test_deterministic(self):

@@ -24,7 +24,7 @@ from stabcorrect.harness import (
     run,
 )
 from stabcorrect.gf2 import PauliLabel
-from stabcorrect.pauli import PhasedPauli
+from stabcorrect.pauli import PhasedPauli, StabilizerState, statevector_of
 from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import tolerant_thresholds
 from stabcorrect.statevec import bruteforce_stab_dim_fidelity, bruteforce_stab_fidelity
@@ -155,14 +155,12 @@ def _unit():
 # a valid value of each param, given the state's qubit count
 PARAM_VALUES = {
     **{key: lambda n: _unit() for key in ("gamma", "delta", "eps", "eps1", "eps2", "eps_prime")},
-    "theta": lambda n: st.floats(0.0, 1.0, exclude_min=True),
     "xi": lambda n: st.floats(1.0, 1e6),
     "separation_c": lambda n: st.floats(1e-3, 1e3),
     "attempts": lambda n: st.integers(1, 64),
     "t": lambda n: st.integers(0, n - 1),
     "loop": lambda n: st.sampled_from(harness.LOOPS),
     "learner": lambda n: st.sampled_from(harness.LEARNERS),
-    "oracle": lambda n: st.sampled_from(harness.ORACLES),
     "mode": lambda n: st.sampled_from(harness.MODES),
     "stab_dims": lambda n: st.lists(st.integers(0, n), max_size=3),
     # bench: its own n
@@ -196,6 +194,10 @@ def config_dicts(draw):
     n = draw(st.integers(1, 5))
     keys = draw(st.lists(st.sampled_from(sorted(harness.PARAMS[command])), unique=True))
     params = {key: draw(PARAM_VALUES[key](n)) for key in keys}
+    if params.get("learner", harness.PARAMS[command].get("learner")) == "bruteforce":
+        # the bruteforce learner refuses the self-correction params
+        for key in ("gamma", "delta", "attempts"):
+            params.pop(key, None)
     if params.get("loop") == "error_free":
         params["t"] = 0
     if command == "test":
@@ -215,10 +217,6 @@ def config_dicts(draw):
     }
     if command != "bench" or draw(st.booleans()):
         data["state"] = draw(state_specs(n))
-        # the planted oracle needs a state kind with a known group
-        self_corrects = command == "selfcorrect" or params.get("learner") == "self_correct"
-        if self_corrects and data["state"]["kind"] in ("tdoped", "haar"):
-            params["oracle"] = "threshold-span"
     # a gamma, delta, eps, xi, sampled test margin or tdoped t that leaves a
     # shot count, copy count or extent bound of the run without a finite
     # value is refused with the config
@@ -430,28 +428,40 @@ class TestConfig:
     def test_attempts_below_one_rejected(self, attempts):
         with pytest.raises(ValueError, match="attempts"):
             ExperimentConfig.from_json(
-                {"command": "selfcorrect", "params": {"oracle": "planted", "attempts": attempts}}
+                {"command": "selfcorrect", "params": {"attempts": attempts}}
             )
 
-    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5])
-    def test_theta_outside_unit_interval_rejected(self, theta):
-        with pytest.raises(ValueError, match="theta"):
-            ExperimentConfig.from_json(
-                {"command": "selfcorrect", "params": {"oracle": "threshold-span", "theta": theta}}
-            )
-        # the closed end is allowed
-        ExperimentConfig.from_json(
-            {
-                "command": "selfcorrect",
-                "state": {"kind": "haar", "n": 2},
-                "params": {"oracle": "threshold-span", "theta": 1.0},
-            }
-        )
+    @pytest.mark.parametrize("command", ["selfcorrect", "decompose", "learn-extent"])
+    @pytest.mark.parametrize("theta", [0.0, -0.5, 1.5, "high", None])
+    def test_retired_params_accept_any_value(self, command, theta):
+        # once the covering subgroup's choice, now read by nothing: any value,
+        # one warning naming both, no resolved param, echoed as written
+        params = {"oracle": "plantd", "theta": theta}
+        data = {"command": command, "state": {"kind": "haar", "n": 2}, "params": params}
+        with pytest.warns(DeprecationWarning, match="'oracle', 'theta' are retired") as caught:
+            cfg = ExperimentConfig.from_json(data)
+        assert len(caught) == 1
+        assert not {"oracle", "theta"} & set(cfg.resolved_params())
+        assert cfg.to_json()["params"] == params
+
+    def test_retired_params_change_no_record_but_its_config(self):
+        data = {"command": "selfcorrect", "state": {"kind": "basis", "n": 3, "index": 5}, "seed": 2}
+        with pytest.warns(DeprecationWarning):
+            retired = run(ExperimentConfig.from_json({**data, "params": {"oracle": "planted"}}))[0]
+        plain = run(ExperimentConfig.from_json(data))[0]
+        assert (retired.outputs, retired.ledger) == (plain.outputs, plain.ledger)
+        assert retired.config["params"] == {"oracle": "planted"}
+
+    @pytest.mark.parametrize("command", ["analyze", "test", "oracle", "bench"])
+    def test_retired_params_unknown_elsewhere(self, command):
+        # only the commands that took them accept them
+        with pytest.raises(ValueError, match="unknown parameter.*'oracle'"):
+            ExperimentConfig.from_json({"command": command, "params": {"oracle": "planted"}})
 
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError, match="'gama'"):
             ExperimentConfig.from_json(
-                {"command": "selfcorrect", "params": {"gama": 0.9, "oracle": "planted"}}
+                {"command": "selfcorrect", "params": {"gama": 0.9}}
             )
         # a key another command reads is still unknown here
         with pytest.raises(ValueError, match="'stab_dims'"):
@@ -486,14 +496,14 @@ class TestConfig:
             {
                 "command": "selfcorrect",
                 "state": {"kind": "basis", "n": 2},
-                "params": {"gamma": 0.5, "delta": 0.05, "oracle": "planted"},
+                "params": {"gamma": 0.5, "delta": 0.05},
             }
         )
         ExperimentConfig.from_json(
             {
                 "command": "decompose",
                 "state": {"kind": "haar", "n": 2},
-                "params": {"learner": "self_correct", "oracle": "threshold-span", "eps": 0.05, "loop": "robust"},
+                "params": {"learner": "self_correct", "eps": 0.05, "loop": "robust"},
             }
         )
         read = set(re.findall(r'\bp\["(\w+)"\]', inspect.getsource(harness)))
@@ -505,21 +515,17 @@ class TestConfig:
         [
             ("selfcorrect", {}),
             ("decompose", {"learner": "self_correct"}),
-            ("learn-extent", {"learner": "self_correct", "oracle": "planted"}),
+            ("learn-extent", {"learner": "self_correct"}),
         ],
     )
-    def test_planted_oracle_needs_a_known_group(self, kind, command, params):
-        # refused with the config, before a state is built; the default
-        # oracle is the planted one
+    def test_self_correction_accepts_groupless_kinds(self, kind, command, params):
+        # no stage reads a known group, so kinds that record none are
+        # accepted, also with the retired planted choice
         state = {"kind": kind, "n": 3, **({"t": 1} if kind == "tdoped" else {})}
         cfg = {"command": command, "state": state, "params": params}
-        with pytest.raises(ValueError, match=f"oracle 'planted' needs .* kind '{kind}' has none"):
-            ExperimentConfig.from_json(cfg)
-        # the same state is fine with the other oracle, or with a learner
-        # that reads no oracle
-        ExperimentConfig.from_json(dict(cfg, params={**params, "oracle": "threshold-span"}))
-        if command != "selfcorrect":
-            ExperimentConfig.from_json(dict(cfg, params={**params, "learner": "bruteforce"}))
+        ExperimentConfig.from_json(cfg)
+        with pytest.warns(DeprecationWarning):
+            ExperimentConfig.from_json(dict(cfg, params={**params, "oracle": "planted"}))
 
     @pytest.mark.parametrize("command", [c for c in harness.COMMANDS if c != "bench"])
     def test_spelled_out_defaults_change_nothing(self, command):
@@ -537,7 +543,51 @@ class TestConfig:
             rec = run(ExperimentConfig.from_json(cfg))[0]
             return rec.outputs, rec.ledger
 
-        assert outputs_and_ledger({}) == outputs_and_ledger(dict(harness.PARAMS[command]))
+        # the bruteforce learner (the default) refuses the self-correction
+        # params, so those are left out where it runs
+        spelled = dict(harness.PARAMS[command])
+        if spelled.get("learner") == "bruteforce":
+            spelled = {k: v for k, v in spelled.items() if k not in ("gamma", "delta", "attempts")}
+        assert outputs_and_ledger({}) == outputs_and_ledger(spelled)
+
+    @pytest.mark.parametrize("command", ["decompose", "learn-extent"])
+    def test_bruteforce_learner_refuses_self_correction_params(self, command):
+        state = {"kind": "haar", "n": 3}
+        for learner in ({"learner": "bruteforce"}, {}):
+            params = {**learner, "gamma": 0.3, "attempts": 7}
+            with pytest.raises(ValueError, match="gamma, attempts are read only by learner 'self_correct'"):
+                ExperimentConfig.from_json({"command": command, "state": state, "params": params})
+        with pytest.raises(ValueError, match="parameter\\(s\\) delta are read only"):
+            ExperimentConfig.from_json(
+                {"command": command, "state": state, "params": {"delta": 0.1}}
+            )
+        ExperimentConfig.from_json(
+            {"command": command, "state": state,
+             "params": {"learner": "self_correct", "gamma": 0.3, "delta": 0.1, "attempts": 7}}
+        )
+
+    @pytest.mark.parametrize(
+        "state, field",
+        [
+            ({"kind": "basis", "n": 3, "t": 5}, "t"),
+            ({"kind": "random_stabilizer", "n": 2, "terms": [{"coeff": [1.0, 0.0], "generators": ["+ZI", "+IZ"]}]}, "terms"),
+            ({"kind": "tdoped", "n": 3, "t": 1, "index": 4}, "index"),
+            ({"kind": "w_family", "n": 3, "m": 2, "t": 0}, "t"),
+            ({"kind": "combo", "n": 1, "terms": [{"coeff": [1.0, 0.0], "generators": ["+Z"]}], "m": 1}, "m"),
+            ({"kind": "haar", "n": 3, "m": 2}, "m"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v["kind"],
+    )
+    def test_state_field_the_kind_never_reads_refused(self, state, field):
+        owner = {"index": "basis", "t": "tdoped", "m": "w_family", "terms": "combo"}[field]
+        message = f"state {field} is read only by kind '{owner}'; kind '{state['kind']}' does not read it"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StateSpec.from_json(state)
+        # without the field the state is fine, and its JSON (which always
+        # writes index 0) reads back as the same spec
+        spec = StateSpec.from_json({k: v for k, v in state.items() if k != field})
+        assert spec.to_json()["index"] == 0
+        assert StateSpec.from_json(spec.to_json()) == spec
 
     @pytest.mark.parametrize(
         "state, field",
@@ -613,8 +663,6 @@ class TestConfig:
         [
             ("decompose", "learner", "bruteforc"),
             ("learn-extent", "learner", "self-correct"),
-            ("selfcorrect", "oracle", "plantd"),
-            ("decompose", "oracle", "threshold_span"),
             ("analyze", "mode", "exakt"),
             ("test", "mode", "sample"),
         ],
@@ -765,13 +813,51 @@ class TestRun:
                         {"coeff": [0.3, 0.0], "generators": ["+XI", "+IX"]},
                     ],
                 },
-                "params": {"gamma": 0.5, "delta": 0.05, "oracle": "planted"},
+                "params": {"gamma": 0.5, "delta": 0.05},
                 "trials": 2,
                 "seed": 4,
             }
         )
         for rec in run(cfg):
             assert rec.outputs["candidate"]["fidelity"] >= rec.outputs["bruteforce_optimum"] - 0.05
+
+    def test_selfcorrect_reads_no_ground_truth(self, monkeypatch):
+        # the same candidate and ledger when gen_state records no metadata
+        cfg = ExperimentConfig.from_json({
+            "command": "selfcorrect",
+            "state": {"kind": "combo", "n": 4, "terms": [
+                {"coeff": [0.9, 0.0], "generators": ["+ZIII", "+IZII", "+IIZI", "+IIIZ"]},
+                {"coeff": [0.0, 0.4], "generators": ["+XXII", "+ZZII", "+IIXX", "+IIZZ"]},
+            ]},
+            "trials": 2,
+            "seed": 5,
+        })
+        with_meta = run(cfg)
+        state_only = harness.gen_state
+        monkeypatch.setattr(harness, "gen_state", lambda spec, rng: (state_only(spec, rng)[0], {}))
+        without = run(cfg)
+        assert with_meta[0].outputs["meta"]["plant_groups"] and without[0].outputs["meta"] == {}
+        for a, b in zip(with_meta, without):
+            assert (a.outputs["candidate"], a.ledger) == (b.outputs["candidate"], b.ledger)
+
+    def test_selfcorrect_on_a_tdoped_state(self):
+        # the candidate's fidelity recomputes from its generators and the
+        # state this trial generated
+        cfg = ExperimentConfig.from_json(
+            {"command": "selfcorrect", "state": {"kind": "tdoped", "n": 6, "t": 1}, "seed": 3}
+        )
+        cand = run(cfg)[0].outputs["candidate"]
+        psi, _ = gen_state(cfg.state, RngStream(3).child("state", 0).generator())
+        phi = statevector_of(StabilizerState.from_json(cand["generators"]))
+        assert abs(np.vdot(phi, psi.amps)) ** 2 == pytest.approx(cand["fidelity"], abs=1e-9)
+        assert cand["fidelity"] >= 0.5
+
+    def test_selfcorrect_on_a_haar_state_fails_in_collection(self):
+        cfg = ExperimentConfig.from_json(
+            {"command": "selfcorrect", "state": {"kind": "haar", "n": 6}, "seed": 0}
+        )
+        with pytest.raises(SelfCorrectionFailed, match="no candidate set reached the requested size"):
+            run(cfg)
 
     def test_ledger_totals_consistency(self):
         cfg = ExperimentConfig.from_json(
@@ -861,9 +947,8 @@ class TestRun:
     @pytest.mark.parametrize("loop", ["robust", "error_free"])
     @pytest.mark.parametrize("seed", [112, 113])
     def test_two_plant_decompose_learns_both_plants(self, seed, loop):
-        # each residual is given the plant group retaining most of its mass;
-        # with the first plant's group alone both loops stop after one term
-        # at residual norm 0.2727
+        # the residual after the first plant is learned holds the second;
+        # a loop that stops after one term ends at residual norm 0.2727
         cfg = ExperimentConfig.from_json(
             {
                 "command": "decompose",
@@ -875,7 +960,7 @@ class TestRun:
                         {"coeff": [0.3, 0.0], "generators": ["+XIII", "+IXII", "+IIXI", "+IIIX"]},
                     ],
                 },
-                "params": {"learner": "self_correct", "oracle": "planted", "eps": 0.05, "loop": loop},
+                "params": {"learner": "self_correct", "eps": 0.05, "loop": loop},
                 "seed": seed,
             }
         )
@@ -894,22 +979,23 @@ class TestRun:
         state = {"kind": kind, "n": 1, **({"t": 1} if kind == "tdoped" else {})}
         seed = first_seed(StateSpec(kind, 1, t=state.get("t")), 1, is_stabilizer)
         cfg = {"command": "decompose", "state": state, "seed": seed}
-        cfg["params"] = {"learner": "self_correct", "oracle": "threshold-span", "attempts": 4}
+        cfg["params"] = {"learner": "self_correct", "attempts": 4}
         dec = run(ExperimentConfig.from_json(cfg))[0].outputs["decomposition"]
         assert (dec["stop_reason"], dec["iterations"]) == ("learner_failed", 0)
-        cfg.update(command="selfcorrect", params={"oracle": "threshold-span", "attempts": 4})
+        cfg.update(command="selfcorrect", params={"attempts": 4})
         with pytest.raises(SelfCorrectionFailed):
             run(ExperimentConfig.from_json(cfg))
 
-    def test_haar_self_correct_learner_stops_at_the_oracle(self):
-        # a Haar state's threshold span has rank 0, too small for any
-        # attempt to succeed, so the learner fails before collecting
+    def test_haar_self_correct_learner_stops_in_collection(self):
+        # no attempt collects a set of n + 3 labels on a Haar state, so the
+        # learner fails after charging its collections
         cfg = {"command": "decompose", "state": {"kind": "haar", "n": 6}, "seed": 3,
-               "params": {"learner": "self_correct", "oracle": "threshold-span"}}
+               "params": {"learner": "self_correct"}}
         rec = run(ExperimentConfig.from_json(cfg))[0]
         dec = rec.outputs["decomposition"]
         assert (dec["stop_reason"], dec["iterations"]) == ("learner_failed", 0)
-        assert not {"edge_test", "retention"} & set(rec.ledger["breakdown"])
+        assert {"edge_test", "retention"} <= set(rec.ledger["breakdown"])
+        assert not {"measure", "fidelity_shadows"} & set(rec.ledger["breakdown"])
 
 
     def test_learn_extent_that_learns_nothing_writes_records(self, tmp_path):
@@ -918,7 +1004,7 @@ class TestRun:
         out = tmp_path / "out.jsonl"
         cfg = {"command": "learn-extent", "state": {"kind": "haar", "n": 6}, "seed": 0,
                "trials": 2, "out": str(out),
-               "params": {"learner": "self_correct", "oracle": "threshold-span"}}
+               "params": {"learner": "self_correct"}}
         run(ExperimentConfig.from_json(cfg))
         recs = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(recs) == 2
@@ -1034,7 +1120,7 @@ class TestCli:
                 {
                     "command": "decompose",
                     "state": {"kind": "tdoped", "n": 4, "t": 1},
-                    "params": {"learner": "self_correct", "oracle": "threshold-span", "t": 1},
+                    "params": {"learner": "self_correct", "t": 1},
                     "trials": 2,
                     "seed": 7,
                 }

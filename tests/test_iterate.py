@@ -3,11 +3,9 @@ import pytest
 
 from stabcorrect import iterate, statevec
 from stabcorrect.errors import SelfCorrectionFailed
-from stabcorrect.gf2 import rref_basis_from_labels
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import StabilizerState, statevector_of
 from stabcorrect.rng import RngStream
-from stabcorrect.selfcorrect import planted_oracle
 from stabcorrect.iterate import (
     EST_FAIL,
     PREFIX_TOL,
@@ -351,9 +349,8 @@ class TestLearners:
         assert all(a < b for a, b in zip(ys, ys[1:]))
 
     def test_self_correct_learner(self, rng):
-        s, psi = planted_state(2, rng, weight=0.95)
-        basis = rref_basis_from_labels([g.label for g in s.generators])
-        learner = base_learner_self_correct(0.5, 0.05, planted_oracle(basis))
+        _, psi = planted_state(2, rng, weight=0.95)
+        learner = base_learner_self_correct(0.5, 0.05)
         st = learner.learn(psi, rng, CostLedger())
         fid = abs(overlap(StateVector(2, statevector_of(st)), psi)) ** 2
         assert fid >= 0.9

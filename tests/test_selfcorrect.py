@@ -9,7 +9,7 @@ from stabcorrect.errors import (
     PfrSubgroupNotFound,
     SelfCorrectionFailed,
 )
-from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
+from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_gram_schmidt
 from stabcorrect.harness import StateSpec, gen_state
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
@@ -23,18 +23,15 @@ from stabcorrect.rng import RngStream
 from stabcorrect.selfcorrect import (
     BsgParams,
     SubgroupV,
-    THRESHOLD_SPAN_SHOTS,
     collect_small_doubling,
     find_high_stab_dim,
     find_stabilizer,
-    planted_oracle,
     pfr_subgroup,
     self_correct,
-    threshold_span_oracle,
     tolerant_test,
 )
 from stabcorrect.selfcorrect import (
-    TIE_TOL, _edge_batch, _edge_shots, _membership_rows, _neighbor_bad, _retained_mass, _rounds,
+    TIE_TOL, _edge_batch, _edge_shots, _membership_rows, _neighbor_bad, _rounds,
     _shot_test,
 )
 from stabcorrect.statevec import (
@@ -55,6 +52,7 @@ from conftest import (
     bsg_test,
     distribution_tables,
     edge_shots,
+    enumerate_span,
     exact_edges,
     expectation_table,
     label_sum,
@@ -62,6 +60,7 @@ from conftest import (
     pfr_subgroup_reference,
     planted_state,
     random_circuit,
+    span_reduce,
     t_state,
     tensor,
 )
@@ -72,13 +71,18 @@ def stab_vec(strings):
     return st, StateVector(st.n, statevector_of(st))
 
 
+def retained_mass(psi, basis):
+    """E_{x in span(basis)}[<W_x>^2]: 1 exactly on a stabilizer group of psi."""
+    return float(expectation_squares(psi)[np.array(enumerate_span(basis))].mean())
+
+
 class TestSamplePaulis:
     def test_stabilizer_support(self, rng):
         st, psi = stab_vec(["+XX", "+ZZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
         idx = sample_retained(psi, 64, rng, CostLedger())
         labs = [PauliLabel.from_vector(2, int(i)) for i in idx]
-        assert len(labs) == 64 and all(basis.reduce(l.to_vector()) == 0 for l in labs)
+        assert len(labs) == 64 and all(span_reduce(basis, l.to_vector()) == 0 for l in labs)
 
     def test_ledger_accounting(self, rng):
         # every draw charges 4 difference-sampling and 2 retention copies
@@ -524,7 +528,7 @@ class TestCollect:
         ledger = CostLedger()
         accepted = collect_small_doubling(psi, 6, 0.5, 0.05, rng, ledger)
         assert len(accepted) >= 6
-        assert all(basis.reduce(l.to_vector()) == 0 for l in accepted)
+        assert all(span_reduce(basis, l.to_vector()) == 0 for l in accepted)
 
     def test_ledger_grows_with_t(self, rng):
         _, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
@@ -566,119 +570,114 @@ class TestCollect:
         monkeypatch.setattr(selfcorrect, "_neighbor_bad", count_neighbors)
         for seed in range(8):
             gen = np.random.default_rng(seed)
-            plant, meta = gen_state(StateSpec("random_stabilizer", 8), gen)
+            plant, _ = gen_state(StateSpec("random_stabilizer", 8), gen)
             amps = np.sqrt(0.6) * plant.amps + np.sqrt(0.4) * random_state(8, gen).amps
             psi = StateVector(8, amps / np.linalg.norm(amps))
-            basis = rref_basis_from_labels(
-                [PhasedPauli.from_string(g).label for g in meta["stabilizer_group"]]
-            )
-            cand = self_correct(
-                psi, 0.5, 0.05, planted_oracle(basis), np.random.default_rng(100 + seed),
-                CostLedger(),
-            )
+            cand = self_correct(psi, 0.5, 0.05, np.random.default_rng(100 + seed), CostLedger())
             assert abs(cand.fidelity - abs(overlap(plant, psi)) ** 2) <= 0.05
         assert len(calls) <= 1000
         assert not own
 
 
 class TestPfrOracle:
+    """The cover that stands in for the APFR step, ``pfr_subgroup`` of a
+    collected set, which sees the collected labels and nothing else."""
+
     def test_planted_membership(self, rng):
+        # on |000> the collected labels are Z-type, and their cover is the
+        # planted group
         basis = rref_basis_from_labels([lab("ZII"), lab("IZI"), lab("IIZ")])
-        before = rng.bit_generator.state
-        got = planted_oracle(basis)(basis_state(3), rng, CostLedger())
-        assert got.reduce(lab("ZZI").to_vector()) == 0 and got.reduce(lab("XII").to_vector())
-        # the planted oracle draws nothing
-        assert rng.bit_generator.state == before
+        accepted = collect_small_doubling(basis_state(3), 6, 0.5, 0.05, rng, CostLedger())
+        got = pfr_subgroup(accepted).basis
+        assert span_reduce(got, lab("ZZI").to_vector()) == 0 and span_reduce(got, lab("XII").to_vector())
+        assert got == basis
 
-    def test_threshold_span_matches_planted_on_stabilizer(self, rng):
-        st, psi = stab_vec(["+XZ", "+ZX"])
+    def test_consistency(self, rng):
+        # the cover is a function of the collected set: neither the order
+        # nor repeats of its labels change it
+        st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
+        accepted = collect_small_doubling(psi, 6, 0.5, 0.05, rng, CostLedger())
+        want = pfr_subgroup(accepted).basis
+        for _ in range(5):
+            shuffled = [accepted[int(i)] for i in rng.permutation(len(accepted))]
+            assert pfr_subgroup(shuffled + shuffled[:2]).basis == want
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        span = threshold_span_oracle(0.5)(psi, rng, CostLedger())
-        for v in range(16):
-            assert (span.reduce(v) == 0) == (basis.reduce(v) == 0)
-
-    def test_consistency(self):
-        # the same draws give the same span, and the build is charged per
-        # distinct sampled label
-        spans, ledgers = [], []
-        for _ in range(2):
-            rng = RngStream(5).child("span").generator()
-            ledgers.append(CostLedger())
-            spans.append(threshold_span_oracle(0.3)(t_state(), rng, ledgers[-1]))
-        assert spans[0] == spans[1]
-        charged = ledgers[0].breakdown["oracle_build"]["copies_consumed"]
-        assert charged > 0 and charged % (2 * THRESHOLD_SPAN_SHOTS) == 0
+        assert all(span_reduce(basis, v) == 0 for v in want.rows)
 
     def test_planted_picks_group_retaining_most_mass(self, rng):
+        # of two plants, the collected set and so its cover come from the
+        # one whose group retains the most of the state's mass
         zs, zvec = stab_vec(["+ZII", "+IZI", "+IIZ"])
         xs, xvec = stab_vec(["+XII", "+IXI", "+IIX"])
         bases = [rref_basis_from_labels([g.label for g in s.generators]) for s in (zs, xs)]
         for cz, cx, want in ((0.95, 0.3, 0), (0.3, 0.95, 1)):
             amps = cz * zvec.amps + cx * xvec.amps
             psi = StateVector(3, amps / np.linalg.norm(amps))
-            masses = [_retained_mass(psi, b) for b in bases]
+            masses = [retained_mass(psi, b) for b in bases]
             assert masses[want] == max(masses) and masses[1 - want] < max(masses)
-            assert planted_oracle(*bases)(psi, rng, CostLedger()) == bases[want]
-            # a lone group is the only candidate, even the one retaining less
-            assert planted_oracle(bases[1 - want])(psi, rng, CostLedger()) == bases[1 - want]
+            accepted = collect_small_doubling(psi, 6, 0.5, 0.05, rng, CostLedger())
+            assert pfr_subgroup(accepted).basis == bases[want]
 
 
 class TestPfrSubgroup:
     def test_planted_subgroup(self, rng):
+        # samples from a stabilizer state's group are covered by a subgroup
+        # of it, which retains all of the state's mass
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
         samples = basis.labels(3) + [label_sum(*basis.labels(3)[:2])]
-        sub = pfr_subgroup(samples, basis)
+        sub = pfr_subgroup(samples)
         assert sub.basis.rank <= 3
-        assert _retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=0.25)
+        assert all(span_reduce(basis, v) == 0 for v in sub.basis.rows)
+        assert retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=1e-9)
 
     def test_span_saturation(self, rng):
         st, psi = stab_vec(["+ZII", "+IZI", "+IIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        span = [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()]
-        sub = pfr_subgroup(span, basis)
-        assert sub.basis.rank == 3 and _retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=1e-9)
+        span = [PauliLabel.from_vector(3, v) for v in enumerate_span(basis)]
+        sub = pfr_subgroup(span)
+        assert sub.basis == basis and retained_mass(psi, sub.basis) == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejecting_oracle_fails(self):
-        empty = rref_basis_from_labels([lab("II")])
-        samples = [lab("XI"), lab("IX"), lab("XX"), lab("ZI")]
-        with pytest.raises(PfrSubgroupNotFound):
-            pfr_subgroup(samples, empty)
+    def test_a_coset_is_covered_by_its_differences(self):
+        # A + A of a coset a + V is V, whichever member comes first
+        basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
+        coset = [label_sum(lab("XX"), PauliLabel.from_vector(2, v)) for v in enumerate_span(basis)]
+        for first in range(4):
+            assert pfr_subgroup(coset[first:] + coset[:first]).basis == basis
 
     def test_single_sample_is_the_failure_sentinel(self):
         # its only pairwise sum is 0, below the floor of n + 1 sums
-        basis = rref_basis_from_labels([lab("Z")])
         with pytest.raises(PfrSubgroupNotFound, match="1 accepted sums < floor 2"):
-            pfr_subgroup([lab("Z")], basis)
+            pfr_subgroup([lab("Z")])
         with pytest.raises(ValueError, match="at least one sample"):
-            pfr_subgroup([], basis)
+            pfr_subgroup([])
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_the_set_reference(self, seed):
-        # random bases of every rank, samples drawn mostly from their span
+        # samples drawn mostly from the span of random bases of every rank,
         # with some outside it: the same accepted count and the same
         # canonical basis as the per-sum reference
         gen = np.random.default_rng(seed)
         n = int(gen.integers(1, 7))
         basis = rref_basis(gen.integers(1 << (2 * n), size=int(gen.integers(0, 2 * n + 1))).tolist(), 2 * n)
-        span = np.array(basis.enumerate_span())
+        span = np.array(enumerate_span(basis))
         m = int(gen.integers(1, 3 * n + 4))
         vecs = np.where(
             gen.random(m) < 0.8, gen.choice(span, size=m), gen.integers(1 << (2 * n), size=m)
         )
         samples = [PauliLabel.from_vector(n, int(v)) for v in vecs]
-        want = pfr_subgroup_reference(samples, basis)
+        want = pfr_subgroup_reference(samples)
         if want is None:
             with pytest.raises(PfrSubgroupNotFound):
-                pfr_subgroup(samples, basis)
+                pfr_subgroup(samples)
             return
-        assert pfr_subgroup(samples, basis).basis == want
+        assert pfr_subgroup(samples).basis == want
 
     def test_output_is_subgroup(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        sub = pfr_subgroup(basis.labels(3), basis)
-        span = set(sub.basis.enumerate_span())
+        sub = pfr_subgroup(basis.labels(3))
+        span = set(enumerate_span(sub.basis))
         assert 0 in span
         for a in span:
             for b in span:
@@ -688,18 +687,15 @@ class TestPfrSubgroup:
         # ZI, IZ give the sums {II, ZZ}: two accepted, below the floor n + 1 = 3
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
         with pytest.raises(PfrSubgroupNotFound, match="2 accepted sums < floor 3"):
-            pfr_subgroup(basis.labels(2), basis)
-        assert pfr_subgroup(basis.labels(2) + [lab("ZZ")], basis).basis.rank == 2
+            pfr_subgroup(basis.labels(2))
+        assert pfr_subgroup(basis.labels(2) + [lab("ZZ")]).basis.rank == 2
 
 
 class TestFindStabilizer:
     def test_exact_recovery(self, rng):
         st, psi = stab_vec(["+XZY", "+IXZ", "+ZIZ"])
         basis = rref_basis_from_labels([g.label for g in st.generators])
-        sub = pfr_subgroup(
-            [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            basis,
-        )
+        sub = pfr_subgroup([PauliLabel.from_vector(3, v) for v in enumerate_span(basis)])
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(1.0, abs=1e-9)
 
@@ -707,10 +703,7 @@ class TestFindStabilizer:
         amps = np.array([np.sqrt(0.9), 0, 0, np.sqrt(0.1)])
         psi = StateVector(2, amps)
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
-        sub = pfr_subgroup(
-            [PauliLabel.from_vector(2, v) for v in basis.enumerate_span()],
-            basis,
-        )
+        sub = pfr_subgroup([PauliLabel.from_vector(2, v) for v in enumerate_span(basis)])
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(0.9, abs=1e-9)
         opt, arg = bruteforce_stab_fidelity(psi)
@@ -720,10 +713,7 @@ class TestFindStabilizer:
         _, psi = planted_state(2, rng)
         st, _ = stab_vec(["+ZI", "+IZ"])
         basis = rref_basis_from_labels([lab("ZI"), lab("IZ")])
-        sub = pfr_subgroup(
-            [PauliLabel.from_vector(2, v) for v in basis.enumerate_span()],
-            basis,
-        )
+        sub = pfr_subgroup([PauliLabel.from_vector(2, v) for v in enumerate_span(basis)])
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         recomputed = abs(overlap(StateVector(2, statevector_of(cand.state)), psi)) ** 2
         assert cand.fidelity == pytest.approx(recomputed, abs=1e-12)
@@ -734,10 +724,7 @@ class TestFindStabilizer:
         # isotropic subgroup: candidates are frame basis states
         psi = basis_state(3)
         basis = rref_basis_from_labels([lab("ZII"), lab("IZI"), lab("IIZ")])
-        sub = pfr_subgroup(
-            [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            basis,
-        )
+        sub = pfr_subgroup([PauliLabel.from_vector(3, v) for v in enumerate_span(basis)])
         cand = find_stabilizer(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(1.0, abs=1e-12)
         assert cand.provenance["k"] == 0
@@ -748,10 +735,7 @@ class TestFindHighStabDim:
         sigma = random_state(1, rng)
         psi = tensor(sigma, basis_state(2))  # qubits 1,2 pinned to |0>
         basis = rref_basis_from_labels([lab("IZI"), lab("IIZ")])
-        sub = pfr_subgroup(
-            [PauliLabel.from_vector(3, v) for v in basis.enumerate_span()],
-            basis,
-        )
+        sub = pfr_subgroup([PauliLabel.from_vector(3, v) for v in enumerate_span(basis)])
         res = find_high_stab_dim(psi, sub, 0.5, 0.05, rng, CostLedger())
         assert res.block_weight == pytest.approx(1.0, abs=1e-9)
         recon = res.reconstruct()
@@ -866,9 +850,8 @@ class TestBasisDraws:
 
 class TestSelfCorrect:
     def test_exact_stabilizer(self, rng):
-        st, psi = stab_vec(["+XZ", "+ZX"])
-        basis = rref_basis_from_labels([g.label for g in st.generators])
-        cand = self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
+        _, psi = stab_vec(["+XZ", "+ZX"])
+        cand = self_correct(psi, 0.5, 0.05, rng, CostLedger())
         assert cand.fidelity == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -876,38 +859,51 @@ class TestSelfCorrect:
         wins = 0
         for trial in range(10):
             rng = RngStream(9000 + trial).child("sc", n).generator()
-            s, psi = planted_state(n, rng, weight=0.9)
-            basis = rref_basis_from_labels([g.label for g in s.generators])
+            _, psi = planted_state(n, rng, weight=0.9)
             opt, _ = bruteforce_stab_fidelity(psi)
-            cand = self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
+            cand = self_correct(psi, 0.5, 0.05, rng, CostLedger())
             wins += cand.fidelity >= opt - 0.05
         assert wins >= 9
 
     @pytest.mark.parametrize("gens", [["+Z"], ["-X"], ["+Y"]])
     def test_one_qubit_exhausts_instead_of_crashing(self, gens, rng):
         # one qubit asks for a single collected label, which spans nothing
-        st, psi = stab_vec(gens)
-        basis = rref_basis_from_labels([g.label for g in st.generators])
-        for oracle in (planted_oracle(basis), threshold_span_oracle(0.25)):
-            with pytest.raises(SelfCorrectionFailed, match="accepted sums < floor 2"):
-                self_correct(psi, 0.5, 0.05, oracle, rng, CostLedger(), attempts=4)
+        _, psi = stab_vec(gens)
+        with pytest.raises(SelfCorrectionFailed, match="accepted sums < floor 2"):
+            self_correct(psi, 0.5, 0.05, rng, CostLedger(), attempts=4)
 
     def test_haar_exhausts(self, rng):
         psi = random_state(6, rng)
-        with pytest.raises(SelfCorrectionFailed):
-            self_correct(
-                psi, 0.5, 0.05, threshold_span_oracle(0.25), rng, CostLedger(), attempts=3
-            )
+        with pytest.raises(SelfCorrectionFailed, match="no candidate set reached"):
+            self_correct(psi, 0.5, 0.05, rng, CostLedger(), attempts=3)
 
-    def test_small_oracle_span_stops_before_collecting(self, rng):
-        # a Haar state's threshold span has rank 0: one label, fewer than the
-        # n + 1 that pfr_subgroup needs, so no attempt runs
-        psi = random_state(6, rng)
-        ledger = CostLedger()
-        with pytest.raises(SelfCorrectionFailed, match="oracle span of rank 0"):
-            self_correct(psi, 0.5, 0.05, threshold_span_oracle(0.25), rng, ledger)
-        assert "oracle_build" in ledger.breakdown
-        assert not {"edge_test", "retention"} & set(ledger.breakdown)
+    # the identity and X_q, Z_q on qubits 0..6 of 8: A + A spans 7 pairs
+    WIDE = [PauliLabel(8, 0, 0)] + [PauliLabel(8, 1 << q, 0) for q in range(7)] + [
+        PauliLabel(8, 0, 1 << q) for q in range(7)
+    ]
+
+    def test_span_of_seven_pairs_fails_before_extraction(self, rng):
+        # no MUB candidate family has 7 qubits: the sentinel, not mub_covering's
+        # ValueError, and nothing is rotated, measured or drawn
+        sub = pfr_subgroup(self.WIDE)
+        center, pairs = symplectic_gram_schmidt(sub.basis.rows, 8)
+        assert (len(pairs), len(center)) == (7, 0)
+        ledger, before = CostLedger(), rng.bit_generator.state
+        with pytest.raises(PfrSubgroupNotFound, match="7 symplectic pairs, more than the 6"):
+            find_stabilizer(basis_state(8), sub, 0.5, 0.05, rng, ledger)
+        assert ledger.breakdown == {} and rng.bit_generator.state == before
+
+    def test_span_of_seven_pairs_is_retried(self, rng, monkeypatch):
+        # the first attempt collects the wide set and fails; the second
+        # collects Z-type labels and extracts |0...0>
+        zs = [PauliLabel(8, 0, v) for v in (0, 1, 2, 4, 8, 16, 32, 64, 128, 3)]
+        collected = iter([self.WIDE, zs])
+        monkeypatch.setattr(selfcorrect, "collect_small_doubling", lambda *a: next(collected))
+        cand = self_correct(basis_state(8), 0.5, 0.05, rng, CostLedger(), attempts=2)
+        assert cand.fidelity == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(selfcorrect, "collect_small_doubling", lambda *a: self.WIDE)
+        with pytest.raises(SelfCorrectionFailed, match="7 symplectic pairs"):
+            self_correct(basis_state(8), 0.5, 0.05, rng, CostLedger(), attempts=3)
 
 
 class TestTolerantTest:

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stabcorrect import kernels, statevec
-from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels
+from stabcorrect.gf2 import PauliLabel, rref_basis
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
     PhasedPauli,
@@ -37,14 +37,15 @@ from stabcorrect.statevec import (
     overlap,
     random_state,
     sample_retained,
-    sample_weyl_indices,
     stab_combination,
     table_build_bytes,
 )
-from stabcorrect.selfcorrect import planted_oracle, self_correct, tolerant_test
+from stabcorrect.selfcorrect import self_correct, tolerant_test
 
 from conftest import (
     RecordingGenerator,
+    enumerate_span,
+    sample_weyl_indices,
     basis_state,
     apply_weyl,
     catalog_stab_fidelity,
@@ -221,8 +222,7 @@ class TestDistributions:
         amps = np.sqrt(0.1) * junk / np.linalg.norm(junk)
         amps[0] = np.sqrt(0.9)  # planted |0...0>, stabilized by every Z_q
         psi = StateVector(n, amps)
-        basis = rref_basis_from_labels([PauliLabel(n, 0, 1 << q) for q in range(n)])
-        self_correct(psi, 0.5, 0.05, planted_oracle(basis), rng, CostLedger())
+        self_correct(psi, 0.5, 0.05, rng, CostLedger())
         assert set(psi._cache) == {"w2", "wcum", "proxy"}
         for table in ("w2", "wcum"):
             assert psi._cache[table].shape == (4**n,)
@@ -336,7 +336,7 @@ class TestTableMemory:
         def refuse(*args):
             raise AssertionError("labels drawn")
 
-        monkeypatch.setattr(statevec, "sample_weyl_indices", refuse)
+        monkeypatch.setattr(statevec, "_differences", refuse)
         config = ExperimentConfig.from_json(
             {"command": command, "state": {"kind": "haar", "n": 3}, "params": params}
         )
@@ -823,7 +823,7 @@ class TestBruteForce:
             fid, _ = bruteforce_stab_fidelity(psi)
             w2 = expectation_table(psi) ** 2
             for rows in isotropic_subspaces(n, n):
-                span = np.array(rref_basis(rows.tolist(), 2 * n).enumerate_span())
+                span = np.array(enumerate_span(rref_basis(rows.tolist(), 2 * n)))
                 assert fid >= w2[span].mean() - 1e-10
 
     def test_stab_dim_fidelity_t0_matches(self, rng):
