@@ -111,14 +111,6 @@ def rref_basis(vectors, nbits: int) -> Gf2Basis:
     return Gf2Basis(nbits, tuple(rows), tuple(pivots))
 
 
-def rref_basis_from_labels(labels) -> Gf2Basis:
-    labels = list(labels)
-    if not labels:
-        raise ValueError("cannot infer length from an empty label list")
-    n = labels[0].n
-    return rref_basis([lab.to_vector() for lab in labels], 2 * n)
-
-
 # ---------------------------------------------------------------------------
 # symplectic Gram-Schmidt
 

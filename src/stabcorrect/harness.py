@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .gf2 import PauliLabel, rref_basis_from_labels
+from .gf2 import PauliLabel, rref_basis
 from .ledger import CostLedger
 from .pauli import (
     ORACLE_MAX_QUBITS,
@@ -611,7 +611,7 @@ def _bench(n: int) -> dict:
         for _ in range(BENCH_SUBGROUPS):
             frame = CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, 4 * n * n + 8)))
             rows = conjugate(frame, [PhasedPauli(lab, 0) for lab in canon_labels])
-            sub = SubgroupV(n, rref_basis_from_labels([p.label for p in rows]), None)
+            sub = SubgroupV(n, rref_basis([p.label.to_vector() for p in rows], 2 * n), None)
             psi = random_state(n, rng)
             t0 = time.perf_counter()
             find_stabilizer(

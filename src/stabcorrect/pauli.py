@@ -240,15 +240,11 @@ class _PauliColumns:
         if not self._is_single(ip, self.x, off):
             self._single_to_x(ip, off, off)
         if not self._is_single(iq, self.z, off):
-            # partner anticommutes with +-X_off, so it carries X or Y at off
-            # once roles are swapped through a Hadamard sandwich
+            # partner anticommutes with +-X_off, so it carries Z or Y at off,
+            # hence X or Y once a Hadamard swaps the roles: its reduction to
+            # X_off pivots at off, and the Hadamard back leaves Z_off
             self.emit("H", off)
-            if (self.z[off] >> iq) & 1:
-                self.emit("S", off)
-            for q in range(off + 1, self.n):
-                if self._support(iq, q):
-                    self._make_x_at(iq, q)
-                    self.emit("CNOT", off, q)
+            self._single_to_x(iq, off, off)
             self.emit("H", off)
         if self.phase(ip) == 2:
             self.emit("Z", off)
@@ -352,8 +348,6 @@ def signed_generators(n: int, rows, signs: int) -> tuple[PhasedPauli, ...]:
         for i, v in enumerate(rows)
     )
 
-_OMEGA_BLOCK = (("H", (0,)), ("S", (0,)), ("H", (0,)), ("S", (0,)), ("H", (0,)), ("S", (0,)))
-
 
 @dataclass(frozen=True)
 class StabilizerState:
@@ -396,18 +390,18 @@ class StabilizerState:
         return tuple(sorted(g.to_string() for g in self.generators))
 
     def _prep(self) -> tuple[CliffordCircuit, np.ndarray]:
-        """The preparation circuit with its omega block and the canonical
-        vector, from one reduction and one dense preparation per state."""
+        """The preparation circuit, the inverse of the reduction carrying the
+        generators onto +Z_0, ..., +Z_{n-1}, and the canonical vector, from
+        one reduction and one dense preparation per state.  The circuit
+        prepares that vector times an 8th root of unity."""
         if "prep" not in self._cache:
             cols = _PauliColumns(self.n, self.generators)
             cols.reduce_isotropic(list(range(self.n)), 0)
-            gates = CliffordCircuit._emitted(self.n, cols.gates).inverse().gates
-            amps = kernels.apply_gates(kernels.zero_state(self.n), gates)
+            circuit = CliffordCircuit._emitted(self.n, cols.gates).inverse()
+            amps = kernels.apply_gates(kernels.zero_state(self.n), circuit.gates)
             factor = _canonical_phase_factor(amps)
-            k = int(round((np.angle(factor) / (np.pi / 4)) % 8))
-            if abs(factor - np.exp(1j * np.pi * k / 4)) > 1e-9:
+            if abs(factor**8 - 1) > 1e-9:
                 raise AssertionError("prep phase is not an 8th root of unity")
-            circuit = CliffordCircuit._emitted(self.n, gates + _OMEGA_BLOCK * k)
             self._cache["prep"] = circuit, amps * factor
         return self._cache["prep"]
 
@@ -429,8 +423,10 @@ def statevector_of(state: StabilizerState) -> np.ndarray:
 
 
 def stab_state_prep(state: StabilizerState) -> CliffordCircuit:
-    """Circuit mapping |0...0> to the stabilized state, convention phase
-    included (an omega = exp(i pi/4) global factor is a 6-gate H/S block)."""
+    """Circuit mapping |0...0> to the stabilized state up to an 8th root of
+    unity: it prepares omega^j ``statevector_of(state)`` for some j, with
+    omega = exp(i pi/4).  A linear combination of such circuits absorbs the
+    root into its coefficient, so no gate is spent on the global phase."""
     return state._prep()[0]
 
 

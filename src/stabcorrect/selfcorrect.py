@@ -336,7 +336,8 @@ def _mub_candidates(k: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np
     With U the preparation circuit of a group's +-signed state, U|s> is the
     state whose sign pattern eps has bit i = (the phase bit of
     U^dagger W_{r_i} U = +-Z^mask) XOR parity(mask & s), for row r_i.  One
-    gate pass over the 2^k basis states gives every U|s>."""
+    gate pass over the 2^k basis states gives every U|s>, each up to an 8th
+    root of unity that the canonical phase factor of its row removes."""
     groups = mub_covering(k).groups
     keys = tuple((gi, eps) for gi in range(len(groups)) for eps in range(1 << k))
     s = np.arange(1 << k)

@@ -223,8 +223,9 @@ def exact_proxy(psi: StateVector) -> float:
 
 
 def _proxy_shots(delta: float, fail_prob: float) -> int:
-    """Shots of a sampled proxy within ``delta`` with probability >= 1 -
-    fail_prob: ceil(2 ln(2/fail_prob) / delta^2), by Hoeffding's bound.  A
+    """Shots of a two-outcome estimate (a sampled proxy, one part of a
+    Hadamard test) within ``delta`` with probability >= 1 - fail_prob:
+    ceil(2 ln(2/fail_prob) / delta^2), by Hoeffding's bound.  A
     delta that leaves the count without a finite value raises ValueError."""
     shots = 2.0 * float(np.log(2.0 / fail_prob)) / delta**2 if delta**2 > 0 else math.inf
     if shots == math.inf:
@@ -315,10 +316,12 @@ def hadamard_test_estimate(
 
     Each shot interferes the two controlled preparations once; the real part
     uses Pr[0] = (1 + Re<a|b>)/2, the imaginary part the S-twisted variant.
-    The ledger is charged the exact shot count, also beyond int64.
+    Each part takes ``_proxy_shots(eps, delta / 2)`` shots, so an eps with
+    no finite count raises ValueError.  The ledger is charged the exact shot
+    count, also beyond int64.
     """
     val = overlap(prep_a, prep_b)
-    shots = int(np.ceil(2.0 * np.log(4.0 / delta) / eps**2))
+    shots = _proxy_shots(eps, delta / 2)
     re = binomial_estimate(val.real, shots, rng)
     im = binomial_estimate(val.imag, shots, rng)
     ledger.charge("hadamard_test", queries_conU=2 * shots)
@@ -339,7 +342,9 @@ def lcu_residual(
 
     The postselection is charged, not run: ceil(1/success) attempts, each
     querying psi's and every term's controlled preparation and running every
-    term's circuit.
+    term's circuit.  A term's circuit prepares it up to an 8th root of unity,
+    which its coefficient absorbs (Childs and Wiebe, arXiv 1202.5822), so the
+    gates charged are those of the inverted reductions alone.
     """
     success = (rnorm / (1.0 + sum(abs(b) for b in coeffs))) ** 2
     attempts = int(np.ceil(1.0 / success)) if success > 0 else 0

@@ -76,6 +76,14 @@ def span_reduce(basis: Gf2Basis, v: int) -> int:
     return v
 
 
+def rref_basis_from_labels(labels) -> Gf2Basis:
+    """``rref_basis`` of the labels' packed rows, n read off the first."""
+    labels = list(labels)
+    if not labels:
+        raise ValueError("cannot infer length from an empty label list")
+    return rref_basis([lab.to_vector() for lab in labels], 2 * labels[0].n)
+
+
 def enumerate_span(basis: Gf2Basis) -> list[int]:
     """Every vector of the span of ``basis``, 0 first."""
     out = [0]
@@ -480,8 +488,7 @@ def canonicalize_reference(generators, center_tail=False):
 
 def prep_reduction_reference(state: StabilizerState):
     """The gates the per-row reducer emits carrying the state's generators
-    onto +Z_0, ..., +Z_{n-1}; ``stab_state_prep`` starts with their
-    inverse."""
+    onto +Z_0, ..., +Z_{n-1}; ``stab_state_prep`` is their inverse."""
     red = RowReducer(state.n, list(state.generators))
     red.reduce_isotropic(list(range(state.n)), 0)
     return tuple(red.gates)
@@ -589,6 +596,14 @@ def stabilizer_state_matrix(n):
 def enumerate_stabilizer_states(n):
     """The catalog as a duplicate-free list, sorted by ``sort_key``."""
     return list(stabilizer_state_matrix(n)[0])
+
+
+def nearest_eighth_root(out, ref):
+    """The 8th root of unity w whose w * ref is nearest ``out`` in max norm:
+    a preparation circuit's output is its state's canonical vector times
+    one such root."""
+    roots = np.exp(1j * np.pi * np.arange(8) / 4)
+    return roots[np.argmin(np.abs(out - roots[:, None] * ref).max(axis=1))]
 
 
 def catalog_stab_fidelity(psi):

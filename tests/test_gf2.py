@@ -9,7 +9,6 @@ from stabcorrect.gf2 import (
     PauliLabel,
     mub_covering,
     rref_basis,
-    rref_basis_from_labels,
     symplectic_gram_schmidt,
 )
 from stabcorrect.pauli import PhasedPauli
@@ -23,6 +22,7 @@ from conftest import (
     label_sum,
     random_label,
     random_label_set,
+    rref_basis_from_labels,
     symplectic_gram_schmidt_reference,
     symplectic_product,
 )

@@ -9,7 +9,7 @@ from stabcorrect.errors import (
     PfrSubgroupNotFound,
     SelfCorrectionFailed,
 )
-from stabcorrect.gf2 import PauliLabel, rref_basis, rref_basis_from_labels, symplectic_gram_schmidt
+from stabcorrect.gf2 import PauliLabel, rref_basis, symplectic_gram_schmidt
 from stabcorrect.harness import StateSpec, gen_state
 from stabcorrect.ledger import CostLedger
 from stabcorrect.pauli import (
@@ -60,6 +60,7 @@ from conftest import (
     pfr_subgroup_reference,
     planted_state,
     random_circuit,
+    rref_basis_from_labels,
     span_reduce,
     t_state,
     tensor,

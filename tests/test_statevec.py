@@ -24,6 +24,7 @@ from stabcorrect.statevec import (
     StateVector,
     _projection_weights,
     _label_cdf,
+    _proxy_shots,
     _span_phases,
     apply_circuit,
     binomial_estimate,
@@ -54,6 +55,7 @@ from conftest import (
     expectation_table,
     inverse_cdf_reference,
     measure_block,
+    nearest_eighth_root,
     pauli_product,
     per_shot_averages,
     q_tables_reference,
@@ -128,7 +130,9 @@ class TestApplyCircuit:
             st = states[int(idx)]
             circ = stab_state_prep(st)
             out = apply_circuit(basis_state(2), circ, ledger)
-            assert np.allclose(out.amps, statevector_of(st), atol=1e-12)
+            ref = statevector_of(st)
+            # the circuit prepares the canonical vector up to one 8th root of unity
+            assert np.allclose(out.amps, nearest_eighth_root(out.amps, ref) * ref, atol=1e-12)
         assert ledger.totals["gate_count"] > 0
 
 
@@ -702,6 +706,24 @@ class TestHadamardTest:
         assert shots == int(np.ceil(2.0 * np.log(4.0 / 1e-6) / 1e-10**2)) > SAMPLER_MAX_SHOTS
         assert ledger.totals["queries_conU"] == 2 * shots
 
+    def test_shot_count_is_the_proxy_count_at_half_delta(self, rng):
+        # ceil(2 ln(4/delta) / eps^2) per part: the Hoeffding count of
+        # _proxy_shots at failure probability delta/2
+        for eps in (0.3, 0.08, 1e-3, 1e-10, 1e-150):
+            for delta in (0.5, 0.01, 1e-6, 1e-300):
+                ledger = CostLedger()
+                hadamard_test_estimate(basis_state(1), basis_state(1), eps, delta, rng, ledger)
+                shots = _proxy_shots(eps, delta / 2)
+                assert shots == int(np.ceil(2.0 * np.log(4.0 / delta) / eps**2))
+                assert ledger.totals["queries_conU"] == 2 * shots
+
+    def test_refuses_an_accuracy_with_no_finite_shot_count(self, rng):
+        # eps^2 underflows to 0: refused before any draw or charge
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match="no finite shot count"):
+            hadamard_test_estimate(basis_state(1), basis_state(1), 1e-200, 0.01, rng, ledger)
+        assert ledger.breakdown == {}
+
 
 class TestMeasureBlock:
     def test_bell_halves(self, rng):
@@ -767,13 +789,15 @@ class TestLcuResidual:
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 3), (3, 4)])
     def test_matches_circuit_preparation(self, n, k, rng):
         # the cached vectors give the residual that re-preparing every term
-        # from |0...0> with its circuit gives
+        # from |0...0> with its circuit gives, once each coefficient absorbs
+        # the 8th root of unity its term's circuit prepares it up to
         for _ in range(5):
             psi = random_state(n, rng)
             picks, betas = self._random_terms(n, rng, k)
             prepared = psi.amps.copy()
             for beta, st in zip(betas, picks):
-                prepared -= beta * kernels.apply_gates(kernels.zero_state(n), stab_state_prep(st).gates)
+                out = kernels.apply_gates(kernels.zero_state(n), stab_state_prep(st).gates)
+                prepared -= beta * np.conj(nearest_eighth_root(out, statevector_of(st))) * out
             resid = psi.amps - stab_combination(n, zip(betas, picks))
             assert np.abs(resid - prepared).max() <= 1e-12
             norm = np.linalg.norm(prepared)
