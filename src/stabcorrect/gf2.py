@@ -1,6 +1,6 @@
 """Bit-packed linear algebra over F_2^{2n}: Pauli labels, canonical (RREF)
 bases, symplectic Gram-Schmidt, and mutually unbiased bases coverings of the
-k-qubit label group.
+k-qubit label group, read off the trace form of F_{2^k}.
 
 A label (a, b) is stored as two machine integers with bit q carrying qubit q.
 As a vector in F_2^{2n} a label packs as ``a | (b << n)``; RREF pivots scan
@@ -78,37 +78,24 @@ class Gf2Basis:
     """
 
     nbits: int
-    rows: tuple[int, ...]
-    pivots: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+    rows: tuple[int, ...]  # row i's lowest set bit is its pivot, in increasing order
 
     def labels(self, n: int) -> list[PauliLabel]:
         return [PauliLabel.from_vector(n, v) for v in self.rows]
 
 
 def rref_basis(vectors, nbits: int) -> Gf2Basis:
-    """Canonical basis of span(vectors); empty input gives rank 0."""
+    """Canonical basis of span(vectors); empty input gives no rows.  Each
+    row kept is clear at the other rows' pivots, so a new vector is reduced
+    against them in any order, and its own pivot is cleared from them."""
     rows: list[int] = []
-    pivots: list[int] = []
     for v in vectors:
-        for row, piv in zip(rows, pivots):
-            if (v >> piv) & 1:
+        for row in rows:
+            if v & row & -row:
                 v ^= row
-        if v == 0:
-            continue
-        piv = (v & -v).bit_length() - 1
-        pos = 0
-        while pos < len(pivots) and pivots[pos] < piv:
-            pos += 1
-        rows.insert(pos, v)
-        pivots.insert(pos, piv)
-        for i in range(len(rows)):
-            if i != pos and (rows[i] >> piv) & 1:
-                rows[i] ^= v
-    return Gf2Basis(nbits, tuple(rows), tuple(pivots))
+        if v:
+            rows = [row ^ v if row & v & -v else row for row in rows] + [v]
+    return Gf2Basis(nbits, tuple(sorted(rows, key=lambda row: row & -row)))
 
 
 # ---------------------------------------------------------------------------
@@ -196,46 +183,6 @@ def _gf_trace(a: int, poly: int, k: int) -> int:
     return acc & 1
 
 
-@lru_cache(maxsize=None)
-def _self_dual_basis(k: int) -> tuple[int, ...]:
-    # deterministic DFS for a trace-orthonormal basis of F_{2^k} over F_2
-    poly = _IRREDUCIBLE[k]
-    elems = list(range(1, 1 << k))
-    unit = [e for e in elems if _gf_trace(_gf_mul(e, e, poly, k), poly, k) == 1]
-
-    def independent(cand: int, chosen: list[int]) -> bool:
-        rows = list(chosen) + [cand]
-        return rref_basis(rows, k).rank == len(rows)
-
-    def extend(chosen: list[int]) -> list[int] | None:
-        if len(chosen) == k:
-            return chosen
-        for e in unit:
-            if e <= (chosen[-1] if chosen else 0):
-                continue
-            if any(_gf_trace(_gf_mul(e, c, poly, k), poly, k) for c in chosen):
-                continue
-            if not independent(e, chosen):
-                continue
-            found = extend(chosen + [e])
-            if found is not None:
-                return found
-        return None
-
-    basis = extend([])
-    if basis is None:  # pragma: no cover - self-dual bases exist for all k here
-        raise RuntimeError(f"no self-dual basis found for k={k}")
-    return tuple(basis)
-
-
-def _coords(x: int, basis: tuple[int, ...], poly: int, k: int) -> int:
-    # in a self-dual basis the q-th coordinate of x is Tr(x * b_q)
-    out = 0
-    for q, b in enumerate(basis):
-        out |= _gf_trace(_gf_mul(x, b, poly, k), poly, k) << q
-    return out
-
-
 @dataclass(frozen=True)
 class MubCovering:
     """2^k + 1 Lagrangian bases partitioning the nonzero k-qubit labels."""
@@ -246,24 +193,25 @@ class MubCovering:
 
 @lru_cache(maxsize=None)
 def mub_covering(k: int) -> MubCovering:
-    """Field-spread construction: the lines {(x, m x)} plus the Z axis.
-
-    In a trace-self-dual coordinate basis the coordinate dot product equals
-    the field trace form, so Tr(x1 * m * x2) symmetry makes every line
-    isotropic.  Deterministic for a given k; supported for 1 <= k <= 6.
+    """Field-spread construction (Bandyopadhyay, Boykin, Roychowdhury and
+    Vatan, quant-ph/0103162).  In the polynomial basis 1, x, ..., x^{k-1} of
+    F_{2^k}, line m is {(a, G_m a)} with (G_m)_ij = Tr(m x^{i+j}): its row j
+    is X on qubit j and Z on each qubit i with Tr(m x^{i+j}) = 1.  The Z
+    axis comes last.  G_m is symmetric, so each line is isotropic.  The
+    trace form is nondegenerate, so G_m a = G_m' a forces m = m' or a = 0,
+    and no line meets the Z axis off 0: the 2^k + 1 groups partition the
+    4^k - 1 nonzero labels.  Deterministic; supported for 1 <= k <= 6.
     """
     if not 1 <= k <= MUB_MAX_QUBITS:
         raise ValueError(f"k must be in [1, {MUB_MAX_QUBITS}], got {k}")
     poly = _IRREDUCIBLE[k]
-    sd = _self_dual_basis(k)
+    powers = [1]  # x^0, ..., x^{2k-2}
+    for _ in range(2 * k - 2):
+        powers.append(_gf_mul(powers[-1], 0b10, poly, k))
     groups = []
     for m in range(1 << k):
-        rows = []
-        for b in sd:
-            a_part = _coords(b, sd, poly, k)
-            z_part = _coords(_gf_mul(m, b, poly, k), sd, poly, k)
-            rows.append(a_part | (z_part << k))
+        tr = [_gf_trace(_gf_mul(m, p, poly, k), poly, k) for p in powers]
+        rows = [(1 << j) | (sum(tr[i + j] << i for i in range(k)) << k) for j in range(k)]
         groups.append(rref_basis(rows, 2 * k))
-    z_rows = [(_coords(b, sd, poly, k) << k) for b in sd]
-    groups.append(rref_basis(z_rows, 2 * k))
+    groups.append(rref_basis([1 << (k + q) for q in range(k)], 2 * k))
     return MubCovering(k, tuple(groups))

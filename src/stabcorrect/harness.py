@@ -239,6 +239,14 @@ def _random_clifford_gates(n: int, rng: np.random.Generator, length: int):
     ]
 
 
+def _random_stabilizer(n: int, rng: np.random.Generator) -> tuple[CliffordCircuit, tuple]:
+    """A circuit of 4n^2 + 8 random Clifford gates and the group it conjugates
+    +Z_0, ..., +Z_{n-1} to: the stabilizer group of its output on |0...0>."""
+    circuit = CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, 4 * n * n + 8)))
+    zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
+    return circuit, conjugate(circuit, signed_generators(n, zs, 0))
+
+
 def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, dict]:
     """Build the state plus ground-truth metadata (known stabilizer group,
     extent bound, plant components, as applicable).  The metadata goes into
@@ -253,10 +261,8 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         }
         return statevector_of_stab(StabilizerState(n, gens)), meta
     if spec.kind == "random_stabilizer":
-        gates = _random_clifford_gates(n, rng, 4 * n * n + 8)
-        circuit = CliffordCircuit(n, tuple(gates))
+        circuit, group = _random_stabilizer(n, rng)
         amps = kernels.apply_gates(kernels.zero_state(n), circuit.gates)
-        group = conjugate(circuit, signed_generators(n, zs, 0))
         meta = {
             "stab_fidelity": 1.0,
             "stabilizer_group": [g.to_string() for g in group],
@@ -581,15 +587,12 @@ def _bench(n: int) -> dict:
     t0 = time.perf_counter()
     _label_cdf(psi)
     out["table_build_s"] = time.perf_counter() - t0
-    # the Clifford layer, medians over fresh random stabilizer states (the
-    # groups of gen_state's random_stabilizer draws): each state's
-    # preparation (reduction and dense gates), then the canonicalization of
-    # its group
+    # the Clifford layer, medians over the states gen_state's
+    # random_stabilizer draws: each state's preparation (reduction and dense
+    # gates), then the canonicalization of its group
     prep, canon = [], []
-    zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
     for _ in range(BENCH_STATES):
-        circuit = CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, 4 * n * n + 8)))
-        state = StabilizerState(n, conjugate(circuit, signed_generators(n, zs, 0)))
+        state = StabilizerState(n, _random_stabilizer(n, rng)[1])
         t0 = time.perf_counter()
         stab_state_prep(state)
         prep.append(time.perf_counter() - t0)

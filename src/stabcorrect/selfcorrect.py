@@ -468,16 +468,17 @@ def find_stabilizer(
         if fid > fids[best] + TIE_TOL:
             best = i
     ci, z = keys[best]
-    # the winner's MUB rows on the first k qubits, then Z on each of the rest
-    labels = [PauliLabel(n, 0, 1 << q) for q in range(k, n)]
+    # the winner's MUB rows on the first k qubits, repacked from k to n
+    # qubits, then Z on each of the rest
+    packed = [1 << (n + q) for q in range(k, n)]
     signs = z << k
     gi = eps = -1
     if k:
         gi, eps = _mub_candidates(k)[0][ci]
-        mub = [PauliLabel.from_vector(k, v) for v in mub_covering(k).groups[gi].rows]
-        labels = [PauliLabel(n, m.x, m.z) for m in mub] + labels
+        low = (1 << k) - 1
+        packed = [(v & low) | ((v >> k) << n) for v in mub_covering(k).groups[gi].rows] + packed
         signs |= eps
-    gens = signed_generators(n, [lab.to_vector() for lab in labels], signs)
+    gens = signed_generators(n, packed, signs)
     state = StabilizerState(n, conjugate(circuit.inverse(), gens))
     ledger.charge(
         "fidelity_shadows",

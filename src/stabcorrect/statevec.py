@@ -225,8 +225,14 @@ def exact_proxy(psi: StateVector) -> float:
 def _proxy_shots(delta: float, fail_prob: float) -> int:
     """Shots of a two-outcome estimate (a sampled proxy, one part of a
     Hadamard test) within ``delta`` with probability >= 1 - fail_prob:
-    ceil(2 ln(2/fail_prob) / delta^2), by Hoeffding's bound.  A
-    delta that leaves the count without a finite value raises ValueError."""
+    ceil(2 ln(2/fail_prob) / delta^2), by Hoeffding's bound.  A fail_prob
+    outside (0, 1), or so small that 2/fail_prob overflows, raises
+    ValueError naming it, and so does a delta that leaves the count without
+    a finite value."""
+    if not 0 < fail_prob < 1 or 2.0 / fail_prob == math.inf:
+        raise ValueError(
+            f"failure probability {fail_prob} must lie in (0, 1) with 2/{fail_prob} finite"
+        )
     shots = 2.0 * float(np.log(2.0 / fail_prob)) / delta**2 if delta**2 > 0 else math.inf
     if shots == math.inf:
         raise ValueError(
@@ -316,9 +322,10 @@ def hadamard_test_estimate(
 
     Each shot interferes the two controlled preparations once; the real part
     uses Pr[0] = (1 + Re<a|b>)/2, the imaginary part the S-twisted variant.
-    Each part takes ``_proxy_shots(eps, delta / 2)`` shots, so an eps with
-    no finite count raises ValueError.  The ledger is charged the exact shot
-    count, also beyond int64.
+    Each part takes ``_proxy_shots(eps, delta / 2)`` shots, so a delta
+    outside (0, 2), or an eps or delta with no finite count, raises
+    ValueError before anything is drawn or charged.  The ledger is charged
+    the exact shot count, also beyond int64.
     """
     val = overlap(prep_a, prep_b)
     shots = _proxy_shots(eps, delta / 2)

@@ -68,10 +68,11 @@ def random_label_set(n, rng):
 
 
 def span_reduce(basis: Gf2Basis, v: int) -> int:
-    """v with every pivot bit of ``basis`` cleared by its rows: the same
-    value for all of v's coset of the span, 0 for the span itself."""
-    for row, piv in zip(basis.rows, basis.pivots):
-        if (v >> piv) & 1:
+    """v with every pivot bit of ``basis`` (each row's lowest set bit)
+    cleared by its rows: the same value for all of v's coset of the span, 0
+    for the span itself."""
+    for row in basis.rows:
+        if v & row & -row:
             v ^= row
     return v
 
@@ -526,7 +527,7 @@ class CliffordTableau:
                 ):
                     return False
         labs = [p.label.to_vector() for p in imgs]
-        return rref_basis(labs, 2 * self.n).rank == 2 * self.n
+        return len(rref_basis(labs, 2 * self.n).rows) == 2 * self.n
 
 
 def tableau_from_circuit(circuit: CliffordCircuit) -> CliffordTableau:
@@ -562,7 +563,7 @@ def is_isotropic(basis: Gf2Basis, n: int) -> bool:
 
 
 def is_lagrangian(basis: Gf2Basis, n: int) -> bool:
-    return basis.rank == n and is_isotropic(basis, n)
+    return len(basis.rows) == n and is_isotropic(basis, n)
 
 
 # ---------------------------------------------------------------------------

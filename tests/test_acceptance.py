@@ -148,7 +148,7 @@ def test_criterion_04_structure_algebra():
         out = all_rows(*symplectic_gram_schmidt([g.to_vector() for g in gens], n))
         got = rref_basis(out, 2 * n)
         ok &= got == rref_basis([g.to_vector() for g in gens], 2 * n)
-        ok &= got.rank == len(out)
+        ok &= len(got.rows) == len(out)
         circuit, k, m = canonicalize_subgroup(gens)
         img = rref_basis(
             [conjugate(circuit, PhasedPauli(g, 0)).label.to_vector() for g in gens], 2 * n

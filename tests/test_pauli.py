@@ -452,9 +452,9 @@ class TestIsotropicReduction:
                 for _ in range(int(rng.integers(1, n + 1)))
             ]
             basis = rref_basis_from_labels(gens)
-            if basis.rank == 0 or not is_isotropic(basis, n):
+            if not basis.rows or not is_isotropic(basis, n):
                 continue
-            d = basis.rank
+            d = len(basis.rows)
             circ = self.tail(basis.labels(n))
             img = rref_basis(
                 [conjugate(circ, PhasedPauli(l, 0)).label.to_vector() for l in basis.labels(n)],
@@ -587,7 +587,7 @@ class TestStabilizerStates:
             want = None
             if any(symplectic_product(a, b) for a, b in itertools.combinations(labels, 2)):
                 want = "generators must commute"
-            elif rref_basis([g.to_vector() for g in labels], 2 * n).rank != n:
+            elif len(rref_basis([g.to_vector() for g in labels], 2 * n).rows) != n:
                 want = "generator labels must be independent"
             gens = tuple(PhasedPauli(g, 2 * int(rng.integers(2))) for g in labels)
             if want is None:

@@ -725,6 +725,18 @@ class TestHadamardTest:
         assert ledger.breakdown == {}
 
 
+    @pytest.mark.parametrize("delta", [0.0, 5e-324, 1e-320, 4.0, 10.0, float("nan")])
+    def test_refuses_a_failure_probability_outside_the_unit_interval(self, delta):
+        # delta / 2 is 0, has no finite log of 2/(delta / 2), or is not below
+        # 1: refused by name before any draw or charge
+        rng = np.random.default_rng(0)
+        ledger = CostLedger()
+        with pytest.raises(ValueError, match="failure probability"):
+            hadamard_test_estimate(basis_state(1), basis_state(1), 0.1, delta, rng, ledger)
+        assert ledger.breakdown == {}
+        assert rng.random() == np.random.default_rng(0).random()
+
+
 class TestMeasureBlock:
     def test_bell_halves(self, rng):
         bell = StateVector(2, np.array([SQ2, 0, 0, SQ2]))
