@@ -588,19 +588,21 @@ def _bench(n: int) -> dict:
     _label_cdf(psi)
     out["table_build_s"] = time.perf_counter() - t0
     # the Clifford layer, medians over the states gen_state's
-    # random_stabilizer draws: each state's preparation (reduction and dense
-    # gates), then the canonicalization of its group
-    prep, canon = [], []
+    # random_stabilizer draws: each state's preparation (synthesis and dense
+    # gates) and its length, then the canonicalization of its group
+    prep, prep_gates, canon = [], [], []
     for _ in range(BENCH_STATES):
         state = StabilizerState(n, _random_stabilizer(n, rng)[1])
         t0 = time.perf_counter()
-        stab_state_prep(state)
+        circuit = stab_state_prep(state)
         prep.append(time.perf_counter() - t0)
+        prep_gates.append(len(circuit))
         labels = [g.label for g in state.generators]
         t0 = time.perf_counter()
         canonicalize_subgroup(labels)
         canon.append(time.perf_counter() - t0)
     out["prep_s"] = float(np.median(prep))
+    out["prep_gates"] = float(np.median(prep_gates))
     out["canonicalize_s"] = float(np.median(canon))
     # extraction as k grows from 0: per k, the median find_stabilizer time on
     # Haar states and fresh subgroups of k symplectic pairs and a

@@ -1,6 +1,9 @@
 """Hot numeric kernels: gate lists on dense arrays, Walsh-Hadamard
 transforms, the 4^n table of Weyl operator expectations, and the inverse-CDF
-lookup that draws indices from a cumulative table.
+lookup that draws indices from a cumulative table.  Gates act on reshaped
+views of the amplitudes, with no index arrays: a swap of halves for X and
+CNOT, a sum and difference of halves for H, and a phase on one half (S, T
+and Z) or on the quarter where both qubits are 1 (CZ).
 
 Bit conventions (used consistently across the package):
   - qubit q of a basis-state index is bit q (little-endian),
@@ -46,29 +49,31 @@ _T_PHASE = np.exp(1j * np.pi / 4)
 def _gate_views(arr: np.ndarray, qs: tuple[int, ...]) -> tuple:
     """Views of ``arr`` reshaped around a gate's qubits: the block whose
     target bit the gate flips (the whole array for one qubit, the part where
-    the control bit is set for a CNOT), that block reversed along the target
-    bit, and for one qubit the halves where its bit is 0 and 1 (None for a
-    CNOT)."""
+    the control bit is set for a pair), that block reversed along the target
+    bit, and for one qubit the halves where its bit is 0 and 1.  For a pair
+    the last two are the array reshaped with the two bits as axes 1 and 3,
+    and None."""
     dim, inner = arr.shape[0], arr[:1].size
     if len(qs) == 2:
         c, t = qs
         hi, lo = max(c, t), min(c, t)
         v = arr.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, inner << lo)
         block = v[:, 1] if c > t else v[:, :, :, 1]
-        return block, block[:, :, ::-1] if c > t else block[:, ::-1], None, None
+        return block, block[:, :, ::-1] if c > t else block[:, ::-1], v, None
     (q,) = qs
     v = arr.reshape(dim >> (q + 1), 2, inner << q)
     return v, v[:, ::-1], v[:, 0], v[:, 1]
 
 
 def apply_gates(amps: np.ndarray, gates) -> np.ndarray:
-    """Gates (name, qubits) from H, S, T, CNOT (control, target), X and Z,
-    applied in order to the leading axis of a copy of ``amps``, whose length
-    is 2^n; trailing axes are a batch.
+    """Gates (name, qubits) from H, S, T, CZ, CNOT (control, target), X and
+    Z, applied in order to the leading axis of a copy of ``amps``, whose
+    length is 2^n; trailing axes are a batch.
 
     Each gate acts on ``_gate_views`` of the copy, built once per qubit and
-    per CNOT pair in a call, with no index arrays.  X and CNOT are one
-    assignment from the reversed block (numpy buffers the overlap).  H writes
+    per qubit pair in a call, with no index arrays.  X and CNOT are one
+    assignment from the reversed block (numpy buffers the overlap); Z and CZ
+    are one in-place negation of the part where their bits are 1.  H writes
     a + b and a - b into one scratch array of the copy's size, then multiplies
     it by sqrt(1/2) into the copy: the same two roundings per amplitude as
     (a + b) * sqrt(1/2)."""
@@ -97,6 +102,9 @@ def apply_gates(amps: np.ndarray, gates) -> np.ndarray:
             b *= _T_PHASE
         elif name == "Z":
             np.negative(b, out=b)
+        elif name == "CZ":
+            both = a[:, 1, :, 1]
+            np.negative(both, out=both)
         else:
             raise ValueError(f"unknown gate {name!r}")
     return out

@@ -10,9 +10,10 @@ validated against dense matrices in the test suite.
 Conjugation through a circuit, canonicalization and state preparation drive
 one store of Paulis as bit columns: per qubit one int of the rows' X bits and
 one of their Z bits, beside one int of sign bits.  One gate rule (Aaronson and
-Gottesman's) then updates every row with a few int operations, and the
-reduction that canonicalization and preparation run records the gates it
-emits.  ``signed_generators`` is the one way to sign packed label rows.
+Gottesman's) then updates every row with a few int operations.
+Canonicalization records the gates its reduction emits; state preparation
+reads the affine-phase form of the state off the rows, layer by layer.
+``signed_generators`` is the one way to sign packed label rows.
 
 Statevector indices are little-endian in the qubit number (qubit q is bit q),
 matching the label bit layout, so no bit reversal appears anywhere.
@@ -29,9 +30,9 @@ from math import prod
 import numpy as np
 
 from . import kernels
-from .gf2 import PauliLabel, symplectic_gram_schmidt
+from .gf2 import PauliLabel, rref_basis, symplectic_gram_schmidt
 
-GATE_NAMES = ("H", "S", "CNOT", "X", "Z")
+GATE_NAMES = ("H", "S", "CZ", "CNOT", "X", "Z")
 
 _SIGNS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -84,11 +85,11 @@ class CliffordCircuit:
         for name, qs in self.gates:
             if name not in GATE_NAMES:
                 raise ValueError(f"unknown gate {name!r}")
-            want = 2 if name == "CNOT" else 1
+            want = 2 if name in ("CNOT", "CZ") else 1
             if len(qs) != want or any(not 0 <= q < self.n for q in qs):
                 raise ValueError(f"bad qubits {qs} for {name} on {self.n} qubits")
-            if name == "CNOT" and qs[0] == qs[1]:
-                raise ValueError("CNOT control equals target")
+            if want == 2 and qs[0] == qs[1]:
+                raise ValueError(f"{name} control equals target")
 
     @staticmethod
     def _emitted(n: int, gates) -> "CliffordCircuit":
@@ -103,7 +104,8 @@ class CliffordCircuit:
         return len(self.gates)
 
     def inverse(self) -> "CliffordCircuit":
-        """The exact adjoint, S^dagger as S then Z."""
+        """The exact adjoint, S^dagger as S then Z; the other gates are
+        self-adjoint."""
         inv = []
         for name, qs in reversed(self.gates):
             if name == "S":
@@ -116,7 +118,7 @@ class CliffordCircuit:
 
 # ---------------------------------------------------------------------------
 # rows of phased Paulis as bit columns, conjugated gate by gate, exact phases,
-# and the reduction shared by canonicalization and state preparation
+# the reductions of canonicalization and the affine-phase form of preparation
 
 
 class _PauliColumns:
@@ -128,9 +130,10 @@ class _PauliColumns:
     ``conjugate`` is the one gate conjugation rule g P g^dagger.  Phases are
     relative to W = i^{|a&b|} X^a Z^b, which a Clifford maps to +-W', so each
     gate updates every row with a few int operations and flips only signs.
-    The reductions ``emit`` each gate, conjugating by it and appending it to
-    ``gates``, and test the bits they need straight from the columns.  Rows
-    go in and come out by a transpose over set bits."""
+    The canonicalizer's reductions ``emit`` each gate, conjugating by it and
+    appending it to ``gates``, and test the bits they need straight from the
+    columns; ``prepare`` conjugates a layer at a time and reads packed rows.
+    Rows go in and come out by a transpose over set bits."""
 
     def __init__(self, n: int, rows):
         self.n = n
@@ -147,11 +150,19 @@ class _PauliColumns:
 
     def rows(self, count: int) -> list[PhasedPauli]:
         """Rows 0 .. count - 1 as phased Paulis."""
-        a, b = [0] * count, [0] * count
+        n, mask = self.n, (1 << self.n) - 1
+        return [
+            PhasedPauli(PauliLabel(n, v & mask, v >> n), self.phase(i))
+            for i, v in enumerate(self.packed(count))
+        ]
+
+    def packed(self, count: int) -> list[int]:
+        """The labels of rows 0 .. count - 1, packed as a | (b << n)."""
+        out = [0] * count
         for q in range(self.n):
-            _scatter(self.x[q], a, 1 << q)
-            _scatter(self.z[q], b, 1 << q)
-        return [PhasedPauli(PauliLabel(self.n, a[i], b[i]), self.phase(i)) for i in range(count)]
+            _scatter(self.x[q], out, 1 << q)
+            _scatter(self.z[q], out, 1 << (self.n + q))
+        return out
 
     def phase(self, i: int) -> int:
         return (((self.sign >> i) & 1) << 1) | ((self.ibit >> i) & 1)
@@ -173,6 +184,12 @@ class _PauliColumns:
                 sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
                 x[t] ^= x[c]
                 z[c] ^= z[t]
+            elif name == "CZ":
+                # X_a -> X_a Z_b and X_b -> Z_a X_b; the sign is H_b CNOT H_b's
+                a, b = qs
+                sign ^= x[a] & x[b] & (z[a] ^ z[b])
+                z[a] ^= x[b]
+                z[b] ^= x[a]
             elif name == "X":
                 sign ^= z[qs[0]]
             elif name == "Z":
@@ -284,6 +301,66 @@ class _PauliColumns:
                 raise AssertionError("isotropic reduction did not reach +Z")
             placed.append(target)
 
+    def prepare(self) -> list[tuple[str, tuple[int, ...]]]:
+        """The affine-phase preparation of the state that the n rows, n
+        commuting independent Hermitian generators, stabilize: H on the
+        pivots of V, S and Z on them for the linear phase and CZ on pivot
+        pairs for the quadratic one, a CNOT fan-out from each pivot to the
+        other bits of its basis row, and X on the shift x0.
+
+        The state is sum over x in x0 + V of i^{l(x)} (-1)^{q(x)} |x>
+        (Dehaene and De Moor, quant-ph/0304125), with V spanned by the rows'
+        X parts, taken in RREF (each pivot the lowest bit of its row), and
+        x0 clear at the pivots.  The rows run the inverse layers in turn,
+        each read off the rows the layer before left, and must end as +Z
+        strings, which generate <+Z_0, ..., +Z_{n-1}>, else AssertionError."""
+        n, mask = self.n, (1 << self.n) - 1
+        basis = rref_basis([v & mask for v in self.packed(n)], n).rows
+        pivots = [(v & -v).bit_length() - 1 for v in basis]
+        on_pivots = sum(1 << p for p in pivots)
+        fan = [("CNOT", (p, t)) for v, p in zip(basis, pivots) for t in _bits(v ^ (1 << p))]
+        self.conjugate(fan)
+        # the X parts now lie on the pivots, and the element with X part X_p
+        # has a Y at p where l is odd and Z at each p' with q(p, p') = 1
+        odd, cz = 0, []
+        for v in rref_basis(self.packed(n), 2 * n).rows:
+            if v & mask:
+                p = (v & -v).bit_length() - 1
+                zbits = (v >> n) & on_pivots
+                odd |= zbits & (1 << p)
+                cz += [("CZ", (p, t)) for t in _bits(zbits >> (p + 1) << (p + 1))]
+        self.conjugate([("S", (p,)) for p in _bits(odd)] + cz)
+        # each row is now +-X^a Z^w, a on the pivots and w off them; H on the
+        # pivots leaves the basis state y with parity(y & (a | w)) = the sign
+        sign = self.sign
+        solved = rref_basis(
+            [(v | (v >> n)) & mask | ((sign >> i) & 1) << n for i, v in enumerate(self.packed(n))],
+            n + 1,
+        ).rows
+        y = sum(((v >> n) & 1) << (v & -v).bit_length() - 1 for v in solved)
+        # Z on y's pivot bits before H, X on the others (x0) after it
+        hs = [("H", (p,)) for p in pivots]
+        xs = [("X", (q,)) for q in _bits(y & ~on_pivots)]
+        self.conjugate([("Z", (p,)) for p in _bits(y & on_pivots)] + hs + xs)
+        if any(self.x) or self.sign or self.ibit:
+            raise AssertionError("preparation did not reach +Z_0, ..., +Z_{n-1}")
+        # the rows ran i^(s + 2z) on each pivot, s for its S and z for its Z:
+        # the preparation applies i^c with c = -(s + 2z) mod 4, an S for odd c
+        # and a Z for c = 2 or 3
+        diag = []
+        for p in pivots:
+            c = -(((odd >> p) & 1) + 2 * ((y >> p) & 1)) & 3
+            diag += [("S", (p,))] * (c & 1) + [("Z", (p,))] * (c >> 1)
+        return hs + diag + cz + fan + xs
+
+
+def _bits(v: int):
+    """The indices of the set bits of v, lowest first."""
+    while v:
+        low = v & -v
+        yield low.bit_length() - 1
+        v ^= low
+
 
 def _scatter(bits: int, out: list[int], bit: int) -> None:
     """OR ``bit`` into out[i] for each set bit i of ``bits``: applied to every
@@ -390,14 +467,14 @@ class StabilizerState:
         return tuple(sorted(g.to_string() for g in self.generators))
 
     def _prep(self) -> tuple[CliffordCircuit, np.ndarray]:
-        """The preparation circuit, the inverse of the reduction carrying the
-        generators onto +Z_0, ..., +Z_{n-1}, and the canonical vector, from
-        one reduction and one dense preparation per state.  The circuit
-        prepares that vector times an 8th root of unity."""
+        """The affine-phase preparation circuit (``_PauliColumns.prepare``)
+        and the canonical vector, from one synthesis and one dense
+        preparation per state.  The circuit prepares that vector times an
+        8th root of unity."""
         if "prep" not in self._cache:
-            cols = _PauliColumns(self.n, self.generators)
-            cols.reduce_isotropic(list(range(self.n)), 0)
-            circuit = CliffordCircuit._emitted(self.n, cols.gates).inverse()
+            circuit = CliffordCircuit._emitted(
+                self.n, _PauliColumns(self.n, self.generators).prepare()
+            )
             amps = kernels.apply_gates(kernels.zero_state(self.n), circuit.gates)
             factor = _canonical_phase_factor(amps)
             if abs(factor**8 - 1) > 1e-9:

@@ -351,8 +351,8 @@ def lcu_residual(
     querying psi's and every term's controlled preparation and running every
     term's circuit.  A term's circuit prepares it up to an 8th root of unity,
     which its coefficient absorbs (Childs and Wiebe, arXiv 1202.5822), so the
-    gates charged are those of the inverted reductions alone.
-    """
+    gates charged are those of the affine-phase preparations alone (H, S, Z,
+    CZ, CNOT and X, CZ counted as one gate)."""
     success = (rnorm / (1.0 + sum(abs(b) for b in coeffs))) ** 2
     attempts = int(np.ceil(1.0 / success)) if success > 0 else 0
     gates = attempts * sum(len(stab_state_prep(phi)) for phi in terms)

@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ def random_circuit(n, rng, length=None):
     return CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, length)))
 
 
+def with_cz(gates, n, rng):
+    """The gate list with a CZ on a uniform ordered pair of distinct qubits
+    after each gate with probability 1/4 (none for n = 1)."""
+    out = []
+    for gate in gates:
+        out.append(gate)
+        if n > 1 and rng.random() < 0.25:
+            a, b = rng.choice(n, size=2, replace=False)
+            out.append(("CZ", (int(a), int(b))))
+    return out
+
+
+def random_cz_circuit(n, rng, length=None):
+    """``random_circuit`` with CZ gates mixed in by ``with_cz``."""
+    return CliffordCircuit(n, tuple(with_cz(random_circuit(n, rng, length).gates, n, rng)))
+
+
 def basis_state(n: int) -> StateVector:
     """|0...0> on n qubits."""
     return StateVector(n, kernels.zero_state(n))
@@ -228,6 +246,7 @@ GATE_MATRICES = {
     "Z": np.diag([1, -1]),
     # basis order |control, target>
     "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    "CZ": np.diag([1, 1, 1, -1]),
 }
 
 
@@ -260,10 +279,13 @@ def apply_gates_reference(amps: np.ndarray, gates) -> np.ndarray:
     dim, inner = out.shape[0], out[:1].size
     scale = np.sqrt(0.5)
     for name, qs in gates:
-        if name == "CNOT":
+        if name in ("CNOT", "CZ"):
             c, t = qs
             hi, lo = max(c, t), min(c, t)
             v = out.reshape(dim >> (hi + 1), 2, 1 << (hi - lo - 1), 2, inner << lo)
+            if name == "CZ":
+                np.negative(v[:, 1, :, 1], out=v[:, 1, :, 1])
+                continue
             # the halves of the target bit where the control bit is set
             a, b = (v[:, 1, :, 0], v[:, 1, :, 1]) if c > t else (v[:, 0, :, 1], v[:, 1, :, 1])
             a[...], b[...] = b, a.copy()
@@ -349,6 +371,15 @@ def _conj_bits(name: str, qs: tuple[int, ...], a: int, b: int) -> tuple[int, int
             a ^= tbit
         if b & tbit:
             b ^= cbit
+    elif name == "CZ":
+        # X_c X_t -> X_c Z_t Z_c X_t = -X_c X_t Z_c Z_t
+        cbit, tbit = 1 << qs[0], 1 << qs[1]
+        if a & cbit:
+            b ^= tbit
+        if a & tbit:
+            b ^= cbit
+        if a & cbit and a & tbit:
+            u = 2
     elif name == "X":
         if b & (1 << qs[0]):
             u = 2
@@ -487,12 +518,56 @@ def canonicalize_reference(generators, center_tail=False):
     return tuple(red.gates), k, m
 
 
-def prep_reduction_reference(state: StabilizerState):
-    """The gates the per-row reducer emits carrying the state's generators
-    onto +Z_0, ..., +Z_{n-1}; ``stab_state_prep`` is their inverse."""
-    red = RowReducer(state.n, list(state.generators))
-    red.reduce_isotropic(list(range(state.n)), 0)
-    return tuple(red.gates)
+def weyl_apply(p: PhasedPauli, v: np.ndarray) -> np.ndarray:
+    """i^t W_(a,b) v for p = i^t W_(a,b), from
+    W_(a,b)|j> = i^{|a&b|} (-1)^{|b&j|} |j ^ a>, with no dense matrix."""
+    a, b = p.label.x, p.label.z
+    j = np.arange(1 << p.n)
+    out = np.empty_like(v)
+    phase = 1j ** ((p.phase + (a & b).bit_count()) % 4)
+    out[j ^ a] = phase * (1.0 - 2.0 * (np.bitwise_count(j & b) & 1)) * v
+    return out
+
+
+def projected_vector(state: StabilizerState) -> np.ndarray:
+    """The canonical vector from the projector prod_i (1 + g_i) / 2 applied
+    to a fixed random vector one generator at a time, normalized, with its
+    first amplitude above 1e-9 made real positive: no preparation circuit
+    and no 2^n x 2^n matrix, so it reaches n = 12."""
+    rng = np.random.default_rng(0)
+    v = rng.normal(size=1 << state.n) + 1j * rng.normal(size=1 << state.n)
+    for g in state.generators:
+        v = (v + weyl_apply(g, v)) / 2
+    v /= np.linalg.norm(v)
+    lead = v[np.flatnonzero(np.abs(v) > 1e-9)[0]]
+    return v * abs(lead) / lead
+
+
+def affine_form_counts(vec: np.ndarray) -> dict[str, int]:
+    """Gates per kind of the affine-phase preparation of a stabilizer state,
+    read off its amplitudes: the support is x0 + V, with V's RREF rows v_i
+    (pivots p_i, their lowest bits) and x0 clear at the pivots; the phase
+    relative to x0 is i^{c_i} at x0 + v_i and i^{c_i + c_j} (-1)^{q_ij} at
+    x0 + v_i + v_j.  H: r = dim V; CNOT: the non-pivot bits of the v_i;
+    S: odd c_i; Z: c_i = 2 or 3; CZ: q_ij = 1; X: the bits of x0."""
+    support = [int(x) for x in np.flatnonzero(np.abs(vec) > 1e-9)]
+    basis = rref_basis([x ^ support[0] for x in support], len(vec).bit_length() - 1)
+    x0 = span_reduce(basis, support[0])
+
+    def power(x):
+        return int(np.rint(np.angle(vec[x] / vec[x0]) / (np.pi / 2))) % 4
+
+    rows = basis.rows
+    c = [power(x0 ^ v) for v in rows]
+    pairs = combinations(range(len(rows)), 2)
+    return {
+        "H": len(rows),
+        "CNOT": sum(v.bit_count() - 1 for v in rows),
+        "CZ": sum((power(x0 ^ rows[i] ^ rows[j]) - c[i] - c[j]) % 4 == 2 for i, j in pairs),
+        "S": sum(k & 1 for k in c),
+        "Z": sum(k >> 1 for k in c),
+        "X": x0.bit_count(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -903,10 +903,11 @@ class TestRun:
         )
         rec = run(cfg)[0]
         assert set(rec.outputs) == {
-            "char_table_s", "table_build_s", "prep_s", "canonicalize_s", "find_stabilizer_s",
-            "gates_s", "n",
+            "char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s",
+            "find_stabilizer_s", "gates_s", "n",
         }
-        for key in ("char_table_s", "table_build_s", "prep_s", "canonicalize_s", "gates_s"):
+        keys = ("char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s", "gates_s")
+        for key in keys:
             assert rec.outputs[key] > 0
         # k = 0 ... min(5, n - 2)
         extract = rec.outputs["find_stabilizer_s"]

@@ -21,6 +21,7 @@ from conftest import (
     table_states,
     wht_butterfly_reference,
     wht_rounding_bound,
+    with_cz,
     xor_convolve,
     xor_convolve_naive,
 )
@@ -188,7 +189,8 @@ class TestInverseCdf:
 
 def _all_gates(n):
     singles = [(name, (q,)) for name in "HSTXZ" for q in range(n)]
-    return singles + [("CNOT", pair) for pair in itertools.permutations(range(n), 2)]
+    pairs = list(itertools.permutations(range(n), 2))
+    return singles + [(name, pair) for name in ("CNOT", "CZ") for pair in pairs]
 
 
 @st.composite
@@ -198,7 +200,7 @@ def clifford_circuits(draw):
     gate = single
     if n > 1:
         pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True).map(tuple)
-        gate = st.one_of(single, st.tuples(st.just("CNOT"), pair))
+        gate = st.one_of(single, st.tuples(st.sampled_from(["CNOT", "CZ"]), pair))
     return CliffordCircuit(n, tuple(draw(st.lists(gate, max_size=40))))
 
 
@@ -246,6 +248,26 @@ class TestApplyGates:
             for amps in (kernels.zero_state(n), vec, batch):
                 want = apply_gates_reference(amps, gates)
                 assert kernels.apply_gates(amps, gates).tobytes() == want.tobytes(), (n, t)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_cz_byte_identical_to_the_per_gate_reference(self, n):
+        # Clifford lists with CZ gates mixed in, on |0...0>, a vector with
+        # exact and negative zeros and a (2^n, 3) batch
+        rng = np.random.default_rng(7200 + n)
+        for _ in range(3):
+            gates = with_cz(_random_clifford_gates(n, rng, 2 * n * n + 4), n, rng)
+            vec = normalized(rng, n)
+            vec[rng.random(1 << n) < 0.25] = -0.0
+            batch = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+            for amps in (kernels.zero_state(n), vec, batch):
+                want = apply_gates_reference(amps, gates)
+                assert kernels.apply_gates(amps, gates).tobytes() == want.tobytes(), n
+
+    @given(clifford_circuits(), st.integers(0, 2**32 - 1))
+    def test_arbitrary_lists_byte_identical_to_the_per_gate_reference(self, circuit, seed):
+        amps = normalized(np.random.default_rng(seed), circuit.n)
+        want = apply_gates_reference(amps, circuit.gates)
+        assert kernels.apply_gates(amps, circuit.gates).tobytes() == want.tobytes()
 
     @given(clifford_circuits(), st.integers(0, 2**32 - 1))
     def test_inverse_round_trip(self, circuit, seed):

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import re
+from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -25,16 +28,19 @@ from stabcorrect.pauli import _PauliColumns, _canonical_phase_factor
 from conftest import (
     CliffordTableau,
     RowReducer,
+    affine_form_counts,
     apply_gates_reference,
     canonicalize_reference,
     clifford_from_anticommuting_pair,
     conjugate_reference,
     enumerate_stabilizer_states,
+    gate_matrix,
     is_isotropic,
     nearest_eighth_root,
     pauli_product,
-    prep_reduction_reference,
+    projected_vector,
     random_circuit,
+    random_cz_circuit,
     random_label,
     random_label_set,
     random_phased,
@@ -57,7 +63,9 @@ GATES_1Q = {"H": H, "S": S, "X": X, "Z": Z}
 
 
 def circuit_matrix(circ: CliffordCircuit) -> np.ndarray:
-    # column j is the circuit applied to basis state j
+    # column j is the circuit applied to basis state j, by the kernel that
+    # ``TestApplyGates`` checks gate by gate, CZ included, against
+    # ``conftest.gate_matrix``
     return kernels.apply_gates(np.eye(1 << circ.n, dtype=complex), circ.gates)
 
 
@@ -152,10 +160,26 @@ class TestGateConjugation:
             assert np.allclose(got, cnot @ weyl_matrix(p) @ cnot.conj().T)
             assert row == conjugate(circ, p)
 
+    @pytest.mark.parametrize("qs", [(0, 1), (1, 0)])
+    def test_cz_exhaustive(self, qs):
+        # the 16 two-qubit labels with every phase, against the dense
+        # U P U^dagger and the per-row rule
+        u = gate_matrix("CZ", qs, 2)
+        circ = one_gate(2, "CZ", qs)
+        rows = [
+            PhasedPauli(PauliLabel(2, xb, zb), ph)
+            for xb, zb, ph in itertools.product(range(4), range(4), range(4))
+        ]
+        for p, row in zip(rows, conjugate(circ, rows)):
+            assert np.allclose(weyl_matrix(row), u @ weyl_matrix(p) @ u.conj().T)
+            assert row == conjugate(circ, p) == conjugate_reference(circ, p)
+
     def test_defining_relations(self):
         assert conjugate(one_gate(1, "H", (0,)), pp("X")) == pp("Z")
         assert conjugate(one_gate(1, "S", (0,)), pp("X")) == pp("Y")
         assert conjugate(one_gate(2, "CNOT", (0, 1)), pp("XI")) == pp("XX")
+        assert conjugate(one_gate(2, "CZ", (0, 1)), pp("XI")) == pp("XZ")
+        assert conjugate(one_gate(2, "CZ", (1, 0)), pp("XX")) == pp("YY")
 
     def test_unknown_gate_rejected(self):
         with pytest.raises(ValueError, match="unknown gate 'T'"):
@@ -174,7 +198,7 @@ class TestAgainstRowReference:
     def test_multirow_conjugate(self, n):
         rng = np.random.default_rng(5000 + n)
         for _ in range(6):
-            circ = random_circuit(n, rng)
+            circ = random_cz_circuit(n, rng)
             rows = [random_phased(n, rng) for _ in range(int(rng.integers(1, 2 * n + 3)))]
             rows += [PhasedPauli(random_label(n, rng), t) for t in range(4)]  # every phase
             want = tuple(conjugate_reference(circ, p) for p in rows)
@@ -205,7 +229,12 @@ class TestAgainstRowReference:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_prep_gates(self, n):
+        # per gate kind, the preparation has the counts of the affine-phase
+        # form read off the projector-built vector, in the layer order H,
+        # diagonal, CNOT fan-out, X, and prepares that vector up to an 8th
+        # root of unity; the cached vector is that vector
         rng = np.random.default_rng(5200 + n)
+        layer = {"H": 0, "S": 1, "Z": 1, "CZ": 1, "CNOT": 2, "X": 3}
         for _ in range(8):
             circ = random_circuit(n, rng)
             gens = tuple(
@@ -213,23 +242,27 @@ class TestAgainstRowReference:
                 for q in range(n)
             )
             state = StabilizerState(n, gens)
-            cols = _PauliColumns(n, list(gens))
-            cols.reduce_isotropic(list(range(n)), 0)
-            ref = prep_reduction_reference(state)
-            assert tuple(cols.gates) == ref
-            inv = CliffordCircuit(n, ref).inverse().gates
-            # the preparation is the inverted reduction, with no gate spent
-            # on the global phase
-            assert stab_state_prep(state).gates == inv
-            # the canonical vector from the reference gates and the per-gate kernel
-            amps = apply_gates_reference(kernels.zero_state(n), inv)
-            want = amps * _canonical_phase_factor(amps)
-            assert statevector_of(state).tobytes() == want.tobytes()
+            prep = stab_state_prep(state)
+            want = projected_vector(state)
+            counts = affine_form_counts(want)
+            assert Counter(name for name, _ in prep.gates) == Counter(counts)
+            # the H gates are exactly the first r
+            assert all(name == "H" for name, _ in prep.gates[: counts["H"]])
+            kinds = [layer[name] for name, _ in prep.gates]
+            assert kinds == sorted(kinds)
+            out = kernels.apply_gates(kernels.zero_state(n), prep.gates)
+            assert np.abs(out - nearest_eighth_root(out, want) * want).max() <= 1e-12
+            assert np.abs(statevector_of(state) - want).max() <= 1e-12
+            # and bit for bit the emitted gates through the per-gate kernel,
+            # times the canonical phase
+            amps = apply_gates_reference(kernels.zero_state(n), prep.gates)
+            assert statevector_of(state).tobytes() == (amps * _canonical_phase_factor(amps)).tobytes()
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_isotropic_reduction_of_signed_structured_sets(self, n):
-        # the isotropic reduction that preparation runs, on signed center-only
-        # and Lagrangian sets: the same gates and the same rows afterwards
+        # the isotropic reduction that canonicalization runs, on signed
+        # center-only and Lagrangian sets: the same gates and the same rows
+        # afterwards
         rng = np.random.default_rng(5500 + n)
         for m in [m for k, m in group_shapes(n, rng) if not k]:
             rows = framed_group(n, 0, m, rng)
@@ -239,6 +272,27 @@ class TestAgainstRowReference:
             red.reduce_isotropic(list(range(m)), 0)
             assert tuple(cols.gates) == tuple(red.gates)
             assert tuple(cols.rows(m)) == tuple(red.tracked)
+
+
+# sha256 of repr((gates, k, m)) over 20 seeded groups at n = 4 ... 10, per
+# center_tail, recorded from the canonicalizer as it stood when preparation
+# still inverted its isotropic reduction.  The extractors' frames, and so
+# their draws, depend on these gates gate for gate.
+CANONICAL_DIGESTS = {
+    False: "0146846cae63266e034636b90e8b8449683f78d7e885c5fffa4e34671946cb20",
+    True: "cf881d914ecb35cfb83a4f5a513d01154c6286d3b07396274436ae3c532b76e9",
+}
+
+
+@pytest.mark.parametrize("center_tail", [False, True])
+def test_canonicalizer_gates_pinned(center_tail):
+    digest = hashlib.sha256()
+    for seed in range(20):
+        rng = np.random.default_rng(6400 + seed)
+        n = 4 + seed % 7
+        circ, k, m = canonicalize_subgroup(random_label_set(n, rng), center_tail=center_tail)
+        digest.update(repr((circ.gates, k, m)).encode())
+    assert digest.hexdigest() == CANONICAL_DIGESTS[center_tail]
 
 
 def group_shapes(n, rng):
@@ -268,7 +322,7 @@ class TestTableau:
         # U P U^dagger against the dense unitary of the circuit
         for _ in range(100):
             n = int(rng.integers(1, 5))
-            circ = random_circuit(n, rng, length=16)
+            circ = random_cz_circuit(n, rng, length=16)
             u = circuit_matrix(circ)
             p = random_phased(n, rng)
             assert np.allclose(weyl_matrix(conjugate(circ, p)), u @ weyl_matrix(p) @ u.conj().T)
@@ -295,6 +349,18 @@ class TestTableau:
             assert conjugate(inv, conjugate(circ, p)) == p
         # the exact adjoint, with no global phase
         assert np.allclose(circuit_matrix(inv) @ circuit_matrix(circ), np.eye(1 << n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_inverse_with_cz_is_the_dense_adjoint(self, n, rng):
+        # dense products of the reference gate matrices, CZ self-adjoint
+        for _ in range(5):
+            circ = random_cz_circuit(n, rng, length=12)
+            assert any(name == "CZ" for name, _ in circ.gates)
+
+            def dense(c):
+                return reduce(lambda m, g: gate_matrix(*g, n) @ m, c.gates, np.eye(1 << n))
+
+            assert np.allclose(dense(circ.inverse()), dense(circ).conj().T, rtol=0, atol=1e-12)
 
     def test_inverse_is_not_checked_again(self, rng, monkeypatch):
         circ = random_circuit(4, rng)
@@ -341,6 +407,9 @@ class TestTableau:
         (2, (("S", (2,)),), r"bad qubits \(2,\) for S on 2 qubits"),
         (2, (("X", (-1,)),), r"bad qubits \(-1,\) for X on 2 qubits"),
         (2, (("H", (0,)), ("CNOT", (1, 1))), "CNOT control equals target"),
+        (2, (("CZ", (1, 1)),), "CZ control equals target"),
+        (2, (("CZ", (0,)),), r"bad qubits \(0,\) for CZ on 2 qubits"),
+        (3, (("CZ", (0, 3)),), r"bad qubits \(0, 3\) for CZ on 3 qubits"),
     ])
     def test_outside_gates_rejected(self, n, gates, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -620,19 +689,27 @@ class TestStabilizerStates:
             root = nearest_eighth_root(out, matrix[idx])
             assert np.allclose(out, root * matrix[idx], atol=1e-12)
 
+    def test_synthesis_checks_its_end(self):
+        # a row with an i phase is no Hermitian generator: its Z string
+        # keeps the i, so the rows never reach +Z
+        with pytest.raises(AssertionError, match=r"did not reach \+Z_0"):
+            _PauliColumns(1, [PhasedPauli(lab("Z"), 1)]).prepare()
+
     def test_reduced_and_prepared_once(self, monkeypatch):
         # the vector and the circuit come from one reduction of the generators
+        # (``_PauliColumns.prepare``), whatever is asked first or again
         calls = []
-        reduce = _PauliColumns.reduce_isotropic
+        prepare = _PauliColumns.prepare
 
-        def counted(self, *args):
-            calls.append(args)
-            return reduce(self, *args)
+        def counted(self):
+            calls.append(self)
+            return prepare(self)
 
-        monkeypatch.setattr(_PauliColumns, "reduce_isotropic", counted)
+        monkeypatch.setattr(_PauliColumns, "prepare", counted)
         st = StabilizerState(2, (pp("+XX"), pp("-ZZ")))
         vec = statevector_of(st)
         circ = stab_state_prep(st)
+        statevector_of(st)
         assert len(calls) == 1
         out = kernels.apply_gates(kernels.zero_state(2), circ.gates)
         assert np.allclose(out, vec, rtol=0, atol=1e-12)
