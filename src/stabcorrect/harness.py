@@ -39,6 +39,7 @@ from .selfcorrect import (
     _edge_shots,
     _tolerant_margin,
     find_stabilizer,
+    sampled_tolerant_test,
     self_correct,
     tolerant_test,
     tolerant_thresholds,
@@ -53,6 +54,7 @@ from .statevec import (
     gowers3_metrics,
     random_state,
     require_memory,
+    sampled_gowers3_metrics,
     stab_combination,
     statevector_of_stab,
     table_build_bytes,
@@ -239,12 +241,12 @@ def _random_clifford_gates(n: int, rng: np.random.Generator, length: int):
     ]
 
 
-def _random_stabilizer(n: int, rng: np.random.Generator) -> tuple[CliffordCircuit, tuple]:
-    """A circuit of 4n^2 + 8 random Clifford gates and the group it conjugates
+def _random_stabilizer(n: int, rng: np.random.Generator) -> tuple[PhasedPauli, ...]:
+    """The group that a circuit of 4n^2 + 8 random Clifford gates conjugates
     +Z_0, ..., +Z_{n-1} to: the stabilizer group of its output on |0...0>."""
     circuit = CliffordCircuit(n, tuple(_random_clifford_gates(n, rng, 4 * n * n + 8)))
     zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
-    return circuit, conjugate(circuit, signed_generators(n, zs, 0))
+    return conjugate(circuit, signed_generators(n, zs, 0))
 
 
 def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, dict]:
@@ -261,13 +263,12 @@ def gen_state(spec: StateSpec, rng: np.random.Generator) -> tuple[StateVector, d
         }
         return statevector_of_stab(StabilizerState(n, gens)), meta
     if spec.kind == "random_stabilizer":
-        circuit, group = _random_stabilizer(n, rng)
-        amps = kernels.apply_gates(kernels.zero_state(n), circuit.gates)
+        group = _random_stabilizer(n, rng)
         meta = {
             "stab_fidelity": 1.0,
             "stabilizer_group": [g.to_string() for g in group],
         }
-        return StateVector(n, amps), meta
+        return statevector_of_stab(StabilizerState(n, group)), meta
     if spec.kind == "tdoped":
         # t + 1 random Clifford segments with a T gate between each two,
         # drawn in that order
@@ -530,15 +531,17 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
         fid, arg = bruteforce_stab_fidelity(psi)
         out.update(stab_fidelity=fid, argmax=arg.to_json())
     if config.command == "analyze":
-        metrics = gowers3_metrics(psi, p["mode"], p["delta"], rng, ledger)
-        out.update(
-            proxy=metrics.proxy, u3pow8=metrics.u3pow8, mode=metrics.mode
-        )
+        if p["mode"] == "sampled":
+            metrics = sampled_gowers3_metrics(psi, p["delta"], rng, ledger)
+        else:
+            metrics = gowers3_metrics(psi)
+        out.update(proxy=metrics.proxy, u3pow8=metrics.u3pow8, mode=metrics.mode)
     elif config.command == "test":
-        verdict = tolerant_test(
-            psi, p["eps1"], p["eps2"], p["t"], p["delta"], rng, ledger,
-            mode=p["mode"], separation_c=p["separation_c"],
-        )
+        args = psi, p["eps1"], p["eps2"], p["t"]
+        if p["mode"] == "sampled":
+            verdict = sampled_tolerant_test(*args, p["delta"], rng, ledger, p["separation_c"])
+        else:
+            verdict = tolerant_test(*args, separation_c=p["separation_c"])
         out.update(verdict=verdict)
     elif config.command == "selfcorrect":
         cand = self_correct(psi, p["gamma"], p["delta"], rng, ledger, attempts=p["attempts"])
@@ -571,6 +574,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
 
 
 BENCH_STATES = 20
+BENCH_REPEATS = 7
 BENCH_SUBGROUPS = 5
 
 
@@ -587,22 +591,25 @@ def _bench(n: int) -> dict:
     t0 = time.perf_counter()
     _label_cdf(psi)
     out["table_build_s"] = time.perf_counter() - t0
-    # the Clifford layer, medians over the states gen_state's
-    # random_stabilizer draws: each state's preparation (synthesis and dense
-    # gates) and its length, then the canonicalization of its group
-    prep, prep_gates, canon = [], [], []
-    for _ in range(BENCH_STATES):
-        state = StabilizerState(n, _random_stabilizer(n, rng)[1])
+    # the Clifford layer on the groups of BENCH_STATES states gen_state's
+    # random_stabilizer draws, each layer timed over all of them in one loop,
+    # BENCH_REPEATS times on fresh states (a state caches its preparation):
+    # the median per-state preparation (synthesis and dense gates) and
+    # canonicalization times, and the median preparation length
+    groups = [_random_stabilizer(n, rng) for _ in range(BENCH_STATES)]
+    labels = [[g.label for g in group] for group in groups]
+    prep, canon = [], []
+    for _ in range(BENCH_REPEATS):
+        states = [StabilizerState(n, group) for group in groups]
         t0 = time.perf_counter()
-        circuit = stab_state_prep(state)
-        prep.append(time.perf_counter() - t0)
-        prep_gates.append(len(circuit))
-        labels = [g.label for g in state.generators]
+        circuits = [stab_state_prep(state) for state in states]
+        prep.append((time.perf_counter() - t0) / BENCH_STATES)
         t0 = time.perf_counter()
-        canonicalize_subgroup(labels)
-        canon.append(time.perf_counter() - t0)
+        for group_labels in labels:
+            canonicalize_subgroup(group_labels)
+        canon.append((time.perf_counter() - t0) / BENCH_STATES)
     out["prep_s"] = float(np.median(prep))
-    out["prep_gates"] = float(np.median(prep_gates))
+    out["prep_gates"] = float(np.median([len(circuit) for circuit in circuits]))
     out["canonicalize_s"] = float(np.median(canon))
     # extraction as k grows from 0: per k, the median find_stabilizer time on
     # Haar states and fresh subgroups of k symplectic pairs and a

@@ -385,17 +385,12 @@ def conjugate(
     return tuple(cols.rows(len(rows)))
 
 
-def canonicalize_subgroup(
-    generators, center_tail: bool = False
-) -> tuple[CliffordCircuit, int, int]:
+def canonicalize_subgroup(generators) -> tuple[CliffordCircuit, int, int]:
     """Returns the emitted circuit U and (k, m), with the span of the
     conjugated generators equal, as an unsigned set, to
-    <Z_0, X_0, ..., Z_{k-1}, X_{k-1}> times the center <Z_c, ..., Z_{c+m-1}>:
-    the k symplectic pairs land on the first k qubits.
-
-    The center follows them (c = k) by default; ``center_tail`` puts it on
-    the last m qubits instead (c = n - m), leaving the middle block free for
-    callers whose free qubits must survive unmeasured.
+    <Z_0, X_0, ..., Z_{k-1}, X_{k-1}> times the center <Z_k, ..., Z_{k+m-1}>:
+    the k symplectic pairs land on the first k qubits and the center on the
+    m qubits after them.
     """
     generators = list(generators)
     if not generators:
@@ -409,7 +404,7 @@ def canonicalize_subgroup(
     cols = _PauliColumns(n, signed_generators(n, rows, 0))
     for i in range(k):
         cols.reduce_pair(2 * i, 2 * i + 1, i)
-    cols.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
+    cols.reduce_isotropic(list(range(2 * k, 2 * k + m)), k)
     return CliffordCircuit._emitted(n, cols.gates), k, m
 
 

@@ -494,18 +494,19 @@ def find_stabilizer(
 @dataclass(frozen=True)
 class HighStabDimResult:
     circuit: CliffordCircuit
-    sigma: StateVector
+    sigma: StateVector  # on the frame's qubits outside the center, in their order
     z: int
-    k: int
+    k: int  # symplectic pairs of the subgroup, on the frame's first k qubits
     block_weight: float
 
     def reconstruct(self) -> StateVector:
-        """Dense form of the described state: |sigma> (x) |z> rotated back by
-        the exact inverse circuit, with no stray global phase."""
-        n = self.circuit.n
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[(self.z << self.k) : (self.z << self.k) + (1 << self.k)] = self.sigma.amps
-        return StateVector(n, kernels.apply_gates(amps, self.circuit.inverse().gates))
+        """Dense form of the described state: |sigma> with the center qubits
+        k..k+m-1 set to |z>, rotated back by the exact inverse circuit, with
+        no stray global phase."""
+        n, k, m = self.circuit.n, self.k, self.circuit.n - self.sigma.n
+        amps = np.zeros((1 << (n - k - m), 1 << m, 1 << k), dtype=complex)
+        amps[:, self.z, :] = self.sigma.amps.reshape(-1, 1 << k)
+        return StateVector(n, kernels.apply_gates(amps.reshape(-1), self.circuit.inverse().gates))
 
 
 def find_high_stab_dim(
@@ -516,35 +517,34 @@ def find_high_stab_dim(
     rng: np.random.Generator,
     ledger: CostLedger,
 ) -> HighStabDimResult:
-    """Improper extraction: only the rotated center block (the last m qubits)
-    is measured computationally, once in each of ``_rounds(gamma)`` rounds,
-    with the branch drawn from its exact Born weight; the heaviest sampled
-    branch is kept and its exact normalized conditional block on the
-    remaining k = n - m qubits is returned (the desk-scale stand-in for
-    tomography of that block).  A kept branch below ``BLOCK_TOL`` raises.
-    Each measurement charges one ``measure`` copy.  The described state has
-    stabilizer dimension >= n - k by construction."""
-    labels = sub.basis.labels(psi.n)
-    circuit, _, m = canonicalize_subgroup(labels, center_tail=True)
+    """Improper extraction: only the rotated center block (qubits k..k+m-1 of
+    the canonical frame) is measured computationally, once in each of
+    ``_rounds(gamma)`` rounds, with the branch drawn from its exact Born
+    weight; the heaviest sampled branch is kept and its exact normalized
+    conditional block on the other n - m qubits is returned (the desk-scale
+    stand-in for tomography of that block).  A kept branch below
+    ``BLOCK_TOL`` raises.  Each measurement charges one ``measure`` copy.
+    The described state has stabilizer dimension >= m by construction."""
+    n = psi.n
+    circuit, k, m = canonicalize_subgroup(sub.basis.labels(n))
     rotated = apply_circuit(psi, circuit, ledger)
-    k = psi.n - m
-    blocks = rotated.amps.reshape(1 << m, 1 << k)
-    weights = (np.abs(blocks) ** 2).sum(axis=1)
+    blocks = rotated.amps.reshape(1 << (n - k - m), 1 << m, 1 << k)
+    weights = (np.abs(blocks) ** 2).sum(axis=(0, 2))
     collected, measured = _measure_rounds(weights[None, :], _rounds(gamma), False, rng)
     ledger.charge("measure", copies=measured)
     seen = {z for _, z in collected}
     best_z = max(seen, key=lambda z: weights[z])
     if weights[best_z] < BLOCK_TOL:
         raise BlockWeightBelowTolerance("all sampled branches carry negligible weight")
-    sigma = StateVector(k, blocks[best_z] / np.sqrt(weights[best_z]))
+    sigma = StateVector(n - m, blocks[:, best_z, :].reshape(-1) / np.sqrt(weights[best_z]))
     eps = max(gamma, 1e-3) / 8.0
     ledger.charge(
         "block_shadows",
-        copies=int(np.ceil(4.0**k / eps**2 * np.log(max(len(seen), 2) / delta))),
+        copies=int(np.ceil(4.0 ** (n - m) / eps**2 * np.log(max(len(seen), 2) / delta))),
     )
     ledger.charge(
         "block_tomography",
-        copies=int(np.ceil(4.0**k / eps**2 * np.log(1.0 / delta))),
+        copies=int(np.ceil(4.0 ** (n - m) / eps**2 * np.log(1.0 / delta))),
     )
     return HighStabDimResult(circuit, sigma, int(best_z), k, float(weights[best_z]))
 
@@ -603,28 +603,32 @@ def _tolerant_margin(yes_floor: float, no_ceiling: float) -> float:
 
 
 def tolerant_test(
-    psi: StateVector,
-    eps1: float,
-    eps2: float,
-    t: int,
-    delta: float,
-    rng: np.random.Generator | None = None,
-    ledger: CostLedger | None = None,
-    mode: str = "exact",
-    separation_c: float = 1.0,
+    psi: StateVector, eps1: float, eps2: float, t: int, separation_c: float = 1.0
 ) -> str:
     """Tolerant test for closeness to stabilizer dimension >= n - t.
 
     Yes instances guarantee a q-average of at least 2^{-2t} eps1^6; the no
     bound eps2^{1/C} must sit strictly below it (C is configuration).  The
-    estimate is thresholded with a tenth of the separation as margin.
+    exact q-average is thresholded with a tenth of the separation as margin.
     """
     yes_floor, no_ceiling = tolerant_thresholds(eps1, eps2, t, separation_c)
+    return "yes" if exact_proxy(psi) >= yes_floor - _tolerant_margin(yes_floor, no_ceiling) else "no"
+
+
+def sampled_tolerant_test(
+    psi: StateVector,
+    eps1: float,
+    eps2: float,
+    t: int,
+    delta: float,
+    rng: np.random.Generator,
+    ledger: CostLedger,
+    separation_c: float,
+) -> str:
+    """``tolerant_test`` on an estimate of the q-average alone, within the
+    margin with probability >= 1 - delta (``sampled_proxy``: 6 copies per
+    shot, no p-average shots)."""
+    yes_floor, no_ceiling = tolerant_thresholds(eps1, eps2, t, separation_c)
     margin = _tolerant_margin(yes_floor, no_ceiling)
-    if mode == "exact":
-        proxy = exact_proxy(psi)
-    elif mode == "sampled":  # the q-average alone: 6 copies per shot, no p-average shots
-        proxy = sampled_proxy(psi, margin, delta, rng, ledger)[0]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    proxy = sampled_proxy(psi, margin, delta, rng, ledger)[0]
     return "yes" if proxy >= yes_floor - margin else "no"

@@ -252,46 +252,37 @@ def sampled_proxy(
     they are independent with Pr[+1] = (1 + proxy)/2: the estimate is
     ``binomial_estimate`` of the cached proxy, one draw whatever the shot
     count, and each shot is charged its six copies."""
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    if ledger is None:
-        raise ValueError("sampled mode needs a ledger")
     shots = _proxy_shots(delta, fail_prob)
     ledger.charge("bell_difference", copies=4 * shots)
     ledger.charge("gowers_sampled", copies=2 * shots)
     return float(binomial_estimate(exact_proxy(psi), shots, rng)), shots
 
 
-GOWERS_FAIL_PROB = 1e-3  # sampled gowers3_metrics: chance the q-average misses by delta
+GOWERS_FAIL_PROB = 1e-3  # sampled_gowers3_metrics: chance the q-average misses by delta
 
 
-def gowers3_metrics(
-    psi: StateVector,
-    mode: str = "exact",
-    delta: float = 0.05,
-    rng: np.random.Generator | None = None,
-    ledger: CostLedger | None = None,
-) -> GowersMetrics:
-    """Correlation metrics of the label distributions.
-
-    Exact mode evaluates both averages from the table of <W_x>^2 (the
-    q-average is the cached proxy) and draws and charges nothing.  Sampled mode, which needs ``rng`` and
-    ``ledger``, estimates the q-average with ``sampled_proxy`` at failure
-    probability ``GOWERS_FAIL_PROB`` and then the p-average with as many
-    conjugate-assisted pair shots, each on four copies and seeing +1 with
-    probability (1 + u3pow8)/2, so each shot costs ten copies.
-    """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+def gowers3_metrics(psi: StateVector) -> GowersMetrics:
+    """Correlation metrics of the label distributions, both averages
+    evaluated from the table of <W_x>^2 (the q-average is the cached proxy);
+    draws and charges nothing."""
     w2 = expectation_squares(psi)
     # p = w2 / 2^n: scaling by a power of two commutes with every rounding,
     # so this equals the dot product of p itself, bit for bit
-    u3pow8 = float(np.dot(w2, w2)) / (1 << psi.n)
-    if mode == "exact":
-        return GowersMetrics(exact_proxy(psi), u3pow8, "exact")
+    return GowersMetrics(exact_proxy(psi), float(np.dot(w2, w2)) / (1 << psi.n), "exact")
+
+
+def sampled_gowers3_metrics(
+    psi: StateVector, delta: float, rng: np.random.Generator, ledger: CostLedger
+) -> GowersMetrics:
+    """``gowers3_metrics`` estimated from copies: the q-average by
+    ``sampled_proxy`` at failure probability ``GOWERS_FAIL_PROB``, then the
+    p-average with as many conjugate-assisted pair shots, each on four copies
+    and seeing +1 with probability (1 + u3pow8)/2, so each shot costs ten
+    copies."""
+    exact = gowers3_metrics(psi)
     proxy, shots = sampled_proxy(psi, delta, GOWERS_FAIL_PROB, rng, ledger)
     ledger.charge("gowers_sampled", copies=4 * shots)
-    return GowersMetrics(proxy, float(binomial_estimate(u3pow8, shots, rng)), "sampled", shots)
+    return GowersMetrics(proxy, float(binomial_estimate(exact.u3pow8, shots, rng)), "sampled", shots)
 
 
 SAMPLER_MAX_SHOTS = int(np.iinfo(np.int64).max)

@@ -502,7 +502,7 @@ class RowReducer:
             placed.append(target)
 
 
-def canonicalize_reference(generators, center_tail=False):
+def canonicalize_reference(generators):
     """The gates ``canonicalize_subgroup`` emits, from the per-row reducer
     on the same symplectic Gram-Schmidt output."""
     generators = list(generators)
@@ -514,7 +514,7 @@ def canonicalize_reference(generators, center_tail=False):
     red = RowReducer(n, tracked)
     for i in range(k):
         red.reduce_pair(2 * i, 2 * i + 1, i)
-    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), n - m if center_tail else k)
+    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), k)
     return tuple(red.gates), k, m
 
 
@@ -694,8 +694,9 @@ def catalog_stab_fidelity(psi):
 def rotation_stab_dim_fidelity(states, t):
     """Max overlap^2 with stabilizer dimension >= n - t, for each of the
     n-qubit ``states``, by rotation: the canonicalizer carries each
-    (n - t)-dimensional isotropic subspace onto the Z tail, where the best
-    overlap is the heaviest branch weight.  One rotation serves every state."""
+    (n - t)-dimensional isotropic subspace onto the Z operators of the
+    first n - t qubits, where the best overlap is the heaviest branch weight.
+    One rotation serves every state."""
     n = states[0].n
     if t == n:
         return np.ones(len(states))
@@ -703,9 +704,9 @@ def rotation_stab_dim_fidelity(states, t):
     best = np.zeros(len(states))
     for rows in isotropic_subspaces(n, n - t):
         labels = [PauliLabel.from_vector(n, int(v)) for v in rows]
-        circuit, _, _ = canonicalize_subgroup(labels, center_tail=True)
+        circuit, _, _ = canonicalize_subgroup(labels)
         rotated = kernels.apply_gates(amps, circuit.gates)
-        weights = (np.abs(rotated.reshape(1 << (n - t), 1 << t, -1)) ** 2).sum(axis=1)
+        weights = (np.abs(rotated.reshape(1 << t, 1 << (n - t), -1)) ** 2).sum(axis=0)
         best = np.maximum(best, weights.max(axis=0))
     return best
 

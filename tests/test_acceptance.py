@@ -36,7 +36,7 @@ from stabcorrect.pauli import (
     statevector_of,
 )
 from stabcorrect.rng import RngStream
-from stabcorrect.selfcorrect import self_correct, tolerant_test
+from stabcorrect.selfcorrect import sampled_tolerant_test, self_correct, tolerant_test
 from stabcorrect.statevec import (
     StateVector,
     bruteforce_stab_dim_fidelity,
@@ -317,20 +317,20 @@ def test_criterion_09_tolerant_tester():
     # accepts all 60 two-qubit stabilizer states
     for st in enumerate_stabilizer_states(2):
         psi = StateVector(2, statevector_of(st))
-        ok &= tolerant_test(psi, 0.9, 0.1, 0, 0.01) == "yes"
+        ok &= tolerant_test(psi, 0.9, 0.1, 0) == "yes"
     # rejects |T>^(x)8
     t8 = t_state()
     for _ in range(7):
         t8 = tensor(t8, t_state())
     assert abs(gowers3_metrics(t8).proxy - (5 / 8) ** 8) < 1e-10
-    ok &= tolerant_test(t8, 0.9, 0.1, 0, 0.01) == "no"
+    ok &= tolerant_test(t8, 0.9, 0.1, 0) == "no"
     # sampled-mode agreement over 1000 seeded runs
     stab = StateVector(2, statevector_of(enumerate_stabilizer_states(2)[13]))
     agree = 0
     for i in range(1000):
         rng = RngStream(9_000_000 + i).child("tol").generator()
         psi, want = (stab, "yes") if i % 2 == 0 else (t8, "no")
-        verdict = tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, CostLedger(), mode="sampled")
+        verdict = sampled_tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, CostLedger(), 1.0)
         agree += verdict == want
     ok &= agree >= 990
     report(9, ok, f"60 stabilizers accepted, T^8 rejected, sampled agreement {agree}/1000 ({time.time()-t0:.1f}s)")

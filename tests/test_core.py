@@ -155,23 +155,14 @@ PUBLIC_OPTIONS = {
     "iterate.base_learner_self_correct.attempts",
     "iterate.iterate_robust.estimator",
     "iterate.iterate_robust.t",
-    "pauli.canonicalize_subgroup.center_tail",
     "selfcorrect.self_correct.attempts",
     "selfcorrect.self_correct.collect_t",
-    "selfcorrect.tolerant_test.ledger",
-    "selfcorrect.tolerant_test.mode",
-    "selfcorrect.tolerant_test.rng",
     "selfcorrect.tolerant_test.separation_c",
-    "statevec.gowers3_metrics.delta",
-    "statevec.gowers3_metrics.ledger",
-    "statevec.gowers3_metrics.mode",
-    "statevec.gowers3_metrics.rng",
 }
 
 # Every function, private and nested ones included, that takes a ``ledger``.
-# A call that charges takes one; only the exact modes of these two draw and
-# charge nothing, so only they may omit it.
-LEDGER_OPTIONAL = {"statevec.gowers3_metrics", "selfcorrect.tolerant_test"}
+# A call that charges takes one, and none may omit it: an exact entry point
+# that charges nothing takes no ledger at all.
 LEDGER_REQUIRED = {
     "iterate._iterate",
     "iterate.iterate_error_free",
@@ -184,11 +175,13 @@ LEDGER_REQUIRED = {
     "selfcorrect.collect_small_doubling",
     "selfcorrect.find_high_stab_dim",
     "selfcorrect.find_stabilizer",
+    "selfcorrect.sampled_tolerant_test",
     "selfcorrect.self_correct",
     "statevec.apply_circuit",
     "statevec.hadamard_test_estimate",
     "statevec.lcu_residual",
     "statevec.sample_retained",
+    "statevec.sampled_gowers3_metrics",
     "statevec.sampled_proxy",
 }
 
@@ -262,17 +255,22 @@ def test_public_options_are_pinned():
     assert options == PUBLIC_OPTIONS
 
 
-def test_only_exact_mode_entry_points_may_omit_the_ledger():
-    optional, required = set(), set()
+def test_no_function_defaults_its_ledger_or_rng():
+    # a defaulted ledger or rng marks a function with a second path that
+    # reads neither; such a path is a function of its own, so every function
+    # that takes a ledger or rng needs it
+    defaulted, takes_ledger = set(), set()
     for stem, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
                 params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                defaulted |= {
+                    f"{stem}.{node.name}.{arg}" for arg in _defaulted(node) if arg in ("ledger", "rng")
+                }
                 if any(a.arg == "ledger" for a in params):
-                    has_default = "ledger" in _defaulted(node)
-                    (optional if has_default else required).add(f"{stem}.{node.name}")
-    assert optional == LEDGER_OPTIONAL
-    assert required == LEDGER_REQUIRED
+                    takes_ledger.add(f"{stem}.{node.name}")
+    assert not defaulted, f"defaulted ledger or rng parameters: {sorted(defaulted)}"
+    assert takes_ledger == LEDGER_REQUIRED
 
 
 def test_no_uncharged_ledger_branch_in_package():

@@ -86,32 +86,32 @@ def reference_find_stabilizer(psi, sub, gamma, delta, rng, ledger):
 
 
 def reference_find_high_stab_dim(psi, sub, gamma, delta, rng, ledger):
-    """The per-round loop: each round measures the rotated center block (the
-    last m qubits) with ``measure_block``, one ``measure`` copy each; the
-    heaviest sampled branch is kept with its normalized conditional block.
-    Returns (z, block weight, sigma)."""
+    """The per-round loop: each round measures the rotated center block
+    (qubits k..k+m-1 of the canonical frame) with ``measure_block``, one
+    ``measure`` copy each; the heaviest sampled branch is kept with its
+    normalized conditional block on the other n - m qubits.  Returns
+    (z, block weight, sigma)."""
     labels = sub.basis.labels(psi.n)
-    circuit, _, m = canonicalize_subgroup(labels, center_tail=True)
+    circuit, k, m = canonicalize_subgroup(labels)
     rotated = apply_circuit(psi, circuit, ledger)
     n = psi.n
-    k = n - m
     seen = set()
     for _ in range(_rounds(gamma)):
-        z, _, _ = measure_block(rotated, tuple(range(k, n)), "computational", rng, ledger)
+        z, _, _ = measure_block(rotated, tuple(range(k, k + m)), "computational", rng, ledger)
         seen.add(z)
-    blocks = rotated.amps.reshape(1 << m, 1 << k)
-    weights = (np.abs(blocks) ** 2).sum(axis=1)
+    blocks = rotated.amps.reshape(1 << (n - k - m), 1 << m, 1 << k)
+    weights = (np.abs(blocks) ** 2).sum(axis=(0, 2))
     best_z = max(seen, key=lambda z: weights[z])
-    sigma = StateVector(k, blocks[best_z] / np.sqrt(weights[best_z]))
+    sigma = StateVector(n - m, blocks[:, best_z, :].reshape(-1) / np.sqrt(weights[best_z]))
     if ledger is not None:
         eps = max(gamma, 1e-3) / 8.0
         ledger.charge(
             "block_shadows",
-            copies=int(np.ceil(4.0**k / eps**2 * np.log(max(len(seen), 2) / delta))),
+            copies=int(np.ceil(4.0 ** (n - m) / eps**2 * np.log(max(len(seen), 2) / delta))),
         )
         ledger.charge(
             "block_tomography",
-            copies=int(np.ceil(4.0**k / eps**2 * np.log(1.0 / delta))),
+            copies=int(np.ceil(4.0 ** (n - m) / eps**2 * np.log(1.0 / delta))),
         )
     return best_z, float(weights[best_z]), sigma
 

@@ -144,6 +144,14 @@ GOLDEN = {
     ),
 }
 
+# name: the record outputs that a seeded run's estimates decide, pinned
+# beside its ledger, so that a change of draws that leaves the charges as
+# they are (a reordered or extra draw) fails here too.
+OUTPUTS = {
+    "analyze_sampled": {"proxy": 0.2268244575936884, "u3pow8": 0.3346482577251808, "mode": "sampled"},
+    "test_sampled": {"verdict": "no"},
+}
+
 
 def _ledger(totals, breakdown):
     return {
@@ -156,6 +164,8 @@ def _ledger(totals, breakdown):
 def test_command_ledger_is_golden(name):
     rec = run(ExperimentConfig.from_json(CONFIGS[name]))[0]
     assert rec.ledger == _ledger(*GOLDEN[name])
+    pinned = OUTPUTS.get(name, {})
+    assert {key: rec.outputs[key] for key in pinned} == pinned
 
 
 def test_hadamard_robust_loop_ledger_is_golden():

@@ -207,21 +207,23 @@ class TestAgainstRowReference:
             # phases 1 and 3 keep their i^1 bit
             assert [p.phase & 1 for p in want] == [p.phase & 1 for p in rows]
 
-    @pytest.mark.parametrize("center_tail", [False, True])
+    @pytest.mark.parametrize("framed", [False, True])
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_canonicalize_gates(self, n, center_tail):
-        # on sets with zero, repeated and dependent rows too
+    def test_canonicalize_gates(self, n, framed):
         rng = np.random.default_rng(5100 + n)
-        for _ in range(16):
-            gens = random_label_set(n, rng)
-            circ, k, m = canonicalize_subgroup(gens, center_tail=center_tail)
-            assert (circ.gates, k, m) == canonicalize_reference(gens, center_tail)
-        # and on Lagrangian, center-only and mixed groups in a random frame,
+        if not framed:
+            # on sets with zero, repeated and dependent rows too
+            for _ in range(16):
+                gens = random_label_set(n, rng)
+                circ, k, m = canonicalize_subgroup(gens)
+                assert (circ.gates, k, m) == canonicalize_reference(gens)
+            return
+        # on Lagrangian, center-only and mixed groups in a random frame,
         # whose gates give the per-gate kernel's amplitudes byte for byte
         for k, m in group_shapes(n, rng):
             gens = [p.label for p in framed_group(n, k, m, rng)]
-            circ, kk, mm = canonicalize_subgroup(gens, center_tail=center_tail)
-            assert (circ.gates, kk, mm) == canonicalize_reference(gens, center_tail)
+            circ, kk, mm = canonicalize_subgroup(gens)
+            assert (circ.gates, kk, mm) == canonicalize_reference(gens)
             assert (kk, mm) == (k, m)
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             want = apply_gates_reference(amps, circ.gates)
@@ -274,25 +276,33 @@ class TestAgainstRowReference:
             assert tuple(cols.rows(m)) == tuple(red.tracked)
 
 
-# sha256 of repr((gates, k, m)) over 20 seeded groups at n = 4 ... 10, per
-# center_tail, recorded from the canonicalizer as it stood when preparation
-# still inverted its isotropic reduction.  The extractors' frames, and so
-# their draws, depend on these gates gate for gate.
+# sha256 of repr((gates, k, m)) over 20 seeded sizes n = 4 ... 10: one
+# random label set per size, recorded when preparation still inverted the
+# isotropic reduction, and (framed) the Lagrangian, center-only and mixed
+# groups of ``group_shapes`` in a random frame, recorded from the same
+# unchanged canonicalizer before its second, center-last frame was dropped.
+# The extractors' frames, and so their draws, depend on these gates gate for
+# gate.
 CANONICAL_DIGESTS = {
     False: "0146846cae63266e034636b90e8b8449683f78d7e885c5fffa4e34671946cb20",
-    True: "cf881d914ecb35cfb83a4f5a513d01154c6286d3b07396274436ae3c532b76e9",
+    True: "dc57aa45b1fbc65bf29dab74faad74ff621445622427a76aaf77bc411f948cac",
 }
 
 
-@pytest.mark.parametrize("center_tail", [False, True])
-def test_canonicalizer_gates_pinned(center_tail):
+@pytest.mark.parametrize("framed", [False, True])
+def test_canonicalizer_gates_pinned(framed):
     digest = hashlib.sha256()
     for seed in range(20):
         rng = np.random.default_rng(6400 + seed)
         n = 4 + seed % 7
-        circ, k, m = canonicalize_subgroup(random_label_set(n, rng), center_tail=center_tail)
-        digest.update(repr((circ.gates, k, m)).encode())
-    assert digest.hexdigest() == CANONICAL_DIGESTS[center_tail]
+        if framed:
+            groups = [[p.label for p in framed_group(n, k, m, rng)] for k, m in group_shapes(n, rng)]
+        else:
+            groups = [random_label_set(n, rng)]
+        for gens in groups:
+            circ, k, m = canonicalize_subgroup(gens)
+            digest.update(repr((circ.gates, k, m)).encode())
+    assert digest.hexdigest() == CANONICAL_DIGESTS[framed]
 
 
 def group_shapes(n, rng):
@@ -381,12 +391,11 @@ class TestTableau:
         checked = []
         monkeypatch.setattr(CliffordCircuit, "__post_init__", lambda self: checked.append(self))
         canonicalize_subgroup(gens)
-        canonicalize_subgroup(gens, center_tail=True)
         stab_state_prep(state)
         assert checked == []
 
-    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
-    def test_emitted_circuits_pass_the_public_checks(self, n, seed, center_tail):
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_emitted_circuits_pass_the_public_checks(self, n, seed):
         # every circuit built unchecked is one the public constructor accepts
         # unchanged: canonicalizations of random subgroups, preparations of
         # random signed stabilizer states, and their inverses
@@ -395,7 +404,7 @@ class TestTableau:
         zs = [PauliLabel(n, 0, 1 << q).to_vector() for q in range(n)]
         signs = int(rng.integers(1 << n))
         state = StabilizerState(n, conjugate(random_circuit(n, rng), signed_generators(n, zs, signs)))
-        circuits = [canonicalize_subgroup(gens, center_tail=center_tail)[0], stab_state_prep(state)]
+        circuits = [canonicalize_subgroup(gens)[0], stab_state_prep(state)]
         for c in circuits + [c.inverse() for c in circuits]:
             assert CliffordCircuit(n, c.gates) == c
 
@@ -483,36 +492,37 @@ class TestPairReduction:
 
 
 class TestIsotropicReduction:
-    """``canonicalize_subgroup(center_tail=True)`` on an isotropic input: the
-    whole group is center, carried onto the last d qubits' Z operators."""
+    """``canonicalize_subgroup`` on an isotropic input: with no symplectic
+    pairs the whole group is center, carried onto the first d qubits' Z
+    operators."""
 
     @staticmethod
-    def tail(labels):
-        circ, k, m = canonicalize_subgroup(labels, center_tail=True)
+    def center(labels):
+        circ, k, m = canonicalize_subgroup(labels)
         assert k == 0
         return circ
 
     def test_z_line_identity_action(self):
-        circ = self.tail([lab("Z")])
+        circ = self.center([lab("Z")])
         assert conjugate(circ, pp("Z")).label == lab("Z")
 
     def test_x_line(self):
-        circ = self.tail([lab("X")])
+        circ = self.center([lab("X")])
         assert conjugate(circ, pp("X")).label == lab("Z")
 
     def test_bell_pair_generators(self):
-        circ = self.tail([lab("XX"), lab("ZZ")])
+        circ = self.center([lab("XX"), lab("ZZ")])
         imgs = {conjugate(circ, pp(s)).label for s in ("XX", "ZZ")}
         target = set(rref_basis_from_labels([lab("IZ"), lab("ZI")]).labels(2))
         spanned = rref_basis([l.to_vector() for l in imgs], 4)
         assert spanned == rref_basis([l.to_vector() for l in target], 4)
 
     def test_rejects_non_isotropic(self):
-        # an anticommuting input is a symplectic pair, never sent to the tail
-        _, k, m = canonicalize_subgroup([lab("X"), lab("Z")], center_tail=True)
+        # an anticommuting input is a symplectic pair, never sent to the center
+        _, k, m = canonicalize_subgroup([lab("X"), lab("Z")])
         assert (k, m) == (1, 0)
 
-    def test_maps_to_designated_tail(self, rng):
+    def test_maps_to_leading_qubits(self, rng):
         done = 0
         while done < 50:
             n = int(rng.integers(2, 7))
@@ -524,12 +534,12 @@ class TestIsotropicReduction:
             if not basis.rows or not is_isotropic(basis, n):
                 continue
             d = len(basis.rows)
-            circ = self.tail(basis.labels(n))
+            circ = self.center(basis.labels(n))
             img = rref_basis(
                 [conjugate(circ, PhasedPauli(l, 0)).label.to_vector() for l in basis.labels(n)],
                 2 * n,
             )
-            want = rref_basis([1 << (n + q) for q in range(n - d, n)], 2 * n)
+            want = rref_basis([1 << (n + q) for q in range(d)], 2 * n)
             assert img == want
             done += 1
 
@@ -581,22 +591,27 @@ class TestCanonicalize:
         with pytest.raises(ValueError, match="generators of different lengths"):
             canonicalize_subgroup([lab("II"), lab("ZIZ")])
 
-    @pytest.mark.parametrize("center_tail", [False, True])
+    @pytest.mark.parametrize("framed", [False, True])
     @pytest.mark.parametrize("trial", range(4))
-    def test_matches_synthesized_path(self, trial, center_tail):
+    def test_matches_synthesized_path(self, trial, framed):
         # the emitted circuit against the circuit synthesized from its
-        # tableau: same tableau, same unitary up to one global phase
+        # tableau: same tableau, same unitary up to one global phase; on
+        # random label lists, or on every group shape in a random frame
         rng = np.random.default_rng(4100 + trial)
         for _ in range(10):
             n = int(rng.integers(1, 9))
-            gens = [random_label(n, rng) for _ in range(int(rng.integers(1, 2 * n + 2)))]
-            circ, _, _ = canonicalize_subgroup(gens, center_tail=center_tail)
-            tab = tableau_from_circuit(circ)
-            synth = synthesize_circuit(tab)
-            assert tableau_from_circuit(synth) == tab
-            ratio = circuit_matrix(circ) @ circuit_matrix(synth).conj().T
-            assert abs(abs(ratio[0, 0]) - 1) < 1e-9
-            assert np.allclose(ratio, ratio[0, 0] * np.eye(1 << n), atol=1e-9)
+            if framed:
+                groups = [[p.label for p in framed_group(n, k, m, rng)] for k, m in group_shapes(n, rng)]
+            else:
+                groups = [[random_label(n, rng) for _ in range(int(rng.integers(1, 2 * n + 2)))]]
+            for gens in groups:
+                circ, _, _ = canonicalize_subgroup(gens)
+                tab = tableau_from_circuit(circ)
+                synth = synthesize_circuit(tab)
+                assert tableau_from_circuit(synth) == tab
+                ratio = circuit_matrix(circ) @ circuit_matrix(synth).conj().T
+                assert abs(abs(ratio[0, 0]) - 1) < 1e-9
+                assert np.allclose(ratio, ratio[0, 0] * np.eye(1 << n), atol=1e-9)
 
 
 class TestSignedGenerators:

@@ -28,6 +28,7 @@ from stabcorrect.selfcorrect import (
     find_stabilizer,
     pfr_subgroup,
     self_correct,
+    sampled_tolerant_test,
     tolerant_test,
 )
 from stabcorrect.selfcorrect import (
@@ -812,11 +813,10 @@ class TestBasisDraws:
         return SubgroupV(n, rref_basis([g.label.to_vector() for g in center], 2 * n), None)
 
     @staticmethod
-    def _loop_draws(amps, block, rounds, rng):
+    def _loop_draws(weights, rounds, rng):
         """Per-round scalar draws of the block index from its Born weight."""
-        weights = (np.abs(amps.reshape(-1, block)) ** 2).sum(axis=1)
         law = weights / weights.sum()
-        return weights, [int(rng.choice(law.shape[0], p=law)) for _ in range(rounds)]
+        return [int(rng.choice(law.shape[0], p=law)) for _ in range(rounds)]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_find_stabilizer_k0_matches_loop(self, seed):
@@ -827,7 +827,8 @@ class TestBasisDraws:
         cand = find_stabilizer(psi, sub, 0.5, 0.05, a, CostLedger())
         circuit, k, _ = canonicalize_subgroup(sub.basis.labels(n))
         rotated = apply_circuit(psi, circuit, CostLedger())
-        weights, draws = self._loop_draws(rotated.amps, 1, _rounds(0.5), b)
+        weights = np.abs(rotated.amps) ** 2
+        draws = self._loop_draws(weights, _rounds(0.5), b)
         best = draws[0]
         for z in dict.fromkeys(draws):
             if weights[z] > weights[best] + TIE_TOL:
@@ -842,9 +843,12 @@ class TestBasisDraws:
         psi, sub = random_state(n, rng), self._subgroup(n, (2, 3), rng)
         a, b = np.random.default_rng(50 + seed), np.random.default_rng(50 + seed)
         res = find_high_stab_dim(psi, sub, 0.5, 0.05, a, CostLedger())
-        circuit, _, m = canonicalize_subgroup(sub.basis.labels(n), center_tail=True)
+        circuit, k, m = canonicalize_subgroup(sub.basis.labels(n))
         rotated = apply_circuit(psi, circuit, CostLedger())
-        weights, draws = self._loop_draws(rotated.amps, 1 << (n - m), _rounds(0.5), b)
+        # the center block is qubits k..k+m-1 of the frame
+        blocks = rotated.amps.reshape(1 << (n - k - m), 1 << m, 1 << k)
+        weights = (np.abs(blocks) ** 2).sum(axis=(0, 2))
+        draws = self._loop_draws(weights, _rounds(0.5), b)
         assert res.z == max(set(draws), key=lambda z: weights[z])
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -910,7 +914,7 @@ class TestSelfCorrect:
 class TestTolerantTest:
     def test_accepts_stabilizer(self, rng):
         _, psi = stab_vec(["+XZ", "+ZX"])
-        assert tolerant_test(psi, 0.9, 0.1, 0, 0.01) == "yes"
+        assert tolerant_test(psi, 0.9, 0.1, 0) == "yes"
 
     def test_rejects_t8(self):
         psi = t_state()
@@ -919,27 +923,27 @@ class TestTolerantTest:
         psi = tensor(psi, t_state())  # n = 8
         m = gowers3_metrics(psi)
         assert m.proxy == pytest.approx((5 / 8) ** 8, abs=1e-10)
-        assert tolerant_test(psi, 0.9, 0.1, 0, 0.01) == "no"
+        assert tolerant_test(psi, 0.9, 0.1, 0) == "no"
 
     def test_high_dim_yes_instance(self, rng):
         # stabilizer dimension n-1 with unit block fidelity
         psi = tensor(t_state(), basis_state(2))
-        assert tolerant_test(psi, 0.9, 0.01, 1, 0.01) == "yes"
+        assert tolerant_test(psi, 0.9, 0.01, 1) == "yes"
 
     def test_inseparable_config(self):
         with pytest.raises(ValueError):
-            tolerant_test(t_state(), 0.5, 0.4, 0, 0.01)
+            tolerant_test(t_state(), 0.5, 0.4, 0)
 
     def test_nan_separation_is_inseparable(self):
         # with C = NaN the no ceiling is NaN, which no yes floor clears
         _, psi = stab_vec(["+XZ", "+ZX"])
         with pytest.raises(ValueError, match="inseparable"):
-            tolerant_test(psi, 0.9, 0.05, 0, 0.01, separation_c=float("nan"))
+            tolerant_test(psi, 0.9, 0.05, 0, separation_c=float("nan"))
 
     @pytest.mark.parametrize("c", [0.0, -1.0])
     def test_nonpositive_separation_rejected(self, c):
         with pytest.raises(ValueError, match="separation_c must be > 0"):
-            tolerant_test(t_state(), 0.9, 0.05, 0, 0.01, separation_c=c)
+            tolerant_test(t_state(), 0.9, 0.05, 0, separation_c=c)
 
     def test_sampled_agrees_with_exact(self):
         _, psi = stab_vec(["+ZI", "+IZ"])
@@ -947,7 +951,7 @@ class TestTolerantTest:
         runs = 50
         for i in range(runs):
             rng = RngStream(1234).child("tol", i).generator()
-            v = tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, CostLedger(), mode="sampled")
+            v = sampled_tolerant_test(psi, 0.9, 0.1, 0, 1e-3, rng, CostLedger(), 1.0)
             agree += v == "yes"
         assert agree >= runs - 1
 

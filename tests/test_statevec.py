@@ -38,10 +38,11 @@ from stabcorrect.statevec import (
     overlap,
     random_state,
     sample_retained,
+    sampled_gowers3_metrics,
     stab_combination,
     table_build_bytes,
 )
-from stabcorrect.selfcorrect import self_correct, tolerant_test
+from stabcorrect.selfcorrect import sampled_tolerant_test, self_correct
 
 from conftest import (
     RecordingGenerator,
@@ -312,7 +313,7 @@ class TestTableMemory:
         ledger = CostLedger()
         tracemalloc.start()
         try:
-            m = gowers3_metrics(psi, "sampled", 0.01, rng, ledger)
+            m = sampled_gowers3_metrics(psi, 0.01, rng, ledger)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -369,7 +370,7 @@ class TestTableMemory:
         phys = {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": (table_build_bytes(n) + 4 * 4**n) // 8}
         monkeypatch.setattr(statevec.os, "sysconf", phys.__getitem__)
         ledger = CostLedger()
-        assert tolerant_test(psi, 0.9, 0.1, 0, 0.01, rng, ledger, mode="sampled") in ("yes", "no")
+        assert sampled_tolerant_test(psi, 0.9, 0.1, 0, 0.01, rng, ledger, 1.0) in ("yes", "no")
         rows = ledger.breakdown
         assert set(rows) == {"bell_difference", "gowers_sampled"}
         shots = rows["gowers_sampled"]["copies_consumed"] // 2
@@ -590,7 +591,7 @@ class TestGowersMetrics:
         hits = 0
         runs = 60
         for _ in range(runs):
-            m = gowers3_metrics(t_state(), "sampled", 0.05, rng, ledger)
+            m = sampled_gowers3_metrics(t_state(), 0.05, rng, ledger)
             hits += abs(m.proxy - 5 / 8) <= 0.05
         assert hits >= runs - 2
         assert ledger.totals["copies_consumed"] > 0
@@ -601,7 +602,7 @@ class TestGowersMetrics:
         # estimates and leaves the generators in the same state
         psi = random_state(4, np.random.default_rng(5))
         a, b = np.random.default_rng(12), np.random.default_rng(12)
-        m = gowers3_metrics(psi, "sampled", 0.2, a, CostLedger())
+        m = sampled_gowers3_metrics(psi, 0.2, a, CostLedger())
         exact = gowers3_metrics(psi)
         replay = [float(binomial_estimate(w, m.shots, b)) for w in (exact.proxy, exact.u3pow8)]
         assert [m.proxy, m.u3pow8] == replay
@@ -616,7 +617,7 @@ class TestGowersMetrics:
         psi = t_state() if state == "t" else random_state(3, np.random.default_rng(9))
         runs = 2000
         exact = gowers3_metrics(psi)
-        ms = [gowers3_metrics(psi, "sampled", 0.2, np.random.default_rng(s), CostLedger())
+        ms = [sampled_gowers3_metrics(psi, 0.2, np.random.default_rng(s), CostLedger())
               for s in range(runs)]
         shots = ms[0].shots
         assert shots == 381
