@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
+from .errors import CollectionEmpty
 from .gf2 import PauliLabel, rref_basis
 from .ledger import CostLedger
 from .pauli import (
@@ -36,8 +37,10 @@ from .selfcorrect import (
     ATTEMPTS,
     BsgParams,
     SubgroupV,
+    _collect_t,
     _edge_shots,
     _tolerant_margin,
+    collect_small_doubling,
     find_stabilizer,
     sampled_tolerant_test,
     self_correct,
@@ -392,6 +395,8 @@ class ExperimentConfig:
                 f"parameter(s) {', '.join(unread)} are read only by learner 'self_correct'; "
                 "learner 'bruteforce' does not read them"
             )
+        if p.get("mode") == "exact" and "delta" in self.params:
+            raise ValueError("parameter delta is read only by mode 'sampled'; mode 'exact' does not read it")
         if self.command == "bench":
             if not 1 <= p["n"] <= _MAX_N:
                 raise ValueError(f"parameter n must lie in [1, {_MAX_N}], got {p['n']}")
@@ -642,6 +647,24 @@ def _bench(n: int) -> dict:
         kernels.apply_gates(amps, gates)
         gate_times.append(time.perf_counter() - t0)
     out["gates_s"] = float(np.median(gate_times))
+    # one collection at self_correct's t on a seeded planted mixture,
+    # sqrt(0.6) random stabilizer state + sqrt(0.4) Haar: its time, with the
+    # tables built first, and the edge_test copies it charges, whether or
+    # not it reaches t
+    plant, _ = gen_state(StateSpec("random_stabilizer", n), rng)
+    amps = np.sqrt(0.6) * plant.amps + np.sqrt(0.4) * random_state(n, rng).amps
+    psi = StateVector(n, amps / np.linalg.norm(amps))
+    _label_cdf(psi)  # the tables, timed above
+    ledger = CostLedger()
+    t0 = time.perf_counter()
+    try:
+        collect_small_doubling(
+            psi, _collect_t(n), _SELF_CORRECT["gamma"], _SELF_CORRECT["delta"], rng, ledger
+        )
+    except CollectionEmpty:
+        pass
+    out["collect_s"] = time.perf_counter() - t0
+    out["collect_edge_test_copies"] = ledger.breakdown["edge_test"]["copies_consumed"]
     out["n"] = n
     return out
 

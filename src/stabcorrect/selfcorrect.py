@@ -6,7 +6,12 @@ tester for high stabilizer dimension.
 Every membership test of one collection reads one pool of retained samples.
 The pool is drawn independently of the vertex pairs, so each test keeps the
 law of a test with its own samples, and "every test answers correctly" is a
-union bound over the tests, which needs no independence between them.
+union bound over the tests, which needs no independence between them.  The
+walk over the vertices is lazy: it runs an edge test only when a membership
+decision reads it, the joint edges of the neighbor stage in blocks, and
+charges the tests it runs (``_membership_rows``).  A skipped test cannot
+change any decision, so the accepted sets keep the law of the walk that
+runs every test; only the draw order differs.
 
 The collected set A is covered by the span of A + A (``pfr_subgroup``),
 where the paper covers it with the algorithmic polynomial Freiman-Ruzsa
@@ -156,55 +161,59 @@ def _edge_batch(
     return flag
 
 
-# Neighbors whose edge tests are decided together: a chunk's uniforms and
-# thresholded probabilities hold at most this many entries each, so its
-# temporaries stay near one 4,096-pair edge batch's.  The label-level arrays
-# (one entry per neighbor and distinct pooled label) are built for blocks
-# of at most this many entries, which span several chunks when the pool
-# repeats labels.
-NEIGHBOR_CHUNK_ENTRIES = 1 << 14
+# Edge tests per draw call of ``_neighbor_bad``, at most: a round draws its
+# open (v, i) in chunks of this many over kmax + 1, so that its temporaries
+# (three label rows and their <W>^2) stay below 128 KiB each.
+NEIGHBOR_CHUNK_ENTRIES = 1 << 12
 
 
 def _neighbor_bad(
-    psi: StateVector, vs: np.ndarray, labels: np.ndarray, at: np.ndarray, zk: np.ndarray,
+    psi: StateVector, vs: np.ndarray, need: np.ndarray, w: np.ndarray, zk: np.ndarray,
     params: BsgParams, shots: int, rng: np.random.Generator, ledger: CostLedger,
 ) -> np.ndarray:
     """Which outer samples count against each neighbor label of ``vs``, one
-    row of r flags per neighbor: the r*s zeta3-edges of v with the inner
-    pool w = labels[at] (``np.unique``), each with the law and the charge of
-    an ``_edge_batch`` pair, and-ed with zk, w's flat zeta3-edges with the
-    outer samples.  z_i counts against v when at most kmax of its s joint
-    edges hold, kmax = max{k : k/s <= rho1}.
+    row of r flags per neighbor, decided where ``need`` holds and False
+    elsewhere.  z_i counts against v when at most kmax = max{k : k/s <=
+    rho1} of its inner samples w[i] are joint neighbors of v and z_i: both
+    the zeta3-edge (z_i, w[i, j]), already tested as ``zk[i, j]``, and the
+    zeta3-edge (v, w[i, j]) hold.
 
-    <W>^2 is read per distinct label.  A pair none of whose three values
-    lies within the band of ``_shot_test`` is decided there; per chunk of
-    neighbors, the pairs with an in-band value take their shot tests in one
-    ``_shot_test`` call (row x, then y, then x^y), and one ``rng.random``
-    array gives every pair's last draw."""
-    r, s, zeta, m = params.r, params.s, params.zeta3, at.shape[0]
+    (v, w[i, j]) is tested, with the law and the charge of an
+    ``_edge_batch`` pair, only where zk[i, j] holds, in j order, and in
+    blocks while the count is open: testing stops once the count exceeds
+    kmax or once the edges left cannot lift it past kmax.  Each round tests,
+    for every open (v, i), neighbor by neighbor and i by i, its next kmax + 1
+    such edges, or those left; the tests of a block after the count closes
+    are run and charged too.  A round draws its tests in chunks of
+    ``NEIGHBOR_CHUNK_ENTRIES // (kmax + 1)`` open (v, i), one edge batch
+    each."""
+    s = params.s
     kmax = max(k for k in range(s + 1) if k / s <= params.rho1)
-    w2, h = expectation_squares(psi), _band_half_width(shots)
-    wy = w2[labels]
-    bad = np.empty((vs.shape[0], r), dtype=bool)
-    block = max(1, NEIGHBOR_CHUNK_ENTRIES // labels.shape[0])
-    step = max(1, NEIGHBOR_CHUNK_ENTRIES // m)
-    for b in range(0, vs.shape[0], block):
-        wx, wxy = w2[vs[b : b + block]], w2[vs[b : b + block, None] ^ labels]
-        # a decided pair passes its last draw with probability <W_{x^y}>^2
-        # when its three shot tests pass, and with probability 0 otherwise
-        prob = np.where((wx > zeta)[:, None] & (wy > zeta) & (wxy > zeta), wxy, 0.0)
-        band = np.abs(wxy - zeta) <= h
-        band |= (np.abs(wx - zeta) <= h)[:, None] | (np.abs(wy - zeta) <= h)
-        for c in range(0, wx.shape[0], step):
-            p = prob[c : c + step].take(at, axis=1)
-            if band[c : c + step].any():
-                i, j = np.nonzero(band[c : c + step].take(at, axis=1))
-                three = np.stack((wx[c + i], wy[at[j]], wxy[c + i, at[j]]))
-                p[i, j] = np.where(_shot_test(three, zeta, shots, rng).all(axis=0), three[2], 0.0)
-            flags = rng.random(p.shape) < p
-            flags &= zk
-            bad[b + c : b + c + p.shape[0]] = flags.reshape(-1, r, s).sum(axis=2) <= kmax
-    ledger.charge("edge_test", copies=(6 * shots + 2) * m * vs.shape[0])
+    vi, rows = np.nonzero(need)
+    xs = vs[vi]
+    # row i of w with the labels whose zk[i, j] holds first, in j order;
+    # pos is each (v, i)'s next label there
+    cand = np.take_along_axis(w, np.argsort(~zk, axis=1, kind="stable"), axis=1).ravel()
+    pos, left = rows * s, zk.sum(axis=1)[rows]
+    count = np.zeros(rows.shape[0], dtype=np.intp)
+    step = max(1, NEIGHBOR_CHUNK_ENTRIES // (kmax + 1))
+    while True:
+        live = (count <= kmax) & (count + left > kmax)
+        if not live.any():
+            break
+        take = np.where(live, np.minimum(kmax + 1, left), 0)
+        live = np.flatnonzero(live)
+        for c in range(0, live.shape[0], step):
+            p = live[c : c + step]
+            tk = take[p]
+            starts = np.cumsum(tk) - tk
+            at = np.repeat(pos[p] - starts, tk) + np.arange(starts[-1] + tk[-1])
+            joint = _edge_batch(psi, np.repeat(xs[p], tk), cand[at], params.zeta3, shots, rng, ledger)
+            count[p] += np.add.reduceat(joint, starts, dtype=np.intp)
+        pos += take
+        left -= take
+    bad = np.zeros(need.shape, dtype=bool)
+    bad[vi, rows] = count <= kmax
     return bad
 
 
@@ -221,31 +230,52 @@ def _membership_rows(
     v when at most a rho1 share of its inner samples are joint zeta3-edge
     neighbors of v and z; (u, v) is accepted when it is a zeta1-edge and at
     most a rho2 share of the z are zeta2-edge neighbors of u counting
-    against v.  Which z count against v is computed once per v, for u's new
-    neighbors together (``_neighbor_bad``) before u's zeta2-edges, and
-    reads w's values once per distinct label."""
+    against v.
+
+    The walk runs an edge test only when a decision reads it, the neighbor
+    stage's in blocks.  u's zeta1-edges are tested when the walk reaches u,
+    and its r zeta2-edges only when u has t neighbors.  Only the z_i that are
+    u's zeta2-neighbors enter u's decisions: their s zeta3-edges with their
+    inner samples are tested the first time some u reads them, and whether
+    z_i counts against a neighbor the first time some u reads that
+    (``_neighbor_bad``).  Each test draws fresh randomness and is charged
+    when it runs, and a skipped test cannot change any decision, so the
+    accepted sets keep the law of the walk that runs every test; only the
+    draw order differs."""
     r, s, k, shots = params.r, params.s, verts.shape[0], _edge_shots(params)
 
     def edges(xs, ys, zeta):
         return _edge_batch(psi, xs, ys, zeta, shots, rng, ledger)
 
     z = sample_retained(psi, r, rng, ledger)
-    w = sample_retained(psi, r * s, rng, ledger)
-    us, vs = np.nonzero(~np.eye(k, dtype=bool))
-    pair = np.zeros((k, k), dtype=bool)
-    pair[us, vs] = edges(verts[us], verts[vs], params.zeta1)
-    zk = edges(np.repeat(z, s), w, params.zeta3)
-    labels, at = np.unique(w, return_inverse=True)
-    bad = np.empty((k, r), dtype=bool)
-    seen = np.zeros(k, dtype=bool)
-    for i in np.flatnonzero(pair.sum(axis=1) >= t):
-        nbrs = np.flatnonzero(pair[i])
-        new = nbrs[~seen[nbrs]]
+    w = sample_retained(psi, r * s, rng, ledger).reshape(r, s)
+    # tested zeta3-edges (z_i, w[i, j]), and the rows i tested
+    zk, zk_read = np.zeros((r, s), dtype=bool), np.zeros(r, dtype=bool)
+    # _neighbor_bad's flags per vertex, and the (v, i) decided
+    bad, bad_read = np.zeros((k, r), dtype=bool), np.zeros((k, r), dtype=bool)
+    for u in range(k):
+        others = np.flatnonzero(np.arange(k) != u)
+        nbrs = others[edges(np.repeat(verts[u], k - 1), verts[others], params.zeta1)]
+        if nbrs.shape[0] < t:
+            continue
+        xk = edges(np.repeat(verts[u], r), z, params.zeta2)
+        new = np.flatnonzero(xk & ~zk_read)
         if new.shape[0]:
-            bad[new] = _neighbor_bad(psi, verts[new], labels, at, zk, params, shots, rng, ledger)
-            seen[new] = True
-        xk = edges(np.repeat(verts[i], r), z, params.zeta2)
-        yield i, nbrs[(xk & bad[nbrs]).mean(axis=1) <= params.rho2]
+            zk[new] = edges(np.repeat(z[new], s), w[new].ravel(), params.zeta3).reshape(-1, s)
+            zk_read[new] = True
+        need = xk & ~bad_read[nbrs]
+        fresh = need.any(axis=1)
+        if fresh.any():
+            vs, need = nbrs[fresh], need[fresh]
+            bad[vs] |= _neighbor_bad(psi, verts[vs], need, w, zk, params, shots, rng, ledger)
+            bad_read[vs] |= need
+        yield u, nbrs[(xk & bad[nbrs]).mean(axis=1) <= params.rho2]
+
+
+def _collect_t(n: int) -> int:
+    """``self_correct``'s collection size at n qubits: n + 3 labels, at most
+    the 2^n - 1 labels of a stabilizer group other than the identity."""
+    return min(n + 3, (1 << n) - 1)
 
 
 def collect_small_doubling(
@@ -565,7 +595,7 @@ def self_correct(
     """Chain small-doubling collection, its cover by span(A + A)
     (``pfr_subgroup``) and stabilizer extraction, retrying a failed stage
     with fresh randomness up to the attempt budget."""
-    t = collect_t if collect_t is not None else min(psi.n + 3, (1 << psi.n) - 1)
+    t = collect_t if collect_t is not None else _collect_t(psi.n)
     last: Exception | None = None
     for _ in range(attempts):
         try:

@@ -969,9 +969,10 @@ def bsg_test(psi, u, v, params, rng, ledger, exact=False):
 
 
 def membership_rows_reference(psi, verts, t, params, rng, ledger):
-    """``selfcorrect._membership_rows`` with one ``_edge_batch`` of r*s
-    zeta3-edges per neighbor, in visit order: the draw-for-draw reference of
-    the pooled neighbor stage."""
+    """``selfcorrect._membership_rows`` run in full: every ordered vertex
+    pair's zeta1-edge, every zeta3-edge of the pool and one ``_edge_batch``
+    of r*s zeta3-edges per neighbor, in visit order.  The law reference of
+    the lazy walk, which runs only the tests its decisions read."""
     r, s, k, shots = params.r, params.s, verts.shape[0], edge_shots(params)
 
     def edges(xs, ys, zeta):
@@ -992,6 +993,75 @@ def membership_rows_reference(psi, verts, t, params, rng, ledger):
                 bad[j] = (yk & zk).mean(axis=1) <= params.rho1
         xk = edges(np.repeat(verts[i], r), z, params.zeta2)
         yield i, nbrs[[(xk & bad[j]).mean() <= params.rho2 for j in nbrs]]
+
+
+def neighbor_bad_reference(psi, vs, need, w, zk, params, shots, rng, ledger):
+    """``selfcorrect._neighbor_bad`` with plain loops and one ``_edge_batch``
+    per edge test: the draw-for-draw reference of its order.  (v, i) is
+    open while its count of joint edges can still both pass kmax and stay
+    at most kmax.  Each round walks the open (v, i), neighbor by neighbor
+    and outer sample by outer sample, and tests the next kmax + 1 inner
+    samples j of z_i whose zeta3-edge zk[i, j] holds, or those left, one at
+    a time.  The stage draws each round in chunks of pairs, which keeps
+    this order."""
+    s = params.s
+    kmax = max(k for k in range(s + 1) if k / s <= params.rho1)
+    todo = {
+        (a, i): [[j for j in range(s) if zk[i, j]], 0]
+        for a in range(len(vs)) for i in range(need.shape[1]) if need[a, i]
+    }
+
+    def is_open(left, count):
+        return count <= kmax < count + len(left)
+
+    while any(is_open(*state) for state in todo.values()):
+        for (a, i), state in todo.items():
+            left, count = state
+            if not is_open(left, count):
+                continue
+            for _ in range(min(kmax + 1, len(left))):
+                j = left.pop(0)
+                state[1] += int(_edge_batch(
+                    psi, np.array([vs[a]]), np.array([w[i, j]]), params.zeta3, shots, rng, ledger
+                )[0])
+    bad = np.zeros(need.shape, dtype=bool)
+    for (a, i), (_, count) in todo.items():
+        bad[a, i] = count <= kmax
+    return bad
+
+
+def lazy_membership_rows_reference(psi, verts, t, params, rng, ledger):
+    """``selfcorrect._membership_rows``'s lazy walk with plain loops: the
+    draw-for-draw reference of its order.  Each u's zeta1-edges, zeta2-edges
+    and unread zeta3 rows take one ``_edge_batch`` each, as in the walk;
+    the (v, i) the walk has not decided go to ``neighbor_bad_reference``."""
+    r, s, k, shots = params.r, params.s, verts.shape[0], edge_shots(params)
+
+    def edges(xs, ys, zeta):
+        return _edge_batch(psi, xs, ys, zeta, shots, rng, ledger)
+
+    z = sample_retained(psi, r, rng, ledger)
+    w = sample_retained(psi, r * s, rng, ledger).reshape(r, s)
+    zk, bad = {}, {}
+    for u in range(k):
+        others = [v for v in range(k) if v != u]
+        flags = edges(np.repeat(verts[u], k - 1), verts[others], params.zeta1)
+        nbrs = [v for v, f in zip(others, flags) if f]
+        if len(nbrs) < t:
+            continue
+        xk = edges(np.repeat(verts[u], r), z, params.zeta2)
+        new = [i for i in range(r) if xk[i] and i not in zk]
+        if new:
+            zk.update(zip(new, edges(np.repeat(z[new], s), w[new].ravel(), params.zeta3).reshape(-1, s)))
+        zks = np.array([zk.get(i, np.zeros(s, dtype=bool)) for i in range(r)])
+        fresh = [v for v in nbrs if any(xk[i] and (v, i) not in bad for i in range(r))]
+        need = np.array([[xk[i] and (v, i) not in bad for i in range(r)] for v in fresh], dtype=bool)
+        if fresh:
+            got = neighbor_bad_reference(psi, verts[fresh], need, w, zks, params, shots, rng, ledger)
+            for a, v in enumerate(fresh):
+                bad.update({(v, i): bool(got[a, i]) for i in range(r) if need[a, i]})
+        accepted = [v for v in nbrs if sum(xk[i] and bad[v, i] for i in range(r)) / r <= params.rho2]
+        yield u, np.array(accepted, dtype=np.intp)
 
 
 def pfr_subgroup_reference(samples):

@@ -198,6 +198,9 @@ def config_dicts(draw):
         # the bruteforce learner refuses the self-correction params
         for key in ("gamma", "delta", "attempts"):
             params.pop(key, None)
+    if params.get("mode", harness.PARAMS[command].get("mode")) == "exact":
+        # the exact mode refuses delta, which only the sampled mode reads
+        params.pop("delta", None)
     if params.get("loop") == "error_free":
         params["t"] = 0
     if command == "test":
@@ -544,11 +547,26 @@ class TestConfig:
             return rec.outputs, rec.ledger
 
         # the bruteforce learner (the default) refuses the self-correction
-        # params, so those are left out where it runs
+        # params, and the exact mode (the default) refuses delta, so those
+        # are left out where they run
         spelled = dict(harness.PARAMS[command])
         if spelled.get("learner") == "bruteforce":
             spelled = {k: v for k, v in spelled.items() if k not in ("gamma", "delta", "attempts")}
+        if spelled.get("mode") == "exact":
+            del spelled["delta"]
         assert outputs_and_ledger({}) == outputs_and_ledger(spelled)
+
+    @pytest.mark.parametrize("command", ["analyze", "test"])
+    def test_exact_mode_refuses_delta(self, command):
+        state = {"kind": "haar", "n": 3}
+        for mode in ({"mode": "exact"}, {}):
+            with pytest.raises(ValueError, match="parameter delta is read only by mode 'sampled'"):
+                ExperimentConfig.from_json(
+                    {"command": command, "state": state, "params": {**mode, "delta": 0.1}}
+                )
+        ExperimentConfig.from_json(
+            {"command": command, "state": state, "params": {"mode": "sampled", "delta": 0.1}}
+        )
 
     @pytest.mark.parametrize("command", ["decompose", "learn-extent"])
     def test_bruteforce_learner_refuses_self_correction_params(self, command):
@@ -904,11 +922,18 @@ class TestRun:
         rec = run(cfg)[0]
         assert set(rec.outputs) == {
             "char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s",
-            "find_stabilizer_s", "gates_s", "n",
+            "find_stabilizer_s", "gates_s", "collect_s", "collect_edge_test_copies", "n",
         }
-        keys = ("char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s", "gates_s")
+        keys = (
+            "char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s", "gates_s",
+            "collect_s", "collect_edge_test_copies",
+        )
         for key in keys:
             assert rec.outputs[key] > 0
+        # the collection charges whole edge tests at the practical preset's shot count
+        shots = harness._edge_shots(harness.BsgParams.practical(0.5, 0.05))
+        assert rec.outputs["collect_edge_test_copies"] % (6 * shots + 2) == 0
+        assert type(rec.outputs["collect_edge_test_copies"]) is int
         # k = 0 ... min(5, n - 2)
         extract = rec.outputs["find_stabilizer_s"]
         assert list(extract) == ["0", "1", "2", "3", "4"]
