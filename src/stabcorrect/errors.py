@@ -15,7 +15,7 @@ class PfrSubgroupNotFound(StabcorrectError):
 
 
 class SelfCorrectionFailed(StabcorrectError):
-    """All pipeline attempts exhausted without producing a candidate."""
+    """No candidate: all pipeline attempts exhausted, or n = 1 refused."""
 
 
 class NoCandidateFound(StabcorrectError):

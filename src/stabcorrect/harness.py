@@ -413,6 +413,8 @@ class ExperimentConfig:
                     f"parameter t = {p['t']} needs loop 'robust': the error_free loop has no "
                     "stabilizer-dimension threshold"
                 )
+            if n == 1 and self.command == "selfcorrect":
+                raise ValueError("command 'selfcorrect' needs n >= 2, got n = 1")
             if n > ORACLE_MAX_QUBITS and self.command == "oracle":
                 raise ValueError(
                     f"command 'oracle' runs the exact oracle, capped at n <= {ORACLE_MAX_QUBITS}: "
@@ -528,7 +530,7 @@ def _run_trial(config: ExperimentConfig, trial: int) -> tuple[dict, CostLedger]:
     rng = RngStream(config.seed).child("trial", trial).generator()
     ledger = CostLedger()
     if config.command == "bench":
-        return _bench(p["n"]), ledger
+        return _bench(p["n"], rng), ledger
     state_rng = RngStream(config.seed).child("state", trial).generator()
     psi, meta = gen_state(config.state, state_rng)
     out: dict = {"meta": meta}
@@ -583,8 +585,7 @@ BENCH_REPEATS = 7
 BENCH_SUBGROUPS = 5
 
 
-def _bench(n: int) -> dict:
-    rng = np.random.default_rng(0)
+def _bench(n: int, rng: np.random.Generator) -> dict:
     out = {}
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
@@ -600,7 +601,8 @@ def _bench(n: int) -> dict:
     # random_stabilizer draws, each layer timed over all of them in one loop,
     # BENCH_REPEATS times on fresh states (a state caches its preparation):
     # the median per-state preparation (synthesis and dense gates) and
-    # canonicalization times, and the median preparation length
+    # canonicalization times, and the median preparation and canonical
+    # circuit lengths
     groups = [_random_stabilizer(n, rng) for _ in range(BENCH_STATES)]
     labels = [[g.label for g in group] for group in groups]
     prep, canon = [], []
@@ -610,12 +612,12 @@ def _bench(n: int) -> dict:
         circuits = [stab_state_prep(state) for state in states]
         prep.append((time.perf_counter() - t0) / BENCH_STATES)
         t0 = time.perf_counter()
-        for group_labels in labels:
-            canonicalize_subgroup(group_labels)
+        canonical = [canonicalize_subgroup(group_labels)[0] for group_labels in labels]
         canon.append((time.perf_counter() - t0) / BENCH_STATES)
     out["prep_s"] = float(np.median(prep))
     out["prep_gates"] = float(np.median([len(circuit) for circuit in circuits]))
     out["canonicalize_s"] = float(np.median(canon))
+    out["canonicalize_gates"] = float(np.median([len(circuit) for circuit in canonical]))
     # extraction as k grows from 0: per k, the median find_stabilizer time on
     # Haar states and fresh subgroups of k symplectic pairs and a
     # 2-dimensional center in a random Clifford frame; the median passes over

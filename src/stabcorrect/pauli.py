@@ -10,9 +10,10 @@ validated against dense matrices in the test suite.
 Conjugation through a circuit, canonicalization and state preparation drive
 one store of Paulis as bit columns: per qubit one int of the rows' X bits and
 one of their Z bits, beside one int of sign bits.  One gate rule (Aaronson and
-Gottesman's) then updates every row with a few int operations.
-Canonicalization records the gates its reduction emits; state preparation
-reads the affine-phase form of the state off the rows, layer by layer.
+Gottesman's) then updates every row with a few int operations.  One
+reduction maps commuting rows to Z strings a layer of the affine-phase form
+at a time: the canonicalizer places its center with it, and state
+preparation runs it on the n generators and reads its layers.
 ``signed_generators`` is the one way to sign packed label rows.
 
 Statevector indices are little-endian in the qubit number (qubit q is bit q),
@@ -130,10 +131,11 @@ class _PauliColumns:
     ``conjugate`` is the one gate conjugation rule g P g^dagger.  Phases are
     relative to W = i^{|a&b|} X^a Z^b, which a Clifford maps to +-W', so each
     gate updates every row with a few int operations and flips only signs.
-    The canonicalizer's reductions ``emit`` each gate, conjugating by it and
-    appending it to ``gates``, and test the bits they need straight from the
-    columns; ``prepare`` conjugates a layer at a time and reads packed rows.
-    Rows go in and come out by a transpose over set bits."""
+    ``reduce_pair`` emits a pair's gates one at a time and tests the bits it
+    needs straight from the columns.  ``reduce_isotropic``, the one reduction
+    of a commuting set to Z strings, which the canonicalizer's center and
+    ``prepare`` share, conjugates and records a layer at a time and reads
+    packed rows.  Rows go in and come out by a transpose over set bits."""
 
     def __init__(self, n: int, rows):
         self.n = n
@@ -156,12 +158,12 @@ class _PauliColumns:
             for i, v in enumerate(self.packed(count))
         ]
 
-    def packed(self, count: int) -> list[int]:
-        """The labels of rows 0 .. count - 1, packed as a | (b << n)."""
-        out = [0] * count
+    def packed(self, count: int, first: int = 0) -> list[int]:
+        """The labels of rows first .. first + count - 1, packed as a | (b << n)."""
+        out, rows = [0] * count, (1 << count) - 1
         for q in range(self.n):
-            _scatter(self.x[q], out, 1 << q)
-            _scatter(self.z[q], out, 1 << (self.n + q))
+            _scatter(self.x[q] >> first & rows, out, 1 << q)
+            _scatter(self.z[q] >> first & rows, out, 1 << (self.n + q))
         return out
 
     def phase(self, i: int) -> int:
@@ -198,15 +200,15 @@ class _PauliColumns:
                 raise ValueError(f"unknown gate {name!r}")
         self.sign = sign
 
+    def layer(self, gates: list) -> list:
+        """Conjugate every row by the gates in turn, record them and return them."""
+        self.conjugate(gates)
+        self.gates += gates
+        return gates
+
     def emit(self, name: str, *qs: int) -> None:
         """Conjugate every row by the gate and record it in ``gates``."""
-        gate = (name, qs)
-        self.conjugate((gate,))
-        self.gates.append(gate)
-
-    def _support(self, idx: int, q: int) -> int:
-        """Whether row idx acts on qubit q."""
-        return ((self.x[q] | self.z[q]) >> idx) & 1
+        self.layer([(name, qs)])
 
     def _is_single(self, idx: int, col: list[int], q: int) -> bool:
         """Whether row idx's label is the one bit of ``col`` (``x`` or ``z``)
@@ -232,21 +234,19 @@ class _PauliColumns:
         elif bq and not aq:
             self.emit("H", q)
 
-    def _single_to_x(self, idx: int, off: int, target: int) -> None:
-        # reduce row idx (supported on qubits >= off) to +-X_target
-        x = self.x
+    def _single_to_x(self, idx: int, off: int) -> None:
+        # reduce row idx (supported on qubits >= off) to +-X_off
+        x, z = self.x, self.z
         if not any((x[q] >> idx) & 1 for q in range(off, self.n)):
-            self.emit("H", self._first_bit(self.z, idx, off))
+            self.emit("H", self._first_bit(z, idx, off))
         pivot = self._first_bit(x, idx, off)
         self._make_x_at(idx, pivot)
         for q in range(off, self.n):
-            if q != pivot and self._support(idx, q):
+            if q != pivot and ((x[q] | z[q]) >> idx) & 1:
                 self._make_x_at(idx, q)
                 self.emit("CNOT", pivot, q)
-        if pivot != target:
-            self.emit("CNOT", target, pivot)
-            self.emit("CNOT", pivot, target)
-            self.emit("CNOT", target, pivot)
+        if pivot != off:
+            self.layer([("CNOT", (off, pivot)), ("CNOT", (pivot, off)), ("CNOT", (off, pivot))])
 
     def reduce_pair(self, ip: int, iq: int, off: int) -> None:
         """Map the anticommuting pair to exactly (+X_off, +Z_off).
@@ -255,13 +255,13 @@ class _PauliColumns:
         touches only qubits >= off.
         """
         if not self._is_single(ip, self.x, off):
-            self._single_to_x(ip, off, off)
+            self._single_to_x(ip, off)
         if not self._is_single(iq, self.z, off):
             # partner anticommutes with +-X_off, so it carries Z or Y at off,
             # hence X or Y once a Hadamard swaps the roles: its reduction to
             # X_off pivots at off, and the Hadamard back leaves Z_off
             self.emit("H", off)
-            self._single_to_x(iq, off, off)
+            self._single_to_x(iq, off)
             self.emit("H", off)
         if self.phase(ip) == 2:
             self.emit("Z", off)
@@ -274,32 +274,44 @@ class _PauliColumns:
         ):
             raise AssertionError("pair reduction did not reach (+X, +Z)")
 
-    def reduce_isotropic(self, indices: list[int], off: int) -> None:
-        """Map commuting independent tracked elements to +Z_off, +Z_off+1, ...
+    def reduce_isotropic(self, first: int, count: int, off: int) -> tuple[list, list, list, list]:
+        """Map rows first .. first + count - 1, commuting, independent and
+        acting trivially below ``off``, to +-Z strings that span <Z_off, ...,
+        Z_{off+count-1}>, recording each gate, a layer at a time.
 
-        Earlier placements are protected: each new element commutes with the
-        placed +Z_q, hence carries no X there, and any residual Z_q component
-        is removed by multiplying with the placed generator (a row operation
-        inside the group).  With no X bit at q that product only clears the
-        row's Z bit there and leaves its phase as it is.
-        """
-        z = self.z
-        placed: list[int] = []
-        for t, idx in enumerate(indices):
-            target = off + t
-            for q in placed:
-                z[q] &= ~(1 << idx)
-            lowest = next((q for q in range(self.n) if self._support(idx, q)), None)
-            if lowest is None:
-                raise ValueError("dependent generator in isotropic reduction")
-            if not self._is_single(idx, z, target):
-                self._single_to_x(idx, lowest, target)
-                self.emit("H", target)
-            if self.phase(idx) == 2:
-                self.emit("X", target)
-            if not self._is_single(idx, z, target) or self.phase(idx):
-                raise AssertionError("isotropic reduction did not reach +Z")
-            placed.append(target)
+        A CNOT fan-in onto the pivots of the RREF basis of the rows' X parts
+        (each pivot the lowest bit of its row) leaves the element with X part
+        X_p a Y at p where an S clears it and a Z at each other pivot p' where
+        a CZ on (p, p') clears it; H on the pivots then leaves +-Z strings.
+        Below n - off rows a CNOT fan-in onto the pivots of those strings'
+        RREF basis and swaps onto off, off + 1, ... follow.  Returns the
+        first four layers, the fan-in, S, CZ and H, which ``prepare`` reads."""
+        n, mask = self.n, (1 << self.n) - 1
+        basis = rref_basis([v & mask for v in self.packed(count, first)], n).rows
+        pivots = [(v & -v).bit_length() - 1 for v in basis]
+        on_pivots = sum(1 << p for p in pivots)
+        fan = self.layer([("CNOT", (p, t)) for v, p in zip(basis, pivots) for t in _bits(v ^ (1 << p))])
+        odd, cz = 0, []
+        for v in rref_basis(self.packed(count, first), 2 * n).rows:
+            if v & mask:
+                p = (v & -v).bit_length() - 1
+                zbits = (v >> n) & on_pivots
+                odd |= zbits & (1 << p)
+                cz += [("CZ", (p, t)) for t in _bits(zbits >> (p + 1) << (p + 1))]
+        layers = fan, self.layer([("S", (p,)) for p in _bits(odd)]), self.layer(cz)
+        layers += (self.layer([("H", (p,)) for p in pivots]),)
+        if count < n - off:
+            # CNOT (t, p) clears bit t of each string holding Z_p
+            zs = rref_basis([v >> n for v in self.packed(count, first)], n).rows
+            zp = [(v & -v).bit_length() - 1 for v in zs]
+            self.layer([("CNOT", (t, p)) for v, p in zip(zs, zp) for t in _bits(v ^ (1 << p))])
+            for target, p in enumerate(zp, off):
+                if p != target:
+                    self.layer([("CNOT", (target, p)), ("CNOT", (p, target)), ("CNOT", (target, p))])
+        rows, span = ((1 << count) - 1) << first, ((1 << count) - 1) << off
+        if any(self.x[q] & rows or (self.z[q] & rows and not span >> q & 1) for q in range(n)):
+            raise AssertionError("isotropic reduction did not reach Z strings on the center qubits")
+        return layers
 
     def prepare(self) -> list[tuple[str, tuple[int, ...]]]:
         """The affine-phase preparation of the state that the n rows, n
@@ -311,46 +323,29 @@ class _PauliColumns:
         The state is sum over x in x0 + V of i^{l(x)} (-1)^{q(x)} |x>
         (Dehaene and De Moor, quant-ph/0304125), with V spanned by the rows'
         X parts, taken in RREF (each pivot the lowest bit of its row), and
-        x0 clear at the pivots.  The rows run the inverse layers in turn,
-        each read off the rows the layer before left, and must end as +Z
+        x0 clear at the pivots.  The rows run ``reduce_isotropic``'s layers,
+        whose S gates mark where l is odd and whose CZ gates are q's pairs,
+        then X on the basis state y that H left.  They must end as +Z
         strings, which generate <+Z_0, ..., +Z_{n-1}>, else AssertionError."""
-        n, mask = self.n, (1 << self.n) - 1
-        basis = rref_basis([v & mask for v in self.packed(n)], n).rows
-        pivots = [(v & -v).bit_length() - 1 for v in basis]
-        on_pivots = sum(1 << p for p in pivots)
-        fan = [("CNOT", (p, t)) for v, p in zip(basis, pivots) for t in _bits(v ^ (1 << p))]
-        self.conjugate(fan)
-        # the X parts now lie on the pivots, and the element with X part X_p
-        # has a Y at p where l is odd and Z at each p' with q(p, p') = 1
-        odd, cz = 0, []
-        for v in rref_basis(self.packed(n), 2 * n).rows:
-            if v & mask:
-                p = (v & -v).bit_length() - 1
-                zbits = (v >> n) & on_pivots
-                odd |= zbits & (1 << p)
-                cz += [("CZ", (p, t)) for t in _bits(zbits >> (p + 1) << (p + 1))]
-        self.conjugate([("S", (p,)) for p in _bits(odd)] + cz)
-        # each row is now +-X^a Z^w, a on the pivots and w off them; H on the
-        # pivots leaves the basis state y with parity(y & (a | w)) = the sign
-        sign = self.sign
-        solved = rref_basis(
-            [(v | (v >> n)) & mask | ((sign >> i) & 1) << n for i, v in enumerate(self.packed(n))],
-            n + 1,
-        ).rows
-        y = sum(((v >> n) & 1) << (v & -v).bit_length() - 1 for v in solved)
-        # Z on y's pivot bits before H, X on the others (x0) after it
-        hs = [("H", (p,)) for p in pivots]
-        xs = [("X", (q,)) for q in _bits(y & ~on_pivots)]
-        self.conjugate([("Z", (p,)) for p in _bits(y & on_pivots)] + hs + xs)
+        n = self.n
+        fan, s, cz, hs = self.reduce_isotropic(0, n, 0)
+        # each row is now +-Z^w: y has parity(y & w) = the row's sign, and
+        # X on y's bits clears every sign
+        solved = rref_basis([v >> n | (self.sign >> i & 1) << n for i, v in enumerate(self.packed(n))], n + 1)
+        y = sum((v >> n & 1) << (v & -v).bit_length() - 1 for v in solved.rows)
+        self.conjugate([("X", (q,)) for q in _bits(y)])
         if any(self.x) or self.sign or self.ibit:
             raise AssertionError("preparation did not reach +Z_0, ..., +Z_{n-1}")
-        # the rows ran i^(s + 2z) on each pivot, s for its S and z for its Z:
-        # the preparation applies i^c with c = -(s + 2z) mod 4, an S for odd c
-        # and a Z for c = 2 or 3
-        diag = []
-        for p in pivots:
-            c = -(((odd >> p) & 1) + 2 * ((y >> p) & 1)) & 3
+        # the rows ran i^(s + 2z) on each pivot, s for its S and z for its X
+        # after H (a Z before it): the preparation applies i^c with
+        # c = -(s + 2z) mod 4, an S for odd c and a Z for c = 2 or 3; the
+        # other bits of y are the shift x0
+        on_pivots, diag = 0, []
+        for _, (p,) in hs:
+            on_pivots |= 1 << p
+            c = -((("S", (p,)) in s) + 2 * (y >> p & 1)) & 3
             diag += [("S", (p,))] * (c & 1) + [("Z", (p,))] * (c >> 1)
+        xs = [("X", (q,)) for q in _bits(y & ~on_pivots)]
         return hs + diag + cz + fan + xs
 
 
@@ -404,7 +399,7 @@ def canonicalize_subgroup(generators) -> tuple[CliffordCircuit, int, int]:
     cols = _PauliColumns(n, signed_generators(n, rows, 0))
     for i in range(k):
         cols.reduce_pair(2 * i, 2 * i + 1, i)
-    cols.reduce_isotropic(list(range(2 * k, 2 * k + m)), k)
+    cols.reduce_isotropic(2 * k, m, k)
     return CliffordCircuit._emitted(n, cols.gates), k, m
 
 

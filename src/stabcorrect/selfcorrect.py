@@ -594,7 +594,10 @@ def self_correct(
 ) -> CandidateStabilizer:
     """Chain small-doubling collection, its cover by span(A + A)
     (``pfr_subgroup``) and stabilizer extraction, retrying a failed stage
-    with fresh randomness up to the attempt budget."""
+    with fresh randomness up to the attempt budget.  n = 1, whose collection
+    size 1 covers no stabilizer state, fails before any draw or charge."""
+    if psi.n == 1:
+        raise SelfCorrectionFailed("self-correction needs n >= 2, got n = 1")
     t = collect_t if collect_t is not None else _collect_t(psi.n)
     last: Exception | None = None
     for _ in range(attempts):

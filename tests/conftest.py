@@ -476,30 +476,53 @@ class RowReducer:
         if (self.tracked[ip], self.tracked[iq]) != (PhasedPauli(xoff, 0), PhasedPauli(zoff, 0)):
             raise AssertionError("pair reduction did not reach (+X, +Z)")
 
-    def reduce_isotropic(self, indices: list[int], off: int) -> None:
-        placed: list[int] = []
-        for t, idx in enumerate(indices):
-            target = off + t
-            for s, q in enumerate(placed):
-                if (self.tracked[idx].label.z >> q) & 1:
-                    self.tracked[idx] = pauli_product(
-                        self.tracked[idx], self.tracked[indices[s]]
-                    )
-            if self.tracked[idx].label == PauliLabel(self.n, 0, 0):
-                raise ValueError("dependent generator in isotropic reduction")
-            if self.tracked[idx].label != PauliLabel(self.n, 0, 1 << target):
-                lowest = min(
-                    q for q in range(self.n)
-                    if ((self.tracked[idx].label.x >> q) & 1)
-                    or ((self.tracked[idx].label.z >> q) & 1)
-                )
-                self._single_to_x(idx, lowest, target)
-                self.emit("H", target)
-            if self.tracked[idx].phase == 2:
-                self.emit("X", target)
-            if self.tracked[idx] != PhasedPauli(PauliLabel(self.n, 0, 1 << target), 0):
-                raise AssertionError("isotropic reduction did not reach +Z")
-            placed.append(target)
+    def reduce_isotropic(self, first: int, count: int, off: int) -> None:
+        """The layered isotropic reduction, each layer read off the tracked
+        rows first .. first + count - 1 as PhasedPauli objects and emitted a
+        gate at a time: the CNOT fan-in onto the pivots of their X parts' RREF
+        basis, S where an element with X part X_p has a Y at p, CZ (p, p')
+        where it has a Z at a later pivot p', H on the pivots and, below
+        n - off rows, the CNOT fan-in onto their Z strings' pivots and the
+        swaps onto off, off + 1, ..."""
+        n = self.n
+
+        def low(v):
+            return (v & -v).bit_length() - 1
+
+        def rows():
+            return self.tracked[first : first + count]
+
+        xbasis = rref_basis([p.label.x for p in rows()], n).rows
+        pivots = [low(v) for v in xbasis]
+        for v, p in zip(xbasis, pivots):
+            for t in range(n):
+                if t != p and (v >> t) & 1:
+                    self.emit("CNOT", p, t)
+        s_gates, cz_gates = [], []
+        for v in rref_basis([p.label.to_vector() for p in rows()], 2 * n).rows:
+            if v & ((1 << n) - 1):
+                p, zpart = low(v), v >> n
+                s_gates += [p] if (zpart >> p) & 1 else []
+                cz_gates += [(p, t) for t in pivots if t > p and (zpart >> t) & 1]
+        for p in sorted(s_gates):
+            self.emit("S", p)
+        for pair in cz_gates:
+            self.emit("CZ", *pair)
+        for p in pivots:
+            self.emit("H", p)
+        if count < n - off:
+            zbasis = rref_basis([p.label.z for p in rows()], n).rows
+            for v in zbasis:
+                for t in range(n):
+                    if t != low(v) and (v >> t) & 1:
+                        self.emit("CNOT", t, low(v))
+            for target, v in enumerate(zbasis, off):
+                if low(v) != target:
+                    for c, t in ((target, low(v)), (low(v), target), (target, low(v))):
+                        self.emit("CNOT", c, t)
+        span = ((1 << count) - 1) << off
+        if any(p.label.x or p.label.z & ~span for p in rows()):
+            raise AssertionError("isotropic reduction did not reach Z strings on the center qubits")
 
 
 def canonicalize_reference(generators):
@@ -514,7 +537,7 @@ def canonicalize_reference(generators):
     red = RowReducer(n, tracked)
     for i in range(k):
         red.reduce_pair(2 * i, 2 * i + 1, i)
-    red.reduce_isotropic(list(range(2 * k, 2 * k + m)), k)
+    red.reduce_isotropic(2 * k, m, k)
     return tuple(red.gates), k, m
 
 

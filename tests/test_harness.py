@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -112,6 +113,12 @@ class TestGenState:
             p = PhasedPauli.from_string(g)
             assert np.allclose(weyl_matrix(p) @ psi.amps, psi.amps, atol=1e-12)
 
+    def test_combo_zero_vector_refused(self):
+        gens = ("+ZI", "+IZ")
+        spec = StateSpec("combo", 2, terms=((0.5, 0.0, gens), (-0.5, 0.0, gens)))
+        with pytest.raises(ValueError, match="^combo coefficients produce the zero vector$"):
+            gen_state(spec, gen(0))
+
     def test_combo_renormalized(self):
         spec = StateSpec(
             "combo", 2,
@@ -191,7 +198,8 @@ def state_specs(draw, n):
 @st.composite
 def config_dicts(draw):
     command = draw(st.sampled_from(harness.COMMANDS))
-    n = draw(st.integers(1, 5))
+    # the selfcorrect command refuses n = 1
+    n = draw(st.integers(2 if command == "selfcorrect" else 1, 5))
     keys = draw(st.lists(st.sampled_from(sorted(harness.PARAMS[command])), unique=True))
     params = {key: draw(PARAM_VALUES[key](n)) for key in keys}
     if params.get("learner", harness.PARAMS[command].get("learner")) == "bruteforce":
@@ -320,6 +328,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "term, message",
         [
+            pytest.param(["+Z"], r"combo term must be a JSON object, got \['\+Z'\]", id="array-term"),
             pytest.param({"coeff": ["0.5", 0.0], "generators": ["+Z"]},
                          "combo coeff must be a finite real number", id="string-coeff"),
             pytest.param({"coeff": [0.5, 0.0], "generators": ["+Z"], "weight": 2},
@@ -409,6 +418,34 @@ class TestConfig:
         # its shot count, copy count, extent bound, 16 << n or 4^n
         with pytest.raises(ValueError, match=field):
             ExperimentConfig.from_json({"command": command, "state": state, "params": params})
+
+    @pytest.mark.parametrize(
+        "command, params, key",
+        [
+            ("selfcorrect", {"gamma": 1.5}, "gamma"),
+            ("analyze", {"mode": "sampled", "delta": 0.0}, "delta"),
+            ("decompose", {"eps": 1.0}, "eps"),
+            ("test", {"eps1": 1.5}, "eps1"),
+            ("test", {"eps2": -0.1}, "eps2"),
+            ("learn-extent", {"eps_prime": 1.0}, "eps_prime"),
+        ],
+    )
+    def test_unit_interval_params_refused(self, command, params, key):
+        # each on a command that reads it, so no unknown-key refusal comes first
+        with pytest.raises(ValueError, match=rf"^parameter {key} must lie in \(0, 1\)$"):
+            ExperimentConfig.from_json(
+                {"command": command, "state": {"kind": "haar", "n": 3}, "params": params}
+            )
+
+    @pytest.mark.parametrize("t", [None, -1])
+    def test_tdoped_needs_a_nonnegative_t(self, t):
+        with pytest.raises(ValueError, match=r"^tdoped needs t >= 0$"):
+            StateSpec.from_json({"kind": "tdoped", "n": 3, **({} if t is None else {"t": t})})
+
+    def test_selfcorrect_refuses_one_qubit(self):
+        with pytest.raises(ValueError, match=r"^command 'selfcorrect' needs n >= 2, got n = 1$"):
+            ExperimentConfig.from_json({"command": "selfcorrect", "state": {"kind": "haar", "n": 1}})
+        ExperimentConfig.from_json({"command": "selfcorrect", "state": {"kind": "haar", "n": 2}})
 
     def test_tdoped_t_capped_where_the_extent_bound_overflows(self):
         # (1 + 2^-1/2)^t is finite up to t = 1,327, which still runs
@@ -922,11 +959,12 @@ class TestRun:
         rec = run(cfg)[0]
         assert set(rec.outputs) == {
             "char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s",
-            "find_stabilizer_s", "gates_s", "collect_s", "collect_edge_test_copies", "n",
+            "canonicalize_gates", "find_stabilizer_s", "gates_s", "collect_s",
+            "collect_edge_test_copies", "n",
         }
         keys = (
-            "char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s", "gates_s",
-            "collect_s", "collect_edge_test_copies",
+            "char_table_s", "table_build_s", "prep_s", "prep_gates", "canonicalize_s",
+            "canonicalize_gates", "gates_s", "collect_s", "collect_edge_test_copies",
         )
         for key in keys:
             assert rec.outputs[key] > 0
@@ -938,6 +976,20 @@ class TestRun:
         extract = rec.outputs["find_stabilizer_s"]
         assert list(extract) == ["0", "1", "2", "3", "4"]
         assert all(t > 0 for t in extract.values())
+
+    def test_bench_draws_from_the_config_seed(self):
+        # the bench draws from each trial's stream: one seed repeats its
+        # inputs, so its gate counts and charged copies, and another seed
+        # draws other inputs
+        keys = ("prep_gates", "canonicalize_gates", "collect_edge_test_copies")
+
+        def bench(seed):
+            cfg = ExperimentConfig.from_json({"command": "bench", "params": {"n": 6}, "seed": seed})
+            return {key: run(cfg)[0].outputs[key] for key in keys}
+
+        first = bench(0)
+        assert bench(0) == first
+        assert bench(1)["collect_edge_test_copies"] != first["collect_edge_test_copies"]
 
     @pytest.mark.parametrize(
         "n,ks", [(1, []), (2, ["0"]), (3, ["0", "1"]), (7, ["0", "1", "2", "3", "4", "5"])]
@@ -1008,9 +1060,13 @@ class TestRun:
         cfg["params"] = {"learner": "self_correct", "attempts": 4}
         dec = run(ExperimentConfig.from_json(cfg))[0].outputs["decomposition"]
         assert (dec["stop_reason"], dec["iterations"]) == ("learner_failed", 0)
+        cfg.update(command="learn-extent", params={"learner": "self_correct"})
+        res = run(ExperimentConfig.from_json(cfg))[0].outputs["result"]
+        assert (res["stop_reason"], res["iterations"]) == ("learner_failed", 0)
+        # the selfcorrect command refuses n = 1 with the config
         cfg.update(command="selfcorrect", params={"attempts": 4})
-        with pytest.raises(SelfCorrectionFailed):
-            run(ExperimentConfig.from_json(cfg))
+        with pytest.raises(ValueError, match="command 'selfcorrect' needs n >= 2, got n = 1"):
+            ExperimentConfig.from_json(cfg)
 
     def test_haar_self_correct_learner_stops_in_collection(self):
         # no attempt collects a set of n + 3 labels on a Haar state, so the
@@ -1117,6 +1173,25 @@ class TestCli:
         out = str(tmp_path / "missing" / "res.jsonl")
         with pytest.raises(ValueError, match="lies in a directory that does not exist"):
             main(["analyze", "--config", str(cfg_path), "--out", out])
+
+    def test_bench_without_config(self, tmp_path, capsys):
+        # bench needs no config file: n = 10 by default, and the trial count
+        # and format come from the flags; each trial draws its own inputs
+        from stabcorrect.cli import main
+
+        out_path = tmp_path / "bench.csv"
+        assert main(["bench", "--trials", "2", "--format", "csv", "--out", str(out_path)]) == 0
+        printed = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [rec["n"] for rec in printed] == [10, 10]
+        assert printed[0]["collect_edge_test_copies"] != printed[1]["collect_edge_test_copies"]
+        with open(out_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(row["trial"], row["config.format"], row["config.trials"]) for row in rows] == [
+            ("0", "csv", "2"), ("1", "csv", "2")
+        ]
+        assert [float(row["outputs.canonicalize_gates"]) for row in rows] == [
+            rec["canonicalize_gates"] for rec in printed
+        ]
 
     def test_seed_override_changes_results(self, tmp_path):
         from stabcorrect.cli import main

@@ -269,23 +269,38 @@ class TestAgainstRowReference:
         for m in [m for k, m in group_shapes(n, rng) if not k]:
             rows = framed_group(n, 0, m, rng)
             cols = _PauliColumns(n, rows)
-            cols.reduce_isotropic(list(range(m)), 0)
+            cols.reduce_isotropic(0, m, 0)
             red = RowReducer(n, list(rows))
-            red.reduce_isotropic(list(range(m)), 0)
+            red.reduce_isotropic(0, m, 0)
             assert tuple(cols.gates) == tuple(red.gates)
             assert tuple(cols.rows(m)) == tuple(red.tracked)
 
+    def test_lagrangian_center_takes_the_preparation_gates(self):
+        # on a Lagrangian group the center reduction is the preparation's:
+        # the canonical circuit holds the same H, S, CZ and CNOT gates as the
+        # group's preparation, which adds only the Z and X gates of the signs
+        for n in range(2, 11):
+            rng = np.random.default_rng(5700 + n)
+            for _ in range(8):
+                rows = framed_group(n, 0, n, rng)
+                circ, k, m = canonicalize_subgroup([p.label for p in rows])
+                prep = stab_state_prep(StabilizerState(n, tuple(rows)))
+                clifford = Counter(g for g in prep.gates if g[0] not in ("X", "Z"))
+                assert (k, m) == (0, n)
+                assert Counter(circ.gates) == clifford
+
 
 # sha256 of repr((gates, k, m)) over 20 seeded sizes n = 4 ... 10: one
-# random label set per size, recorded when preparation still inverted the
-# isotropic reduction, and (framed) the Lagrangian, center-only and mixed
-# groups of ``group_shapes`` in a random frame, recorded from the same
-# unchanged canonicalizer before its second, center-last frame was dropped.
-# The extractors' frames, and so their draws, depend on these gates gate for
+# random label set per size, and (framed) the Lagrangian, center-only and
+# mixed groups of ``group_shapes`` in a random frame.  Recorded when the
+# center moved from the greedy per-row reduction to the layered one that
+# preparation runs (fan-in, S, CZ, H, then fan-in and swaps below n - k
+# rows): its gates differ, while (k, m) and the spanned group do not.  The
+# extractors' frames, and so their draws, depend on these gates gate for
 # gate.
 CANONICAL_DIGESTS = {
-    False: "0146846cae63266e034636b90e8b8449683f78d7e885c5fffa4e34671946cb20",
-    True: "dc57aa45b1fbc65bf29dab74faad74ff621445622427a76aaf77bc411f948cac",
+    False: "1860ad24fa3132b14ecfa3c172158e27609e8ced44a3d003dc12af71693ab6a7",
+    True: "4756972f7c4bc24761184f40cf770037cabc9cbc4ef003ce49eaf474a89b018a",
 }
 
 

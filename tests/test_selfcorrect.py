@@ -900,11 +900,14 @@ class TestSelfCorrect:
         assert wins >= 9
 
     @pytest.mark.parametrize("gens", [["+Z"], ["-X"], ["+Y"]])
-    def test_one_qubit_exhausts_instead_of_crashing(self, gens, rng):
-        # one qubit asks for a single collected label, which spans nothing
+    def test_one_qubit_refused_before_any_draw(self, gens, rng):
+        # one qubit asks for a single collected label, which spans no cover
+        # of a stabilizer state: refused before anything is drawn or charged
         _, psi = stab_vec(gens)
-        with pytest.raises(SelfCorrectionFailed, match="accepted sums < floor 2"):
-            self_correct(psi, 0.5, 0.05, rng, CostLedger(), attempts=4)
+        ledger, before = CostLedger(), rng.bit_generator.state
+        with pytest.raises(SelfCorrectionFailed, match="^self-correction needs n >= 2, got n = 1$"):
+            self_correct(psi, 0.5, 0.05, rng, ledger, attempts=4)
+        assert ledger.breakdown == {} and rng.bit_generator.state == before
 
     def test_haar_exhausts(self, rng):
         psi = random_state(6, rng)
